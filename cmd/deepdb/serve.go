@@ -80,7 +80,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	readonly := fs.Bool("readonly", false, "reject /insert, /delete and /flush (serve a frozen snapshot)")
 	walDir := fs.String("wal", "", "write-ahead log directory: accepted mutations become durable and are replayed on restart (with -shards, each shard logs into its own subdirectory)")
 	durability := fs.String("durability", "batched", "WAL fsync policy: sync, batched or off (needs -wal)")
-	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data; ignored with -shards)")
+	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data; refused with -shards or -shard-peers: re-learning needs the whole ensemble in one shard)")
 	shards := fs.Int("shards", 0, "partition the ensemble into this many shards behind the fan-out router (0/1 serves single-process)")
 	peers := fs.String("shard-peers", "", "comma-separated replica base URLs, one per shard in shard order (started with `deepdb shard -index i`); any replica failure falls back to local evaluation")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request wall-clock budget; exceeding it answers 503 (0 disables)")

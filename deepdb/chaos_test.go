@@ -344,3 +344,50 @@ func TestChaosApplierRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestPeerOffloadSurvivesAllFailedBatch: a batch in which nothing applies
+// advances the ops token on the router's shards and on the replicas but
+// leaves the served view — and its generation — in place. The view's
+// replica bindings must move to the new token with it: offload continues
+// instead of degrading to local fallback on every chunk.
+func TestPeerOffloadSurvivesAllFailedBatch(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(800, 33)
+	learned, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.deepdb")
+	if err := learned.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	urls, _ := chaosReplicas(t, path, 2)
+	db, err := deepdb.OpenSharded(ctx, path, deepdb.WithShards(2), deepdb.WithDataset(learned.Data()),
+		deepdb.WithShardPeers(urls...), deepdb.WithPeerProbeInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	gen := db.Generation()
+	if err := db.Delete("orders", 8_888_888); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(ctx); err == nil {
+		t.Fatal("deleting a missing primary key surfaced no apply error")
+	}
+	if db.Generation() != gen {
+		t.Fatalf("an all-failed batch moved the generation %d -> %d", gen, db.Generation())
+	}
+	hits, falls := db.PeerStats()
+	for i, q := range equivalenceWorkload {
+		if _, err := db.ExecuteQuery(ctx, q); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	hitsAfter, fallsAfter := db.PeerStats()
+	if hitsAfter == hits || fallsAfter != falls {
+		t.Fatalf("offload after an all-failed batch: hits %d -> %d, fallbacks %d -> %d (want remote hits, no fallbacks)",
+			hits, hitsAfter, falls, fallsAfter)
+	}
+}

@@ -22,9 +22,9 @@
 //
 // # Snapshot isolation and updates
 //
-// A *DB serves queries from immutable published snapshots: every
-// Query/EstimateCardinality/Prepare/Exec loads the current snapshot with
-// one atomic pointer read and runs entirely against it, so reads never
+// A database handle serves queries from immutable published snapshots:
+// every Query/EstimateCardinality/Prepare/Exec loads the current snapshot
+// with one atomic pointer read and runs entirely against it, so reads never
 // block — not on each other and not on writes. Insert/Delete/Update
 // enqueue their mutations by default; a background applier coalesces the
 // queue into batches, applies each batch to a private copy-on-write clone
@@ -35,23 +35,32 @@
 // deferred. WithSyncUpdates restores the old blocking-write semantics, and
 // after a Flush the two are bit-identical. UpdateStats exposes queue
 // depth, apply lag and batch counters; Close drains the pipeline.
+//
+// # One host, N shards
+//
+// All of the above is one implementation: a host over N >= 1 shards
+// (internal/shard), each of which owns the write machinery — WAL, update
+// queue, copy-on-write apply, publish, replay, checkpoint — for its part
+// of the ensemble. Every mutation is broadcast to every shard, and the host
+// recomposes its serving view whenever the shards publish a common point
+// of the stream. *DB is the host over one shard that holds the whole
+// ensemble; *ShardedDB is the same host over a partition of the members
+// (WithShards), plus replica offload (WithShardPeers). Answers are
+// bit-identical at every shard count.
 package deepdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/exact"
-	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/rspn"
-	"repro/internal/wal"
+	"repro/internal/shard"
 )
 
 // snapshot is one immutable published serving view: an ensemble state, the
@@ -63,114 +72,105 @@ import (
 type snapshot struct {
 	ens *ensemble.Ensemble
 	eng *core.Engine
-	// gen counts publications (update batches, CheckStaleness); cached
-	// plans and prepared statements are tagged with it and recompiled when
-	// it moves.
+	// gen counts publications of a changed ensemble (update batches in
+	// which something applied, Reload, re-learn hot-swaps, CheckStaleness);
+	// cached plans, cached results and prepared statements are tagged with
+	// it and recompiled or dropped when it moves.
 	gen uint64
-	// ops is the shard-alignment token of a ShardedDB's composed view (the
-	// cumulative mutation count of the shards the view was composed at);
-	// always 0 on a plain DB's snapshots.
-	ops uint64
+}
+
+// host is the one database implementation behind *DB and *ShardedDB: the
+// composed serving view of N >= 1 shards, the plan and result caches in
+// front of it, and the broadcast write path into the shards. The shards
+// own everything below the broadcast (log, queue, apply, publish, replay,
+// checkpoint); the host owns what must be decided once for all of them —
+// admission, the WAL-failure policy, and when the shards' snapshots form a
+// consistent view. All methods are safe for concurrent use; queries never
+// block on updates.
+type host struct {
+	cfg    config
+	shards []*shard.Shard
+	// total is the member count of the ensemble the shards partition.
+	total int
+
+	// snap is the current composed serving view; the read path loads it
+	// once per call and never takes a lock. Stored only by publishLocked.
+	snap atomic.Pointer[snapshot]
+	// viewMu serializes recomposition. viewOps is the shards' common ops
+	// token the view was last composed at; dirty records that some shard
+	// has published a changed ensemble since then.
+	viewMu  sync.Mutex
+	viewOps uint64
+	dirty   bool
+
+	// plans caches compiled query plans by normalized shape (nil when
+	// disabled via WithPlanCacheSize(0)); resCache caches finished query
+	// results and cardinality estimates across calls (nil unless
+	// WithResultCacheSize enabled it), keyed on (shape, bound literal
+	// values, confidence level). Both are tagged with the snapshot
+	// generation.
+	plans    *planCache
+	resCache *resultCache
+
+	// mutMu serializes broadcasts so every shard — and every replica —
+	// observes the identical mutation stream in the identical order, and
+	// every shard's LSN order equals its apply order.
+	mutMu  sync.Mutex
+	closed bool
+
+	// durabilityLost latches once any shard's WAL append or fsync has
+	// failed; what happens to writes after that is the WithWALErrorPolicy
+	// decision. walErrMu/walErr record the first cause for UpdateStats and
+	// /healthz.
+	durabilityLost atomic.Bool
+	walErrMu       sync.Mutex
+	walErr         string
+
+	// wire, when set, binds an engine to the replica tier at the given ops
+	// token: the fresh engine of a view about to be published (prev is the
+	// outgoing view, nil at construction), or the current view's own engine
+	// when the stream advanced without changing the view. replicate, when
+	// set, forwards an accepted mutation group under mutMu. The sharded
+	// tier's replica offload hangs off these two. advanced, when set, runs
+	// after every update batch that moved the serving view (on the applier,
+	// under the shard's apply lock) — never for a model swap; the one-shard
+	// host's drift trigger hangs off it.
+	wire      func(prev *snapshot, eng *core.Engine, ens *ensemble.Ensemble, ops uint64)
+	replicate func(muts []ensemble.Mutation)
+	advanced  func()
 }
 
 // DB is a learned DeepDB instance: an RSPN ensemble, the probabilistic
 // query engine compiled against it, and (when attached) the live base
 // tables that power incremental updates and exact ground-truth execution.
-// All methods are safe for concurrent use; queries never block on updates.
+// It is the host over one shard holding the whole ensemble, so its serving
+// view IS that shard's state — which is what lets drift tracking,
+// background re-learning and CheckStaleness work on it. All methods are
+// safe for concurrent use; queries never block on updates.
 type DB struct {
-	// snap is the current published snapshot; the read path loads it once
-	// per call and never takes a lock.
-	snap atomic.Pointer[snapshot]
-	cfg  config
-	// plans caches compiled query plans by normalized shape (nil when
-	// disabled via WithPlanCacheSize(0)), tagged with the snapshot
-	// generation they were compiled at.
-	plans *planCache
-	// resCache caches finished query results and cardinality estimates
-	// across calls (nil unless WithResultCacheSize enabled it), keyed on
-	// (shape, bound literal values, confidence level) and tagged with the
-	// snapshot generation like cached plans.
-	resCache *resultCache
+	host
 
-	// applyMu serializes everything that mutates model state and
-	// publishes snapshots: the background applier, synchronous updates,
-	// and CheckStaleness. The read path never touches it.
-	applyMu sync.Mutex
-
-	// pipeMu guards lazy creation and shutdown of the update pipeline.
-	// Queue items are mutation groups: the rows of one Update call travel
-	// as one indivisible item, so the applier may coalesce groups but
-	// never splits one across published snapshots.
-	pipeMu sync.Mutex
-	pipe   *pipeline.Pipeline[updateGroup]
-	closed bool
-
-	// wal is the durable write-ahead log (nil without WithWAL). walMu
-	// serializes append+enqueue so LSN order equals apply order; applyLSN
-	// tracks the highest LSN whose group has been applied and published —
-	// the watermark Save checkpoints the log at.
-	walMu    sync.Mutex
-	wal      *wal.Log
-	applyLSN atomic.Uint64
-
-	// verMu guards tableVer, the per-table applied-mutation counters the
-	// optimistic re-learn path uses as its consistency token (drift's own
-	// counters miss FK factor bumps on One-side tables).
-	verMu    sync.Mutex
-	tableVer map[string]uint64
-
-	// relearnBusy admits one background re-learn at a time; relearnWG lets
-	// Close wait for it. relearnFails/relearnLast record failed attempts
-	// for UpdateStats.
-	relearnBusy  atomic.Bool
-	relearnWG    sync.WaitGroup
-	relearnFails atomic.Uint64
-	relearnErrMu sync.Mutex
-	relearnErr   string
-
-	// durabilityLost latches once a WAL append or fsync has failed; what
-	// happens to writes after that is the WithWALErrorPolicy decision.
-	// walErrMu/walErr record the cause for UpdateStats and /healthz.
-	durabilityLost atomic.Bool
-	walErrMu       sync.Mutex
-	walErr         string
+	// relearnBusy admits one background re-learn at a time. relearnMu
+	// guards the close barrier (relearnClosed + relearnWG, which lets Close
+	// wait for an in-flight re-learn) and relearnErr; relearnFails and
+	// relearnErr record failed attempts for UpdateStats.
+	relearnBusy   atomic.Bool
+	relearnMu     sync.Mutex
+	relearnClosed bool
+	relearnWG     sync.WaitGroup
+	relearnFails  atomic.Uint64
+	relearnErr    string
 }
-
-// updateGroup is one pipeline queue item: the mutations of one
-// Insert/Delete/Update call plus the WAL position they were logged at
-// (0 without a WAL).
-type updateGroup struct {
-	muts []ensemble.Mutation
-	lsn  uint64
-}
-
-// ErrQueueFull is returned by Insert/Delete/Update under
-// WithNonBlockingUpdates (and by a ShardedDB unconditionally) when the
-// update queue has no free slot: the mutation was NOT accepted — not
-// logged, not enqueued — and the caller should retry later. Serving
-// front-ends map it to 429 + Retry-After. Test with errors.Is.
-var ErrQueueFull = pipeline.ErrQueueFull
-
-// ErrDurabilityLost is returned by Insert/Delete/Update once the WAL has
-// failed (disk full, I/O error) and the DB runs the default WALFailStop
-// policy: the mutation was NOT accepted anywhere and writes stay rejected
-// until the process restarts on a healthy disk. Serving front-ends map it
-// to 503. Under WALDegradeVolatile writes keep succeeding instead, and
-// UpdateStats.DurabilityLost / a "degraded" /healthz carry the warning.
-// Test with errors.Is.
-var ErrDurabilityLost = errors.New("deepdb: WAL durability lost, writes are not crash-safe")
 
 // Learn builds a DB over the schema's CSV files in dataDir (one
 // <table>.csv per schema table, with a header row). Cancelling ctx aborts
 // learning — including mid-RSPN — with ctx.Err().
 func Learn(ctx context.Context, s *Schema, dataDir string, opts ...Option) (*DB, error) {
-	cfg := defaultConfig()
-	cfg.apply(opts)
 	data, err := LoadCSVDir(s, dataDir)
 	if err != nil {
 		return nil, err
 	}
-	return learn(ctx, s, data, cfg)
+	return LearnDataset(ctx, s, data, opts...)
 }
 
 // LearnDataset is Learn over already-loaded base tables. The tables are
@@ -178,10 +178,6 @@ func Learn(ctx context.Context, s *Schema, dataDir string, opts ...Option) (*DB,
 func LearnDataset(ctx context.Context, s *Schema, data Dataset, opts ...Option) (*DB, error) {
 	cfg := defaultConfig()
 	cfg.apply(opts)
-	return learn(ctx, s, data, cfg)
-}
-
-func learn(ctx context.Context, s *Schema, data Dataset, cfg config) (*DB, error) {
 	ens, err := ensemble.Build(ctx, s, data, cfg.ens)
 	if err != nil {
 		return nil, err
@@ -203,6 +199,15 @@ func learn(ctx context.Context, s *Schema, data Dataset, cfg config) (*DB, error
 func Open(ctx context.Context, modelPath string, opts ...Option) (*DB, error) {
 	cfg := defaultConfig()
 	cfg.apply(opts)
+	ens, err := loadModel(ctx, modelPath, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newDB(ens, cfg)
+}
+
+// loadModel reads the model file and attaches the configured base tables.
+func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ensemble, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -222,232 +227,251 @@ func Open(ctx context.Context, modelPath string, opts ...Option) (*DB, error) {
 			return nil, err
 		}
 	}
-	return newDB(ens, cfg)
+	return ens, nil
 }
 
 func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
-	db := &DB{cfg: cfg, plans: newPlanCache(cfg.planCache),
-		resCache: newResultCache(cfg.resultCache), tableVer: map[string]uint64{}}
-	if ens.Tables != nil {
-		// Drift tracking baselines against the pre-replay state, so
-		// mutations recovered from the WAL count toward staleness exactly
-		// like they did before the crash.
-		ens.EnableDrift()
+	// Drift tracking baselines against the pre-replay state, so mutations
+	// recovered from the WAL count toward staleness exactly like they did
+	// before the crash. A no-op without attached tables.
+	ens.EnableDrift()
+	sh, err := shard.New(0, nil, ens, cfg.shardConfig(cfg.walDir))
+	if err != nil {
+		return nil, err
 	}
-	db.snap.Store(&snapshot{ens: ens, eng: db.newEngine(ens), gen: 0})
-	if cfg.walDir != "" {
-		if err := db.openWAL(); err != nil {
-			return nil, err
-		}
+	db := &DB{}
+	// The applier checks the drift trigger after every published batch.
+	db.advanced = db.maybeRelearn
+	if err := db.start(cfg, []*shard.Shard{sh}, len(ens.RSPNs)); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
 
-// newEngine compiles a query engine over one ensemble state with the DB's
-// configured strategy and parallelism. Engines are cheap (configuration
-// plus a pointer), so every snapshot carries its own.
-func (db *DB) newEngine(ens *ensemble.Ensemble) *core.Engine {
-	eng := core.New(ens)
-	eng.Strategy = db.cfg.coreStrategy()
-	eng.ConfidenceLevel = db.cfg.confidence
-	eng.Parallelism = db.cfg.parallelism
-	return eng
+// start wires the host over freshly built shards (WALs already replayed):
+// it composes and publishes the first serving view and subscribes to the
+// shards' publications. On failure the shards are closed.
+func (h *host) start(cfg config, shards []*shard.Shard, total int) error {
+	h.cfg, h.shards, h.total = cfg, shards, total
+	h.plans = newPlanCache(cfg.planCache)
+	h.resCache = newResultCache(cfg.resultCache)
+	ens, ops, ok := shard.Compose(shards, total)
+	if !ok {
+		// Shards disagree on stream progress straight out of construction.
+		// That means their WALs recorded different prefixes of the same
+		// broadcast stream — a crash landed between the per-shard appends of
+		// one group. The divergence is at most the unacknowledged tail, but
+		// composing across it would serve a torn state, so refuse and let
+		// the operator reconcile (see the sharded-serving runbook in the
+		// README: keep the longest log, reset the others' directories).
+		for _, sh := range shards {
+			sh.Close() //nolint:errcheck // construction already failed
+		}
+		return fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
+	}
+	h.viewOps = ops
+	h.publishLocked(ens, ops)
+	for _, sh := range shards {
+		sh.OnPublish(h.shardPublished)
+	}
+	return nil
 }
 
-// snapshotNow returns the current published serving view.
-func (db *DB) snapshotNow() *snapshot { return db.snap.Load() }
+// snapshotNow returns the current published serving view: one atomic load
+// at every shard count — composition happens on the publish side.
+func (h *host) snapshotNow() *snapshot { return h.snap.Load() }
 
-// defaultConfidence returns the DB-wide confidence-interval level.
-func (db *DB) defaultConfidence() float64 { return db.cfg.confidence }
+// publishLocked atomically publishes ens, composed at the shards' common
+// ops token, as the next snapshot generation. Callers are single-threaded
+// at construction or hold viewMu.
+func (h *host) publishLocked(ens *ensemble.Ensemble, ops uint64) {
+	eng := core.New(ens)
+	eng.Strategy = h.cfg.coreStrategy()
+	eng.ConfidenceLevel = h.cfg.confidence
+	eng.Parallelism = h.cfg.parallelism
+	cur := h.snap.Load()
+	var gen uint64
+	if cur != nil {
+		gen = cur.gen + 1
+	}
+	if h.wire != nil {
+		h.wire(cur, eng, ens, ops)
+	}
+	h.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
+}
 
-// results returns the cross-query result cache (nil when disabled).
-func (db *DB) results() *resultCache { return db.resCache }
+// shardPublished is every shard's publication hook (it runs on the shard's
+// applier, under that shard's apply lock): note whether the served state
+// changed and recompose if the shards now agree on a new point of the
+// stream.
+func (h *host) shardPublished(changed bool) {
+	h.viewMu.Lock()
+	h.dirty = h.dirty || changed
+	moved := h.recomposeLocked(false)
+	h.viewMu.Unlock()
+	if moved && h.advanced != nil {
+		h.advanced()
+	}
+}
 
-// publishLocked atomically publishes ens as the next snapshot generation.
-// Callers must hold applyMu.
-func (db *DB) publishLocked(ens *ensemble.Ensemble) {
-	cur := db.snap.Load()
-	db.snap.Store(&snapshot{ens: ens, eng: db.newEngine(ens), gen: cur.gen + 1})
+// recompose publishes the composed view after a model swap (Reload, a
+// re-learned member, CheckStaleness), which — unlike an update batch —
+// leaves the shards' ops tokens where they were.
+func (h *host) recompose() {
+	h.viewMu.Lock()
+	defer h.viewMu.Unlock()
+	h.recomposeLocked(true)
+}
+
+// recomposeLocked publishes a new composed view when every shard has
+// reached a common ops token and some shard's ensemble changed since the
+// last composition. Unaligned shards keep the previous consistent view
+// serving, so queries always see a state a one-shard host fed the same
+// stream could have been in — never a torn mix. Equal ops mean a swap is
+// in progress across the shards; only the swapper (swapped = true), once
+// it is done with all of them, may publish then. The generation moves iff
+// the served ensemble changed: a batch in which nothing applied advances
+// viewOps and leaves the snapshot — and every cached plan and result — in
+// place, only re-wiring the current engine to the new token. It reports
+// whether a new snapshot was published.
+func (h *host) recomposeLocked(swapped bool) bool {
+	ens, ops, ok := shard.Compose(h.shards, h.total)
+	if !ok || (ops == h.viewOps && !swapped) {
+		return false
+	}
+	h.viewOps = ops
+	if h.dirty {
+		h.dirty = false
+		h.publishLocked(ens, ops)
+		return true
+	}
+	if h.wire != nil {
+		cur := h.snap.Load()
+		h.wire(cur, cur.eng, cur.ens, ops)
+	}
+	return false
 }
 
 // planFor returns the compiled plan for the query against the given
 // snapshot, consulting the plan cache under the snapshot's generation.
 // shape may be "" (computed on demand); prepared statements pass their
 // precomputed key.
-func (db *DB) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error) {
-	if db.plans == nil {
+func (h *host) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error) {
+	if h.plans == nil {
 		return s.eng.Compile(q)
 	}
 	if shape == "" {
 		shape = q.ShapeKey()
 	}
-	if p := db.plans.get(shape, s.gen); p != nil {
+	if p := h.plans.get(shape, s.gen); p != nil {
 		return p, nil
 	}
 	p, err := s.eng.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(shape, s.gen, p)
+	h.plans.put(shape, s.gen, p)
 	return p, nil
 }
 
 // PlanCacheLen reports how many compiled plans are currently cached.
-func (db *DB) PlanCacheLen() int {
-	if db.plans == nil {
+func (h *host) PlanCacheLen() int {
+	if h.plans == nil {
 		return 0
 	}
-	return db.plans.size()
+	return h.plans.size()
 }
 
 // ResultCacheLen reports how many query results and cardinality estimates
 // are currently cached (0 unless WithResultCacheSize enabled the cache).
-func (db *DB) ResultCacheLen() int {
-	if db.resCache == nil {
+func (h *host) ResultCacheLen() int {
+	if h.resCache == nil {
 		return 0
 	}
-	return db.resCache.size()
-}
-
-// Save writes the model (ensemble, dependency and per-table statistics,
-// schema) to path, atomically (temp file + rename). Pending asynchronous
-// updates are flushed first, so the file reflects every mutation enqueued
-// before the call. The base tables are not serialized; the persisted
-// statistics are enough to serve queries, and Open can reattach the data
-// like a database reopening its files.
-// With a WAL attached, a successful Save also checkpoints the log at the
-// applied watermark: the save covers everything up to that LSN, so replay
-// skips those records from now on and segments they fully occupy are
-// deleted.
-func (db *DB) Save(path string) error {
-	if err := db.Flush(context.Background()); err != nil {
-		return err
-	}
-	// Read the watermark before serializing: the snapshot saved below
-	// contains at least everything applied up to it.
-	lsn := db.applyLSN.Load()
-	if err := db.snapshotNow().ens.SaveFile(path); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		return db.wal.Checkpoint(lsn)
-	}
-	return nil
-}
-
-// Reload hot-swaps the serving model with the one in modelPath — e.g. a
-// re-learned artifact produced offline — without any read downtime: the
-// new model travels through the same snapshot-publication path as update
-// batches, so in-flight queries finish on the old snapshot and later ones
-// see the new generation atomically. Pending asynchronous updates are
-// flushed into the old model first (they were acked against it); the
-// current base tables, if any, are carried over so updates and exact
-// execution keep working. On any error the old model keeps serving.
-func (db *DB) Reload(modelPath string) error {
-	ens, err := ensemble.LoadFile(modelPath, nil)
-	if err != nil {
-		return err
-	}
-	if err := db.Flush(context.Background()); err != nil {
-		return err
-	}
-	db.applyMu.Lock()
-	defer db.applyMu.Unlock()
-	if tabs := db.snap.Load().ens.Tables; tabs != nil {
-		if err := ens.AttachTables(tabs); err != nil {
-			return err
-		}
-		// Drift restarts from the fresh model's state: it IS the re-learned
-		// baseline staleness is measured against.
-		ens.EnableDrift()
-	}
-	db.publishLocked(ens)
-	return nil
+	return h.resCache.size()
 }
 
 // Schema returns the relational metadata the DB was learned over.
-func (db *DB) Schema() *Schema { return db.snapshotNow().ens.Schema }
+func (h *host) Schema() *Schema { return h.snapshotNow().ens.Schema }
 
 // Data returns the base tables of the current snapshot (nil when the DB
 // was opened without data). The returned tables are shared with the
 // serving path and must be treated as read-only: mutate the database only
 // through Insert/Delete/Update.
-func (db *DB) Data() Dataset { return db.snapshotNow().ens.Tables }
+func (h *host) Data() Dataset { return h.snapshotNow().ens.Tables }
 
 // Describe returns a human-readable summary of the ensemble, including
 // the per-table statistics persisted with the model.
-func (db *DB) Describe() string {
-	return db.snapshotNow().ens.Describe()
+func (h *host) Describe() string {
+	return h.snapshotNow().ens.Describe()
 }
 
 // Models returns the current snapshot's ensemble members. Read-only
 // companions like the internal/ml regressors consume these directly; they
 // are immutable (updates publish fresh members instead of mutating).
-func (db *DB) Models() []*rspn.RSPN { return db.snapshotNow().ens.RSPNs }
+func (h *host) Models() []*rspn.RSPN { return h.snapshotNow().ens.RSPNs }
 
 // Model returns some RSPN covering the named table (preferring the
 // smallest), or nil.
-func (db *DB) Model(table string) *rspn.RSPN { return db.snapshotNow().ens.RSPNFor(table) }
+func (h *host) Model(table string) *rspn.RSPN { return h.snapshotNow().ens.RSPNFor(table) }
 
 // Generation returns the current snapshot's publication counter. It moves
-// once per applied update batch (not per row) and on CheckStaleness.
-func (db *DB) Generation() uint64 { return db.snapshotNow().gen }
+// once per update batch in which something applied (not per row), and on
+// Reload, a re-learn hot-swap and CheckStaleness.
+func (h *host) Generation() uint64 { return h.snapshotNow().gen }
 
 // Parse compiles the SQL subset DeepDB supports into a structured query,
 // resolving string literals through the dictionaries (live base tables
 // when attached, the dictionaries persisted in the model otherwise). `?`
 // placeholders parse into parameter markers — see Prepare.
-func (db *DB) Parse(sql string) (query.Query, error) {
-	return query.Parse(sql, resolver(db.snapshotNow().ens))
+func (h *host) Parse(sql string) (query.Query, error) {
+	return query.Parse(sql, resolver(h.snapshotNow().ens))
 }
 
 // ResolveLabel maps a string literal to its dictionary code on the given
 // column — the encoding Insert values and bound string parameters use.
-func (db *DB) ResolveLabel(column, literal string) (float64, error) {
-	return resolver(db.snapshotNow().ens)(column, literal)
+func (h *host) ResolveLabel(column, literal string) (float64, error) {
+	return resolver(h.snapshotNow().ens)(column, literal)
 }
 
 // Query answers an aggregate SQL query approximately, from the model only.
 // Plans are transparently reused across calls sharing a query shape (same
 // tables, filter columns and operators — literal values may differ); pay
 // the parse too only once by preparing the statement with Prepare.
-func (db *DB) Query(ctx context.Context, sql string, opts ...ExecOption) (Result, error) {
-	s := db.snapshotNow()
+func (h *host) Query(ctx context.Context, sql string, opts ...ExecOption) (Result, error) {
+	s := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Result{}, err
 	}
-	return executeQueryOn(ctx, db, s, q, opts)
+	return h.executeQueryShaped(ctx, s, nil, "", q, resolveExec(opts))
 }
 
 // ExecuteQuery is Query for an already-parsed (or programmatically built)
 // structured query.
-func (db *DB) ExecuteQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Result, error) {
-	return executeQueryOn(ctx, db, db.snapshotNow(), q, opts)
+func (h *host) ExecuteQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Result, error) {
+	return h.executeQueryShaped(ctx, h.snapshotNow(), nil, "", q, resolveExec(opts))
 }
 
-func executeQueryOn(ctx context.Context, h stmtHost, s *snapshot, q query.Query, opts []ExecOption) (Result, error) {
-	return executeQueryShaped(ctx, h, s, "", q, resolveExec(opts))
-}
-
-// executeQueryShaped is the shared execution path of Query/ExecuteQuery and
-// Stmt.Exec: result-cache lookup, plan lookup, execution, store. shape may
-// be "" (computed on demand); prepared statements pass their precomputed
-// key. Cache hits return without touching the models and are bit-identical
-// to executing (the cached value IS an execution's value).
-func executeQueryShaped(ctx context.Context, h stmtHost, s *snapshot, shape string, q query.Query, eo execOpts) (Result, error) {
-	rc := h.results()
+// executeQueryShaped is the one execution path of Query/ExecuteQuery,
+// ungrouped QueryRows and Stmt.Exec: result-cache lookup, plan lookup,
+// execution, store. A prepared statement passes itself (its pinned plan is
+// used) and its precomputed shape key; ad-hoc calls pass nil and "" (the
+// key is computed on demand). Cache hits return without touching the
+// models and are bit-identical to executing (the cached value IS an
+// execution's value).
+func (h *host) executeQueryShaped(ctx context.Context, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (Result, error) {
 	var key []byte
-	if rc != nil {
+	if h.resCache != nil {
 		if shape == "" {
 			shape = q.ShapeKey()
 		}
-		key = resultKey(nsQuery, shape, q, eo.levelOr(h.defaultConfidence()))
-		if res, ok := rc.getResult(key, s.gen); ok {
+		key = resultKey(nsQuery, shape, q, eo.levelOr(h.cfg.confidence))
+		if res, ok := h.resCache.getResult(key, s.gen); ok {
 			return res, nil
 		}
 	}
-	p, err := h.planFor(s, shape, q)
+	p, err := h.planOf(s, st, shape, q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -456,50 +480,54 @@ func executeQueryShaped(ctx context.Context, h stmtHost, s *snapshot, shape stri
 		return Result{}, err
 	}
 	out := wrapResult(s.ens, q, res)
-	if rc != nil {
-		rc.putResult(key, s.gen, out)
+	if h.resCache != nil {
+		h.resCache.putResult(key, s.gen, out)
 	}
 	return out, nil
+}
+
+// planOf resolves the plan an execution runs: the statement's pinned plan
+// when a prepared statement is executing, the plan cache's otherwise.
+func (h *host) planOf(s *snapshot, st *Stmt, shape string, q query.Query) (*core.Plan, error) {
+	if st != nil {
+		return st.planOn(s)
+	}
+	return h.planFor(s, shape, q)
 }
 
 // EstimateCardinality estimates COUNT(*) over the query's join with its
 // filters — the paper's cardinality-estimation task. Aggregate and
 // group-by clauses in the SQL are ignored. Plans are reused like in Query.
-func (db *DB) EstimateCardinality(ctx context.Context, sql string, opts ...ExecOption) (Estimate, error) {
-	s := db.snapshotNow()
+func (h *host) EstimateCardinality(ctx context.Context, sql string, opts ...ExecOption) (Estimate, error) {
+	s := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Estimate{}, err
 	}
-	return estimateCardinalityOn(ctx, db, s, q, opts)
+	return h.estimateCardinalityShaped(ctx, s, nil, "", q, resolveExec(opts))
 }
 
 // EstimateCardinalityQuery is EstimateCardinality for a structured query.
-func (db *DB) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Estimate, error) {
-	return estimateCardinalityOn(ctx, db, db.snapshotNow(), q, opts)
+func (h *host) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Estimate, error) {
+	return h.estimateCardinalityShaped(ctx, h.snapshotNow(), nil, "", q, resolveExec(opts))
 }
 
-func estimateCardinalityOn(ctx context.Context, h stmtHost, s *snapshot, q query.Query, opts []ExecOption) (Estimate, error) {
-	return estimateCardinalityShaped(ctx, h, s, "", q, resolveExec(opts))
-}
-
-// estimateCardinalityShaped is the shared cardinality path of
+// estimateCardinalityShaped is the one cardinality path of
 // EstimateCardinality and Stmt.Estimate, with the same result-cache
 // protocol as executeQueryShaped under the estimate namespace.
-func estimateCardinalityShaped(ctx context.Context, h stmtHost, s *snapshot, shape string, q query.Query, eo execOpts) (Estimate, error) {
-	level := eo.levelOr(h.defaultConfidence())
-	rc := h.results()
+func (h *host) estimateCardinalityShaped(ctx context.Context, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (Estimate, error) {
+	level := eo.levelOr(h.cfg.confidence)
 	var key []byte
-	if rc != nil {
+	if h.resCache != nil {
 		if shape == "" {
 			shape = q.ShapeKey()
 		}
 		key = resultKey(nsEstimate, shape, q, level)
-		if est, ok := rc.getEstimate(key, s.gen); ok {
+		if est, ok := h.resCache.getEstimate(key, s.gen); ok {
 			return est, nil
 		}
 	}
-	p, err := h.planFor(s, shape, q)
+	p, err := h.planOf(s, st, shape, q)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -508,8 +536,8 @@ func estimateCardinalityShaped(ctx context.Context, h stmtHost, s *snapshot, sha
 		return Estimate{}, err
 	}
 	out := wrapEstimate(est, level)
-	if rc != nil {
-		rc.putEstimate(key, s.gen, out)
+	if h.resCache != nil {
+		h.resCache.putEstimate(key, s.gen, out)
 	}
 	return out, nil
 }
@@ -518,16 +546,16 @@ func estimateCardinalityShaped(ctx context.Context, h stmtHost, s *snapshot, sha
 // case applies and which ensemble members answer each part — without
 // evaluating it. The output is produced from the same compiled (and
 // cached) plan that Query/EstimateCardinality execute.
-func (db *DB) Explain(ctx context.Context, sql string) (string, error) {
+func (h *host) Explain(ctx context.Context, sql string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	s := db.snapshotNow()
+	s := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return "", err
 	}
-	p, err := db.planFor(s, "", q)
+	p, err := h.planFor(s, "", q)
 	if err != nil {
 		return "", err
 	}
@@ -537,8 +565,8 @@ func (db *DB) Explain(ctx context.Context, sql string) (string, error) {
 // Exact executes the SQL query exactly against the attached base tables
 // (materializing the join), for ground-truth comparison. It sees the
 // current snapshot's tables; Flush first for read-your-writes.
-func (db *DB) Exact(ctx context.Context, sql string) (Result, error) {
-	s := db.snapshotNow()
+func (h *host) Exact(ctx context.Context, sql string) (Result, error) {
+	s := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Result{}, err
@@ -547,8 +575,8 @@ func (db *DB) Exact(ctx context.Context, sql string) (Result, error) {
 }
 
 // ExactQuery is Exact for a structured query.
-func (db *DB) ExactQuery(ctx context.Context, q query.Query) (Result, error) {
-	return exactOn(ctx, db.snapshotNow(), q)
+func (h *host) ExactQuery(ctx context.Context, q query.Query) (Result, error) {
+	return exactOn(ctx, h.snapshotNow(), q)
 }
 
 func exactOn(ctx context.Context, s *snapshot, q query.Query) (Result, error) {
@@ -571,482 +599,6 @@ func exactOn(ctx context.Context, s *snapshot, q query.Query) (Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// ---- updates ----
-
-// Insert absorbs one new base-table row into the model incrementally
-// (Section 5.2 of the paper): no retraining happens. Missing columns
-// become NULL. By default the mutation is enqueued and applied by the
-// background pipeline — it becomes visible to queries when its batch's
-// snapshot is published, and apply errors are reported by the next Flush.
-// Under WithSyncUpdates it is applied and published before returning.
-func (db *DB) Insert(table string, values map[string]Value) error {
-	return db.mutate(ensemble.Mutation{Op: ensemble.OpInsert, Table: table, Values: values})
-}
-
-// Delete removes the base-table row with the given primary key from the
-// model incrementally. Asynchronous like Insert: a missing row is an apply
-// error reported by the next Flush (or immediately under WithSyncUpdates).
-func (db *DB) Delete(table string, pk float64) error {
-	return db.mutate(ensemble.Mutation{Op: ensemble.OpDelete, Table: table, PK: pk})
-}
-
-// Update applies a batch of row inserts. The rows travel through the
-// pipeline as one indivisible group (or apply under one lock with
-// WithSyncUpdates): queries never observe a half-applied Update — every
-// published snapshot contains the whole group or none of it. A failing
-// row does not block the others and there is no rollback; under
-// WithSyncUpdates the returned error indexes the failing row, on the
-// asynchronous path Flush reports it with its position in the applied
-// batch (which may include coalesced neighbors) and the underlying
-// cause.
-func (db *DB) Update(rows ...Row) error {
-	muts := make([]ensemble.Mutation, len(rows))
-	for i, r := range rows {
-		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
-	}
-	return db.mutateAll(muts)
-}
-
-func (db *DB) mutate(m ensemble.Mutation) error {
-	return db.mutateAll([]ensemble.Mutation{m})
-}
-
-func (db *DB) mutateAll(muts []ensemble.Mutation) error {
-	if len(muts) == 0 {
-		return nil
-	}
-	if db.snapshotNow().ens.Tables == nil {
-		return errNoData()
-	}
-	db.pipeMu.Lock()
-	closed := db.closed
-	db.pipeMu.Unlock()
-	if closed {
-		return errClosed()
-	}
-	if db.cfg.syncUpdates {
-		return db.mutateSync(muts)
-	}
-	pipe, err := db.pipeline()
-	if err != nil {
-		return err
-	}
-	if db.wal == nil {
-		// One group per call: the applier never splits it across snapshots.
-		if db.cfg.nonBlocking {
-			return pipe.TryEnqueue(updateGroup{muts: muts})
-		}
-		return pipe.Enqueue(updateGroup{muts: muts})
-	}
-	// Log, then enqueue, under one lock: LSN order must equal apply order
-	// or replay would reproduce a different state. Enqueue may block on a
-	// full queue; the applier drains without walMu, so this cannot deadlock.
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if db.cfg.nonBlocking && !pipe.HasCapacity() {
-		// Shed BEFORE the append: a record logged but rejected with
-		// ErrQueueFull would still replay after a restart, silently
-		// re-applying a write the caller was told to retry. Checking under
-		// walMu keeps the decision ordered with concurrent writers; the
-		// reserved slot can only be taken by the applier draining (fine) or
-		// a Flush barrier (blocks briefly, never sheds spuriously).
-		return ErrQueueFull
-	}
-	if db.durabilityLost.Load() {
-		return db.mutateDegradedLocked(pipe, muts)
-	}
-	lsn, err := db.wal.Append(wal.EncodeMutations(muts))
-	if err != nil {
-		db.latchWALError(err)
-		return db.mutateDegradedLocked(pipe, muts)
-	}
-	return pipe.Enqueue(updateGroup{muts: muts, lsn: lsn})
-}
-
-// mutateDegradedLocked is the write path once WAL durability is lost
-// (walMu held, capacity already checked). WALFailStop rejects the write;
-// WALDegradeVolatile admits it to the in-memory pipeline only — the
-// health surfaces already latched the loss loudly, and the group carries
-// no LSN so a post-restart replay stops at the last durable record.
-func (db *DB) mutateDegradedLocked(pipe *pipeline.Pipeline[updateGroup], muts []ensemble.Mutation) error {
-	if db.cfg.walPolicy != WALDegradeVolatile {
-		return fmt.Errorf("%w: %s", ErrDurabilityLost, db.lastWALError())
-	}
-	//deepdb:walordered durability already lost and latched; volatile-by-policy groups get no LSN, so replay order is unaffected
-	return pipe.Enqueue(updateGroup{muts: muts})
-}
-
-// latchWALError records the first WAL failure and flips the DB into its
-// degraded-durability state.
-func (db *DB) latchWALError(err error) {
-	db.walErrMu.Lock()
-	if db.walErr == "" {
-		db.walErr = err.Error()
-	}
-	db.walErrMu.Unlock()
-	db.durabilityLost.Store(true)
-}
-
-// lastWALError renders the latched WAL failure ("" while healthy).
-func (db *DB) lastWALError() string {
-	db.walErrMu.Lock()
-	defer db.walErrMu.Unlock()
-	return db.walErr
-}
-
-// mutateSync is the WithSyncUpdates write path: log (when a WAL is
-// attached), apply, publish, then check the re-learn trigger — all before
-// returning. walMu is held across append+apply so concurrent synchronous
-// writers reach the log and the model in the same order.
-func (db *DB) mutateSync(muts []ensemble.Mutation) error {
-	var lsn uint64
-	if db.wal != nil {
-		db.walMu.Lock()
-		defer db.walMu.Unlock()
-		if db.durabilityLost.Load() {
-			if db.cfg.walPolicy != WALDegradeVolatile {
-				return fmt.Errorf("%w: %s", ErrDurabilityLost, db.lastWALError())
-			}
-		} else {
-			var err error
-			lsn, err = db.wal.Append(wal.EncodeMutations(muts))
-			if err != nil {
-				db.latchWALError(err)
-				if db.cfg.walPolicy != WALDegradeVolatile {
-					return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
-				}
-				lsn = 0 // volatile by policy: apply without a durable record
-			}
-		}
-	}
-	db.applyMu.Lock()
-	err := db.applyLocked(muts)
-	db.storeApplyLSN(lsn)
-	db.applyMu.Unlock()
-	db.maybeRelearn()
-	return err
-}
-
-// applyLocked clones the touched part of the current snapshot, applies the
-// batch to the clone and publishes it. A partially failed batch is still
-// published — the mutations that succeeded stay applied — but a batch in
-// which nothing applied leaves the current snapshot (and its generation,
-// and with it every cached plan) in place: the clone would be
-// bit-identical, so publishing it would only thrash plan caches. Callers
-// must hold applyMu.
-func (db *DB) applyLocked(muts []ensemble.Mutation) error {
-	cur := db.snap.Load()
-	next := cur.ens.CloneForUpdate(muts)
-	applied, err := next.Apply(muts)
-	if applied > 0 {
-		db.publishLocked(next)
-		db.bumpVersions(next.TouchedTables(muts))
-	}
-	return err
-}
-
-// bumpVersions advances the per-table applied-mutation counters; the
-// optimistic re-learn path compares them before hot-swapping a member.
-func (db *DB) bumpVersions(tables map[string]bool) {
-	db.verMu.Lock()
-	for t := range tables {
-		db.tableVer[t]++
-	}
-	db.verMu.Unlock()
-}
-
-// versionsOf snapshots the counters of the given tables, in order.
-func (db *DB) versionsOf(tables []string) []uint64 {
-	out := make([]uint64, len(tables))
-	db.verMu.Lock()
-	for i, t := range tables {
-		out[i] = db.tableVer[t]
-	}
-	db.verMu.Unlock()
-	return out
-}
-
-// storeApplyLSN advances applyLSN monotonically (concurrent synchronous
-// writers may apply out of LSN order; the watermark must never move back —
-// a checkpoint at a too-high LSN would drop unapplied records).
-func (db *DB) storeApplyLSN(lsn uint64) {
-	for {
-		cur := db.applyLSN.Load()
-		if lsn <= cur || db.applyLSN.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
-}
-
-// pipeline lazily starts the background applier.
-func (db *DB) pipeline() (*pipeline.Pipeline[updateGroup], error) {
-	db.pipeMu.Lock()
-	defer db.pipeMu.Unlock()
-	if db.closed {
-		return nil, errClosed()
-	}
-	if db.pipe == nil {
-		db.pipe = pipeline.New(db.cfg.queueSize, db.cfg.maxBatch, func(groups []updateGroup) error {
-			n := 0
-			var last uint64
-			for _, g := range groups {
-				n += len(g.muts)
-				if g.lsn > last {
-					last = g.lsn
-				}
-			}
-			muts := make([]ensemble.Mutation, 0, n)
-			for _, g := range groups {
-				muts = append(muts, g.muts...)
-			}
-			db.applyMu.Lock()
-			err := db.applyLocked(muts)
-			db.storeApplyLSN(last)
-			db.applyMu.Unlock()
-			db.maybeRelearn()
-			return err
-		})
-	}
-	return db.pipe, nil
-}
-
-// Flush blocks until every mutation enqueued before the call has been
-// applied and published — after Flush returns, queries (and Save, Exact,
-// Data) observe those writes, with results bit-identical to the
-// WithSyncUpdates path. It returns the first apply error deferred by the
-// asynchronous path since the previous Flush. A no-op under
-// WithSyncUpdates or when nothing was ever enqueued.
-func (db *DB) Flush(ctx context.Context) error {
-	db.pipeMu.Lock()
-	pipe := db.pipe
-	db.pipeMu.Unlock()
-	if pipe == nil {
-		return nil
-	}
-	return pipe.Flush(ctx)
-}
-
-// Close drains and stops the background update pipeline (waiting at most
-// the WithCloseTimeout bound, 30s by default), waits for any in-flight
-// background re-learn, syncs and closes the WAL, and returns the first
-// undelivered apply error (or the drain-timeout error; with a WAL the
-// undrained queue remains recoverable by the next Open). The DB remains
-// queryable afterwards (the published snapshot stays valid); further
-// updates fail. Close is idempotent — the second and later calls are
-// no-ops returning nil.
-func (db *DB) Close() error {
-	db.pipeMu.Lock()
-	if db.closed {
-		db.pipeMu.Unlock()
-		return nil
-	}
-	db.closed = true
-	pipe := db.pipe
-	db.pipeMu.Unlock()
-	var err error
-	if pipe != nil {
-		err = pipe.CloseTimeout(db.cfg.closeTimeout)
-	}
-	db.relearnWG.Wait()
-	if db.wal != nil {
-		if werr := db.wal.Close(); err == nil {
-			err = werr
-		}
-	}
-	return err
-}
-
-// UpdateStats is a point-in-time view of the update pipeline, for
-// observability (the serve front-end reports it in /healthz).
-type UpdateStats struct {
-	// Generation is the current snapshot's publication counter.
-	Generation uint64
-	// SyncUpdates reports whether the DB applies updates synchronously
-	// (WithSyncUpdates); the queue fields below stay zero then.
-	SyncUpdates bool
-	// QueueDepth is the number of update operations waiting in the queue.
-	QueueDepth int
-	// Enqueued/Applied count update operations accepted/applied — each
-	// Insert/Delete is one operation, an Update(rows...) call is one
-	// operation regardless of row count. Batches counts published update
-	// batches (Applied/Batches = realized coalescing).
-	Enqueued uint64
-	Applied  uint64
-	Batches  uint64
-	// Errors counts failed apply batches; LastError renders the most
-	// recent failure.
-	Errors    uint64
-	LastError string
-	// LastBatch is the size of the most recently applied batch,
-	// LastApplyDuration how long applying it took, and ApplyLag the
-	// enqueue-to-publish latency of that batch's oldest mutation.
-	LastBatch         int
-	LastApplyDuration time.Duration
-	ApplyLag          time.Duration
-	// WAL describes the write-ahead log (nil without WithWAL).
-	WAL *WALStats
-	// DurabilityLost reports that the WAL has failed: under WALFailStop
-	// writes are being rejected, under WALDegradeVolatile they are accepted
-	// into memory only. LastWALError renders the failure that tripped it.
-	DurabilityLost bool
-	LastWALError   string
-	// PlanCacheHits/PlanCacheMisses count plan-cache lookups (a
-	// stale-generation entry counts as a miss); PlanCacheSize is the
-	// current entry count. All zero with WithPlanCacheSize(0).
-	PlanCacheHits   uint64
-	PlanCacheMisses uint64
-	PlanCacheSize   int
-	// ResultCacheHits/ResultCacheMisses/ResultCacheEvictions count
-	// result-cache lookups and LRU/stale-generation evictions;
-	// ResultCacheSize is the current entry count. All zero unless
-	// WithResultCacheSize enabled the cache.
-	ResultCacheHits      uint64
-	ResultCacheMisses    uint64
-	ResultCacheEvictions uint64
-	ResultCacheSize      int
-	// Drift lists per-member staleness (nil when drift tracking is off —
-	// i.e. no base tables attached); Relearns counts completed background
-	// re-learn hot-swaps, RelearnErrors failed attempts (LastRelearnError
-	// renders the most recent failure).
-	Drift            []DriftStat
-	Relearns         uint64
-	RelearnErrors    uint64
-	LastRelearnError string
-}
-
-// WALStats describes the write-ahead log inside UpdateStats.
-type WALStats struct {
-	// Dir is the log directory, Durability the fsync policy.
-	Dir        string
-	Durability string
-	// LastLSN is the highest logged position, AppliedLSN the highest
-	// applied-and-published one (their gap is the recovery backlog), and
-	// CheckpointLSN the persisted save watermark.
-	LastLSN       uint64
-	AppliedLSN    uint64
-	CheckpointLSN uint64
-	// Appended/Synced/Replayed/TruncatedSegments count this session's log
-	// activity; Segments and SizeBytes are the on-disk footprint.
-	Appended          uint64
-	Synced            uint64
-	Replayed          uint64
-	TruncatedSegments uint64
-	Segments          int
-	SizeBytes         int64
-}
-
-// DriftStat is one ensemble member's staleness reading inside UpdateStats.
-type DriftStat struct {
-	// Tables is the member's table set.
-	Tables []string
-	// Mutated counts mutations on those tables since the member's baseline;
-	// MutatedFraction normalizes by the baseline row count.
-	Mutated         uint64
-	MutatedFraction float64
-	// MaxShift is the largest σ-normalized column-mean shift since the
-	// baseline, attained on ShiftColumn.
-	MaxShift    float64
-	ShiftColumn string
-	// Relearns counts completed re-learns of this member.
-	Relearns uint64
-}
-
-// fillCacheStats copies the plan- and result-cache counters into a stats
-// snapshot (shared by DB.UpdateStats and ShardedDB.UpdateStats).
-func fillCacheStats(out *UpdateStats, plans *planCache, results *resultCache) {
-	if plans != nil {
-		out.PlanCacheHits, out.PlanCacheMisses = plans.stats()
-		out.PlanCacheSize = plans.size()
-	}
-	if results != nil {
-		out.ResultCacheHits, out.ResultCacheMisses, out.ResultCacheEvictions = results.stats()
-		out.ResultCacheSize = results.size()
-	}
-}
-
-// UpdateStats reports the update pipeline's counters.
-func (db *DB) UpdateStats() UpdateStats {
-	out := UpdateStats{Generation: db.Generation(), SyncUpdates: db.cfg.syncUpdates}
-	fillCacheStats(&out, db.plans, db.resCache)
-	if db.wal != nil {
-		ws := db.wal.Stats()
-		out.WAL = &WALStats{
-			Dir:               db.cfg.walDir,
-			Durability:        db.cfg.durability.String(),
-			LastLSN:           ws.LastLSN,
-			AppliedLSN:        db.applyLSN.Load(),
-			CheckpointLSN:     ws.CheckpointLSN,
-			Appended:          ws.Appended,
-			Synced:            ws.Synced,
-			Replayed:          ws.Replayed,
-			TruncatedSegments: ws.TruncatedSegments,
-			Segments:          ws.Segments,
-			SizeBytes:         ws.SizeBytes,
-		}
-		out.DurabilityLost = db.durabilityLost.Load()
-		out.LastWALError = db.lastWALError()
-	}
-	if d := db.snapshotNow().ens.Drift; d != nil {
-		for _, sc := range d.Scores() {
-			out.Drift = append(out.Drift, DriftStat{
-				Tables:          sc.Tables,
-				Mutated:         sc.Mutated,
-				MutatedFraction: sc.MutatedFraction,
-				MaxShift:        sc.MaxShift,
-				ShiftColumn:     sc.ShiftColumn,
-				Relearns:        sc.Relearns,
-			})
-		}
-		out.Relearns = d.Relearns()
-	}
-	out.RelearnErrors = db.relearnFails.Load()
-	db.relearnErrMu.Lock()
-	out.LastRelearnError = db.relearnErr
-	db.relearnErrMu.Unlock()
-	db.pipeMu.Lock()
-	pipe := db.pipe
-	db.pipeMu.Unlock()
-	if pipe == nil {
-		return out
-	}
-	st := pipe.Stats()
-	out.QueueDepth = st.QueueDepth
-	out.Enqueued = st.Enqueued
-	out.Applied = st.Applied
-	out.Batches = st.Batches
-	out.Errors = st.Errors
-	out.LastError = st.LastError
-	out.LastBatch = st.LastBatch
-	out.LastApplyDuration = st.LastApplyDuration
-	out.ApplyLag = st.ApplyLag
-	return out
-}
-
-// CheckStaleness recomputes pairwise dependencies on the current base
-// tables and reports ensemble members whose construction decision would
-// change — the paper's trigger for background regeneration. Pending
-// updates are flushed first; the refreshed dependency statistics are
-// published as a new snapshot (invalidating cached plans, which read
-// them for RSPN selection).
-func (db *DB) CheckStaleness() (map[int]string, error) {
-	if err := db.Flush(context.Background()); err != nil {
-		return nil, err
-	}
-	db.applyMu.Lock()
-	defer db.applyMu.Unlock()
-	cur := db.snap.Load()
-	if cur.ens.Tables == nil {
-		return nil, errNoData()
-	}
-	next := cur.ens.CloneForStaleness()
-	rep, err := next.CheckStaleness()
-	db.publishLocked(next)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Stale, nil
 }
 
 func errNoData() error {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/ensemble"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -140,6 +141,18 @@ func (c *config) driftThresholds() drift.Thresholds {
 	return drift.Thresholds{MutatedFraction: c.driftFrac, MeanShift: c.driftShift}
 }
 
+// shardConfig sizes one shard's update machinery; walDir is that shard's
+// own log directory ("" runs it without a WAL).
+func (c *config) shardConfig(walDir string) shard.Config {
+	return shard.Config{
+		QueueSize:    c.queueSize,
+		MaxBatch:     c.maxBatch,
+		WALDir:       walDir,
+		Durability:   c.durability.wal(),
+		CloseTimeout: c.closeTimeout,
+	}
+}
+
 // defaultPlanCacheSize bounds the plan cache when WithPlanCacheSize is not
 // given: generous for realistic workloads (shapes are per query template,
 // not per literal), small enough to keep eviction cheap.
@@ -272,7 +285,9 @@ func WithResultCacheSize(n int) Option {
 // its own write on the very next query without calling Flush, at the cost
 // of paying the copy-on-write apply inline (writers wait on each other;
 // readers still never block). The asynchronous default enqueues instead
-// and applies in coalesced batches in the background.
+// and applies in coalesced batches in the background. It means the same at
+// every shard count: a sharded DB applies the group on every shard before
+// returning.
 func WithSyncUpdates() Option {
 	return func(c *config) { c.syncUpdates = true }
 }
@@ -329,6 +344,8 @@ func WithCloseTimeout(d time.Duration) Option {
 // base tables in the background and hot-swapped into the serving snapshot
 // — readers never block, and the paper's incremental-update approximations
 // are periodically squashed out. <= 0 (the default) disables the trigger.
+// Re-learning needs the whole ensemble in one shard: the sharded
+// constructors refuse an armed trigger instead of ignoring it.
 func WithDriftThreshold(frac float64) Option {
 	return func(c *config) { c.driftFrac = frac }
 }
@@ -420,8 +437,9 @@ func WithPeerProbeInterval(d time.Duration) Option {
 // WithNonBlockingUpdates makes Insert/Delete/Update shed with ErrQueueFull
 // when the update queue is full, instead of blocking until the applier
 // catches up. Serving front-ends use this to turn backpressure into
-// 429 + Retry-After rather than pinning handler goroutines. Ignored under
-// WithSyncUpdates; sharded DBs always behave this way.
+// 429 + Retry-After rather than pinning handler goroutines. Admission is
+// all-or-nothing across shards: a shed group is logged and enqueued
+// nowhere. Ignored under WithSyncUpdates.
 func WithNonBlockingUpdates() Option {
 	return func(c *config) { c.nonBlocking = true }
 }
@@ -431,7 +449,6 @@ func WithNonBlockingUpdates() Option {
 // execOpts is the resolved per-call option set.
 type execOpts struct {
 	confidence float64 // 0 = DB default
-	groupChunk int     // 0 = core.DefaultGroupChunk (streaming reads only)
 }
 
 // ExecOption customizes a single query execution (Query, ExecuteQuery,
@@ -442,14 +459,6 @@ type ExecOption func(*execOpts)
 // AtConfidence overrides the confidence-interval level for one call.
 func AtConfidence(level float64) ExecOption {
 	return func(o *execOpts) { o.confidence = level }
-}
-
-// WithGroupChunk sets how many group keys a streaming read (QueryRows)
-// gates and aggregates per evaluation round (default 256). Larger chunks
-// amortize model passes; smaller ones bound memory tighter and yield first
-// rows sooner. Ignored by non-streaming calls.
-func WithGroupChunk(n int) ExecOption {
-	return func(o *execOpts) { o.groupChunk = n }
 }
 
 // resolveExec folds the per-call options into one set.

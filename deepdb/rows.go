@@ -42,46 +42,30 @@ type Rows struct {
 
 // QueryRows answers an aggregate SQL query approximately like Query, but
 // streams the result rows instead of materializing them: group keys are
-// enumerated lazily and estimated in bounded chunks (WithGroupChunk sets
-// the chunk size), so GROUP BY results of any size run in constant memory.
+// enumerated lazily and estimated in bounded chunks, so GROUP BY results of
+// any size run in constant memory.
 // Rows arrive in group-key order, bit-identical to Query's.
-func (db *DB) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*Rows, error) {
-	s := db.snapshotNow()
+func (h *host) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*Rows, error) {
+	s := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return nil, err
 	}
-	return queryRowsOn(ctx, db, s, q, opts)
+	return h.queryRowsOn(ctx, s, q, opts)
 }
 
 // ExecuteQueryRows is QueryRows for an already-parsed structured query.
-func (db *DB) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
-	return queryRowsOn(ctx, db, db.snapshotNow(), q, opts)
-}
-
-// QueryRows streams a grouped result from the sharded tier — same
-// contract as DB.QueryRows, over the composed snapshot.
-func (db *ShardedDB) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*Rows, error) {
-	s := db.snapshotNow()
-	q, err := query.Parse(sql, resolver(s.ens))
-	if err != nil {
-		return nil, err
-	}
-	return queryRowsOn(ctx, db, s, q, opts)
-}
-
-// ExecuteQueryRows is QueryRows for a structured query.
-func (db *ShardedDB) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
-	return queryRowsOn(ctx, db, db.snapshotNow(), q, opts)
+func (h *host) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
+	return h.queryRowsOn(ctx, h.snapshotNow(), q, opts)
 }
 
 // queryRowsOn builds the streaming iterator on one snapshot. Ungrouped
 // queries route through the regular (result-cached) execution path and
 // replay its single row; grouped queries get a live chunked iterator.
-func queryRowsOn(ctx context.Context, h stmtHost, s *snapshot, q query.Query, opts []ExecOption) (*Rows, error) {
+func (h *host) queryRowsOn(ctx context.Context, s *snapshot, q query.Query, opts []ExecOption) (*Rows, error) {
 	eo := resolveExec(opts)
 	if len(q.GroupBy) == 0 {
-		res, err := executeQueryShaped(ctx, h, s, "", q, eo)
+		res, err := h.executeQueryShaped(ctx, s, nil, "", q, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +75,7 @@ func queryRowsOn(ctx context.Context, h stmtHost, s *snapshot, q query.Query, op
 	if err != nil {
 		return nil, err
 	}
-	it, err := p.ExecuteGroupsIter(ctx, eo.core(), q, eo.groupChunk)
+	it, err := p.ExecuteGroupsIter(ctx, eo.core(), q, core.DefaultGroupChunk)
 	if err != nil {
 		return nil, err
 	}

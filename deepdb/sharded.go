@@ -1,35 +1,15 @@
 package deepdb
 
-// sharded.go is the fan-out serving tier: the ensemble partitioned into
-// table-group shards (internal/shard), each with its own snapshot pipeline
-// and WAL, behind a router that presents the exact same read API as *DB.
+// sharded.go is what is specific to hosting more than one shard: the
+// partition of the ensemble into table-group shards (internal/shard) and
+// the replica offload. Everything else — the read API, the broadcast write
+// path, Flush/Save/Reload — is the host's, identical at every shard count
+// (see deepdb.go and updates.go).
 //
-// Correctness model, in brief:
-//
-//   - Mutations are broadcast to every shard. A shard only re-learns and
-//     re-weights the members it owns, but incremental updates touch the
-//     base tables and per-member structures of whichever members cover the
-//     mutated table — and cross-shard FK tuple-factor bumps mean a write
-//     routed to "its" shard only would desynchronize the others. Broadcast
-//     keeps every shard's sub-ensemble bit-identical to the corresponding
-//     slice of a single-process DB fed the same stream.
-//   - Each shard snapshot carries an ops token: the cumulative count of
-//     mutations it has processed (applied or deterministically failed).
-//     Equal tokens across shards mean equal progress — ops is monotonic,
-//     so equality can never be an ABA coincidence.
-//   - The router serves from a composed view (every shard's members merged
-//     back into full ensemble shape) and only recomposes when all shards
-//     agree on ops; otherwise it keeps serving the previous consistent
-//     view. Queries therefore always see a state some single-process DB
-//     could have been in — never a torn mix.
-//   - Query execution on the composed view runs the unchanged compile +
-//     Theorem-2/inclusion-exclusion machinery of internal/core, so results
-//     are bit-identical to single-process execution by construction; the
-//     equivalence tests in sharded_test.go prove it per query class.
-//   - Hot reload publishes new sub-ensembles through each shard's normal
-//     snapshot-publication path with ops preserved; since recomposition
-//     triggers only on ops *change*, readers see all-old until the final
-//     composed publish, then all-new — zero read downtime.
+// Query execution on the composed view runs the unchanged compile +
+// Theorem-2/inclusion-exclusion machinery of internal/core, so results are
+// bit-identical to one-shard execution by construction; the equivalence
+// tests in sharded_test.go prove it per query class.
 //
 // Replica processes (started with `deepdb shard`, bound with
 // WithShardPeers) are a pure offload: evaluation chunks of members owned
@@ -47,40 +27,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
-	"repro/internal/query"
-	"repro/internal/rspn"
 	"repro/internal/shard"
 )
 
-// ShardedDB is the partitioned serving tier: the same read API as DB, with
-// updates broadcast to per-partition shards and queries answered from a
-// composed snapshot that is only ever republished at shard-aligned points.
+// ShardedDB is the host over a partition of the ensemble: the same API as
+// DB — one implementation — with every shard serving a subset of the
+// members behind its own update queue and WAL (subdirectory shard-<i> of
+// the WAL dir), plus optional replica processes that evaluation is
+// offloaded to.
 type ShardedDB struct {
-	cfg     config
-	total   int
-	members [][]int
-	shards  []*shard.Shard
-	// peers[i] is the replica client bound to shard i (nil when none).
+	host
+
+	// peers[i] is the replica client bound to shard i (nil when none); the
+	// slice itself is nil without WithShardPeers.
 	peers []*shard.Client
-
-	// snap is the composed serving view; stored only by publishLocked
-	// (same discipline deepdb-lint enforces on DB.snap).
-	snap atomic.Pointer[snapshot]
-	// viewMu serializes recomposition (snapshotNow's slow path, Reload's
-	// final publish).
-	viewMu sync.Mutex
-
-	plans *planCache
-	// resCache is the cross-query result cache (nil unless enabled);
-	// coherence rides on the composed snapshot's generation, which moves
-	// whenever the shards recompose at a new aligned ops token.
-	resCache *resultCache
-
-	// mutMu serializes broadcasts so every shard — and every replica —
-	// observes the identical mutation stream in the identical order.
-	mutMu  sync.Mutex
-	closed bool
-
 	// Cumulative remote-evaluation counters, folded in from each retired
 	// composed view's evaluator.
 	peerHits  atomic.Uint64
@@ -89,12 +49,7 @@ type ShardedDB struct {
 	// probeStop/probeWG control the background peer health prober.
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
-
-	// durabilityLost latches once any shard's WAL failed; walErrMu/walErr
-	// record the first cause (see WithWALErrorPolicy).
-	durabilityLost atomic.Bool
-	walErrMu       sync.Mutex
-	walErr         string
+	probeOnce sync.Once
 }
 
 // LearnDatasetSharded is LearnDataset with the resulting ensemble
@@ -111,66 +66,40 @@ func LearnDatasetSharded(ctx context.Context, s *Schema, data Dataset, opts ...O
 
 // OpenSharded is Open with the loaded ensemble partitioned into
 // WithShards(n) shards. With WithWAL, each shard replays its own log
-// (subdirectory shard-<i> of the WAL dir) before serving.
+// (subdirectory shard-<i> of the WAL dir) before serving; a set of logs
+// that replays to different positions is refused.
 func OpenSharded(ctx context.Context, modelPath string, opts ...Option) (*ShardedDB, error) {
 	cfg := defaultConfig()
 	cfg.apply(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ens, err := ensemble.LoadFile(modelPath, nil)
+	ens, err := loadModel(ctx, modelPath, cfg)
 	if err != nil {
 		return nil, err
-	}
-	data := cfg.dataset
-	if data == nil && cfg.dataDir != "" {
-		data, err = LoadCSVDir(ens.Schema, cfg.dataDir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if data != nil {
-		if err := ens.AttachTables(data); err != nil {
-			return nil, err
-		}
 	}
 	return newShardedDB(ens, cfg)
 }
 
 func newShardedDB(ens *ensemble.Ensemble, cfg config) (*ShardedDB, error) {
-	n := cfg.shards
-	if n < 1 {
-		n = 1
+	if cfg.driftThresholds().Enabled() {
+		return nil, fmt.Errorf("deepdb: drift-triggered re-learning (WithDriftThreshold/WithDriftMeanShift) needs the whole ensemble in one shard; drop the trigger or serve unsharded")
 	}
-	members := shard.Partition(ens, n)
-	db := &ShardedDB{
-		cfg:      cfg,
-		total:    len(ens.RSPNs),
-		members:  members,
-		plans:    newPlanCache(cfg.planCache),
-		resCache: newResultCache(cfg.resultCache),
-	}
-	for i, m := range members {
-		scfg := shard.Config{
-			QueueSize:    cfg.queueSize,
-			MaxBatch:     cfg.maxBatch,
-			Durability:   cfg.durability.wal(),
-			CloseTimeout: cfg.closeTimeout,
-		}
+	var shards []*shard.Shard
+	for i, m := range shard.Partition(ens, cfg.shards) {
+		walDir := ""
 		if cfg.walDir != "" {
-			scfg.WALDir = filepath.Join(cfg.walDir, fmt.Sprintf("shard-%d", i))
+			walDir = filepath.Join(cfg.walDir, fmt.Sprintf("shard-%d", i))
 		}
-		sh, err := shard.New(i, m, ens, scfg)
+		sh, err := shard.New(i, m, ens, cfg.shardConfig(walDir))
 		if err != nil {
-			for _, prev := range db.shards {
+			for _, prev := range shards {
 				prev.Close() //nolint:errcheck // construction already failed
 			}
 			return nil, err
 		}
-		db.shards = append(db.shards, sh)
+		shards = append(shards, sh)
 	}
+	db := &ShardedDB{}
 	if len(cfg.shardPeers) > 0 {
-		db.peers = make([]*shard.Client, len(db.shards))
+		db.peers = make([]*shard.Client, len(shards))
 		var copts []shard.ClientOption
 		if cfg.peerAttempts > 0 || cfg.peerBackoff > 0 {
 			copts = append(copts, shard.WithRetry(cfg.peerAttempts, cfg.peerBackoff))
@@ -178,27 +107,16 @@ func newShardedDB(ens *ensemble.Ensemble, cfg config) (*ShardedDB, error) {
 		if cfg.peerBreakThresh > 0 || cfg.peerBreakCooldown > 0 {
 			copts = append(copts, shard.WithBreaker(cfg.peerBreakThresh, cfg.peerBreakCooldown))
 		}
-		for i := range db.shards {
+		for i := range shards {
 			if i < len(cfg.shardPeers) && cfg.shardPeers[i] != "" {
 				db.peers[i] = shard.NewClient(cfg.shardPeers[i], copts...)
 			}
 		}
+		db.wire, db.replicate = db.bindPeers, db.forwardPeers
 	}
-	composed, ops, ok := shard.Compose(db.shards, db.total)
-	if !ok {
-		// Shards disagree on stream progress straight out of construction.
-		// That means their WALs recorded different prefixes of the same
-		// broadcast stream — a crash landed between the per-shard appends of
-		// one group. The divergence is at most the unacknowledged tail, but
-		// composing across it would serve a torn state, so refuse and let
-		// the operator reconcile (see the sharded-serving runbook in the
-		// README: keep the longest log, reset the others' directories).
-		for _, sh := range db.shards {
-			sh.Close() //nolint:errcheck // construction already failed
-		}
-		return nil, fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
+	if err := db.start(cfg, shards, len(ens.RSPNs)); err != nil {
+		return nil, err
 	}
-	db.publishLocked(composed, ops)
 	db.startProber()
 	return db, nil
 }
@@ -238,307 +156,35 @@ func (db *ShardedDB) startProber() {
 	}()
 }
 
-// publishLocked publishes ens as the next composed snapshot generation,
-// wiring the remote evaluator (when peers are bound) with bindings valid
-// exactly for this ops token. Callers are single-threaded at construction
-// or hold viewMu.
-func (db *ShardedDB) publishLocked(ens *ensemble.Ensemble, ops uint64) {
-	cur := db.snap.Load()
-	var gen uint64
-	if cur != nil {
-		gen = cur.gen + 1
-		// Retire the outgoing view's evaluator counters into the running
-		// totals (a chunk in flight right now may be lost to the count;
-		// these are observability numbers, not accounting).
-		if re, ok := cur.eng.Eval.(*shard.RemoteEvaluator); ok {
+// bindPeers is the host's wire hook: it routes a new view's evaluation
+// through the bound replicas, with bindings valid exactly for this ops
+// token, and retires the outgoing view's evaluator counters into the
+// running totals (a chunk in flight right now may be lost to the count;
+// these are observability numbers, not accounting). When the stream
+// advanced under an unchanged view (eng is prev's own engine) the existing
+// bindings just move to the new token.
+func (db *ShardedDB) bindPeers(prev *snapshot, eng *core.Engine, ens *ensemble.Ensemble, ops uint64) {
+	if prev != nil {
+		if re, ok := prev.eng.Eval.(*shard.RemoteEvaluator); ok {
+			if prev.eng == eng {
+				re.Advance(ops)
+				return
+			}
 			db.peerHits.Add(re.Hits())
 			db.peerFalls.Add(re.Fallbacks())
 		}
 	}
-	eng := core.New(ens)
-	eng.Strategy = db.cfg.coreStrategy()
-	eng.ConfidenceLevel = db.cfg.confidence
-	eng.Parallelism = db.cfg.parallelism
-	if db.peers != nil {
-		re := shard.NewRemoteEvaluator()
-		for i, m := range db.members {
-			c := db.peers[i]
-			if c == nil {
-				continue
-			}
-			for j, global := range m {
-				re.Bind(ens.RSPNs[global], c, j, ops)
-			}
-		}
-		eng.Eval = re
-	}
-	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen, ops: ops})
-}
-
-// snapshotNow returns the current composed serving view, recomposing first
-// when every shard has advanced to a common newer ops token. The fast path
-// is two atomic loads per shard; the recompose path is taken once per
-// aligned point, not per query.
-func (db *ShardedDB) snapshotNow() *snapshot {
-	cur := db.snap.Load()
-	ops, ok := shard.Aligned(db.shards)
-	if !ok || ops == cur.ops {
-		return cur
-	}
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	cur = db.snap.Load()
-	ens, ops, ok := shard.Compose(db.shards, db.total)
-	if !ok || ops == cur.ops {
-		// A shard moved between the pre-check and the compose (or another
-		// reader already published this alignment point).
-		return cur
-	}
-	db.publishLocked(ens, ops)
-	return db.snap.Load()
-}
-
-// defaultConfidence returns the DB-wide confidence-interval level.
-func (db *ShardedDB) defaultConfidence() float64 { return db.cfg.confidence }
-
-// results returns the cross-query result cache (nil when disabled).
-func (db *ShardedDB) results() *resultCache { return db.resCache }
-
-// planFor consults the plan cache under the composed snapshot's generation,
-// exactly like DB.planFor — shard count is invisible to compilation.
-func (db *ShardedDB) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error) {
-	if db.plans == nil {
-		return s.eng.Compile(q)
-	}
-	if shape == "" {
-		shape = q.ShapeKey()
-	}
-	if p := db.plans.get(shape, s.gen); p != nil {
-		return p, nil
-	}
-	p, err := s.eng.Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	db.plans.put(shape, s.gen, p)
-	return p, nil
-}
-
-// ---- read API (mirrors *DB) ----
-
-// Schema returns the relational metadata the DB was learned over.
-func (db *ShardedDB) Schema() *Schema { return db.snapshotNow().ens.Schema }
-
-// Data returns the base tables of the current composed snapshot (nil when
-// opened without data). Read-only; mutate only through Insert/Delete/Update.
-func (db *ShardedDB) Data() Dataset { return db.snapshotNow().ens.Tables }
-
-// Describe returns a human-readable summary of the composed ensemble.
-func (db *ShardedDB) Describe() string { return db.snapshotNow().ens.Describe() }
-
-// Models returns the composed snapshot's ensemble members.
-func (db *ShardedDB) Models() []*rspn.RSPN { return db.snapshotNow().ens.RSPNs }
-
-// Model returns some RSPN covering the named table (preferring the
-// smallest), or nil.
-func (db *ShardedDB) Model(table string) *rspn.RSPN { return db.snapshotNow().ens.RSPNFor(table) }
-
-// Generation returns the composed snapshot's publication counter.
-func (db *ShardedDB) Generation() uint64 { return db.snapshotNow().gen }
-
-// Shards returns the number of partitions serving this DB.
-func (db *ShardedDB) Shards() int { return len(db.shards) }
-
-// ResultCacheLen reports how many query results and cardinality estimates
-// are currently cached (0 unless WithResultCacheSize enabled the cache).
-func (db *ShardedDB) ResultCacheLen() int {
-	if db.resCache == nil {
-		return 0
-	}
-	return db.resCache.size()
-}
-
-// PlanCacheLen reports how many compiled plans are currently cached.
-func (db *ShardedDB) PlanCacheLen() int {
-	if db.plans == nil {
-		return 0
-	}
-	return db.plans.size()
-}
-
-// Parse compiles SQL into a structured query against the composed view.
-func (db *ShardedDB) Parse(sql string) (query.Query, error) {
-	return query.Parse(sql, resolver(db.snapshotNow().ens))
-}
-
-// ResolveLabel maps a string literal to its dictionary code on the column.
-func (db *ShardedDB) ResolveLabel(column, literal string) (float64, error) {
-	return resolver(db.snapshotNow().ens)(column, literal)
-}
-
-// Query answers an aggregate SQL query approximately — identical semantics
-// (and bit-identical results) to DB.Query over the same model and stream.
-func (db *ShardedDB) Query(ctx context.Context, sql string, opts ...ExecOption) (Result, error) {
-	s := db.snapshotNow()
-	q, err := query.Parse(sql, resolver(s.ens))
-	if err != nil {
-		return Result{}, err
-	}
-	return executeQueryOn(ctx, db, s, q, opts)
-}
-
-// ExecuteQuery is Query for an already-parsed structured query.
-func (db *ShardedDB) ExecuteQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Result, error) {
-	return executeQueryOn(ctx, db, db.snapshotNow(), q, opts)
-}
-
-// EstimateCardinality estimates COUNT(*) over the query's join with its
-// filters.
-func (db *ShardedDB) EstimateCardinality(ctx context.Context, sql string, opts ...ExecOption) (Estimate, error) {
-	s := db.snapshotNow()
-	q, err := query.Parse(sql, resolver(s.ens))
-	if err != nil {
-		return Estimate{}, err
-	}
-	return estimateCardinalityOn(ctx, db, s, q, opts)
-}
-
-// EstimateCardinalityQuery is EstimateCardinality for a structured query.
-func (db *ShardedDB) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Estimate, error) {
-	return estimateCardinalityOn(ctx, db, db.snapshotNow(), q, opts)
-}
-
-// Explain renders the execution plan without evaluating it.
-func (db *ShardedDB) Explain(ctx context.Context, sql string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	s := db.snapshotNow()
-	q, err := query.Parse(sql, resolver(s.ens))
-	if err != nil {
-		return "", err
-	}
-	p, err := db.planFor(s, "", q)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
-
-// Prepare parses and compiles a statement against the composed view.
-func (db *ShardedDB) Prepare(sql string) (*Stmt, error) { return prepareOn(db, sql) }
-
-// Exact executes the SQL query exactly against the attached base tables.
-func (db *ShardedDB) Exact(ctx context.Context, sql string) (Result, error) {
-	s := db.snapshotNow()
-	q, err := query.Parse(sql, resolver(s.ens))
-	if err != nil {
-		return Result{}, err
-	}
-	return exactOn(ctx, s, q)
-}
-
-// ExactQuery is Exact for a structured query.
-func (db *ShardedDB) ExactQuery(ctx context.Context, q query.Query) (Result, error) {
-	return exactOn(ctx, db.snapshotNow(), q)
-}
-
-// ---- updates ----
-
-// Insert broadcasts one new row to every shard. Sharded DBs always shed
-// instead of blocking: when any shard's queue is full the call returns
-// ErrQueueFull without logging or enqueueing anywhere.
-func (db *ShardedDB) Insert(table string, values map[string]Value) error {
-	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
-}
-
-// Delete broadcasts the removal of the row with the given primary key.
-func (db *ShardedDB) Delete(table string, pk float64) error {
-	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
-}
-
-// Update broadcasts a batch of row inserts as one indivisible group.
-func (db *ShardedDB) Update(rows ...Row) error {
-	muts := make([]ensemble.Mutation, len(rows))
-	for i, r := range rows {
-		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
-	}
-	return db.mutateAll(muts)
-}
-
-func (db *ShardedDB) mutateAll(muts []ensemble.Mutation) error {
-	if len(muts) == 0 {
-		return nil
-	}
-	if db.snapshotNow().ens.Tables == nil {
-		return errNoData()
-	}
-	db.mutMu.Lock()
-	defer db.mutMu.Unlock()
-	if db.closed {
-		return errClosed()
-	}
-	// Admission is all-or-nothing: only broadcast (and only log) when every
-	// shard has a free slot, so a shed group leaves no trace anywhere and
-	// the shards' streams stay identical. Under mutMu no other producer can
-	// steal the checked slots; a concurrent Flush barrier can, which makes
-	// the EnqueueLogged below block for at most one apply cycle — never shed.
-	for _, sh := range db.shards {
-		if !sh.HasCapacity() {
-			return ErrQueueFull
-		}
-	}
-	// The broadcast is split into a log-everywhere phase and an
-	// enqueue-everywhere phase so a WAL failure on shard k surfaces before
-	// ANY shard has been mutated: under WALFailStop the group is rejected
-	// with no shard applying it (shards 0..k-1 carry a logged-but-never-
-	// acked tail record, which the compose-or-refuse check catches on the
-	// next open — see the runbook); under WALDegradeVolatile the group is
-	// admitted everywhere without an LSN and serving continues in memory.
-	lsns := make([]uint64, len(db.shards))
-	if db.durabilityLost.Load() {
-		if db.cfg.walPolicy != WALDegradeVolatile {
-			return fmt.Errorf("%w: %s", ErrDurabilityLost, db.lastWALError())
-		}
-	} else {
-		for i, sh := range db.shards {
-			lsn, err := sh.Log(muts)
-			if err != nil {
-				db.latchWALError(i, err)
-				if db.cfg.walPolicy != WALDegradeVolatile {
-					return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
-				}
-				clear(lsns) // the group is volatile on every shard
-				break
-			}
-			lsns[i] = lsn
-		}
-	}
+	re := shard.NewRemoteEvaluator()
 	for i, sh := range db.shards {
-		if err := sh.EnqueueLogged(muts, lsns[i]); err != nil {
-			return err
+		c := db.peers[i]
+		if c == nil {
+			continue
+		}
+		for j, global := range sh.Members() {
+			re.Bind(ens.RSPNs[global], c, j, ops)
 		}
 	}
-	db.forwardPeers(muts)
-	return nil
-}
-
-// latchWALError records shard i's WAL failure and flips the router into
-// its degraded-durability state.
-func (db *ShardedDB) latchWALError(i int, err error) {
-	db.walErrMu.Lock()
-	if db.walErr == "" {
-		db.walErr = fmt.Sprintf("shard %d: %s", i, err.Error())
-	}
-	db.walErrMu.Unlock()
-	db.durabilityLost.Store(true)
-}
-
-// lastWALError renders the latched WAL failure ("" while healthy).
-func (db *ShardedDB) lastWALError() string {
-	db.walErrMu.Lock()
-	defer db.walErrMu.Unlock()
-	return db.walErr
+	eng.Eval = re
 }
 
 // forwardPeers replicates the group to every bound replica, best-effort: a
@@ -550,9 +196,6 @@ func (db *ShardedDB) lastWALError() string {
 // costs the write path nothing once its breaker opens — before this, a
 // hung replica could stall every broadcast for the full client timeout.
 func (db *ShardedDB) forwardPeers(muts []ensemble.Mutation) {
-	if db.peers == nil {
-		return
-	}
 	for _, c := range db.peers {
 		if c == nil {
 			continue
@@ -561,126 +204,21 @@ func (db *ShardedDB) forwardPeers(muts []ensemble.Mutation) {
 	}
 }
 
-// Flush blocks until every mutation enqueued before the call has been
-// applied on every shard, recomposes the serving view at the resulting
-// aligned point, and reports the first deferred apply error.
-func (db *ShardedDB) Flush(ctx context.Context) error {
-	var first error
-	for _, sh := range db.shards {
-		if err := sh.Flush(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	db.snapshotNow()
-	return first
-}
-
-// Save serializes the composed model to path, like (*DB).Save: pending
-// updates are flushed first, so the file reflects every mutation accepted
-// before the call, and each shard's WAL (when configured) is checkpointed
-// at the watermark the save covers.
-func (db *ShardedDB) Save(path string) error {
-	if err := db.Flush(context.Background()); err != nil {
-		return err
-	}
-	// Read the watermarks before serializing: the composed snapshot saved
-	// below contains at least everything applied up to them.
-	lsns := make([]uint64, len(db.shards))
-	for i, sh := range db.shards {
-		lsns[i] = sh.AppliedLSN()
-	}
-	if err := db.snapshotNow().ens.SaveFile(path); err != nil {
-		return err
-	}
-	for i, sh := range db.shards {
-		if err := sh.Checkpoint(lsns[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reload hot-swaps the serving model with the one in modelPath, with zero
-// read downtime and generation consistency across shards: every shard's
-// new sub-ensemble is published with its ops token preserved, and because
-// the router only recomposes on an ops *change*, readers keep the old
-// composed view until the final all-shards publish below — all-old or
-// all-new, never a mix. The new model must have the same member count as
-// the serving one (the partition is kept); pending updates are flushed
-// into the old model first, and the current base tables are carried over.
-func (db *ShardedDB) Reload(modelPath string) error {
-	ens, err := ensemble.LoadFile(modelPath, nil)
-	if err != nil {
-		return err
-	}
-	if len(ens.RSPNs) != db.total {
-		return fmt.Errorf("deepdb: reload model has %d members, serving ensemble has %d (re-partition requires a restart)", len(ens.RSPNs), db.total)
-	}
-	db.mutMu.Lock()
-	defer db.mutMu.Unlock()
-	if db.closed {
-		return errClosed()
-	}
-	for _, sh := range db.shards {
-		if err := sh.Flush(context.Background()); err != nil {
-			return err
-		}
-	}
-	if tabs := db.snap.Load().ens.Tables; tabs != nil {
-		if err := ens.AttachTables(tabs); err != nil {
-			return err
-		}
-	}
-	// Build every sub-ensemble before publishing any: a failure here must
-	// leave all shards on the old model, not some.
-	subs := make([]*ensemble.Ensemble, len(db.shards))
-	for i, sh := range db.shards {
-		sub, err := ens.Subset(sh.Members())
-		if err != nil {
-			return err
-		}
-		subs[i] = sub
-	}
-	for i, sh := range db.shards {
-		sh.Publish(subs[i])
-	}
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	composed, ops, ok := shard.Compose(db.shards, db.total)
-	if !ok {
-		// Unreachable: mutMu excludes broadcasts and shards were flushed,
-		// so no ops movement can interleave with the publishes above.
-		return fmt.Errorf("deepdb: shards misaligned after reload")
-	}
-	db.publishLocked(composed, ops)
-	return nil
-}
-
-// Close drains and stops every shard (each bounded by WithCloseTimeout)
-// and closes their WALs. The composed snapshot stays queryable; further
-// updates fail. Idempotent.
+// Close stops the peer prober, then closes the host: every shard is
+// drained (each bounded by WithCloseTimeout) and its WAL closed. The
+// composed snapshot stays queryable; further updates fail. Idempotent.
 func (db *ShardedDB) Close() error {
-	db.mutMu.Lock()
-	if db.closed {
-		db.mutMu.Unlock()
-		return nil
-	}
-	db.closed = true
-	db.mutMu.Unlock()
-	if db.probeStop != nil {
-		close(db.probeStop)
-		db.probeWG.Wait()
-	}
-	var first error
-	for _, sh := range db.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
+	db.probeOnce.Do(func() {
+		if db.probeStop != nil {
+			close(db.probeStop)
+			db.probeWG.Wait()
 		}
-	}
-	return first
+	})
+	return db.host.Close()
 }
 
-// ---- observability ----
+// Shards returns the number of partitions serving this DB.
+func (db *ShardedDB) Shards() int { return len(db.shards) }
 
 // ShardStat is one shard's health inside ShardStats.
 type ShardStat struct {
@@ -734,21 +272,7 @@ func (db *ShardedDB) ShardStats() []ShardStat {
 			Errors:        st.Queue.Errors,
 			LastError:     st.Queue.LastError,
 			WALAppliedLSN: st.WALAppliedLSN,
-		}
-		if st.WAL != nil {
-			out[i].WAL = &WALStats{
-				Dir:               filepath.Join(db.cfg.walDir, fmt.Sprintf("shard-%d", i)),
-				Durability:        db.cfg.durability.String(),
-				LastLSN:           st.WAL.LastLSN,
-				AppliedLSN:        st.WALAppliedLSN,
-				CheckpointLSN:     st.WAL.CheckpointLSN,
-				Appended:          st.WAL.Appended,
-				Synced:            st.WAL.Synced,
-				Replayed:          st.WAL.Replayed,
-				TruncatedSegments: st.WAL.TruncatedSegments,
-				Segments:          st.WAL.Segments,
-				SizeBytes:         st.WAL.SizeBytes,
-			}
+			WAL:           walStatsOf(st, db.cfg.durability),
 		}
 		if db.peers != nil && db.peers[i] != nil {
 			c := db.peers[i]
@@ -767,29 +291,9 @@ func (db *ShardedDB) ShardStats() []ShardStat {
 // processes and how many fell back to the local model.
 func (db *ShardedDB) PeerStats() (hits, fallbacks uint64) {
 	hits, fallbacks = db.peerHits.Load(), db.peerFalls.Load()
-	if re, ok := db.snap.Load().eng.Eval.(*shard.RemoteEvaluator); ok {
+	if re, ok := db.snapshotNow().eng.Eval.(*shard.RemoteEvaluator); ok {
 		hits += re.Hits()
 		fallbacks += re.Fallbacks()
 	}
 	return hits, fallbacks
-}
-
-// UpdateStats aggregates the shards' pipeline counters into the facade
-// shape /healthz reports (per-shard detail is in ShardStats).
-func (db *ShardedDB) UpdateStats() UpdateStats {
-	out := UpdateStats{Generation: db.Generation()}
-	fillCacheStats(&out, db.plans, db.resCache)
-	for _, st := range db.ShardStats() {
-		out.QueueDepth += st.QueueDepth
-		out.Enqueued += st.Enqueued
-		out.Applied += st.Applied
-		out.Batches += st.Batches
-		out.Errors += st.Errors
-		if out.LastError == "" {
-			out.LastError = st.LastError
-		}
-	}
-	out.DurabilityLost = db.durabilityLost.Load()
-	out.LastWALError = db.lastWALError()
-	return out
 }

@@ -296,14 +296,17 @@ func TestSingleReloadServesNewModel(t *testing.T) {
 	}
 }
 
-// TestShardedBackpressureSheds: with a tiny queue, a write burst sheds with
-// ErrQueueFull instead of blocking, a shed group leaves no trace on any
-// shard, and the final state reflects exactly the accepted writes.
+// TestShardedBackpressureSheds: with a tiny queue and
+// WithNonBlockingUpdates (which means the same at every shard count), a
+// write burst sheds with ErrQueueFull instead of blocking, a shed group
+// leaves no trace on any shard, and the final state reflects exactly the
+// accepted writes.
 func TestShardedBackpressureSheds(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(1000, 44)
 	db, err := deepdb.LearnDatasetSharded(ctx, s, data,
-		deepdb.WithMaxSamples(2000), deepdb.WithShards(2), deepdb.WithUpdateQueueSize(1))
+		deepdb.WithMaxSamples(2000), deepdb.WithShards(2), deepdb.WithUpdateQueueSize(1),
+		deepdb.WithNonBlockingUpdates())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ import (
 // execution time, which works model-only via the dictionaries persisted in
 // the model file.
 type Stmt struct {
-	db      stmtHost
+	db      *host
 	q       query.Query
 	shape   string
 	nparams int
@@ -42,25 +42,10 @@ type Stmt struct {
 	gen  uint64
 }
 
-// stmtHost is the part of a database handle the read path needs: a
-// snapshot to run against, a (cached) plan for it, and the default
-// confidence level. Both *DB and *ShardedDB implement it, so prepared
-// statements — and the shared query helpers in deepdb.go — work unchanged
-// over either.
-type stmtHost interface {
-	snapshotNow() *snapshot
-	planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error)
-	defaultConfidence() float64
-	// results returns the cross-query result cache (nil when disabled).
-	results() *resultCache
-}
-
 // Prepare parses the SQL template (which may contain `?` placeholders as
 // comparison values), validates it and compiles its plan eagerly, so shape
 // errors surface here rather than at execution.
-func (db *DB) Prepare(sql string) (*Stmt, error) { return prepareOn(db, sql) }
-
-func prepareOn(h stmtHost, sql string) (*Stmt, error) {
+func (h *host) Prepare(sql string) (*Stmt, error) {
 	snap := h.snapshotNow()
 	q, err := query.Parse(sql, resolver(snap.ens))
 	if err != nil {
@@ -134,34 +119,11 @@ func (s *Stmt) Exec(ctx context.Context, params ...any) (Result, error) {
 }
 
 func (s *Stmt) execOn(ctx context.Context, snap *snapshot, vals []any, opts []ExecOption) (Result, error) {
-	eo := resolveExec(opts)
 	q, err := s.bindOn(snap, vals)
 	if err != nil {
 		return Result{}, err
 	}
-	// Result-cache hit: skip the plan lookup and the evaluation entirely
-	// (the cached value is a previous execution's, bit-identical).
-	rc := s.db.results()
-	var key []byte
-	if rc != nil {
-		key = resultKey(nsQuery, s.shape, q, eo.levelOr(s.db.defaultConfidence()))
-		if res, ok := rc.getResult(key, snap.gen); ok {
-			return res, nil
-		}
-	}
-	p, err := s.planOn(snap)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := p.ExecuteQuery(ctx, eo.core(), q)
-	if err != nil {
-		return Result{}, err
-	}
-	out := wrapResult(snap.ens, q, res)
-	if rc != nil {
-		rc.putResult(key, snap.gen, out)
-	}
-	return out, nil
+	return s.db.executeQueryShaped(ctx, snap, s, s.shape, q, resolveExec(opts))
 }
 
 // ExecBatch runs the statement once per parameter set against one
@@ -191,10 +153,10 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 	// subset batch produces exactly the values the full batch would.
 	out := make([]Result, len(batch))
 	missIdx := make([]int, 0, len(batch))
-	rc := s.db.results()
+	rc := s.db.resCache
 	var keys [][]byte
 	if rc != nil {
-		level := eo.levelOr(s.db.defaultConfidence())
+		level := eo.levelOr(s.db.cfg.confidence)
 		keys = make([][]byte, len(batch))
 		for i := range queries {
 			keys[i] = resultKey(nsQuery, s.shape, queries[i], level)
@@ -238,34 +200,12 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 // are ignored). Arguments follow the Exec convention.
 func (s *Stmt) Estimate(ctx context.Context, params ...any) (Estimate, error) {
 	vals, opts := splitArgs(params)
-	eo := resolveExec(opts)
 	snap := s.db.snapshotNow()
 	q, err := s.bindOn(snap, vals)
 	if err != nil {
 		return Estimate{}, err
 	}
-	level := eo.levelOr(s.db.defaultConfidence())
-	rc := s.db.results()
-	var key []byte
-	if rc != nil {
-		key = resultKey(nsEstimate, s.shape, q, level)
-		if est, ok := rc.getEstimate(key, snap.gen); ok {
-			return est, nil
-		}
-	}
-	p, err := s.planOn(snap)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est, err := p.EstimateCardinalityQuery(ctx, q)
-	if err != nil {
-		return Estimate{}, err
-	}
-	out := wrapEstimate(est, level)
-	if rc != nil {
-		rc.putEstimate(key, snap.gen, out)
-	}
-	return out, nil
+	return s.db.estimateCardinalityShaped(ctx, snap, s, s.shape, q, resolveExec(opts))
 }
 
 // Explain renders the plan the statement executes.

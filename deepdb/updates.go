@@ -1,0 +1,512 @@
+package deepdb
+
+// updates.go is the host's write half: one broadcast path from
+// Insert/Delete/Update into every shard, the WAL-failure policy, and the
+// lifecycle operations (Flush, Save, Reload, Close) that fan out over the
+// shards.
+//
+// Correctness model, in brief:
+//
+//   - Mutations are broadcast to every shard. A shard only serves the
+//     members it owns, but incremental updates touch the base tables and
+//     per-member structures of whichever members cover the mutated table —
+//     and cross-shard FK tuple-factor bumps mean a write routed to "its"
+//     shard only would desynchronize the others. Broadcast keeps every
+//     shard's sub-ensemble bit-identical to the corresponding slice of a
+//     one-shard host fed the same stream.
+//   - Durability: every accepted group is appended to each shard's WAL
+//     before it enters that shard's queue, so a crash — even kill -9 —
+//     loses nothing that was acknowledged under DurabilitySync (and at most
+//     the configured batching window otherwise). Shards replay the
+//     unapplied suffix on open; replay followed by Flush is bit-identical
+//     to a run that never crashed, because the applier's batch==sequential
+//     equivalence makes group boundaries irrelevant to the final state.
+//   - Each shard snapshot carries an ops token: the cumulative count of
+//     mutations it has processed (applied or deterministically failed).
+//     The host recomposes its serving view only when all shards agree on
+//     it (see recomposeLocked).
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/ensemble"
+	"repro/internal/shard"
+)
+
+// ErrQueueFull is returned by Insert/Delete/Update under
+// WithNonBlockingUpdates when some shard's update queue has no free slot:
+// the mutation was NOT accepted — not logged, not enqueued, on any shard —
+// and the caller should retry later. Serving front-ends map it to 429 +
+// Retry-After. Test with errors.Is.
+var ErrQueueFull = shard.ErrQueueFull
+
+// ErrDurabilityLost is returned by Insert/Delete/Update once the WAL has
+// failed (disk full, I/O error) and the DB runs the default WALFailStop
+// policy: the mutation was NOT accepted anywhere and writes stay rejected
+// until the process restarts on a healthy disk. Serving front-ends map it
+// to 503. Under WALDegradeVolatile writes keep succeeding instead, and
+// UpdateStats.DurabilityLost / a "degraded" /healthz carry the warning.
+// Test with errors.Is.
+var ErrDurabilityLost = errors.New("deepdb: WAL durability lost, writes are not crash-safe")
+
+// Insert absorbs one new base-table row into the model incrementally
+// (Section 5.2 of the paper): no retraining happens. Missing columns
+// become NULL. By default the mutation is enqueued and applied by the
+// background pipeline — it becomes visible to queries when its batch's
+// snapshot is published, and apply errors are reported by the next Flush.
+// Under WithSyncUpdates it is applied and published before returning.
+func (h *host) Insert(table string, values map[string]Value) error {
+	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
+}
+
+// Delete removes the base-table row with the given primary key from the
+// model incrementally. Asynchronous like Insert: a missing row is an apply
+// error reported by the next Flush (or immediately under WithSyncUpdates).
+func (h *host) Delete(table string, pk float64) error {
+	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
+}
+
+// Update applies a batch of row inserts. The rows travel through the
+// pipeline as one indivisible group (or apply under one lock with
+// WithSyncUpdates): queries never observe a half-applied Update — every
+// published snapshot contains the whole group or none of it. A failing
+// row does not block the others and there is no rollback; under
+// WithSyncUpdates the returned error indexes the failing row, on the
+// asynchronous path Flush reports it with its position in the applied
+// batch (which may include coalesced neighbors) and the underlying
+// cause.
+func (h *host) Update(rows ...Row) error {
+	muts := make([]ensemble.Mutation, len(rows))
+	for i, r := range rows {
+		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
+	}
+	return h.mutateAll(muts)
+}
+
+// mutateAll broadcasts one mutation group to every shard.
+func (h *host) mutateAll(muts []ensemble.Mutation) error {
+	if len(muts) == 0 {
+		return nil
+	}
+	if h.snapshotNow().ens.Tables == nil {
+		return errNoData()
+	}
+	h.mutMu.Lock()
+	defer h.mutMu.Unlock()
+	if h.closed {
+		return errClosed()
+	}
+	if h.cfg.nonBlocking && !h.cfg.syncUpdates {
+		// Admission is all-or-nothing and comes BEFORE the append: a record
+		// logged but rejected with ErrQueueFull would still replay after a
+		// restart, silently re-applying a write the caller was told to
+		// retry. Under mutMu no other producer can steal the checked slots;
+		// a concurrent Flush barrier can, which makes the enqueue below block
+		// for at most one apply cycle — never shed.
+		for _, sh := range h.shards {
+			if !sh.HasCapacity() {
+				return ErrQueueFull
+			}
+		}
+	}
+	// The broadcast is split into a log-everywhere phase and a
+	// submit-everywhere phase so a WAL failure on shard k surfaces before
+	// ANY shard has been mutated: under WALFailStop the group is rejected
+	// with no shard applying it (shards 0..k-1 carry a logged-but-never-
+	// acked tail record, which the compose-or-refuse check catches on the
+	// next open — see the runbook); under WALDegradeVolatile the group is
+	// admitted everywhere without an LSN — a post-restart replay stops at
+	// the last durable record — and serving continues in memory.
+	lsns := make([]uint64, len(h.shards))
+	if h.durabilityLost.Load() {
+		if h.cfg.walPolicy != WALDegradeVolatile {
+			return fmt.Errorf("%w: %s", ErrDurabilityLost, h.lastWALError())
+		}
+	} else {
+		for i, sh := range h.shards {
+			lsn, err := sh.Log(muts)
+			if err != nil {
+				h.latchWALError(err)
+				if h.cfg.walPolicy != WALDegradeVolatile {
+					return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
+				}
+				clear(lsns) // the group is volatile on every shard
+				break
+			}
+			lsns[i] = lsn
+		}
+	}
+	// Every shard gets the group even if one reports a failure: apply
+	// failures are deterministic across shards, and skipping the rest would
+	// misalign them.
+	var first error
+	for i, sh := range h.shards {
+		var err error
+		if h.cfg.syncUpdates {
+			err = sh.ApplyLogged(muts, lsns[i])
+		} else {
+			err = sh.EnqueueLogged(muts, lsns[i])
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	if h.replicate != nil {
+		h.replicate(muts)
+	}
+	return first
+}
+
+// latchWALError records the first WAL failure and flips the host into its
+// degraded-durability state.
+func (h *host) latchWALError(err error) {
+	h.walErrMu.Lock()
+	if h.walErr == "" {
+		h.walErr = err.Error()
+	}
+	h.walErrMu.Unlock()
+	h.durabilityLost.Store(true)
+}
+
+// lastWALError renders the latched WAL failure ("" while healthy).
+func (h *host) lastWALError() string {
+	h.walErrMu.Lock()
+	defer h.walErrMu.Unlock()
+	return h.walErr
+}
+
+// Flush blocks until every mutation enqueued before the call has been
+// applied and published on every shard — after Flush returns, queries (and
+// Save, Exact, Data) observe those writes, with results bit-identical to
+// the WithSyncUpdates path. It returns the first apply error deferred by
+// the asynchronous path since the previous Flush. A no-op under
+// WithSyncUpdates or when nothing was ever enqueued.
+func (h *host) Flush(ctx context.Context) error {
+	var first error
+	for _, sh := range h.shards {
+		if err := sh.Flush(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// quiesce drains the update queues and returns holding mutMu, with every
+// shard caught up and aligned: the serving view is then exactly the state at
+// the shards' apply watermarks. The bulk of the drain happens before the
+// lock is taken, so writers wait only for what slipped in between — and for
+// whatever the caller does before unlocking, which must stay short.
+func (h *host) quiesce() error {
+	ctx := context.Background()
+	if err := h.Flush(ctx); err != nil {
+		return err
+	}
+	h.mutMu.Lock()
+	if err := h.Flush(ctx); err != nil {
+		h.mutMu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// Save writes the model (ensemble, dependency and per-table statistics,
+// schema) to path, atomically (temp file + rename). Pending asynchronous
+// updates are flushed first, so the file reflects every mutation accepted
+// before the call; writers are held off only while the view to save is
+// picked, not while it is written. The base tables are not serialized; the
+// persisted statistics are enough to serve queries, and Open can reattach
+// the data like a database reopening its files. With a WAL attached, a
+// successful Save also checkpoints every shard's log at its applied
+// watermark: the save covers everything up to that LSN, so replay skips
+// those records from now on and segments they fully occupy are deleted.
+func (h *host) Save(path string) error {
+	// Pick the view and the watermarks at one quiescent point: with
+	// broadcasts still running, some shard's watermark could be ahead of the
+	// composed view, and checkpointing there would drop a record the file
+	// does not contain. The snapshot is immutable, so it is serialized after
+	// the writers have been let back in.
+	if err := h.quiesce(); err != nil {
+		return err
+	}
+	s := h.snapshotNow()
+	lsns := make([]uint64, len(h.shards))
+	for i, sh := range h.shards {
+		lsns[i] = sh.AppliedLSN()
+	}
+	h.mutMu.Unlock()
+	if err := s.ens.SaveFile(path); err != nil {
+		return err
+	}
+	for i, sh := range h.shards {
+		if err := sh.Checkpoint(lsns[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Reload hot-swaps the serving model with the one in modelPath — e.g. a
+// re-learned artifact produced offline — without any read downtime: the
+// new model travels through the same snapshot-publication path as update
+// batches, so in-flight queries finish on the old snapshot and later ones
+// see the new generation atomically, on every shard at once: each shard's
+// part is published with its ops token preserved, and the host recomposes
+// only after the last one — all-old or all-new, never a mix. Pending
+// asynchronous updates are flushed into the old model first (they were
+// acked against it); the current base tables, if any, are carried over so
+// updates and exact execution keep working. Writers are held off only for
+// the swap itself (attaching the tables and publishing), not while the
+// model file is read or the queues drain. A partitioned host keeps its
+// partition, so the new model must have the serving one's member count.
+// On any error the old model keeps serving.
+func (h *host) Reload(modelPath string) error {
+	ens, err := ensemble.LoadFile(modelPath, nil)
+	if err != nil {
+		return err
+	}
+	if err := h.quiesce(); err != nil {
+		return err
+	}
+	defer h.mutMu.Unlock()
+	if h.closed {
+		return errClosed()
+	}
+	cur := h.snapshotNow().ens
+	if cur.Tables != nil {
+		if err := ens.AttachTables(cur.Tables); err != nil {
+			return err
+		}
+	}
+	if cur.Drift != nil {
+		// Drift restarts from the fresh model's state: it IS the re-learned
+		// baseline staleness is measured against.
+		ens.EnableDrift()
+	}
+	// Carve every part before publishing any: a failure here must leave
+	// all shards on the old model, not some.
+	parts := make([]*ensemble.Ensemble, len(h.shards))
+	for i, sh := range h.shards {
+		if parts[i], err = sh.Carve(ens); err != nil {
+			return err
+		}
+	}
+	for i, sh := range h.shards {
+		sh.Publish(parts[i])
+	}
+	h.recompose()
+	return nil
+}
+
+// Close drains and stops every shard's update pipeline (each waiting at
+// most the WithCloseTimeout bound, 30s by default), syncs and closes the
+// WALs, and returns the first undelivered apply error (or the
+// drain-timeout error; with a WAL the undrained queue remains recoverable
+// by the next Open). The DB remains queryable afterwards (the published
+// snapshot stays valid); further updates fail. Close is idempotent — the
+// second and later calls are no-ops returning nil.
+func (h *host) Close() error {
+	h.mutMu.Lock()
+	if h.closed {
+		h.mutMu.Unlock()
+		return nil
+	}
+	h.closed = true
+	h.mutMu.Unlock()
+	var first error
+	for _, sh := range h.shards {
+		if err := sh.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// UpdateStats is a point-in-time view of the update pipeline, for
+// observability (the serve front-end reports it in /healthz).
+type UpdateStats struct {
+	// Generation is the current snapshot's publication counter.
+	Generation uint64
+	// SyncUpdates reports whether the DB applies updates synchronously
+	// (WithSyncUpdates); the queue fields below stay zero then.
+	SyncUpdates bool
+	// The queue fields aggregate over the shards (per-shard detail is in
+	// ShardedDB.ShardStats): counters are summed — a broadcast counts once
+	// per shard — and the last-batch readings are the maximum.
+	//
+	// QueueDepth is the number of update operations waiting in the queue.
+	QueueDepth int
+	// Enqueued/Applied count update operations accepted/applied — each
+	// Insert/Delete is one operation, an Update(rows...) call is one
+	// operation regardless of row count. Batches counts published update
+	// batches (Applied/Batches = realized coalescing).
+	Enqueued uint64
+	Applied  uint64
+	Batches  uint64
+	// Errors counts failed apply batches; LastError renders the most
+	// recent failure.
+	Errors    uint64
+	LastError string
+	// LastBatch is the size of the most recently applied batch,
+	// LastApplyDuration how long applying it took, and ApplyLag the
+	// enqueue-to-publish latency of that batch's oldest mutation.
+	LastBatch         int
+	LastApplyDuration time.Duration
+	ApplyLag          time.Duration
+	// WAL describes the write-ahead log (nil without WithWAL), aggregated
+	// over the shards' logs: activity counters and footprint are summed,
+	// LastLSN is the highest logged position and AppliedLSN/CheckpointLSN
+	// the lowest watermarks.
+	WAL *WALStats
+	// DurabilityLost reports that the WAL has failed: under WALFailStop
+	// writes are being rejected, under WALDegradeVolatile they are accepted
+	// into memory only. LastWALError renders the failure that tripped it.
+	DurabilityLost bool
+	LastWALError   string
+	// PlanCacheHits/PlanCacheMisses count plan-cache lookups (a
+	// stale-generation entry counts as a miss); PlanCacheSize is the
+	// current entry count. All zero with WithPlanCacheSize(0).
+	PlanCacheHits   uint64
+	PlanCacheMisses uint64
+	PlanCacheSize   int
+	// ResultCacheHits/ResultCacheMisses/ResultCacheEvictions count
+	// result-cache lookups and LRU/stale-generation evictions;
+	// ResultCacheSize is the current entry count. All zero unless
+	// WithResultCacheSize enabled the cache.
+	ResultCacheHits      uint64
+	ResultCacheMisses    uint64
+	ResultCacheEvictions uint64
+	ResultCacheSize      int
+	// Drift lists per-member staleness (nil when drift tracking is off —
+	// i.e. no base tables attached); Relearns counts completed background
+	// re-learn hot-swaps, RelearnErrors failed attempts (LastRelearnError
+	// renders the most recent failure).
+	Drift            []DriftStat
+	Relearns         uint64
+	RelearnErrors    uint64
+	LastRelearnError string
+}
+
+// WALStats describes the write-ahead log inside UpdateStats.
+type WALStats struct {
+	// Dir is the log directory, Durability the fsync policy.
+	Dir        string
+	Durability string
+	// LastLSN is the highest logged position, AppliedLSN the highest
+	// applied-and-published one (their gap is the recovery backlog), and
+	// CheckpointLSN the persisted save watermark.
+	LastLSN       uint64
+	AppliedLSN    uint64
+	CheckpointLSN uint64
+	// Appended/Synced/Replayed/TruncatedSegments count this session's log
+	// activity; Segments and SizeBytes are the on-disk footprint.
+	Appended          uint64
+	Synced            uint64
+	Replayed          uint64
+	TruncatedSegments uint64
+	Segments          int
+	SizeBytes         int64
+}
+
+// DriftStat is one ensemble member's staleness reading inside UpdateStats.
+type DriftStat struct {
+	// Tables is the member's table set.
+	Tables []string
+	// Mutated counts mutations on those tables since the member's baseline;
+	// MutatedFraction normalizes by the baseline row count.
+	Mutated         uint64
+	MutatedFraction float64
+	// MaxShift is the largest σ-normalized column-mean shift since the
+	// baseline, attained on ShiftColumn.
+	MaxShift    float64
+	ShiftColumn string
+	// Relearns counts completed re-learns of this member.
+	Relearns uint64
+}
+
+// walStatsOf converts one shard's log counters (nil without a WAL).
+func walStatsOf(st shard.Stats, durability Durability) *WALStats {
+	if st.WAL == nil {
+		return nil
+	}
+	return &WALStats{
+		Dir:               st.WALDir,
+		Durability:        durability.String(),
+		LastLSN:           st.WAL.LastLSN,
+		AppliedLSN:        st.WALAppliedLSN,
+		CheckpointLSN:     st.WAL.CheckpointLSN,
+		Appended:          st.WAL.Appended,
+		Synced:            st.WAL.Synced,
+		Replayed:          st.WAL.Replayed,
+		TruncatedSegments: st.WAL.TruncatedSegments,
+		Segments:          st.WAL.Segments,
+		SizeBytes:         st.WAL.SizeBytes,
+	}
+}
+
+// UpdateStats reports the update pipeline's counters.
+func (h *host) UpdateStats() UpdateStats {
+	s := h.snapshotNow()
+	out := UpdateStats{
+		Generation:     s.gen,
+		SyncUpdates:    h.cfg.syncUpdates,
+		DurabilityLost: h.durabilityLost.Load(),
+		LastWALError:   h.lastWALError(),
+	}
+	if h.plans != nil {
+		out.PlanCacheHits, out.PlanCacheMisses = h.plans.stats()
+		out.PlanCacheSize = h.plans.size()
+	}
+	if h.resCache != nil {
+		out.ResultCacheHits, out.ResultCacheMisses, out.ResultCacheEvictions = h.resCache.stats()
+		out.ResultCacheSize = h.resCache.size()
+	}
+	for _, sh := range h.shards {
+		st := sh.Stats()
+		out.QueueDepth += st.Queue.QueueDepth
+		out.Enqueued += st.Queue.Enqueued
+		out.Applied += st.Queue.Applied
+		out.Batches += st.Queue.Batches
+		out.Errors += st.Queue.Errors
+		if out.LastError == "" {
+			out.LastError = st.Queue.LastError
+		}
+		out.LastBatch = max(out.LastBatch, st.Queue.LastBatch)
+		out.LastApplyDuration = max(out.LastApplyDuration, st.Queue.LastApplyDuration)
+		out.ApplyLag = max(out.ApplyLag, st.Queue.ApplyLag)
+		w := walStatsOf(st, h.cfg.durability)
+		switch {
+		case w == nil:
+		case out.WAL == nil:
+			w.Dir = h.cfg.walDir
+			out.WAL = w
+		default:
+			a := out.WAL
+			a.LastLSN = max(a.LastLSN, w.LastLSN)
+			a.AppliedLSN = min(a.AppliedLSN, w.AppliedLSN)
+			a.CheckpointLSN = min(a.CheckpointLSN, w.CheckpointLSN)
+			a.Appended += w.Appended
+			a.Synced += w.Synced
+			a.Replayed += w.Replayed
+			a.TruncatedSegments += w.TruncatedSegments
+			a.Segments += w.Segments
+			a.SizeBytes += w.SizeBytes
+		}
+	}
+	if d := s.ens.Drift; d != nil {
+		for _, sc := range d.Scores() {
+			out.Drift = append(out.Drift, DriftStat{
+				Tables:          sc.Tables,
+				Mutated:         sc.Mutated,
+				MutatedFraction: sc.MutatedFraction,
+				MaxShift:        sc.MaxShift,
+				ShiftColumn:     sc.ShiftColumn,
+				Relearns:        sc.Relearns,
+			})
+		}
+		out.Relearns = d.Relearns()
+	}
+	return out
+}

@@ -1,20 +1,20 @@
-// Package snapdiscipline enforces the facade's snapshot-publication
-// discipline (PR 5): serving state lives in immutable snapshots behind one
-// atomic pointer, reads go through a single Load, and every mutation is
-// applied to a copy-on-write clone and published — never written in place,
-// because a published snapshot may be in the hands of any number of
-// lock-free readers.
+// Package snapdiscipline enforces the snapshot-publication discipline
+// (PR 5): serving state lives in immutable snapshots behind one atomic
+// pointer, reads go through a single Load, and every mutation is applied
+// to a copy-on-write clone and published — never written in place, because
+// a published snapshot may be in the hands of any number of lock-free
+// readers.
 //
-// Three rules, scoped to the facade package and to the sharded serving
-// tier (internal/shard), whose per-shard snapshot pointers follow the
-// same protocol:
+// Three rules, scoped to the two packages that hold such a pointer: the
+// shard (internal/shard), which owns apply-and-publish, and the facade's
+// host (deepdb), which publishes the view composed from the shards:
 //
 //  1. The `snap` atomic.Pointer field may appear only as the receiver of
-//     .Load() or .Store(…); and .Store is confined to the construction and
-//     publication functions (newDB, newShard, publishLocked). Anything
-//     else — taking
-//     its address, copying it, Swap/CompareAndSwap — bypasses the
-//     single-publisher protocol.
+//     .Load() or .Store(…); and .Store is confined to the one publication
+//     function per package (publishLocked) plus the shard's constructor
+//     (New), which publishes the first snapshot before anyone can read it.
+//     Anything else — taking its address, copying it, Swap/CompareAndSwap —
+//     bypasses the single-publisher protocol.
 //  2. Fields of the snapshot struct are assigned only in composite
 //     literals; a field write after construction mutates a possibly
 //     published value under readers.
@@ -37,7 +37,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "snapdiscipline",
-	Doc: "enforces snapshot discipline in the deepdb facade: atomic snapshot " +
+	Doc: "enforces snapshot discipline in the shard and the facade host: atomic snapshot " +
 		"loads only, no writes to published snapshots, mutations only through CoW clones",
 	Scope: map[string]bool{
 		"repro/deepdb":         true,
@@ -47,10 +47,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // storeAllowed lists the only functions that may publish (Store) a
-// snapshot: construction (newDB for the facade, newShard for the sharded
-// tier) and the one publication helper per package whose contract
-// documents the applyMu requirement.
-var storeAllowed = map[string]bool{"newDB": true, "newShard": true, "publishLocked": true}
+// snapshot: the one publication helper per package, whose contract
+// documents the lock requirement (the host's first view goes through it
+// too), and the shard's constructor.
+var storeAllowed = map[string]bool{"New": true, "publishLocked": true}
 
 // mutating are the *ensemble.Ensemble methods that change model state
 // in place.
@@ -125,7 +125,7 @@ func checkSnapAccess(pass *analysis.Pass, fn *ast.FuncDecl) {
 						if storeAllowed[fn.Name.Name] || pass.Suppressed(n.Pos(), "snapshotsafe") {
 							return true
 						}
-						pass.Reportf(n.Pos(), "snapshot published outside a construction/publication function (newDB, newShard, publishLocked): call publishLocked (under applyMu) instead of %s.Store", render(nodeExpr(n)))
+						pass.Reportf(n.Pos(), "snapshot published outside a construction/publication function (New, publishLocked): call publishLocked (under its lock) instead of %s.Store", render(nodeExpr(n)))
 						return true
 					}
 				}

@@ -11,28 +11,37 @@ import (
 	"repro/internal/ensemble"
 )
 
-// snapshot mirrors the facade's immutable published view.
+// snapshot mirrors the host's immutable published view.
 type snapshot struct {
 	ens *ensemble.Ensemble
 	gen uint64
 }
 
-// DB mirrors the facade's relevant fields.
+// DB mirrors the host's relevant fields.
 type DB struct {
 	applyMu sync.Mutex
 	snap    atomic.Pointer[snapshot]
 }
 
-// newDB may Store: construction publishes the first snapshot.
+// newDB publishes the first view through publishLocked, like the host.
 func newDB(ens *ensemble.Ensemble) *DB {
 	db := &DB{}
-	db.snap.Store(&snapshot{ens: ens, gen: 1})
+	db.publishLocked(&snapshot{ens: ens, gen: 1})
 	return db
 }
 
-// publishLocked is the one publication point (caller holds applyMu).
+// publishLocked is the one publication point (caller holds the view lock
+// or is the single-threaded constructor).
 func (db *DB) publishLocked(s *snapshot) {
 	db.snap.Store(s)
+}
+
+// newDBStoring stores directly: the host has no construction exemption —
+// even the first view goes through publishLocked.
+func newDBStoring(ens *ensemble.Ensemble) *DB {
+	db := &DB{}
+	db.snap.Store(&snapshot{ens: ens, gen: 1}) // want `snapshot published outside a construction/publication function`
+	return db
 }
 
 // GoodRead goes through the single atomic Load.
@@ -40,7 +49,7 @@ func (db *DB) GoodRead() uint64 {
 	return db.snap.Load().gen
 }
 
-// BadStoreElsewhere publishes outside publishLocked/newDB.
+// BadStoreElsewhere publishes outside publishLocked.
 func (db *DB) BadStoreElsewhere(s *snapshot) {
 	db.snap.Store(s) // want `snapshot published outside a construction/publication function`
 }

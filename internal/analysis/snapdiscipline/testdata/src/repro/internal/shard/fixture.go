@@ -1,8 +1,6 @@
-// Package shard is a snapdiscipline fixture for the sharded serving tier:
-// each shard owns the same snapshot-behind-an-atomic-pointer shape as the
-// facade, with newShard as its construction point. The analyzer must hold
-// per-shard snapshot pointers to the identical Store-only-in-publish
-// discipline.
+// Package shard is a snapdiscipline fixture for the shard, the owner of
+// apply-and-publish: a snapshot behind an atomic pointer with New as its
+// construction point and publishLocked as the only other Store site.
 package shard
 
 import (
@@ -26,8 +24,8 @@ type Shard struct {
 	snap    atomic.Pointer[snapshot]
 }
 
-// newShard may Store: construction publishes the first snapshot.
-func newShard(ens *ensemble.Ensemble) *Shard {
+// New may Store: construction publishes the first snapshot.
+func New(ens *ensemble.Ensemble) *Shard {
 	s := &Shard{}
 	s.snap.Store(&snapshot{ens: ens})
 	return s
@@ -58,7 +56,7 @@ func (s *Shard) GoodApply(muts []ensemble.Mutation) error {
 	return nil
 }
 
-// BadStoreElsewhere publishes outside newShard/publishLocked.
+// BadStoreElsewhere publishes outside New/publishLocked.
 func (s *Shard) BadStoreElsewhere(next *snapshot) {
 	s.snap.Store(next) // want `snapshot published outside a construction/publication function`
 }

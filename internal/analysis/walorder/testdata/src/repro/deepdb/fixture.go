@@ -1,97 +1,93 @@
-// Package deepdb is a walorder fixture: WAL append / pipeline enqueue
-// orderings in every shape the analyzer must flag, allow, or honor a
-// suppression for. It imports the real wal and pipeline packages so the
-// receiver types match production exactly.
+// Package deepdb is a walorder fixture for the host tier: the broadcast of
+// one mutation group into every shard, in every shape the analyzer must
+// flag, allow, or honor a suppression for. It imports the real shard and
+// ensemble packages so the receiver types match production exactly.
 package deepdb
 
 import (
 	"sync"
 
-	"repro/internal/pipeline"
-	"repro/internal/wal"
+	"repro/internal/ensemble"
+	"repro/internal/shard"
 )
 
-type mutation struct{ n int }
-
-// DB mirrors the facade's relevant fields.
-type DB struct {
-	walMu sync.Mutex
-	wal   *wal.Log
-	pipe  *pipeline.Pipeline[mutation]
+// host mirrors the facade host's relevant fields.
+type host struct {
+	mutMu  sync.Mutex
+	sync   bool
+	shards []*shard.Shard
 }
 
-// GoodOrdered is the production pattern: append under walMu, then enqueue
-// in the same critical section.
-func (db *DB) GoodOrdered(payload []byte, m mutation) error {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if _, err := db.wal.Append(payload); err != nil {
+// GoodBroadcast is the production pattern: log everywhere, then submit
+// everywhere, inside one mutMu critical section.
+func (h *host) GoodBroadcast(muts []ensemble.Mutation) error {
+	h.mutMu.Lock()
+	defer h.mutMu.Unlock()
+	lsns := make([]uint64, len(h.shards))
+	for i, sh := range h.shards {
+		lsn, err := sh.Log(muts)
+		if err != nil {
+			return err
+		}
+		lsns[i] = lsn
+	}
+	for i, sh := range h.shards {
+		var err error
+		if h.sync {
+			err = sh.ApplyLogged(muts, lsns[i])
+		} else {
+			err = sh.EnqueueLogged(muts, lsns[i])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// GoodUnrelated calls shard methods outside the protocol without the lock.
+func (h *host) GoodUnrelated() uint64 {
+	var sum uint64
+	for _, sh := range h.shards {
+		sum += sh.AppliedLSN()
+	}
+	return sum
+}
+
+// BadLogUnlocked logs with no broadcast lock: two producers could log in
+// one order on shard 0 and the other order on shard 1.
+func (h *host) BadLogUnlocked(muts []ensemble.Mutation) (uint64, error) {
+	return h.shards[0].Log(muts) // want `shard Log outside the mutMu critical section`
+}
+
+// BadSubmitAfterUnlock releases mutMu between the log and submit phases:
+// another broadcast can interleave, so LSN order no longer fixes apply
+// order.
+func (h *host) BadSubmitAfterUnlock(muts []ensemble.Mutation) error {
+	h.mutMu.Lock()
+	lsn, err := h.shards[0].Log(muts)
+	h.mutMu.Unlock()
+	if err != nil {
 		return err
 	}
-	return db.pipe.Enqueue(m)
+	return h.shards[0].EnqueueLogged(muts, lsn) // want `shard EnqueueLogged outside the mutMu critical section`
 }
 
-// GoodNoWAL enqueues on the wal == nil fast path: no ordering needed.
-func (db *DB) GoodNoWAL(m mutation) error {
-	if db.wal == nil {
-		return db.pipe.Enqueue(m)
-	}
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if _, err := db.wal.Append(nil); err != nil {
-		return err
-	}
-	return db.pipe.Enqueue(m)
+// BadSyncUnlocked applies synchronously without the broadcast lock.
+func (h *host) BadSyncUnlocked(muts []ensemble.Mutation) error {
+	return h.shards[0].ApplyLogged(muts, 0) // want `shard ApplyLogged outside the mutMu critical section`
 }
 
-// BadAppendUnlocked appends outside the critical section.
-func (db *DB) BadAppendUnlocked(payload []byte) error {
-	_, err := db.wal.Append(payload) // want `WAL append outside the walMu critical section`
-	return err
+// BadWrongLock holds a lock that is not the broadcast lock.
+func (h *host) BadWrongLock(muts []ensemble.Mutation) error {
+	var otherMu sync.Mutex
+	otherMu.Lock()
+	defer otherMu.Unlock()
+	return h.shards[0].EnqueueLogged(muts, 0) // want `shard EnqueueLogged outside the mutMu critical section`
 }
 
-// BadEnqueueFirst enqueues before anything was appended under the lock.
-func (db *DB) BadEnqueueFirst(payload []byte, m mutation) error {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if err := db.pipe.Enqueue(m); err != nil { // want `pipeline enqueue not dominated by a WAL append`
-		return err
-	}
-	_, err := db.wal.Append(payload)
-	return err
-}
-
-// BadEnqueueNoLock enqueues with no lock and no nil check at all.
-func (db *DB) BadEnqueueNoLock(m mutation) error {
-	return db.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
-}
-
-// BadUnlockBetween releases walMu between append and enqueue: another
-// writer can interleave, so the append no longer dominates.
-func (db *DB) BadUnlockBetween(payload []byte, m mutation) error {
-	db.walMu.Lock()
-	if _, err := db.wal.Append(payload); err != nil {
-		db.walMu.Unlock()
-		return err
-	}
-	db.walMu.Unlock()
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	return db.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
-}
-
-// SuppressedReplay is the reviewed recovery exception: replay enqueues
-// directly because the WAL is the source, not the destination.
-func (db *DB) SuppressedReplay(m mutation) error {
-	//deepdb:walordered recovery replays from the log itself; ordering is the log order
-	return db.pipe.Enqueue(m)
-}
-
-// GoodNonNilBranch shows the complementary nil refinement: inside the
-// != nil branch an unordered enqueue is still flagged.
-func (db *DB) GoodNonNilBranch(m mutation) error {
-	if db.wal != nil {
-		return db.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
-	}
-	return db.pipe.Enqueue(m)
+// SuppressedSingleProducer is a reviewed exception.
+func (h *host) SuppressedSingleProducer(muts []ensemble.Mutation) error {
+	//deepdb:walordered fixture: a single-producer tool owns the shard exclusively
+	return h.shards[0].EnqueueLogged(muts, 0)
 }

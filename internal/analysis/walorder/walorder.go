@@ -1,18 +1,27 @@
 // Package walorder enforces the WAL ordering protocol (PR 6): recovery
 // replays the log in LSN order, so LSN order must equal apply order. The
-// facade guarantees that by appending to the WAL and enqueueing into the
-// update pipeline under one walMu critical section — two writers can never
-// interleave append and enqueue.
+// protocol has two tiers since the shard became the only owner of the log
+// and the queue:
 //
-// Within each function of the facade package the analyzer runs a small
-// abstract interpretation over the statement list (tracking walMu held,
-// append-under-the-current-hold, and wal-nil-ness refined by `if db.wal ==
-// nil` branches) and reports:
+//   - The shard (internal/shard) touches the raw log and queue. A WAL
+//     append must happen under the shard's walMu, and a pipeline Enqueue
+//     must be dominated by an append under a still-held walMu (or by a
+//     `wal == nil` check — the no-WAL path needs no ordering). The raw
+//     Append sits in one helper, appendLocked, whose callers hold walMu:
+//     a call to it is checked, and counts, as the append. The one enqueue
+//     exception is EnqueueLogged, the designated post-log submit: it
+//     receives the LSN its caller obtained from Log, and the caller owes
+//     the ordering.
+//   - The host (deepdb) pays that debt: it splits every broadcast into a
+//     log-everywhere and a submit-everywhere phase, and both — the
+//     (*shard.Shard).Log calls and the EnqueueLogged/ApplyLogged calls —
+//     must run inside one mutMu critical section, so two producers can
+//     never interleave their log and submit phases on any shard.
 //
-//   - a pipeline Enqueue not dominated by a WAL append under a still-held
-//     walMu, unless the path is dominated by a `wal == nil` check (the
-//     no-WAL fast path needs no ordering);
-//   - a WAL Append while walMu is not held.
+// Within each function the analyzer runs a small abstract interpretation
+// over the statement list (tracking which order locks are held,
+// append-under-the-current-walMu-hold, and wal-nil-ness refined by
+// `if s.wal == nil` branches) and reports violations of either tier.
 //
 // Suppress a reviewed exception with //deepdb:walordered <reason>.
 package walorder
@@ -25,15 +34,32 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
-	Doc: "requires pipeline enqueues to be dominated by a WAL append under walMu " +
-		"(or a wal == nil check), and WAL appends to happen under walMu",
-	Scope: map[string]bool{"repro/deepdb": true},
-	Run:   run,
+	Doc: "requires WAL appends under walMu and pipeline enqueues dominated by one in the shard, " +
+		"and the host's shard Log/EnqueueLogged/ApplyLogged broadcast to run under mutMu",
+	Scope: map[string]bool{
+		"repro/deepdb":         true,
+		"repro/internal/shard": true,
+	},
+	Run: run,
 }
+
+// submitAllowed names the shard's designated post-log submit function: the
+// only place a pipeline Enqueue may sit without a dominating append.
+var submitAllowed = map[string]bool{"EnqueueLogged": true}
+
+// appendInner names the shard's one raw append. It runs under its callers'
+// walMu hold, so the Append inside it is exempt by name and a call to it is
+// held to the append rule instead.
+const appendInner = "appendLocked"
+
+// broadcastOps are the shard methods that make up the host's log-then-
+// submit broadcast.
+var broadcastOps = map[string]bool{"Log": true, "EnqueueLogged": true, "ApplyLogged": true}
 
 // state is the abstract machine state at one program point.
 type state struct {
-	muHeld   bool
+	muHeld   bool // walMu held
+	mutHeld  bool // mutMu (the host's broadcast lock) held
 	appended bool // an Append happened under the current walMu hold
 	walNil   int8 // 0 unknown, 1 known nil, 2 known non-nil
 }
@@ -41,6 +67,7 @@ type state struct {
 func merge(a, b state) state {
 	out := state{
 		muHeld:   a.muHeld && b.muHeld,
+		mutHeld:  a.mutHeld && b.mutHeld,
 		appended: a.appended && b.appended,
 	}
 	if a.walNil == b.walNil {
@@ -54,6 +81,7 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				w.fn = fn.Name.Name
 				w.block(fn.Body.List, state{})
 			}
 		}
@@ -63,6 +91,7 @@ func run(pass *analysis.Pass) error {
 
 type walker struct {
 	pass *analysis.Pass
+	fn   string // name of the function declaration being interpreted
 }
 
 // block interprets a statement list from st, returning the fall-through
@@ -88,10 +117,10 @@ func (w *walker) stmt(s ast.Stmt, st state) (state, bool) {
 	case *ast.ReturnStmt:
 		return w.scanExprs(st, s.Results...), true
 	case *ast.DeferStmt:
-		// A deferred walMu.Unlock keeps the lock held for the rest of the
-		// function body, so it does not change the current state; other
+		// A deferred Unlock of an order lock keeps it held for the rest of
+		// the function body, so it does not change the current state; other
 		// deferred calls are scanned for violations with the entry state.
-		if w.isMuOp(s.Call, "Unlock") {
+		if _, op := w.muOp(s.Call); op == "Unlock" {
 			return st, false
 		}
 		return w.scanExprs(st, s.Call), false
@@ -248,55 +277,81 @@ func (w *walker) scanExprs(st state, exprs ...ast.Expr) state {
 
 // call applies one call's effect to the state.
 func (w *walker) call(call *ast.CallExpr, st state) state {
+	mu, op := w.muOp(call)
 	switch {
-	case w.isMuOp(call, "Lock"):
-		st.muHeld = true
+	case mu == "walMu":
+		st.muHeld = op == "Lock"
 		st.appended = false
-	case w.isMuOp(call, "Unlock"):
-		st.muHeld = false
-		st.appended = false
+	case mu == "mutMu":
+		st.mutHeld = op == "Lock"
 	case w.isWALAppend(call):
-		if !st.muHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
+		if !st.muHeld && w.fn != appendInner && !w.pass.Suppressed(call.Pos(), "walordered") {
 			w.pass.Reportf(call.Pos(), "WAL append outside the walMu critical section: concurrent writers could interleave append and enqueue, breaking LSN order == apply order")
 		}
 		if st.muHeld {
 			st.appended = true
 		}
 	case w.isEnqueue(call):
-		if st.walNil != 1 && !(st.muHeld && st.appended) && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check): a crash would replay a different order than was applied")
+		if st.walNil != 1 && !(st.muHeld && st.appended) && !submitAllowed[w.fn] && !w.pass.Suppressed(call.Pos(), "walordered") {
+			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check) outside EnqueueLogged: a crash would replay a different order than was applied")
+		}
+	default:
+		if op := w.broadcastOp(call); op != "" && !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
+			w.pass.Reportf(call.Pos(), "shard %s outside the mutMu critical section: concurrent broadcasts could interleave their log and submit phases, breaking LSN order == apply order on some shard", op)
 		}
 	}
 	return st
 }
 
-// isMuOp matches walMu.Lock / walMu.Unlock: a Lock/Unlock method call whose
-// receiver chain ends in a sync.Mutex field or variable named walMu.
-func (w *walker) isMuOp(call *ast.CallExpr, op string) bool {
+// muOp matches Lock/Unlock on an order lock: a method call whose receiver
+// chain ends in a sync.Mutex field or variable named walMu or mutMu. It
+// returns that name and the operation, or "", "".
+func (w *walker) muOp(call *ast.CallExpr) (mu, op string) {
 	recv, method := analysis.MethodCall(call)
-	if method != op {
-		return false
+	if method != "Lock" && method != "Unlock" {
+		return "", ""
 	}
-	name := ""
 	switch r := recv.(type) {
 	case *ast.Ident:
-		name = r.Name
+		mu = r.Name
 	case *ast.SelectorExpr:
-		name = r.Sel.Name
+		mu = r.Sel.Name
 	}
-	if name != "walMu" {
-		return false
+	if mu != "walMu" && mu != "mutMu" {
+		return "", ""
 	}
-	return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "sync", "Mutex")
+	if !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "sync", "Mutex") {
+		return "", ""
+	}
+	return mu, method
 }
 
-// isWALAppend matches Append calls on internal/wal.Log.
+// broadcastOp matches the host's side of the protocol: a Log,
+// EnqueueLogged or ApplyLogged call on an internal/shard.Shard made from
+// another package (the shard's own internal uses — the applier, ApplySync
+// — are ordered by its queue and walMu). It returns the method name, or "".
+func (w *walker) broadcastOp(call *ast.CallExpr) string {
+	recv, method := analysis.MethodCall(call)
+	if !broadcastOps[method] || analysis.NormPath(w.pass.Pkg.Path()) == "repro/internal/shard" {
+		return ""
+	}
+	if !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/shard", "Shard") {
+		return ""
+	}
+	return method
+}
+
+// isWALAppend matches Append calls on internal/wal.Log and calls of the
+// shard's appendInner wrapper around it.
 func (w *walker) isWALAppend(call *ast.CallExpr) bool {
 	recv, method := analysis.MethodCall(call)
-	if method != "Append" {
-		return false
+	switch method {
+	case "Append":
+		return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/wal", "Log")
+	case appendInner:
+		return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/shard", "Shard")
 	}
-	return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/wal", "Log")
+	return false
 }
 
 // isEnqueue matches Enqueue calls on internal/pipeline.Pipeline.

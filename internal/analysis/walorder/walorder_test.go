@@ -7,6 +7,10 @@ import (
 	"repro/internal/analysis/walorder"
 )
 
-func TestWalorder(t *testing.T) {
+func TestWalorderHost(t *testing.T) {
 	analysistest.Run(t, "testdata", walorder.Analyzer, "repro/deepdb")
+}
+
+func TestWalorderShard(t *testing.T) {
+	analysistest.Run(t, "testdata", walorder.Analyzer, "repro/internal/shard")
 }

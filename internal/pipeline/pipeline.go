@@ -20,9 +20,10 @@ import (
 	"repro/internal/fault"
 )
 
-// ErrQueueFull is returned by TryEnqueue when the queue has no free slot.
-// Callers that must not block (an HTTP handler shedding load with a 429)
-// test for it with errors.Is and tell the producer to retry later.
+// ErrQueueFull is what a producer that must not block (an HTTP handler
+// shedding load with a 429) rejects a mutation with when HasCapacity
+// reports no free slot; callers test for it with errors.Is and tell the
+// producer to retry later.
 var ErrQueueFull = errors.New("pipeline: queue full")
 
 // Stats is a point-in-time snapshot of pipeline counters, the substance of
@@ -114,27 +115,6 @@ func (p *Pipeline[T]) Enqueue(m T) error {
 	p.mu.Unlock()
 	p.ch <- item[T]{mut: m, enq: time.Now()}
 	return nil
-}
-
-// TryEnqueue is Enqueue without the blocking: when the queue is full it
-// returns ErrQueueFull immediately instead of waiting for the applier.
-func (p *Pipeline[T]) TryEnqueue(m T) error {
-	p.sendMu.RLock()
-	defer p.sendMu.RUnlock()
-	if p.closed {
-		return fmt.Errorf("pipeline: closed")
-	}
-	select {
-	case p.ch <- item[T]{mut: m, enq: time.Now()}:
-		// Unlike Enqueue, count only accepted items: a shed mutation was
-		// never part of the stream, so Flush accounting must not see it.
-		p.mu.Lock()
-		p.stats.Enqueued++
-		p.mu.Unlock()
-		return nil
-	default:
-		return ErrQueueFull
-	}
 }
 
 // HasCapacity reports whether at least one queue slot is currently free. A

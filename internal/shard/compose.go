@@ -8,18 +8,24 @@ import (
 // Compose merges the shards' current snapshots into one read-only serving
 // view: every global member slot filled with the owning shard's published
 // RSPN, schema/statistics/tables taken from shard 0 (identical across
-// shards under broadcast application). It returns ok=false when the shards
-// are not aligned — their ops tokens differ, meaning at least one shard is
-// mid-stream relative to the others — and the router then keeps serving
-// its previous consistent view. ops is monotonic per shard, so equal
-// tokens can never be an ABA coincidence: equal means equal progress.
+// shards under broadcast application). A single whole-ensemble shard
+// composes to its own published ensemble — the one-shard host's view IS
+// that shard's state, drift tracker included. It returns ok=false when the
+// shards are not aligned — their ops tokens differ, meaning at least one
+// shard is mid-stream relative to the others — and the host then keeps
+// serving its previous consistent view. ops is monotonic per shard, so
+// equal tokens can never be an ABA coincidence: equal means equal progress.
 //
-// The returned ensemble is a view, not an updatable state: it has no write
-// index or rng of its own and must never see CloneForUpdate/Apply — the
-// router broadcasts mutations to the shards instead.
+// The returned ensemble is a view, not an updatable state: it must never
+// see CloneForUpdate/Apply — the host broadcasts mutations to the shards
+// instead.
 func Compose(shards []*Shard, total int) (ens *ensemble.Ensemble, ops uint64, ok bool) {
 	if len(shards) == 0 {
 		return nil, 0, false
+	}
+	if len(shards) == 1 && shards[0].members == nil {
+		ens, _, ops = shards[0].View()
+		return ens, ops, true
 	}
 	views := make([]*ensemble.Ensemble, len(shards))
 	for i, sh := range shards {
@@ -57,19 +63,4 @@ func Compose(shards []*Shard, total int) (ens *ensemble.Ensemble, ops uint64, ok
 		}
 	}
 	return out, ops, true
-}
-
-// Aligned reports whether all shards currently publish the same ops token
-// (a cheap pre-check before paying for Compose), and that common token.
-func Aligned(shards []*Shard) (uint64, bool) {
-	var ops uint64
-	for i, sh := range shards {
-		_, _, o := sh.View()
-		if i == 0 {
-			ops = o
-		} else if o != ops {
-			return 0, false
-		}
-	}
-	return ops, len(shards) > 0
 }

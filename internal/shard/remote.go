@@ -602,10 +602,12 @@ func statusErr(op string, resp *http.Response) error {
 // RemoteEvaluator implements core.BatchEvaluator over a set of replica
 // bindings: members bound to a replica are evaluated there, everything
 // else — and every remote failure — on the local model. Bindings are
-// immutable after construction (the router builds a fresh evaluator per
-// composed view), so concurrent evaluation chunks need no locking.
+// immutable after construction (the host builds a fresh evaluator per
+// composed view), so concurrent evaluation chunks need no locking; only
+// the ops token the view is valid at can move (Advance).
 type RemoteEvaluator struct {
 	refs map[*rspn.RSPN]remoteRef
+	ops  atomic.Uint64
 	hits atomic.Uint64
 	miss atomic.Uint64
 }
@@ -613,7 +615,6 @@ type RemoteEvaluator struct {
 type remoteRef struct {
 	c     *Client
 	local int
-	ops   uint64
 }
 
 // NewRemoteEvaluator returns an evaluator with no bindings.
@@ -622,10 +623,17 @@ func NewRemoteEvaluator() *RemoteEvaluator {
 }
 
 // Bind routes r to the replica at c, as that replica's local member index,
-// valid for views composed at the given ops token.
+// valid for views composed at the given ops token (one token per
+// evaluator: every binding of a view shares it).
 func (e *RemoteEvaluator) Bind(r *rspn.RSPN, c *Client, local int, ops uint64) {
-	e.refs[r] = remoteRef{c: c, local: local, ops: ops}
+	e.refs[r] = remoteRef{c: c, local: local}
+	e.ops.Store(ops)
 }
+
+// Advance moves the bindings to a later ops token: the stream advanced
+// under an unchanged view (a batch in which nothing applied), so replicas
+// at the new token hold exactly the models this view serves.
+func (e *RemoteEvaluator) Advance(ops uint64) { e.ops.Store(ops) }
 
 // Hits counts chunks answered remotely; Fallbacks counts chunks that fell
 // back to the local model after a remote failure.
@@ -635,7 +643,7 @@ func (e *RemoteEvaluator) Fallbacks() uint64 { return e.miss.Load() }
 // EvaluateRSPN implements core.BatchEvaluator.
 func (e *RemoteEvaluator) EvaluateRSPN(ctx context.Context, r *rspn.RSPN, reqs []spn.Request, out []float64) error {
 	if ref, ok := e.refs[r]; ok {
-		if err := ref.c.Eval(ctx, ref.local, ref.ops, reqs, out); err == nil {
+		if err := ref.c.Eval(ctx, ref.local, e.ops.Load(), reqs, out); err == nil {
 			e.hits.Add(1)
 			return nil
 		}

@@ -2,7 +2,6 @@ package shard_test
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -111,6 +110,22 @@ func shardsOf(t *testing.T, ens *ensemble.Ensemble, n int) []*shard.Shard {
 	return shards
 }
 
+// enqueue submits one group the way the host's broadcast does: log, then
+// enqueue under the logged position.
+func enqueue(sh *shard.Shard, muts []ensemble.Mutation) error {
+	lsn, err := sh.Log(muts)
+	if err != nil {
+		return err
+	}
+	return sh.EnqueueLogged(muts, lsn)
+}
+
+// aligned reports the shards' common ops token, if they have one.
+func aligned(shards []*shard.Shard, total int) (uint64, bool) {
+	_, ops, ok := shard.Compose(shards, total)
+	return ops, ok
+}
+
 func TestPartitionDeterministicAndComplete(t *testing.T) {
 	ens := fixture(t)
 	total := len(ens.RSPNs)
@@ -155,14 +170,14 @@ func TestBroadcastApplyKeepsShardsAligned(t *testing.T) {
 	}
 	muts := broadcast(t)
 	for _, sh := range shards {
-		if err := sh.Enqueue(muts); err != nil {
+		if err := enqueue(sh, muts); err != nil {
 			t.Fatal(err)
 		}
 		if err := sh.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ops, ok := shard.Aligned(shards)
+	ops, ok := aligned(shards, len(ens.RSPNs))
 	if !ok || ops != uint64(len(muts)) {
 		t.Fatalf("Aligned = (%d, %v), want (%d, true)", ops, ok, len(muts))
 	}
@@ -204,13 +219,13 @@ func TestComposeRefusesSkewAndHoles(t *testing.T) {
 	shards := shardsOf(t, ens, 2)
 	muts := broadcast(t)
 	// Skew: only shard 0 receives the broadcast.
-	if err := shards[0].Enqueue(muts); err != nil {
+	if err := enqueue(shards[0], muts); err != nil {
 		t.Fatal(err)
 	}
 	if err := shards[0].Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := shard.Aligned(shards); ok {
+	if _, ok := aligned(shards, len(ens.RSPNs)); ok {
 		t.Fatal("Aligned accepted skewed shards")
 	}
 	if _, _, ok := shard.Compose(shards, len(ens.RSPNs)); ok {
@@ -218,7 +233,7 @@ func TestComposeRefusesSkewAndHoles(t *testing.T) {
 	}
 	// Heal the skew, then check holes.
 	for _, sh := range shards[1:] {
-		if err := sh.Enqueue(muts); err != nil {
+		if err := enqueue(sh, muts); err != nil {
 			t.Fatal(err)
 		}
 		if err := sh.Flush(context.Background()); err != nil {
@@ -242,7 +257,7 @@ func TestNoOpBatchStillAdvancesOps(t *testing.T) {
 	shards := shardsOf(t, ens, 2)
 	noop := []ensemble.Mutation{{Op: ensemble.OpDelete, Table: "orders", PK: 999}}
 	for _, sh := range shards {
-		if err := sh.Enqueue(noop); err != nil {
+		if err := enqueue(sh, noop); err != nil {
 			t.Fatal(err)
 		}
 		// Flush reports the deterministic apply failure — that is the
@@ -252,7 +267,7 @@ func TestNoOpBatchStillAdvancesOps(t *testing.T) {
 			t.Fatal("expected the no-op delete to surface an apply error")
 		}
 	}
-	ops, ok := shard.Aligned(shards)
+	ops, ok := aligned(shards, len(ens.RSPNs))
 	if !ok || ops != 1 {
 		t.Fatalf("Aligned = (%d, %v) after a no-op batch, want (1, true)", ops, ok)
 	}
@@ -274,14 +289,16 @@ func TestTryEnqueueShedsWhenFull(t *testing.T) {
 		m := []ensemble.Mutation{{Op: mut[0].Op, Table: mut[0].Table, Values: map[string]table.Value{
 			"o_id": table.Int(100 + i), "o_c_id": table.Int(1), "o_amount": table.Float(1),
 		}}}
-		switch err := sh.TryEnqueue(m); {
-		case err == nil:
-			accepted++
-		case errors.Is(err, shard.ErrQueueFull):
+		// The host's non-blocking admission: check capacity first, so a
+		// shed group is neither logged nor enqueued.
+		if !sh.HasCapacity() {
 			shed++
-		default:
+			continue
+		}
+		if err := enqueue(sh, m); err != nil {
 			t.Fatal(err)
 		}
+		accepted++
 	}
 	if shed == 0 {
 		t.Fatal("200 tight-loop enqueues against a 1-slot queue never shed")
@@ -307,14 +324,14 @@ func TestPublishPreservesOps(t *testing.T) {
 	shards := shardsOf(t, ens, 2)
 	muts := broadcast(t)
 	for _, sh := range shards {
-		if err := sh.Enqueue(muts); err != nil {
+		if err := enqueue(sh, muts); err != nil {
 			t.Fatal(err)
 		}
 		if err := sh.Flush(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before, ok := shard.Aligned(shards)
+	before, ok := aligned(shards, len(ens.RSPNs))
 	if !ok {
 		t.Fatal("shards misaligned before reload")
 	}
@@ -334,7 +351,7 @@ func TestPublishPreservesOps(t *testing.T) {
 			t.Fatalf("Publish moved the ops token: %d -> %d", before, opsAfter)
 		}
 	}
-	if ops, ok := shard.Aligned(shards); !ok || ops != before {
+	if ops, ok := aligned(shards, len(ens.RSPNs)); !ok || ops != before {
 		t.Fatalf("shards misaligned after reload: (%d, %v)", ops, ok)
 	}
 }

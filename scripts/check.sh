@@ -28,6 +28,21 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== serving binary links no reproduction-only packages =="
+# internal/{baselines,ml,bench} reproduce the paper's comparisons; the
+# binary operators deploy must not carry them.
+if go list -deps ./cmd/deepdb | grep -E '^repro/internal/(baselines|ml|bench)$'; then
+    echo "cmd/deepdb links the packages listed above"
+    exit 1
+fi
+
+echo "== benchmark module (vet + short tests) =="
+# benchmark/ is a nested module: root `go build ./...` and `go test ./...`
+# never see it, yet it compiles against the deepdb facade and parses
+# /healthz — exactly what a facade change can break while tier-1 stays
+# green.
+(cd benchmark && go vet ./... && go test -short ./...)
+
 echo "== deepdb-lint (invariant suite) =="
 # Project-specific analyzers (determinism, snapshot discipline, WAL
 # ordering, ctx propagation, hard-coded timeouts, directive grammar) run
