@@ -160,27 +160,6 @@ func BenchmarkGroupByBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByPerGroup: the same answer computed the pre-batching way
-// — one independent query per group key (each paying its own full
-// evaluation), the shape the old executor's per-group fan-out had.
-func BenchmarkGroupByPerGroup(b *testing.B) {
-	db, _ := preparedFixture(b)
-	ctx := context.Background()
-	stmt, err := db.Prepare("SELECT COUNT(*) FROM customer JOIN orders WHERE o_amount >= ? AND c_region = ?")
-	if err != nil {
-		b.Fatal(err)
-	}
-	regions := []string{"EU", "ASIA", "US"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, region := range regions {
-			if _, err := stmt.Exec(ctx, 10+i%80, region); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkPreparedExecBatch: many bindings under one lock and one plan
 // lookup.
 func BenchmarkPreparedExecBatch(b *testing.B) {

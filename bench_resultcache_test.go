@@ -3,8 +3,8 @@ package repro
 // Result-cache and streaming GROUP BY micro-benchmarks. The cache-hit
 // bench against its uncached twin quantifies the serve-hot-path win of the
 // cross-query result cache (a hit skips binding-independent work: plan
-// lookup, evaluation, CI computation); the stream benches compare the
-// chunked row iterator against the materializing path in rows/s.
+// lookup, evaluation, CI computation); the stream bench reports the
+// chunked row iterator's throughput in rows/s.
 // scripts/bench.sh runs these into BENCH_query.json.
 
 import (
@@ -146,28 +146,6 @@ func BenchmarkGroupStreamRows(b *testing.B) {
 	b.StopTimer()
 	if total == 0 {
 		b.Fatal("no rows streamed")
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkGroupMaterializedRows: the same grouped query through the
-// materializing path (uncached, so each iteration really evaluates),
-// reported in the same rows/s unit for direct comparison.
-func BenchmarkGroupMaterializedRows(b *testing.B) {
-	_, db := resultCacheFixture(b)
-	ctx := context.Background()
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(ctx, rcGroupSQL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += len(res.Groups)
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("no rows materialized")
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
 }

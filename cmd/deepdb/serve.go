@@ -380,51 +380,56 @@ func (req apiRequest) paramArgs() []any {
 // flushes of the chunked response.
 const streamFlushRows = 256
 
+// queryRows picks the row source of a /query request. A parameterless
+// request streams through the chunked read API: grouped results are
+// evaluated chunk by chunk as the encoder pulls rows, so a GROUP BY over
+// millions of keys is served in bounded memory; ungrouped queries execute
+// eagerly inside QueryRows (keeping their result-cache benefit). A request
+// with params runs the prepared statement (result-cached, bounded by the
+// engine's group limit) and hands out its rows. next yields rows until
+// exhausted; finish then reports an execution error that cut them short.
+func (s *serveHandler) queryRows(ctx context.Context, req apiRequest) (next func() (deepdb.Group, bool), finish func() error, err error) {
+	if len(req.Params) == 0 {
+		rows, err := s.db.QueryRows(ctx, req.SQL, req.execOpts()...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func() (deepdb.Group, bool) { ok := rows.Next(); return rows.Row(), ok }, rows.Err, nil
+	}
+	stmt, err := s.db.Prepare(req.SQL)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := stmt.Exec(ctx, req.paramArgs()...)
+	if err != nil {
+		return nil, nil, err
+	}
+	i := -1
+	return func() (deepdb.Group, bool) {
+		if i++; i < len(res.Groups) {
+			return res.Groups[i], true
+		}
+		return deepdb.Group{}, false
+	}, func() error { return nil }, nil
+}
+
+// handleQuery is the one /query encoder:
+//
+//	{"groups":[{"key","labels","value","variance","ci_low","ci_high"},...],"elapsed_us":N}
+//
+// in encoding/json's rendering (field order, escaping, trailing newline),
+// with rows written — and flushed every streamFlushRows — as the source
+// yields them and elapsed_us stamped at the end. An execution error after
+// rows have gone out cannot change the status code anymore; the object is
+// closed with an "error" member instead of elapsed_us, which also leaves
+// the JSON well-formed for the client.
 func (s *serveHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
 	start := time.Now()
-	if len(req.Params) == 0 {
-		s.streamQuery(w, r, req, start)
-		return
-	}
-	var res deepdb.Result
-	stmt, err := s.db.Prepare(req.SQL)
-	if err == nil {
-		res, err = stmt.Exec(r.Context(), req.paramArgs()...)
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	groups := make([]apiGroup, 0, len(res.Groups))
-	for _, g := range res.Groups {
-		groups = append(groups, apiGroup{Key: g.Key, Labels: g.Labels,
-			Value: g.Value, Variance: g.Variance, CILow: g.CILow, CIHigh: g.CIHigh})
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Groups    []apiGroup `json:"groups"`
-		ElapsedUS int64      `json:"elapsed_us"`
-	}{groups, time.Since(start).Microseconds()})
-}
-
-// streamQuery answers the parameterless /query path through the streaming
-// read API: grouped results are evaluated chunk by chunk and their rows
-// written (and flushed) incrementally, so a GROUP BY over millions of keys
-// is served in bounded memory instead of being materialized in the
-// response buffer. The bytes written are identical to the buffered path's
-// encoding of the same result — same field order, same escaping, same
-// trailing newline — with elapsed_us stamped at stream end. Ungrouped
-// queries execute eagerly inside QueryRows (keeping their result-cache
-// benefit) and emit their single row the same way.
-//
-// An execution error after rows have streamed cannot change the status
-// code anymore; the object is closed with an "error" member instead of
-// elapsed_us, which also leaves the JSON well-formed for the client.
-func (s *serveHandler) streamQuery(w http.ResponseWriter, r *http.Request, req apiRequest, start time.Time) {
-	rows, err := s.db.QueryRows(r.Context(), req.SQL, req.execOpts()...)
+	next, finish, err := s.queryRows(r.Context(), req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
@@ -437,8 +442,7 @@ func (s *serveHandler) streamQuery(w http.ResponseWriter, r *http.Request, req a
 	enc.SetEscapeHTML(false)
 	io.WriteString(w, `{"groups":[`) //nolint:errcheck // client gone = write errors, nothing to do
 	n := 0
-	for rows.Next() {
-		g := rows.Row()
+	for g, ok := next(); ok; g, ok = next() {
 		if n > 0 {
 			io.WriteString(w, ",") //nolint:errcheck
 		}
@@ -452,7 +456,7 @@ func (s *serveHandler) streamQuery(w http.ResponseWriter, r *http.Request, req a
 			flusher.Flush()
 		}
 	}
-	if err := rows.Err(); err != nil {
+	if err := finish(); err != nil {
 		buf.Reset()
 		enc.Encode(err.Error()) //nolint:errcheck
 		fmt.Fprintf(w, `],"error":%s}`+"\n", bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
@@ -691,118 +695,20 @@ func (s *serveHandler) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}{true, s.db.Generation()})
 }
 
-// apiUpdateStats mirrors deepdb.UpdateStats in JSON.
-type apiUpdateStats struct {
-	Generation      uint64 `json:"generation"`
-	SyncUpdates     bool   `json:"sync_updates"`
-	QueueDepth      int    `json:"queue_depth"`
-	Enqueued        uint64 `json:"enqueued"`
-	Applied         uint64 `json:"applied"`
-	Batches         uint64 `json:"batches"`
-	Errors          uint64 `json:"errors"`
-	LastError       string `json:"last_error,omitempty"`
-	LastBatch       int    `json:"last_batch"`
-	LastApplyMicros int64  `json:"last_apply_us"`
-	ApplyLagMicros  int64  `json:"apply_lag_us"`
-	// WAL is present only when the server runs with -wal. DurabilityLost
-	// reports a failed WAL: writes 503 under the fail-stop policy, or are
-	// volatile under degrade-volatile; either way /healthz flips to
-	// "degraded".
-	WAL            *apiWALStats `json:"wal,omitempty"`
-	DurabilityLost bool         `json:"durability_lost,omitempty"`
-	LastWALError   string       `json:"last_wal_error,omitempty"`
-	// Plan- and result-cache observability: lookup counters and current
-	// entry counts (see the README's cache invalidation table).
-	PlanCacheHits        uint64 `json:"plan_cache_hits"`
-	PlanCacheMisses      uint64 `json:"plan_cache_misses"`
-	PlanCacheSize        int    `json:"plan_cache_size"`
-	ResultCacheHits      uint64 `json:"result_cache_hits"`
-	ResultCacheMisses    uint64 `json:"result_cache_misses"`
-	ResultCacheEvictions uint64 `json:"result_cache_evictions"`
-	ResultCacheSize      int    `json:"result_cache_size"`
-	// Drift is present when base tables are attached; one entry per
-	// ensemble member.
-	Drift            []apiDriftStat `json:"drift,omitempty"`
-	Relearns         uint64         `json:"relearns"`
-	RelearnErrors    uint64         `json:"relearn_errors"`
-	LastRelearnError string         `json:"last_relearn_error,omitempty"`
-}
-
-// apiWALStats mirrors deepdb.WALStats in JSON.
-type apiWALStats struct {
-	Dir               string `json:"dir"`
-	Durability        string `json:"durability"`
-	LastLSN           uint64 `json:"last_lsn"`
-	AppliedLSN        uint64 `json:"applied_lsn"`
-	CheckpointLSN     uint64 `json:"checkpoint_lsn"`
-	Appended          uint64 `json:"appended"`
-	Synced            uint64 `json:"synced"`
-	Replayed          uint64 `json:"replayed"`
-	TruncatedSegments uint64 `json:"truncated_segments"`
-	Segments          int    `json:"segments"`
-	SizeBytes         int64  `json:"size_bytes"`
-}
-
-// apiDriftStat mirrors deepdb.DriftStat in JSON.
-type apiDriftStat struct {
-	Tables          []string `json:"tables"`
-	Mutated         uint64   `json:"mutated"`
-	MutatedFraction float64  `json:"mutated_fraction"`
-	MaxShift        float64  `json:"max_shift"`
-	ShiftColumn     string   `json:"shift_column,omitempty"`
-	Relearns        uint64   `json:"relearns"`
-}
-
-// apiShardStat is one shard's health inside /healthz (sharded backends
-// only).
-type apiShardStat struct {
-	ID            int          `json:"id"`
-	Members       []int        `json:"members"`
-	Generation    uint64       `json:"generation"`
-	Ops           uint64       `json:"ops"`
-	QueueDepth    int          `json:"queue_depth"`
-	Enqueued      uint64       `json:"enqueued"`
-	Applied       uint64       `json:"applied"`
-	Errors        uint64       `json:"errors"`
-	LastError     string       `json:"last_error,omitempty"`
-	WALAppliedLSN uint64       `json:"wal_applied_lsn,omitempty"`
-	WAL           *apiWALStats `json:"wal,omitempty"`
-	Peer          string       `json:"peer,omitempty"`
-	// Peer binding health (only with -shard-peers): breaker position,
-	// request/probe outcome counters, most recent failure.
-	PeerHealthy   bool   `json:"peer_healthy,omitempty"`
-	PeerState     string `json:"peer_state,omitempty"`
-	PeerOK        uint64 `json:"peer_ok,omitempty"`
-	PeerFailed    uint64 `json:"peer_failed,omitempty"`
-	PeerLastError string `json:"peer_last_error,omitempty"`
-}
-
+// handleHealthz reports liveness plus the facade's own statistics,
+// marshalled as they are: the key names under "updates" and "shards" are
+// the JSON tags of deepdb.UpdateStats, WALStats, DriftStat and ShardStat.
+// "updates.wal" is present only with -wal, "updates.drift" only with data
+// attached, "shards" and the peer counters only on a sharded backend. A
+// failed WAL (updates.durability_lost: writes 503 under the fail-stop
+// policy, or are volatile under degrade-volatile) flips status to
+// "degraded".
 func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.db.UpdateStats()
-	var shardsOut []apiShardStat
+	var shards []deepdb.ShardStat
 	var peerHits, peerFalls uint64
 	if sh, ok := s.db.(sharded); ok {
-		for _, ss := range sh.ShardStats() {
-			shardsOut = append(shardsOut, apiShardStat{
-				ID:            ss.ID,
-				Members:       ss.Members,
-				Generation:    ss.Generation,
-				Ops:           ss.Ops,
-				QueueDepth:    ss.QueueDepth,
-				Enqueued:      ss.Enqueued,
-				Applied:       ss.Applied,
-				Errors:        ss.Errors,
-				LastError:     ss.LastError,
-				WALAppliedLSN: ss.WALAppliedLSN,
-				WAL:           apiWAL(ss.WAL),
-				Peer:          ss.Peer,
-				PeerHealthy:   ss.PeerHealthy,
-				PeerState:     ss.PeerState,
-				PeerOK:        ss.PeerOK,
-				PeerFailed:    ss.PeerFailed,
-				PeerLastError: ss.PeerLastError,
-			})
-		}
+		shards = sh.ShardStats()
 		peerHits, peerFalls = sh.PeerStats()
 	}
 	status := "ok"
@@ -810,84 +716,24 @@ func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Status       string         `json:"status"`
-		Models       int            `json:"models"`
-		Tables       int            `json:"tables"`
-		DataAttached bool           `json:"data_attached"`
-		Readonly     bool           `json:"readonly"`
-		Shards       []apiShardStat `json:"shards,omitempty"`
-		PeerHits     uint64         `json:"peer_hits,omitempty"`
-		PeerFalls    uint64         `json:"peer_fallbacks,omitempty"`
-		Updates      apiUpdateStats `json:"updates"`
+		Status       string             `json:"status"`
+		Models       int                `json:"models"`
+		Tables       int                `json:"tables"`
+		DataAttached bool               `json:"data_attached"`
+		Readonly     bool               `json:"readonly"`
+		Shards       []deepdb.ShardStat `json:"shards,omitempty"`
+		PeerHits     uint64             `json:"peer_hits,omitempty"`
+		PeerFalls    uint64             `json:"peer_fallbacks,omitempty"`
+		Updates      deepdb.UpdateStats `json:"updates"`
 	}{
 		Status:       status,
 		Models:       len(s.db.Models()),
 		Tables:       len(s.db.Schema().Tables),
 		DataAttached: s.db.Data() != nil,
 		Readonly:     s.readonly,
-		Shards:       shardsOut,
+		Shards:       shards,
 		PeerHits:     peerHits,
 		PeerFalls:    peerFalls,
-		Updates: apiUpdateStats{
-			Generation:           st.Generation,
-			SyncUpdates:          st.SyncUpdates,
-			QueueDepth:           st.QueueDepth,
-			Enqueued:             st.Enqueued,
-			Applied:              st.Applied,
-			Batches:              st.Batches,
-			Errors:               st.Errors,
-			LastError:            st.LastError,
-			LastBatch:            st.LastBatch,
-			LastApplyMicros:      st.LastApplyDuration.Microseconds(),
-			ApplyLagMicros:       st.ApplyLag.Microseconds(),
-			WAL:                  apiWAL(st.WAL),
-			DurabilityLost:       st.DurabilityLost,
-			LastWALError:         st.LastWALError,
-			PlanCacheHits:        st.PlanCacheHits,
-			PlanCacheMisses:      st.PlanCacheMisses,
-			PlanCacheSize:        st.PlanCacheSize,
-			ResultCacheHits:      st.ResultCacheHits,
-			ResultCacheMisses:    st.ResultCacheMisses,
-			ResultCacheEvictions: st.ResultCacheEvictions,
-			ResultCacheSize:      st.ResultCacheSize,
-			Drift:                apiDrift(st.Drift),
-			Relearns:             st.Relearns,
-			RelearnErrors:        st.RelearnErrors,
-			LastRelearnError:     st.LastRelearnError,
-		},
+		Updates:      st,
 	})
-}
-
-func apiWAL(w *deepdb.WALStats) *apiWALStats {
-	if w == nil {
-		return nil
-	}
-	return &apiWALStats{
-		Dir:               w.Dir,
-		Durability:        w.Durability,
-		LastLSN:           w.LastLSN,
-		AppliedLSN:        w.AppliedLSN,
-		CheckpointLSN:     w.CheckpointLSN,
-		Appended:          w.Appended,
-		Synced:            w.Synced,
-		Replayed:          w.Replayed,
-		TruncatedSegments: w.TruncatedSegments,
-		Segments:          w.Segments,
-		SizeBytes:         w.SizeBytes,
-	}
-}
-
-func apiDrift(ds []deepdb.DriftStat) []apiDriftStat {
-	out := make([]apiDriftStat, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, apiDriftStat{
-			Tables:          d.Tables,
-			Mutated:         d.Mutated,
-			MutatedFraction: d.MutatedFraction,
-			MaxShift:        d.MaxShift,
-			ShiftColumn:     d.ShiftColumn,
-			Relearns:        d.Relearns,
-		})
-	}
-	return out
 }

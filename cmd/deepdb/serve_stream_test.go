@@ -1,10 +1,13 @@
 package main
 
-// serve_stream_test.go pins the wire contract of the streaming /query
-// path: the bytes a parameterless (streamed) request produces must be
-// identical to the buffered encoder's output for the same result — same
-// field order, same escaping, same framing — except for the trailing
-// elapsed_us measurement, and the stream must actually go out chunked.
+// serve_stream_test.go pins the wire contract of /query. Its one encoder
+// is fed from two sources — the chunked row iterator for parameterless
+// requests, a prepared statement's result for requests with params — and
+// the same logical query must produce identical bytes from either, except
+// for the trailing elapsed_us measurement. Those bytes must be exactly
+// encoding/json's rendering of the documented response shape (same field
+// order, same escaping, same trailing newline), and the response must go
+// out chunked.
 
 import (
 	"bytes"
@@ -43,9 +46,12 @@ func stripElapsed(t *testing.T, raw []byte) string {
 }
 
 // TestServeQueryStreamedMatchesBuffered compares every query class across
-// the two /query execution paths: parameterless requests stream row by
-// row, parameterized requests buffer through the prepared-statement path.
-// The same logical query must produce identical bytes either way.
+// the two /query row sources: parameterless requests stream row by row,
+// parameterized requests execute eagerly through the prepared-statement
+// path. The same logical query must produce identical bytes either way,
+// and each response must survive a decode/re-encode round trip through
+// encoding/json byte for byte — the independent reference for the
+// hand-framed writer.
 func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 	db := serveFixture(t)
 	srv := httptest.NewServer(newServeHandler(db, false))
@@ -54,7 +60,7 @@ func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 	cases := []struct {
 		name     string
 		streamed string // literal SQL, runs the streaming path
-		buffered string // same query as a template + params, runs buffered
+		buffered string // same query as a template + params, runs the prepared path
 	}{
 		{
 			"grouped-count",
@@ -93,22 +99,29 @@ func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 			if got, want := stripElapsed(t, sRaw), stripElapsed(t, bRaw); got != want {
 				t.Fatalf("streamed bytes differ from buffered\n  streamed: %s\n  buffered: %s", got, want)
 			}
-			// Both must be complete JSON documents ending in the buffered
-			// encoder's trailing newline.
+			// Both must be complete JSON documents, byte for byte what
+			// json.Encoder writes for the documented response shape.
 			for _, raw := range [][]byte{sRaw, bRaw} {
-				if !bytes.HasSuffix(raw, []byte("}\n")) {
-					t.Fatalf("response not newline-terminated: %q", raw)
-				}
 				var doc struct {
 					Groups    []apiGroup `json:"groups"`
 					ElapsedUS int64      `json:"elapsed_us"`
-					Error     string     `json:"error"`
 				}
-				if err := json.Unmarshal(raw, &doc); err != nil {
-					t.Fatalf("response not valid JSON: %v\n%s", err, raw)
+				dec := json.NewDecoder(bytes.NewReader(raw))
+				dec.DisallowUnknownFields() // an "error" member included
+				if err := dec.Decode(&doc); err != nil {
+					t.Fatalf("response not the documented shape: %v\n%s", err, raw)
 				}
-				if doc.Error != "" {
-					t.Fatalf("unexpected error member: %s", doc.Error)
+				if len(doc.Groups) == 0 {
+					t.Fatalf("no groups in %s", raw)
+				}
+				var ref bytes.Buffer
+				enc := json.NewEncoder(&ref)
+				enc.SetEscapeHTML(false)
+				if err := enc.Encode(doc); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, ref.Bytes()) {
+					t.Fatalf("response is not encoding/json's rendering\n  got:  %q\n  want: %q", raw, ref.Bytes())
 				}
 			}
 			// The streaming path must not buffer the whole response behind

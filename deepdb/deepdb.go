@@ -103,14 +103,14 @@ type host struct {
 	viewOps uint64
 	dirty   bool
 
-	// plans caches compiled query plans by normalized shape (nil when
-	// disabled via WithPlanCacheSize(0)); resCache caches finished query
-	// results and cardinality estimates across calls (nil unless
-	// WithResultCacheSize enabled it), keyed on (shape, bound literal
-	// values, confidence level). Both are tagged with the snapshot
+	// plans caches compiled query plans by normalized shape
+	// (query.ShapeKey; nil when disabled via WithPlanCacheSize(0)); resCache
+	// caches finished query results and cardinality estimates across calls
+	// (nil unless WithResultCacheSize enabled it), keyed on (shape, bound
+	// literal values, confidence level). Both are tagged with the snapshot
 	// generation.
-	plans    *planCache
-	resCache *resultCache
+	plans    *genLRU[*core.Plan]
+	resCache *genLRU[cachedResult]
 
 	// mutMu serializes broadcasts so every shard — and every replica —
 	// observes the identical mutation stream in the identical order, and
@@ -253,8 +253,8 @@ func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 // shards' publications. On failure the shards are closed.
 func (h *host) start(cfg config, shards []*shard.Shard, total int) error {
 	h.cfg, h.shards, h.total = cfg, shards, total
-	h.plans = newPlanCache(cfg.planCache)
-	h.resCache = newResultCache(cfg.resultCache)
+	h.plans = newGenLRU[*core.Plan](cfg.planCache, 1)
+	h.resCache = newGenLRU[cachedResult](cfg.resultCache, resultCacheWays)
 	ens, ops, ok := shard.Compose(shards, total)
 	if !ok {
 		// Shards disagree on stream progress straight out of construction.
@@ -286,8 +286,6 @@ func (h *host) snapshotNow() *snapshot { return h.snap.Load() }
 // at construction or hold viewMu.
 func (h *host) publishLocked(ens *ensemble.Ensemble, ops uint64) {
 	eng := core.New(ens)
-	eng.Strategy = h.cfg.coreStrategy()
-	eng.ConfidenceLevel = h.cfg.confidence
 	eng.Parallelism = h.cfg.parallelism
 	cur := h.snap.Load()
 	var gen uint64
@@ -363,7 +361,7 @@ func (h *host) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, er
 	if shape == "" {
 		shape = q.ShapeKey()
 	}
-	if p := h.plans.get(shape, s.gen); p != nil {
+	if p, ok := lruGet(h.plans, shape, s.gen); ok {
 		return p, nil
 	}
 	p, err := s.eng.Compile(q)
@@ -375,21 +373,11 @@ func (h *host) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, er
 }
 
 // PlanCacheLen reports how many compiled plans are currently cached.
-func (h *host) PlanCacheLen() int {
-	if h.plans == nil {
-		return 0
-	}
-	return h.plans.size()
-}
+func (h *host) PlanCacheLen() int { return h.plans.size() }
 
 // ResultCacheLen reports how many query results and cardinality estimates
 // are currently cached (0 unless WithResultCacheSize enabled the cache).
-func (h *host) ResultCacheLen() int {
-	if h.resCache == nil {
-		return 0
-	}
-	return h.resCache.size()
-}
+func (h *host) ResultCacheLen() int { return h.resCache.size() }
 
 // Schema returns the relational metadata the DB was learned over.
 func (h *host) Schema() *Schema { return h.snapshotNow().ens.Schema }
@@ -466,8 +454,8 @@ func (h *host) executeQueryShaped(ctx context.Context, s *snapshot, st *Stmt, sh
 		if shape == "" {
 			shape = q.ShapeKey()
 		}
-		key = resultKey(nsQuery, shape, q, eo.levelOr(h.cfg.confidence))
-		if res, ok := h.resCache.getResult(key, s.gen); ok {
+		key = resultKey(nsQuery, shape, q, eo.levelOr(s.eng.ConfidenceLevel))
+		if res, ok := getResult(h.resCache, key, s.gen); ok {
 			return res, nil
 		}
 	}
@@ -481,7 +469,7 @@ func (h *host) executeQueryShaped(ctx context.Context, s *snapshot, st *Stmt, sh
 	}
 	out := wrapResult(s.ens, q, res)
 	if h.resCache != nil {
-		h.resCache.putResult(key, s.gen, out)
+		putResult(h.resCache, key, s.gen, out)
 	}
 	return out, nil
 }
@@ -516,15 +504,15 @@ func (h *host) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts
 // EstimateCardinality and Stmt.Estimate, with the same result-cache
 // protocol as executeQueryShaped under the estimate namespace.
 func (h *host) estimateCardinalityShaped(ctx context.Context, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (Estimate, error) {
-	level := eo.levelOr(h.cfg.confidence)
+	level := eo.levelOr(s.eng.ConfidenceLevel)
 	var key []byte
 	if h.resCache != nil {
 		if shape == "" {
 			shape = q.ShapeKey()
 		}
 		key = resultKey(nsEstimate, shape, q, level)
-		if est, ok := h.resCache.getEstimate(key, s.gen); ok {
-			return est, nil
+		if v, ok := lruGet(h.resCache, key, s.gen); ok {
+			return v.est, nil
 		}
 	}
 	p, err := h.planOf(s, st, shape, q)
@@ -537,7 +525,7 @@ func (h *host) estimateCardinalityShaped(ctx context.Context, s *snapshot, st *S
 	}
 	out := wrapEstimate(est, level)
 	if h.resCache != nil {
-		h.resCache.putEstimate(key, s.gen, out)
+		h.resCache.put(string(key), s.gen, cachedResult{est: out})
 	}
 	return out, nil
 }
@@ -632,18 +620,23 @@ func resolver(ens *ensemble.Ensemble) query.Resolver {
 func wrapResult(ens *ensemble.Ensemble, q query.Query, res core.AQPResult) Result {
 	out := Result{}
 	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, Group{
-			Key:    g.Key,
-			Labels: decodeKey(ens, q.GroupBy, g.Key),
-			Estimate: Estimate{
-				Value:    g.Estimate.Value,
-				Variance: g.Estimate.Variance,
-				CILow:    g.CILow,
-				CIHigh:   g.CIHigh,
-			},
-		})
+		out.Groups = append(out.Groups, wrapGroup(ens, q.GroupBy, g))
 	}
 	return out
+}
+
+// wrapGroup converts one engine result row.
+func wrapGroup(ens *ensemble.Ensemble, cols []string, g core.AQPGroup) Group {
+	return Group{
+		Key:    g.Key,
+		Labels: decodeKey(ens, cols, g.Key),
+		Estimate: Estimate{
+			Value:    g.Estimate.Value,
+			Variance: g.Estimate.Variance,
+			CILow:    g.CILow,
+			CIHigh:   g.CIHigh,
+		},
+	}
 }
 
 func wrapEstimate(est core.Estimate, level float64) Estimate {

@@ -10,17 +10,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Strategy selects how the engine picks RSPNs for a query.
-type Strategy int
-
-const (
-	// StrategyRDCGreedy picks the RSPN handling the filter predicates with
-	// the highest sum of pairwise RDC values (the paper's choice).
-	StrategyRDCGreedy Strategy = iota
-	// StrategyMedian uses the median prediction over all covering RSPNs.
-	StrategyMedian
-)
-
 // Durability selects how eagerly WAL appends reach stable storage — see
 // WithDurability.
 type Durability int
@@ -107,8 +96,6 @@ const (
 // config is the resolved option set of one DB.
 type config struct {
 	ens          ensemble.Config
-	strategy     Strategy
-	confidence   float64
 	parallelism  int
 	dataDir      string
 	dataset      Dataset
@@ -168,12 +155,10 @@ const (
 
 func defaultConfig() config {
 	return config{
-		ens:        ensemble.DefaultConfig(),
-		strategy:   StrategyRDCGreedy,
-		confidence: 0.95,
-		planCache:  defaultPlanCacheSize,
-		queueSize:  defaultUpdateQueueSize,
-		maxBatch:   defaultUpdateBatchSize,
+		ens:       ensemble.DefaultConfig(),
+		planCache: defaultPlanCacheSize,
+		queueSize: defaultUpdateQueueSize,
+		maxBatch:  defaultUpdateBatchSize,
 
 		closeTimeout: defaultCloseTimeout,
 	}
@@ -183,13 +168,6 @@ func (c *config) apply(opts []Option) {
 	for _, o := range opts {
 		o(c)
 	}
-}
-
-func (c *config) coreStrategy() core.Strategy {
-	if c.strategy == StrategyMedian {
-		return core.StrategyMedian
-	}
-	return core.StrategyRDCGreedy
 }
 
 // Option customizes Learn/LearnDataset/Open.
@@ -205,22 +183,6 @@ func WithBudget(b float64) Option {
 // WithMaxSamples caps the training rows per RSPN.
 func WithMaxSamples(n int) Option {
 	return func(c *config) { c.ens.MaxSamples = n }
-}
-
-// WithRDCThreshold sets the dependency threshold above which two adjacent
-// tables get a joint RSPN.
-func WithRDCThreshold(v float64) Option {
-	return func(c *config) { c.ens.RDCThreshold = v }
-}
-
-// WithSeed drives sampling and learning for reproducible models.
-func WithSeed(seed int64) Option {
-	return func(c *config) { c.ens.Seed = seed }
-}
-
-// WithStrategy selects the RSPN-picking strategy at query time.
-func WithStrategy(s Strategy) Option {
-	return func(c *config) { c.strategy = s }
 }
 
 // WithParallelism bounds the worker count for learning ensemble members
@@ -247,13 +209,6 @@ func WithSingleTableOnly() Option {
 // learning; intended for tiny data sets and tests.
 func WithExactLearner() Option {
 	return func(c *config) { c.ens.Exact = true }
-}
-
-// WithConfidenceLevel sets the DB-wide default level of the confidence
-// intervals attached to every estimate (default 0.95). Individual calls
-// can override it with the AtConfidence exec option.
-func WithConfidenceLevel(level float64) Option {
-	return func(c *config) { c.confidence = level }
 }
 
 // WithPlanCacheSize bounds the LRU cache of compiled query plans, keyed on
@@ -456,7 +411,8 @@ type execOpts struct {
 // DB-wide configuration.
 type ExecOption func(*execOpts)
 
-// AtConfidence overrides the confidence-interval level for one call.
+// AtConfidence sets the confidence-interval level (default 0.95) for one
+// call.
 func AtConfidence(level float64) ExecOption {
 	return func(o *execOpts) { o.confidence = level }
 }
@@ -476,7 +432,7 @@ func (o execOpts) core() core.ExecOpts {
 }
 
 // levelOr resolves the effective confidence level for facade-side interval
-// computation, falling back to the host's default.
+// computation and result-cache keys, falling back to the engine's default.
 func (o execOpts) levelOr(def float64) float64 {
 	if o.confidence > 0 && o.confidence < 1 {
 		return o.confidence

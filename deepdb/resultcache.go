@@ -1,55 +1,25 @@
 package deepdb
 
 import (
-	"container/list"
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/query"
 )
 
-// resultCache is a cross-query semantic cache of finished results, sitting
-// in front of plan execution: a repeated query — same shape, same bound
-// literal values, same effective confidence level — against the same
+// The result cache is a cross-query semantic cache of finished results,
+// sitting in front of plan execution: a repeated query — same shape, same
+// bound literal values, same effective confidence level — against the same
 // published snapshot generation is answered from the cache without touching
 // the models at all. The cached value IS the value execution produced, so a
-// hit is bit-identical to a miss.
-//
-// Correctness rides on the same invalidation token as the plan cache: every
-// published snapshot (update batch, Reload, background re-learn hot-swap,
-// CheckStaleness, sharded recomposition) bumps the generation, and an entry
-// only ever serves the generation it was stored at. Entries from older
-// generations are evicted on their next lookup; an entry a concurrent
-// reader stored for a newer generation is never clobbered on behalf of an
-// older snapshot's reader (that reader just executes and moves on — the
-// same ordering discipline planCache uses).
-//
-// The cache is hash-sharded to keep the hot serve path from serializing on
-// one mutex; the capacity bound is split across the shards, so it is
-// enforced approximately (per shard, not globally).
-type resultCache struct {
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	shards    []resultCacheShard
-}
+// hit is bit-identical to a miss. It is a genLRU (which carries the
+// generation discipline) over resultCacheWays ways, looked up with the
+// caller's scratch []byte key.
 
-// resultCacheShard is one independently locked LRU slice of the cache.
-type resultCacheShard struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // front = most recently used
-}
-
-// resultEntry is one cached execution result. Exactly one of res/est is
+// cachedResult is one cached execution. Exactly one of res/est is
 // meaningful; the key's namespace byte decides which, so a query result is
 // never handed back as a cardinality estimate or vice versa.
-type resultEntry struct {
-	key string
-	gen uint64
+type cachedResult struct {
 	res Result
 	est Estimate
 }
@@ -64,136 +34,20 @@ const (
 // resultCacheWays bounds lock contention, not capacity.
 const resultCacheWays = 8
 
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return nil
-	}
-	ways := resultCacheWays
-	if capacity < ways {
-		ways = capacity
-	}
-	c := &resultCache{shards: make([]resultCacheShard, ways)}
-	per := (capacity + ways - 1) / ways
-	for i := range c.shards {
-		c.shards[i] = resultCacheShard{cap: per, m: make(map[string]*list.Element), lru: list.New()}
-	}
-	return c
-}
-
-// shardOf picks the key's shard (FNV-1a). Generic over the key encoding so
-// the lookup path hashes the scratch []byte key without converting it to a
-// string first.
-func shardOf[T ~string | ~[]byte](c *resultCache, key T) *resultCacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h%uint64(len(c.shards))]
-}
-
-// get returns the entry cached for the key at the given generation. A
-// stale (older-generation) entry is evicted; a newer one is left in place
-// and the lookup misses. The key arrives as the caller's scratch []byte:
-// the map index below compiles to an allocation-free lookup, so a cache
-// hit never converts the key to a string.
-func (c *resultCache) get(key []byte, gen uint64) (*resultEntry, bool) {
-	s := shardOf(c, key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[string(key)]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	en := el.Value.(*resultEntry)
-	if en.gen != gen {
-		if en.gen < gen {
-			s.lru.Remove(el)
-			delete(s.m, string(key))
-			c.evictions.Add(1)
-		}
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return en, true
-}
-
-// put stores an entry, evicting least-recently-used ones beyond the
-// shard's capacity. An entry stored for an older generation never replaces
-// a newer one.
-func (c *resultCache) put(en *resultEntry) {
-	s := shardOf(c, en.key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[en.key]; ok {
-		if en.gen < el.Value.(*resultEntry).gen {
-			return
-		}
-		el.Value = en
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.m[en.key] = s.lru.PushFront(en)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.m, back.Value.(*resultEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
 // getResult looks up a cached query result, returning a private copy (the
 // caller may mutate its result freely without corrupting the cache).
-func (c *resultCache) getResult(key []byte, gen uint64) (Result, bool) {
-	en, ok := c.get(key, gen)
+func getResult(c *genLRU[cachedResult], key []byte, gen uint64) (Result, bool) {
+	v, ok := lruGet(c, key, gen)
 	if !ok {
 		return Result{}, false
 	}
-	return copyResult(en.res), true
+	return copyResult(v.res), true
 }
 
 // putResult stores a query result (as a private copy, so later caller
 // mutations of the returned result cannot poison the cache).
-func (c *resultCache) putResult(key []byte, gen uint64, res Result) {
-	c.put(&resultEntry{key: string(key), gen: gen, res: copyResult(res)})
-}
-
-// getEstimate looks up a cached cardinality estimate.
-func (c *resultCache) getEstimate(key []byte, gen uint64) (Estimate, bool) {
-	en, ok := c.get(key, gen)
-	if !ok {
-		return Estimate{}, false
-	}
-	return en.est, true
-}
-
-// putEstimate stores a cardinality estimate.
-func (c *resultCache) putEstimate(key []byte, gen uint64, est Estimate) {
-	c.put(&resultEntry{key: string(key), gen: gen, est: est})
-}
-
-// size returns the cached entry count across all shards.
-func (c *resultCache) size() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// stats snapshots the counters.
-func (c *resultCache) stats() (hits, misses, evictions uint64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+func putResult(c *genLRU[cachedResult], key []byte, gen uint64, res Result) {
+	c.put(string(key), gen, cachedResult{res: copyResult(res)})
 }
 
 // copyResult deep-copies a result: the groups slice and each group's key
@@ -217,7 +71,7 @@ func copyResult(res Result) Result {
 
 // resultKey builds the cache key of one execution: namespace (query vs
 // estimate), the plan-cache shape key, every bound literal value in
-// predicate order (bit-exact, Float64bits), and the effective confidence
+// predicate order (bit-exact, see literalBits), and the effective confidence
 // level. The shape key fixes the filter columns and operators positionally,
 // so appending the values in the same positional order identifies the
 // bound query uniquely; IN-lists are length-prefixed because their value
@@ -241,11 +95,21 @@ func appendPredValues(b []byte, preds []query.Predicate) []byte {
 		if p.Op == query.In {
 			b = binary.LittleEndian.AppendUint64(b, uint64(len(p.Values)))
 			for _, v := range p.Values {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+				b = binary.LittleEndian.AppendUint64(b, literalBits(v))
 			}
 			continue
 		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Value))
+		b = binary.LittleEndian.AppendUint64(b, literalBits(p.Value))
 	}
 	return b
+}
+
+// literalBits is the key encoding of one literal: its float bits, with -0
+// folded onto +0 — `x = 0` and `x = -0` are the same predicate and must
+// share an entry. (NaN never gets here: binding rejects it.)
+func literalBits(v float64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
 }

@@ -506,3 +506,76 @@ func TestShardedResultCacheCoherence(t *testing.T) {
 		t.Fatalf("sharded post-insert result is stale\n  cached: %v\n  plain:  %v", after, ref)
 	}
 }
+
+// TestResultCacheSignedZeroAndNaN: `x = 0` and `x = -0` are one predicate
+// (the tokenizer, JSON params and Go arguments can all produce -0), so
+// they share one entry — one miss, then hits — with the bits an uncached
+// DB computes for either spelling. A NaN argument is rejected when it is
+// bound, before it can be counted or cached under a key that never hits.
+func TestResultCacheSignedZeroAndNaN(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(1200, 8)
+	db, err := deepdb.LearnDataset(ctx, s, data,
+		deepdb.WithMaxSamples(3000), deepdb.WithResultCacheSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.deepdb")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := deepdb.Open(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+
+	pos, err := db.Query(ctx, "SELECT COUNT(*) FROM customer WHERE c_age >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := db.Query(ctx, "SELECT COUNT(*) FROM customer WHERE c_age >= -0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := db.Prepare("SELECT COUNT(*) FROM customer WHERE c_age >= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := stmt.Exec(ctx, math.Copysign(0, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Query(ctx, "SELECT COUNT(*) FROM customer WHERE c_age >= -0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]deepdb.Result{"0": pos, "-0": neg, "bound -0": bound} {
+		if bitsOfResult(got) != bitsOfResult(want) {
+			t.Fatalf("%s: cached DB answered\n%s, uncached -0 answers\n%s", name, bitsOfResult(got), bitsOfResult(want))
+		}
+	}
+	st := db.UpdateStats()
+	if st.ResultCacheMisses != 1 || st.ResultCacheHits != 2 || db.ResultCacheLen() != 1 {
+		t.Fatalf("0 and -0 did not share one entry: misses %d, hits %d, entries %d; want 1, 2, 1",
+			st.ResultCacheMisses, st.ResultCacheHits, db.ResultCacheLen())
+	}
+
+	for _, nan := range []any{math.NaN(), float32(math.NaN())} {
+		if _, err := stmt.Exec(ctx, nan); err == nil {
+			t.Fatalf("Exec accepted a %T NaN", nan)
+		}
+		if _, err := stmt.Estimate(ctx, nan); err == nil {
+			t.Fatalf("Estimate accepted a %T NaN", nan)
+		}
+		if _, err := stmt.ExecBatch(ctx, [][]any{{30}, {nan}}); err == nil {
+			t.Fatalf("ExecBatch accepted a %T NaN", nan)
+		}
+	}
+	after := db.UpdateStats()
+	if after.ResultCacheMisses != st.ResultCacheMisses || db.ResultCacheLen() != 1 {
+		t.Fatalf("a rejected NaN reached the cache: misses %d -> %d, entries %d",
+			st.ResultCacheMisses, after.ResultCacheMisses, db.ResultCacheLen())
+	}
+}

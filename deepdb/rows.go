@@ -1,13 +1,13 @@
 package deepdb
 
-// rows.go is the streaming read path: QueryRows answers a GROUP BY query
-// row by row through core's chunked group iterator instead of
-// materializing every group up front, so a grouped result with millions of
-// keys is served in O(chunk) memory. The rows come out in the exact order
-// — and with the exact bits — of the materializing Query path; only the
-// memory profile differs. Ungrouped queries yield their single row (and
-// still benefit from the result cache; grouped streams bypass it — caching
-// a million-row result would defeat the point of streaming it).
+// rows.go is the streaming consumer of the grouped pipeline: QueryRows
+// answers a GROUP BY query row by row through core's chunked group
+// iterator, so a grouped result with millions of keys is served in
+// O(chunk) memory. Query drains the same chunks into one Result, so the
+// rows are Query's rows — same order, same bits; only the memory profile
+// differs. Ungrouped queries yield their single row (and still benefit
+// from the result cache; grouped streams bypass it — caching a
+// million-row result would defeat the point of streaming it).
 
 import (
 	"context"
@@ -33,15 +33,14 @@ type Rows struct {
 	it   *core.GroupIter
 	ens  *ensemble.Ensemble
 	cols []string
-	// pre holds an eagerly executed (ungrouped) result instead of it.
-	pre  []Group
-	pos  int
-	cur  Group
-	done bool
+	// pre holds the rows left of an eagerly executed (ungrouped) result
+	// instead of it.
+	pre []Group
+	cur Group
 }
 
 // QueryRows answers an aggregate SQL query approximately like Query, but
-// streams the result rows instead of materializing them: group keys are
+// streams the result rows instead of collecting them: group keys are
 // enumerated lazily and estimated in bounded chunks, so GROUP BY results of
 // any size run in constant memory.
 // Rows arrive in group-key order, bit-identical to Query's.
@@ -86,33 +85,17 @@ func (h *host) queryRowsOn(ctx context.Context, s *snapshot, q query.Query, opts
 // chunk when the current one is drained. It returns false at the end of
 // the result or on an execution error (check Err).
 func (r *Rows) Next() bool {
-	if r.done {
-		return false
-	}
 	if r.it == nil {
-		if r.pos >= len(r.pre) {
-			r.done = true
+		if len(r.pre) == 0 {
 			return false
 		}
-		r.cur = r.pre[r.pos]
-		r.pos++
+		r.cur, r.pre = r.pre[0], r.pre[1:]
 		return true
 	}
 	if !r.it.Next() {
-		r.done = true
 		return false
 	}
-	g := r.it.Group()
-	r.cur = Group{
-		Key:    g.Key,
-		Labels: decodeKey(r.ens, r.cols, g.Key),
-		Estimate: Estimate{
-			Value:    g.Estimate.Value,
-			Variance: g.Estimate.Variance,
-			CILow:    g.CILow,
-			CIHigh:   g.CIHigh,
-		},
-	}
+	r.cur = wrapGroup(r.ens, r.cols, r.it.Group())
 	return true
 }
 

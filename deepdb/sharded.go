@@ -223,36 +223,36 @@ func (db *ShardedDB) Shards() int { return len(db.shards) }
 // ShardStat is one shard's health inside ShardStats.
 type ShardStat struct {
 	// ID is the shard index, Members its global ensemble-member indices.
-	ID      int
-	Members []int
+	ID      int   `json:"id"`
+	Members []int `json:"members"`
 	// Generation counts the shard's own snapshot publications, Ops the
 	// mutations it has processed (the router's alignment token).
-	Generation uint64
-	Ops        uint64
+	Generation uint64 `json:"generation"`
+	Ops        uint64 `json:"ops"`
 	// QueueDepth/Enqueued/Applied/Batches/Errors describe the shard's
 	// update pipeline; LastError renders its most recent apply failure.
-	QueueDepth int
-	Enqueued   uint64
-	Applied    uint64
-	Batches    uint64
-	Errors     uint64
-	LastError  string
+	QueueDepth int    `json:"queue_depth"`
+	Enqueued   uint64 `json:"enqueued"`
+	Applied    uint64 `json:"applied"`
+	Batches    uint64 `json:"-"` // not part of /healthz
+	Errors     uint64 `json:"errors"`
+	LastError  string `json:"last_error,omitempty"`
 	// WALAppliedLSN is the shard log's apply watermark (0 without a WAL);
 	// WAL carries the log's counters when one is attached.
-	WALAppliedLSN uint64
-	WAL           *WALStats
+	WALAppliedLSN uint64    `json:"wal_applied_lsn,omitempty"`
+	WAL           *WALStats `json:"wal,omitempty"`
 	// Peer is the bound replica's base URL ("" when none). The fields
 	// below describe that binding's health: PeerHealthy is the outcome of
 	// the most recent request or probe, PeerState the circuit breaker's
 	// position ("closed", "open", "half-open"), PeerOK/PeerFailed count
 	// completed requests and probes by outcome, and PeerLastError renders
 	// the most recent failure.
-	Peer          string
-	PeerHealthy   bool
-	PeerState     string
-	PeerOK        uint64
-	PeerFailed    uint64
-	PeerLastError string
+	Peer          string `json:"peer,omitempty"`
+	PeerHealthy   bool   `json:"peer_healthy,omitempty"`
+	PeerState     string `json:"peer_state,omitempty"`
+	PeerOK        uint64 `json:"peer_ok,omitempty"`
+	PeerFailed    uint64 `json:"peer_failed,omitempty"`
+	PeerLastError string `json:"peer_last_error,omitempty"`
 }
 
 // ShardStats reports per-shard health, in shard order.

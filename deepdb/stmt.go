@@ -115,10 +115,7 @@ func (s *Stmt) planOn(snap *snapshot) (*core.Plan, error) {
 // options; every other argument binds the next placeholder.
 func (s *Stmt) Exec(ctx context.Context, params ...any) (Result, error) {
 	vals, opts := splitArgs(params)
-	return s.execOn(ctx, s.db.snapshotNow(), vals, opts)
-}
-
-func (s *Stmt) execOn(ctx context.Context, snap *snapshot, vals []any, opts []ExecOption) (Result, error) {
+	snap := s.db.snapshotNow()
 	q, err := s.bindOn(snap, vals)
 	if err != nil {
 		return Result{}, err
@@ -156,23 +153,21 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 	rc := s.db.resCache
 	var keys [][]byte
 	if rc != nil {
-		level := eo.levelOr(s.db.cfg.confidence)
 		keys = make([][]byte, len(batch))
-		for i := range queries {
+	}
+	level := eo.levelOr(snap.eng.ConfidenceLevel)
+	for i := range queries {
+		if rc != nil {
 			keys[i] = resultKey(nsQuery, s.shape, queries[i], level)
-			if res, ok := rc.getResult(keys[i], snap.gen); ok {
+			if res, ok := getResult(rc, keys[i], snap.gen); ok {
 				out[i] = res
 				continue
 			}
-			missIdx = append(missIdx, i)
 		}
-		if len(missIdx) == 0 {
-			return out, nil
-		}
-	} else {
-		for i := range queries {
-			missIdx = append(missIdx, i)
-		}
+		missIdx = append(missIdx, i)
+	}
+	if len(missIdx) == 0 {
+		return out, nil
 	}
 	p, err := s.planOn(snap)
 	if err != nil {
@@ -189,7 +184,7 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 	for j, i := range missIdx {
 		out[i] = wrapResult(snap.ens, queries[i], ress[j])
 		if rc != nil {
-			rc.putResult(keys[i], snap.gen, out[i])
+			putResult(rc, keys[i], snap.gen, out[i])
 		}
 	}
 	return out, nil
@@ -252,13 +247,18 @@ func (s *Stmt) bindOn(snap *snapshot, vals []any) (query.Query, error) {
 }
 
 // paramValue encodes one parameter: numbers pass through, strings resolve
-// through the dictionary of the placeholder's column.
+// through the dictionary of the placeholder's column. NaN is rejected: no
+// comparison against it is meaningful, and as a result-cache key it would
+// never hit.
 func (s *Stmt) paramValue(snap *snapshot, i int, v any) (float64, error) {
 	switch x := v.(type) {
 	case float64:
+		if x != x {
+			return 0, fmt.Errorf("deepdb: parameter %d is NaN", i+1)
+		}
 		return x, nil
 	case float32:
-		return float64(x), nil
+		return s.paramValue(snap, i, float64(x))
 	case int:
 		return float64(x), nil
 	case int8:

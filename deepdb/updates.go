@@ -30,8 +30,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
+	"repro/internal/drift"
 	"repro/internal/ensemble"
 	"repro/internal/shard"
 )
@@ -325,106 +325,99 @@ func (h *host) Close() error {
 }
 
 // UpdateStats is a point-in-time view of the update pipeline, for
-// observability (the serve front-end reports it in /healthz).
+// observability. The serve front-end marshals it as the "updates" object
+// of /healthz: the JSON tags are that endpoint's wire contract.
 type UpdateStats struct {
 	// Generation is the current snapshot's publication counter.
-	Generation uint64
+	Generation uint64 `json:"generation"`
 	// SyncUpdates reports whether the DB applies updates synchronously
 	// (WithSyncUpdates); the queue fields below stay zero then.
-	SyncUpdates bool
+	SyncUpdates bool `json:"sync_updates"`
 	// The queue fields aggregate over the shards (per-shard detail is in
 	// ShardedDB.ShardStats): counters are summed — a broadcast counts once
 	// per shard — and the last-batch readings are the maximum.
 	//
 	// QueueDepth is the number of update operations waiting in the queue.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Enqueued/Applied count update operations accepted/applied — each
 	// Insert/Delete is one operation, an Update(rows...) call is one
 	// operation regardless of row count. Batches counts published update
 	// batches (Applied/Batches = realized coalescing).
-	Enqueued uint64
-	Applied  uint64
-	Batches  uint64
+	Enqueued uint64 `json:"enqueued"`
+	Applied  uint64 `json:"applied"`
+	Batches  uint64 `json:"batches"`
 	// Errors counts failed apply batches; LastError renders the most
 	// recent failure.
-	Errors    uint64
-	LastError string
+	Errors    uint64 `json:"errors"`
+	LastError string `json:"last_error,omitempty"`
 	// LastBatch is the size of the most recently applied batch,
 	// LastApplyDuration how long applying it took, and ApplyLag the
-	// enqueue-to-publish latency of that batch's oldest mutation.
-	LastBatch         int
-	LastApplyDuration time.Duration
-	ApplyLag          time.Duration
+	// enqueue-to-publish latency of that batch's oldest mutation — both in
+	// microseconds.
+	LastBatch         int   `json:"last_batch"`
+	LastApplyDuration int64 `json:"last_apply_us"`
+	ApplyLag          int64 `json:"apply_lag_us"`
 	// WAL describes the write-ahead log (nil without WithWAL), aggregated
 	// over the shards' logs: activity counters and footprint are summed,
 	// LastLSN is the highest logged position and AppliedLSN/CheckpointLSN
 	// the lowest watermarks.
-	WAL *WALStats
+	WAL *WALStats `json:"wal,omitempty"`
 	// DurabilityLost reports that the WAL has failed: under WALFailStop
 	// writes are being rejected, under WALDegradeVolatile they are accepted
 	// into memory only. LastWALError renders the failure that tripped it.
-	DurabilityLost bool
-	LastWALError   string
+	DurabilityLost bool   `json:"durability_lost,omitempty"`
+	LastWALError   string `json:"last_wal_error,omitempty"`
 	// PlanCacheHits/PlanCacheMisses count plan-cache lookups (a
 	// stale-generation entry counts as a miss); PlanCacheSize is the
 	// current entry count. All zero with WithPlanCacheSize(0).
-	PlanCacheHits   uint64
-	PlanCacheMisses uint64
-	PlanCacheSize   int
+	PlanCacheHits   uint64 `json:"plan_cache_hits"`
+	PlanCacheMisses uint64 `json:"plan_cache_misses"`
+	PlanCacheSize   int    `json:"plan_cache_size"`
 	// ResultCacheHits/ResultCacheMisses/ResultCacheEvictions count
 	// result-cache lookups and LRU/stale-generation evictions;
 	// ResultCacheSize is the current entry count. All zero unless
 	// WithResultCacheSize enabled the cache.
-	ResultCacheHits      uint64
-	ResultCacheMisses    uint64
-	ResultCacheEvictions uint64
-	ResultCacheSize      int
+	ResultCacheHits      uint64 `json:"result_cache_hits"`
+	ResultCacheMisses    uint64 `json:"result_cache_misses"`
+	ResultCacheEvictions uint64 `json:"result_cache_evictions"`
+	ResultCacheSize      int    `json:"result_cache_size"`
 	// Drift lists per-member staleness (nil when drift tracking is off —
 	// i.e. no base tables attached); Relearns counts completed background
 	// re-learn hot-swaps, RelearnErrors failed attempts (LastRelearnError
 	// renders the most recent failure).
-	Drift            []DriftStat
-	Relearns         uint64
-	RelearnErrors    uint64
-	LastRelearnError string
+	Drift            []DriftStat `json:"drift,omitempty"`
+	Relearns         uint64      `json:"relearns"`
+	RelearnErrors    uint64      `json:"relearn_errors"`
+	LastRelearnError string      `json:"last_relearn_error,omitempty"`
 }
 
 // WALStats describes the write-ahead log inside UpdateStats.
 type WALStats struct {
 	// Dir is the log directory, Durability the fsync policy.
-	Dir        string
-	Durability string
+	Dir        string `json:"dir"`
+	Durability string `json:"durability"`
 	// LastLSN is the highest logged position, AppliedLSN the highest
 	// applied-and-published one (their gap is the recovery backlog), and
 	// CheckpointLSN the persisted save watermark.
-	LastLSN       uint64
-	AppliedLSN    uint64
-	CheckpointLSN uint64
+	LastLSN       uint64 `json:"last_lsn"`
+	AppliedLSN    uint64 `json:"applied_lsn"`
+	CheckpointLSN uint64 `json:"checkpoint_lsn"`
 	// Appended/Synced/Replayed/TruncatedSegments count this session's log
 	// activity; Segments and SizeBytes are the on-disk footprint.
-	Appended          uint64
-	Synced            uint64
-	Replayed          uint64
-	TruncatedSegments uint64
-	Segments          int
-	SizeBytes         int64
+	Appended          uint64 `json:"appended"`
+	Synced            uint64 `json:"synced"`
+	Replayed          uint64 `json:"replayed"`
+	TruncatedSegments uint64 `json:"truncated_segments"`
+	Segments          int    `json:"segments"`
+	SizeBytes         int64  `json:"size_bytes"`
 }
 
-// DriftStat is one ensemble member's staleness reading inside UpdateStats.
-type DriftStat struct {
-	// Tables is the member's table set.
-	Tables []string
-	// Mutated counts mutations on those tables since the member's baseline;
-	// MutatedFraction normalizes by the baseline row count.
-	Mutated         uint64
-	MutatedFraction float64
-	// MaxShift is the largest σ-normalized column-mean shift since the
-	// baseline, attained on ShiftColumn.
-	MaxShift    float64
-	ShiftColumn string
-	// Relearns counts completed re-learns of this member.
-	Relearns uint64
-}
+// DriftStat is one ensemble member's staleness reading inside UpdateStats:
+// its table set, the mutations on those tables since its baseline (raw and
+// as a fraction of the baseline row count), the largest σ-normalized
+// column-mean shift and the column attaining it, and its completed
+// re-learns.
+type DriftStat = drift.Score
 
 // walStatsOf converts one shard's log counters (nil without a WAL).
 func walStatsOf(st shard.Stats, durability Durability) *WALStats {
@@ -450,18 +443,19 @@ func walStatsOf(st shard.Stats, durability Durability) *WALStats {
 func (h *host) UpdateStats() UpdateStats {
 	s := h.snapshotNow()
 	out := UpdateStats{
-		Generation:     s.gen,
-		SyncUpdates:    h.cfg.syncUpdates,
-		DurabilityLost: h.durabilityLost.Load(),
-		LastWALError:   h.lastWALError(),
+		Generation:      s.gen,
+		SyncUpdates:     h.cfg.syncUpdates,
+		DurabilityLost:  h.durabilityLost.Load(),
+		LastWALError:    h.lastWALError(),
+		PlanCacheSize:   h.plans.size(),
+		ResultCacheSize: h.resCache.size(),
 	}
 	if h.plans != nil {
-		out.PlanCacheHits, out.PlanCacheMisses = h.plans.stats()
-		out.PlanCacheSize = h.plans.size()
+		out.PlanCacheHits, out.PlanCacheMisses = h.plans.hits.Load(), h.plans.misses.Load()
 	}
 	if h.resCache != nil {
-		out.ResultCacheHits, out.ResultCacheMisses, out.ResultCacheEvictions = h.resCache.stats()
-		out.ResultCacheSize = h.resCache.size()
+		out.ResultCacheHits, out.ResultCacheMisses = h.resCache.hits.Load(), h.resCache.misses.Load()
+		out.ResultCacheEvictions = h.resCache.evictions.Load()
 	}
 	for _, sh := range h.shards {
 		st := sh.Stats()
@@ -474,8 +468,8 @@ func (h *host) UpdateStats() UpdateStats {
 			out.LastError = st.Queue.LastError
 		}
 		out.LastBatch = max(out.LastBatch, st.Queue.LastBatch)
-		out.LastApplyDuration = max(out.LastApplyDuration, st.Queue.LastApplyDuration)
-		out.ApplyLag = max(out.ApplyLag, st.Queue.ApplyLag)
+		out.LastApplyDuration = max(out.LastApplyDuration, st.Queue.LastApplyDuration.Microseconds())
+		out.ApplyLag = max(out.ApplyLag, st.Queue.ApplyLag.Microseconds())
 		w := walStatsOf(st, h.cfg.durability)
 		switch {
 		case w == nil:
@@ -496,16 +490,7 @@ func (h *host) UpdateStats() UpdateStats {
 		}
 	}
 	if d := s.ens.Drift; d != nil {
-		for _, sc := range d.Scores() {
-			out.Drift = append(out.Drift, DriftStat{
-				Tables:          sc.Tables,
-				Mutated:         sc.Mutated,
-				MutatedFraction: sc.MutatedFraction,
-				MaxShift:        sc.MaxShift,
-				ShiftColumn:     sc.ShiftColumn,
-				Relearns:        sc.Relearns,
-			})
-		}
+		out.Drift = d.Scores()
 		out.Relearns = d.Relearns()
 	}
 	return out

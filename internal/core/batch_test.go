@@ -59,33 +59,46 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 		e, _, tabs := exactEnsemble(t, true)
 		e.Parallelism = par
 		bindings := [][]float64{{25}, {40}, {55}, {70}, {85}}
+		// Sixteen bindings of a grouped template: the grouped pipeline's
+		// cross-binding batch, the shape Stmt.ExecBatch sends.
+		var sixteen [][]float64
+		for i := 0; i < 16; i++ {
+			sixteen = append(sixteen, []float64{float64(15 + 5*i)})
+		}
 		cases := []struct {
 			name     string
 			template query.Query
+			bindings [][]float64 // nil = the five above
 		}{
-			{"count", query.Query{
+			{name: "count", template: query.Query{
 				Aggregate: query.Count,
 				Tables:    []string{"customer", "orders"},
 				Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
 			}},
-			{"avg", query.Query{
+			{name: "avg", template: query.Query{
 				Aggregate: query.Avg, AggColumn: "c_age",
 				Tables:  []string{"customer", "orders"},
 				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
 			}},
-			{"grouped-count", query.Query{
+			{name: "grouped-count", template: query.Query{
 				Aggregate: query.Count,
 				Tables:    []string{"customer", "orders"},
 				Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
 				GroupBy:   []string{"o_channel"},
 			}},
-			{"grouped-avg", query.Query{
+			{name: "grouped-avg", template: query.Query{
 				Aggregate: query.Avg, AggColumn: "c_age",
 				Tables:  []string{"customer", "orders"},
 				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
 				GroupBy: []string{"o_channel"},
 			}},
-			{"disjunction", query.Query{
+			{name: "grouped-sum-16", bindings: sixteen, template: query.Query{
+				Aggregate: query.Sum, AggColumn: "c_age",
+				Tables:  []string{"customer", "orders"},
+				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
+				GroupBy: []string{"c_region", "o_channel"},
+			}},
+			{name: "disjunction", template: query.Query{
 				Aggregate: query.Count,
 				Tables:    []string{"customer", "orders"},
 				Disjunction: []query.Predicate{
@@ -95,8 +108,11 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 			}},
 		}
 		for _, tc := range cases {
+			if tc.bindings == nil {
+				tc.bindings = bindings
+			}
 			t.Run(tc.name, func(t *testing.T) {
-				assertBatchEqualsSequential(t, e, tc.template, bindings)
+				assertBatchEqualsSequential(t, e, tc.template, tc.bindings)
 			})
 		}
 	}

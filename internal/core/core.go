@@ -63,10 +63,10 @@ func groupFilters(cols []string, key []float64) []query.Predicate {
 	return out
 }
 
-// maxMaterializedGroups bounds the group count of the materializing
-// execution paths (Execute/ExecuteBatch build one binding per group up
-// front). The streaming iterator (ExecuteGroupsIter) has no such bound:
-// it enumerates keys lazily and holds one chunk at a time.
+// maxMaterializedGroups bounds the group count ExecuteBatch accepts: it
+// returns every row at once, so the bound is what keeps one request from
+// holding an arbitrarily large result. The streaming iterator
+// (ExecuteGroupsIter) has no such bound: it holds one chunk at a time.
 const maxMaterializedGroups = 100000
 
 // maxEnumerableGroups is the sanity bound on the group-by cartesian
@@ -106,8 +106,8 @@ func groupKeyCount(perCol [][]float64) (int, error) {
 }
 
 // groupKeyAt decodes key number ki of the cartesian product in
-// lexicographic order (the last column varies fastest — exactly the order
-// the former eager enumeration produced), appending into buf.
+// lexicographic order (the last column varies fastest), appending into
+// buf.
 func groupKeyAt(perCol [][]float64, ki int, buf []float64) []float64 {
 	n := len(perCol)
 	if cap(buf) < n {

@@ -51,9 +51,8 @@ type Plan struct {
 	// template (the query with its group columns as extra equality
 	// filters, values bound per key at execution). Group keys are the
 	// cartesian product of groupVals (sorted distinct values per column),
-	// enumerated lazily by index — numGroups may exceed what the
-	// materializing paths accept, and only the streaming iterator visits
-	// such plans' keys.
+	// enumerated lazily by index — numGroups may exceed what ExecuteBatch
+	// accepts, and only the streaming iterator visits such plans' keys.
 	groupCols []string
 	groupVals [][]float64
 	numGroups int

@@ -503,11 +503,12 @@ func (p *Plan) ExecuteQuery(ctx context.Context, opts ExecOpts, q query.Query) (
 }
 
 // ExecuteBatch executes the plan for many bound queries of the plan's
-// shape in one batched evaluation: every query's expectation requests —
-// and for GROUP BY queries, every group key's — are collected and
-// answered together on each model's flat arrays, instead of one traversal
-// per query per group per moment. Results are returned in query order and
-// are bit-identical to executing the queries one at a time.
+// shape in batched evaluations: every query's expectation requests are
+// collected and answered together on each model's flat arrays, instead of
+// one traversal per query per moment. GROUP BY queries drain the grouped
+// pipeline (executeGroupChunk) DefaultGroupChunk keys of every query at a
+// time. Results are returned in query order and are bit-identical to
+// executing the queries one at a time.
 func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.Query) ([]AQPResult, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -544,7 +545,26 @@ func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.
 		}
 		return out, nil
 	}
-	return p.executeGroupsBatch(ctx, queries, level)
+	// Input validation, not a knob: bound queries reach this entry from the
+	// network (/query with params), and it holds every row it returns.
+	if p.numGroups > maxMaterializedGroups {
+		return nil, fmt.Errorf("core: group-by produces more than %d groups (stream them with ExecuteGroupsIter)", maxMaterializedGroups)
+	}
+	out := make([]AQPResult, len(queries))
+	for lo := 0; lo < p.numGroups; lo += DefaultGroupChunk {
+		rows, err := p.executeGroupChunk(ctx, queries, level, lo, min(lo+DefaultGroupChunk, p.numGroups))
+		if err != nil {
+			return nil, err
+		}
+		for qi := range rows {
+			if out[qi].Groups == nil {
+				out[qi].Groups = rows[qi] // the common one-chunk result: no copy
+			} else {
+				out[qi].Groups = append(out[qi].Groups, rows[qi]...)
+			}
+		}
+	}
+	return out, nil
 }
 
 // batchEntryErr attributes a resolve-phase error to its batch entry —
@@ -557,22 +577,23 @@ func batchEntryErr(batchLen, i int, err error) error {
 	return fmt.Errorf("batch entry %d: %w", i, err)
 }
 
-// executeGroupsBatch answers GROUP BY executions in two batched stages:
-// stage one evaluates the per-group COUNT gate of every (query, key)
-// pair in one batch; stage two evaluates the aggregate of every surviving
-// group (skipped entirely for COUNT queries, whose gate is the answer).
-func (p *Plan) executeGroupsBatch(ctx context.Context, queries []query.Query, level float64) ([]AQPResult, error) {
-	nk := p.numGroups
-	if nk > maxMaterializedGroups {
-		return nil, fmt.Errorf("core: group-by produces more than %d groups (stream them with ExecuteGroupsIter)", maxMaterializedGroups)
-	}
+// executeGroupChunk is the grouped pipeline: for every query and every
+// group-key ordinal in [lo, hi) it evaluates the per-group COUNT gate in
+// one batch, drops the groups the model believes empty, and evaluates the
+// aggregate of the survivors in a second batch (skipped for COUNT queries,
+// whose gate is the answer). It returns each query's live rows in key
+// order. Keys are enumerated in ascending ordinal — lexicographic — order,
+// so the concatenation of consecutive chunks is the full result in the
+// same order, whatever the chunk size.
+func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, level float64, lo, hi int) ([][]AQPGroup, error) {
+	nk := hi - lo
 	bindings := make([][]query.Predicate, len(queries)*nk)
 	gates := make([]estimator, len(queries)*nk)
 	b := newBatcher(2 * len(queries) * nk)
 	var keyBuf []float64
 	for qi, q := range queries {
 		for ki := 0; ki < nk; ki++ {
-			keyBuf = groupKeyAt(p.groupVals, ki, keyBuf)
+			keyBuf = groupKeyAt(p.groupVals, lo+ki, keyBuf)
 			preds := make([]query.Predicate, 0, len(q.Filters)+len(keyBuf))
 			preds = append(preds, q.Filters...)
 			preds = append(preds, groupFilters(p.groupCols, keyBuf)...)
@@ -619,7 +640,7 @@ func (p *Plan) executeGroupsBatch(ctx context.Context, queries []query.Query, le
 			return nil, err
 		}
 	}
-	out := make([]AQPResult, len(queries))
+	out := make([][]AQPGroup, len(queries))
 	for qi := range queries {
 		var groups []AQPGroup
 		for ki := 0; ki < nk; ki++ {
@@ -635,7 +656,7 @@ func (p *Plan) executeGroupsBatch(ctx context.Context, queries []query.Query, le
 					return nil, batchEntryErr(len(queries), qi, err)
 				}
 			}
-			groups = append(groups, finish(groupKeyAt(p.groupVals, ki, nil), est, level))
+			groups = append(groups, finish(groupKeyAt(p.groupVals, lo+ki, nil), est, level))
 		}
 		sort.Slice(groups, func(i, j int) bool {
 			a, b := groups[i].Key, groups[j].Key
@@ -646,7 +667,7 @@ func (p *Plan) executeGroupsBatch(ctx context.Context, queries []query.Query, le
 			}
 			return false
 		})
-		out[qi] = AQPResult{Groups: groups}
+		out[qi] = groups
 	}
 	return out, nil
 }

@@ -1,25 +1,22 @@
 package core
 
-// plan_iter.go streams grouped executions. Execute/ExecuteBatch bind one
-// estimator per group key up front, which is fine for dashboards but
-// materializes O(keys) state; GroupIter runs the same two-stage gated
-// pipeline (COUNT gate batch, then aggregate batch over live groups) one
-// bounded chunk of the key space at a time, so a GROUP BY over millions
-// of keys executes in O(chunk) memory. Group keys are enumerated lazily
-// in lexicographic order — the same order the materializing path emits —
-// and every estimate goes through the identical enqueue/resolve walk, so
-// the streamed rows are bit-identical to ExecuteQuery's, in the same
-// order.
+// plan_iter.go is the streaming consumer of the grouped pipeline
+// (executeGroupChunk in plan_exec.go): GroupIter runs it over one bounded
+// chunk of the key space at a time, so a GROUP BY over millions of keys
+// executes in O(chunk) memory. Group keys are enumerated lazily in
+// lexicographic order. ExecuteBatch is the other consumer — it drains the
+// same chunks into one result — so streamed rows are ExecuteQuery's rows,
+// bit for bit and in the same order.
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/query"
 )
 
-// DefaultGroupChunk is the group-key chunk size of ExecuteGroupsIter when
-// the caller passes no explicit size.
+// DefaultGroupChunk is how many group keys are gated and aggregated per
+// evaluation round: ExecuteBatch's step, and ExecuteGroupsIter's when the
+// caller passes no explicit size.
 const DefaultGroupChunk = 256
 
 // GroupIter streams the result rows of one grouped execution. Use it as:
@@ -35,23 +32,22 @@ const DefaultGroupChunk = 256
 type GroupIter struct {
 	p     *Plan
 	ctx   context.Context
-	q     query.Query
+	qs    []query.Query // the one bound query, in the pipeline's batch shape
 	level float64
 	chunk int
 
-	pos  int // next group-key ordinal to execute
-	done bool
-	buf  []AQPGroup // rows of the current chunk
-	bi   int        // index into buf of the current row (-1 before Next)
-	err  error
+	pos int        // next group-key ordinal to execute
+	buf []AQPGroup // rows of the current chunk
+	bi  int        // index into buf of the current row (-1 before Next)
+	err error
 }
 
 // ExecuteGroupsIter begins a streamed execution of the bound query q
 // (which must share the plan's shape), emitting result rows in group-key
 // order. chunkSize bounds how many group keys are gated and aggregated
 // per evaluation round; values <= 0 use DefaultGroupChunk. Ungrouped
-// queries yield their single row. Unlike Execute, the iterator accepts
-// plans whose group count exceeds the materializing paths' bound.
+// queries yield their single row. Unlike ExecuteBatch, which holds every
+// row it returns, the iterator puts no bound on the plan's group count.
 func (p *Plan) ExecuteGroupsIter(ctx context.Context, opts ExecOpts, q query.Query, chunkSize int) (*GroupIter, error) {
 	if err := p.checkBound(q); err != nil {
 		return nil, err
@@ -62,14 +58,13 @@ func (p *Plan) ExecuteGroupsIter(ctx context.Context, opts ExecOpts, q query.Que
 	if chunkSize <= 0 {
 		chunkSize = DefaultGroupChunk
 	}
-	it := &GroupIter{p: p, ctx: ctx, q: q, level: p.level(opts), chunk: chunkSize, bi: -1}
+	it := &GroupIter{p: p, ctx: ctx, qs: []query.Query{q}, level: p.level(opts), chunk: chunkSize, bi: -1}
 	if len(p.groupCols) == 0 {
 		res, err := p.ExecuteQuery(ctx, opts, q)
 		if err != nil {
 			return nil, err
 		}
 		it.buf = res.Groups
-		it.done = true
 	}
 	return it, nil
 }
@@ -83,7 +78,7 @@ func (it *GroupIter) Next() bool {
 	}
 	it.bi++
 	for it.bi >= len(it.buf) {
-		if it.done || it.err != nil {
+		if it.pos >= it.p.numGroups || it.err != nil {
 			return false
 		}
 		it.fill()
@@ -104,103 +99,16 @@ func (it *GroupIter) fill() {
 	p := it.p
 	it.buf, it.bi = it.buf[:0], 0
 	for it.pos < p.numGroups {
-		lo := it.pos
-		hi := lo + it.chunk
-		if hi > p.numGroups {
-			hi = p.numGroups
-		}
+		lo, hi := it.pos, min(it.pos+it.chunk, p.numGroups)
 		it.pos = hi
-		groups, err := p.executeGroupChunk(it.ctx, it.q, it.level, lo, hi)
+		rows, err := p.executeGroupChunk(it.ctx, it.qs, it.level, lo, hi)
 		if err != nil {
 			it.err = err
 			return
 		}
-		if len(groups) > 0 {
-			it.buf = groups
+		if len(rows[0]) > 0 {
+			it.buf = rows[0]
 			return
 		}
 	}
-	it.done = true
-}
-
-// executeGroupChunk runs the two-stage gated pipeline over group-key
-// ordinals [lo, hi): one gate batch for the chunk's keys, then one
-// aggregate batch over its live groups — the chunk-local image of
-// executeGroupsBatch for a single query. Keys are enumerated in ascending
-// ordinal (lexicographic) order and the chunk is sorted the same way the
-// materializing path sorts its full result, so concatenated chunks
-// reproduce that result row for row.
-func (p *Plan) executeGroupChunk(ctx context.Context, q query.Query, level float64, lo, hi int) ([]AQPGroup, error) {
-	nk := hi - lo
-	bindings := make([][]query.Predicate, nk)
-	gates := make([]estimator, nk)
-	b := newBatcher(2 * nk)
-	var keyBuf []float64
-	for ki := 0; ki < nk; ki++ {
-		keyBuf = groupKeyAt(p.groupVals, lo+ki, keyBuf)
-		preds := make([]query.Predicate, 0, len(q.Filters)+len(keyBuf))
-		preds = append(preds, q.Filters...)
-		preds = append(preds, groupFilters(p.groupCols, keyBuf)...)
-		bindings[ki] = preds
-		res, err := p.enqueueCount(b, p.count, preds, q.Disjunction)
-		if err != nil {
-			return nil, err
-		}
-		gates[ki] = res
-	}
-	if err := b.run(ctx, p.eng); err != nil {
-		return nil, err
-	}
-	counts := make([]Estimate, nk)
-	live := make([]bool, nk)
-	for ki, res := range gates {
-		est, err := res()
-		if err != nil {
-			return nil, err
-		}
-		counts[ki] = est
-		live[ki] = est.Value >= 0.5
-	}
-	aggs := make([]estimator, nk)
-	if p.q.Aggregate != query.Count {
-		b2 := newBatcher(2 * nk)
-		for ki := 0; ki < nk; ki++ {
-			if !live[ki] {
-				continue
-			}
-			res, err := p.enqueueAggregate(b2, p.count, bindings[ki], q.Disjunction)
-			if err != nil {
-				return nil, err
-			}
-			aggs[ki] = res
-		}
-		if err := b2.run(ctx, p.eng); err != nil {
-			return nil, err
-		}
-	}
-	var groups []AQPGroup
-	for ki := 0; ki < nk; ki++ {
-		if !live[ki] {
-			continue
-		}
-		est := counts[ki]
-		if aggs[ki] != nil {
-			var err error
-			est, err = aggs[ki]()
-			if err != nil {
-				return nil, err
-			}
-		}
-		groups = append(groups, finish(groupKeyAt(p.groupVals, lo+ki, nil), est, level))
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := groups[i].Key, groups[j].Key
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return groups, nil
 }

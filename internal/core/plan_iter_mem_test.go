@@ -1,9 +1,9 @@
 package core
 
 // plan_iter_mem_test.go proves the streaming GROUP BY memory contract: a
-// grouped query whose key space is 10^6 combinations — ten times the
-// materializing executor's cap — streams to completion inside a fixed heap
-// budget, because only one chunk of group keys is ever resident.
+// grouped query whose key space is 10^6 combinations — ten times what
+// ExecuteBatch accepts — streams to completion inside a fixed heap budget,
+// because only one chunk of group keys is ever resident.
 
 import (
 	"context"
@@ -58,9 +58,8 @@ func millionKeyEngine(t *testing.T) *Engine {
 
 // TestGroupIterMillionKeysBoundedMemory drains a 10^6-key GROUP BY through
 // the streaming iterator and asserts the live heap never grows past a
-// fixed budget — materializing the same key space would need well over
-// 100 MB of bindings alone (and the materializing executor refuses it
-// outright, which the test also pins down).
+// fixed budget (the eager entry, which would have to hold every row,
+// refuses the key space outright, which the test also pins down).
 func TestGroupIterMillionKeysBoundedMemory(t *testing.T) {
 	e := millionKeyEngine(t)
 	q := query.Query{Aggregate: query.Count, Tables: []string{"wide"},
@@ -69,9 +68,9 @@ func TestGroupIterMillionKeysBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The eager path must refuse this key space, not try to materialize it.
+	// The eager entry must refuse this key space, not try to hold it.
 	if _, err := p.ExecuteQuery(context.Background(), ExecOpts{}, q); err == nil {
-		t.Fatal("materializing executor accepted a million-key group-by")
+		t.Fatal("ExecuteQuery accepted a million-key group-by")
 	}
 
 	const heapBudget = 64 << 20 // bytes of allowed live-heap growth

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/table"
 )
 
 // collectIter drains a GroupIter into a slice.
@@ -50,24 +51,46 @@ func assertGroupsIdentical(t *testing.T, got, want []AQPGroup) {
 	}
 }
 
-// TestGroupIterMatchesMaterialized streams grouped queries at several
+// groupedClasses is the grouped query table of the pipeline tests:
+// COUNT/SUM/AVG, single-table and join, two group columns, a disjunction,
+// and filters that leave some candidate keys empty.
+func groupedClasses(tabs map[string]*table.Table) []query.Query {
+	return []query.Query{
+		{Aggregate: query.Count, Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
+		{Aggregate: query.Avg, AggColumn: "c_age", Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
+		{Aggregate: query.Sum, AggColumn: "c_age", Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
+		{Aggregate: query.Count, Tables: []string{"customer", "orders"},
+			GroupBy: []string{"c_region", "o_channel"}},
+		{Aggregate: query.Avg, AggColumn: "c_age", Tables: []string{"customer", "orders"},
+			GroupBy: []string{"o_channel"}},
+		// EUROPE has no 80-year-old: that key must be gated out.
+		{Aggregate: query.Sum, AggColumn: "c_age", Tables: []string{"customer"},
+			Filters: []query.Predicate{{Column: "c_region", Op: query.Eq, Value: euCode(tabs)}},
+			GroupBy: []string{"c_age"}},
+		{Aggregate: query.Count, Tables: []string{"customer", "orders"},
+			Filters: []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 60}},
+			GroupBy: []string{"c_region", "o_channel"}},
+		{Aggregate: query.Count, Tables: []string{"customer", "orders"},
+			Disjunction: []query.Predicate{
+				{Column: "c_age", Op: query.Lt, Value: 30},
+				{Column: "o_channel", Op: query.Eq, Value: onlineCode(tabs)},
+			},
+			GroupBy: []string{"c_region"}},
+	}
+}
+
+// TestGroupIterChunkSizeInvariance streams grouped queries at several
 // chunk sizes (including chunk=1 and chunk far beyond the key count) and
-// asserts the rows are bit-identical to the materializing path's, in the
-// same order.
-func TestGroupIterMatchesMaterialized(t *testing.T) {
+// asserts every size yields the same rows, bit for bit and in the same
+// order — the rows ExecuteQuery returns by draining the same pipeline in
+// DefaultGroupChunk steps. What the rows must BE is pinned independently
+// by TestGroupedRowsMatchUngroupedQueries.
+func TestGroupIterChunkSizeInvariance(t *testing.T) {
 	for _, joint := range []bool{false, true} {
-		e, _, _ := exactEnsemble(t, joint)
-		queries := []query.Query{
-			{Aggregate: query.Count, Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
-			{Aggregate: query.Avg, AggColumn: "c_age", Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
-			{Aggregate: query.Sum, AggColumn: "c_age", Tables: []string{"customer"}, GroupBy: []string{"c_region"}},
-			{Aggregate: query.Count, Tables: []string{"customer", "orders"},
-				GroupBy: []string{"c_region", "o_channel"}},
-			{Aggregate: query.Avg, AggColumn: "c_age", Tables: []string{"customer", "orders"},
-				GroupBy: []string{"o_channel"}},
+		e, _, tabs := exactEnsemble(t, joint)
+		queries := append(groupedClasses(tabs),
 			// Ungrouped: the iterator must yield the single row.
-			{Aggregate: query.Count, Tables: []string{"customer"}},
-		}
+			query.Query{Aggregate: query.Count, Tables: []string{"customer"}})
 		for qi, q := range queries {
 			p, err := e.Compile(q)
 			if err != nil {
@@ -77,7 +100,7 @@ func TestGroupIterMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("joint=%v query %d: execute: %v", joint, qi, err)
 			}
-			for _, chunk := range []int{0, 1, 2, 3, 1 << 20} {
+			for _, chunk := range []int{0, 1, 2, 3, 256, 1 << 20} {
 				it, err := p.ExecuteGroupsIter(context.Background(), ExecOpts{}, q, chunk)
 				if err != nil {
 					t.Fatalf("joint=%v query %d chunk %d: iter: %v", joint, qi, chunk, err)
@@ -93,8 +116,93 @@ func TestGroupIterMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// sameRowBits reports whether a grouped row carries exactly the estimate
+// and interval of an ungrouped single-row answer.
+func sameRowBits(row, ungrouped AQPGroup) bool {
+	eq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return eq(row.Estimate.Value, ungrouped.Estimate.Value) &&
+		eq(row.Estimate.Variance, ungrouped.Estimate.Variance) &&
+		eq(row.CILow, ungrouped.CILow) && eq(row.CIHigh, ungrouped.CIHigh)
+}
+
+// TestGroupedRowsMatchUngroupedQueries is the grouped pipeline's
+// independent oracle — the paper's "one estimate per group" (Section 4.2):
+// every emitted group equals, bit for bit in estimate and interval, the
+// separately compiled UNGROUPED query carrying that key's equality
+// filters; every candidate key whose ungrouped COUNT is below 0.5 is
+// absent; and nothing else is emitted. The must-fail twin checks the
+// comparison can tell rows apart: some live key's ungrouped answer must
+// differ from another key's row.
+func TestGroupedRowsMatchUngroupedQueries(t *testing.T) {
+	ctx := context.Background()
+	absent, distinguished := 0, 0
+	for _, joint := range []bool{false, true} {
+		e, _, tabs := exactEnsemble(t, joint)
+		for qi, q := range groupedClasses(tabs) {
+			p, err := e.Compile(q)
+			if err != nil {
+				t.Fatalf("joint=%v query %d: compile: %v", joint, qi, err)
+			}
+			res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
+			if err != nil {
+				t.Fatalf("joint=%v query %d: execute: %v", joint, qi, err)
+			}
+			// ungrouped answers q's aggregate (or COUNT) for one key.
+			ungrouped := func(agg query.AggType, key []float64) AQPGroup {
+				t.Helper()
+				uq := q
+				uq.Aggregate, uq.GroupBy = agg, nil
+				if agg == query.Count {
+					uq.AggColumn = ""
+				}
+				uq.Filters = append(append([]query.Predicate(nil), q.Filters...), groupFilters(q.GroupBy, key)...)
+				r, err := e.ExecuteContext(ctx, uq)
+				if err != nil {
+					t.Fatalf("joint=%v query %d key %v: ungrouped: %v", joint, qi, key, err)
+				}
+				return r.Groups[0]
+			}
+			rows := res.Groups
+			var answers []AQPGroup // ungrouped answer per emitted row
+			for ki := 0; ki < p.numGroups; ki++ {
+				key := groupKeyAt(p.groupVals, ki, nil)
+				if ungrouped(query.Count, key).Estimate.Value < 0.5 {
+					absent++
+					continue
+				}
+				if len(answers) == len(rows) {
+					t.Fatalf("joint=%v query %d: live key %v was not emitted", joint, qi, key)
+				}
+				row := rows[len(answers)]
+				for k := range key {
+					sameBits(t, "key", row.Key[k], key[k])
+				}
+				want := ungrouped(q.Aggregate, key)
+				if !sameRowBits(row, want) {
+					t.Fatalf("joint=%v query %d key %v: grouped row %+v != ungrouped %+v", joint, qi, key, row, want)
+				}
+				answers = append(answers, want)
+			}
+			if len(answers) != len(rows) {
+				t.Fatalf("joint=%v query %d: %d rows emitted, %d keys live", joint, qi, len(rows), len(answers))
+			}
+			for i := range rows {
+				if !sameRowBits(rows[i], answers[(i+1)%len(answers)]) {
+					distinguished++
+				}
+			}
+		}
+	}
+	if absent == 0 {
+		t.Fatal("no candidate key was gated out: the absence check never ran")
+	}
+	if distinguished == 0 {
+		t.Fatal("every row equals its neighbour's ungrouped answer: the comparison cannot fail")
+	}
+}
+
 // TestGroupIterConfidenceLevel asserts the iterator honors the execution
-// confidence level the same way the materializing path does.
+// confidence level the same way ExecuteQuery does.
 func TestGroupIterConfidenceLevel(t *testing.T) {
 	e, _, _ := exactEnsemble(t, true)
 	q := query.Query{Aggregate: query.Avg, AggColumn: "c_age",

@@ -171,20 +171,22 @@ func (s *Set) RecordRow(tableName string, t *table.Table, rowIdx int, sign int) 
 	}
 }
 
-// Score is one member's staleness reading.
+// Score is one member's staleness reading. The facade publishes it as
+// deepdb.DriftStat and /healthz marshals it: the JSON tags are that
+// endpoint's wire contract.
 type Score struct {
 	// Tables is the member's table set.
-	Tables []string
+	Tables []string `json:"tables"`
 	// Mutated counts mutations on those tables since the baseline;
 	// MutatedFraction normalizes by the baseline row count.
-	Mutated         uint64
-	MutatedFraction float64
+	Mutated         uint64  `json:"mutated"`
+	MutatedFraction float64 `json:"mutated_fraction"`
 	// MaxShift is the largest σ-normalized column mean shift against the
 	// baseline; ShiftColumn names the column attaining it.
-	MaxShift    float64
-	ShiftColumn string
+	MaxShift    float64 `json:"max_shift"`
+	ShiftColumn string  `json:"shift_column,omitempty"`
 	// Relearns counts completed re-learns of this member.
-	Relearns uint64
+	Relearns uint64 `json:"relearns"`
 }
 
 // Scores reports every member's current staleness, in ensemble order.

@@ -12,8 +12,8 @@ package spn
 // Clone returns a deep copy of the SPN that shares no mutable state with
 // the receiver: applying Insert/Delete/ApplyBatch to the clone leaves the
 // original — including its compiled flat evaluator — bit-for-bit
-// untouched. The clone carries its own freshly compiled flat evaluator
-// (when the source had one), so it is immediately servable.
+// untouched. The clone carries its own freshly compiled flat evaluator, so
+// it is immediately servable.
 func (s *SPN) Clone() *SPN {
 	out := &SPN{
 		Root:     s.Root.clone(),
@@ -22,12 +22,10 @@ func (s *SPN) Clone() *SPN {
 		Config:   s.Config,
 		colIdx:   s.colIdx,
 	}
-	if s.flat != nil {
-		// compileTree derives the weights exactly like refreshWeights does
-		// (same counts, same summation order), so the clone's evaluator is
-		// bit-identical to the source's.
-		out.flat = compileTree(out.Root, len(out.Columns))
-	}
+	// compileTree derives the weights exactly like refreshWeights does
+	// (same counts, same summation order), so the clone's evaluator is
+	// bit-identical to the source's.
+	out.flat = compileTree(out.Root, len(out.Columns))
 	return out
 }
 

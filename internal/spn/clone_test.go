@@ -111,24 +111,3 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	assertBatchMatchesTree(t, c, reqs, "mutated clone")
 }
-
-// TestCloneHandBuilt: cloning an uncompiled hand-built SPN keeps it on the
-// tree-walk path (no flat evaluator invented out of thin air).
-func TestCloneHandBuilt(t *testing.T) {
-	s := figure3SPN()
-	c := s.Clone()
-	if c.Compiled() != nil {
-		t.Fatal("clone of uncompiled SPN grew a flat evaluator")
-	}
-	want, err := s.Evaluate(Request{Cols: []ColQuery{{Col: 0, Ranges: []Range{PointRange(1)}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Evaluate(Request{Cols: []ColQuery{{Col: 0, Ranges: []Range{PointRange(1)}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("clone evaluates %v, source %v", got, want)
-	}
-}

@@ -11,7 +11,7 @@ package spn
 // node walk, so evaluating the many expectations a query plan emits (per
 // group key, per Theorem-2 branch, per inclusion-exclusion term, per
 // prepared-statement binding) costs one pass instead of one traversal
-// each. Results are bit-identical to Evaluate's tree walk: the flat form
+// each. Results are bit-identical to the tree walk's: the flat form
 // performs the same floating-point operations in the same order.
 
 import (
@@ -659,9 +659,9 @@ func (c *Compiled) evalSingle(req *Request, out []float64) error {
 }
 
 // Refresh rebuilds the SPN's derived evaluation state: the cached sum-node
-// count totals and the compiled flat evaluator. Learning and
-// deserialization call it; call it manually after building or mutating a
-// tree by hand if the batch path should use the flat evaluator.
+// count totals and the compiled flat evaluator every inference runs on.
+// Learning and deserialization call it; call it manually after building
+// or restructuring a tree by hand.
 func (s *SPN) Refresh() {
 	s.Root.RefreshTotals()
 	s.flat = compileTree(s.Root, len(s.Columns))
@@ -671,27 +671,12 @@ func (s *SPN) Refresh() {
 	}
 }
 
-// Compiled returns the flat evaluator, or nil for a hand-built SPN that
-// was never Refreshed (the batch path then falls back to the tree walk).
+// Compiled returns the flat evaluator.
 func (s *SPN) Compiled() *Compiled { return s.flat }
 
 // EvaluateBatch evaluates many requests in one pass over the compiled
 // flat form, writing request i's value into out[i]. Results are
-// bit-identical to per-request Evaluate; when the SPN was never compiled
-// it falls back to exactly that.
+// bit-identical to per-request Evaluate.
 func (s *SPN) EvaluateBatch(reqs []Request, out []float64) error {
-	if len(out) < len(reqs) {
-		return fmt.Errorf("spn: result buffer holds %d values for %d requests", len(out), len(reqs))
-	}
-	if s.flat != nil {
-		return s.flat.EvaluateBatch(reqs, out)
-	}
-	for i := range reqs {
-		v, err := s.Evaluate(reqs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
+	return s.flat.EvaluateBatch(reqs, out)
 }

@@ -68,7 +68,7 @@ func BenchmarkSPNEvalTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Evaluate(reqs[i%len(reqs)]); err != nil {
+		if _, err := s.evaluateTree(reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkSPNEvalTreeBatch16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := (i * batch) % (len(reqs) - batch + 1)
 		for _, req := range reqs[lo : lo+batch] {
-			if _, err := s.Evaluate(req); err != nil {
+			if _, err := s.evaluateTree(req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func BenchmarkSPNEvalTreeGrouped16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
-			if _, err := s.Evaluate(req); err != nil {
+			if _, err := s.evaluateTree(req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -131,17 +131,25 @@ func randomRequest(rng *rand.Rand, numCols int) Request {
 	return req
 }
 
-// assertBatchMatchesTree evaluates reqs through both paths and requires
-// bit-identical values.
+// assertBatchMatchesTree evaluates reqs through the reference tree walk
+// and through the compiled evaluator — as one batch and one at a time —
+// and requires bit-identical values.
 func assertBatchMatchesTree(t *testing.T, s *SPN, reqs []Request, label string) {
 	t.Helper()
 	want := make([]float64, len(reqs))
 	for i, req := range reqs {
-		v, err := s.Evaluate(req)
+		v, err := s.evaluateTree(req)
 		if err != nil {
-			t.Fatalf("%s: tree Evaluate: %v", label, err)
+			t.Fatalf("%s: tree walk: %v", label, err)
 		}
 		want[i] = v
+		single, err := s.Evaluate(req)
+		if err != nil {
+			t.Fatalf("%s: Evaluate: %v", label, err)
+		}
+		if math.Float64bits(single) != math.Float64bits(v) {
+			t.Fatalf("%s: request %d: Evaluate %v != tree %v (req=%+v)", label, i, single, v, req)
+		}
 	}
 	got := make([]float64, len(reqs))
 	if s.Compiled() == nil {
@@ -280,7 +288,7 @@ func TestCompiledConcurrent(t *testing.T) {
 		reqSets[i] = reqs
 		want := make([]float64, len(reqs))
 		for j, req := range reqs {
-			v, err := s.Evaluate(req)
+			v, err := s.evaluateTree(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,24 +318,4 @@ func TestCompiledConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestUncompiledFallback: a hand-built SPN that was never Refreshed must
-// answer EvaluateBatch through the tree walk.
-func TestUncompiledFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := randomSPN(rng, 3)
-	s.flat = nil
-	req := randomRequest(rng, 3)
-	want, err := s.Evaluate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 1)
-	if err := s.EvaluateBatch([]Request{req}, out); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(out[0]) != math.Float64bits(want) {
-		t.Fatalf("fallback %v != tree %v", out[0], want)
-	}
 }

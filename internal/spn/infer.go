@@ -19,10 +19,25 @@ type Request struct {
 	Cols []ColQuery
 }
 
-// Evaluate computes the request bottom-up: leaves return per-column
-// moments, product nodes multiply independent factors, sum nodes mix
-// children by weight.
+// Evaluate computes one request on the compiled flat evaluator — a batch
+// of one. Like EvaluateBatch it needs the derived state Refresh builds
+// (learning, deserialization and Clone all do; a tree assembled by hand
+// must be Refreshed first).
 func (s *SPN) Evaluate(req Request) (float64, error) {
+	var out [1]float64
+	if err := s.flat.evalSingle(&req, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// evaluateTree is the reference implementation of Evaluate: a recursive
+// walk over the learned tree, computing the request bottom-up — leaves
+// return per-column moments, product nodes multiply independent factors,
+// sum nodes mix children by weight. Nothing serves from it; it is the
+// oracle the flat == tree suites hold every compiled kernel to, bit for
+// bit.
+func (s *SPN) evaluateTree(req Request) (float64, error) {
 	byCol := make(map[int]ColQuery, len(req.Cols))
 	for _, cq := range req.Cols {
 		if cq.Col < 0 || cq.Col >= len(s.Columns) {

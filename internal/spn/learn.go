@@ -52,10 +52,10 @@ type SPN struct {
 	RowCount float64  // training rows (updated by Insert/Delete)
 	Config   LearnConfig
 
-	// flat is the compiled structure-of-arrays evaluator (compiled.go),
-	// built by Refresh at the end of learning and after deserialization,
-	// and rebuilt by Insert/Delete. Unexported so gob skips it. nil for
-	// hand-built trees; EvaluateBatch then falls back to the tree walk.
+	// flat is the compiled structure-of-arrays evaluator (compiled.go)
+	// every inference runs on, built by Refresh at the end of learning and
+	// after deserialization, by Clone, and re-weighted by Insert/Delete.
+	// Unexported so gob skips it.
 	flat *Compiled
 	// colIdx caches name -> scope index (built by Refresh; nil falls back
 	// to a linear scan).

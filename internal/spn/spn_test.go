@@ -152,7 +152,9 @@ func figure3SPN() *SPN {
 		Children:    []*Node{mk(regionLeft, ageLeft), mk(regionRight, ageRight)},
 		ChildCounts: []float64{300, 700},
 	}
-	return &SPN{Root: root, Columns: []string{"c_region", "c_age"}, RowCount: 1000}
+	s := &SPN{Root: root, Columns: []string{"c_region", "c_age"}, RowCount: 1000}
+	s.Refresh() // inference runs on the compiled form
+	return s
 }
 
 func TestFigure3dProbability(t *testing.T) {

@@ -83,16 +83,12 @@ func (s *SPN) EndBatch() {
 // recompile refreshes the flat evaluator after an update changed mixing
 // weights (leaf distributions are shared by pointer and need nothing).
 // The tree structure never changes, so this is an in-place,
-// allocation-free weight re-derivation rather than a rebuild; hand-built
-// SPNs that were never compiled stay on the tree path, and inside a
+// allocation-free weight re-derivation rather than a rebuild; inside a
 // BeginBatch/EndBatch window the re-derivation is deferred to EndBatch.
 // Updates run on the write path (the facade mutates only unpublished
 // copy-on-write clones), so the mutation never races a reader.
 func (s *SPN) recompile() {
-	if s.batching {
-		return
-	}
-	if s.flat != nil {
+	if !s.batching {
 		s.flat.refreshWeights()
 	}
 }

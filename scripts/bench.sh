@@ -72,7 +72,7 @@ END { print "\n]" }
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench 'Prepared|Unprepared|GroupByBatched|GroupByPerGroup|ResultCache|GroupStream|GroupMaterialized|ServeEstimate' -benchmem \
+go test -run '^$' -bench 'Prepared|Unprepared|GroupByBatched|ResultCache|GroupStream|ServeEstimate' -benchmem \
     -benchtime "$benchtime" . ./cmd/deepdb | tee "$tmp"
 parse_bench < "$tmp" > BENCH_query.json
 echo "wrote BENCH_query.json"

@@ -36,6 +36,12 @@ if go list -deps ./cmd/deepdb | grep -E '^repro/internal/(baselines|ml|bench)$';
     exit 1
 fi
 
+echo "== option/flag ratchet =="
+# The committed ceilings only ever go down: facade options and serve flags.
+[ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 25 ] &&
+    [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 18 ] ||
+    { echo "a new option needs two non-test callers with different values — see simplicity-review/Options"; exit 1; }
+
 echo "== benchmark module (vet + short tests) =="
 # benchmark/ is a nested module: root `go build ./...` and `go test ./...`
 # never see it, yet it compiles against the deepdb facade and parses
