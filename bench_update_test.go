@@ -1,5 +1,5 @@
-// Update-pipeline benchmarks: apply throughput of the synchronous vs the
-// batched asynchronous path, and reader latency while a writer streams
+// Update-pipeline benchmarks: apply throughput of flush-per-write
+// (WithSyncUpdates, batches of one) vs the coalescing default, and reader latency while a writer streams
 // mutations — the flat-reader-latency claim of the snapshot-isolated
 // serving design. scripts/bench.sh parses these into BENCH_update.json.
 //
@@ -8,7 +8,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -75,8 +74,9 @@ func orderRow(i int) map[string]deepdb.Value {
 	}
 }
 
-// BenchmarkUpdateApplySync measures per-row apply+publish cost of the
-// synchronous path (one copy-on-write batch per call).
+// BenchmarkUpdateApplySync measures per-row submit+apply+publish cost under
+// WithSyncUpdates: every call crosses the queue and waits for its own
+// copy-on-write batch of one.
 func BenchmarkUpdateApplySync(b *testing.B) {
 	db := updateFixture(b, deepdb.WithSyncUpdates())
 	b.ResetTimer()
@@ -222,27 +222,5 @@ func BenchmarkReaderLatencyDuringSyncUpdates(b *testing.B) {
 	stop.Store(true)
 	if err := <-writerDone; err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkUpdateApplyBatchSizes sweeps the pipeline batch cap, showing
-// how coalescing amortizes the per-publication copy-on-write cost.
-func BenchmarkUpdateApplyBatchSizes(b *testing.B) {
-	for _, size := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			db := updateFixture(b, deepdb.WithUpdateBatchSize(size))
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.Insert("orders", orderRow(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := db.Flush(ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			reportRowsPerSec(b)
-		})
 	}
 }

@@ -181,7 +181,7 @@ func figureDB(t *testing.T) *deepdb.DB {
 	blue := float64(c.Encode("blue"))
 	tb.AppendRow(deepdb.Float(red), deepdb.Int(1))
 	tb.AppendRow(deepdb.Float(blue), deepdb.Int(2))
-	db, err := deepdb.LearnDataset(context.Background(), s, deepdb.Dataset{"things": tb}, deepdb.WithExactLearner())
+	db, err := deepdb.LearnDataset(context.Background(), s, deepdb.Dataset{"things": tb})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -398,8 +399,62 @@ func TestFlushDeliversApplyErrors(t *testing.T) {
 	}
 }
 
+// TestSyncUpdateErrorGoesToTheWriter: under WithSyncUpdates a failing write
+// returns its own apply error from the call itself, every time, while other
+// goroutines hammer Flush and Save — they must never collect it in the
+// writer's place, and nothing is left pending for a later Flush.
+func TestSyncUpdateErrorGoesToTheWriter(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(400, 37)
+	db, err := deepdb.LearnDataset(ctx, s, data,
+		deepdb.WithMaxSamples(800), deepdb.WithSyncUpdates(), deepdb.WithSingleTableOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stop, stolen := make(chan struct{}), make(chan error, 2)
+	var wg sync.WaitGroup
+	path := filepath.Join(t.TempDir(), "m.deepdb")
+	for _, op := range []func() error{
+		func() error { return db.Flush(ctx) },
+		func() error { return db.Save(path) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if err := op(); err != nil {
+						stolen <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 150; i++ {
+		if err := db.Delete("orders", float64(900_000_000+i)); err == nil {
+			t.Fatalf("sync delete %d of an unknown pk returned nil: its error went elsewhere", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-stolen:
+		t.Fatalf("a concurrent Flush/Save collected a sync writer's error: %v", err)
+	default:
+	}
+	if err := db.Flush(ctx); err != nil {
+		t.Fatalf("Flush after sync failures = %v, want nothing pending", err)
+	}
+}
+
 // TestSyncUpdatesReadYourWrites: WithSyncUpdates applies before returning
-// — no Flush needed — and Close still works as a no-op.
+// — no Flush needed — through the same queue as the default path (a batch
+// of one operation), and Close still works.
 func TestSyncUpdatesReadYourWrites(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(800, 36)
@@ -429,8 +484,8 @@ func TestSyncUpdatesReadYourWrites(t *testing.T) {
 		t.Fatalf("generation %d -> %d, want +1", gen0, db.Generation())
 	}
 	st := db.UpdateStats()
-	if !st.SyncUpdates || st.Enqueued != 0 {
-		t.Fatalf("stats = %+v", st)
+	if !st.SyncUpdates || st.Enqueued != 1 || st.Applied != 1 || st.Batches != 1 || st.QueueDepth != 0 {
+		t.Fatalf("stats = %+v, want the sync write counted as one batch of one", st)
 	}
 	// A batch in which nothing applied must not publish a new (identical)
 	// snapshot — that would only thrash plan caches.
@@ -453,14 +508,15 @@ func TestSyncUpdatesReadYourWrites(t *testing.T) {
 }
 
 // TestUpdateGroupAtomicity: the rows of one Update call are never split
-// across published snapshots, even with a batch cap of 1 operation —
-// concurrent readers only ever see whole multiples of the group size.
+// across published snapshots — concurrent readers only ever see whole
+// multiples of the group size. (The strict case, a batch cap of one
+// operation, is internal/shard's TestGroupsNeverSplitAtMaxBatchOne.)
 func TestUpdateGroupAtomicity(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 	s, data := fixture(1200, 38)
 	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(2400), deepdb.WithSingleTableOnly(), deepdb.WithUpdateBatchSize(1))
+		deepdb.WithMaxSamples(2400), deepdb.WithSingleTableOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +586,8 @@ func TestUpdateGroupAtomicity(t *testing.T) {
 }
 
 // TestUpdatesAfterCloseFail: Close drains the pipeline; later mutations
-// are rejected while queries keep serving the last snapshot.
+// are rejected while queries keep serving the last snapshot, and a second
+// Close is a no-op.
 func TestUpdatesAfterCloseFail(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(800, 37)
@@ -557,5 +614,8 @@ func TestUpdatesAfterCloseFail(t *testing.T) {
 	}
 	if _, err := db.Query(ctx, "SELECT COUNT(*) FROM orders"); err != nil {
 		t.Fatalf("query after Close: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
 	}
 }

@@ -192,12 +192,10 @@ func TestChaosPeerFaults(t *testing.T) {
 	}
 }
 
-// TestChaosWALErrorPolicy pins the two WAL failure policies. Fail-stop
-// (the default): the first append failure latches, the write and every
-// later one is refused with ErrDurabilityLost, reads keep serving.
-// Degrade-to-volatile: writes keep succeeding in memory, loudly flagged
-// as non-crash-safe in UpdateStats until restart.
-func TestChaosWALErrorPolicy(t *testing.T) {
+// TestChaosWALFailStop pins the WAL failure policy: the first append or
+// fsync failure latches, the write and every later one is refused with
+// ErrDurabilityLost, reads keep serving.
+func TestChaosWALFailStop(t *testing.T) {
 	ctx := context.Background()
 	ins := func(i int) (string, map[string]deepdb.Value) {
 		return "orders", map[string]deepdb.Value{
@@ -265,29 +263,25 @@ func TestChaosWALErrorPolicy(t *testing.T) {
 		}
 	})
 
-	t.Run("degrade-volatile", func(t *testing.T) {
-		db := learnWAL(t, t.TempDir(), 600, 5,
-			deepdb.WithDurability(deepdb.DurabilitySync),
-			deepdb.WithWALErrorPolicy(deepdb.WALDegradeVolatile))
+	t.Run("fail-stop-fsync", func(t *testing.T) {
+		db := learnWAL(t, t.TempDir(), 600, 5, deepdb.WithDurability(deepdb.DurabilitySync))
 		defer db.Close()
 		enableChaos(t, "point=wal.append.sync;kind=error;errno=EIO;count=1")
 
-		// The append whose fsync fails is accepted anyway — in memory only.
-		for i := 0; i < 5; i++ {
+		// An append whose fsync fails was never durable, so it is refused
+		// like a failed write — and nothing reached the model.
+		for i := 0; i < 2; i++ {
 			table, values := ins(i)
-			if err := db.Insert(table, values); err != nil {
-				t.Fatalf("degraded insert %d: %v", i, err)
+			if err := db.Insert(table, values); !errors.Is(err, deepdb.ErrDurabilityLost) {
+				t.Fatalf("insert %d after injected fsync EIO: err = %v, want ErrDurabilityLost", i, err)
 			}
 		}
 		if err := db.Flush(ctx); err != nil {
-			t.Fatalf("flush while degraded: %v", err)
+			t.Fatalf("flush while fail-stopped: %v", err)
 		}
 		st := db.UpdateStats()
-		if !st.DurabilityLost || st.LastWALError == "" {
-			t.Fatalf("degraded mode not flagged: %+v", st)
-		}
-		if _, err := db.ExecuteQuery(ctx, equivalenceWorkload[0]); err != nil {
-			t.Fatalf("query while degraded: %v", err)
+		if !st.DurabilityLost || st.LastWALError == "" || st.Enqueued != 0 {
+			t.Fatalf("stats = %+v, want the failure latched and nothing enqueued", st)
 		}
 	})
 }

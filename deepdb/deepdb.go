@@ -26,15 +26,16 @@
 // every Query/EstimateCardinality/Prepare/Exec loads the current snapshot
 // with one atomic pointer read and runs entirely against it, so reads never
 // block — not on each other and not on writes. Insert/Delete/Update
-// enqueue their mutations by default; a background applier coalesces the
-// queue into batches, applies each batch to a private copy-on-write clone
-// (only the touched tables and models are copied) and atomically publishes
-// the result as the next snapshot. Mutations are applied in submission
-// order; Flush blocks until everything enqueued before it is published
-// (read-your-writes) and reports apply errors the asynchronous path
-// deferred. WithSyncUpdates restores the old blocking-write semantics, and
-// after a Flush the two are bit-identical. UpdateStats exposes queue
-// depth, apply lag and batch counters; Close drains the pipeline.
+// submit their mutation group to a background applier, which coalesces
+// whatever has queued up into batches, applies each batch to a private
+// copy-on-write clone (only the touched tables and models are copied) and
+// atomically publishes the result as the next snapshot. Mutations are
+// applied in submission order; Flush blocks until everything submitted
+// before it is published (read-your-writes) and reports apply errors.
+// WithSyncUpdates makes every write call wait for its own group and return
+// its apply error; the final state is bit-identical either way.
+// UpdateStats exposes queue depth, apply lag and batch counters; Close
+// drains the pipeline.
 //
 // # One host, N shards
 //
@@ -84,8 +85,8 @@ type snapshot struct {
 // front of it, and the broadcast write path into the shards. The shards
 // own everything below the broadcast (log, queue, apply, publish, replay,
 // checkpoint); the host owns what must be decided once for all of them —
-// admission, the WAL-failure policy, and when the shards' snapshots form a
-// consistent view. All methods are safe for concurrent use; queries never
+// admission, the fail-stop on WAL loss, and when the shards' snapshots form
+// a consistent view. All methods are safe for concurrent use; queries never
 // block on updates.
 type host struct {
 	cfg    config
@@ -118,13 +119,10 @@ type host struct {
 	mutMu  sync.Mutex
 	closed bool
 
-	// durabilityLost latches once any shard's WAL append or fsync has
-	// failed; what happens to writes after that is the WithWALErrorPolicy
-	// decision. walErrMu/walErr record the first cause for UpdateStats and
-	// /healthz.
-	durabilityLost atomic.Bool
-	walErrMu       sync.Mutex
-	walErr         string
+	// walErr latches the first WAL append or fsync failure on any shard:
+	// non-nil means durability is lost and writes are rejected from then
+	// on; the text is the cause UpdateStats and /healthz report.
+	walErr atomic.Pointer[string]
 
 	// wire, when set, binds an engine to the replica tier at the given ops
 	// token: the fresh engine of a view about to be published (prev is the
@@ -231,6 +229,9 @@ func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ens
 }
 
 func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
+	if cfg.shards > 1 || len(cfg.shardPeers) > 0 {
+		return nil, fmt.Errorf("deepdb: WithShards/WithShardPeers need a sharded constructor (OpenSharded or LearnDatasetSharded); Open/Learn/LearnDataset serve the whole ensemble from one shard")
+	}
 	// Drift tracking baselines against the pre-replay state, so mutations
 	// recovered from the WAL count toward staleness exactly like they did
 	// before the crash. A no-op without attached tables.

@@ -371,52 +371,42 @@ func TestHostBackpressureAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestHostWALFailurePolicyAcrossShardCounts: the first failed append
-// latches at every shard count — fail-stop refuses that write and every
-// later one with ErrDurabilityLost, degrade-to-volatile keeps accepting
-// them in memory under a loud flag — and reads keep serving either way.
-func TestHostWALFailurePolicyAcrossShardCounts(t *testing.T) {
+// TestHostWALFailStopAcrossShardCounts: the first failed append latches at
+// every shard count — that write and every later one is refused with
+// ErrDurabilityLost, no shard applies anything — and reads keep serving.
+func TestHostWALFailStopAcrossShardCounts(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{1, 2, 3} {
-		for _, policy := range []deepdb.WALErrorPolicy{deepdb.WALFailStop, deepdb.WALDegradeVolatile} {
-			t.Run(fmt.Sprintf("shards=%d/%v", n, policy), func(t *testing.T) {
-				db := learnHost(t, n, deepdb.WithWAL(t.TempDir()), deepdb.WithWALErrorPolicy(policy))
-				defer db.Close()
-				before, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			db := learnHost(t, n, deepdb.WithWAL(t.TempDir()))
+			defer db.Close()
+			before, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+			if err != nil {
+				t.Fatal(err)
+			}
+			enableChaos(t, "point=wal.append.write;kind=error;errno=EIO;count=1")
+			for i := 0; i < 3; i++ {
+				err := db.Insert("orders", map[string]deepdb.Value{
+					"o_id": deepdb.Int(9_400_000 + i), "o_c_id": deepdb.Int(i), "o_amount": deepdb.Float(42),
+				})
+				if !errors.Is(err, deepdb.ErrDurabilityLost) {
+					t.Fatalf("insert %d after the injected EIO: err = %v, want ErrDurabilityLost (latched)", i, err)
 				}
-				enableChaos(t, "point=wal.append.write;kind=error;errno=EIO;count=1")
-				for i := 0; i < 3; i++ {
-					err := db.Insert("orders", map[string]deepdb.Value{
-						"o_id": deepdb.Int(9_400_000 + i), "o_c_id": deepdb.Int(i), "o_amount": deepdb.Float(42),
-					})
-					if policy == deepdb.WALFailStop && !errors.Is(err, deepdb.ErrDurabilityLost) {
-						t.Fatalf("insert %d after the injected EIO: err = %v, want ErrDurabilityLost (latched)", i, err)
-					}
-					if policy == deepdb.WALDegradeVolatile && err != nil {
-						t.Fatalf("degraded insert %d: %v", i, err)
-					}
-				}
-				if err := db.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if st := db.UpdateStats(); !st.DurabilityLost || st.LastWALError == "" {
-					t.Fatalf("stats hide the latched failure: %+v", st)
-				}
-				after, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
-				if err != nil {
-					t.Fatalf("query with durability lost: %v", err)
-				}
-				want := 0.0
-				if policy == deepdb.WALDegradeVolatile {
-					want = 3
-				}
-				if got := after.Scalar() - before.Scalar(); math.Abs(got-want) > 1e-6 {
-					t.Fatalf("count moved by %v under %v, want %v", got, policy, want)
-				}
-			})
-		}
+			}
+			if err := db.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.UpdateStats(); !st.DurabilityLost || st.LastWALError == "" {
+				t.Fatalf("stats hide the latched failure: %+v", st)
+			}
+			after, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+			if err != nil {
+				t.Fatalf("query with durability lost: %v", err)
+			}
+			if got := after.Scalar() - before.Scalar(); math.Abs(got) > 1e-6 {
+				t.Fatalf("count moved by %v although every write was refused", got)
+			}
+		})
 	}
 }
 
@@ -526,6 +516,40 @@ func TestDriftTriggerRefusedWhenSharded(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardOptionsRefusedWhenUnsharded: the unsharded constructors serve
+// one whole-ensemble shard, so they refuse WithShards(n > 1) and
+// WithShardPeers — naming the sharded constructors — instead of silently
+// serving unsharded; WithShards(1) and no option at all still open.
+func TestShardOptionsRefusedWhenUnsharded(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(400, 51)
+	ok, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ok.Close()
+	model := filepath.Join(t.TempDir(), "m.deepdb")
+	if err := ok.Save(model); err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []deepdb.Option{deepdb.WithShards(2), deepdb.WithShardPeers("http://localhost:1")} {
+		_, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600), opt)
+		if err == nil || !strings.Contains(err.Error(), "LearnDatasetSharded") {
+			t.Fatalf("LearnDataset accepted a sharding option: err = %v", err)
+		}
+		if _, err := deepdb.Open(ctx, model, opt); err == nil || !strings.Contains(err.Error(), "OpenSharded") {
+			t.Fatalf("Open accepted a sharding option: err = %v", err)
+		}
+	}
+	for _, opts := range [][]deepdb.Option{nil, {deepdb.WithShards(1)}} {
+		db, err := deepdb.Open(ctx, model, opts...)
+		if err != nil {
+			t.Fatalf("Open with %d options: %v", len(opts), err)
+		}
+		db.Close()
 	}
 }
 

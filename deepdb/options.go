@@ -57,36 +57,6 @@ func ParseDurability(s string) (Durability, bool) {
 	return DurabilityBatched, false
 }
 
-// defaultCloseTimeout bounds how long Close waits for the update pipeline
-// to drain before giving up with an error.
-const defaultCloseTimeout = 30 * time.Second
-
-// WALErrorPolicy decides what happens to writes after the write-ahead log
-// fails (disk full, I/O error on append or fsync) — see WithWALErrorPolicy.
-type WALErrorPolicy int
-
-const (
-	// WALFailStop rejects every write once the WAL cannot persist it:
-	// mutations return ErrDurabilityLost (the serving tier turns that into
-	// 503) until the process is restarted against a healthy disk. No
-	// acknowledged write is ever less durable than the configured mode
-	// promises. The default.
-	WALFailStop WALErrorPolicy = iota
-	// WALDegradeVolatile keeps accepting writes into the in-memory pipeline
-	// after a WAL failure, sacrificing crash-durability for availability.
-	// The DB latches a loud health flag (UpdateStats.DurabilityLost, and
-	// "degraded" on /healthz) so operators see the trade the moment it is
-	// taken; a restart recovers only up to the last durable record.
-	WALDegradeVolatile
-)
-
-func (p WALErrorPolicy) String() string {
-	if p == WALDegradeVolatile {
-		return "degrade-volatile"
-	}
-	return "fail-stop"
-}
-
 // Defaults for the sharded tier's peer hardening knobs. The zero values
 // in config mean "use these"; the With* options override per DB.
 const (
@@ -95,24 +65,21 @@ const (
 
 // config is the resolved option set of one DB.
 type config struct {
-	ens          ensemble.Config
-	parallelism  int
-	dataDir      string
-	dataset      Dataset
-	planCache    int
-	resultCache  int
-	syncUpdates  bool
-	queueSize    int
-	maxBatch     int
-	walDir       string
-	durability   Durability
-	closeTimeout time.Duration
-	driftFrac    float64
-	driftShift   float64
-	shards       int
-	shardPeers   []string
-	nonBlocking  bool
-	walPolicy    WALErrorPolicy
+	ens         ensemble.Config
+	parallelism int
+	dataDir     string
+	dataset     Dataset
+	planCache   int
+	resultCache int
+	syncUpdates bool
+	queueSize   int
+	walDir      string
+	durability  Durability
+	driftFrac   float64
+	driftShift  float64
+	shards      int
+	shardPeers  []string
+	nonBlocking bool
 
 	// Peer hardening knobs (sharded tier with replicas). Zero = default.
 	peerAttempts      int
@@ -132,11 +99,9 @@ func (c *config) driftThresholds() drift.Thresholds {
 // own log directory ("" runs it without a WAL).
 func (c *config) shardConfig(walDir string) shard.Config {
 	return shard.Config{
-		QueueSize:    c.queueSize,
-		MaxBatch:     c.maxBatch,
-		WALDir:       walDir,
-		Durability:   c.durability.wal(),
-		CloseTimeout: c.closeTimeout,
+		QueueSize:  c.queueSize,
+		WALDir:     walDir,
+		Durability: c.durability.wal(),
 	}
 }
 
@@ -145,23 +110,11 @@ func (c *config) shardConfig(walDir string) shard.Config {
 // not per literal), small enough to keep eviction cheap.
 const defaultPlanCacheSize = 128
 
-// Default bounds of the asynchronous update pipeline: the queue absorbs
-// write bursts without blocking callers, the batch cap bounds how much
-// work (and copy-on-write cloning) a single snapshot publication amortizes.
-const (
-	defaultUpdateQueueSize = 1024
-	defaultUpdateBatchSize = 256
-)
-
+// defaultConfig leaves the update machinery's sizes to internal/shard: a
+// 1024-slot queue unless WithUpdateQueueSize says otherwise, and — as
+// constants — 256 operations per applied batch and a 30s drain on Close.
 func defaultConfig() config {
-	return config{
-		ens:       ensemble.DefaultConfig(),
-		planCache: defaultPlanCacheSize,
-		queueSize: defaultUpdateQueueSize,
-		maxBatch:  defaultUpdateBatchSize,
-
-		closeTimeout: defaultCloseTimeout,
-	}
+	return config{ens: ensemble.DefaultConfig(), planCache: defaultPlanCacheSize}
 }
 
 func (c *config) apply(opts []Option) {
@@ -205,12 +158,6 @@ func WithSingleTableOnly() Option {
 	return func(c *config) { c.ens.SingleTableOnly = true }
 }
 
-// WithExactLearner builds memorizing models instead of running structure
-// learning; intended for tiny data sets and tests.
-func WithExactLearner() Option {
-	return func(c *config) { c.ens.Exact = true }
-}
-
 // WithPlanCacheSize bounds the LRU cache of compiled query plans, keyed on
 // normalized query shape (default 128 entries). Cached plans make repeated
 // Query/EstimateCardinality calls of the same shape skip recompilation;
@@ -235,40 +182,30 @@ func WithResultCacheSize(n int) Option {
 	return func(c *config) { c.resultCache = n }
 }
 
-// WithSyncUpdates makes Insert/Delete/Update apply and publish their
-// mutations before returning — the pre-pipeline semantics: the caller sees
-// its own write on the very next query without calling Flush, at the cost
-// of paying the copy-on-write apply inline (writers wait on each other;
-// readers still never block). The asynchronous default enqueues instead
-// and applies in coalesced batches in the background. It means the same at
-// every shard count: a sharded DB applies the group on every shard before
-// returning.
+// WithSyncUpdates makes Insert/Delete/Update wait, inside the broadcast
+// lock, until their group is applied and published on every shard: the
+// caller sees its own write on the very next query and gets the group's
+// apply error (with the failing row's index) from the call itself — never
+// a concurrent Flush or Save in its place — at the cost of one
+// copy-on-write apply and one snapshot per call (writers wait on each
+// other; readers still never block). The default returns once the group is
+// queued and lets the applier coalesce. Same write path, same final state
+// — the equivalence suites' batch-of-one reference.
 func WithSyncUpdates() Option {
 	return func(c *config) { c.syncUpdates = true }
 }
 
-// WithUpdateQueueSize bounds the asynchronous update queue (default
+// WithUpdateQueueSize bounds the update queue (default
 // 1024 operations; an Update(rows...) call occupies one slot). When the
 // queue is full, Insert/Delete/Update block until the background applier
-// catches up — backpressure instead of unbounded memory. Ignored under
-// WithSyncUpdates.
+// catches up — backpressure instead of unbounded memory.
 func WithUpdateQueueSize(n int) Option {
 	return func(c *config) { c.queueSize = n }
 }
 
-// WithUpdateBatchSize caps how many queued update operations the
-// background applier coalesces into one copy-on-write batch and snapshot
-// publication (default 256; the rows of one Update call count as one
-// operation and are never split across snapshots). Larger batches
-// amortize cloning and evaluator recompiles over more rows; smaller ones
-// publish fresher snapshots.
-func WithUpdateBatchSize(n int) Option {
-	return func(c *config) { c.maxBatch = n }
-}
-
 // WithWAL enables the durable write-ahead log in dir (created if missing).
 // Every Insert/Delete/Update call appends its mutation group to the log
-// before it enters the pipeline queue, and opening a DB with the same WAL
+// before it enters the update queue, and opening a DB with the same WAL
 // directory replays whatever a previous process accepted but had not saved
 // — after a crash (even kill -9), replay followed by Flush reproduces the
 // pre-crash state bit-identically. Save checkpoints the log (the applied
@@ -282,15 +219,6 @@ func WithWAL(dir string) Option {
 // Only meaningful together with WithWAL.
 func WithDurability(d Durability) Option {
 	return func(c *config) { c.durability = d }
-}
-
-// WithCloseTimeout bounds how long Close waits for the background pipeline
-// to drain (default 30s). On timeout Close returns an error; the remaining
-// queue keeps applying in the background but is not guaranteed durable in
-// the model file (with a WAL it is still recoverable). d <= 0 waits
-// without bound.
-func WithCloseTimeout(d time.Duration) Option {
-	return func(c *config) { c.closeTimeout = d }
 }
 
 // WithDriftThreshold arms background re-learning on update volume: when
@@ -322,14 +250,15 @@ func WithDataDir(dir string) Option {
 }
 
 // WithDataset attaches already-loaded base tables to Open, instead of
-// reading CSVs from a directory.
+// reading CSVs from a directory. The tables are augmented in place with
+// synthetic tuple-factor (__fk_*) columns, like LearnDataset's.
 func WithDataset(ds Dataset) Option {
 	return func(c *config) { c.dataset = ds }
 }
 
 // WithShards asks OpenSharded/LearnDatasetSharded for n partitions
 // (default 1). The effective count may be lower when the ensemble has
-// fewer members than n. Other constructors ignore it.
+// fewer members than n. The unsharded constructors refuse n > 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -339,17 +268,10 @@ func WithShards(n int) Option {
 // DB: evaluation chunks of members owned by shard i are offloaded to
 // peers[i], and mutations are forwarded so replicas stay in lockstep. Any
 // replica failure falls back to the local model, so results are
-// bit-identical with or without peers.
+// bit-identical with or without peers. Sharded constructors only; the
+// unsharded ones refuse it.
 func WithShardPeers(urls ...string) Option {
 	return func(c *config) { c.shardPeers = append([]string(nil), urls...) }
-}
-
-// WithWALErrorPolicy decides how the DB behaves once the WAL fails
-// (default WALFailStop: reject writes with ErrDurabilityLost;
-// WALDegradeVolatile: keep serving writes in memory under a loud health
-// flag). Only meaningful together with WithWAL.
-func WithWALErrorPolicy(p WALErrorPolicy) Option {
-	return func(c *config) { c.walPolicy = p }
 }
 
 // WithPeerRetries sets the per-request attempt budget and base backoff for
@@ -394,7 +316,7 @@ func WithPeerProbeInterval(d time.Duration) Option {
 // catches up. Serving front-ends use this to turn backpressure into
 // 429 + Retry-After rather than pinning handler goroutines. Admission is
 // all-or-nothing across shards: a shed group is logged and enqueued
-// nowhere. Ignored under WithSyncUpdates.
+// nowhere.
 func WithNonBlockingUpdates() Option {
 	return func(c *config) { c.nonBlocking = true }
 }

@@ -177,10 +177,9 @@ func (db *DB) UpdateStats() UpdateStats {
 }
 
 // Close is the host's Close — drain the update pipeline (waiting at most
-// the WithCloseTimeout bound, 30s by default), close the WAL, return the
-// first undelivered apply error — and additionally waits for an in-flight
-// background re-learn. The DB remains queryable afterwards; further
-// updates fail. Idempotent.
+// 30s), close the WAL, return the first undelivered apply error — and
+// additionally waits for an in-flight background re-learn. The DB remains
+// queryable afterwards; further updates fail. Idempotent.
 func (db *DB) Close() error {
 	db.relearnMu.Lock()
 	db.relearnClosed = true

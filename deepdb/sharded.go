@@ -205,7 +205,7 @@ func (db *ShardedDB) forwardPeers(muts []ensemble.Mutation) {
 }
 
 // Close stops the peer prober, then closes the host: every shard is
-// drained (each bounded by WithCloseTimeout) and its WAL closed. The
+// drained (each waiting at most 30s) and its WAL closed. The
 // composed snapshot stays queryable; further updates fail. Idempotent.
 func (db *ShardedDB) Close() error {
 	db.probeOnce.Do(func() {

@@ -1,9 +1,9 @@
 package deepdb
 
 // updates.go is the host's write half: one broadcast path from
-// Insert/Delete/Update into every shard, the WAL-failure policy, and the
-// lifecycle operations (Flush, Save, Reload, Close) that fan out over the
-// shards.
+// Insert/Delete/Update into every shard (log everywhere, then Submit
+// everywhere), the fail-stop on WAL loss, and the lifecycle operations
+// (Flush, Save, Reload, Close) that fan out over the shards.
 //
 // Correctness model, in brief:
 //
@@ -41,43 +41,42 @@ import (
 // the mutation was NOT accepted — not logged, not enqueued, on any shard —
 // and the caller should retry later. Serving front-ends map it to 429 +
 // Retry-After. Test with errors.Is.
-var ErrQueueFull = shard.ErrQueueFull
+var ErrQueueFull = errors.New("deepdb: update queue full, retry later")
 
 // ErrDurabilityLost is returned by Insert/Delete/Update once the WAL has
-// failed (disk full, I/O error) and the DB runs the default WALFailStop
-// policy: the mutation was NOT accepted anywhere and writes stay rejected
-// until the process restarts on a healthy disk. Serving front-ends map it
-// to 503. Under WALDegradeVolatile writes keep succeeding instead, and
-// UpdateStats.DurabilityLost / a "degraded" /healthz carry the warning.
+// failed (disk full, I/O error): the mutation was NOT accepted anywhere
+// and writes stay rejected until the process restarts on a healthy disk —
+// no acknowledged write is ever less durable than the configured mode
+// promises. Serving front-ends map it to 503; UpdateStats.DurabilityLost
+// and a "degraded" /healthz carry the warning while reads keep serving.
 // Test with errors.Is.
 var ErrDurabilityLost = errors.New("deepdb: WAL durability lost, writes are not crash-safe")
 
 // Insert absorbs one new base-table row into the model incrementally
 // (Section 5.2 of the paper): no retraining happens. Missing columns
-// become NULL. By default the mutation is enqueued and applied by the
-// background pipeline — it becomes visible to queries when its batch's
-// snapshot is published, and apply errors are reported by the next Flush.
-// Under WithSyncUpdates it is applied and published before returning.
+// become NULL. The mutation is logged (with a WAL) and submitted to every
+// shard's applier; it becomes visible to queries when its batch's snapshot
+// is published, and apply errors are reported by the next Flush — or, under
+// WithSyncUpdates, by the call itself, which then waits for the publish.
 func (h *host) Insert(table string, values map[string]Value) error {
 	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
 }
 
 // Delete removes the base-table row with the given primary key from the
-// model incrementally. Asynchronous like Insert: a missing row is an apply
-// error reported by the next Flush (or immediately under WithSyncUpdates).
+// model incrementally. Submitted like Insert: a missing row is an apply
+// error reported by the next Flush (the call's own under WithSyncUpdates).
 func (h *host) Delete(table string, pk float64) error {
 	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
 }
 
 // Update applies a batch of row inserts. The rows travel through the
-// pipeline as one indivisible group (or apply under one lock with
-// WithSyncUpdates): queries never observe a half-applied Update — every
-// published snapshot contains the whole group or none of it. A failing
-// row does not block the others and there is no rollback; under
-// WithSyncUpdates the returned error indexes the failing row, on the
-// asynchronous path Flush reports it with its position in the applied
-// batch (which may include coalesced neighbors) and the underlying
-// cause.
+// pipeline as one indivisible group: queries never observe a half-applied
+// Update — every published snapshot contains the whole group or none of
+// it. A failing row does not block the others and there is no rollback;
+// Flush reports it with its position in the applied batch and the
+// underlying cause — under WithSyncUpdates the batch is this group alone,
+// so the returned error indexes the failing row; otherwise it may include
+// coalesced neighbors.
 func (h *host) Update(rows ...Row) error {
 	muts := make([]ensemble.Mutation, len(rows))
 	for i, r := range rows {
@@ -99,12 +98,12 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 	if h.closed {
 		return errClosed()
 	}
-	if h.cfg.nonBlocking && !h.cfg.syncUpdates {
+	if h.cfg.nonBlocking {
 		// Admission is all-or-nothing and comes BEFORE the append: a record
 		// logged but rejected with ErrQueueFull would still replay after a
 		// restart, silently re-applying a write the caller was told to
 		// retry. Under mutMu no other producer can steal the checked slots;
-		// a concurrent Flush barrier can, which makes the enqueue below block
+		// a concurrent Flush barrier can, which makes the submit below block
 		// for at most one apply cycle — never shed.
 		for _, sh := range h.shards {
 			if !sh.HasCapacity() {
@@ -114,43 +113,31 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 	}
 	// The broadcast is split into a log-everywhere phase and a
 	// submit-everywhere phase so a WAL failure on shard k surfaces before
-	// ANY shard has been mutated: under WALFailStop the group is rejected
-	// with no shard applying it (shards 0..k-1 carry a logged-but-never-
-	// acked tail record, which the compose-or-refuse check catches on the
-	// next open — see the runbook); under WALDegradeVolatile the group is
-	// admitted everywhere without an LSN — a post-restart replay stops at
-	// the last durable record — and serving continues in memory.
+	// ANY shard has been mutated: the group is rejected with no shard
+	// applying it (shards 0..k-1 carry a logged-but-never-acked tail record,
+	// which the compose-or-refuse check catches on the next open — see the
+	// runbook), and every later write fails the same way.
+	if cause := h.walErr.Load(); cause != nil {
+		return fmt.Errorf("%w: %s", ErrDurabilityLost, *cause)
+	}
 	lsns := make([]uint64, len(h.shards))
-	if h.durabilityLost.Load() {
-		if h.cfg.walPolicy != WALDegradeVolatile {
-			return fmt.Errorf("%w: %s", ErrDurabilityLost, h.lastWALError())
+	for i, sh := range h.shards {
+		lsn, err := sh.Log(muts)
+		if err != nil {
+			cause := err.Error()
+			h.walErr.Store(&cause) // first and only: the check above rejects every later write
+			return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
 		}
-	} else {
-		for i, sh := range h.shards {
-			lsn, err := sh.Log(muts)
-			if err != nil {
-				h.latchWALError(err)
-				if h.cfg.walPolicy != WALDegradeVolatile {
-					return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
-				}
-				clear(lsns) // the group is volatile on every shard
-				break
-			}
-			lsns[i] = lsn
-		}
+		lsns[i] = lsn
 	}
 	// Every shard gets the group even if one reports a failure: apply
 	// failures are deterministic across shards, and skipping the rest would
-	// misalign them.
+	// misalign them. Under WithSyncUpdates each Submit waits for the group's
+	// own result: mutMu keeps every other producer out, so the batch is this
+	// group alone and its error indexes the group's rows.
 	var first error
 	for i, sh := range h.shards {
-		var err error
-		if h.cfg.syncUpdates {
-			err = sh.ApplyLogged(muts, lsns[i])
-		} else {
-			err = sh.EnqueueLogged(muts, lsns[i])
-		}
-		if err != nil && first == nil {
+		if err := sh.Submit(muts, lsns[i], h.cfg.syncUpdates); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -160,30 +147,11 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 	return first
 }
 
-// latchWALError records the first WAL failure and flips the host into its
-// degraded-durability state.
-func (h *host) latchWALError(err error) {
-	h.walErrMu.Lock()
-	if h.walErr == "" {
-		h.walErr = err.Error()
-	}
-	h.walErrMu.Unlock()
-	h.durabilityLost.Store(true)
-}
-
-// lastWALError renders the latched WAL failure ("" while healthy).
-func (h *host) lastWALError() string {
-	h.walErrMu.Lock()
-	defer h.walErrMu.Unlock()
-	return h.walErr
-}
-
-// Flush blocks until every mutation enqueued before the call has been
+// Flush blocks until every mutation submitted before the call has been
 // applied and published on every shard — after Flush returns, queries (and
-// Save, Exact, Data) observe those writes, with results bit-identical to
-// the WithSyncUpdates path. It returns the first apply error deferred by
-// the asynchronous path since the previous Flush. A no-op under
-// WithSyncUpdates or when nothing was ever enqueued.
+// Save, Exact, Data) observe those writes, bit-identical however the
+// applier happened to batch them. It returns the first apply error since
+// the previous Flush. A no-op when nothing is pending.
 func (h *host) Flush(ctx context.Context) error {
 	var first error
 	for _, sh := range h.shards {
@@ -213,8 +181,8 @@ func (h *host) quiesce() error {
 }
 
 // Save writes the model (ensemble, dependency and per-table statistics,
-// schema) to path, atomically (temp file + rename). Pending asynchronous
-// updates are flushed first, so the file reflects every mutation accepted
+// schema) to path, atomically (temp file + rename). Pending updates are
+// flushed first, so the file reflects every mutation accepted
 // before the call; writers are held off only while the view to save is
 // picked, not while it is written. The base tables are not serialized; the
 // persisted statistics are enough to serve queries, and Open can reattach
@@ -255,8 +223,8 @@ func (h *host) Save(path string) error {
 // see the new generation atomically, on every shard at once: each shard's
 // part is published with its ops token preserved, and the host recomposes
 // only after the last one — all-old or all-new, never a mix. Pending
-// asynchronous updates are flushed into the old model first (they were
-// acked against it); the current base tables, if any, are carried over so
+// updates are flushed into the old model first (they were acked against
+// it); the current base tables, if any, are carried over so
 // updates and exact execution keep working. Writers are held off only for
 // the swap itself (attaching the tables and publishing), not while the
 // model file is read or the queues drain. A partitioned host keeps its
@@ -301,12 +269,11 @@ func (h *host) Reload(modelPath string) error {
 }
 
 // Close drains and stops every shard's update pipeline (each waiting at
-// most the WithCloseTimeout bound, 30s by default), syncs and closes the
-// WALs, and returns the first undelivered apply error (or the
-// drain-timeout error; with a WAL the undrained queue remains recoverable
-// by the next Open). The DB remains queryable afterwards (the published
-// snapshot stays valid); further updates fail. Close is idempotent — the
-// second and later calls are no-ops returning nil.
+// most 30s), syncs and closes the WALs, and returns the first undelivered
+// apply error (or the drain-timeout error; with a WAL the undrained queue
+// remains recoverable by the next Open). The DB remains queryable
+// afterwards (the published snapshot stays valid); further updates fail.
+// Close is idempotent — the second and later calls are no-ops returning nil.
 func (h *host) Close() error {
 	h.mutMu.Lock()
 	if h.closed {
@@ -330,8 +297,9 @@ func (h *host) Close() error {
 type UpdateStats struct {
 	// Generation is the current snapshot's publication counter.
 	Generation uint64 `json:"generation"`
-	// SyncUpdates reports whether the DB applies updates synchronously
-	// (WithSyncUpdates); the queue fields below stay zero then.
+	// SyncUpdates reports whether writes wait for their own apply
+	// (WithSyncUpdates). They cross the same queue, so the fields below
+	// count them too — as batches of one operation.
 	SyncUpdates bool `json:"sync_updates"`
 	// The queue fields aggregate over the shards (per-shard detail is in
 	// ShardedDB.ShardStats): counters are summed — a broadcast counts once
@@ -362,9 +330,9 @@ type UpdateStats struct {
 	// LastLSN is the highest logged position and AppliedLSN/CheckpointLSN
 	// the lowest watermarks.
 	WAL *WALStats `json:"wal,omitempty"`
-	// DurabilityLost reports that the WAL has failed: under WALFailStop
-	// writes are being rejected, under WALDegradeVolatile they are accepted
-	// into memory only. LastWALError renders the failure that tripped it.
+	// DurabilityLost reports that the WAL has failed and writes are being
+	// rejected (ErrDurabilityLost). LastWALError renders the failure that
+	// tripped it.
 	DurabilityLost bool   `json:"durability_lost,omitempty"`
 	LastWALError   string `json:"last_wal_error,omitempty"`
 	// PlanCacheHits/PlanCacheMisses count plan-cache lookups (a
@@ -445,10 +413,11 @@ func (h *host) UpdateStats() UpdateStats {
 	out := UpdateStats{
 		Generation:      s.gen,
 		SyncUpdates:     h.cfg.syncUpdates,
-		DurabilityLost:  h.durabilityLost.Load(),
-		LastWALError:    h.lastWALError(),
 		PlanCacheSize:   h.plans.size(),
 		ResultCacheSize: h.resCache.size(),
+	}
+	if cause := h.walErr.Load(); cause != nil {
+		out.DurabilityLost, out.LastWALError = true, *cause
 	}
 	if h.plans != nil {
 		out.PlanCacheHits, out.PlanCacheMisses = h.plans.hits.Load(), h.plans.misses.Load()

@@ -266,36 +266,3 @@ func TestDriftTriggersBackgroundRelearn(t *testing.T) {
 		t.Fatalf("count after re-learn = %v, want %v", res.Scalar(), n0+inserts)
 	}
 }
-
-// TestCloseTimeoutBounded: Close gives up after WithCloseTimeout and
-// reports it; a second Close is a safe no-op.
-func TestCloseTimeoutBounded(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(800, 43)
-	// Batch size 1 makes the drain pay one clone+publish per queued
-	// mutation, so a late Close cannot finish within a millisecond.
-	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(1600), deepdb.WithUpdateBatchSize(1),
-		deepdb.WithCloseTimeout(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := db.Insert("orders", map[string]deepdb.Value{
-			"o_id": deepdb.Int(24_000_000 + i), "o_c_id": deepdb.Int(i % 100), "o_amount": deepdb.Float(5),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = db.Close()
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("Close = %v, want drain-timeout error", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("second Close = %v, want nil", err)
-	}
-	// The snapshot stays serveable after a timed-out Close.
-	if _, err := db.Query(ctx, "SELECT COUNT(*) FROM orders"); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -14,7 +14,6 @@ import (
 // host mirrors the facade host's relevant fields.
 type host struct {
 	mutMu  sync.Mutex
-	sync   bool
 	shards []*shard.Shard
 }
 
@@ -32,13 +31,7 @@ func (h *host) GoodBroadcast(muts []ensemble.Mutation) error {
 		lsns[i] = lsn
 	}
 	for i, sh := range h.shards {
-		var err error
-		if h.sync {
-			err = sh.ApplyLogged(muts, lsns[i])
-		} else {
-			err = sh.EnqueueLogged(muts, lsns[i])
-		}
-		if err != nil {
+		if err := sh.Submit(muts, lsns[i], false); err != nil {
 			return err
 		}
 	}
@@ -70,12 +63,12 @@ func (h *host) BadSubmitAfterUnlock(muts []ensemble.Mutation) error {
 	if err != nil {
 		return err
 	}
-	return h.shards[0].EnqueueLogged(muts, lsn) // want `shard EnqueueLogged outside the mutMu critical section`
+	return h.shards[0].Submit(muts, lsn, false) // want `shard Submit outside the mutMu critical section`
 }
 
-// BadSyncUnlocked applies synchronously without the broadcast lock.
-func (h *host) BadSyncUnlocked(muts []ensemble.Mutation) error {
-	return h.shards[0].ApplyLogged(muts, 0) // want `shard ApplyLogged outside the mutMu critical section`
+// BadSubmitUnlocked submits without ever taking the broadcast lock.
+func (h *host) BadSubmitUnlocked(muts []ensemble.Mutation) error {
+	return h.shards[0].Submit(muts, 0, false) // want `shard Submit outside the mutMu critical section`
 }
 
 // BadWrongLock holds a lock that is not the broadcast lock.
@@ -83,11 +76,11 @@ func (h *host) BadWrongLock(muts []ensemble.Mutation) error {
 	var otherMu sync.Mutex
 	otherMu.Lock()
 	defer otherMu.Unlock()
-	return h.shards[0].EnqueueLogged(muts, 0) // want `shard EnqueueLogged outside the mutMu critical section`
+	return h.shards[0].Submit(muts, 0, false) // want `shard Submit outside the mutMu critical section`
 }
 
 // SuppressedSingleProducer is a reviewed exception.
 func (h *host) SuppressedSingleProducer(muts []ensemble.Mutation) error {
 	//deepdb:walordered fixture: a single-producer tool owns the shard exclusively
-	return h.shards[0].EnqueueLogged(muts, 0)
+	return h.shards[0].Submit(muts, 0, false)
 }

@@ -28,7 +28,7 @@ func (s *Shard) GoodOrdered(payload []byte, m mutation) error {
 	if _, err := s.wal.Append(payload); err != nil {
 		return err
 	}
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }
 
 // appendLocked is the one raw append: exempt by name because its callers
@@ -45,7 +45,7 @@ func (s *Shard) GoodAppendInner(payload []byte, m mutation) error {
 	if _, err := s.appendLocked(payload); err != nil {
 		return err
 	}
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }
 
 // BadAppendInnerUnlocked calls the helper without the lock it assumes.
@@ -57,28 +57,28 @@ func (s *Shard) BadAppendInnerUnlocked(payload []byte) error {
 // GoodNoWAL enqueues on the wal == nil fast path: no ordering needed.
 func (s *Shard) GoodNoWAL(m mutation) error {
 	if s.wal == nil {
-		return s.pipe.Enqueue(m)
+		return s.pipe.Enqueue(m, false)
 	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if _, err := s.wal.Append(nil); err != nil {
 		return err
 	}
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }
 
-// EnqueueLogged is the designated post-log submit: the LSN comes from the
+// Submit is the designated post-log submit: the LSN comes from the
 // caller's Log, and the caller (the host, under mutMu) owes the ordering.
-func (s *Shard) EnqueueLogged(m mutation, lsn uint64) error {
+func (s *Shard) Submit(m mutation, lsn uint64) error {
 	m.n = int(lsn)
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }
 
 // BadSubmitLookalike enqueues a caller-logged group outside the designated
 // function: the exemption is by name, not by shape.
 func (s *Shard) BadSubmitLookalike(m mutation, lsn uint64) error {
 	m.n = int(lsn)
-	return s.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
+	return s.pipe.Enqueue(m, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
 // BadAppendUnlocked appends outside the critical section.
@@ -91,7 +91,7 @@ func (s *Shard) BadAppendUnlocked(payload []byte) error {
 func (s *Shard) BadEnqueueFirst(payload []byte, m mutation) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	if err := s.pipe.Enqueue(m); err != nil { // want `pipeline enqueue not dominated by a WAL append`
+	if err := s.pipe.Enqueue(m, false); err != nil { // want `pipeline enqueue not dominated by a WAL append`
 		return err
 	}
 	_, err := s.wal.Append(payload)
@@ -100,7 +100,7 @@ func (s *Shard) BadEnqueueFirst(payload []byte, m mutation) error {
 
 // BadEnqueueNoLock enqueues with no lock and no nil check at all.
 func (s *Shard) BadEnqueueNoLock(m mutation) error {
-	return s.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
+	return s.pipe.Enqueue(m, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
 // BadUnlockBetween releases walMu between append and enqueue: another
@@ -114,21 +114,21 @@ func (s *Shard) BadUnlockBetween(payload []byte, m mutation) error {
 	s.walMu.Unlock()
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	return s.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
+	return s.pipe.Enqueue(m, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
 // SuppressedReplay is the reviewed recovery exception: replay enqueues
 // directly because the WAL is the source, not the destination.
 func (s *Shard) SuppressedReplay(m mutation) error {
 	//deepdb:walordered recovery replays from the log itself; ordering is the log order
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }
 
 // GoodNonNilBranch shows the complementary nil refinement: inside the
 // != nil branch an unordered enqueue is still flagged.
 func (s *Shard) GoodNonNilBranch(m mutation) error {
 	if s.wal != nil {
-		return s.pipe.Enqueue(m) // want `pipeline enqueue not dominated by a WAL append`
+		return s.pipe.Enqueue(m, false) // want `pipeline enqueue not dominated by a WAL append`
 	}
-	return s.pipe.Enqueue(m)
+	return s.pipe.Enqueue(m, false)
 }

@@ -9,14 +9,14 @@
 //     `wal == nil` check — the no-WAL path needs no ordering). The raw
 //     Append sits in one helper, appendLocked, whose callers hold walMu:
 //     a call to it is checked, and counts, as the append. The one enqueue
-//     exception is EnqueueLogged, the designated post-log submit: it
+//     exception is Submit, the shard's one door into the model: it
 //     receives the LSN its caller obtained from Log, and the caller owes
 //     the ordering.
 //   - The host (deepdb) pays that debt: it splits every broadcast into a
 //     log-everywhere and a submit-everywhere phase, and both — the
-//     (*shard.Shard).Log calls and the EnqueueLogged/ApplyLogged calls —
-//     must run inside one mutMu critical section, so two producers can
-//     never interleave their log and submit phases on any shard.
+//     (*shard.Shard).Log calls and the Submit calls — must run inside one
+//     mutMu critical section, so two producers can never interleave their
+//     log and submit phases on any shard.
 //
 // Within each function the analyzer runs a small abstract interpretation
 // over the statement list (tracking which order locks are held,
@@ -35,7 +35,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
 	Doc: "requires WAL appends under walMu and pipeline enqueues dominated by one in the shard, " +
-		"and the host's shard Log/EnqueueLogged/ApplyLogged broadcast to run under mutMu",
+		"and the host's shard Log/Submit broadcast to run under mutMu",
 	Scope: map[string]bool{
 		"repro/deepdb":         true,
 		"repro/internal/shard": true,
@@ -45,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 
 // submitAllowed names the shard's designated post-log submit function: the
 // only place a pipeline Enqueue may sit without a dominating append.
-var submitAllowed = map[string]bool{"EnqueueLogged": true}
+var submitAllowed = map[string]bool{"Submit": true}
 
 // appendInner names the shard's one raw append. It runs under its callers'
 // walMu hold, so the Append inside it is exempt by name and a call to it is
@@ -54,7 +54,7 @@ const appendInner = "appendLocked"
 
 // broadcastOps are the shard methods that make up the host's log-then-
 // submit broadcast.
-var broadcastOps = map[string]bool{"Log": true, "EnqueueLogged": true, "ApplyLogged": true}
+var broadcastOps = map[string]bool{"Log": true, "Submit": true}
 
 // state is the abstract machine state at one program point.
 type state struct {
@@ -293,7 +293,7 @@ func (w *walker) call(call *ast.CallExpr, st state) state {
 		}
 	case w.isEnqueue(call):
 		if st.walNil != 1 && !(st.muHeld && st.appended) && !submitAllowed[w.fn] && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check) outside EnqueueLogged: a crash would replay a different order than was applied")
+			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check) outside Submit: a crash would replay a different order than was applied")
 		}
 	default:
 		if op := w.broadcastOp(call); op != "" && !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
@@ -326,10 +326,10 @@ func (w *walker) muOp(call *ast.CallExpr) (mu, op string) {
 	return mu, method
 }
 
-// broadcastOp matches the host's side of the protocol: a Log,
-// EnqueueLogged or ApplyLogged call on an internal/shard.Shard made from
-// another package (the shard's own internal uses — the applier, ApplySync
-// — are ordered by its queue and walMu). It returns the method name, or "".
+// broadcastOp matches the host's side of the protocol: a Log or Submit
+// call on an internal/shard.Shard made from another package (the shard's
+// own internal use — ApplySync — is ordered by walMu). It returns the
+// method name, or "".
 func (w *walker) broadcastOp(call *ast.CallExpr) string {
 	recv, method := analysis.MethodCall(call)
 	if !broadcastOps[method] || analysis.NormPath(w.pass.Pkg.Path()) == "repro/internal/shard" {

@@ -141,8 +141,9 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 // AttachTables (re)attaches live base tables to a loaded ensemble. Freshly
 // loaded base tables (e.g. from CSV) lack the synthetic tuple-factor
 // columns Build added; they are re-derived here so updates keep working
-// after a load. The persisted statistics stay authoritative for query
-// serving; they are only (re)captured when the ensemble has none.
+// after a load — the tables handed in are augmented in place with __fk_*
+// columns, as Build does. The persisted statistics stay authoritative for
+// query serving; they are only (re)captured when the ensemble has none.
 func (e *Ensemble) AttachTables(tables map[string]*table.Table) error {
 	for _, meta := range e.Schema.Tables {
 		if tables[meta.Name] == nil {

@@ -12,19 +12,12 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
 )
-
-// ErrQueueFull is what a producer that must not block (an HTTP handler
-// shedding load with a 429) rejects a mutation with when HasCapacity
-// reports no free slot; callers test for it with errors.Is and tell the
-// producer to retry later.
-var ErrQueueFull = errors.New("pipeline: queue full")
 
 // Stats is a point-in-time snapshot of pipeline counters, the substance of
 // deepdb.DB.UpdateStats.
@@ -58,11 +51,13 @@ type Stats struct {
 // non-nil. A barrier only signals completion (the channel is closed once
 // everything enqueued before it was applied); the waiting Flush then
 // collects the pending error itself, so a Flush abandoned by context
-// cancellation leaves the error in place for the next one.
+// cancellation leaves the error in place for the next one. A mutation
+// whose producer waits carries res, which receives its batch's apply error.
 type item[T any] struct {
 	mut  T
 	enq  time.Time
 	done chan struct{}
+	res  chan error
 }
 
 // Pipeline is a bounded queue of T drained by one background applier.
@@ -81,14 +76,16 @@ type Pipeline[T any] struct {
 
 	mu         sync.Mutex
 	stats      Stats
-	pendingErr error // first apply error not yet surfaced through Flush
+	pendingErr error // first apply error no producer waited for, not yet surfaced through Flush
 
 	wg sync.WaitGroup
 }
 
-// New starts a pipeline with the given queue bound, maximum batch size and
+// New builds a pipeline with the given queue bound, maximum batch size and
 // apply callback. The callback runs on the applier goroutine only, one
-// invocation at a time, with batches in strict enqueue order.
+// invocation at a time, with batches in strict enqueue order. The applier
+// starts with the first mutation: a pipeline that is never fed holds no
+// goroutine, and nothing is lost by not closing it.
 func New[T any](queueSize, maxBatch int, apply func([]T) error) *Pipeline[T] {
 	if queueSize < 1 {
 		queueSize = 1
@@ -96,25 +93,52 @@ func New[T any](queueSize, maxBatch int, apply func([]T) error) *Pipeline[T] {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	p := &Pipeline[T]{apply: apply, ch: make(chan item[T], queueSize), maxBatch: maxBatch}
-	p.wg.Add(1)
-	go p.run()
-	return p
+	return &Pipeline[T]{apply: apply, ch: make(chan item[T], queueSize), maxBatch: maxBatch}
 }
 
-// Enqueue appends one mutation, blocking when the queue is full until the
-// applier frees a slot. It fails only after Close.
-func (p *Pipeline[T]) Enqueue(m T) error {
+// send queues one item, blocking while the queue is full. It reports false
+// when there is nothing to queue behind: after Close, and for a barrier on
+// a pipeline no mutation has entered yet.
+func (p *Pipeline[T]) send(it item[T]) bool {
 	p.sendMu.RLock()
 	defer p.sendMu.RUnlock()
 	if p.closed {
-		return fmt.Errorf("pipeline: closed")
+		return false
 	}
 	p.mu.Lock()
-	p.stats.Enqueued++
+	if it.done == nil {
+		if p.stats.Enqueued++; p.stats.Enqueued == 1 {
+			p.wg.Add(1)
+			go p.run()
+		}
+	}
+	fed := p.stats.Enqueued > 0
 	p.mu.Unlock()
-	p.ch <- item[T]{mut: m, enq: time.Now()}
-	return nil
+	if fed {
+		p.ch <- it
+	}
+	return fed
+}
+
+// Enqueue appends one mutation, blocking when the queue is full until the
+// applier frees a slot. With wait it also blocks until the mutation's batch
+// has been applied and returns that batch's apply error — the producer's
+// own result, which no Flush can collect instead; a producer that alone
+// feeds the queue while it waits gets a batch of exactly its mutation.
+// Without wait, apply errors are deferred to the next Flush. It fails
+// without queueing only after Close.
+func (p *Pipeline[T]) Enqueue(m T, wait bool) error {
+	it := item[T]{mut: m, enq: time.Now()}
+	if wait {
+		it.res = make(chan error, 1)
+	}
+	if !p.send(it) {
+		return fmt.Errorf("pipeline: closed")
+	}
+	if !wait {
+		return nil
+	}
+	return <-it.res
 }
 
 // HasCapacity reports whether at least one queue slot is currently free. A
@@ -126,18 +150,16 @@ func (p *Pipeline[T]) HasCapacity() bool { return len(p.ch) < cap(p.ch) }
 // Flush blocks until every mutation enqueued before the call has been
 // applied (and, through the callback, published), then reports the first
 // apply error that occurred since the previous Flush — read-your-writes
-// plus deferred error delivery for the asynchronous path. A cancelled ctx
-// abandons the wait (the flush barrier still drains harmlessly later).
+// plus deferred error delivery for producers that did not wait. A
+// cancelled ctx abandons the wait (the flush barrier still drains
+// harmlessly later).
 func (p *Pipeline[T]) Flush(ctx context.Context) error {
-	p.sendMu.RLock()
-	if p.closed {
-		p.sendMu.RUnlock()
-		// Everything was drained by Close; only deliver a pending error.
+	done := make(chan struct{})
+	if !p.send(item[T]{done: done}) {
+		// Everything was drained by Close, or nothing was ever enqueued;
+		// only deliver a pending error.
 		return p.takePendingErr()
 	}
-	done := make(chan struct{})
-	p.ch <- item[T]{done: done}
-	p.sendMu.RUnlock()
 	select {
 	case <-done:
 		return p.takePendingErr()
@@ -202,18 +224,23 @@ func (p *Pipeline[T]) takePendingErr() error {
 }
 
 // run is the applier loop: take one item, greedily coalesce whatever else
-// is immediately available (up to maxBatch mutations), apply, signal any
-// flush barriers that rode along, repeat.
+// is immediately available (up to maxBatch mutations), apply, hand the
+// result to the producers waiting for it, signal any flush barriers that
+// rode along, repeat.
 func (p *Pipeline[T]) run() {
 	defer p.wg.Done()
 	for first := range p.ch {
 		muts := make([]T, 0, p.maxBatch)
 		var barriers []chan struct{}
+		var waiters []chan error
 		var oldest time.Time
 		add := func(it item[T]) {
 			if it.done != nil {
 				barriers = append(barriers, it.done)
 				return
+			}
+			if it.res != nil {
+				waiters = append(waiters, it.res)
 			}
 			if oldest.IsZero() {
 				oldest = it.enq
@@ -254,11 +281,16 @@ func (p *Pipeline[T]) run() {
 			if err != nil {
 				p.stats.Errors++
 				p.stats.LastError = err.Error()
-				if p.pendingErr == nil {
+				// Deferred for Flush only on behalf of a producer that did
+				// not wait; the waiting ones are told directly, once.
+				if p.pendingErr == nil && len(waiters) < len(muts) {
 					p.pendingErr = err
 				}
 			}
 			p.mu.Unlock()
+		}
+		for _, w := range waiters {
+			w <- err
 		}
 		for _, b := range barriers {
 			close(b)

@@ -24,7 +24,7 @@ func TestChaosApplierInjectedError(t *testing.T) {
 	p := New(16, 4, c.apply)
 	defer p.Close()
 
-	if err := p.Enqueue(1); err != nil {
+	if err := p.Enqueue(1, false); err != nil {
 		t.Fatal(err)
 	}
 	ferr := p.Flush(context.Background())
@@ -40,7 +40,7 @@ func TestChaosApplierInjectedError(t *testing.T) {
 	}
 
 	// The rule is exhausted: the pipeline keeps working.
-	if err := p.Enqueue(2); err != nil {
+	if err := p.Enqueue(2, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(context.Background()); err != nil {

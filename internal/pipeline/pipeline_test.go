@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func TestOrderAndFlush(t *testing.T) {
 	defer p.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := p.Enqueue(i); err != nil {
+		if err := p.Enqueue(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +82,7 @@ func TestCoalescing(t *testing.T) {
 	c := &collectingApplier{block: make(chan struct{})}
 	p := New(64, 8, c.apply)
 	defer p.Close()
-	if err := p.Enqueue(0); err != nil {
+	if err := p.Enqueue(0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the applier to pick item 0 up and block inside apply, then
@@ -90,7 +91,7 @@ func TestCoalescing(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 1; i < 20; i++ {
-		if err := p.Enqueue(i); err != nil {
+		if err := p.Enqueue(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestErrorDelivery(t *testing.T) {
 	p := New(16, 1, c.apply)
 	defer p.Close()
 	for i := 0; i < 6; i++ {
-		if err := p.Enqueue(i); err != nil {
+		if err := p.Enqueue(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +165,7 @@ func TestFlushContextCancel(t *testing.T) {
 	boom := errors.New("boom")
 	c := &collectingApplier{block: make(chan struct{}), fail: func([]int) error { return boom }}
 	p := New(16, 4, c.apply)
-	if err := p.Enqueue(1); err != nil {
+	if err := p.Enqueue(1, false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -181,13 +182,97 @@ func TestFlushContextCancel(t *testing.T) {
 	p.Close()
 }
 
+// TestEnqueueWaitOwnsItsError: a producer that waits is told its batch's
+// apply error directly and exactly once — Flush calls racing it never
+// collect that error, and none is left pending afterwards. A batch that
+// also carries a mutation nobody waited for still defers the error to
+// Flush on that mutation's behalf.
+func TestEnqueueWaitOwnsItsError(t *testing.T) {
+	boom := errors.New("boom")
+	c := &collectingApplier{fail: func(b []int) error {
+		for _, m := range b {
+			if m%2 == 1 {
+				return fmt.Errorf("%w in %v", boom, b)
+			}
+		}
+		return nil
+	}}
+	p := New(16, 4, c.apply)
+	stop, stolen := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(stolen)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := p.Flush(context.Background()); err != nil {
+					stolen <- err
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		err := p.Enqueue(i, true)
+		if want := i%2 == 1; (err != nil) != want || (want && err.Error() != fmt.Sprintf("boom in [%d]", i)) {
+			t.Fatalf("Enqueue(%d, wait) = %v, want its own error: %v", i, err, want)
+		}
+	}
+	close(stop)
+	if err := <-stolen; err != nil {
+		t.Fatalf("a racing Flush collected a waiting producer's error: %v", err)
+	}
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after waited failures = %v, want nothing pending", err)
+	}
+	if st := p.Stats(); st.Errors != 100 || st.Enqueued != 200 || st.Applied != 200 {
+		t.Fatalf("stats = %+v, want 100 errors over 200 mutations", st)
+	}
+
+	p.Close()
+
+	// Mixed batch: hold the applier inside batch [0], queue an unwaited 3
+	// and a waited 2 behind it, release — [3 2] fails once, for both
+	// audiences.
+	entered, release := make(chan struct{}), make(chan struct{})
+	q := New(16, 4, func(b []int) error {
+		if b[0] == 0 {
+			close(entered)
+			<-release
+			return nil
+		}
+		return fmt.Errorf("%w in %v", boom, b)
+	})
+	if err := q.Enqueue(0, false); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if err := q.Enqueue(3, false); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- q.Enqueue(2, true) }()
+	for q.Stats().QueueDepth < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-waited; err == nil || err.Error() != "boom in [3 2]" {
+		t.Fatalf("waiting producer in a mixed batch got %v, want boom in [3 2]", err)
+	}
+	if err := q.Flush(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("Flush after a mixed failing batch = %v, want boom for the unwaited mutation", err)
+	}
+	q.Close()
+}
+
 // TestCloseDrainsAndRejects: Close applies everything still queued, then
 // Enqueue/Flush fail cleanly and Close stays idempotent.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	c := &collectingApplier{}
 	p := New(64, 8, c.apply)
 	for i := 0; i < 30; i++ {
-		if err := p.Enqueue(i); err != nil {
+		if err := p.Enqueue(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +282,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if got := c.all(); len(got) != 30 {
 		t.Fatalf("Close drained %d of 30", len(got))
 	}
-	if err := p.Enqueue(99); err == nil {
+	if err := p.Enqueue(99, false); err == nil {
 		t.Fatal("Enqueue after Close succeeded")
 	}
 	if err := p.Flush(context.Background()); err != nil {
@@ -205,6 +290,34 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// TestCloseTimeoutBounded: a drain that cannot finish within the bound is
+// reported as a timeout instead of hanging the caller; the applier keeps
+// draining in the background, and a later Close is a no-op that finds the
+// queue applied.
+func TestCloseTimeoutBounded(t *testing.T) {
+	c := &collectingApplier{block: make(chan struct{})}
+	p := New(64, 1, c.apply)
+	for i := 0; i < 10; i++ {
+		if err := p.Enqueue(i, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := p.CloseTimeout(time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("CloseTimeout with a stuck applier = %v, want drain-timeout error", err)
+	}
+	if err := p.Enqueue(99, false); err == nil {
+		t.Fatal("Enqueue after a timed-out Close succeeded")
+	}
+	close(c.block) // unstick the applier
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+	if got := c.all(); len(got) != 10 {
+		t.Fatalf("background drain applied %d of 10", len(got))
 	}
 }
 
@@ -220,7 +333,7 @@ func TestBackpressure(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 50; i++ {
-			if err := p.Enqueue(i); err != nil {
+			if err := p.Enqueue(i, false); err != nil {
 				done <- err
 				return
 			}
@@ -263,7 +376,7 @@ func TestConcurrentProducers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := p.Enqueue(w*1000 + i); err != nil {
+				if err := p.Enqueue(w*1000+i, false); err != nil {
 					errc <- fmt.Errorf("producer %d: %w", w, err)
 					return
 				}

@@ -12,10 +12,6 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrQueueFull is what a host sheds a mutation group with when HasCapacity
-// reports a full update queue and the caller asked not to block.
-var ErrQueueFull = pipeline.ErrQueueFull
-
 // snapshot is one immutable published state of a shard: its sub-ensemble,
 // a publication counter, and the cumulative mutation count. It is never
 // mutated after publication — the applier clones and publishes a successor
@@ -41,13 +37,16 @@ type Config struct {
 	// records past the checkpoint are replayed on construction.
 	WALDir     string
 	Durability wal.Durability
-	// CloseTimeout bounds the drain on Close (<= 0 waits without bound).
-	CloseTimeout time.Duration
 }
 
-// Group is one queue item: the mutations of one caller-level operation,
-// applied as one indivisible unit, plus the shard-WAL position they were
-// logged at (0 without a WAL).
+// closeTimeout bounds the drain on Close: past it Close reports a timeout
+// instead of hanging a shutdown behind a stuck applier (with a WAL the
+// undrained queue is recovered by the next open).
+const closeTimeout = 30 * time.Second
+
+// Group is one unit of the applier's input: the mutations of one
+// caller-level operation, applied as one indivisible unit, plus the
+// shard-WAL position they were logged at (0 without a WAL).
 type Group struct {
 	Muts []ensemble.Mutation
 	lsn  uint64
@@ -73,8 +72,8 @@ type Shard struct {
 	// publishLocked (deepdb-lint enforces it).
 	snap atomic.Pointer[snapshot]
 
-	// applyMu serializes apply+publish (the applier, ApplyLogged, Swap) and
-	// guards tableVer and onPublish.
+	// applyMu serializes apply+publish (applyGroups, Swap) and guards
+	// tableVer and onPublish.
 	applyMu sync.Mutex
 	// tableVer counts applied mutation batches per written base table — the
 	// consistency token of an optimistic re-learn (drift's own counters
@@ -82,12 +81,13 @@ type Shard struct {
 	tableVer  map[string]uint64
 	onPublish func(changed bool)
 
-	pipeMu sync.Mutex
-	pipe   *pipeline.Pipeline[Group]
-	closed bool
+	// pipe is the update pipeline; its applier goroutine starts with the
+	// first Submit, so a shard that only serves reads runs none.
+	pipe *pipeline.Pipeline[Group]
 
 	// walMu serializes appends; applyLSN is the highest LSN whose group has
-	// been applied and published — the watermark Save checkpoints at.
+	// been applied and published — the watermark Save checkpoints at. Only
+	// applyGroups stores it, and only forwards.
 	walMu    sync.Mutex
 	wal      *wal.Log
 	applyLSN atomic.Uint64
@@ -104,6 +104,7 @@ func New(id int, members []int, full *ensemble.Ensemble, cfg Config) (*Shard, er
 		cfg.MaxBatch = 256
 	}
 	s := &Shard{id: id, total: len(full.RSPNs), cfg: cfg, tableVer: map[string]uint64{}}
+	s.pipe = pipeline.New(cfg.QueueSize, cfg.MaxBatch, s.applyGroups)
 	if members != nil {
 		s.members = append([]int{}, members...)
 	}
@@ -138,28 +139,16 @@ func (s *Shard) Carve(full *ensemble.Ensemble) (*ensemble.Ensemble, error) {
 }
 
 // openWAL opens the shard's log and replays every record past the
-// checkpoint, batching groups like the applier would. Per-mutation apply
-// errors are dropped — on the asynchronous path they would only have
-// surfaced through a Flush that never ran — but decode failures and
+// checkpoint through the applier's own body, in the applier's batch size.
+// Per-mutation apply errors are dropped — on the live path they would only
+// have surfaced through a Flush that never ran — but decode failures and
 // replaying without attached base tables abort the open.
 func (s *Shard) openWAL() error {
 	l, err := wal.Open(s.cfg.WALDir, wal.Options{Durability: s.cfg.Durability})
 	if err != nil {
 		return err
 	}
-	var pending []ensemble.Mutation
-	groups := 0
-	var last uint64
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		s.applyMu.Lock()
-		s.applyLocked(pending) //nolint:errcheck // deferred-async semantics
-		s.storeApplyLSN(last)
-		s.applyMu.Unlock()
-		pending, groups = pending[:0], 0
-	}
+	batch := make([]Group, 0, s.cfg.MaxBatch)
 	rerr := l.Replay(func(lsn uint64, payload []byte) error {
 		muts, err := wal.DecodeMutations(payload)
 		if err != nil {
@@ -168,11 +157,9 @@ func (s *Shard) openWAL() error {
 		if s.snap.Load().ens.Tables == nil {
 			return fmt.Errorf("deepdb: WAL %s has unapplied records but no base tables are attached (open with WithDataDir or WithDataset)", s.cfg.WALDir)
 		}
-		pending = append(pending, muts...)
-		groups++
-		last = lsn
-		if groups >= s.cfg.MaxBatch {
-			flush()
+		if batch = append(batch, Group{Muts: muts, lsn: lsn}); len(batch) == s.cfg.MaxBatch {
+			s.applyGroups(batch) //nolint:errcheck // deferred-error semantics, see above
+			batch = batch[:0]
 		}
 		return nil
 	})
@@ -180,7 +167,9 @@ func (s *Shard) openWAL() error {
 		l.Close() //nolint:errcheck // the open itself failed
 		return rerr
 	}
-	flush()
+	if len(batch) > 0 {
+		s.applyGroups(batch) //nolint:errcheck // deferred-error semantics, see above
+	}
 	s.wal = l
 	return nil
 }
@@ -216,6 +205,33 @@ func (s *Shard) publishLocked(ens *ensemble.Ensemble, ops uint64) {
 	}
 }
 
+// applyGroups is the applier's body and the only way mutations reach the
+// model: the live pipeline hands it each coalesced batch and WAL replay
+// feeds it directly. It applies the groups as one copy-on-write batch —
+// groups may share a snapshot but are never split across two — publishes,
+// and advances the apply watermark to the last group's LSN. The first
+// per-mutation failure is returned with its index in the concatenated
+// batch. Groups arrive in LSN order (see Log); should a caller break that
+// contract the watermark still never moves back — a checkpoint below what
+// a saved model contains would let replay apply those records twice.
+func (s *Shard) applyGroups(groups []Group) error {
+	n := 0
+	for _, g := range groups {
+		n += len(g.Muts)
+	}
+	muts := make([]ensemble.Mutation, 0, n)
+	for _, g := range groups {
+		muts = append(muts, g.Muts...)
+	}
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	err := s.applyLocked(muts)
+	if lsn := groups[len(groups)-1].lsn; lsn > s.applyLSN.Load() {
+		s.applyLSN.Store(lsn)
+	}
+	return err
+}
+
 // applyLocked clones the touched state, applies the batch and publishes. A
 // partially failed batch is still published — the mutations that succeeded
 // stay applied. A batch in which nothing applied republishes the current
@@ -237,75 +253,30 @@ func (s *Shard) applyLocked(muts []ensemble.Mutation) error {
 	return err
 }
 
-// storeApplyLSN advances applyLSN monotonically: the watermark must never
-// move back — a checkpoint at a too-high LSN would drop unapplied records.
-func (s *Shard) storeApplyLSN(lsn uint64) {
-	for {
-		cur := s.applyLSN.Load()
-		if lsn <= cur || s.applyLSN.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
-}
-
-// pipeline lazily starts the background applier. Queue items are mutation
-// groups: the applier may coalesce groups but never splits one across
-// published snapshots.
-func (s *Shard) pipeline() (*pipeline.Pipeline[Group], error) {
-	s.pipeMu.Lock()
-	defer s.pipeMu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("shard %d: closed", s.id)
-	}
-	if s.pipe == nil {
-		s.pipe = pipeline.New(s.cfg.QueueSize, s.cfg.MaxBatch, func(groups []Group) error {
-			n := 0
-			var last uint64
-			for _, g := range groups {
-				n += len(g.Muts)
-				if g.lsn > last {
-					last = g.lsn
-				}
-			}
-			muts := make([]ensemble.Mutation, 0, n)
-			for _, g := range groups {
-				muts = append(muts, g.Muts...)
-			}
-			return s.ApplyLogged(muts, last)
-		})
-	}
-	return s.pipe, nil
-}
-
 // HasCapacity reports whether the update queue has a free slot — the
 // host's admission check before a non-blocking broadcast.
-func (s *Shard) HasCapacity() bool {
-	pipe, err := s.pipeline()
-	if err != nil {
-		return false
-	}
-	return pipe.HasCapacity()
-}
+func (s *Shard) HasCapacity() bool { return s.pipe.HasCapacity() }
 
 // Log durably appends one mutation group to the shard's WAL without
 // queueing it, returning the assigned LSN (0 when the shard has no WAL).
-// Paired with EnqueueLogged or ApplyLogged it lets the host split a
-// broadcast into a log-everywhere phase and a submit-everywhere phase, so a
-// WAL failure on shard k surfaces before any shard has been mutated.
-// Callers must serialize Log/submit pairs across producers (the host's
-// broadcast lock does): LSN order must equal apply order or replay would
-// reproduce a different state.
+// Paired with Submit it lets the host split a broadcast into a
+// log-everywhere phase and a submit-everywhere phase, so a WAL failure on
+// shard k surfaces before any shard has been mutated. Callers must
+// serialize Log/Submit pairs across producers (the host's broadcast lock
+// does): LSN order must equal apply order or replay would reproduce a
+// different state.
 func (s *Shard) Log(muts []ensemble.Mutation) (uint64, error) {
-	if s.wal == nil {
-		return 0, nil
-	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	return s.appendLocked(muts)
 }
 
-// appendLocked is the one WAL append. Callers hold walMu.
+// appendLocked is the one WAL append (LSN 0 when the shard has no WAL).
+// Callers hold walMu.
 func (s *Shard) appendLocked(muts []ensemble.Mutation) (uint64, error) {
+	if s.wal == nil {
+		return 0, nil
+	}
 	lsn, err := s.wal.Append(wal.EncodeMutations(muts))
 	if err != nil {
 		return 0, fmt.Errorf("wal %s: %w", s.cfg.WALDir, err)
@@ -313,44 +284,31 @@ func (s *Shard) appendLocked(muts []ensemble.Mutation) (uint64, error) {
 	return lsn, nil
 }
 
-// EnqueueLogged queues a group previously appended by Log (lsn 0 for
-// WAL-less or volatile-by-policy groups), blocking when the queue is
-// full. See Log for the serialization contract.
-func (s *Shard) EnqueueLogged(muts []ensemble.Mutation, lsn uint64) error {
-	pipe, err := s.pipeline()
+// Submit hands the applier a group previously appended by Log (lsn 0
+// without a WAL) — the one door into the model. It blocks when the queue is
+// full. Without wait it returns once the group is queued; Flush waits for
+// it to be applied and published and reports its apply error. With wait it
+// returns once the group is published, with the apply error of the group's
+// own batch — the group alone when, as under the host's broadcast lock, no
+// other producer submits meanwhile — which no concurrent Flush can collect
+// instead. See Log for the serialization contract.
+func (s *Shard) Submit(muts []ensemble.Mutation, lsn uint64, wait bool) error {
+	return s.pipe.Enqueue(Group{Muts: muts, lsn: lsn}, wait)
+}
+
+// ApplySync logs one group and submits it waiting for its result — the
+// remote /apply path, which keeps a replica in lockstep with the router's
+// broadcast order (the router serializes broadcasts, so arrival order is
+// stream order). walMu is held throughout so concurrent callers reach the
+// log and the model in the same order, one group per batch.
+func (s *Shard) ApplySync(muts []ensemble.Mutation) error {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	lsn, err := s.appendLocked(muts)
 	if err != nil {
 		return err
 	}
-	return pipe.Enqueue(Group{Muts: muts, lsn: lsn})
-}
-
-// ApplyLogged applies and publishes one group previously appended by Log
-// before returning (the synchronous counterpart of EnqueueLogged, and the
-// applier's own body), reporting the first per-mutation failure.
-func (s *Shard) ApplyLogged(muts []ensemble.Mutation, lsn uint64) error {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	err := s.applyLocked(muts)
-	s.storeApplyLSN(lsn)
-	return err
-}
-
-// ApplySync logs and applies one group before returning — the remote
-// /apply path, which keeps a replica in lockstep with the router's
-// broadcast order (the router serializes broadcasts, so arrival order is
-// stream order). walMu is held across append+apply so concurrent callers
-// reach the log and the model in the same order.
-func (s *Shard) ApplySync(muts []ensemble.Mutation) error {
-	var lsn uint64
-	if s.wal != nil {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		var err error
-		if lsn, err = s.appendLocked(muts); err != nil {
-			return err
-		}
-	}
-	return s.ApplyLogged(muts, lsn)
+	return s.Submit(muts, lsn, true)
 }
 
 // Swap runs fn under the apply lock with the current ensemble and the
@@ -387,34 +345,15 @@ func (s *Shard) Checkpoint(lsn uint64) error {
 // AppliedLSN returns the apply watermark (0 without a WAL).
 func (s *Shard) AppliedLSN() uint64 { return s.applyLSN.Load() }
 
-// Flush blocks until every group enqueued before the call has been applied
+// Flush blocks until every group submitted before the call has been applied
 // and published, then reports the first deferred apply error. A no-op when
-// nothing was ever enqueued.
-func (s *Shard) Flush(ctx context.Context) error {
-	s.pipeMu.Lock()
-	pipe := s.pipe
-	s.pipeMu.Unlock()
-	if pipe == nil {
-		return nil
-	}
-	return pipe.Flush(ctx)
-}
+// nothing was ever submitted.
+func (s *Shard) Flush(ctx context.Context) error { return s.pipe.Flush(ctx) }
 
-// Close drains the pipeline (bounded by Config.CloseTimeout) and closes
-// the WAL. Idempotent; the published snapshot stays readable.
+// Close drains the pipeline (bounded by closeTimeout) and closes the WAL.
+// Idempotent; the published snapshot stays readable.
 func (s *Shard) Close() error {
-	s.pipeMu.Lock()
-	if s.closed {
-		s.pipeMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	pipe := s.pipe
-	s.pipeMu.Unlock()
-	var err error
-	if pipe != nil {
-		err = pipe.CloseTimeout(s.cfg.CloseTimeout)
-	}
+	err := s.pipe.CloseTimeout(closeTimeout)
 	if s.wal != nil {
 		if werr := s.wal.Close(); err == nil {
 			err = werr
@@ -442,12 +381,7 @@ type Stats struct {
 func (s *Shard) Stats() Stats {
 	_, gen, ops := s.View()
 	out := Stats{ID: s.id, Members: s.members, Gen: gen, Ops: ops}
-	s.pipeMu.Lock()
-	pipe := s.pipe
-	s.pipeMu.Unlock()
-	if pipe != nil {
-		out.Queue = pipe.Stats()
-	}
+	out.Queue = s.pipe.Stats()
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		out.WAL = &ws

@@ -94,6 +94,16 @@ func broadcast(t *testing.T) []ensemble.Mutation {
 	}
 }
 
+// probes are the queries two ensembles must answer bit-identically to count
+// as the same state.
+var probes = []query.Query{
+	{Aggregate: query.Count, Tables: []string{"orders"},
+		Filters: []query.Predicate{{Column: "o_amount", Op: query.Ge, Value: 50}}},
+	{Aggregate: query.Count, Tables: []string{"customer", "orders"},
+		Filters: []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 60}}},
+	{Aggregate: query.Avg, AggColumn: "o_amount", Tables: []string{"orders"}},
+}
+
 // shardsOf partitions the fixture into n in-process shards.
 func shardsOf(t *testing.T, ens *ensemble.Ensemble, n int) []*shard.Shard {
 	t.Helper()
@@ -111,13 +121,13 @@ func shardsOf(t *testing.T, ens *ensemble.Ensemble, n int) []*shard.Shard {
 }
 
 // enqueue submits one group the way the host's broadcast does: log, then
-// enqueue under the logged position.
+// submit under the logged position.
 func enqueue(sh *shard.Shard, muts []ensemble.Mutation) error {
 	lsn, err := sh.Log(muts)
 	if err != nil {
 		return err
 	}
-	return sh.EnqueueLogged(muts, lsn)
+	return sh.Submit(muts, lsn, false)
 }
 
 // aligned reports the shards' common ops token, if they have one.
@@ -193,13 +203,7 @@ func TestBroadcastApplyKeepsShardsAligned(t *testing.T) {
 	if _, err := next.Apply(muts); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []query.Query{
-		{Aggregate: query.Count, Tables: []string{"orders"},
-			Filters: []query.Predicate{{Column: "o_amount", Op: query.Ge, Value: 50}}},
-		{Aggregate: query.Count, Tables: []string{"customer", "orders"},
-			Filters: []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 60}}},
-		{Aggregate: query.Avg, AggColumn: "o_amount", Tables: []string{"orders"}},
-	} {
+	for _, q := range probes {
 		want, err := core.New(next).EstimateCardinality(q)
 		if err != nil {
 			t.Fatal(err)
@@ -313,6 +317,143 @@ func TestTryEnqueueShedsWhenFull(t *testing.T) {
 	st := sh.Stats()
 	if st.Queue.Enqueued != uint64(accepted) || st.Queue.QueueDepth != 0 {
 		t.Fatalf("stats disagree: %+v with %d accepted", st.Queue, accepted)
+	}
+}
+
+// orderRows builds one group of n order inserts with ids from base.
+func orderRows(base, n int) []ensemble.Mutation {
+	muts := make([]ensemble.Mutation, n)
+	for i := range muts {
+		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: "orders", Values: map[string]table.Value{
+			"o_id": table.Int(base + i), "o_c_id": table.Int(1 + i%3), "o_amount": table.Float(float64(base + i)),
+		}}
+	}
+	return muts
+}
+
+// TestGroupsNeverSplitAtMaxBatchOne: with the applier capped at one
+// operation per batch, a multi-row group is still one indivisible unit —
+// every published snapshot advances ops by exactly one whole group, never
+// by part of one and never by two.
+func TestGroupsNeverSplitAtMaxBatchOne(t *testing.T) {
+	ens := fixture(t)
+	sh, err := shard.New(0, nil, ens, shard.Config{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	const groups, groupSize = 25, 4
+	var published []uint64 // written under the shard's apply lock, read after Flush
+	sh.OnPublish(func(bool) {
+		_, _, ops := sh.View()
+		published = append(published, ops)
+	})
+	for g := 0; g < groups; g++ {
+		if err := enqueue(sh, orderRows(1000+g*groupSize, groupSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(published) != groups {
+		t.Fatalf("%d snapshots published for %d groups at MaxBatch 1", len(published), groups)
+	}
+	for i, ops := range published {
+		if want := uint64((i + 1) * groupSize); ops != want {
+			t.Fatalf("snapshot %d published at ops %d, want %d (a group was split or coalesced)", i, ops, want)
+		}
+	}
+}
+
+// TestReplayMatchesLiveApply: groups applied live through Submit and the
+// same groups replayed from the WAL by a fresh shard go through one applier
+// body, so they publish the same ops token, the same apply watermark and
+// bit-identical estimates — including a group that fails to apply, and
+// with the log length not a multiple of the replay batch.
+func TestReplayMatchesLiveApply(t *testing.T) {
+	dir := t.TempDir()
+	cfg := shard.Config{WALDir: dir, MaxBatch: 2}
+	live, err := shard.New(0, nil, fixture(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := [][]ensemble.Mutation{
+		broadcast(t),
+		orderRows(2000, 3),
+		{{Op: ensemble.OpDelete, Table: "orders", PK: 999}}, // fails to apply, still counts
+		orderRows(3000, 2),
+		{{Op: ensemble.OpDelete, Table: "orders", PK: 2000}},
+	}
+	for _, g := range stream {
+		if err := enqueue(live, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Flush(context.Background()); err == nil {
+		t.Fatal("the missing-PK delete did not surface through Flush")
+	}
+	liveEns, _, liveOps := live.View()
+	liveLSN := live.AppliedLSN()
+	if liveLSN != uint64(len(stream)) {
+		t.Fatalf("live apply watermark %d after %d logged groups", liveLSN, len(stream))
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, err := shard.New(0, nil, fixture(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	repEns, _, repOps := replayed.View()
+	if repOps != liveOps || replayed.AppliedLSN() != liveLSN {
+		t.Fatalf("replay published ops %d / LSN %d, live apply ops %d / LSN %d", repOps, replayed.AppliedLSN(), liveOps, liveLSN)
+	}
+	if st := replayed.Stats(); st.WAL == nil || st.WAL.Replayed != uint64(len(stream)) {
+		t.Fatalf("replay stats: %+v", st.WAL)
+	}
+	for _, q := range probes {
+		want, err := core.New(liveEns).EstimateCardinality(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.New(repEns).EstimateCardinality(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != got {
+			t.Fatalf("replay diverges from live apply on %+v:\n  live   %+v\n  replay %+v", q, want, got)
+		}
+	}
+}
+
+// TestWaitedSubmitAndWatermark: a waited Submit returns its group's own
+// apply error — a later Flush has nothing left to report — and the apply
+// watermark only ever moves forward, even when a caller breaks the
+// Log/Submit ordering contract.
+func TestWaitedSubmitAndWatermark(t *testing.T) {
+	sh, err := shard.New(0, nil, fixture(t), shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	if err := sh.Submit(orderRows(2000, 2), 5, true); err != nil {
+		t.Fatal(err)
+	}
+	missing := []ensemble.Mutation{{Op: ensemble.OpDelete, Table: "orders", PK: 999}}
+	if err := sh.Submit(missing, 3, true); err == nil {
+		t.Fatal("waited Submit of a missing-PK delete returned nil")
+	}
+	if err := sh.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after a waited failure = %v, want nothing deferred", err)
+	}
+	if _, _, ops := sh.View(); ops != 3 {
+		t.Fatalf("ops = %d after a 2-row and a 1-row group, want 3", ops)
+	}
+	if got := sh.AppliedLSN(); got != 5 {
+		t.Fatalf("apply watermark = %d after groups at LSN 5 then 3, want 5", got)
 	}
 }
 

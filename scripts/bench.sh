@@ -9,20 +9,20 @@
 #   BENCH_spn.json   — SPN inference micro-benches: the reference tree
 #       walk vs the compiled flat evaluator, single-request and batched.
 #   BENCH_update.json — update-pipeline benches: apply throughput
-#       (rows/s) of the synchronous vs the batched asynchronous path, the
-#       batch-size sweep, and reader p50/p99 latency idle vs while a
-#       writer streams mutations (the flat-reader-latency claim of
-#       snapshot-isolated serving).
+#       (rows/s) of flush-per-write vs the coalescing default, and
+#       reader p50/p99 latency idle vs while a writer streams mutations
+#       (the flat-reader-latency claim of snapshot-isolated serving).
 #   BENCH_wal.json   — durability benches: WAL append throughput per
 #       fsync policy (sync/batched/off), log scan and end-to-end crash
 #       recovery speed, and reader p50/p99 while drift-triggered
 #       re-learning hot-swaps ensemble members under a write stream.
 #   BENCH_serve.json — sharded-serving benches: concurrent reader qps and
-#       p50/p99 against the fan-out router at shard counts 1/2/4/8 (the
-#       partitioner clamps to the ensemble's member count; the effective
-#       count is reported as the `shards` metric), and the hot-reload
-#       blip — reader p50/p99 while a background loop keeps swapping the
-#       model through the snapshot-publication path.
+#       p50/p99 against the fan-out router at shard counts 1 and 2 (the
+#       fixture learns two members and the partitioner clamps to the
+#       member count; the effective count is reported as the `shards`
+#       metric), and the hot-reload blip — reader p50/p99 while a
+#       background loop keeps swapping the model through the
+#       snapshot-publication path.
 #
 #   BENCHTIME=500x ./scripts/bench.sh     # override iteration count
 set -eu
