@@ -24,7 +24,7 @@ var (
 	prepColdDB *deepdb.DB
 )
 
-func preparedFixture(b *testing.B) (*deepdb.DB, *deepdb.DB) {
+func preparedFixture(b testing.TB) (*deepdb.DB, *deepdb.DB) {
 	b.Helper()
 	prepOnce.Do(func() {
 		ctx := context.Background()

@@ -24,7 +24,7 @@ var (
 	rcPlainDB *deepdb.DB
 )
 
-func resultCacheFixture(b *testing.B) (*deepdb.DB, *deepdb.DB) {
+func resultCacheFixture(b testing.TB) (*deepdb.DB, *deepdb.DB) {
 	b.Helper()
 	rcOnce.Do(func() {
 		ctx := context.Background()

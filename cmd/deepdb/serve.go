@@ -169,8 +169,18 @@ func cmdServe(ctx context.Context, args []string) error {
 		handler = withPprofEndpoints(handler)
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
-	// Shut down gracefully on SIGINT/SIGTERM: stop accepting, drain
-	// in-flight queries.
+	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v", *model, *addr, db.Data() == nil)
+	if sh, ok := db.(sharded); ok {
+		banner += fmt.Sprintf(", shards: %d", sh.Shards())
+	}
+	return serveUntilSignal(ctx, srv, banner+")")
+}
+
+// serveUntilSignal runs srv until ctx ends or SIGINT/SIGTERM arrives, then
+// shuts it down gracefully: stop accepting, drain in-flight requests for at
+// most shutdownTimeout. The banner goes out once the signal watcher is
+// armed, so whoever waits for it may signal right away.
+func serveUntilSignal(ctx context.Context, srv *http.Server, banner string) error {
 	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -180,11 +190,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		defer cancel()
 		done <- srv.Shutdown(shutCtx)
 	}()
-	if sh, ok := db.(sharded); ok {
-		fmt.Printf("deepdb: serving %s on %s (data-free: %v, shards: %d)\n", *model, *addr, db.Data() == nil, sh.Shards())
-	} else {
-		fmt.Printf("deepdb: serving %s on %s (data-free: %v)\n", *model, *addr, db.Data() == nil)
-	}
+	fmt.Println(banner)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -307,15 +313,6 @@ type apiRequest struct {
 	Params []any `json:"params,omitempty"`
 	// Confidence overrides the interval level for this request.
 	Confidence float64 `json:"confidence,omitempty"`
-}
-
-type apiGroup struct {
-	Key      []float64 `json:"key,omitempty"`
-	Labels   []string  `json:"labels,omitempty"`
-	Value    float64   `json:"value"`
-	Variance float64   `json:"variance"`
-	CILow    float64   `json:"ci_low"`
-	CIHigh   float64   `json:"ci_high"`
 }
 
 type apiError struct {
@@ -448,8 +445,7 @@ func (s *serveHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		buf.Reset()
 		//nolint:errcheck // encoding to a bytes.Buffer cannot fail for this type
-		enc.Encode(apiGroup{Key: g.Key, Labels: g.Labels,
-			Value: g.Value, Variance: g.Variance, CILow: g.CILow, CIHigh: g.CIHigh})
+		enc.Encode(g)
 		w.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))) //nolint:errcheck
 		n++
 		if n%streamFlushRows == 0 && flusher != nil {
@@ -490,12 +486,9 @@ func (s *serveHandler) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Value     float64 `json:"value"`
-		Variance  float64 `json:"variance"`
-		CILow     float64 `json:"ci_low"`
-		CIHigh    float64 `json:"ci_high"`
-		ElapsedUS int64   `json:"elapsed_us"`
-	}{est.Value, est.Variance, est.CILow, est.CIHigh, time.Since(start).Microseconds()})
+		deepdb.Estimate
+		ElapsedUS int64 `json:"elapsed_us"`
+	}{est, time.Since(start).Microseconds()})
 }
 
 func (s *serveHandler) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/deepdb"
 )
 
 // rawPost posts a JSON body and returns the raw response bytes.
@@ -103,8 +105,8 @@ func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 			// json.Encoder writes for the documented response shape.
 			for _, raw := range [][]byte{sRaw, bRaw} {
 				var doc struct {
-					Groups    []apiGroup `json:"groups"`
-					ElapsedUS int64      `json:"elapsed_us"`
+					Groups    []deepdb.Group `json:"groups"`
+					ElapsedUS int64          `json:"elapsed_us"`
 				}
 				dec := json.NewDecoder(bytes.NewReader(raw))
 				dec.DisallowUnknownFields() // an "error" member included

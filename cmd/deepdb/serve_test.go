@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -306,30 +307,60 @@ func TestServeConcurrentLoad(t *testing.T) {
 	}
 }
 
-// BenchmarkServeEstimate measures the full HTTP round-trip of a
-// parameterized /estimate request against the data-free server.
-func BenchmarkServeEstimate(b *testing.B) {
-	db := serveFixture(b)
-	srv := httptest.NewServer(newServeHandler(db, false))
-	defer srv.Close()
+// estimateRoundTrip returns one full HTTP round trip of a parameterized
+// /estimate request against the data-free server over a loopback socket.
+func estimateRoundTrip(tb testing.TB) func() {
+	srv := httptest.NewServer(newServeHandler(serveFixture(tb), false))
+	tb.Cleanup(srv.Close)
 	body, _ := json.Marshal(apiRequest{
 		SQL:    "SELECT COUNT(*) FROM customer WHERE c_age < ? AND c_region = ?",
 		Params: []any{40, "EU"},
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		resp, err := http.Post(srv.URL+"/estimate", "application/json", bytes.NewReader(body))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var est estimateResp
 		if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		resp.Body.Close()
 		if est.Error != "" {
-			b.Fatal(est.Error)
+			tb.Fatal(est.Error)
 		}
+	}
+}
+
+// BenchmarkServeEstimate measures that round trip.
+func BenchmarkServeEstimate(b *testing.B) {
+	do := estimateRoundTrip(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do()
+	}
+}
+
+// TestAllocBudgets pins the heap allocations of that round trip — client,
+// server goroutine and handler — exactly, as the root and internal/spn
+// tests of the same name do for the layers below (see alloc_budget_test.go
+// in the repository root for why counts and not times). A budget is raised
+// only with the reason next to it.
+func TestAllocBudgets(t *testing.T) {
+	// The race detector makes sync.Pool drop entries at random and its
+	// instrumentation allocates, so no budget can hold under it.
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not stable under the race detector")
+			}
+		}
+	}
+	do := estimateRoundTrip(t)
+	do() // open the keep-alive connection, warm the plan cache
+	const budget = 151
+	if got := testing.AllocsPerRun(200, do); got != budget {
+		t.Errorf("/estimate round trip: %v allocs/op, budget %v", got, budget)
 	}
 }
 

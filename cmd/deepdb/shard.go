@@ -18,13 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/deepdb"
 	"repro/internal/ensemble"
@@ -82,19 +78,6 @@ func cmdShard(ctx context.Context, args []string) error {
 	}
 	defer sh.Close()
 	srv := &http.Server{Addr: *addr, Handler: shard.NewServer(sh)}
-	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan error, 1)
-	go func() {
-		<-sigCtx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-		defer cancel()
-		done <- srv.Shutdown(shutCtx)
-	}()
-	fmt.Printf("deepdb: shard %d/%d (members %v) serving %s on %s\n",
-		*index, len(members), members[*index], *model, *addr)
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-done
+	return serveUntilSignal(ctx, srv, fmt.Sprintf("deepdb: shard %d/%d (members %v) serving %s on %s",
+		*index, len(members), members[*index], *model, *addr))
 }

@@ -111,8 +111,9 @@ func (c *config) shardConfig(walDir string) shard.Config {
 const defaultPlanCacheSize = 128
 
 // defaultConfig leaves the update machinery's sizes to internal/shard: a
-// 1024-slot queue unless WithUpdateQueueSize says otherwise, and — as
-// constants — 256 operations per applied batch and a 30s drain on Close.
+// 1024-slot queue, 256 operations per applied batch and a 30s drain on
+// Close. The zero queue size and peer settings mean "the layer's default";
+// only tests set them, to test-scale values (export_test.go).
 func defaultConfig() config {
 	return config{ens: ensemble.DefaultConfig(), planCache: defaultPlanCacheSize}
 }
@@ -139,12 +140,11 @@ func WithMaxSamples(n int) Option {
 }
 
 // WithParallelism bounds the worker count for learning ensemble members
-// and for each fan-out of a query's independent sub-estimates: GROUP BY
-// per-group estimates, Theorem-2 branch sub-estimates, and disjunction
-// inclusion-exclusion terms. The bound applies per fan-out (nested
-// fan-outs each get their own workers, so deeply compiled queries may run
-// more goroutines in total). Values <= 1 run sequentially (the default).
-// Results are identical either way; only wall-clock time changes.
+// and for evaluating a query: an execution collects every SPN request it
+// needs (all group keys, Theorem-2 sides and inclusion-exclusion terms)
+// into batches and evaluates about n chunks of them concurrently. Values
+// <= 1 run sequentially (the default). Results are identical either way;
+// only wall-clock time changes.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		c.parallelism = n
@@ -193,14 +193,6 @@ func WithResultCacheSize(n int) Option {
 // — the equivalence suites' batch-of-one reference.
 func WithSyncUpdates() Option {
 	return func(c *config) { c.syncUpdates = true }
-}
-
-// WithUpdateQueueSize bounds the update queue (default
-// 1024 operations; an Update(rows...) call occupies one slot). When the
-// queue is full, Insert/Delete/Update block until the background applier
-// catches up — backpressure instead of unbounded memory.
-func WithUpdateQueueSize(n int) Option {
-	return func(c *config) { c.queueSize = n }
 }
 
 // WithWAL enables the durable write-ahead log in dir (created if missing).
@@ -272,43 +264,6 @@ func WithShards(n int) Option {
 // unsharded ones refuse it.
 func WithShardPeers(urls ...string) Option {
 	return func(c *config) { c.shardPeers = append([]string(nil), urls...) }
-}
-
-// WithPeerRetries sets the per-request attempt budget and base backoff for
-// replica /eval calls (defaults live in internal/shard: 3 attempts, 25ms
-// jittered exponential backoff). Non-positive values keep the defaults.
-func WithPeerRetries(attempts int, backoff time.Duration) Option {
-	return func(c *config) {
-		c.peerAttempts = attempts
-		c.peerBackoff = backoff
-	}
-}
-
-// WithPeerBreaker configures the per-peer circuit breaker: `threshold`
-// consecutive failures open it for `cooldown`, during which requests to
-// that replica fail fast to the local model; a health probe (or half-open
-// trial) re-closes it after the peer heals. Non-positive values keep the
-// defaults (5 failures, 2s cooldown).
-func WithPeerBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *config) {
-		c.peerBreakThresh = threshold
-		c.peerBreakCooldown = cooldown
-	}
-}
-
-// WithPeerProbeInterval sets how often the router actively probes each
-// replica's /healthz (default 2s), feeding the per-peer breaker and the
-// health surfaces even when no query traffic flows. d <= 0 disables
-// active probing (the breaker then relies on query traffic alone).
-func WithPeerProbeInterval(d time.Duration) Option {
-	return func(c *config) {
-		if d <= 0 {
-			c.peerProbeDisabled = true
-			return
-		}
-		c.peerProbeDisabled = false
-		c.peerProbeInterval = d
-	}
 }
 
 // WithNonBlockingUpdates makes Insert/Delete/Update shed with ErrQueueFull

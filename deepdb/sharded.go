@@ -125,7 +125,7 @@ func newShardedDB(ens *ensemble.Ensemble, cfg config) (*ShardedDB, error) {
 // interval each bound replica's /healthz is checked and the outcome feeds
 // its circuit breaker and health flag, so a dead peer's breaker opens (and
 // re-closes after heal) even when no query traffic flows. No-op without
-// peers or under WithPeerProbeInterval(<= 0).
+// peers or with probing disabled.
 func (db *ShardedDB) startProber() {
 	if db.peers == nil || db.cfg.peerProbeDisabled {
 		return

@@ -91,20 +91,22 @@ func LoadCSVDir(s *Schema, dir string) (Dataset, error) {
 }
 
 // Estimate is one approximate scalar with its variance and the two-sided
-// confidence interval at the DB's confidence level.
+// confidence interval at the DB's confidence level. The JSON tags are the
+// member names of `deepdb serve`'s /estimate and /query responses, which
+// encode these types directly.
 type Estimate struct {
-	Value    float64
-	Variance float64
-	CILow    float64
-	CIHigh   float64
+	Value    float64 `json:"value"`
+	Variance float64 `json:"variance"`
+	CILow    float64 `json:"ci_low"`
+	CIHigh   float64 `json:"ci_high"`
 }
 
 // Group is one result row of a (possibly grouped) query: the encoded group
 // key, its decoded labels (dictionary strings where the column is
 // categorical, numeric renderings otherwise), and the estimate.
 type Group struct {
-	Key    []float64
-	Labels []string
+	Key    []float64 `json:"key,omitempty"`
+	Labels []string  `json:"labels,omitempty"`
 	Estimate
 }
 

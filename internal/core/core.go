@@ -55,14 +55,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (AQPResult, 
 	return p.ExecuteQuery(ctx, ExecOpts{}, q)
 }
 
-func groupFilters(cols []string, key []float64) []query.Predicate {
-	out := make([]query.Predicate, len(cols))
-	for i, c := range cols {
-		out[i] = query.Predicate{Column: c, Op: query.Eq, Value: key[i]}
-	}
-	return out
-}
-
 // maxMaterializedGroups bounds the group count ExecuteBatch accepts: it
 // returns every row at once, so the bound is what keeps one request from
 // holding an arbitrarily large result. The streaming iterator
@@ -148,7 +140,7 @@ func (e *Engine) columnValues(col string) ([]float64, error) {
 // aggregate column; among those, prefer the one with the strongest RDC
 // coupling between the aggregate column and the resolvable filters
 // (Section 4.2), falling back to overall filter coverage.
-func (e *Engine) pickForAggregate(q query.Query) (*rspn.RSPN, error) {
+func (e *Engine) pickForAggregate(q query.Query, preds []query.Predicate, ords []int) (*rspn.RSPN, error) {
 	var best *rspn.RSPN
 	bestScore := math.Inf(-1)
 	for _, r := range e.Ens.RSPNs {
@@ -160,9 +152,9 @@ func (e *Engine) pickForAggregate(q query.Query) (*rspn.RSPN, error) {
 			continue
 		}
 		score := float64(len(overlap))
-		for _, f := range q.Filters {
-			if r.ResolvesColumn(f.Column) {
-				score += e.Ens.AttrRDC[attrKey(q.AggColumn, f.Column)] + 0.01
+		for _, o := range ords {
+			if c := preds[o].Column; r.ResolvesColumn(c) {
+				score += e.Ens.AttrRDC[attrKey(q.AggColumn, c)] + 0.01
 			}
 		}
 		if score > bestScore {

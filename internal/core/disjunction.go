@@ -15,45 +15,40 @@ import (
 // where each signed term is an ordinary conjunctive query the engine
 // already handles (conjuncts on the same column intersect their ranges).
 // SUM distributes the same way; AVG is SUM/COUNT. The expansion happens at
-// compile time (plan.go): each signed term gets its own compiled
-// conjunctive sub-plan, and execution re-binds only the predicate values.
+// compile time (plan.go): each signed term is compiled against the
+// ordinals of the predicates it conjoins, and execution re-binds only the
+// predicate values.
 
-// signedQuery is one signed conjunctive sub-query of a disjunctive query:
-// the disjunct subset selected by mask, ANDed to the base filters.
-type signedQuery struct {
-	q    query.Query
-	sign float64
-	mask int
-}
-
-// expandInclusionExclusion returns the signed conjunctive sub-queries of a
-// disjunctive query. A query without a disjunction yields its single
-// positive term with mask 0.
-func expandInclusionExclusion(q query.Query) ([]signedQuery, error) {
+// signedTerms returns how many signed conjunctive terms the query expands
+// to: one without a disjunction, 2^k - 1 with k disjuncts.
+func signedTerms(q query.Query) (int, error) {
 	k := len(q.Disjunction)
 	if k == 0 {
-		return []signedQuery{{q: q, sign: 1}}, nil
+		return 1, nil
 	}
 	if k > 8 {
-		return nil, fmt.Errorf("core: disjunction with %d terms (max 8)", k)
+		return 0, fmt.Errorf("core: disjunction with %d terms (max 8)", k)
 	}
-	var out []signedQuery
-	for mask := 1; mask < 1<<k; mask++ {
-		sub := q
-		sub.Disjunction = nil
-		sub.Filters = append([]query.Predicate(nil), q.Filters...)
-		bits := 0
-		for i := 0; i < k; i++ {
-			if mask&(1<<i) != 0 {
-				sub.Filters = append(sub.Filters, q.Disjunction[i])
-				bits++
-			}
-		}
-		sign := 1.0
-		if bits%2 == 0 {
-			sign = -1
-		}
-		out = append(out, signedQuery{q: sub, sign: sign, mask: mask})
+	return 1<<k - 1, nil
+}
+
+// signedTerm returns term i of the expansion over a predicate vector of n
+// predicates whose last k are the disjuncts: the ordinals of every
+// conjunct plus the disjunct subset with mask i+1, and the term's sign.
+func signedTerm(n, k, i int) (ords []int, sign float64) {
+	ords = make([]int, n-k, n)
+	for o := range ords {
+		ords[o] = o
 	}
-	return out, nil
+	if k == 0 {
+		return ords, 1
+	}
+	sign = -1
+	for d := 0; d < k; d++ {
+		if (i+1)&(1<<d) != 0 {
+			ords = append(ords, n-k+d)
+			sign = -sign
+		}
+	}
+	return ords, sign
 }

@@ -15,10 +15,12 @@
 //
 // Queries run through an explicit compile/execute split: Compile resolves
 // validation, RSPN selection and the full Section-4 decomposition into a
-// Plan once per query shape, and executing the Plan is a pure walk over
-// the prebuilt structure (see plan.go). The one-shot EstimateCardinality
-// and Execute entry points below compile and execute in one call, so a
-// cached plan and a one-shot query produce bit-identical estimates.
+// Plan once per query shape — including, per compiled term, the ordinals
+// of the bound query's predicate vector that term reads (see plan.go) —
+// and executing the Plan binds values at those ordinals and evaluates in
+// batches (plan_exec.go). The one-shot EstimateCardinality and Execute
+// entry points below compile and execute in one call, so a cached plan and
+// a one-shot query produce bit-identical estimates.
 package core
 
 import (
@@ -63,20 +65,22 @@ type BatchEvaluator interface {
 
 // Engine evaluates queries against an RSPN ensemble. The query path is
 // read-only, so one Engine may serve concurrent queries from multiple
-// goroutines — as long as no ensemble update runs at the same time (the
-// deepdb facade enforces that with a RWMutex).
+// goroutines — as long as nothing updates the ensemble under it. The
+// deepdb facade guarantees that without a lock: every published snapshot
+// owns an immutable ensemble and its own Engine, and updates apply to a
+// copy-on-write clone that becomes the next snapshot.
 type Engine struct {
 	Ens      *ensemble.Ensemble
 	Strategy Strategy
 	// ConfidenceLevel for intervals, default 0.95. Overridable per
 	// execution with ExecOpts.
 	ConfidenceLevel float64
-	// Parallelism bounds the worker count of each fan-out of a query's
-	// independent sub-estimates: GROUP BY per-group estimates, Theorem-2
-	// branch sub-estimates, and disjunction inclusion-exclusion terms.
-	// The bound is per fan-out, not global — nested fan-outs (a group
-	// whose estimate needs Theorem 2, a branch that recurses) each get
-	// their own workers. Values <= 1 run sequentially.
+	// Parallelism bounds the workers of one evaluation round. An execution
+	// gathers every SPN request it needs — all bindings, group keys,
+	// Theorem-2 sides and inclusion-exclusion terms alike — into per-RSPN
+	// batches, splits them into about Parallelism chunks and evaluates the
+	// chunks concurrently (batcher.run); nothing fans out per sub-estimate.
+	// Values <= 1 evaluate the chunks sequentially.
 	Parallelism int
 	// Eval, when non-nil, routes every evaluation chunk through the hook
 	// instead of the in-process model. nil keeps the direct path.
@@ -168,12 +172,12 @@ func (e *Engine) validateQuery(q query.Query) error {
 // effectiveOuter returns the outer tables that still behave as outer after
 // SQL WHERE semantics: a predicate on an outer table's column eliminates
 // its padded rows, so the table reverts to inner-join behaviour.
-func (e *Engine) effectiveOuter(q query.Query) []string {
+func (e *Engine) effectiveOuter(outerTables []string, preds []query.Predicate, ords []int) []string {
 	var out []string
-	for _, ot := range q.OuterTables {
+	for _, ot := range outerTables {
 		filtered := false
-		for _, f := range q.Filters {
-			if e.columnOwner(f.Column, []string{ot}) != "" {
+		for _, o := range ords {
+			if e.columnOwner(preds[o].Column, []string{ot}) != "" {
 				filtered = true
 				break
 			}
@@ -188,11 +192,11 @@ func (e *Engine) effectiveOuter(q query.Query) []string {
 // pickCovering implements the greedy execution strategy of Section 4.1:
 // choose the RSPN that handles the filter predicates with the highest sum
 // of pairwise RDC values; ties prefer smaller models.
-func (e *Engine) pickCovering(covering []*rspn.RSPN, filters []query.Predicate) *rspn.RSPN {
+func (e *Engine) pickCovering(covering []*rspn.RSPN, preds []query.Predicate, ords []int) *rspn.RSPN {
 	best := covering[0]
 	bestScore := math.Inf(-1)
 	for _, r := range covering {
-		score := e.filterScore(r, filters)
+		score := e.filterScore(r, preds, ords)
 		// Smaller models dilute single-table marginals less; subtract a
 		// tiny penalty per extra table as the tie-breaker.
 		score -= 1e-6 * float64(len(r.Tables))
@@ -205,11 +209,11 @@ func (e *Engine) pickCovering(covering []*rspn.RSPN, filters []query.Predicate) 
 
 // filterScore sums the pairwise attribute RDC values over the filter
 // columns the RSPN can resolve.
-func (e *Engine) filterScore(r *rspn.RSPN, filters []query.Predicate) float64 {
+func (e *Engine) filterScore(r *rspn.RSPN, preds []query.Predicate, ords []int) float64 {
 	var cols []string
-	for _, f := range filters {
-		if r.ResolvesColumn(f.Column) {
-			cols = append(cols, f.Column)
+	for _, o := range ords {
+		if c := preds[o].Column; r.ResolvesColumn(c) {
+			cols = append(cols, c)
 		}
 	}
 	score := 0.001 * float64(len(cols)) // resolving more filters is better
@@ -358,7 +362,7 @@ func (e *Engine) branchComponents(rest, covered []string) ([]branch, error) {
 
 // pickPartial chooses the RSPN for Theorem 2's left side: highest filter
 // score, with coverage count as the dominant term so the recursion shrinks.
-func (e *Engine) pickPartial(tables []string, filters []query.Predicate) *rspn.RSPN {
+func (e *Engine) pickPartial(tables []string, preds []query.Predicate, ords []int) *rspn.RSPN {
 	var best *rspn.RSPN
 	bestScore := math.Inf(-1)
 	for _, r := range e.Ens.RSPNs {
@@ -366,7 +370,7 @@ func (e *Engine) pickPartial(tables []string, filters []query.Predicate) *rspn.R
 		if cov == 0 {
 			continue
 		}
-		score := float64(cov) + e.filterScore(r, filters)
+		score := float64(cov) + e.filterScore(r, preds, ords)
 		if score > bestScore {
 			best, bestScore = r, score
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/query"
+	"repro/internal/rspn"
 )
 
 // Explain renders the execution plan for a query without evaluating it:
@@ -34,7 +35,7 @@ func (p *Plan) Explain() string {
 	}
 	if err := p.ensureExec(); err != nil {
 		fmt.Fprintf(&b, "execution would fail: %v\n", err)
-		p.explainCountTerms(&b, p.card, p.q.Filters)
+		p.explainCountTerms(&b, p.card, binding(p.q, nil, nil))
 		return b.String()
 	}
 	if len(p.groupCols) > 0 {
@@ -45,22 +46,18 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&b, "disjunction: inclusion-exclusion over %d OR-terms (%d conjunctive sub-queries; the fully-conjoined term is shown)\n",
 			k, (1<<k)-1)
 	}
-	// The predicates of the rendered term: base filters, group-key
-	// placeholders, and — for disjunctions — every disjunct (the
-	// fully-conjoined inclusion-exclusion term).
-	preds := append([]query.Predicate(nil), p.q.Filters...)
+	// The template binding: base filters, group-key placeholders, and every
+	// disjunct; the rendered term is the fully-conjoined one, which reads
+	// all of it.
+	preds := binding(p.q, p.groupCols, make([]float64, len(p.groupCols)))
 	counts := p.card
 	if len(p.groupCols) > 0 {
 		counts = p.count
-		for _, c := range p.groupCols {
-			preds = append(preds, query.Predicate{Column: c, Op: query.Eq})
-		}
 	}
-	preds = append(preds, p.q.Disjunction...)
 	switch {
 	case p.avg != nil:
 		fmt.Fprintf(&b, "avg: RSPN[%s] ratio of expectations (Section 4.2), resolving %d/%d filters\n",
-			strings.Join(p.avg.r.Tables, " |x| "), countResolved(p.avg.r, preds), len(preds))
+			strings.Join(p.avg.r.Tables, " |x| "), len(p.avg.ords), len(preds))
 		if len(p.groupCols) > 0 {
 			b.WriteString("group existence gate (COUNT >= 0.5):\n")
 			p.explainCountTerms(&b, counts, preds)
@@ -72,7 +69,7 @@ func (p *Plan) Explain() string {
 				strings.Join(last.direct.r.Tables, " |x| "))
 		} else {
 			fmt.Fprintf(&b, "sum: COUNT * AVG fallback (AVG on RSPN[%s], resolving %d/%d filters); COUNT plan:\n",
-				strings.Join(last.avg.r.Tables, " |x| "), countResolved(last.avg.r, preds), len(preds))
+				strings.Join(last.avg.r.Tables, " |x| "), len(last.avg.ords), len(preds))
 			last.cnt.explain(&b, "  ", preds)
 		}
 		if p.q.Aggregate == query.Avg || len(p.groupCols) > 0 {
@@ -95,7 +92,8 @@ func (p *Plan) explainCountTerms(b *strings.Builder, terms []signedCount, preds 
 	terms[len(terms)-1].node.explain(b, "", preds)
 }
 
-// explain narrates one compiled count node.
+// explain narrates one compiled count node; preds is the whole template
+// binding, of which each term reports on the ordinals it reads.
 func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Predicate) {
 	switch n.kind {
 	case ckMedian:
@@ -110,22 +108,23 @@ func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Pre
 		}
 		fmt.Fprintf(b, "%s%s: RSPN[%s] answers %s, resolving %d/%d filters\n",
 			indent, kase, strings.Join(n.single.r.Tables, " |x| "), strings.Join(n.tables, ", "),
-			countResolved(n.single.r, preds), len(preds))
+			countResolved(n.single.r, preds, n.single.ords), len(n.single.ords))
 	default:
 		fmt.Fprintf(b, "%scase 3 (Theorem 2): RSPN[%s] answers sub-join %s\n",
 			indent, strings.Join(n.left.r.Tables, " |x| "), strings.Join(n.leftTables, ", "))
 		for _, bp := range n.branches {
 			fmt.Fprintf(b, "%s  branch %s via bridge %s<-%s (ratio count/|%s|):\n",
 				indent, strings.Join(bp.br.tables, ", "), bp.br.bridgeOne, bp.br.bridgeMany, bp.br.head)
-			bp.node.explain(b, indent+"    ", selectPreds(preds, bp.keep))
+			bp.node.explain(b, indent+"    ", preds)
 		}
 	}
 }
 
-func countResolved(r interface{ ResolvesColumn(string) bool }, filters []query.Predicate) int {
+// countResolved counts the predicates at ords whose column r resolves.
+func countResolved(r *rspn.RSPN, preds []query.Predicate, ords []int) int {
 	n := 0
-	for _, f := range filters {
-		if r.ResolvesColumn(f.Column) {
+	for _, o := range ords {
+		if r.ResolvesColumn(preds[o].Column) {
 			n++
 		}
 	}

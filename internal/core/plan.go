@@ -71,13 +71,11 @@ type Plan struct {
 	execErr  error
 }
 
-// signedCount is one inclusion-exclusion term of a COUNT: the conjunctive
-// sub-query selected by mask over the disjunction predicates, compiled to
-// a countNode. Queries without a disjunction compile to a single term with
-// mask 0 and sign +1.
+// signedCount is one inclusion-exclusion term of a COUNT, compiled to a
+// countNode over the term's ordinals. Queries without a disjunction
+// compile to a single term with sign +1.
 type signedCount struct {
 	sign float64
-	mask int
 	node *countNode
 }
 
@@ -86,7 +84,6 @@ type signedCount struct {
 // fallback of Section 4.2.
 type signedSum struct {
 	sign   float64
-	mask   int
 	direct *t1call
 	cnt    *countNode
 	avg    *avgNode
@@ -107,7 +104,6 @@ const (
 // countNode is a compiled COUNT estimator over one table set.
 type countNode struct {
 	tables []string
-	outer  []string
 	kind   countKind
 
 	single t1call   // ckSingle
@@ -118,52 +114,60 @@ type countNode struct {
 	// side's max(F,1) factor and have no sub-plan).
 	left       t1call
 	leftTables []string
-	branches   []*branchPlan
+	branches   []branchPlan
 }
 
-// branchPlan is one Theorem-2 branch: its compiled sub-estimator, the
-// filter columns routed to it, and the bridge metadata for the ratio
-// denominator (looked up at execution so maintained statistics stay
-// authoritative).
+// branchPlan is one Theorem-2 branch: its compiled sub-estimator and the
+// cardinality of its bridgehead table, the denominator of the branch
+// ratio. A plan pins one immutable snapshot, so the maintained statistic
+// read at compile time holds for the plan's whole life.
 type branchPlan struct {
-	br   branch
-	keep map[string]bool
-	node *countNode
+	br       branch
+	headRows float64
+	node     *countNode
 }
 
-// t1call captures one Theorem-1 evaluation: the RSPN, its precomputed
-// moment functions (inverse tuple factors plus any Theorem-2 bridge
-// factors), inner-join indicator tables, and the filter columns to keep
-// (nil passes every predicate through). tmpl is the term's precompiled
-// constraint layout — binding a concrete predicate list fills range
-// values into prebuilt slots instead of re-deriving column routing per
-// evaluation; nil (an unresolvable template) falls back to the generic
-// path, which also carries the original error-surfacing behavior.
+// t1call is one compiled Theorem-1 evaluation: the RSPN, the term's
+// constraint template (moment functions — inverse tuple factors plus any
+// Theorem-2 bridge factors —, inner-join indicators and filter slots) and
+// the ordinals of the binding's predicate vector that fill the template's
+// filter slots. A term whose template cannot compile (a filter the RSPN
+// cannot resolve) keeps the error and reports it when enqueued.
 type t1call struct {
-	r     *rspn.RSPN
-	fns   map[string]spn.Fn
-	inner []string
-	keep  map[string]bool
-	tmpl  *rspn.TermTemplate
-	// keptIdx maps the template's filter ordinals into the full predicate
-	// list (nil: identity), so binding skips the filtered copy.
-	keptIdx []int
+	r      *rspn.RSPN
+	tmpl   *rspn.TermTemplate
+	ords   []int
+	hasFns bool
+	err    error
 }
 
-// avgNode is a compiled AVG: the chosen RSPN, the resolvable filter
-// columns, the numerator/denominator moment functions of the normalized
-// conditional expectation of Section 4.2, and the two terms' precompiled
-// constraint layouts (nil falls back to the generic path).
+// avgNode is a compiled AVG: the chosen RSPN, the templates of the
+// numerator and denominator of the normalized conditional expectation of
+// Section 4.2, and the ordinals of the predicates the RSPN resolves. The
+// numerator always carries the aggregate column's moment function; the
+// denominator has moment functions only under tuple-factor normalization.
 type avgNode struct {
-	r       *rspn.RSPN
-	keep    map[string]bool
-	numFns  map[string]spn.Fn
-	denFns  map[string]spn.Fn
-	inner   []string
-	aggCol  string
-	numTmpl *rspn.TermTemplate
-	denTmpl *rspn.TermTemplate
-	keptIdx []int
+	r         *rspn.RSPN
+	num, den  *rspn.TermTemplate
+	ords      []int
+	denHasFns bool
+	err       error
+}
+
+// binding returns the flat predicate vector of one bound query — its
+// filters, the group key as equality predicates, its disjuncts — the one
+// layout every compiled term's ordinals index. Compilation runs against
+// the same vector of the template, where only the columns matter.
+func binding(q query.Query, groupCols []string, key []float64) []query.Predicate {
+	if len(groupCols) == 0 && len(q.Disjunction) == 0 {
+		return q.Filters
+	}
+	out := make([]query.Predicate, 0, len(q.Filters)+len(groupCols)+len(q.Disjunction))
+	out = append(out, q.Filters...)
+	for i, c := range groupCols {
+		out = append(out, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
+	}
+	return append(out, q.Disjunction...)
 }
 
 // Compile validates the query and builds its execution plan. Literal
@@ -175,7 +179,7 @@ func (e *Engine) Compile(q query.Query) (*Plan, error) {
 	}
 	p := &Plan{eng: e, q: q, shape: q.ShapeKey(), nparams: q.NumParams()}
 	var err error
-	p.card, err = e.compileCountTerms(q)
+	p.card, err = e.compileCountTerms(q, binding(q, nil, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -195,15 +199,16 @@ func (p *Plan) ensureExec() error {
 // without running the query.
 func (p *Plan) ExecErr() error { return p.ensureExec() }
 
-// compileExec builds the Execute-side estimators (group template and
-// aggregate members). Its error fails Execute but not EstimateCardinality,
-// preserving the contract that cardinality estimation ignores aggregate
-// and GROUP BY settings.
+// compileExec builds the Execute-side estimators (per-group gate and
+// aggregate members) against the grouped binding's vector, the group
+// keys being placeholders. Its error fails Execute but not
+// EstimateCardinality, preserving the contract that cardinality
+// estimation ignores aggregate and GROUP BY settings.
 func (p *Plan) compileExec(q query.Query) error {
 	e := p.eng
-	gt := q
+	preds := binding(q, q.GroupBy, make([]float64, len(q.GroupBy)))
+	var err error
 	if len(q.GroupBy) > 0 {
-		var err error
 		p.groupCols = q.GroupBy
 		p.groupVals, err = e.groupColValues(q)
 		if err != nil {
@@ -213,31 +218,23 @@ func (p *Plan) compileExec(q query.Query) error {
 		if err != nil {
 			return err
 		}
-		gt.GroupBy = nil
-		gfs := make([]query.Predicate, len(q.GroupBy))
-		for i, c := range q.GroupBy {
-			gfs[i] = query.Predicate{Column: c, Op: query.Eq}
-		}
-		gt.Filters = append(append([]query.Predicate(nil), q.Filters...), gfs...)
-		p.count, err = e.compileCountTerms(gt)
+		p.count, err = e.compileCountTerms(q, preds)
 		if err != nil {
 			return err
 		}
 	}
-	var err error
 	switch q.Aggregate {
 	case query.Count:
 		// The count terms above (or card, when ungrouped) are the answer.
 	case query.Sum:
-		p.sum, err = e.compileSumTerms(gt)
+		p.sum, err = e.compileSumTerms(q, preds)
 	case query.Avg:
 		if len(q.Disjunction) > 0 {
-			// AVG over a disjunction is SUM / COUNT over the same masks.
-			st := gt
-			st.Aggregate = query.Sum
-			p.sum, err = e.compileSumTerms(st)
+			// AVG over a disjunction is SUM / COUNT over the same terms.
+			p.sum, err = e.compileSumTerms(q, preds)
 		} else {
-			p.avg, err = e.compileAvg(gt)
+			ords, _ := signedTerm(len(preds), 0, 0) // the one term: every predicate
+			p.avg, err = e.compileAvg(q, preds, ords)
 		}
 	default:
 		err = fmt.Errorf("core: unsupported aggregate %v", q.Aggregate)
@@ -246,52 +243,55 @@ func (p *Plan) compileExec(q query.Query) error {
 }
 
 // compileCountTerms expands the query's disjunction (if any) with the
-// inclusion-exclusion principle and compiles each signed conjunctive term.
-// Outer-table semantics are resolved per term: a disjunct on an outer
-// table's column reverts that table to inner-join behaviour within its
-// terms only.
-func (e *Engine) compileCountTerms(q query.Query) ([]signedCount, error) {
-	subs, err := expandInclusionExclusion(q)
+// inclusion-exclusion principle and compiles each signed conjunctive term
+// over its ordinals into preds. Outer-table semantics are resolved per
+// term: a disjunct on an outer table's column reverts that table to
+// inner-join behaviour within its terms only.
+func (e *Engine) compileCountTerms(q query.Query, preds []query.Predicate) ([]signedCount, error) {
+	n, err := signedTerms(q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]signedCount, len(subs))
-	for i, sq := range subs {
-		node, err := e.compileCount(sq.q.Tables, sq.q.Filters, e.effectiveOuter(sq.q))
+	out := make([]signedCount, n)
+	for i := range out {
+		ords, sign := signedTerm(len(preds), len(q.Disjunction), i)
+		node, err := e.compileCount(q.Tables, preds, ords, e.effectiveOuter(q.OuterTables, preds, ords))
 		if err != nil {
 			return nil, err
 		}
-		out[i] = signedCount{sign: sq.sign, mask: sq.mask, node: node}
+		out[i] = signedCount{sign: sign, node: node}
 	}
 	return out, nil
 }
 
-// compileCount dispatches between the single-RSPN cases and Theorem 2 —
-// the compile-time mirror of the former per-call estimateCount. preds are
-// the template predicates visible at this node; only their columns matter.
-func (e *Engine) compileCount(tables []string, preds []query.Predicate, outer []string) (*countNode, error) {
+// compileCount dispatches between the single-RSPN cases and Theorem 2.
+// ords are the ordinals of the template predicates visible at this node;
+// only their columns matter.
+func (e *Engine) compileCount(tables []string, preds []query.Predicate, ords []int, outer []string) (*countNode, error) {
 	covering := e.Ens.Covering(tables)
 	if len(covering) > 0 {
 		if e.Strategy == StrategyMedian && len(covering) > 1 {
 			calls := make([]t1call, len(covering))
 			for i, r := range covering {
-				calls[i] = e.compileT1(r, tables, outer, nil, nil, preds)
+				calls[i] = e.compileT1(r, tables, outer, nil, preds, ords)
 			}
-			return &countNode{tables: tables, outer: outer, kind: ckMedian, median: calls}, nil
+			return &countNode{tables: tables, kind: ckMedian, median: calls}, nil
 		}
-		r := e.pickCovering(covering, preds)
-		return &countNode{tables: tables, outer: outer, kind: ckSingle,
-			single: e.compileT1(r, tables, outer, nil, nil, preds)}, nil
+		r := e.pickCovering(covering, preds, ords)
+		return &countNode{tables: tables, kind: ckSingle,
+			single: e.compileT1(r, tables, outer, nil, preds, ords)}, nil
 	}
-	return e.compileTheorem2(tables, preds, outer)
+	return e.compileTheorem2(tables, preds, ords, outer)
 }
 
 // compileTheorem2 compiles the multi-RSPN combination of Case 3: the
 // best-scoring RSPN answers the largest connected sub-query it covers,
 // extended across each bridge FK edge; every remaining branch becomes a
 // compiled sub-plan whose ratio divides by its bridgehead's cardinality.
-func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, outer []string) (*countNode, error) {
-	r := e.pickPartial(tables, preds)
+// Each side is compiled against the ordinals of the filter columns its
+// tables own.
+func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, ords []int, outer []string) (*countNode, error) {
+	r := e.pickPartial(tables, preds, ords)
 	if r == nil {
 		return nil, fmt.Errorf("core: no RSPN covers any of tables %v", tables)
 	}
@@ -325,30 +325,30 @@ func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, outer
 			extraFns[col] = spn.FnIdent
 		}
 	}
-	node := &countNode{tables: tables, outer: outer, kind: ckTheorem2, leftTables: sl,
-		left: e.compileT1(r, sl, intersect(outer, sl), extraFns, e.keepColumns(sl, preds), preds)}
+	node := &countNode{tables: tables, kind: ckTheorem2, leftTables: sl,
+		left: e.compileT1(r, sl, intersect(outer, sl), extraFns, preds, e.keepColumns(sl, preds, ords))}
 	// Non-outer branches contribute selectivity ratios; unfiltered outer
 	// branches are fully handled by the max(F,1) factor above.
 	for _, br := range branches {
 		if branchAllOuter(br, outerSet) {
 			continue
 		}
-		keep := e.keepColumns(br.tables, preds)
-		sub, err := e.compileCount(br.tables, selectPreds(preds, keep), intersect(outer, br.tables))
+		rows, ok := e.Ens.TableRows(br.head)
+		if !ok {
+			return nil, fmt.Errorf("core: no cardinality statistic or base table for %s (Theorem 2 needs its size)", br.head)
+		}
+		sub, err := e.compileCount(br.tables, preds, e.keepColumns(br.tables, preds, ords), intersect(outer, br.tables))
 		if err != nil {
 			return nil, err
 		}
-		node.branches = append(node.branches, &branchPlan{br: br, keep: keep, node: sub})
+		node.branches = append(node.branches, branchPlan{br: br, headRows: rows, node: sub})
 	}
 	return node, nil
 }
 
-// compileT1 precomputes one Theorem-1 evaluation on an RSPN, including
-// the term's constraint template (derived from the query's template
-// predicates — only their columns matter). An unresolvable template (a
-// filter the RSPN cannot resolve) leaves tmpl nil so the generic path
-// surfaces its error at evaluation time, exactly as before.
-func (e *Engine) compileT1(r *rspn.RSPN, tables, outer []string, extraFns map[string]spn.Fn, keep map[string]bool, preds []query.Predicate) t1call {
+// compileT1 precomputes one Theorem-1 evaluation on an RSPN: the term's
+// constraint template over the predicates at ords.
+func (e *Engine) compileT1(r *rspn.RSPN, tables, outer []string, extraFns map[string]spn.Fn, preds []query.Predicate, ords []int) t1call {
 	fns := map[string]spn.Fn{}
 	for _, c := range r.InverseFactorColumns(tables) {
 		fns[c] = spn.FnInv
@@ -360,55 +360,26 @@ func (e *Engine) compileT1(r *rspn.RSPN, tables, outer []string, extraFns map[st
 	// Outer tables keep padded rows: their indicator constraint is
 	// dropped, so a row missing the outer side still counts once.
 	inner := intersect(subtract(tables, outer), r.Tables)
-	call := t1call{r: r, fns: fns, inner: inner, keep: keep}
-	kept, keptIdx := keptPreds(preds, keep)
-	tmpl, err := r.CompileTerm(rspn.Term{Fns: fns, Filters: kept, InnerTables: inner})
-	if err == nil {
-		call.tmpl, call.keptIdx = tmpl, keptIdx
-	}
+	call := t1call{r: r, ords: ords, hasFns: len(fns) > 0}
+	call.tmpl, call.err = r.CompileTerm(rspn.Term{Fns: fns, Filters: selectPreds(preds, ords), InnerTables: inner})
 	return call
-}
-
-// keptPreds is selectPreds plus the kept ordinals (nil when keep is nil,
-// i.e. every predicate passes through at its own position). Compile-time
-// only: the ordinals are what lets exec-time template binding skip the
-// filtered copy, so both functions must share one keep rule (keepsPred).
-func keptPreds(preds []query.Predicate, keep map[string]bool) ([]query.Predicate, []int) {
-	if keep == nil {
-		return preds, nil
-	}
-	kept := make([]query.Predicate, 0, len(preds))
-	idx := make([]int, 0, len(preds))
-	for i, f := range preds {
-		if keepsPred(keep, f) {
-			kept = append(kept, f)
-			idx = append(idx, i)
-		}
-	}
-	return kept, idx
-}
-
-// keepsPred is the one predicate-selection rule shared by selectPreds and
-// keptPreds (nil keeps all).
-func keepsPred(keep map[string]bool, f query.Predicate) bool {
-	return keep == nil || keep[f.Column]
 }
 
 // compileSumTerms compiles the signed SUM terms of the (possibly
 // disjunctive) query.
-func (e *Engine) compileSumTerms(q query.Query) ([]signedSum, error) {
-	subs, err := expandInclusionExclusion(q)
+func (e *Engine) compileSumTerms(q query.Query, preds []query.Predicate) ([]signedSum, error) {
+	n, err := signedTerms(q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]signedSum, len(subs))
-	for i, sq := range subs {
-		st, err := e.compileSum(sq.q)
+	out := make([]signedSum, n)
+	for i := range out {
+		ords, sign := signedTerm(len(preds), len(q.Disjunction), i)
+		out[i], err = e.compileSum(q, preds, ords)
 		if err != nil {
 			return nil, err
 		}
-		st.sign, st.mask = sq.sign, sq.mask
-		out[i] = st
+		out[i].sign = sign
 	}
 	return out, nil
 }
@@ -417,34 +388,23 @@ func (e *Engine) compileSumTerms(q query.Query) ([]signedSum, error) {
 // the aggregate column and resolves every filter, the sum is a single
 // expectation |J| * E(A/F' * 1_C * N); otherwise it is COUNT * AVG as in
 // Section 4.2.
-func (e *Engine) compileSum(q query.Query) (signedSum, error) {
-	if covering := e.Ens.Covering(q.Tables); len(covering) > 0 {
-		for _, r := range covering {
-			if !r.HasColumn(q.AggColumn) {
-				continue
-			}
-			resolved := 0
-			for _, f := range q.Filters {
-				if r.ResolvesColumn(f.Column) {
-					resolved++
-				}
-			}
-			if resolved != len(q.Filters) {
-				continue // cannot resolve all filters; try another member
-			}
-			call := e.compileT1(r, q.Tables, e.effectiveOuter(q),
-				map[string]spn.Fn{q.AggColumn: spn.FnIdent}, nil, q.Filters)
+func (e *Engine) compileSum(q query.Query, preds []query.Predicate, ords []int) (signedSum, error) {
+	outer := e.effectiveOuter(q.OuterTables, preds, ords)
+	for _, r := range e.Ens.Covering(q.Tables) {
+		// A member that cannot resolve all filters is skipped; try another.
+		if r.HasColumn(q.AggColumn) && countResolved(r, preds, ords) == len(ords) {
+			call := e.compileT1(r, q.Tables, outer, map[string]spn.Fn{q.AggColumn: spn.FnIdent}, preds, ords)
 			return signedSum{direct: &call}, nil
 		}
 	}
 	// COUNT * AVG fallback. The count must range over rows with a non-NULL
 	// aggregate column to match SQL SUM semantics; the AVG denominator
 	// already does, so the product is consistent up to NULL skew.
-	cnt, err := e.compileCount(q.Tables, q.Filters, e.effectiveOuter(q))
+	cnt, err := e.compileCount(q.Tables, preds, ords, outer)
 	if err != nil {
 		return signedSum{}, err
 	}
-	av, err := e.compileAvg(q)
+	av, err := e.compileAvg(q, preds, ords)
 	if err != nil {
 		return signedSum{}, err
 	}
@@ -454,59 +414,55 @@ func (e *Engine) compileSum(q query.Query) (signedSum, error) {
 // compileAvg compiles an AVG as the ratio of expectations of Section 4.2,
 // restricted to the filters the chosen RSPN can resolve (the paper drops
 // the rest, accepting an approximation).
-func (e *Engine) compileAvg(q query.Query) (*avgNode, error) {
-	r, err := e.pickForAggregate(q)
+func (e *Engine) compileAvg(q query.Query, preds []query.Predicate, ords []int) (*avgNode, error) {
+	r, err := e.pickForAggregate(q, preds, ords)
 	if err != nil {
 		return nil, err
 	}
-	keep := map[string]bool{}
-	for _, f := range q.Filters {
-		if r.ResolvesColumn(f.Column) {
-			keep[f.Column] = true
+	kept := make([]int, 0, len(ords))
+	for _, o := range ords {
+		if r.ResolvesColumn(preds[o].Column) {
+			kept = append(kept, o)
 		}
 	}
-	inner := intersect(subtract(q.Tables, e.effectiveOuter(q)), r.Tables)
+	inner := intersect(subtract(q.Tables, e.effectiveOuter(q.OuterTables, preds, ords)), r.Tables)
 	numFns := map[string]spn.Fn{q.AggColumn: spn.FnIdent}
 	denFns := map[string]spn.Fn{}
 	for _, c := range r.InverseFactorColumns(q.Tables) {
 		numFns[c] = spn.FnInv
 		denFns[c] = spn.FnInv
 	}
-	a := &avgNode{r: r, keep: keep, numFns: numFns, denFns: denFns, inner: inner, aggCol: q.AggColumn}
-	kept, keptIdx := keptPreds(q.Filters, keep)
-	a.keptIdx = keptIdx
-	if tmpl, err := r.CompileTerm(rspn.Term{Fns: numFns, Filters: kept, InnerTables: inner}); err == nil {
-		a.numTmpl = tmpl
-	}
-	if tmpl, err := r.CompileTerm(rspn.Term{Fns: denFns, Filters: kept, InnerTables: inner, NotNull: []string{q.AggColumn}}); err == nil {
-		a.denTmpl = tmpl
+	a := &avgNode{r: r, ords: kept, denHasFns: len(denFns) > 0}
+	filters := selectPreds(preds, kept)
+	a.num, a.err = r.CompileTerm(rspn.Term{Fns: numFns, Filters: filters, InnerTables: inner})
+	if a.err == nil {
+		a.den, a.err = r.CompileTerm(rspn.Term{Fns: denFns, Filters: filters, InnerTables: inner, NotNull: []string{q.AggColumn}})
 	}
 	return a, nil
 }
 
-// keepColumns returns the filter columns owned by one of the tables —
-// the compile-time image of the former per-call filtersFor.
-func (e *Engine) keepColumns(tables []string, preds []query.Predicate) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range preds {
-		if e.columnOwner(f.Column, tables) != "" {
-			out[f.Column] = true
+// keepColumns returns those of ords whose filter column one of the tables
+// owns — the routing rule of a Theorem-2 side.
+func (e *Engine) keepColumns(tables []string, preds []query.Predicate, ords []int) []int {
+	out := make([]int, 0, len(ords))
+	for _, o := range ords {
+		if e.columnOwner(preds[o].Column, tables) != "" {
+			out = append(out, o)
 		}
 	}
 	return out
 }
 
-// selectPreds keeps the predicates passing keepsPred (nil keeps all) —
-// the exec-path variant of keptPreds, without the ordinal allocation.
-func selectPreds(preds []query.Predicate, keep map[string]bool) []query.Predicate {
-	if keep == nil {
+// selectPreds returns the template predicates at ords, in order — what a
+// term's constraint template is compiled from. Ordinals ascend, so a full
+// selection is the vector itself.
+func selectPreds(preds []query.Predicate, ords []int) []query.Predicate {
+	if len(ords) == len(preds) {
 		return preds
 	}
-	var out []query.Predicate
-	for _, f := range preds {
-		if keepsPred(keep, f) {
-			out = append(out, f)
-		}
+	out := make([]query.Predicate, len(ords))
+	for i, o := range ords {
+		out[i] = preds[o]
 	}
 	return out
 }
@@ -632,22 +588,6 @@ func (p *Plan) level(opts ExecOpts) float64 {
 		level = 0.95
 	}
 	return level
-}
-
-// maskPreds appends the disjunction predicates selected by mask to the
-// base conjuncts.
-func maskPreds(base, disj []query.Predicate, mask int) []query.Predicate {
-	if mask == 0 {
-		return base
-	}
-	out := make([]query.Predicate, 0, len(base)+len(disj))
-	out = append(out, base...)
-	for i := 0; i < len(disj); i++ {
-		if mask&(1<<i) != 0 {
-			out = append(out, disj[i])
-		}
-	}
-	return out
 }
 
 // finish attaches the confidence interval at the given level.

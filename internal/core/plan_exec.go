@@ -3,22 +3,21 @@ package core
 // plan_exec.go executes compiled plans through a batched evaluator.
 // Execution has three phases:
 //
-//  1. gather: walk the plan's compiled structure for every binding (each
-//     ExecBatch query, each GROUP BY key, each Theorem-2 branch, each
-//     inclusion-exclusion term, and each variance part) and collect the
-//     SPN inference requests it needs, grouped per RSPN;
+//  1. gather: build each binding's predicate vector once (binding, in
+//     plan.go) and hand that same vector to every node of the compiled
+//     structure — each inclusion-exclusion term, each Theorem-2 side at any
+//     depth, each AVG — where a term binds its template to the values at
+//     its compile-time ordinals; the resulting SPN inference requests
+//     (with their variance parts) are collected per RSPN;
 //  2. evaluate: answer each RSPN's requests in chunks over its flattened
 //     model arrays (spn.Compiled), fanning the chunks over up to
 //     Engine.Parallelism workers;
-//  3. resolve: combine the evaluated expectations into estimates with
-//     exactly the arithmetic (and combination order) of the former
-//     per-call path, so batched and one-at-a-time execution produce
-//     bit-identical results.
+//  3. resolve: combine the evaluated expectations into estimates in a
+//     fixed combination order, so batched and one-at-a-time execution
+//     produce bit-identical results.
 //
-// The former path paid one full model traversal — plus a map allocation
-// and a weight renormalization per sum node — for every expectation; a
-// GROUP BY over k keys with variance terms cost 3k+ traversals. The
-// batched walk pays one pass per chunk instead.
+// Nothing here decides which predicate reaches which model: no filtering,
+// masking or re-building of predicate lists happens per binding.
 
 import (
 	"context"
@@ -84,8 +83,8 @@ func (b *batcher) addRequest(r *rspn.RSPN, req spn.Request) valRef {
 // run evaluates all collected requests. Each RSPN's batch is split into
 // chunks sized so roughly `parallelism` chunks exist across the whole
 // execution, and the chunks are fanned over up to `parallelism` workers —
-// the WithParallelism fan-out now spans individual expectations rather
-// than whole groups or branches, so load balances evenly. Each chunk is
+// the fan-out spans individual expectations, not whole groups or
+// branches, so load balances evenly. Each chunk is
 // one pass over its model's flat arrays — or one eng.Eval dispatch when
 // the engine carries an evaluator hook; chunk boundaries are identical
 // either way, so the hook sees exactly the request groups the in-process
@@ -165,27 +164,6 @@ type termRefs struct {
 	hasVar, hasFns bool
 }
 
-// buildTermRequest binds the term's constraint set: through the
-// precompiled template (an ordinal-indexed fill of prebuilt slots) when
-// available, through the generic BuildRequest derivation otherwise. The
-// fallback also carries the original error-surfacing behavior for terms
-// whose template could not compile (e.g. an unresolvable filter column).
-func buildTermRequest(r *rspn.RSPN, tmpl *rspn.TermTemplate, keptIdx []int,
-	fns map[string]spn.Fn, inner []string, notNull []string,
-	preds []query.Predicate, keep map[string]bool) (spn.Request, error) {
-	if tmpl != nil {
-		req, ok, err := tmpl.BindIndexed(preds, keptIdx)
-		if err != nil {
-			return spn.Request{}, err
-		}
-		if ok {
-			return req, nil
-		}
-	}
-	term := rspn.Term{Fns: fns, Filters: selectPreds(preds, keep), InnerTables: inner, NotNull: notNull}
-	return r.BuildRequest(term)
-}
-
 // enqueueTerm collects the full/probability/squared expectations of one
 // bound request (the latter two only when the model's row count makes the
 // variance non-trivial, matching the former per-call control flow). The
@@ -255,12 +233,15 @@ func (t termRefs) estimate() Estimate {
 
 // enqueue collects one Theorem-1 evaluation |J| * E(fns * 1_C * prod N_T)
 // with its variance parts.
-func (t t1call) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
-	req, err := buildTermRequest(t.r, t.tmpl, t.keptIdx, t.fns, t.inner, nil, preds, t.keep)
+func (t *t1call) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	req, err := t.tmpl.BindIndexed(preds, t.ords)
 	if err != nil {
 		return nil, err
 	}
-	refs := enqueueTerm(b, t.r, req, len(t.fns) > 0)
+	refs := enqueueTerm(b, t.r, req, t.hasFns)
 	size := t.r.FullSize
 	return func() (Estimate, error) {
 		return scaleEstimate(refs.estimate(), size), nil
@@ -270,14 +251,14 @@ func (t t1call) enqueue(b *batcher, preds []query.Predicate) (estimator, error) 
 // enqueue collects one compiled COUNT node: the single call, the median
 // panel, or the Theorem-2 left side plus every branch sub-plan — all
 // independent, so they land in the same batch.
-func (n *countNode) enqueue(e *Engine, b *batcher, preds []query.Predicate) (estimator, error) {
+func (n *countNode) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
 	switch n.kind {
 	case ckSingle:
 		return n.single.enqueue(b, preds)
 	case ckMedian:
 		resolvers := make([]estimator, len(n.median))
-		for i, call := range n.median {
-			res, err := call.enqueue(b, preds)
+		for i := range n.median {
+			res, err := n.median[i].enqueue(b, preds)
 			if err != nil {
 				return nil, err
 			}
@@ -312,8 +293,8 @@ func (n *countNode) enqueue(e *Engine, b *batcher, preds []query.Predicate) (est
 			return nil, err
 		}
 		branches := make([]estimator, len(n.branches))
-		for i, br := range n.branches {
-			sub, err := br.node.enqueue(e, b, selectPreds(preds, br.keep))
+		for i := range n.branches {
+			sub, err := n.branches[i].node.enqueue(b, preds)
 			if err != nil {
 				return nil, err
 			}
@@ -330,12 +311,8 @@ func (n *countNode) enqueue(e *Engine, b *batcher, preds []query.Predicate) (est
 				if err != nil {
 					return Estimate{}, err
 				}
-				den, ok := e.Ens.TableRows(plans[i].br.head)
-				if !ok {
-					return Estimate{}, fmt.Errorf("core: no cardinality statistic or base table for %s (Theorem 2 needs its size)", plans[i].br.head)
-				}
 				var ratio Estimate
-				if den > 0 {
+				if den := plans[i].headRows; den > 0 {
 					ratio = scaleEstimate(num, 1/den)
 				}
 				// den <= 0: an empty bridgehead table joins to nothing, so
@@ -349,11 +326,11 @@ func (n *countNode) enqueue(e *Engine, b *batcher, preds []query.Predicate) (est
 
 // enqueue collects one signed SUM term: either the direct single
 // expectation, or the COUNT * AVG fallback of Section 4.2.
-func (s signedSum) enqueue(e *Engine, b *batcher, preds []query.Predicate) (estimator, error) {
+func (s signedSum) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
 	if s.direct != nil {
 		return s.direct.enqueue(b, preds)
 	}
-	cnt, err := s.cnt.enqueue(e, b, preds)
+	cnt, err := s.cnt.enqueue(b, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -377,16 +354,19 @@ func (s signedSum) enqueue(e *Engine, b *batcher, preds []query.Predicate) (esti
 // enqueue collects the AVG ratio of expectations (numerator, denominator,
 // and their variance parts — six requests, one batch).
 func (a *avgNode) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
-	numReq, err := buildTermRequest(a.r, a.numTmpl, a.keptIdx, a.numFns, a.inner, nil, preds, a.keep)
+	if a.err != nil {
+		return nil, a.err
+	}
+	numReq, err := a.num.BindIndexed(preds, a.ords)
 	if err != nil {
 		return nil, err
 	}
-	denReq, err := buildTermRequest(a.r, a.denTmpl, a.keptIdx, a.denFns, a.inner, []string{a.aggCol}, preds, a.keep)
+	denReq, err := a.den.BindIndexed(preds, a.ords)
 	if err != nil {
 		return nil, err
 	}
-	num := enqueueTerm(b, a.r, numReq, len(a.numFns) > 0)
-	den := enqueueTerm(b, a.r, denReq, len(a.denFns) > 0)
+	num := enqueueTerm(b, a.r, numReq, true)
+	den := enqueueTerm(b, a.r, denReq, a.denHasFns)
 	return func() (Estimate, error) {
 		denE := den.estimate()
 		if denE.Value <= 0 {
@@ -429,47 +409,47 @@ func enqueueSigned(b *batcher, n int, clampZero bool,
 	}, nil
 }
 
-// enqueueCount collects the signed COUNT terms for one predicate binding.
-func (p *Plan) enqueueCount(b *batcher, terms []signedCount, base, disj []query.Predicate) (estimator, error) {
-	if len(terms) == 1 && terms[0].mask == 0 {
-		return terms[0].node.enqueue(p.eng, b, base)
+// enqueueCount collects the signed COUNT terms for one binding. A query
+// without a disjunction has one term and no inclusion-exclusion sum.
+func (p *Plan) enqueueCount(b *batcher, terms []signedCount, preds []query.Predicate) (estimator, error) {
+	if len(p.q.Disjunction) == 0 {
+		return terms[0].node.enqueue(b, preds)
 	}
 	return enqueueSigned(b, len(terms), true, func(i int) (estimator, float64, error) {
-		res, err := terms[i].node.enqueue(p.eng, b, maskPreds(base, disj, terms[i].mask))
+		res, err := terms[i].node.enqueue(b, preds)
 		return res, terms[i].sign, err
 	})
 }
 
 // enqueueSum collects the signed SUM terms.
-func (p *Plan) enqueueSum(b *batcher, base, disj []query.Predicate) (estimator, error) {
-	terms := p.sum
-	if len(terms) == 1 && terms[0].mask == 0 {
-		return terms[0].enqueue(p.eng, b, base)
+func (p *Plan) enqueueSum(b *batcher, preds []query.Predicate) (estimator, error) {
+	if len(p.q.Disjunction) == 0 {
+		return p.sum[0].enqueue(b, preds)
 	}
-	return enqueueSigned(b, len(terms), false, func(i int) (estimator, float64, error) {
-		res, err := terms[i].enqueue(p.eng, b, maskPreds(base, disj, terms[i].mask))
-		return res, terms[i].sign, err
+	return enqueueSigned(b, len(p.sum), false, func(i int) (estimator, float64, error) {
+		res, err := p.sum[i].enqueue(b, preds)
+		return res, p.sum[i].sign, err
 	})
 }
 
-// enqueueAggregate collects the plan's aggregate for one bound predicate
-// set. countTerms is the COUNT estimator matching the predicate set (card
-// for the base query, count for the group template).
-func (p *Plan) enqueueAggregate(b *batcher, countTerms []signedCount, preds, disj []query.Predicate) (estimator, error) {
+// enqueueAggregate collects the plan's aggregate for one binding.
+// countTerms is the COUNT estimator compiled against the binding's layout
+// (card for an ungrouped query, count for a grouped one).
+func (p *Plan) enqueueAggregate(b *batcher, countTerms []signedCount, preds []query.Predicate) (estimator, error) {
 	switch p.q.Aggregate {
 	case query.Count:
-		return p.enqueueCount(b, countTerms, preds, disj)
+		return p.enqueueCount(b, countTerms, preds)
 	case query.Sum:
-		return p.enqueueSum(b, preds, disj)
+		return p.enqueueSum(b, preds)
 	case query.Avg:
 		if p.avg != nil {
 			return p.avg.enqueue(b, preds)
 		}
-		sum, err := p.enqueueSum(b, preds, disj)
+		sum, err := p.enqueueSum(b, preds)
 		if err != nil {
 			return nil, err
 		}
-		cnt, err := p.enqueueCount(b, countTerms, preds, disj)
+		cnt, err := p.enqueueCount(b, countTerms, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +506,7 @@ func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.
 		b := newBatcher(2 * len(queries))
 		resolvers := make([]estimator, len(queries))
 		for i, q := range queries {
-			res, err := p.enqueueAggregate(b, p.card, q.Filters, q.Disjunction)
+			res, err := p.enqueueAggregate(b, p.card, binding(q, nil, nil))
 			if err != nil {
 				return nil, err
 			}
@@ -594,12 +574,9 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, lev
 	for qi, q := range queries {
 		for ki := 0; ki < nk; ki++ {
 			keyBuf = groupKeyAt(p.groupVals, lo+ki, keyBuf)
-			preds := make([]query.Predicate, 0, len(q.Filters)+len(keyBuf))
-			preds = append(preds, q.Filters...)
-			preds = append(preds, groupFilters(p.groupCols, keyBuf)...)
 			i := qi*nk + ki
-			bindings[i] = preds
-			res, err := p.enqueueCount(b, p.count, preds, q.Disjunction)
+			bindings[i] = binding(q, p.groupCols, keyBuf)
+			res, err := p.enqueueCount(b, p.count, bindings[i])
 			if err != nil {
 				return nil, err
 			}
@@ -623,18 +600,15 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, lev
 	aggs := make([]estimator, len(gates))
 	if p.q.Aggregate != query.Count {
 		b2 := newBatcher(2 * len(queries) * nk)
-		for qi, q := range queries {
-			for ki := 0; ki < nk; ki++ {
-				i := qi*nk + ki
-				if !live[i] {
-					continue
-				}
-				res, err := p.enqueueAggregate(b2, p.count, bindings[i], q.Disjunction)
-				if err != nil {
-					return nil, err
-				}
-				aggs[i] = res
+		for i, preds := range bindings {
+			if !live[i] {
+				continue
 			}
+			res, err := p.enqueueAggregate(b2, p.count, preds)
+			if err != nil {
+				return nil, err
+			}
+			aggs[i] = res
 		}
 		if err := b2.run(ctx, p.eng); err != nil {
 			return nil, err
@@ -680,7 +654,7 @@ func (p *Plan) EstimateCardinalityQuery(ctx context.Context, q query.Query) (Est
 		return Estimate{}, err
 	}
 	b := newBatcher(2)
-	res, err := p.enqueueCount(b, p.card, q.Filters, q.Disjunction)
+	res, err := p.enqueueCount(b, p.card, binding(q, nil, nil))
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -155,7 +155,10 @@ func TestGroupedRowsMatchUngroupedQueries(t *testing.T) {
 				if agg == query.Count {
 					uq.AggColumn = ""
 				}
-				uq.Filters = append(append([]query.Predicate(nil), q.Filters...), groupFilters(q.GroupBy, key)...)
+				uq.Filters = append([]query.Predicate(nil), q.Filters...)
+				for i, c := range q.GroupBy {
+					uq.Filters = append(uq.Filters, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
+				}
 				r, err := e.ExecuteContext(ctx, uq)
 				if err != nil {
 					t.Fatalf("joint=%v query %d key %v: ungrouped: %v", joint, qi, key, err)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/spn"
+	"repro/internal/table"
 )
 
 // ttSlot is one output column of the template's request: which model
@@ -33,7 +34,7 @@ type ttSlot struct {
 
 // TermTemplate is a Term with its constraint structure resolved against
 // one RSPN. It is immutable after CompileTerm and safe for concurrent
-// BindRequest calls.
+// BindIndexed calls.
 type TermTemplate struct {
 	r     *RSPN
 	slots []ttSlot
@@ -46,7 +47,7 @@ type TermTemplate struct {
 // CompileTerm resolves the term's structure — column routing, FD
 // decisions, indicator and moment placement — against the model. The
 // term's filter values are ignored; only their columns and order matter,
-// and BindRequest expects the same filter shape (as query.SameShape
+// and BindIndexed expects the same filter shape (as query.SameShape
 // guarantees for plan executions).
 func (r *RSPN) CompileTerm(term Term) (*TermTemplate, error) {
 	t := &TermTemplate{
@@ -87,7 +88,7 @@ func (r *RSPN) CompileTerm(term Term) (*TermTemplate, error) {
 			if len(r.Tables) == 1 && r.Tables[0] == tbl {
 				continue // single-table RSPN: every row is a real row
 			}
-			return nil, fmt.Errorf("rspn: missing indicator column for table %s", tbl)
+			return nil, fmt.Errorf("rspn: missing indicator column %s", table.IndicatorColumn(tbl))
 		}
 		slotOf(idx).indicator = true
 	}
@@ -113,39 +114,22 @@ func (r *RSPN) CompileTerm(term Term) (*TermTemplate, error) {
 	return t, nil
 }
 
-// BindRequest builds the template's request for one concrete predicate
-// list. ok is false when the filter shape differs from the compiled one
-// (the caller then falls back to the generic BuildRequest path); errors
-// only arise from value-dependent FD translation.
-func (t *TermTemplate) BindRequest(filters []query.Predicate) (req spn.Request, ok bool, err error) {
-	return t.BindIndexed(filters, nil)
-}
-
-// BindIndexed is BindRequest through an ordinal indirection: template
-// filter k reads filters[idx[k]] (idx nil means identity). A plan whose
-// term keeps only a subset of the query's predicates stores the kept
-// ordinals once at compile time and binds against the full predicate list
-// directly, instead of materializing the filtered copy per evaluation.
+// BindIndexed builds the template's request for one concrete predicate
+// vector: template filter k reads filters[ords[k]]. A plan stores each
+// term's ordinals once at compile time and binds every term against the
+// binding's whole vector, instead of materializing a filtered copy per
+// evaluation. A vector whose shape differs from the compiled one is an
+// error (plan executions are shape-checked before they bind); other errors
+// arise from value-dependent FD translation.
 //
 //deepdb:nocancel slot loops are column-count bounded; this per-evaluation hot path is cheaper than a ctx check
-func (t *TermTemplate) BindIndexed(filters []query.Predicate, idx []int) (req spn.Request, ok bool, err error) {
-	if idx == nil {
-		if len(filters) != len(t.cols) {
-			return spn.Request{}, false, nil
-		}
-		for k := range filters {
-			if filters[k].Column != t.cols[k] {
-				return spn.Request{}, false, nil
-			}
-		}
-	} else {
-		if len(idx) != len(t.cols) {
-			return spn.Request{}, false, nil
-		}
-		for k, j := range idx {
-			if j < 0 || j >= len(filters) || filters[j].Column != t.cols[k] {
-				return spn.Request{}, false, nil
-			}
+func (t *TermTemplate) BindIndexed(filters []query.Predicate, ords []int) (spn.Request, error) {
+	if len(ords) != len(t.cols) {
+		return spn.Request{}, fmt.Errorf("rspn: term compiled for %d filters bound with %d", len(t.cols), len(ords))
+	}
+	for k, j := range ords {
+		if j < 0 || j >= len(filters) || filters[j].Column != t.cols[k] {
+			return spn.Request{}, fmt.Errorf("rspn: term filter %d compiled for column %s bound to predicate %d of %d", k, t.cols[k], j, len(filters))
 		}
 	}
 	cols := make([]spn.ColQuery, len(t.slots))
@@ -155,15 +139,11 @@ func (t *TermTemplate) BindIndexed(filters []query.Predicate, idx []int) (req sp
 		var ranges []spn.Range
 		hasRange := false
 		for _, k := range sl.filters {
-			j := k
-			if idx != nil {
-				j = idx[k]
-			}
-			pred := filters[j]
+			pred := filters[ords[k]]
 			if t.fd[k] {
-				pred, err = t.r.translateFD(pred)
-				if err != nil {
-					return spn.Request{}, false, err
+				var err error
+				if pred, err = t.r.translateFD(pred); err != nil {
+					return spn.Request{}, err
 				}
 			}
 			rs := PredicateRanges(pred)
@@ -194,5 +174,5 @@ func (t *TermTemplate) BindIndexed(filters []query.Predicate, idx []int) (req sp
 		}
 		cols[i] = cq
 	}
-	return spn.Request{Cols: cols}, true, nil
+	return spn.Request{Cols: cols}, nil
 }

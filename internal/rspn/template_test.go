@@ -81,6 +81,15 @@ func templateTerms() []Term {
 	}
 }
 
+// allOrds is the identity ordinal list: every predicate, in place.
+func allOrds(n int) []int {
+	ords := make([]int, n)
+	for i := range ords {
+		ords[i] = i
+	}
+	return ords
+}
+
 func TestTemplateMatchesGenericBuild(t *testing.T) {
 	r := templateFixture(t)
 	for ti, term := range templateTerms() {
@@ -88,12 +97,9 @@ func TestTemplateMatchesGenericBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("term %d: CompileTerm: %v", ti, err)
 		}
-		bound, ok, err := tmpl.BindRequest(term.Filters)
+		bound, err := tmpl.BindIndexed(term.Filters, allOrds(len(term.Filters)))
 		if err != nil {
-			t.Fatalf("term %d: BindRequest: %v", ti, err)
-		}
-		if !ok {
-			t.Fatalf("term %d: BindRequest rejected the compiled shape", ti)
+			t.Fatalf("term %d: BindIndexed: %v", ti, err)
 		}
 		generic, err := r.BuildRequest(term)
 		if err != nil {
@@ -111,9 +117,9 @@ func TestTemplateMatchesGenericBuild(t *testing.T) {
 		}
 		term2 := term
 		term2.Filters = shifted
-		bound2, ok, err := tmpl.BindRequest(shifted)
-		if err != nil || !ok {
-			t.Fatalf("term %d: rebind failed (ok=%v err=%v)", ti, ok, err)
+		bound2, err := tmpl.BindIndexed(shifted, allOrds(len(shifted)))
+		if err != nil {
+			t.Fatalf("term %d: rebind failed: %v", ti, err)
 		}
 		generic2, err := r.BuildRequest(term2)
 		if err != nil {
@@ -140,26 +146,26 @@ func TestTemplateBindIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, ok, err := tmpl.BindRequest(kept)
-	if err != nil || !ok {
-		t.Fatalf("direct bind failed (ok=%v err=%v)", ok, err)
+	direct, err := tmpl.BindIndexed(kept, allOrds(len(kept)))
+	if err != nil {
+		t.Fatalf("direct bind failed: %v", err)
 	}
-	indexed, ok, err := tmpl.BindIndexed(full, []int{1, 2})
-	if err != nil || !ok {
-		t.Fatalf("indexed bind failed (ok=%v err=%v)", ok, err)
+	indexed, err := tmpl.BindIndexed(full, []int{1, 2})
+	if err != nil {
+		t.Fatalf("indexed bind failed: %v", err)
 	}
 	if !reflect.DeepEqual(direct, indexed) {
 		t.Fatalf("indexed %+v != direct %+v", indexed, direct)
 	}
-	// Shape mismatches fall back instead of mis-binding.
-	if _, ok, _ := tmpl.BindIndexed(full, []int{0, 2}); ok {
-		t.Fatal("expected shape-mismatch rejection for wrong column")
+	// Shape mismatches are errors, never a mis-bound request.
+	if _, err := tmpl.BindIndexed(full, []int{0, 2}); err == nil {
+		t.Fatal("expected shape-mismatch error for wrong column")
 	}
-	if _, ok, _ := tmpl.BindIndexed(full, []int{1}); ok {
-		t.Fatal("expected shape-mismatch rejection for wrong arity")
+	if _, err := tmpl.BindIndexed(full, []int{1}); err == nil {
+		t.Fatal("expected shape-mismatch error for wrong arity")
 	}
-	if _, ok, _ := tmpl.BindIndexed(full, []int{1, 99}); ok {
-		t.Fatal("expected shape-mismatch rejection for out-of-range ordinal")
+	if _, err := tmpl.BindIndexed(full, []int{1, 99}); err == nil {
+		t.Fatal("expected shape-mismatch error for out-of-range ordinal")
 	}
 }
 

@@ -354,16 +354,6 @@ func WithBreaker(threshold int, cooldown time.Duration) ClientOption {
 	return func(c *Client) { c.br = NewBreaker(threshold, cooldown) }
 }
 
-// WithAttemptTimeout sets the per-attempt timeout used when the request
-// context has no deadline.
-func WithAttemptTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.attemptTimeout = d
-		}
-	}
-}
-
 // NewClient returns a client for the replica at base (e.g.
 // "http://127.0.0.1:9301").
 func NewClient(base string, opts ...ClientOption) *Client {

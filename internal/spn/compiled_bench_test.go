@@ -17,7 +17,7 @@ var (
 	benchReqs []Request
 )
 
-func benchFixture(b *testing.B) (*SPN, []Request) {
+func benchFixture(b testing.TB) (*SPN, []Request) {
 	b.Helper()
 	benchOnce.Do(func() {
 		rng := rand.New(rand.NewSource(42))

@@ -109,11 +109,3 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// SampleVariance returns the Bessel-corrected sample variance.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}

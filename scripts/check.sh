@@ -38,7 +38,7 @@ fi
 
 echo "== option/flag ratchet =="
 # The committed ceilings only ever go down: facade options and serve flags.
-[ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 21 ] &&
+[ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 17 ] &&
     [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 18 ] ||
     { echo "a new option needs two non-test callers with different values — see simplicity-review/Options"; exit 1; }
 # Every facade option is selected by something that ships (a non-test
@@ -46,14 +46,12 @@ echo "== option/flag ratchet =="
 # only tests turn is a fork nobody has shown traffic for: argue it onto
 # the list or make it a constant of the layer that owns it.
 #   WithSyncUpdates        reference path of the sync == async equivalence suites
-#   WithUpdateQueueSize    facade-level backpressure tests need a test-scale queue
-#   WithPeerRetries        \
-#   WithPeerBreaker         } chaos tests need test-scale retry/breaker/probe timing
-#   WithPeerProbeInterval  /
 #   WithSingleTableOnly    the paper's cheap fallback configuration, not tuning
 #   WithDriftMeanShift     a distinct drift signal, not a tuning of WithDriftThreshold
 #   WithDataset            input (already-loaded tables), not tuning
-keep=" WithSyncUpdates WithUpdateQueueSize WithPeerRetries WithPeerBreaker WithPeerProbeInterval WithSingleTableOnly WithDriftMeanShift WithDataset "
+# (Test-scale tuning — queue size, peer retry/breaker/probe timing — is not
+# an option at all: deepdb/export_test.go hands it to the test package.)
+keep=" WithSyncUpdates WithSingleTableOnly WithDriftMeanShift WithDataset "
 for opt in $(sed -n 's/^func \(With[A-Za-z]*\).*/\1/p' deepdb/options.go); do
     case "$keep" in *" $opt "*) continue ;; esac
     find . -name '*.go' ! -name '*_test.go' ! -path './deepdb/*' | xargs grep -l "deepdb\.$opt(" | grep -q . ||
@@ -130,22 +128,14 @@ echo "== chaos (seeded fault injection) =="
 # keeps the chaos bar visible and uncached even when the suite is filtered.
 go test -race -short -count=1 -run '^TestChaos' ./internal/wal ./internal/pipeline ./deepdb
 
-echo "== SPN kernel regression guard =="
-# BenchmarkSPNEvalFlatGrouped16 carries the vectorized binned-leaf kernel
-# speedup; fail the gate if it regresses more than 20% against the
-# committed baseline in BENCH_spn.json. The guard measures with a fixed
-# iteration count large enough to smooth scheduler noise.
-baseline=$(awk -F'"ns_per_op": ' '/SPNEvalFlatGrouped16/ {split($2, a, /[,}]/); print a[1]}' BENCH_spn.json)
-current=$(go test -run '^$' -bench 'SPNEvalFlatGrouped16$' -benchtime 20000x ./internal/spn \
-    | awk '$1 ~ /^BenchmarkSPNEvalFlatGrouped16/ {for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") print $i}')
-awk -v base="$baseline" -v cur="$current" 'BEGIN {
-    if (base == "" || cur == "") { print "kernel guard: missing measurement (baseline=" base ", current=" cur ")"; exit 1 }
-    if (cur + 0 > (base + 0) * 1.2) {
-        printf "SPNEvalFlatGrouped16 regressed: %.0f ns/op vs committed baseline %.0f (+%.0f%%, budget 20%%)\n", cur, base, (cur / base - 1) * 100
-        exit 1
-    }
-    printf "SPNEvalFlatGrouped16: %.0f ns/op (committed baseline %.0f, within 20%%)\n", cur, base
-}'
+echo "== allocation budgets =="
+# TestAllocBudgets pins allocs/op exactly on the flat SPN evaluator, the
+# prepared / cached / grouped facade paths and an /estimate round trip.
+# Counts are noise-free where a ns/op guard on this box was not (an
+# untouched kernel read 768-1202 ns against its 848 ns baseline). The
+# tests skip themselves under the race detector, so the suite above does
+# not hold them; this run does.
+go test -run '^TestAllocBudgets$' -count=1 . ./internal/spn ./cmd/deepdb
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
