@@ -48,7 +48,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"result-cache hit", 6, func() error { _, err := hit.Exec(ctx, 40, 50); return err }},
 		{"result-cache miss", 30, func() error { _, err := miss.Exec(ctx, 40, 50); return err }},
 		{"unprepared cached", 44, func() error { _, err := db.EstimateCardinality(ctx, literal); return err }},
-		{"batched GROUP BY", 77, func() error { _, err := grouped.Exec(ctx, 40); return err }},
+		{"batched GROUP BY", 74, func() error { _, err := grouped.Exec(ctx, 40); return err }},
 	} {
 		if err := b.run(); err != nil { // also warms the plan and result caches
 			t.Fatalf("%s: %v", b.name, err)

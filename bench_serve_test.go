@@ -23,10 +23,10 @@ import (
 // router with n shards. The dataset learns two ensemble members and the
 // partitioner clamps to the member count, so n > 2 would rebuild the
 // 2-shard layout; the benchmark reports the effective count as a metric.
-func shardedFixture(b *testing.B, n int) *deepdb.ShardedDB {
+func shardedFixture(b *testing.B, n int) *deepdb.DB {
 	b.Helper()
 	s, data := updateDataset()
-	db, err := deepdb.LearnDatasetSharded(context.Background(), s, data,
+	db, err := deepdb.LearnDataset(context.Background(), s, data,
 		deepdb.WithMaxSamples(4000), deepdb.WithShards(n))
 	if err != nil {
 		b.Fatal(err)

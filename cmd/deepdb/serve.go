@@ -60,7 +60,6 @@ import (
 
 	"repro/deepdb"
 	"repro/internal/fault"
-	"repro/internal/rspn"
 )
 
 // shutdownTimeout bounds the graceful drain of in-flight requests after
@@ -143,17 +142,11 @@ func cmdServe(ctx context.Context, args []string) error {
 	// Serving front-ends shed on a full update queue (429 + Retry-After)
 	// instead of pinning a handler goroutine per blocked writer.
 	opts = append(opts, deepdb.WithNonBlockingUpdates())
-	var db backend
-	var err error
-	if *shards > 1 || *peers != "" {
-		sopts := append(opts, deepdb.WithShards(*shards))
-		if *peers != "" {
-			sopts = append(sopts, deepdb.WithShardPeers(strings.Split(*peers, ",")...))
-		}
-		db, err = deepdb.OpenSharded(ctx, *model, sopts...)
-	} else {
-		db, err = deepdb.Open(ctx, *model, opts...)
+	opts = append(opts, deepdb.WithShards(*shards))
+	if *peers != "" {
+		opts = append(opts, deepdb.WithShardPeers(strings.Split(*peers, ",")...))
 	}
+	db, err := deepdb.Open(ctx, *model, opts...)
 	if err != nil {
 		return err
 	}
@@ -170,8 +163,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v", *model, *addr, db.Data() == nil)
-	if sh, ok := db.(sharded); ok {
-		banner += fmt.Sprintf(", shards: %d", sh.Shards())
+	if *shards > 1 || *peers != "" {
+		banner += fmt.Sprintf(", shards: %d", db.Shards())
 	}
 	return serveUntilSignal(ctx, srv, banner+")")
 }
@@ -211,38 +204,6 @@ func withPprofEndpoints(h http.Handler) http.Handler {
 	return mux
 }
 
-// backend is the database surface the front-end serves — implemented by
-// both *deepdb.DB (single-process) and *deepdb.ShardedDB (the fan-out
-// router over partitioned shards). Queries come from immutable published
-// snapshots and updates are serialized inside the backend; results are
-// bit-identical between the two implementations.
-type backend interface {
-	Prepare(sql string) (*deepdb.Stmt, error)
-	Query(ctx context.Context, sql string, opts ...deepdb.ExecOption) (deepdb.Result, error)
-	QueryRows(ctx context.Context, sql string, opts ...deepdb.ExecOption) (*deepdb.Rows, error)
-	EstimateCardinality(ctx context.Context, sql string, opts ...deepdb.ExecOption) (deepdb.Estimate, error)
-	Explain(ctx context.Context, sql string) (string, error)
-	ResolveLabel(column, literal string) (float64, error)
-	Insert(table string, values map[string]deepdb.Value) error
-	Delete(table string, pk float64) error
-	Flush(ctx context.Context) error
-	Reload(modelPath string) error
-	Generation() uint64
-	Schema() *deepdb.Schema
-	Data() deepdb.Dataset
-	Models() []*rspn.RSPN
-	UpdateStats() deepdb.UpdateStats
-	Close() error
-}
-
-// sharded is the extra surface a ShardedDB backend exposes; /healthz
-// reports per-shard health when present.
-type sharded interface {
-	Shards() int
-	ShardStats() []deepdb.ShardStat
-	PeerStats() (hits, fallbacks uint64)
-}
-
 // withInflightLimit bounds concurrently served requests: beyond n, requests
 // are shed immediately with 429 + Retry-After instead of queueing. /healthz
 // is exempt so health stays observable under exactly the overload the
@@ -268,9 +229,11 @@ func withInflightLimit(h http.Handler, n int) http.Handler {
 	})
 }
 
-// serveHandler is the HTTP surface over one backend.
+// serveHandler is the HTTP surface over one database handle. Queries come
+// from immutable published snapshots and updates are serialized inside the
+// handle; answers are bit-identical at every shard count.
 type serveHandler struct {
-	db       backend
+	db       *deepdb.DB
 	readonly bool
 	maxBody  int64
 }
@@ -289,7 +252,7 @@ func withMaxBody(n int64) serveOption {
 
 // newServeHandler builds the endpoint mux; split out of cmdServe so tests
 // can drive it through httptest without binding a port.
-func newServeHandler(db backend, readonly bool, opts ...serveOption) http.Handler {
+func newServeHandler(db *deepdb.DB, readonly bool, opts ...serveOption) http.Handler {
 	s := &serveHandler{db: db, readonly: readonly, maxBody: 1 << 20}
 	for _, o := range opts {
 		o(s)
@@ -599,7 +562,7 @@ func (s *serveHandler) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMutationErr maps backpressure to 429 + Retry-After (the update
-// queue is full and the backend shed instead of blocking — the client
+// queue is full and the database shed instead of blocking — the client
 // should back off and retry), lost WAL durability to 503 (the fail-stop
 // policy rejects writes until the process is restarted on a healthy disk;
 // reads keep serving), and everything else to 400.
@@ -641,7 +604,7 @@ func (s *serveHandler) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleReload hot-swaps the serving model with the file named in the
 // request body, through the snapshot-publication path: zero read downtime,
-// and on a sharded backend all-old-or-all-new generation consistency.
+// and across shards all-old-or-all-new generation consistency.
 // Allowed under -readonly — a model swap is an operator action, not a data
 // mutation.
 func (s *serveHandler) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -692,18 +655,18 @@ func (s *serveHandler) handleFlush(w http.ResponseWriter, r *http.Request) {
 // marshalled as they are: the key names under "updates" and "shards" are
 // the JSON tags of deepdb.UpdateStats, WALStats, DriftStat and ShardStat.
 // "updates.wal" is present only with -wal, "updates.drift" only with data
-// attached, "shards" and the peer counters only on a sharded backend. A
+// attached, "shards" and the peer counters only when there is per-shard
+// detail to report — more than one shard, or a bound replica. A
 // failed WAL (updates.durability_lost: writes 503 under the fail-stop
 // policy, or are volatile under degrade-volatile) flips status to
 // "degraded".
 func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.db.UpdateStats()
-	var shards []deepdb.ShardStat
-	var peerHits, peerFalls uint64
-	if sh, ok := s.db.(sharded); ok {
-		shards = sh.ShardStats()
-		peerHits, peerFalls = sh.PeerStats()
+	shards := s.db.ShardStats()
+	if len(shards) == 1 && shards[0].Peer == "" {
+		shards = nil
 	}
+	peerHits, peerFalls := s.db.PeerStats()
 	status := "ok"
 	if st.DurabilityLost {
 		status = "degraded"

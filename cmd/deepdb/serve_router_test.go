@@ -172,7 +172,7 @@ func TestShardedServeEquivalence(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	sdb, err := deepdb.OpenSharded(ctx, path, deepdb.WithShards(2))
+	sdb, err := deepdb.Open(ctx, path, deepdb.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}

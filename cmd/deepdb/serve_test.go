@@ -358,7 +358,7 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	do := estimateRoundTrip(t)
 	do() // open the keep-alive connection, warm the plan cache
-	const budget = 151
+	const budget = 150
 	if got := testing.AllocsPerRun(200, do); got != budget {
 		t.Errorf("/estimate round trip: %v allocs/op, budget %v", got, budget)
 	}

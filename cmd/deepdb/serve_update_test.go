@@ -250,7 +250,7 @@ func TestShardedHealthzAggregatesPipelineAndWAL(t *testing.T) {
 	if err := src.Save(model); err != nil {
 		t.Fatal(err)
 	}
-	db, err := deepdb.OpenSharded(ctx, model, deepdb.WithShards(2),
+	db, err := deepdb.Open(ctx, model, deepdb.WithShards(2),
 		deepdb.WithDataset(src.Data()), deepdb.WithWAL(walDir))
 	if err != nil {
 		t.Fatal(err)

@@ -45,14 +45,7 @@ func mutationStream(n int) []mut {
 	return muts
 }
 
-// mutator is the write surface shared by *DB and *ShardedDB; the
-// equivalence tests drive both through it.
-type mutator interface {
-	Insert(table string, values map[string]deepdb.Value) error
-	Delete(table string, pk float64) error
-}
-
-func applyStream(t *testing.T, db mutator, muts []mut) {
+func applyStream(t *testing.T, db *deepdb.DB, muts []mut) {
 	t.Helper()
 	for _, m := range muts {
 		var err error

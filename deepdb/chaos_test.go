@@ -94,7 +94,7 @@ func TestChaosPeerFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := deepdb.OpenSharded(ctx, path, deepdb.WithShards(2))
+	ref, err := deepdb.Open(ctx, path, deepdb.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestChaosPeerFaults(t *testing.T) {
 	}
 
 	urls, downs := chaosReplicas(t, path, 2)
-	db, err := deepdb.OpenSharded(ctx, path,
+	db, err := deepdb.Open(ctx, path,
 		deepdb.WithShards(2),
 		deepdb.WithShardPeers(urls...),
 		deepdb.WithPeerRetries(2, time.Millisecond),
@@ -237,7 +237,7 @@ func TestChaosWALFailStop(t *testing.T) {
 
 	t.Run("fail-stop-sharded", func(t *testing.T) {
 		s, data := fixture(800, 13)
-		db, err := deepdb.LearnDatasetSharded(ctx, s, data,
+		db, err := deepdb.LearnDataset(ctx, s, data,
 			deepdb.WithShards(2), deepdb.WithMaxSamples(4000),
 			deepdb.WithWAL(t.TempDir()))
 		if err != nil {
@@ -356,7 +356,7 @@ func TestPeerOffloadSurvivesAllFailedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls, _ := chaosReplicas(t, path, 2)
-	db, err := deepdb.OpenSharded(ctx, path, deepdb.WithShards(2), deepdb.WithDataset(learned.Data()),
+	db, err := deepdb.Open(ctx, path, deepdb.WithShards(2), deepdb.WithDataset(learned.Data()),
 		deepdb.WithShardPeers(urls...), deepdb.WithPeerProbeInterval(0))
 	if err != nil {
 		t.Fatal(err)

@@ -37,22 +37,26 @@
 // UpdateStats exposes queue depth, apply lag and batch counters; Close
 // drains the pipeline.
 //
-// # One host, N shards
+// # One handle, N shards
 //
-// All of the above is one implementation: a host over N >= 1 shards
+// All of the above is one implementation: a *DB over N >= 1 shards
 // (internal/shard), each of which owns the write machinery — WAL, update
 // queue, copy-on-write apply, publish, replay, checkpoint — for its part
-// of the ensemble. Every mutation is broadcast to every shard, and the host
+// of the ensemble. Every mutation is broadcast to every shard, and the DB
 // recomposes its serving view whenever the shards publish a common point
-// of the stream. *DB is the host over one shard that holds the whole
-// ensemble; *ShardedDB is the same host over a partition of the members
-// (WithShards), plus replica offload (WithShardPeers). Answers are
-// bit-identical at every shard count.
+// of the stream. By default that is one shard holding the whole ensemble;
+// WithShards(n) partitions the members over n shards and WithShardPeers
+// adds replica offload — options of the same Open/Learn/LearnDataset, not
+// another type. Answers are bit-identical at every shard count. What needs
+// the whole ensemble in one place — drift-triggered re-learning and
+// CheckStaleness — is refused on a partitioned DB with an error that says
+// so.
 package deepdb
 
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -80,15 +84,17 @@ type snapshot struct {
 	gen uint64
 }
 
-// host is the one database implementation behind *DB and *ShardedDB: the
-// composed serving view of N >= 1 shards, the plan and result caches in
-// front of it, and the broadcast write path into the shards. The shards
-// own everything below the broadcast (log, queue, apply, publish, replay,
-// checkpoint); the host owns what must be decided once for all of them —
-// admission, the fail-stop on WAL loss, and when the shards' snapshots form
-// a consistent view. All methods are safe for concurrent use; queries never
-// block on updates.
-type host struct {
+// DB is a learned DeepDB instance: an RSPN ensemble, the probabilistic
+// query engine compiled against it, and (when attached) the live base
+// tables that power incremental updates and exact ground-truth execution.
+// It is the composed serving view of N >= 1 shards, the plan and result
+// caches in front of it, and the broadcast write path into the shards. The
+// shards own everything below the broadcast (log, queue, apply, publish,
+// replay, checkpoint); the DB owns what must be decided once for all of
+// them — admission, the fail-stop on WAL loss, and when the shards'
+// snapshots form a consistent view. All methods are safe for concurrent
+// use; queries never block on updates.
+type DB struct {
 	cfg    config
 	shards []*shard.Shard
 	// total is the member count of the ensemble the shards partition.
@@ -124,34 +130,22 @@ type host struct {
 	// on; the text is the cause UpdateStats and /healthz report.
 	walErr atomic.Pointer[string]
 
-	// wire, when set, binds an engine to the replica tier at the given ops
-	// token: the fresh engine of a view about to be published (prev is the
-	// outgoing view, nil at construction), or the current view's own engine
-	// when the stream advanced without changing the view. replicate, when
-	// set, forwards an accepted mutation group under mutMu. The sharded
-	// tier's replica offload hangs off these two. advanced, when set, runs
-	// after every update batch that moved the serving view (on the applier,
-	// under the shard's apply lock) — never for a model swap; the one-shard
-	// host's drift trigger hangs off it.
-	wire      func(prev *snapshot, eng *core.Engine, ens *ensemble.Ensemble, ops uint64)
-	replicate func(muts []ensemble.Mutation)
-	advanced  func()
-}
+	// The replica tier (sharded.go), all zero without WithShardPeers:
+	// peers[i] is the client bound to shard i (nil when none), peerHits and
+	// peerFalls the cumulative remote-evaluation counters folded in from
+	// each retired view's evaluator, probeStop/probeWG the background health
+	// prober.
+	peers     []*shard.Client
+	peerHits  atomic.Uint64
+	peerFalls atomic.Uint64
+	probeStop chan struct{}
+	probeWG   sync.WaitGroup
 
-// DB is a learned DeepDB instance: an RSPN ensemble, the probabilistic
-// query engine compiled against it, and (when attached) the live base
-// tables that power incremental updates and exact ground-truth execution.
-// It is the host over one shard holding the whole ensemble, so its serving
-// view IS that shard's state — which is what lets drift tracking,
-// background re-learning and CheckStaleness work on it. All methods are
-// safe for concurrent use; queries never block on updates.
-type DB struct {
-	host
-
-	// relearnBusy admits one background re-learn at a time. relearnMu
-	// guards the close barrier (relearnClosed + relearnWG, which lets Close
-	// wait for an in-flight re-learn) and relearnErr; relearnFails and
-	// relearnErr record failed attempts for UpdateStats.
+	// The background re-learner (relearn.go), idle unless a drift trigger is
+	// armed: relearnBusy admits one re-learn at a time. relearnMu guards the
+	// close barrier (relearnClosed + relearnWG, which lets Close wait for an
+	// in-flight re-learn) and relearnErr; relearnFails and relearnErr record
+	// failed attempts for UpdateStats.
 	relearnBusy   atomic.Bool
 	relearnMu     sync.Mutex
 	relearnClosed bool
@@ -228,35 +222,43 @@ func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ens
 	return ens, nil
 }
 
+// newDB is the one constructor body: it builds the shards over ens (WALs
+// replayed), composes and publishes the first serving view and subscribes
+// to the shards' publications.
 func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
-	if cfg.shards > 1 || len(cfg.shardPeers) > 0 {
-		return nil, fmt.Errorf("deepdb: WithShards/WithShardPeers need a sharded constructor (OpenSharded or LearnDatasetSharded); Open/Learn/LearnDataset serve the whole ensemble from one shard")
+	db := &DB{
+		cfg:      cfg,
+		total:    len(ens.RSPNs),
+		plans:    newGenLRU[*core.Plan](cfg.planCache, 1),
+		resCache: newGenLRU[cachedResult](cfg.resultCache, resultCacheWays),
 	}
-	// Drift tracking baselines against the pre-replay state, so mutations
-	// recovered from the WAL count toward staleness exactly like they did
-	// before the crash. A no-op without attached tables.
-	ens.EnableDrift()
-	sh, err := shard.New(0, nil, ens, cfg.shardConfig(cfg.walDir))
-	if err != nil {
-		return nil, err
+	parts := [][]int{nil} // one shard serving ens itself
+	partitioned := cfg.shards > 1 || len(cfg.shardPeers) > 0
+	if partitioned {
+		if cfg.driftThresholds().Enabled() {
+			return nil, fmt.Errorf("deepdb: drift-triggered re-learning (WithDriftThreshold/WithDriftMeanShift) needs the whole ensemble in one shard; drop the trigger or serve unsharded")
+		}
+		parts = shard.Partition(ens, cfg.shards)
+	} else {
+		// Drift tracking baselines against the pre-replay state, so mutations
+		// recovered from the WAL count toward staleness exactly like they did
+		// before the crash. A no-op without attached tables.
+		ens.EnableDrift()
 	}
-	db := &DB{}
-	// The applier checks the drift trigger after every published batch.
-	db.advanced = db.maybeRelearn
-	if err := db.start(cfg, []*shard.Shard{sh}, len(ens.RSPNs)); err != nil {
-		return nil, err
+	for i, members := range parts {
+		walDir := cfg.walDir
+		if walDir != "" && partitioned {
+			walDir = filepath.Join(walDir, fmt.Sprintf("shard-%d", i))
+		}
+		sh, err := shard.New(i, members, ens, cfg.shardConfig(walDir))
+		if err != nil {
+			db.closeShards() //nolint:errcheck // construction already failed
+			return nil, err
+		}
+		db.shards = append(db.shards, sh)
 	}
-	return db, nil
-}
-
-// start wires the host over freshly built shards (WALs already replayed):
-// it composes and publishes the first serving view and subscribes to the
-// shards' publications. On failure the shards are closed.
-func (h *host) start(cfg config, shards []*shard.Shard, total int) error {
-	h.cfg, h.shards, h.total = cfg, shards, total
-	h.plans = newGenLRU[*core.Plan](cfg.planCache, 1)
-	h.resCache = newGenLRU[cachedResult](cfg.resultCache, resultCacheWays)
-	ens, ops, ok := shard.Compose(shards, total)
+	db.dialPeers()
+	view, ops, ok := shard.Compose(db.shards, db.total)
 	if !ok {
 		// Shards disagree on stream progress straight out of construction.
 		// That means their WALs recorded different prefixes of the same
@@ -265,67 +267,68 @@ func (h *host) start(cfg config, shards []*shard.Shard, total int) error {
 		// composing across it would serve a torn state, so refuse and let
 		// the operator reconcile (see the sharded-serving runbook in the
 		// README: keep the longest log, reset the others' directories).
-		for _, sh := range shards {
-			sh.Close() //nolint:errcheck // construction already failed
-		}
-		return fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
+		db.closeShards() //nolint:errcheck // construction already failed
+		return nil, fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
 	}
-	h.viewOps = ops
-	h.publishLocked(ens, ops)
-	for _, sh := range shards {
-		sh.OnPublish(h.shardPublished)
+	db.viewOps = ops
+	db.publishLocked(view, ops)
+	for _, sh := range db.shards {
+		sh.OnPublish(db.shardPublished)
 	}
-	return nil
+	db.startProber()
+	return db, nil
 }
 
 // snapshotNow returns the current published serving view: one atomic load
 // at every shard count — composition happens on the publish side.
-func (h *host) snapshotNow() *snapshot { return h.snap.Load() }
+func (db *DB) snapshotNow() *snapshot { return db.snap.Load() }
 
 // publishLocked atomically publishes ens, composed at the shards' common
 // ops token, as the next snapshot generation. Callers are single-threaded
 // at construction or hold viewMu.
-func (h *host) publishLocked(ens *ensemble.Ensemble, ops uint64) {
+func (db *DB) publishLocked(ens *ensemble.Ensemble, ops uint64) {
 	eng := core.New(ens)
-	eng.Parallelism = h.cfg.parallelism
-	cur := h.snap.Load()
+	eng.Parallelism = db.cfg.parallelism
+	cur := db.snap.Load()
 	var gen uint64
 	if cur != nil {
 		gen = cur.gen + 1
 	}
-	if h.wire != nil {
-		h.wire(cur, eng, ens, ops)
+	if db.peers != nil {
+		db.bindPeers(cur, eng, ens, ops)
 	}
-	h.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
+	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
 }
 
 // shardPublished is every shard's publication hook (it runs on the shard's
 // applier, under that shard's apply lock): note whether the served state
 // changed and recompose if the shards now agree on a new point of the
 // stream.
-func (h *host) shardPublished(changed bool) {
-	h.viewMu.Lock()
-	h.dirty = h.dirty || changed
-	moved := h.recomposeLocked(false)
-	h.viewMu.Unlock()
-	if moved && h.advanced != nil {
-		h.advanced()
+func (db *DB) shardPublished(changed bool) {
+	db.viewMu.Lock()
+	db.dirty = db.dirty || changed
+	moved := db.recomposeLocked(false)
+	db.viewMu.Unlock()
+	if moved {
+		// Only an update batch that moved the serving view gets here — never a
+		// model swap — so this is where the drift trigger is checked.
+		db.maybeRelearn()
 	}
 }
 
 // recompose publishes the composed view after a model swap (Reload, a
 // re-learned member, CheckStaleness), which — unlike an update batch —
 // leaves the shards' ops tokens where they were.
-func (h *host) recompose() {
-	h.viewMu.Lock()
-	defer h.viewMu.Unlock()
-	h.recomposeLocked(true)
+func (db *DB) recompose() {
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	db.recomposeLocked(true)
 }
 
 // recomposeLocked publishes a new composed view when every shard has
 // reached a common ops token and some shard's ensemble changed since the
 // last composition. Unaligned shards keep the previous consistent view
-// serving, so queries always see a state a one-shard host fed the same
+// serving, so queries always see a state a one-shard DB fed the same
 // stream could have been in — never a torn mix. Equal ops mean a swap is
 // in progress across the shards; only the swapper (swapped = true), once
 // it is done with all of them, may publish then. The generation moves iff
@@ -333,20 +336,20 @@ func (h *host) recompose() {
 // viewOps and leaves the snapshot — and every cached plan and result — in
 // place, only re-wiring the current engine to the new token. It reports
 // whether a new snapshot was published.
-func (h *host) recomposeLocked(swapped bool) bool {
-	ens, ops, ok := shard.Compose(h.shards, h.total)
-	if !ok || (ops == h.viewOps && !swapped) {
+func (db *DB) recomposeLocked(swapped bool) bool {
+	ens, ops, ok := shard.Compose(db.shards, db.total)
+	if !ok || (ops == db.viewOps && !swapped) {
 		return false
 	}
-	h.viewOps = ops
-	if h.dirty {
-		h.dirty = false
-		h.publishLocked(ens, ops)
+	db.viewOps = ops
+	if db.dirty {
+		db.dirty = false
+		db.publishLocked(ens, ops)
 		return true
 	}
-	if h.wire != nil {
-		cur := h.snap.Load()
-		h.wire(cur, cur.eng, cur.ens, ops)
+	if db.peers != nil {
+		cur := db.snap.Load()
+		db.bindPeers(cur, cur.eng, cur.ens, ops)
 	}
 	return false
 }
@@ -355,196 +358,183 @@ func (h *host) recomposeLocked(swapped bool) bool {
 // snapshot, consulting the plan cache under the snapshot's generation.
 // shape may be "" (computed on demand); prepared statements pass their
 // precomputed key.
-func (h *host) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error) {
-	if h.plans == nil {
+func (db *DB) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, error) {
+	if db.plans == nil {
 		return s.eng.Compile(q)
 	}
 	if shape == "" {
 		shape = q.ShapeKey()
 	}
-	if p, ok := lruGet(h.plans, shape, s.gen); ok {
+	if p, ok := lruGet(db.plans, shape, s.gen); ok {
 		return p, nil
 	}
 	p, err := s.eng.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	h.plans.put(shape, s.gen, p)
+	db.plans.put(shape, s.gen, p)
 	return p, nil
 }
 
 // PlanCacheLen reports how many compiled plans are currently cached.
-func (h *host) PlanCacheLen() int { return h.plans.size() }
+func (db *DB) PlanCacheLen() int { return db.plans.size() }
 
 // ResultCacheLen reports how many query results and cardinality estimates
 // are currently cached (0 unless WithResultCacheSize enabled the cache).
-func (h *host) ResultCacheLen() int { return h.resCache.size() }
+func (db *DB) ResultCacheLen() int { return db.resCache.size() }
 
 // Schema returns the relational metadata the DB was learned over.
-func (h *host) Schema() *Schema { return h.snapshotNow().ens.Schema }
+func (db *DB) Schema() *Schema { return db.snapshotNow().ens.Schema }
 
 // Data returns the base tables of the current snapshot (nil when the DB
 // was opened without data). The returned tables are shared with the
 // serving path and must be treated as read-only: mutate the database only
 // through Insert/Delete/Update.
-func (h *host) Data() Dataset { return h.snapshotNow().ens.Tables }
+func (db *DB) Data() Dataset { return db.snapshotNow().ens.Tables }
 
 // Describe returns a human-readable summary of the ensemble, including
 // the per-table statistics persisted with the model.
-func (h *host) Describe() string {
-	return h.snapshotNow().ens.Describe()
+func (db *DB) Describe() string {
+	return db.snapshotNow().ens.Describe()
 }
 
 // Models returns the current snapshot's ensemble members. Read-only
 // companions like the internal/ml regressors consume these directly; they
 // are immutable (updates publish fresh members instead of mutating).
-func (h *host) Models() []*rspn.RSPN { return h.snapshotNow().ens.RSPNs }
+func (db *DB) Models() []*rspn.RSPN { return db.snapshotNow().ens.RSPNs }
 
 // Model returns some RSPN covering the named table (preferring the
 // smallest), or nil.
-func (h *host) Model(table string) *rspn.RSPN { return h.snapshotNow().ens.RSPNFor(table) }
+func (db *DB) Model(table string) *rspn.RSPN { return db.snapshotNow().ens.RSPNFor(table) }
 
 // Generation returns the current snapshot's publication counter. It moves
 // once per update batch in which something applied (not per row), and on
 // Reload, a re-learn hot-swap and CheckStaleness.
-func (h *host) Generation() uint64 { return h.snapshotNow().gen }
+func (db *DB) Generation() uint64 { return db.snapshotNow().gen }
 
 // Parse compiles the SQL subset DeepDB supports into a structured query,
 // resolving string literals through the dictionaries (live base tables
 // when attached, the dictionaries persisted in the model otherwise). `?`
 // placeholders parse into parameter markers — see Prepare.
-func (h *host) Parse(sql string) (query.Query, error) {
-	return query.Parse(sql, resolver(h.snapshotNow().ens))
+func (db *DB) Parse(sql string) (query.Query, error) {
+	return query.Parse(sql, resolver(db.snapshotNow().ens))
 }
 
 // ResolveLabel maps a string literal to its dictionary code on the given
 // column — the encoding Insert values and bound string parameters use.
-func (h *host) ResolveLabel(column, literal string) (float64, error) {
-	return resolver(h.snapshotNow().ens)(column, literal)
+func (db *DB) ResolveLabel(column, literal string) (float64, error) {
+	return resolver(db.snapshotNow().ens)(column, literal)
 }
 
 // Query answers an aggregate SQL query approximately, from the model only.
 // Plans are transparently reused across calls sharing a query shape (same
 // tables, filter columns and operators — literal values may differ); pay
 // the parse too only once by preparing the statement with Prepare.
-func (h *host) Query(ctx context.Context, sql string, opts ...ExecOption) (Result, error) {
-	s := h.snapshotNow()
+func (db *DB) Query(ctx context.Context, sql string, opts ...ExecOption) (Result, error) {
+	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Result{}, err
 	}
-	return h.executeQueryShaped(ctx, s, nil, "", q, resolveExec(opts))
+	v, err := db.executeShaped(ctx, nsQuery, s, nil, "", q, resolveExec(opts))
+	return v.res, err
 }
 
 // ExecuteQuery is Query for an already-parsed (or programmatically built)
 // structured query.
-func (h *host) ExecuteQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Result, error) {
-	return h.executeQueryShaped(ctx, h.snapshotNow(), nil, "", q, resolveExec(opts))
+func (db *DB) ExecuteQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Result, error) {
+	v, err := db.executeShaped(ctx, nsQuery, db.snapshotNow(), nil, "", q, resolveExec(opts))
+	return v.res, err
 }
 
-// executeQueryShaped is the one execution path of Query/ExecuteQuery,
-// ungrouped QueryRows and Stmt.Exec: result-cache lookup, plan lookup,
-// execution, store. A prepared statement passes itself (its pinned plan is
-// used) and its precomputed shape key; ad-hoc calls pass nil and "" (the
-// key is computed on demand). Cache hits return without touching the
-// models and are bit-identical to executing (the cached value IS an
-// execution's value).
-func (h *host) executeQueryShaped(ctx context.Context, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (Result, error) {
+// executeShaped is the one cached execution of a single query — behind
+// Query/ExecuteQuery, ungrouped QueryRows and Stmt.Exec in the nsQuery
+// namespace, behind EstimateCardinality and Stmt.Estimate in nsEstimate:
+// result-cache lookup, plan lookup, execution, store. A prepared statement
+// passes itself (its pinned plan is used) and its precomputed shape key;
+// ad-hoc calls pass nil and "" (the key is computed on demand). Cache hits
+// return without touching the models and are bit-identical to executing
+// (the cached value IS an execution's value); the result handed out is
+// always a private copy, so a caller mutating it cannot poison the cache.
+func (db *DB) executeShaped(ctx context.Context, ns byte, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (cachedResult, error) {
+	level := eo.levelOr(s.eng.ConfidenceLevel)
 	var key []byte
-	if h.resCache != nil {
+	if db.resCache != nil {
 		if shape == "" {
 			shape = q.ShapeKey()
 		}
-		key = resultKey(nsQuery, shape, q, eo.levelOr(s.eng.ConfidenceLevel))
-		if res, ok := getResult(h.resCache, key, s.gen); ok {
-			return res, nil
+		key = resultKey(ns, shape, q, level)
+		if v, ok := lruGet(db.resCache, key, s.gen); ok {
+			v.res = copyResult(v.res)
+			return v, nil
 		}
 	}
-	p, err := h.planOf(s, st, shape, q)
+	p, err := db.planOf(s, st, shape, q)
 	if err != nil {
-		return Result{}, err
+		return cachedResult{}, err
 	}
-	res, err := p.ExecuteQuery(ctx, eo.core(), q)
-	if err != nil {
-		return Result{}, err
+	var out cachedResult
+	if ns == nsEstimate {
+		est, err := p.EstimateCardinalityQuery(ctx, q)
+		if err != nil {
+			return cachedResult{}, err
+		}
+		out.est = wrapEstimate(est, level)
+	} else {
+		res, err := p.ExecuteQuery(ctx, eo.core(), q)
+		if err != nil {
+			return cachedResult{}, err
+		}
+		out.res = wrapResult(s.ens, q, res)
 	}
-	out := wrapResult(s.ens, q, res)
-	if h.resCache != nil {
-		putResult(h.resCache, key, s.gen, out)
+	if db.resCache != nil {
+		db.resCache.put(string(key), s.gen, cachedResult{res: copyResult(out.res), est: out.est})
 	}
 	return out, nil
 }
 
 // planOf resolves the plan an execution runs: the statement's pinned plan
 // when a prepared statement is executing, the plan cache's otherwise.
-func (h *host) planOf(s *snapshot, st *Stmt, shape string, q query.Query) (*core.Plan, error) {
+func (db *DB) planOf(s *snapshot, st *Stmt, shape string, q query.Query) (*core.Plan, error) {
 	if st != nil {
 		return st.planOn(s)
 	}
-	return h.planFor(s, shape, q)
+	return db.planFor(s, shape, q)
 }
 
 // EstimateCardinality estimates COUNT(*) over the query's join with its
 // filters — the paper's cardinality-estimation task. Aggregate and
 // group-by clauses in the SQL are ignored. Plans are reused like in Query.
-func (h *host) EstimateCardinality(ctx context.Context, sql string, opts ...ExecOption) (Estimate, error) {
-	s := h.snapshotNow()
+func (db *DB) EstimateCardinality(ctx context.Context, sql string, opts ...ExecOption) (Estimate, error) {
+	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Estimate{}, err
 	}
-	return h.estimateCardinalityShaped(ctx, s, nil, "", q, resolveExec(opts))
+	v, err := db.executeShaped(ctx, nsEstimate, s, nil, "", q, resolveExec(opts))
+	return v.est, err
 }
 
 // EstimateCardinalityQuery is EstimateCardinality for a structured query.
-func (h *host) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Estimate, error) {
-	return h.estimateCardinalityShaped(ctx, h.snapshotNow(), nil, "", q, resolveExec(opts))
-}
-
-// estimateCardinalityShaped is the one cardinality path of
-// EstimateCardinality and Stmt.Estimate, with the same result-cache
-// protocol as executeQueryShaped under the estimate namespace.
-func (h *host) estimateCardinalityShaped(ctx context.Context, s *snapshot, st *Stmt, shape string, q query.Query, eo execOpts) (Estimate, error) {
-	level := eo.levelOr(s.eng.ConfidenceLevel)
-	var key []byte
-	if h.resCache != nil {
-		if shape == "" {
-			shape = q.ShapeKey()
-		}
-		key = resultKey(nsEstimate, shape, q, level)
-		if v, ok := lruGet(h.resCache, key, s.gen); ok {
-			return v.est, nil
-		}
-	}
-	p, err := h.planOf(s, st, shape, q)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est, err := p.EstimateCardinalityQuery(ctx, q)
-	if err != nil {
-		return Estimate{}, err
-	}
-	out := wrapEstimate(est, level)
-	if h.resCache != nil {
-		h.resCache.put(string(key), s.gen, cachedResult{est: out})
-	}
-	return out, nil
+func (db *DB) EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...ExecOption) (Estimate, error) {
+	v, err := db.executeShaped(ctx, nsEstimate, db.snapshotNow(), nil, "", q, resolveExec(opts))
+	return v.est, err
 }
 
 // Explain renders the execution plan for the SQL query — which compilation
 // case applies and which ensemble members answer each part — without
 // evaluating it. The output is produced from the same compiled (and
 // cached) plan that Query/EstimateCardinality execute.
-func (h *host) Explain(ctx context.Context, sql string) (string, error) {
+func (db *DB) Explain(ctx context.Context, sql string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	s := h.snapshotNow()
+	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return "", err
 	}
-	p, err := h.planFor(s, "", q)
+	p, err := db.planFor(s, "", q)
 	if err != nil {
 		return "", err
 	}
@@ -554,8 +544,8 @@ func (h *host) Explain(ctx context.Context, sql string) (string, error) {
 // Exact executes the SQL query exactly against the attached base tables
 // (materializing the join), for ground-truth comparison. It sees the
 // current snapshot's tables; Flush first for read-your-writes.
-func (h *host) Exact(ctx context.Context, sql string) (Result, error) {
-	s := h.snapshotNow()
+func (db *DB) Exact(ctx context.Context, sql string) (Result, error) {
+	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return Result{}, err
@@ -564,8 +554,8 @@ func (h *host) Exact(ctx context.Context, sql string) (Result, error) {
 }
 
 // ExactQuery is Exact for a structured query.
-func (h *host) ExactQuery(ctx context.Context, q query.Query) (Result, error) {
-	return exactOn(ctx, h.snapshotNow(), q)
+func (db *DB) ExactQuery(ctx context.Context, q query.Query) (Result, error) {
+	return exactOn(ctx, db.snapshotNow(), q)
 }
 
 func exactOn(ctx context.Context, s *snapshot, q query.Query) (Result, error) {

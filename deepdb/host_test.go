@@ -1,7 +1,7 @@
 package deepdb_test
 
-// host_test.go drives the one host implementation through one script at
-// shard counts 1 (*DB), 2 and 3 (*ShardedDB) and holds every observable —
+// host_test.go drives the one *DB through one script at shard counts 1, 2
+// and 3 (the same constructors + WithShards(n)) and holds every observable —
 // answers, generation deltas, error delivery, backpressure and the
 // WAL-failure policy — to be the same at each count, with must-fail twins
 // for the two things only a partitioned host can get wrong (a torn
@@ -51,24 +51,6 @@ func fixture3(rows int, seed int64) (*deepdb.Schema, deepdb.Dataset) {
 	return s, data
 }
 
-// hostDB is the surface *DB and *ShardedDB share — every method of it has
-// one body, on the host both embed.
-type hostDB interface {
-	mutator
-	Update(rows ...deepdb.Row) error
-	Flush(ctx context.Context) error
-	Save(path string) error
-	Reload(modelPath string) error
-	Close() error
-	Generation() uint64
-	Query(ctx context.Context, sql string, opts ...deepdb.ExecOption) (deepdb.Result, error)
-	QueryRows(ctx context.Context, sql string, opts ...deepdb.ExecOption) (*deepdb.Rows, error)
-	ExecuteQuery(ctx context.Context, q query.Query, opts ...deepdb.ExecOption) (deepdb.Result, error)
-	EstimateCardinalityQuery(ctx context.Context, q query.Query, opts ...deepdb.ExecOption) (deepdb.Estimate, error)
-	Prepare(sql string) (*deepdb.Stmt, error)
-	UpdateStats() deepdb.UpdateStats
-}
-
 // hostRows/hostSeed/hostOpts fix the data and the ensemble of every host
 // in this file: three single-table members learned on the full tables, so
 // applying mutations draws nothing from an rng and answers are exactly
@@ -84,41 +66,25 @@ func hostOpts(n int, extra ...deepdb.Option) []deepdb.Option {
 	}, extra...)
 }
 
-// requireShards asserts the partition really has n parts.
-func requireShards(t *testing.T, db *deepdb.ShardedDB, n int) {
-	t.Helper()
-	if db.Shards() != n {
-		t.Fatalf("fixture partitions into %d shards, want %d", db.Shards(), n)
-	}
-}
-
-// learnHost learns the fixture behind a host over n shards.
-func learnHost(t *testing.T, n int, extra ...deepdb.Option) hostDB {
+// learnHost learns the fixture behind a DB over n shards.
+func learnHost(t *testing.T, n int, extra ...deepdb.Option) *deepdb.DB {
 	t.Helper()
 	s, data := fixture3(hostRows, hostSeed)
-	if n == 1 {
-		db, err := deepdb.LearnDataset(context.Background(), s, data, hostOpts(n, extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db, err := deepdb.LearnDatasetSharded(context.Background(), s, data, hostOpts(n, extra...)...)
+	db, err := deepdb.LearnDataset(context.Background(), s, data, hostOpts(n, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireShards(t, db, n)
+	if db.Shards() != n {
+		t.Fatalf("fixture partitions into %d shards, want %d", db.Shards(), n)
+	}
 	return db
 }
 
 // openHost opens a saved model over fresh fixture tables.
-func openHost(n int, model string, extra ...deepdb.Option) (hostDB, error) {
+func openHost(n int, model string, extra ...deepdb.Option) (*deepdb.DB, error) {
 	_, data := fixture3(hostRows, hostSeed)
 	opts := hostOpts(n, append([]deepdb.Option{deepdb.WithDataset(data)}, extra...)...)
-	if n == 1 {
-		return deepdb.Open(context.Background(), model, opts...)
-	}
-	return deepdb.OpenSharded(context.Background(), model, opts...)
+	return deepdb.Open(context.Background(), model, opts...)
 }
 
 var hostSQL = []string{
@@ -132,21 +98,10 @@ var hostSQL = []string{
 
 // answers runs every query class through every read entry point and
 // renders each result by its exact bits.
-func answers(t *testing.T, db hostDB) []string {
+func answers(t *testing.T, db *deepdb.DB) []string {
 	t.Helper()
 	ctx := context.Background()
-	var out []string
-	for i, q := range equivalenceWorkload {
-		res, err := db.ExecuteQuery(ctx, q)
-		if err != nil {
-			t.Fatalf("workload query %d: %v", i, err)
-		}
-		est, err := db.EstimateCardinalityQuery(ctx, q)
-		if err != nil {
-			t.Fatalf("workload estimate %d: %v", i, err)
-		}
-		out = append(out, bitsOfResult(res), bitsOfEstimate(est))
-	}
+	out := workloadBits(t, db, equivalenceWorkload)
 	for _, sql := range hostSQL {
 		res, err := db.Query(ctx, sql)
 		if err != nil {
@@ -503,13 +458,13 @@ func TestReloadMustFitThePartition(t *testing.T) {
 }
 
 // TestDriftTriggerRefusedWhenSharded: re-learning needs the whole ensemble
-// in one shard, so the sharded constructors refuse an armed trigger
-// instead of silently ignoring it; the one-shard host takes it.
+// in one shard, so the constructor refuses an armed trigger together with
+// WithShards(2) instead of silently ignoring it; one shard takes it.
 func TestDriftTriggerRefusedWhenSharded(t *testing.T) {
 	ctx := context.Background()
 	for _, opt := range []deepdb.Option{deepdb.WithDriftThreshold(0.2), deepdb.WithDriftMeanShift(3)} {
 		s, data := fixture3(hostRows, hostSeed)
-		if _, err := deepdb.LearnDatasetSharded(ctx, s, data, hostOpts(2, opt)...); err == nil || !strings.Contains(err.Error(), "drift") {
+		if _, err := deepdb.LearnDataset(ctx, s, data, hostOpts(2, opt)...); err == nil || !strings.Contains(err.Error(), "drift") {
 			t.Fatalf("sharded host accepted a drift trigger: err = %v", err)
 		}
 		db := learnHost(t, 1, opt)
@@ -519,37 +474,103 @@ func TestDriftTriggerRefusedWhenSharded(t *testing.T) {
 	}
 }
 
-// TestShardOptionsRefusedWhenUnsharded: the unsharded constructors serve
-// one whole-ensemble shard, so they refuse WithShards(n > 1) and
-// WithShardPeers — naming the sharded constructors — instead of silently
-// serving unsharded; WithShards(1) and no option at all still open.
-func TestShardOptionsRefusedWhenUnsharded(t *testing.T) {
+// workloadBits runs the TestShardedMatchesSingleBitwise matrix — every
+// equivalenceWorkload query through ExecuteQuery and
+// EstimateCardinalityQuery — and renders each answer by its exact bits.
+func workloadBits(t *testing.T, db *deepdb.DB, workload []query.Query) []string {
+	t.Helper()
+	ctx := context.Background()
+	var out []string
+	for i, q := range workload {
+		res, err := db.ExecuteQuery(ctx, q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		est, err := db.EstimateCardinalityQuery(ctx, q)
+		if err != nil {
+			t.Fatalf("estimate %d: %v", i, err)
+		}
+		out = append(out, bitsOfResult(res), bitsOfEstimate(est))
+	}
+	return out
+}
+
+// TestOpenHonoursShardOptions: sharding is an option of the one
+// constructor family. Open(model, WithShards(2)) serves two shards and
+// answers the equivalence matrix bit-identically to the unpartitioned
+// handle over the same model; WithShardPeers partitions too, even at one
+// shard. Must-fail twin: the same matrix with one literal perturbed must
+// differ, so the comparison can tell two answers apart.
+func TestOpenHonoursShardOptions(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(400, 51)
-	ok, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600))
+	whole, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ok.Close()
+	defer whole.Close()
 	model := filepath.Join(t.TempDir(), "m.deepdb")
-	if err := ok.Save(model); err != nil {
+	if err := whole.Save(model); err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []deepdb.Option{deepdb.WithShards(2), deepdb.WithShardPeers("http://localhost:1")} {
-		_, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600), opt)
-		if err == nil || !strings.Contains(err.Error(), "LearnDatasetSharded") {
-			t.Fatalf("LearnDataset accepted a sharding option: err = %v", err)
-		}
-		if _, err := deepdb.Open(ctx, model, opt); err == nil || !strings.Contains(err.Error(), "OpenSharded") {
-			t.Fatalf("Open accepted a sharding option: err = %v", err)
-		}
+	split, err := deepdb.Open(ctx, model, deepdb.WithShards(2))
+	if err != nil {
+		t.Fatalf("Open refused WithShards(2): %v", err)
 	}
-	for _, opts := range [][]deepdb.Option{nil, {deepdb.WithShards(1)}} {
-		db, err := deepdb.Open(ctx, model, opts...)
-		if err != nil {
-			t.Fatalf("Open with %d options: %v", len(opts), err)
+	defer split.Close()
+	if whole.Shards() != 1 || split.Shards() != 2 {
+		t.Fatalf("Shards() = %d unpartitioned, %d with WithShards(2); want 1 and 2", whole.Shards(), split.Shards())
+	}
+	want := workloadBits(t, whole, equivalenceWorkload)
+	if got := workloadBits(t, split, equivalenceWorkload); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two shards answer differently from one:\n got %q\nwant %q", got, want)
+	}
+
+	perturbed := append([]query.Query(nil), equivalenceWorkload...)
+	perturbed[0].Filters = []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 41}}
+	if got := workloadBits(t, split, perturbed); reflect.DeepEqual(got, want) {
+		t.Fatal("must-fail twin: a perturbed literal left every answer bit-identical")
+	}
+
+	peered, err := deepdb.Open(ctx, model, deepdb.WithShardPeers("http://localhost:1"),
+		deepdb.WithPeerProbeInterval(0))
+	if err != nil {
+		t.Fatalf("Open refused WithShardPeers: %v", err)
+	}
+	defer peered.Close()
+	if st := peered.ShardStats(); len(st) != 1 || st[0].Peer == "" || st[0].Members == nil {
+		t.Fatalf("one shard with a peer should report a partitioned shard bound to it: %+v", st)
+	}
+	if st := whole.ShardStats(); len(st) != 1 || st[0].Peer != "" || st[0].Members != nil {
+		t.Fatalf("an unpartitioned DB should report one whole-ensemble shard without a peer: %+v", st)
+	}
+	if hits, falls := whole.PeerStats(); hits != 0 || falls != 0 {
+		t.Fatalf("an unpartitioned DB counted peer traffic: %d hits, %d fallbacks", hits, falls)
+	}
+}
+
+// TestCheckStalenessRefusedWhenSharded: the staleness check rewrites the
+// one updatable ensemble, which a partitioned DB does not have — it must
+// say so (in the drift refusal's words) and leave the serving view alone;
+// the unpartitioned DB over the same data runs it.
+func TestCheckStalenessRefusedWhenSharded(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		db := learnHost(t, n)
+		defer db.Close()
+		before := db.Generation()
+		_, err := db.CheckStaleness()
+		if n == 1 {
+			if err != nil {
+				t.Fatalf("one shard: CheckStaleness: %v", err)
+			}
+			continue
 		}
-		db.Close()
+		if err == nil || !strings.Contains(err.Error(), "whole ensemble in one shard") {
+			t.Fatalf("%d shards: CheckStaleness: err = %v", n, err)
+		}
+		if db.Generation() != before {
+			t.Fatalf("%d shards: a refused CheckStaleness published", n)
+		}
 	}
 }
 

@@ -219,8 +219,9 @@ func WithDurability(d Durability) Option {
 // base tables in the background and hot-swapped into the serving snapshot
 // — readers never block, and the paper's incremental-update approximations
 // are periodically squashed out. <= 0 (the default) disables the trigger.
-// Re-learning needs the whole ensemble in one shard: the sharded
-// constructors refuse an armed trigger instead of ignoring it.
+// Re-learning needs the whole ensemble in one shard: together with
+// WithShards(n > 1) or WithShardPeers the constructor refuses an armed
+// trigger instead of ignoring it.
 func WithDriftThreshold(frac float64) Option {
 	return func(c *config) { c.driftFrac = frac }
 }
@@ -248,20 +249,25 @@ func WithDataset(ds Dataset) Option {
 	return func(c *config) { c.dataset = ds }
 }
 
-// WithShards asks OpenSharded/LearnDatasetSharded for n partitions
-// (default 1). The effective count may be lower when the ensemble has
-// fewer members than n. The unsharded constructors refuse n > 1.
+// WithShards partitions the ensemble's members over n shards, each with its
+// own update queue and — with WithWAL — its own log in subdirectory
+// shard-<i> of the WAL dir (default 1: one shard holds the whole ensemble
+// and logs into the WAL dir itself). The effective count, reported by
+// Shards, may be lower when the ensemble has fewer members than n. Answers
+// are bit-identical at every n; what needs the whole ensemble in one shard
+// — the drift triggers, CheckStaleness — is refused for n > 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
 // WithShardPeers binds shard replica processes (one base URL per shard, in
-// shard order — e.g. started with `deepdb shard -index i`) to a sharded
-// DB: evaluation chunks of members owned by shard i are offloaded to
-// peers[i], and mutations are forwarded so replicas stay in lockstep. Any
-// replica failure falls back to the local model, so results are
-// bit-identical with or without peers. Sharded constructors only; the
-// unsharded ones refuse it.
+// shard order — e.g. started with `deepdb shard -index i`): evaluation
+// chunks of members owned by shard i are offloaded to peers[i], and
+// mutations are forwarded so replicas stay in lockstep. Any replica failure
+// falls back to the local model, so results are bit-identical with or
+// without peers. Replicas compute the partition themselves, so a DB with
+// peers is partitioned like WithShards(n > 1) — even for n = 1 — with the
+// same per-shard WAL layout and the same refusals.
 func WithShardPeers(urls ...string) Option {
 	return func(c *config) { c.shardPeers = append([]string(nil), urls...) }
 }

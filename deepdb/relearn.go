@@ -1,8 +1,10 @@
 package deepdb
 
-// relearn.go holds what only the one-shard host can do, because its
-// serving view is the shard's own updatable ensemble: drift-triggered
-// background re-learning and the staleness check.
+// relearn.go holds what only an unpartitioned DB can do, because its
+// serving view is its one shard's own updatable ensemble: drift-triggered
+// background re-learning and the staleness check. A partitioned DB
+// (WithShards/WithShardPeers) refuses both — the trigger at construction,
+// CheckStaleness when called.
 //
 // The paper's incremental updates (Section 5.2) keep models exact for
 // in-distribution streams but accumulate approximation error under drift.
@@ -15,16 +17,30 @@ package deepdb
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/ensemble"
 	"repro/internal/rspn"
+	"repro/internal/shard"
 )
 
+// wholeShard returns the one shard that serves the whole ensemble — rng,
+// write index and drift tracker included — or nil on a partitioned DB, whose
+// shards each hold a member subset and whose serving view is a read-only
+// composition.
+func (db *DB) wholeShard() *shard.Shard {
+	if sh := db.shards[0]; sh.Members() == nil {
+		return sh
+	}
+	return nil
+}
+
 // maybeRelearn checks the drift trigger and, when a member trips, spawns
-// (at most one at a time) the background re-learner. It is the host's
-// advanced hook: called after every update batch that moved the serving
-// view — on the applier, under the shard's apply lock — so it must not wait
-// on anything a writer may hold.
+// (at most one at a time) the background re-learner. shardPublished calls
+// it after every update batch that moved the serving view — on the applier,
+// under the shard's apply lock — so it must not wait on anything a writer
+// may hold. A no-op unless a trigger is armed, which newDB allows only on
+// an unpartitioned DB: relearnMember is never reached on a partitioned one.
 func (db *DB) maybeRelearn() {
 	th := db.cfg.driftThresholds()
 	if !th.Enabled() {
@@ -69,7 +85,7 @@ func (db *DB) maybeRelearn() {
 // apply lock — writers wait, readers still never block.
 func (db *DB) relearnMember(i int) {
 	ctx := context.Background()
-	sh := db.shards[0]
+	sh := db.wholeShard()
 	for attempt := 0; attempt < 2; attempt++ {
 		var cur *ensemble.Ensemble
 		var tables []string
@@ -144,12 +160,16 @@ func (db *DB) recordRelearnErr(err error) {
 // published as a new snapshot (invalidating cached plans, which read
 // them for RSPN selection).
 func (db *DB) CheckStaleness() (map[int]string, error) {
+	sh := db.wholeShard()
+	if sh == nil {
+		return nil, fmt.Errorf("deepdb: CheckStaleness needs the whole ensemble in one shard; serve unsharded (no WithShards/WithShardPeers) to run it")
+	}
 	if err := db.Flush(context.Background()); err != nil {
 		return nil, err
 	}
 	var rep ensemble.StalenessReport
 	var err error
-	db.shards[0].Swap(func(cur *ensemble.Ensemble, _ map[string]uint64) *ensemble.Ensemble {
+	sh.Swap(func(cur *ensemble.Ensemble, _ map[string]uint64) *ensemble.Ensemble {
 		if cur.Tables == nil {
 			err = errNoData()
 			return nil
@@ -163,28 +183,4 @@ func (db *DB) CheckStaleness() (map[int]string, error) {
 		return nil, err
 	}
 	return rep.Stale, nil
-}
-
-// UpdateStats reports the update pipeline's counters, plus the background
-// re-learner's failure record.
-func (db *DB) UpdateStats() UpdateStats {
-	out := db.host.UpdateStats()
-	out.RelearnErrors = db.relearnFails.Load()
-	db.relearnMu.Lock()
-	out.LastRelearnError = db.relearnErr
-	db.relearnMu.Unlock()
-	return out
-}
-
-// Close is the host's Close — drain the update pipeline (waiting at most
-// 30s), close the WAL, return the first undelivered apply error — and
-// additionally waits for an in-flight background re-learn. The DB remains
-// queryable afterwards; further updates fail. Idempotent.
-func (db *DB) Close() error {
-	db.relearnMu.Lock()
-	db.relearnClosed = true
-	db.relearnMu.Unlock()
-	err := db.host.Close()
-	db.relearnWG.Wait()
-	return err
 }

@@ -34,24 +34,10 @@ const (
 // resultCacheWays bounds lock contention, not capacity.
 const resultCacheWays = 8
 
-// getResult looks up a cached query result, returning a private copy (the
-// caller may mutate its result freely without corrupting the cache).
-func getResult(c *genLRU[cachedResult], key []byte, gen uint64) (Result, bool) {
-	v, ok := lruGet(c, key, gen)
-	if !ok {
-		return Result{}, false
-	}
-	return copyResult(v.res), true
-}
-
-// putResult stores a query result (as a private copy, so later caller
-// mutations of the returned result cannot poison the cache).
-func putResult(c *genLRU[cachedResult], key []byte, gen uint64, res Result) {
-	c.put(string(key), gen, cachedResult{res: copyResult(res)})
-}
-
 // copyResult deep-copies a result: the groups slice and each group's key
-// and label slices, so cache and caller never alias.
+// and label slices. Every result crosses the cache boundary through it, in
+// both directions, so cache and caller never alias and a caller mutating
+// its result cannot poison the cache.
 func copyResult(res Result) Result {
 	if res.Groups == nil {
 		return res

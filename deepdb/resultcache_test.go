@@ -448,7 +448,7 @@ func TestResultCacheExecBatchPartialHits(t *testing.T) {
 func TestShardedResultCacheCoherence(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(1500, 14)
-	db, err := deepdb.LearnDatasetSharded(ctx, s, data,
+	db, err := deepdb.LearnDataset(ctx, s, data,
 		deepdb.WithShards(2), deepdb.WithMaxSamples(3000),
 		deepdb.WithResultCacheSize(64))
 	if err != nil {
@@ -456,7 +456,7 @@ func TestShardedResultCacheCoherence(t *testing.T) {
 	}
 	defer db.Close()
 	s2, data2 := fixture(1500, 14)
-	plain, err := deepdb.LearnDatasetSharded(ctx, s2, data2,
+	plain, err := deepdb.LearnDataset(ctx, s2, data2,
 		deepdb.WithShards(2), deepdb.WithMaxSamples(3000))
 	if err != nil {
 		t.Fatal(err)

@@ -44,33 +44,33 @@ type Rows struct {
 // enumerated lazily and estimated in bounded chunks, so GROUP BY results of
 // any size run in constant memory.
 // Rows arrive in group-key order, bit-identical to Query's.
-func (h *host) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*Rows, error) {
-	s := h.snapshotNow()
+func (db *DB) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*Rows, error) {
+	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))
 	if err != nil {
 		return nil, err
 	}
-	return h.queryRowsOn(ctx, s, q, opts)
+	return db.queryRowsOn(ctx, s, q, opts)
 }
 
 // ExecuteQueryRows is QueryRows for an already-parsed structured query.
-func (h *host) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
-	return h.queryRowsOn(ctx, h.snapshotNow(), q, opts)
+func (db *DB) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
+	return db.queryRowsOn(ctx, db.snapshotNow(), q, opts)
 }
 
 // queryRowsOn builds the streaming iterator on one snapshot. Ungrouped
 // queries route through the regular (result-cached) execution path and
 // replay its single row; grouped queries get a live chunked iterator.
-func (h *host) queryRowsOn(ctx context.Context, s *snapshot, q query.Query, opts []ExecOption) (*Rows, error) {
+func (db *DB) queryRowsOn(ctx context.Context, s *snapshot, q query.Query, opts []ExecOption) (*Rows, error) {
 	eo := resolveExec(opts)
 	if len(q.GroupBy) == 0 {
-		res, err := h.executeQueryShaped(ctx, s, nil, "", q, eo)
+		v, err := db.executeShaped(ctx, nsQuery, s, nil, "", q, eo)
 		if err != nil {
 			return nil, err
 		}
-		return &Rows{pre: res.Groups, ens: s.ens}, nil
+		return &Rows{pre: v.res.Groups, ens: s.ens}, nil
 	}
-	p, err := h.planFor(s, "", q)
+	p, err := db.planFor(s, "", q)
 	if err != nil {
 		return nil, err
 	}

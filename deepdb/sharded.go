@@ -1,10 +1,10 @@
 package deepdb
 
-// sharded.go is what is specific to hosting more than one shard: the
-// partition of the ensemble into table-group shards (internal/shard) and
-// the replica offload. Everything else — the read API, the broadcast write
-// path, Flush/Save/Reload — is the host's, identical at every shard count
-// (see deepdb.go and updates.go).
+// sharded.go is what only a DB built with WithShards/WithShardPeers
+// exercises: the replica offload and the per-shard health report. The
+// partition itself is one branch of newDB (deepdb.go); everything else —
+// the read API, the broadcast write path, Flush/Save/Reload/Close — is
+// identical at every shard count (see deepdb.go and updates.go).
 //
 // Query execution on the composed view runs the unchanged compile +
 // Theorem-2/inclusion-exclusion machinery of internal/core, so results are
@@ -19,10 +19,6 @@ package deepdb
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -30,95 +26,26 @@ import (
 	"repro/internal/shard"
 )
 
-// ShardedDB is the host over a partition of the ensemble: the same API as
-// DB — one implementation — with every shard serving a subset of the
-// members behind its own update queue and WAL (subdirectory shard-<i> of
-// the WAL dir), plus optional replica processes that evaluation is
-// offloaded to.
-type ShardedDB struct {
-	host
-
-	// peers[i] is the replica client bound to shard i (nil when none); the
-	// slice itself is nil without WithShardPeers.
-	peers []*shard.Client
-	// Cumulative remote-evaluation counters, folded in from each retired
-	// composed view's evaluator.
-	peerHits  atomic.Uint64
-	peerFalls atomic.Uint64
-
-	// probeStop/probeWG control the background peer health prober.
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	probeOnce sync.Once
-}
-
-// LearnDatasetSharded is LearnDataset with the resulting ensemble
-// partitioned into WithShards(n) shards.
-func LearnDatasetSharded(ctx context.Context, s *Schema, data Dataset, opts ...Option) (*ShardedDB, error) {
-	cfg := defaultConfig()
-	cfg.apply(opts)
-	ens, err := ensemble.Build(ctx, s, data, cfg.ens)
-	if err != nil {
-		return nil, err
+// dialPeers builds the replica clients of WithShardPeers, one per shard in
+// shard order ("" binds none to that shard). A no-op without the option.
+func (db *DB) dialPeers() {
+	cfg := db.cfg
+	if len(cfg.shardPeers) == 0 {
+		return
 	}
-	return newShardedDB(ens, cfg)
-}
-
-// OpenSharded is Open with the loaded ensemble partitioned into
-// WithShards(n) shards. With WithWAL, each shard replays its own log
-// (subdirectory shard-<i> of the WAL dir) before serving; a set of logs
-// that replays to different positions is refused.
-func OpenSharded(ctx context.Context, modelPath string, opts ...Option) (*ShardedDB, error) {
-	cfg := defaultConfig()
-	cfg.apply(opts)
-	ens, err := loadModel(ctx, modelPath, cfg)
-	if err != nil {
-		return nil, err
+	db.peers = make([]*shard.Client, len(db.shards))
+	var copts []shard.ClientOption
+	if cfg.peerAttempts > 0 || cfg.peerBackoff > 0 {
+		copts = append(copts, shard.WithRetry(cfg.peerAttempts, cfg.peerBackoff))
 	}
-	return newShardedDB(ens, cfg)
-}
-
-func newShardedDB(ens *ensemble.Ensemble, cfg config) (*ShardedDB, error) {
-	if cfg.driftThresholds().Enabled() {
-		return nil, fmt.Errorf("deepdb: drift-triggered re-learning (WithDriftThreshold/WithDriftMeanShift) needs the whole ensemble in one shard; drop the trigger or serve unsharded")
+	if cfg.peerBreakThresh > 0 || cfg.peerBreakCooldown > 0 {
+		copts = append(copts, shard.WithBreaker(cfg.peerBreakThresh, cfg.peerBreakCooldown))
 	}
-	var shards []*shard.Shard
-	for i, m := range shard.Partition(ens, cfg.shards) {
-		walDir := ""
-		if cfg.walDir != "" {
-			walDir = filepath.Join(cfg.walDir, fmt.Sprintf("shard-%d", i))
+	for i := range db.shards {
+		if i < len(cfg.shardPeers) && cfg.shardPeers[i] != "" {
+			db.peers[i] = shard.NewClient(cfg.shardPeers[i], copts...)
 		}
-		sh, err := shard.New(i, m, ens, cfg.shardConfig(walDir))
-		if err != nil {
-			for _, prev := range shards {
-				prev.Close() //nolint:errcheck // construction already failed
-			}
-			return nil, err
-		}
-		shards = append(shards, sh)
 	}
-	db := &ShardedDB{}
-	if len(cfg.shardPeers) > 0 {
-		db.peers = make([]*shard.Client, len(shards))
-		var copts []shard.ClientOption
-		if cfg.peerAttempts > 0 || cfg.peerBackoff > 0 {
-			copts = append(copts, shard.WithRetry(cfg.peerAttempts, cfg.peerBackoff))
-		}
-		if cfg.peerBreakThresh > 0 || cfg.peerBreakCooldown > 0 {
-			copts = append(copts, shard.WithBreaker(cfg.peerBreakThresh, cfg.peerBreakCooldown))
-		}
-		for i := range shards {
-			if i < len(cfg.shardPeers) && cfg.shardPeers[i] != "" {
-				db.peers[i] = shard.NewClient(cfg.shardPeers[i], copts...)
-			}
-		}
-		db.wire, db.replicate = db.bindPeers, db.forwardPeers
-	}
-	if err := db.start(cfg, shards, len(ens.RSPNs)); err != nil {
-		return nil, err
-	}
-	db.startProber()
-	return db, nil
 }
 
 // startProber launches the background peer health prober: every probe
@@ -126,7 +53,7 @@ func newShardedDB(ens *ensemble.Ensemble, cfg config) (*ShardedDB, error) {
 // its circuit breaker and health flag, so a dead peer's breaker opens (and
 // re-closes after heal) even when no query traffic flows. No-op without
 // peers or with probing disabled.
-func (db *ShardedDB) startProber() {
+func (db *DB) startProber() {
 	if db.peers == nil || db.cfg.peerProbeDisabled {
 		return
 	}
@@ -156,14 +83,15 @@ func (db *ShardedDB) startProber() {
 	}()
 }
 
-// bindPeers is the host's wire hook: it routes a new view's evaluation
-// through the bound replicas, with bindings valid exactly for this ops
-// token, and retires the outgoing view's evaluator counters into the
-// running totals (a chunk in flight right now may be lost to the count;
-// these are observability numbers, not accounting). When the stream
-// advanced under an unchanged view (eng is prev's own engine) the existing
-// bindings just move to the new token.
-func (db *ShardedDB) bindPeers(prev *snapshot, eng *core.Engine, ens *ensemble.Ensemble, ops uint64) {
+// bindPeers routes the evaluation of the view about to be published
+// through the bound replicas (prev is the outgoing view, nil at
+// construction), with bindings valid exactly for this ops token, and
+// retires the outgoing view's evaluator counters into the running totals (a
+// chunk in flight right now may be lost to the count; these are
+// observability numbers, not accounting). When the stream advanced under an
+// unchanged view (eng is prev's own engine) the existing bindings just move
+// to the new token. Only called with peers bound.
+func (db *DB) bindPeers(prev *snapshot, eng *core.Engine, ens *ensemble.Ensemble, ops uint64) {
 	if prev != nil {
 		if re, ok := prev.eng.Eval.(*shard.RemoteEvaluator); ok {
 			if prev.eng == eng {
@@ -195,7 +123,7 @@ func (db *ShardedDB) bindPeers(prev *snapshot, eng *core.Engine, ens *ensemble.E
 // attempt at its per-attempt timeout) and breaker-gated, so a dead replica
 // costs the write path nothing once its breaker opens — before this, a
 // hung replica could stall every broadcast for the full client timeout.
-func (db *ShardedDB) forwardPeers(muts []ensemble.Mutation) {
+func (db *DB) forwardPeers(muts []ensemble.Mutation) {
 	for _, c := range db.peers {
 		if c == nil {
 			continue
@@ -204,21 +132,9 @@ func (db *ShardedDB) forwardPeers(muts []ensemble.Mutation) {
 	}
 }
 
-// Close stops the peer prober, then closes the host: every shard is
-// drained (each waiting at most 30s) and its WAL closed. The
-// composed snapshot stays queryable; further updates fail. Idempotent.
-func (db *ShardedDB) Close() error {
-	db.probeOnce.Do(func() {
-		if db.probeStop != nil {
-			close(db.probeStop)
-			db.probeWG.Wait()
-		}
-	})
-	return db.host.Close()
-}
-
-// Shards returns the number of partitions serving this DB.
-func (db *ShardedDB) Shards() int { return len(db.shards) }
+// Shards returns the number of shards serving this DB: 1 unless WithShards
+// partitioned the ensemble.
+func (db *DB) Shards() int { return len(db.shards) }
 
 // ShardStat is one shard's health inside ShardStats.
 type ShardStat struct {
@@ -255,8 +171,9 @@ type ShardStat struct {
 	PeerLastError string `json:"peer_last_error,omitempty"`
 }
 
-// ShardStats reports per-shard health, in shard order.
-func (db *ShardedDB) ShardStats() []ShardStat {
+// ShardStats reports per-shard health, in shard order: one entry, without
+// members or peer, on an unpartitioned DB.
+func (db *DB) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(db.shards))
 	for i, sh := range db.shards {
 		st := sh.Stats()
@@ -288,8 +205,9 @@ func (db *ShardedDB) ShardStats() []ShardStat {
 }
 
 // PeerStats reports how many evaluation chunks were answered by replica
-// processes and how many fell back to the local model.
-func (db *ShardedDB) PeerStats() (hits, fallbacks uint64) {
+// processes and how many fell back to the local model (zeros without
+// WithShardPeers).
+func (db *DB) PeerStats() (hits, fallbacks uint64) {
 	hits, fallbacks = db.peerHits.Load(), db.peerFalls.Load()
 	if re, ok := db.snapshotNow().eng.Eval.(*shard.RemoteEvaluator); ok {
 		hits += re.Hits()

@@ -56,7 +56,7 @@ func TestShardedMatchesSingleBitwise(t *testing.T) {
 				}
 				defer single.Close()
 				s2, d2 := fixture(1500, 31)
-				shardedDB, err := deepdb.LearnDatasetSharded(ctx, s2, d2,
+				shardedDB, err := deepdb.LearnDataset(ctx, s2, d2,
 					append([]deepdb.Option{deepdb.WithShards(nshards)}, base...)...)
 				if err != nil {
 					t.Fatal(err)
@@ -173,7 +173,7 @@ func TestShardedHotReload(t *testing.T) {
 	}
 
 	s1, d1 := fixture(1200, 41)
-	sdb, err := deepdb.LearnDatasetSharded(ctx, s1, d1,
+	sdb, err := deepdb.LearnDataset(ctx, s1, d1,
 		deepdb.WithMaxSamples(4000), deepdb.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestSingleReloadServesNewModel(t *testing.T) {
 func TestShardedBackpressureSheds(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(1000, 44)
-	db, err := deepdb.LearnDatasetSharded(ctx, s, data,
+	db, err := deepdb.LearnDataset(ctx, s, data,
 		deepdb.WithMaxSamples(2000), deepdb.WithShards(2), deepdb.WithUpdateQueueSize(1),
 		deepdb.WithNonBlockingUpdates())
 	if err != nil {
@@ -421,7 +421,7 @@ func TestShardedWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	s, data := fixture(1000, 46)
-	db, err := deepdb.LearnDatasetSharded(ctx, s, data,
+	db, err := deepdb.LearnDataset(ctx, s, data,
 		deepdb.WithMaxSamples(2000), deepdb.WithShards(2), deepdb.WithWAL(walDir))
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestShardedWALRecovery(t *testing.T) {
 	}
 
 	s2, data2 := fixture(1000, 46)
-	re, err := deepdb.LearnDatasetSharded(ctx, s2, data2,
+	re, err := deepdb.LearnDataset(ctx, s2, data2,
 		deepdb.WithMaxSamples(2000), deepdb.WithShards(2), deepdb.WithWAL(walDir))
 	if err != nil {
 		t.Fatal(err)

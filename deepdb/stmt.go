@@ -30,7 +30,7 @@ import (
 // execution time, which works model-only via the dictionaries persisted in
 // the model file.
 type Stmt struct {
-	db      *host
+	db      *DB
 	q       query.Query
 	shape   string
 	nparams int
@@ -45,13 +45,13 @@ type Stmt struct {
 // Prepare parses the SQL template (which may contain `?` placeholders as
 // comparison values), validates it and compiles its plan eagerly, so shape
 // errors surface here rather than at execution.
-func (h *host) Prepare(sql string) (*Stmt, error) {
-	snap := h.snapshotNow()
+func (db *DB) Prepare(sql string) (*Stmt, error) {
+	snap := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(snap.ens))
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{db: h, q: q, shape: q.ShapeKey(), nparams: q.NumParams(),
+	s := &Stmt{db: db, q: q, shape: q.ShapeKey(), nparams: q.NumParams(),
 		paramCols: paramColumns(q)}
 	p, err := s.planOn(snap)
 	if err != nil {
@@ -120,7 +120,8 @@ func (s *Stmt) Exec(ctx context.Context, params ...any) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return s.db.executeQueryShaped(ctx, snap, s, s.shape, q, resolveExec(opts))
+	v, err := s.db.executeShaped(ctx, nsQuery, snap, s, s.shape, q, resolveExec(opts))
+	return v.res, err
 }
 
 // ExecBatch runs the statement once per parameter set against one
@@ -159,8 +160,8 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 	for i := range queries {
 		if rc != nil {
 			keys[i] = resultKey(nsQuery, s.shape, queries[i], level)
-			if res, ok := getResult(rc, keys[i], snap.gen); ok {
-				out[i] = res
+			if v, ok := lruGet(rc, keys[i], snap.gen); ok {
+				out[i] = copyResult(v.res)
 				continue
 			}
 		}
@@ -184,7 +185,7 @@ func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption)
 	for j, i := range missIdx {
 		out[i] = wrapResult(snap.ens, queries[i], ress[j])
 		if rc != nil {
-			putResult(rc, keys[i], snap.gen, out[i])
+			rc.put(string(keys[i]), snap.gen, cachedResult{res: copyResult(out[i])})
 		}
 	}
 	return out, nil
@@ -200,7 +201,8 @@ func (s *Stmt) Estimate(ctx context.Context, params ...any) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	return s.db.estimateCardinalityShaped(ctx, snap, s, s.shape, q, resolveExec(opts))
+	v, err := s.db.executeShaped(ctx, nsEstimate, snap, s, s.shape, q, resolveExec(opts))
+	return v.est, err
 }
 
 // Explain renders the plan the statement executes.

@@ -1,6 +1,6 @@
 package deepdb
 
-// updates.go is the host's write half: one broadcast path from
+// updates.go is the DB's write half: one broadcast path from
 // Insert/Delete/Update into every shard (log everywhere, then Submit
 // everywhere), the fail-stop on WAL loss, and the lifecycle operations
 // (Flush, Save, Reload, Close) that fan out over the shards.
@@ -13,7 +13,7 @@ package deepdb
 //     and cross-shard FK tuple-factor bumps mean a write routed to "its"
 //     shard only would desynchronize the others. Broadcast keeps every
 //     shard's sub-ensemble bit-identical to the corresponding slice of a
-//     one-shard host fed the same stream.
+//     one-shard DB fed the same stream.
 //   - Durability: every accepted group is appended to each shard's WAL
 //     before it enters that shard's queue, so a crash — even kill -9 —
 //     loses nothing that was acknowledged under DurabilitySync (and at most
@@ -23,7 +23,7 @@ package deepdb
 //     equivalence makes group boundaries irrelevant to the final state.
 //   - Each shard snapshot carries an ops token: the cumulative count of
 //     mutations it has processed (applied or deterministically failed).
-//     The host recomposes its serving view only when all shards agree on
+//     The DB recomposes its serving view only when all shards agree on
 //     it (see recomposeLocked).
 
 import (
@@ -58,15 +58,15 @@ var ErrDurabilityLost = errors.New("deepdb: WAL durability lost, writes are not 
 // shard's applier; it becomes visible to queries when its batch's snapshot
 // is published, and apply errors are reported by the next Flush — or, under
 // WithSyncUpdates, by the call itself, which then waits for the publish.
-func (h *host) Insert(table string, values map[string]Value) error {
-	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
+func (db *DB) Insert(table string, values map[string]Value) error {
+	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
 }
 
 // Delete removes the base-table row with the given primary key from the
 // model incrementally. Submitted like Insert: a missing row is an apply
 // error reported by the next Flush (the call's own under WithSyncUpdates).
-func (h *host) Delete(table string, pk float64) error {
-	return h.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
+func (db *DB) Delete(table string, pk float64) error {
+	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
 }
 
 // Update applies a batch of row inserts. The rows travel through the
@@ -77,35 +77,35 @@ func (h *host) Delete(table string, pk float64) error {
 // underlying cause — under WithSyncUpdates the batch is this group alone,
 // so the returned error indexes the failing row; otherwise it may include
 // coalesced neighbors.
-func (h *host) Update(rows ...Row) error {
+func (db *DB) Update(rows ...Row) error {
 	muts := make([]ensemble.Mutation, len(rows))
 	for i, r := range rows {
 		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
 	}
-	return h.mutateAll(muts)
+	return db.mutateAll(muts)
 }
 
 // mutateAll broadcasts one mutation group to every shard.
-func (h *host) mutateAll(muts []ensemble.Mutation) error {
+func (db *DB) mutateAll(muts []ensemble.Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	if h.snapshotNow().ens.Tables == nil {
+	if db.snapshotNow().ens.Tables == nil {
 		return errNoData()
 	}
-	h.mutMu.Lock()
-	defer h.mutMu.Unlock()
-	if h.closed {
+	db.mutMu.Lock()
+	defer db.mutMu.Unlock()
+	if db.closed {
 		return errClosed()
 	}
-	if h.cfg.nonBlocking {
+	if db.cfg.nonBlocking {
 		// Admission is all-or-nothing and comes BEFORE the append: a record
 		// logged but rejected with ErrQueueFull would still replay after a
 		// restart, silently re-applying a write the caller was told to
 		// retry. Under mutMu no other producer can steal the checked slots;
 		// a concurrent Flush barrier can, which makes the submit below block
 		// for at most one apply cycle — never shed.
-		for _, sh := range h.shards {
+		for _, sh := range db.shards {
 			if !sh.HasCapacity() {
 				return ErrQueueFull
 			}
@@ -117,15 +117,15 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 	// applying it (shards 0..k-1 carry a logged-but-never-acked tail record,
 	// which the compose-or-refuse check catches on the next open — see the
 	// runbook), and every later write fails the same way.
-	if cause := h.walErr.Load(); cause != nil {
+	if cause := db.walErr.Load(); cause != nil {
 		return fmt.Errorf("%w: %s", ErrDurabilityLost, *cause)
 	}
-	lsns := make([]uint64, len(h.shards))
-	for i, sh := range h.shards {
+	lsns := make([]uint64, len(db.shards))
+	for i, sh := range db.shards {
 		lsn, err := sh.Log(muts)
 		if err != nil {
 			cause := err.Error()
-			h.walErr.Store(&cause) // first and only: the check above rejects every later write
+			db.walErr.Store(&cause) // first and only: the check above rejects every later write
 			return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
 		}
 		lsns[i] = lsn
@@ -136,13 +136,13 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 	// own result: mutMu keeps every other producer out, so the batch is this
 	// group alone and its error indexes the group's rows.
 	var first error
-	for i, sh := range h.shards {
-		if err := sh.Submit(muts, lsns[i], h.cfg.syncUpdates); err != nil && first == nil {
+	for i, sh := range db.shards {
+		if err := sh.Submit(muts, lsns[i], db.cfg.syncUpdates); err != nil && first == nil {
 			first = err
 		}
 	}
-	if h.replicate != nil {
-		h.replicate(muts)
+	if db.peers != nil {
+		db.forwardPeers(muts)
 	}
 	return first
 }
@@ -152,9 +152,9 @@ func (h *host) mutateAll(muts []ensemble.Mutation) error {
 // Save, Exact, Data) observe those writes, bit-identical however the
 // applier happened to batch them. It returns the first apply error since
 // the previous Flush. A no-op when nothing is pending.
-func (h *host) Flush(ctx context.Context) error {
+func (db *DB) Flush(ctx context.Context) error {
 	var first error
-	for _, sh := range h.shards {
+	for _, sh := range db.shards {
 		if err := sh.Flush(ctx); err != nil && first == nil {
 			first = err
 		}
@@ -167,14 +167,14 @@ func (h *host) Flush(ctx context.Context) error {
 // the shards' apply watermarks. The bulk of the drain happens before the
 // lock is taken, so writers wait only for what slipped in between — and for
 // whatever the caller does before unlocking, which must stay short.
-func (h *host) quiesce() error {
+func (db *DB) quiesce() error {
 	ctx := context.Background()
-	if err := h.Flush(ctx); err != nil {
+	if err := db.Flush(ctx); err != nil {
 		return err
 	}
-	h.mutMu.Lock()
-	if err := h.Flush(ctx); err != nil {
-		h.mutMu.Unlock()
+	db.mutMu.Lock()
+	if err := db.Flush(ctx); err != nil {
+		db.mutMu.Unlock()
 		return err
 	}
 	return nil
@@ -190,25 +190,25 @@ func (h *host) quiesce() error {
 // successful Save also checkpoints every shard's log at its applied
 // watermark: the save covers everything up to that LSN, so replay skips
 // those records from now on and segments they fully occupy are deleted.
-func (h *host) Save(path string) error {
+func (db *DB) Save(path string) error {
 	// Pick the view and the watermarks at one quiescent point: with
 	// broadcasts still running, some shard's watermark could be ahead of the
 	// composed view, and checkpointing there would drop a record the file
 	// does not contain. The snapshot is immutable, so it is serialized after
 	// the writers have been let back in.
-	if err := h.quiesce(); err != nil {
+	if err := db.quiesce(); err != nil {
 		return err
 	}
-	s := h.snapshotNow()
-	lsns := make([]uint64, len(h.shards))
-	for i, sh := range h.shards {
+	s := db.snapshotNow()
+	lsns := make([]uint64, len(db.shards))
+	for i, sh := range db.shards {
 		lsns[i] = sh.AppliedLSN()
 	}
-	h.mutMu.Unlock()
+	db.mutMu.Unlock()
 	if err := s.ens.SaveFile(path); err != nil {
 		return err
 	}
-	for i, sh := range h.shards {
+	for i, sh := range db.shards {
 		if err := sh.Checkpoint(lsns[i]); err != nil {
 			return err
 		}
@@ -221,28 +221,28 @@ func (h *host) Save(path string) error {
 // new model travels through the same snapshot-publication path as update
 // batches, so in-flight queries finish on the old snapshot and later ones
 // see the new generation atomically, on every shard at once: each shard's
-// part is published with its ops token preserved, and the host recomposes
+// part is published with its ops token preserved, and the DB recomposes
 // only after the last one — all-old or all-new, never a mix. Pending
 // updates are flushed into the old model first (they were acked against
 // it); the current base tables, if any, are carried over so
 // updates and exact execution keep working. Writers are held off only for
 // the swap itself (attaching the tables and publishing), not while the
-// model file is read or the queues drain. A partitioned host keeps its
+// model file is read or the queues drain. A partitioned DB keeps its
 // partition, so the new model must have the serving one's member count.
 // On any error the old model keeps serving.
-func (h *host) Reload(modelPath string) error {
+func (db *DB) Reload(modelPath string) error {
 	ens, err := ensemble.LoadFile(modelPath, nil)
 	if err != nil {
 		return err
 	}
-	if err := h.quiesce(); err != nil {
+	if err := db.quiesce(); err != nil {
 		return err
 	}
-	defer h.mutMu.Unlock()
-	if h.closed {
+	defer db.mutMu.Unlock()
+	if db.closed {
 		return errClosed()
 	}
-	cur := h.snapshotNow().ens
+	cur := db.snapshotNow().ens
 	if cur.Tables != nil {
 		if err := ens.AttachTables(cur.Tables); err != nil {
 			return err
@@ -255,35 +255,53 @@ func (h *host) Reload(modelPath string) error {
 	}
 	// Carve every part before publishing any: a failure here must leave
 	// all shards on the old model, not some.
-	parts := make([]*ensemble.Ensemble, len(h.shards))
-	for i, sh := range h.shards {
+	parts := make([]*ensemble.Ensemble, len(db.shards))
+	for i, sh := range db.shards {
 		if parts[i], err = sh.Carve(ens); err != nil {
 			return err
 		}
 	}
-	for i, sh := range h.shards {
+	for i, sh := range db.shards {
 		sh.Publish(parts[i])
 	}
-	h.recompose()
+	db.recompose()
 	return nil
 }
 
-// Close drains and stops every shard's update pipeline (each waiting at
-// most 30s), syncs and closes the WALs, and returns the first undelivered
-// apply error (or the drain-timeout error; with a WAL the undrained queue
-// remains recoverable by the next Open). The DB remains queryable
-// afterwards (the published snapshot stays valid); further updates fail.
-// Close is idempotent — the second and later calls are no-ops returning nil.
-func (h *host) Close() error {
-	h.mutMu.Lock()
-	if h.closed {
-		h.mutMu.Unlock()
+// Close stops the peer prober, drains and stops every shard's update
+// pipeline (each waiting at most 30s), syncs and closes the WALs, waits for
+// an in-flight background re-learn, and returns the first undelivered apply
+// error (or the drain-timeout error; with a WAL the undrained queue remains
+// recoverable by the next Open). The DB remains queryable afterwards (the
+// published snapshot stays valid); further updates fail. Close is
+// idempotent — the second and later calls are no-ops returning nil.
+func (db *DB) Close() error {
+	db.mutMu.Lock()
+	if db.closed {
+		db.mutMu.Unlock()
 		return nil
 	}
-	h.closed = true
-	h.mutMu.Unlock()
+	db.closed = true
+	db.mutMu.Unlock()
+	if db.probeStop != nil {
+		close(db.probeStop)
+		db.probeWG.Wait()
+	}
+	// Raise the re-learn barrier before draining: a trigger tripped by the
+	// drain's own batches backs off instead of starting work Close would
+	// then have to wait for.
+	db.relearnMu.Lock()
+	db.relearnClosed = true
+	db.relearnMu.Unlock()
+	err := db.closeShards()
+	db.relearnWG.Wait()
+	return err
+}
+
+// closeShards closes every shard and returns the first error.
+func (db *DB) closeShards() error {
 	var first error
-	for _, sh := range h.shards {
+	for _, sh := range db.shards {
 		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -302,7 +320,7 @@ type UpdateStats struct {
 	// count them too — as batches of one operation.
 	SyncUpdates bool `json:"sync_updates"`
 	// The queue fields aggregate over the shards (per-shard detail is in
-	// ShardedDB.ShardStats): counters are summed — a broadcast counts once
+	// ShardStats): counters are summed — a broadcast counts once
 	// per shard — and the last-batch readings are the maximum.
 	//
 	// QueueDepth is the number of update operations waiting in the queue.
@@ -407,26 +425,27 @@ func walStatsOf(st shard.Stats, durability Durability) *WALStats {
 	}
 }
 
-// UpdateStats reports the update pipeline's counters.
-func (h *host) UpdateStats() UpdateStats {
-	s := h.snapshotNow()
+// UpdateStats reports the update pipeline's counters, plus the background
+// re-learner's failure record.
+func (db *DB) UpdateStats() UpdateStats {
+	s := db.snapshotNow()
 	out := UpdateStats{
 		Generation:      s.gen,
-		SyncUpdates:     h.cfg.syncUpdates,
-		PlanCacheSize:   h.plans.size(),
-		ResultCacheSize: h.resCache.size(),
+		SyncUpdates:     db.cfg.syncUpdates,
+		PlanCacheSize:   db.plans.size(),
+		ResultCacheSize: db.resCache.size(),
 	}
-	if cause := h.walErr.Load(); cause != nil {
+	if cause := db.walErr.Load(); cause != nil {
 		out.DurabilityLost, out.LastWALError = true, *cause
 	}
-	if h.plans != nil {
-		out.PlanCacheHits, out.PlanCacheMisses = h.plans.hits.Load(), h.plans.misses.Load()
+	if db.plans != nil {
+		out.PlanCacheHits, out.PlanCacheMisses = db.plans.hits.Load(), db.plans.misses.Load()
 	}
-	if h.resCache != nil {
-		out.ResultCacheHits, out.ResultCacheMisses = h.resCache.hits.Load(), h.resCache.misses.Load()
-		out.ResultCacheEvictions = h.resCache.evictions.Load()
+	if db.resCache != nil {
+		out.ResultCacheHits, out.ResultCacheMisses = db.resCache.hits.Load(), db.resCache.misses.Load()
+		out.ResultCacheEvictions = db.resCache.evictions.Load()
 	}
-	for _, sh := range h.shards {
+	for _, sh := range db.shards {
 		st := sh.Stats()
 		out.QueueDepth += st.Queue.QueueDepth
 		out.Enqueued += st.Queue.Enqueued
@@ -439,11 +458,11 @@ func (h *host) UpdateStats() UpdateStats {
 		out.LastBatch = max(out.LastBatch, st.Queue.LastBatch)
 		out.LastApplyDuration = max(out.LastApplyDuration, st.Queue.LastApplyDuration.Microseconds())
 		out.ApplyLag = max(out.ApplyLag, st.Queue.ApplyLag.Microseconds())
-		w := walStatsOf(st, h.cfg.durability)
+		w := walStatsOf(st, db.cfg.durability)
 		switch {
 		case w == nil:
 		case out.WAL == nil:
-			w.Dir = h.cfg.walDir
+			w.Dir = db.cfg.walDir
 			out.WAL = w
 		default:
 			a := out.WAL
@@ -462,5 +481,9 @@ func (h *host) UpdateStats() UpdateStats {
 		out.Drift = d.Scores()
 		out.Relearns = d.Relearns()
 	}
+	out.RelearnErrors = db.relearnFails.Load()
+	db.relearnMu.Lock()
+	out.LastRelearnError = db.relearnErr
+	db.relearnMu.Unlock()
 	return out
 }

@@ -505,62 +505,47 @@ func captureDicts(t *table.Table) map[string][]string {
 	return out
 }
 
-// tableNames returns the attached table names in sorted order, so lookups
-// that pick "the first table owning a column" are deterministic.
-func (e *Ensemble) tableNames() []string {
-	names := make([]string, 0, len(e.Tables))
-	for n := range e.Tables {
-		names = append(names, n)
+// firstOwner returns the value under the smallest key of m that owns
+// accepts — "the first table, in name order, owning the column", so when
+// several qualify the answer is stable across runs. One pass, nothing
+// allocated and nothing sorted: string literals and result cells are
+// resolved through it one at a time.
+func firstOwner[V any](m map[string]V, owns func(V) bool) (best V, ok bool) {
+	var bestName string
+	//deepdb:orderinvariant a minimum over the keys is the same in every visit order
+	for name, v := range m {
+		if (!ok || name < bestName) && owns(v) {
+			best, bestName, ok = v, name, true
+		}
 	}
-	sort.Strings(names)
-	return names
-}
-
-// statNames returns the persisted stats table names in sorted order.
-func (e *Ensemble) statNames() []string {
-	names := make([]string, 0, len(e.Stats))
-	for n := range e.Stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return best, ok
 }
 
 // ResolveLabel maps a string literal on a column to its dictionary code —
 // through the live base table when attached, through the persisted
 // dictionaries otherwise. known reports whether any table owns the column;
-// found whether the literal exists in its dictionary. Tables are consulted
-// in sorted name order, so when several own the column the answer is
-// stable across runs.
+// found whether the literal exists in its dictionary. When several tables
+// own the column the first in name order decides.
 //
 //deepdb:nocancel scans one categorical dictionary per lookup, bounded by the distinct labels of a single column
 func (e *Ensemble) ResolveLabel(column, literal string) (code float64, found, known bool) {
 	if e.Tables != nil {
-		for _, name := range e.tableNames() {
-			c := e.Tables[name].Column(column)
-			if c == nil {
-				continue
-			}
-			if code := c.Lookup(literal); code >= 0 {
-				return float64(code), true, true
-			}
-			return 0, false, true
+		t, known := firstOwner(e.Tables, func(t *table.Table) bool { return t.Column(column) != nil })
+		if !known {
+			return 0, false, false
 		}
-		return 0, false, false
-	}
-	for _, name := range e.statNames() {
-		st := e.Stats[name]
-		if !st.HasColumn(column) {
-			continue
-		}
-		for code, s := range st.Dicts[column] {
-			if s == literal {
-				return float64(code), true, true
-			}
+		if code := t.Column(column).Lookup(literal); code >= 0 {
+			return float64(code), true, true
 		}
 		return 0, false, true
 	}
-	return 0, false, false
+	st, known := firstOwner(e.Stats, func(st TableStats) bool { return st.HasColumn(column) })
+	for code, s := range st.Dicts[column] {
+		if s == literal {
+			return float64(code), true, true
+		}
+	}
+	return 0, false, known
 }
 
 // DecodeLabel renders a dictionary code of a categorical column as its
@@ -569,20 +554,18 @@ func (e *Ensemble) ResolveLabel(column, literal string) (code float64, found, kn
 // the code is out of range.
 func (e *Ensemble) DecodeLabel(column string, code int) string {
 	if e.Tables != nil {
-		for _, name := range e.tableNames() {
-			if c := e.Tables[name].Column(column); c != nil && c.DictSize() > 0 {
-				return c.Decode(code)
-			}
+		t, ok := firstOwner(e.Tables, func(t *table.Table) bool {
+			c := t.Column(column)
+			return c != nil && c.DictSize() > 0
+		})
+		if !ok {
+			return ""
 		}
-		return ""
+		return t.Column(column).Decode(code)
 	}
-	for _, name := range e.statNames() {
-		if dict := e.Stats[name].Dicts[column]; len(dict) > 0 {
-			if code < 0 || code >= len(dict) {
-				return ""
-			}
-			return dict[code]
-		}
+	st, _ := firstOwner(e.Stats, func(st TableStats) bool { return len(st.Dicts[column]) > 0 })
+	if dict := st.Dicts[column]; code >= 0 && code < len(dict) {
+		return dict[code]
 	}
 	return ""
 }

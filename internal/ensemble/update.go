@@ -148,6 +148,14 @@ func (e *Ensemble) Apply(muts []Mutation) (applied int, err error) {
 // batching), and the write-path PK index, which readers never consult
 // and which therefore stays incrementally maintained across batches
 // instead of being rebuilt per clone.
+//
+// Because the clones share that one write index (and the rng), history
+// must be linear: clone the latest state, apply, and make the clone the
+// next state. Applying to two clones of the same base — or to a clone and
+// then to its base — feeds both branches' keys and tombstones into the
+// shared index, and the second branch then resolves primary keys against
+// rows its own tables do not hold. Nothing checks this; the shard's apply
+// lock is what keeps the one writer per ensemble linear.
 func (e *Ensemble) CloneForUpdate(muts []Mutation) *Ensemble {
 	touched := e.TouchedTables(muts)
 	targets := targetTables(muts)

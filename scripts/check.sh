@@ -38,6 +38,10 @@ fi
 
 echo "== option/flag ratchet =="
 # The committed ceilings only ever go down: facade options and serve flags.
+# The third ratchet of the same kind is the facade's exported surface:
+# deepdb/testdata/api.golden (TestAPIGolden, in the suite below) lists every
+# exported identifier and method, and only shrinks without a reason stated
+# in CHANGES.md next to the `-update` that grew it.
 [ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 17 ] &&
     [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 18 ] ||
     { echo "a new option needs two non-test callers with different values — see simplicity-review/Options"; exit 1; }
