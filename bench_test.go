@@ -150,13 +150,13 @@ func BenchmarkSPNInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cols := []spn.ColQuery{
+	req := spn.Request{Cols: []spn.ColQuery{
 		{Col: 0, Ranges: []spn.Range{{Lo: -5, Hi: 5, LoIncl: true, HiIncl: true}}},
 		{Col: 2, Ranges: []spn.Range{spn.PointRange(3)}},
-	}
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Probability(cols); err != nil {
+		if _, err := model.Evaluate(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs, err := load.Packages(args...)
+	pkgs, err := load.Packages("", args...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deepdb-lint:", err)
 		os.Exit(1)
@@ -153,11 +153,6 @@ func usage() {
 
 func help() {
 	fmt.Println("deepdb-lint enforces this repository's concurrency and determinism invariants:")
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
 	for _, a := range analyzers {
 		fmt.Printf("\n%s: %s\n", a.Name, a.Doc)
 		if a.Scope != nil {

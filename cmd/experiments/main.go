@@ -5,8 +5,9 @@
 //
 //	experiments [-scale small|full] [-exp all|table1|table2|fig1|fig7|fig8|fig9|fig10|fig11|fig12|fig13|traintime]
 //
-// Each experiment prints rows mirroring the corresponding paper exhibit;
-// EXPERIMENTS.md records paper-vs-measured for all of them.
+// Each experiment prints rows mirroring the corresponding paper exhibit,
+// with the paper's published numbers beside the measured ones where the
+// paper gives them: this output is the paper-vs-measured record.
 package main
 
 import (

@@ -25,7 +25,7 @@
 // A database handle serves queries from immutable published snapshots:
 // every Query/EstimateCardinality/Prepare/Exec loads the current snapshot
 // with one atomic pointer read and runs entirely against it, so reads never
-// block — not on each other and not on writes. Insert/Delete/Update
+// block — not on each other and not on writes. Insert/Delete
 // submit their mutation group to a background applier, which coalesces
 // whatever has queued up into batches, applies each batch to a private
 // copy-on-write clone (only the touched tables and models are copied) and
@@ -48,9 +48,8 @@
 // WithShards(n) partitions the members over n shards and WithShardPeers
 // adds replica offload — options of the same Open/Learn/LearnDataset, not
 // another type. Answers are bit-identical at every shard count. What needs
-// the whole ensemble in one place — drift-triggered re-learning and
-// CheckStaleness — is refused on a partitioned DB with an error that says
-// so.
+// the whole ensemble in one place — drift-triggered re-learning — is
+// refused on a partitioned DB with an error that says so.
 package deepdb
 
 import (
@@ -78,7 +77,7 @@ type snapshot struct {
 	ens *ensemble.Ensemble
 	eng *core.Engine
 	// gen counts publications of a changed ensemble (update batches in
-	// which something applied, Reload, re-learn hot-swaps, CheckStaleness);
+	// which something applied, Reload, re-learn hot-swaps);
 	// cached plans, cached results and prepared statements are tagged with
 	// it and recompiled or dropped when it moves.
 	gen uint64
@@ -317,7 +316,7 @@ func (db *DB) shardPublished(changed bool) {
 }
 
 // recompose publishes the composed view after a model swap (Reload, a
-// re-learned member, CheckStaleness), which — unlike an update batch —
+// re-learned member), which — unlike an update batch —
 // leaves the shards' ops tokens where they were.
 func (db *DB) recompose() {
 	db.viewMu.Lock()
@@ -376,20 +375,13 @@ func (db *DB) planFor(s *snapshot, shape string, q query.Query) (*core.Plan, err
 	return p, nil
 }
 
-// PlanCacheLen reports how many compiled plans are currently cached.
-func (db *DB) PlanCacheLen() int { return db.plans.size() }
-
-// ResultCacheLen reports how many query results and cardinality estimates
-// are currently cached (0 unless WithResultCacheSize enabled the cache).
-func (db *DB) ResultCacheLen() int { return db.resCache.size() }
-
 // Schema returns the relational metadata the DB was learned over.
 func (db *DB) Schema() *Schema { return db.snapshotNow().ens.Schema }
 
 // Data returns the base tables of the current snapshot (nil when the DB
 // was opened without data). The returned tables are shared with the
 // serving path and must be treated as read-only: mutate the database only
-// through Insert/Delete/Update.
+// through Insert/Delete.
 func (db *DB) Data() Dataset { return db.snapshotNow().ens.Tables }
 
 // Describe returns a human-readable summary of the ensemble, including
@@ -409,7 +401,7 @@ func (db *DB) Model(table string) *rspn.RSPN { return db.snapshotNow().ens.RSPNF
 
 // Generation returns the current snapshot's publication counter. It moves
 // once per update batch in which something applied (not per row), and on
-// Reload, a re-learn hot-swap and CheckStaleness.
+// Reload and a re-learn hot-swap.
 func (db *DB) Generation() uint64 { return db.snapshotNow().gen }
 
 // Parse compiles the SQL subset DeepDB supports into a structured query,

@@ -12,9 +12,9 @@ import (
 // (finished results by shape + bound literals + level) are both instances.
 //
 // Correctness rides on the generation: every published snapshot (update
-// batch, Reload, background re-learn hot-swap, CheckStaleness, sharded
-// recomposition) bumps it, and an entry only ever serves the generation it
-// was stored at — a plan compiled against different statistics, or a
+// batch, Reload, background re-learn hot-swap, sharded recomposition)
+// bumps it, and an entry only ever serves the generation it was stored
+// at — a plan compiled against different statistics, or a
 // result computed against a superseded model state, is recomputed on its
 // next use instead of served. Because readers on an older snapshot can
 // race readers on a newer one, generations are ordered: an older entry is

@@ -549,31 +549,6 @@ func TestOpenHonoursShardOptions(t *testing.T) {
 	}
 }
 
-// TestCheckStalenessRefusedWhenSharded: the staleness check rewrites the
-// one updatable ensemble, which a partitioned DB does not have — it must
-// say so (in the drift refusal's words) and leave the serving view alone;
-// the unpartitioned DB over the same data runs it.
-func TestCheckStalenessRefusedWhenSharded(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		db := learnHost(t, n)
-		defer db.Close()
-		before := db.Generation()
-		_, err := db.CheckStaleness()
-		if n == 1 {
-			if err != nil {
-				t.Fatalf("one shard: CheckStaleness: %v", err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "whole ensemble in one shard") {
-			t.Fatalf("%d shards: CheckStaleness: err = %v", n, err)
-		}
-		if db.Generation() != before {
-			t.Fatalf("%d shards: a refused CheckStaleness published", n)
-		}
-	}
-}
-
 // TestSaveAndReloadDoNotStallWriters: draining the queues and writing or
 // reading the model file happen outside the broadcast lock, so a writer
 // arriving while a Save or Reload waits on a slow applier is admitted at

@@ -154,6 +154,8 @@ func WithParallelism(n int) Option {
 
 // WithSingleTableOnly learns one RSPN per table and no join RSPNs — the
 // paper's cheap fallback configuration.
+//
+//deepdb:testonly the paper's cheap fallback configuration, not tuning
 func WithSingleTableOnly() Option {
 	return func(c *config) { c.ens.SingleTableOnly = true }
 }
@@ -174,15 +176,15 @@ func WithPlanCacheSize(n int) Option {
 // query shape, the same bound literal values and the same effective
 // confidence level is answered from the cache, bit-identical to executing
 // it. Entries are tagged with the snapshot generation, so any published
-// snapshot — an update batch, Reload, a background re-learn hot-swap,
-// CheckStaleness — invalidates them wholesale; a hit never serves an
+// snapshot — an update batch, Reload, a background re-learn hot-swap —
+// invalidates them wholesale; a hit never serves an
 // estimate computed against a superseded model state. Streaming reads
 // (QueryRows) bypass the cache.
 func WithResultCacheSize(n int) Option {
 	return func(c *config) { c.resultCache = n }
 }
 
-// WithSyncUpdates makes Insert/Delete/Update wait, inside the broadcast
+// WithSyncUpdates makes Insert/Delete wait, inside the broadcast
 // lock, until their group is applied and published on every shard: the
 // caller sees its own write on the very next query and gets the group's
 // apply error (with the failing row's index) from the call itself — never
@@ -191,12 +193,14 @@ func WithResultCacheSize(n int) Option {
 // other; readers still never block). The default returns once the group is
 // queued and lets the applier coalesce. Same write path, same final state
 // — the equivalence suites' batch-of-one reference.
+//
+//deepdb:testonly reference path of the sync == async equivalence suites
 func WithSyncUpdates() Option {
 	return func(c *config) { c.syncUpdates = true }
 }
 
 // WithWAL enables the durable write-ahead log in dir (created if missing).
-// Every Insert/Delete/Update call appends its mutation group to the log
+// Every Insert/Delete call appends its mutation group to the log
 // before it enters the update queue, and opening a DB with the same WAL
 // directory replays whatever a previous process accepted but had not saved
 // — after a crash (even kill -9), replay followed by Flush reproduces the
@@ -231,6 +235,8 @@ func WithDriftThreshold(frac float64) Option {
 // than sigma baseline standard deviations since it was learned. <= 0 (the
 // default) disables the signal. Combines with WithDriftThreshold —
 // whichever trips first wins.
+//
+//deepdb:testonly a distinct drift signal, not a tuning of WithDriftThreshold
 func WithDriftMeanShift(sigma float64) Option {
 	return func(c *config) { c.driftShift = sigma }
 }
@@ -245,6 +251,8 @@ func WithDataDir(dir string) Option {
 // WithDataset attaches already-loaded base tables to Open, instead of
 // reading CSVs from a directory. The tables are augmented in place with
 // synthetic tuple-factor (__fk_*) columns, like LearnDataset's.
+//
+//deepdb:testonly input (already-loaded tables), not tuning
 func WithDataset(ds Dataset) Option {
 	return func(c *config) { c.dataset = ds }
 }
@@ -255,7 +263,7 @@ func WithDataset(ds Dataset) Option {
 // and logs into the WAL dir itself). The effective count, reported by
 // Shards, may be lower when the ensemble has fewer members than n. Answers
 // are bit-identical at every n; what needs the whole ensemble in one shard
-// — the drift triggers, CheckStaleness — is refused for n > 1.
+// — the drift triggers — is refused for n > 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -272,7 +280,7 @@ func WithShardPeers(urls ...string) Option {
 	return func(c *config) { c.shardPeers = append([]string(nil), urls...) }
 }
 
-// WithNonBlockingUpdates makes Insert/Delete/Update shed with ErrQueueFull
+// WithNonBlockingUpdates makes Insert/Delete shed with ErrQueueFull
 // when the update queue is full, instead of blocking until the applier
 // catches up. Serving front-ends use this to turn backpressure into
 // 429 + Retry-After rather than pinning handler goroutines. Admission is

@@ -2,9 +2,8 @@ package deepdb
 
 // relearn.go holds what only an unpartitioned DB can do, because its
 // serving view is its one shard's own updatable ensemble: drift-triggered
-// background re-learning and the staleness check. A partitioned DB
-// (WithShards/WithShardPeers) refuses both — the trigger at construction,
-// CheckStaleness when called.
+// background re-learning. A partitioned DB (WithShards/WithShardPeers)
+// refuses the trigger at construction.
 //
 // The paper's incremental updates (Section 5.2) keep models exact for
 // in-distribution streams but accumulate approximation error under drift.
@@ -17,7 +16,6 @@ package deepdb
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/ensemble"
 	"repro/internal/rspn"
@@ -151,36 +149,4 @@ func (db *DB) recordRelearnErr(err error) {
 	db.relearnMu.Lock()
 	db.relearnErr = err.Error()
 	db.relearnMu.Unlock()
-}
-
-// CheckStaleness recomputes pairwise dependencies on the current base
-// tables and reports ensemble members whose construction decision would
-// change — the paper's trigger for background regeneration. Pending
-// updates are flushed first; the refreshed dependency statistics are
-// published as a new snapshot (invalidating cached plans, which read
-// them for RSPN selection).
-func (db *DB) CheckStaleness() (map[int]string, error) {
-	sh := db.wholeShard()
-	if sh == nil {
-		return nil, fmt.Errorf("deepdb: CheckStaleness needs the whole ensemble in one shard; serve unsharded (no WithShards/WithShardPeers) to run it")
-	}
-	if err := db.Flush(context.Background()); err != nil {
-		return nil, err
-	}
-	var rep ensemble.StalenessReport
-	var err error
-	sh.Swap(func(cur *ensemble.Ensemble, _ map[string]uint64) *ensemble.Ensemble {
-		if cur.Tables == nil {
-			err = errNoData()
-			return nil
-		}
-		next := cur.CloneForStaleness()
-		rep, err = next.CheckStaleness()
-		return next
-	})
-	db.recompose()
-	if err != nil {
-		return nil, err
-	}
-	return rep.Stale, nil
 }

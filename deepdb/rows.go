@@ -53,11 +53,6 @@ func (db *DB) QueryRows(ctx context.Context, sql string, opts ...ExecOption) (*R
 	return db.queryRowsOn(ctx, s, q, opts)
 }
 
-// ExecuteQueryRows is QueryRows for an already-parsed structured query.
-func (db *DB) ExecuteQueryRows(ctx context.Context, q query.Query, opts ...ExecOption) (*Rows, error) {
-	return db.queryRowsOn(ctx, db.snapshotNow(), q, opts)
-}
-
 // queryRowsOn builds the streaming iterator on one snapshot. Ungrouped
 // queries route through the regular (result-cached) execution path and
 // replay its single row; grouped queries get a live chunked iterator.
@@ -110,6 +105,3 @@ func (r *Rows) Err() error {
 	}
 	return r.it.Err()
 }
-
-// Grouped reports whether the underlying query had a GROUP BY clause.
-func (r *Rows) Grouped() bool { return r.it != nil }

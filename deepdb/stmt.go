@@ -79,15 +79,9 @@ func paramColumns(q query.Query) []string {
 	return out
 }
 
-// NumParams returns the number of `?` placeholders in the statement.
-func (s *Stmt) NumParams() int { return s.nparams }
-
-// SQL returns the parsed template rendered back to SQL-ish form.
-func (s *Stmt) SQL() string { return s.q.String() }
-
 // planOn returns the statement's compiled plan for the given snapshot,
 // recompiling when the pinned plan was compiled at a different generation
-// (an update batch or staleness check published since).
+// (an update batch, Reload or re-learn published since).
 func (s *Stmt) planOn(snap *snapshot) (*core.Plan, error) {
 	s.mu.Lock()
 	if s.plan != nil && s.gen == snap.gen {
@@ -203,18 +197,6 @@ func (s *Stmt) Estimate(ctx context.Context, params ...any) (Estimate, error) {
 	}
 	v, err := s.db.executeShaped(ctx, nsEstimate, snap, s, s.shape, q, resolveExec(opts))
 	return v.est, err
-}
-
-// Explain renders the plan the statement executes.
-func (s *Stmt) Explain(ctx context.Context) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	p, err := s.planOn(s.db.snapshotNow())
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
 }
 
 // splitArgs separates ExecOption arguments from parameter values.

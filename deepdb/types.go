@@ -125,20 +125,14 @@ func (r Result) Scalar() float64 {
 	return r.Groups[0].Value
 }
 
-// Plain converts to the internal query.Result shape, the common currency of
+// plain converts to the internal query.Result shape, the common currency of
 // the exact executor and the error metrics.
-func (r Result) Plain() query.Result {
+func (r Result) plain() query.Result {
 	var out query.Result
 	for _, g := range r.Groups {
 		out.Groups = append(out.Groups, query.Group{Key: g.Key, Value: g.Value})
 	}
 	return out
-}
-
-// Row is one base-table row for DB.Update: missing columns become NULL.
-type Row struct {
-	Table  string
-	Values map[string]Value
 }
 
 // QError is the paper's q-error metric: max(est/true, true/est) with both
@@ -148,5 +142,5 @@ func QError(estimate, truth float64) float64 { return query.QError(estimate, tru
 // AvgRelativeError matches estimated groups to true groups by key and
 // averages the per-group relative errors (the paper's AQP metric).
 func AvgRelativeError(estimate, truth Result) float64 {
-	return query.AvgRelativeError(estimate.Plain(), truth.Plain())
+	return query.AvgRelativeError(estimate.plain(), truth.plain())
 }

@@ -1,7 +1,7 @@
 package deepdb
 
 // updates.go is the DB's write half: one broadcast path from
-// Insert/Delete/Update into every shard (log everywhere, then Submit
+// Insert/Delete into every shard (log everywhere, then Submit
 // everywhere), the fail-stop on WAL loss, and the lifecycle operations
 // (Flush, Save, Reload, Close) that fan out over the shards.
 //
@@ -36,14 +36,14 @@ import (
 	"repro/internal/shard"
 )
 
-// ErrQueueFull is returned by Insert/Delete/Update under
+// ErrQueueFull is returned by Insert/Delete under
 // WithNonBlockingUpdates when some shard's update queue has no free slot:
 // the mutation was NOT accepted — not logged, not enqueued, on any shard —
 // and the caller should retry later. Serving front-ends map it to 429 +
 // Retry-After. Test with errors.Is.
 var ErrQueueFull = errors.New("deepdb: update queue full, retry later")
 
-// ErrDurabilityLost is returned by Insert/Delete/Update once the WAL has
+// ErrDurabilityLost is returned by Insert/Delete once the WAL has
 // failed (disk full, I/O error): the mutation was NOT accepted anywhere
 // and writes stay rejected until the process restarts on a healthy disk —
 // no acknowledged write is ever less durable than the configured mode
@@ -67,22 +67,6 @@ func (db *DB) Insert(table string, values map[string]Value) error {
 // error reported by the next Flush (the call's own under WithSyncUpdates).
 func (db *DB) Delete(table string, pk float64) error {
 	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
-}
-
-// Update applies a batch of row inserts. The rows travel through the
-// pipeline as one indivisible group: queries never observe a half-applied
-// Update — every published snapshot contains the whole group or none of
-// it. A failing row does not block the others and there is no rollback;
-// Flush reports it with its position in the applied batch and the
-// underlying cause — under WithSyncUpdates the batch is this group alone,
-// so the returned error indexes the failing row; otherwise it may include
-// coalesced neighbors.
-func (db *DB) Update(rows ...Row) error {
-	muts := make([]ensemble.Mutation, len(rows))
-	for i, r := range rows {
-		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
-	}
-	return db.mutateAll(muts)
 }
 
 // mutateAll broadcasts one mutation group to every shard.
@@ -326,8 +310,7 @@ type UpdateStats struct {
 	// QueueDepth is the number of update operations waiting in the queue.
 	QueueDepth int `json:"queue_depth"`
 	// Enqueued/Applied count update operations accepted/applied — each
-	// Insert/Delete is one operation, an Update(rows...) call is one
-	// operation regardless of row count. Batches counts published update
+	// Insert/Delete is one operation. Batches counts published update
 	// batches (Applied/Batches = realized coalescing).
 	Enqueued uint64 `json:"enqueued"`
 	Applied  uint64 `json:"applied"`

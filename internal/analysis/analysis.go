@@ -18,7 +18,10 @@
 // the flagged line or on its own line directly above it. The justification
 // is mandatory: a bare directive does not suppress and is itself flagged by
 // the directive analyzer. Each analyzer documents the directive name it
-// honors (orderinvariant, snapshotsafe, walordered, nocancel).
+// honors (orderinvariant, snapshotsafe, walordered, nocancel, hardtimeout).
+// One more name, testonly, is honored by the reachability test in
+// internal/analysis/reach: written above a function declaration, it roots a
+// function that only tests call.
 package analysis
 
 import (
@@ -107,6 +110,7 @@ var DirectiveNames = map[string]bool{
 	"walordered":     true, // walorder: WAL append/enqueue ordering established elsewhere
 	"nocancel":       true, // ctxloop: loop bounds are metadata-sized, not data-sized
 	"hardtimeout":    true, // hardtimeout: an inline duration literal is deliberate here
+	"testonly":       true, // reach: only tests call this function, and the reason says why it ships
 }
 
 // A Directive is one parsed //deepdb:<name> <justification> comment.

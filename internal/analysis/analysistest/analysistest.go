@@ -34,6 +34,8 @@ import (
 // Run loads the fixture package at <testdata>/src/<importPath>, runs the
 // analyzer over it, and reports any mismatch between diagnostics and
 // `// want` expectations as test errors.
+//
+//deepdb:testonly the fixture harness every analyzer's test drives
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPath string) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(importPath))

@@ -24,6 +24,13 @@ func Bare(m map[string]int) int {
 	return n
 }
 
+// BareTestOnly roots itself for the reachability test without saying why.
+//
+/* want `needs a justification` */ //deepdb:testonly
+func BareTestOnly() int {
+	return 1
+}
+
 // Typo uses an unknown directive name.
 func Typo(m map[string]int) int {
 	n := 0

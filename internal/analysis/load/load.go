@@ -50,10 +50,13 @@ type listPkg struct {
 }
 
 // Packages loads the packages matching the patterns (plus type information
-// for their dependencies) and returns them sorted by import path.
-func Packages(patterns ...string) ([]*Package, error) {
+// for their dependencies) and returns them sorted by import path. `go list`
+// runs in dir, so the patterns resolve in the module that contains it ("" is
+// the current directory).
+func Packages(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

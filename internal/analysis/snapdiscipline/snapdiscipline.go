@@ -18,10 +18,10 @@
 //  2. Fields of the snapshot struct are assigned only in composite
 //     literals; a field write after construction mutates a possibly
 //     published value under readers.
-//  3. Known-mutating ensemble methods (Apply, Insert, Delete, AttachTables,
-//     EnableDrift, CheckStaleness) must not be invoked on state reached
-//     from a snapshot load; such values must be laundered through a
-//     CoW clone (CloneForUpdate, CloneForStaleness, SwapMember) first.
+//  3. Known-mutating ensemble methods (Apply, Insert, AttachTables,
+//     EnableDrift) must not be invoked on state reached from a snapshot
+//     load; such values must be laundered through a CoW clone
+//     (CloneForUpdate, SwapMember) first.
 //     The drift tracker is exempt: it is documented as shared by pointer
 //     across clones with its own synchronization.
 //
@@ -55,20 +55,17 @@ var storeAllowed = map[string]bool{"New": true, "publishLocked": true}
 // mutating are the *ensemble.Ensemble methods that change model state
 // in place.
 var mutating = map[string]bool{
-	"Apply":          true,
-	"Insert":         true,
-	"Delete":         true,
-	"AttachTables":   true,
-	"EnableDrift":    true,
-	"CheckStaleness": true,
+	"Apply":        true,
+	"Insert":       true,
+	"AttachTables": true,
+	"EnableDrift":  true,
 }
 
 // laundering are the Ensemble methods whose result is a fresh CoW clone —
 // safe to mutate and publish.
 var laundering = map[string]bool{
-	"CloneForUpdate":    true,
-	"CloneForStaleness": true,
-	"SwapMember":        true,
+	"CloneForUpdate": true,
+	"SwapMember":     true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -275,7 +272,7 @@ func checkTaintedMutations(pass *analysis.Pass, fn *ast.FuncDecl) {
 			if pass.Suppressed(n.Pos(), "snapshotsafe") {
 				return true
 			}
-			pass.Reportf(n.Pos(), "%s called on an ensemble reached from a published snapshot: clone it first (CloneForUpdate/CloneForStaleness) and publish the clone", method)
+			pass.Reportf(n.Pos(), "%s called on an ensemble reached from a published snapshot: clone it first (CloneForUpdate) and publish the clone", method)
 		}
 		return true
 	})

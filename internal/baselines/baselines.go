@@ -20,12 +20,6 @@ import (
 	"repro/internal/table"
 )
 
-// CardinalityEstimator is the interface of every cardinality baseline.
-type CardinalityEstimator interface {
-	Name() string
-	EstimateCardinality(q query.Query) (float64, error)
-}
-
 // fkIndex is a hash index from join-column value to row indexes, the
 // secondary-index stand-in both IBJS and Wander Join rely on.
 type fkIndex map[float64][]int

@@ -35,9 +35,6 @@ func NewIBJS(s *schema.Schema, tables map[string]*table.Table, sampleSize int, s
 	}
 }
 
-// Name implements CardinalityEstimator.
-func (b *IBJS) Name() string { return "IBJS" }
-
 // EstimateCardinality samples root rows and walks the join tree.
 func (b *IBJS) EstimateCardinality(q query.Query) (float64, error) {
 	if err := q.Validate(); err != nil {

@@ -209,9 +209,6 @@ func normTo01(v, lo, hi float64) float64 {
 	return n
 }
 
-// Name implements CardinalityEstimator.
-func (m *MCSN) Name() string { return "MCSN" }
-
 // EstimateCardinality predicts exp(net(features)), clamped to at least 1.
 func (m *MCSN) EstimateCardinality(q query.Query) (float64, error) {
 	if m.net == nil {

@@ -89,9 +89,6 @@ func analyzeColumn(c *table.Column) *columnStats {
 	return st
 }
 
-// Name implements CardinalityEstimator.
-func (p *Postgres) Name() string { return "Postgres" }
-
 // EstimateCardinality multiplies per-table selectivities into the FK-join
 // size estimate.
 func (p *Postgres) EstimateCardinality(q query.Query) (float64, error) {

@@ -41,9 +41,6 @@ func NewRandomSampling(s *schema.Schema, tables map[string]*table.Table, rate fl
 	return &RandomSampling{engine: exact.New(s, sampled), rate: rate}, nil
 }
 
-// Name implements CardinalityEstimator.
-func (r *RandomSampling) Name() string { return "RandomSampling" }
-
 // EstimateCardinality runs the query on the samples and scales up.
 func (r *RandomSampling) EstimateCardinality(q query.Query) (float64, error) {
 	card, err := r.engine.Cardinality(q)
@@ -143,18 +140,6 @@ func (ts *TableSample) Execute(q query.Query) (query.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// EstimateCardinality lets TableSample double as a cardinality baseline.
-func (ts *TableSample) EstimateCardinality(q query.Query) (float64, error) {
-	cq := q
-	cq.Aggregate = query.Count
-	cq.GroupBy = nil
-	res, err := ts.Execute(cq)
-	if err != nil {
-		return 0, err
-	}
-	return res.Scalar(), nil
 }
 
 // SampleBasedCI computes ground-truth confidence intervals from an actual

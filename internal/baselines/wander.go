@@ -174,15 +174,3 @@ func (w *WanderJoin) Execute(q query.Query) (query.Result, error) {
 	}
 	return out, nil
 }
-
-// EstimateCardinality lets Wander Join double as a cardinality estimator.
-func (w *WanderJoin) EstimateCardinality(q query.Query) (float64, error) {
-	cq := q
-	cq.Aggregate = query.Count
-	cq.GroupBy = nil
-	res, err := w.Execute(cq)
-	if err != nil {
-		return 0, err
-	}
-	return res.Scalar(), nil
-}

@@ -2,7 +2,7 @@
 // evaluation (Section 6) on the synthetic equivalents of the paper's data
 // sets. Each runner returns a Report whose rows mirror the corresponding
 // paper exhibit, alongside the paper's published numbers where applicable,
-// so EXPERIMENTS.md can record paper-vs-measured side by side.
+// so `go run ./cmd/experiments` prints paper-vs-measured side by side.
 //
 // Absolute numbers are not expected to match (different data scale and
 // hardware); the shapes — who wins, by roughly what factor, where error
@@ -32,8 +32,8 @@ type Report struct {
 	ID    string // "table1", "fig7", ...
 	Title string
 	Rows  []string
-	// Metrics holds machine-readable headline numbers for tests and
-	// EXPERIMENTS.md.
+	// Metrics holds machine-readable headline numbers for the exhibit
+	// tests.
 	Metrics map[string]float64
 }
 

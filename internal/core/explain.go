@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,24 +8,12 @@ import (
 	"repro/internal/rspn"
 )
 
-// Explain renders the execution plan for a query without evaluating it:
-// which compilation case of Section 4 applies (exact-match RSPN, superset
-// RSPN with 1/F' normalization, or the Theorem-2 combination across bridge
-// FK edges) and which ensemble members answer each part. The output is
-// produced from the same compiled Plan that Execute walks, so it describes
-// exactly the plan that would run.
-func (e *Engine) Explain(ctx context.Context, q query.Query) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	p, err := e.Compile(q)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
-
-// Explain renders the compiled plan.
+// Explain renders the compiled plan without evaluating it: which
+// compilation case of Section 4 applies (exact-match RSPN, superset RSPN
+// with 1/F' normalization, or the Theorem-2 combination across bridge FK
+// edges) and which ensemble members answer each part. It reads the same
+// compiled structure execution walks, so it describes exactly the plan
+// that runs.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", p.q.String())

@@ -133,13 +133,14 @@ func TestMedianCountCancellation(t *testing.T) {
 		}
 	}
 	e.Strategy = StrategyMedian
-	p, err := e.Compile(query.Query{Aggregate: query.Count, Tables: []string{"customer"}})
+	q := query.Query{Aggregate: query.Count, Tables: []string{"customer"}}
+	p, err := e.Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.EstimateCardinality(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := p.EstimateCardinalityQuery(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -13,7 +13,6 @@ package core
 // cache keyed on query.ShapeKey).
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -467,18 +466,6 @@ func selectPreds(preds []query.Predicate, ords []int) []query.Predicate {
 	return out
 }
 
-// ---- plan accessors ----
-
-// Shape returns the plan's normalized shape key (query.ShapeKey of its
-// template).
-func (p *Plan) Shape() string { return p.shape }
-
-// NumParams returns the number of parameter placeholders in the template.
-func (p *Plan) NumParams() int { return p.nparams }
-
-// Query returns the compiled template.
-func (p *Plan) Query() query.Query { return p.q }
-
 // RSPNs returns every ensemble member the plan's estimators can touch, in
 // first-use order — the routing metadata a sharded serving tier needs to
 // know which shards a query fans out to. The walk covers the cardinality
@@ -540,31 +527,6 @@ func (p *Plan) RSPNs() []*rspn.RSPN {
 //
 // Execution itself — the batched gather/evaluate/resolve walk — lives in
 // plan_exec.go.
-
-// Execute runs the plan with the given parameter values bound into its
-// placeholders (none for a literal query).
-func (p *Plan) Execute(ctx context.Context, params ...float64) (AQPResult, error) {
-	return p.ExecuteOpts(ctx, ExecOpts{}, params...)
-}
-
-// ExecuteOpts is Execute with per-call options.
-func (p *Plan) ExecuteOpts(ctx context.Context, opts ExecOpts, params ...float64) (AQPResult, error) {
-	q, err := p.q.Bind(params...)
-	if err != nil {
-		return AQPResult{}, err
-	}
-	return p.ExecuteQuery(ctx, opts, q)
-}
-
-// EstimateCardinality estimates COUNT(*) over the join with the bound
-// filters, ignoring aggregate and GROUP BY settings.
-func (p *Plan) EstimateCardinality(ctx context.Context, params ...float64) (Estimate, error) {
-	q, err := p.q.Bind(params...)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return p.EstimateCardinalityQuery(ctx, q)
-}
 
 // checkBound verifies the concrete query is parameter-free and matches the
 // plan's shape.

@@ -28,7 +28,11 @@ func TestPlanReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, age := range []float64{25, 55, 85} {
-		prepared, err := p.EstimateCardinality(ctx, age)
+		bound, err := template.Bind(age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := p.EstimateCardinalityQuery(ctx, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +65,11 @@ func TestPlanExecuteGroupedAndAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, hi := range []float64{30, 90} {
-		prepared, err := p.Execute(ctx, hi)
+		lit, err := template.Bind(hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lit, err := template.Bind(hi)
+		prepared, err := p.ExecuteQuery(ctx, ExecOpts{}, lit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +88,8 @@ func TestPlanExecuteGroupedAndAggregate(t *testing.T) {
 	}
 }
 
-// TestPlanBindErrors: wrong arity, unbound templates and shape mismatches
-// fail with clear errors instead of wrong results.
+// TestPlanBindErrors: unbound templates and shape mismatches fail with
+// clear errors instead of wrong results.
 func TestPlanBindErrors(t *testing.T) {
 	e, _, _ := exactEnsemble(t, false)
 	ctx := context.Background()
@@ -96,12 +100,6 @@ func TestPlanBindErrors(t *testing.T) {
 	p, err := e.Compile(template)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := p.EstimateCardinality(ctx); err == nil {
-		t.Fatal("missing parameter must fail")
-	}
-	if _, err := p.EstimateCardinality(ctx, 1, 2); err == nil {
-		t.Fatal("extra parameter must fail")
 	}
 	if _, err := p.EstimateCardinalityQuery(ctx, template); err == nil ||
 		!strings.Contains(err.Error(), "unbound") {
@@ -127,11 +125,11 @@ func TestPlanExecOptsConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := p.ExecuteOpts(ctx, ExecOpts{})
+	def, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := p.ExecuteOpts(ctx, ExecOpts{ConfidenceLevel: 0.999})
+	wide, err := p.ExecuteQuery(ctx, ExecOpts{ConfidenceLevel: 0.999}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +161,5 @@ func TestPlanExplainMatchesExecution(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
-	}
-	// The ctx-aware engine entry point honours cancellation.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Explain(cancelled, template); err == nil {
-		t.Fatal("cancelled Explain must fail")
-	}
-	if _, err := e.Explain(context.Background(), template); err != nil {
-		t.Fatal(err)
 	}
 }

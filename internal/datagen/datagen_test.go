@@ -1,13 +1,16 @@
 package datagen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/query"
+	"repro/internal/schema"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 func TestIMDbShape(t *testing.T) {
@@ -236,3 +239,20 @@ func TestPoissonish(t *testing.T) {
 }
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
+
+// Validate asserts generated data matches its schema (all generators).
+func Validate(s *schema.Schema, tables map[string]*table.Table) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	for _, meta := range s.Tables {
+		t, ok := tables[meta.Name]
+		if !ok {
+			return fmt.Errorf("datagen: missing table %s", meta.Name)
+		}
+		if t.NumRows() == 0 {
+			return fmt.Errorf("datagen: table %s is empty", meta.Name)
+		}
+	}
+	return nil
+}

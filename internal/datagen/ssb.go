@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/schema"
@@ -22,9 +21,12 @@ func DefaultSSBConfig() SSBConfig { return SSBConfig{ScaleFactor: 0.02, Seed: 1}
 
 // SSBSchema returns the star schema: the lineorder fact table referencing
 // customer, supplier, part and date dimensions. The official benchmark's
-// derived measures (revenue, profit) are materialized as columns so that
-// the paper's SUM queries map onto DeepDB's single-column aggregates (see
-// EXPERIMENTS.md for this documented substitution).
+// derived measures are materialized as columns, lo_revenue =
+// extendedprice*(1-discount/100) and lo_profit = lo_revenue-supplycost,
+// because DeepDB aggregates a single column (SUM(col), AVG(col)) and its
+// query model has no arithmetic: an RSPN learns the per-row measure like
+// any other attribute, and the paper's SUM queries become SUM(lo_revenue)
+// and SUM(lo_profit).
 func SSBSchema() *schema.Schema {
 	return &schema.Schema{Tables: []*schema.Table{
 		{Name: "dates", PrimaryKey: "d_datekey", Columns: []schema.Column{
@@ -169,21 +171,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Validate asserts generated data matches its schema (all generators).
-func Validate(s *schema.Schema, tables map[string]*table.Table) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	for _, meta := range s.Tables {
-		t, ok := tables[meta.Name]
-		if !ok {
-			return fmt.Errorf("datagen: missing table %s", meta.Name)
-		}
-		if t.NumRows() == 0 {
-			return fmt.Errorf("datagen: table %s is empty", meta.Name)
-		}
-	}
-	return nil
 }

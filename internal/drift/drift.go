@@ -282,13 +282,6 @@ func (s *Set) Trip(th Thresholds) (int, Score, bool) {
 	return best, bestScore, true
 }
 
-// MutationCount returns member i's mutation counter.
-func (s *Set) MutationCount(i int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.members[i].mutated
-}
-
 // ResetMember re-baselines member i after a completed re-learn: its
 // staleness drops to zero against the state it was just learned from.
 func (s *Set) ResetMember(i int) {

@@ -61,9 +61,13 @@ func probes(t *testing.T, e *Ensemble) []float64 {
 			{InnerTables: r.Tables, Fns: map[string]spn.Fn{"l_qty": spn.FnIdent}},
 		}
 		for _, term := range terms {
-			v, err := r.Expectation(term)
+			req, err := r.BuildRequest(term)
 			if err != nil {
 				continue // RSPN does not resolve the probe's column
+			}
+			v, err := r.Model.Evaluate(req)
+			if err != nil {
+				t.Fatal(err)
 			}
 			out = append(out, v)
 		}

@@ -134,8 +134,9 @@ type Ensemble struct {
 
 // NewManual assembles an ensemble from pre-learned RSPNs, bypassing
 // construction. Dependency statistics may be nil; the execution strategy
-// then treats all attribute pairs as uncorrelated. Intended for tests and
-// for callers that manage learning themselves.
+// then treats all attribute pairs as uncorrelated.
+//
+//deepdb:testonly core and shard tests pin a hand-picked member set that construction would not choose
 func NewManual(s *schema.Schema, tables map[string]*table.Table, rspns []*rspn.RSPN, cfg Config) *Ensemble {
 	if cfg.RDCThreshold == 0 {
 		cfg = DefaultConfig()

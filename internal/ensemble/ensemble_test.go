@@ -15,6 +15,13 @@ import (
 	"repro/internal/table"
 )
 
+// Delete removes a base-table row (located by primary key) from the
+// ensemble — see deleteRow.
+func (e *Ensemble) Delete(tableName string, pk float64) error {
+	_, err := e.Apply([]Mutation{{Op: OpDelete, Table: tableName, PK: pk}})
+	return err
+}
+
 // testSchema builds a 3-table chain: customer <- orders <- orderline.
 func testSchema() *schema.Schema {
 	return &schema.Schema{Tables: []*schema.Table{
@@ -215,7 +222,11 @@ func estimateCount(t *testing.T, r *rspn.RSPN, tables []string, filters []query.
 	for _, c := range r.InverseFactorColumns(tables) {
 		fns[c] = spn.FnInv
 	}
-	e, err := r.Expectation(rspn.Term{Fns: fns, Filters: filters, InnerTables: tables})
+	req, err := r.BuildRequest(rspn.Term{Fns: fns, Filters: filters, InnerTables: tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.Model.Evaluate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestInsertUpdatesBaseAndModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The customer's tuple factor must now be 1.
-	rel, _ := s.RelationshipBetween("customer", "orders")
+	rel := s.NeighborEdges("customer")[0] // customer <- orders
 	idx, ok := e.lookupPK("customer", 100000)
 	if !ok {
 		t.Fatal("pk index lost the new customer")
@@ -388,44 +399,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		"c_id": table.Int(777777), "c_age": table.Int(25), "c_region": table.Int(0),
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCheckStaleness(t *testing.T) {
-	s := testSchema()
-	tabs := genData(s, 500, false, 12) // independent: singles ensemble
-	cfg := testConfig()
-	cfg.BudgetFactor = 0
-	e, err := Build(context.Background(), s, tabs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.CheckStaleness()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stale) != 0 {
-		t.Fatalf("fresh ensemble should not be stale: %v", rep.Stale)
-	}
-	// Now insert strongly correlated orders: channel == region of customer.
-	custRegion := tabs["customer"].Column("c_region")
-	n := tabs["customer"].NumRows()
-	for i := 0; i < 2000; i++ {
-		c := i % n
-		if err := e.Insert("orders", map[string]table.Value{
-			"o_id":      table.Int(700000 + i),
-			"o_c_id":    table.Float(tabs["customer"].Column("c_id").Data[c]),
-			"o_channel": table.Float(custRegion.Data[c]),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err = e.CheckStaleness()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Stale) == 0 {
-		t.Fatal("expected staleness after injecting cross-table correlation")
 	}
 }
 

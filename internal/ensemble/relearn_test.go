@@ -153,8 +153,8 @@ func TestDriftHooksAndTrip(t *testing.T) {
 	if err := clone.Delete("customer", 800000); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Drift.MutationCount(ci); got != 21 {
-		t.Fatalf("MutationCount = %d, want 21", got)
+	if got := e.Drift.Scores()[ci].Mutated; got != 21 {
+		t.Fatalf("Mutated = %d, want 21", got)
 	}
 	e.Drift.ResetMember(ci)
 	if _, _, ok := e.Drift.Trip(th); ok {

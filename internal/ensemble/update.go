@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/rspn"
 	"repro/internal/schema"
-	"repro/internal/stats"
 	"repro/internal/table"
 )
 
@@ -41,13 +40,6 @@ type Mutation struct {
 // column names to cell values; missing columns become NULL.
 func (e *Ensemble) Insert(tableName string, values map[string]table.Value) error {
 	_, err := e.Apply([]Mutation{{Op: OpInsert, Table: tableName, Values: values}})
-	return err
-}
-
-// Delete removes a base-table row (located by primary key) from the
-// ensemble — see deleteRow.
-func (e *Ensemble) Delete(tableName string, pk float64) error {
-	_, err := e.Apply([]Mutation{{Op: OpDelete, Table: tableName, PK: pk}})
 	return err
 }
 
@@ -196,26 +188,6 @@ func (e *Ensemble) CloneForUpdate(muts []Mutation) *Ensemble {
 		}
 	}
 	return out
-}
-
-// CloneForStaleness returns a clone prepared for CheckStaleness, which
-// refreshes the dependency statistics (AttrRDC/PairDep) that concurrent
-// queries read for RSPN selection: the two maps are copied, everything
-// else — tables, models, statistics — is shared, since the staleness check
-// only reads them.
-func (e *Ensemble) CloneForStaleness() *Ensemble {
-	out := *e
-	out.AttrRDC = make(map[string]float64, len(e.AttrRDC))
-	//deepdb:orderinvariant map-to-map copy; the result is independent of visit order
-	for k, v := range e.AttrRDC {
-		out.AttrRDC[k] = v
-	}
-	out.PairDep = make(map[string]float64, len(e.PairDep))
-	//deepdb:orderinvariant map-to-map copy; the result is independent of visit order
-	for k, v := range e.PairDep {
-		out.PairDep[k] = v
-	}
-	return &out
 }
 
 // insertRow is the per-row insert body shared by Insert and Apply.
@@ -603,58 +575,4 @@ func (e *Ensemble) indexDelete(tableName string, rowIdx int) {
 			delete(idx, pkCol.Data[rowIdx])
 		}
 	}
-}
-
-// ---- Section 5.2: cyclic staleness check ----
-
-// StalenessReport lists RSPNs whose underlying dependency structure has
-// drifted: a table pair whose correlation crossed the RDC threshold in
-// either direction since construction.
-type StalenessReport struct {
-	// Stale maps the RSPN index in the ensemble to a description of the
-	// drifted dependency.
-	Stale map[int]string
-}
-
-// CheckStaleness recomputes the pairwise dependency values on the current
-// base tables and flags RSPNs whose construction decision would change —
-// the trigger the paper uses to schedule background regeneration.
-//
-//deepdb:nocancel the pair loop is schema-bounded and each RDC runs on a fixed-K sample, not the full tables
-func (e *Ensemble) CheckStaleness() (StalenessReport, error) {
-	rdcCfg := stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: e.cfg.Seed}
-	rep := StalenessReport{Stale: map[int]string{}}
-	for i, r := range e.RSPNs {
-		if len(r.Tables) < 2 {
-			// A single-table RSPN becomes stale when its table is now
-			// strongly correlated with an FK neighbor.
-			for _, rel := range e.Schema.NeighborEdges(r.Tables[0]) {
-				dep, err := e.crossTableDependency([]string{rel.One, rel.Many}, rel.One, rel.Many, rdcCfg)
-				if err != nil {
-					return rep, err
-				}
-				if dep > e.cfg.RDCThreshold {
-					rep.Stale[i] = fmt.Sprintf("new dependency %s (%0.2f > %0.2f)", rel.ID(), dep, e.cfg.RDCThreshold)
-					break
-				}
-			}
-			continue
-		}
-		for ai := 0; ai < len(r.Tables); ai++ {
-			for bi := ai + 1; bi < len(r.Tables); bi++ {
-				a, b := r.Tables[ai], r.Tables[bi]
-				if _, adjacent := e.Schema.RelationshipBetween(a, b); !adjacent {
-					continue
-				}
-				dep, err := e.crossTableDependency([]string{a, b}, a, b, rdcCfg)
-				if err != nil {
-					return rep, err
-				}
-				if dep <= e.cfg.RDCThreshold {
-					rep.Stale[i] = fmt.Sprintf("dependency %s dropped (%0.2f <= %0.2f)", AttrKey(a, b), dep, e.cfg.RDCThreshold)
-				}
-			}
-		}
-	}
-	return rep, nil
 }

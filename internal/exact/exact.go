@@ -303,32 +303,6 @@ func (e *Engine) Cardinality(q query.Query) (float64, error) {
 	return res.Scalar(), nil
 }
 
-// DistinctValues returns the sorted distinct non-NULL values of a column in
-// the inner join of the given tables. Group-by expansion and workload
-// generation use it.
-func (e *Engine) DistinctValues(tables []string, column string) ([]float64, error) {
-	j, err := e.materialize(tables, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := j.Column(column)
-	if c == nil {
-		return nil, fmt.Errorf("exact: unknown column %s", column)
-	}
-	seen := make(map[float64]bool)
-	for i := 0; i < j.NumRows(); i++ {
-		if !c.Nul[i] {
-			seen[c.Data[i]] = true
-		}
-	}
-	out := make([]float64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Float64s(out)
-	return out, nil
-}
-
 // JoinSize returns the unfiltered inner-join cardinality of the table set.
 func (e *Engine) JoinSize(tables []string) (float64, error) {
 	j, err := e.materialize(tables, nil)

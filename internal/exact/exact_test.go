@@ -1,7 +1,9 @@
 package exact
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/query"
@@ -291,4 +293,29 @@ func TestAvgEmptySelection(t *testing.T) {
 	if !(res.Scalar() == 0 || math.IsNaN(res.Scalar())) {
 		t.Fatalf("AVG over empty selection = %v, want 0", res.Scalar())
 	}
+}
+
+// DistinctValues returns the sorted distinct non-NULL values of a column in
+// the inner join of the given tables.
+func (e *Engine) DistinctValues(tables []string, column string) ([]float64, error) {
+	j, err := e.materialize(tables, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := j.Column(column)
+	if c == nil {
+		return nil, fmt.Errorf("exact: unknown column %s", column)
+	}
+	seen := make(map[float64]bool)
+	for i := 0; i < j.NumRows(); i++ {
+		if !c.Nul[i] {
+			seen[c.Data[i]] = true
+		}
+	}
+	out := make([]float64, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Float64s(out)
+	return out, nil
 }

@@ -146,9 +146,6 @@ func Enable(s *Schedule) {
 // Disable deactivates fault injection, restoring the zero-cost path.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether a schedule is active.
-func Enabled() bool { return active.Load() != nil }
-
 // Check consults the active schedule at pt. Disabled, it is one atomic
 // load. Latency rules sleep inline here; use CheckCtx where a context is
 // available.
@@ -195,16 +192,6 @@ func (s *Schedule) decide(pt Point) Result {
 		}
 	}
 	return Result{}
-}
-
-// Fired reports how many times rules bound to pt have fired — chaos tests
-// assert the schedule actually exercised the path under test.
-func (s *Schedule) Fired(pt Point) uint64 {
-	var n uint64
-	for _, r := range s.rules[pt] {
-		n += r.fired.Load()
-	}
-	return n
 }
 
 // Add appends a rule to the schedule (and initializes its random stream,

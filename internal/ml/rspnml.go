@@ -142,21 +142,3 @@ func (c *RSPNClassifier) Predict(x []float64) (float64, error) {
 	}
 	return c.reg.R.Model.MostProbableValue(c.reg.targetIdx, c.candidates, c.reg.evidence(x))
 }
-
-// Accuracy computes classification accuracy over a labelled set.
-func (c *RSPNClassifier) Accuracy(features [][]float64, labels []float64) (float64, error) {
-	if len(features) == 0 {
-		return 0, fmt.Errorf("ml: empty evaluation set")
-	}
-	hits := 0
-	for i, x := range features {
-		p, err := c.Predict(x)
-		if err != nil {
-			return 0, err
-		}
-		if p == labels[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(features)), nil
-}

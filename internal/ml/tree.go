@@ -184,20 +184,6 @@ func (t *RegressionTree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Depth returns the fitted tree's depth.
-func (t *RegressionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 1
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // RMSE computes the root mean squared error of predictions against truth.
 func RMSE(pred, truth []float64) float64 {
 	if len(pred) == 0 || len(pred) != len(truth) {

@@ -10,7 +10,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -195,8 +194,10 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// WithExtraFilter returns a copy of q with one more conjunct. Group-by
-// execution expands a grouped query into per-group filtered queries.
+// WithExtraFilter returns a copy of q with one more conjunct, sharing no
+// filter slice with q.
+//
+//deepdb:testonly core's property tests build the adding-a-conjunct metamorphic law with it
 func (q Query) WithExtraFilter(p Predicate) Query {
 	c := q
 	c.Filters = append(append([]Predicate(nil), q.Filters...), p)
@@ -411,21 +412,6 @@ func (r Result) Scalar() float64 {
 		return 0
 	}
 	return r.Groups[0].Value
-}
-
-// Sorted returns the groups ordered by key for deterministic comparison.
-func (r Result) Sorted() []Group {
-	out := append([]Group(nil), r.Groups...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
 }
 
 // keyString renders a group key for map lookup.

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -338,4 +339,19 @@ func TestShapeKey(t *testing.T) {
 			t.Fatalf("SameShape true for distinct query: %v", diff)
 		}
 	}
+}
+
+// Sorted returns the groups ordered by key for deterministic comparison.
+func (r Result) Sorted() []Group {
+	out := append([]Group(nil), r.Groups...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Key, out[j].Key
+		for k := 0; k < len(a) && k < len(b); k++ {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return len(a) < len(b)
+	})
+	return out
 }

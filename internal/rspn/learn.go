@@ -28,6 +28,8 @@ type LearnOptions struct {
 }
 
 // DefaultLearnOptions mirrors the paper's setup.
+//
+//deepdb:testonly the one learning setup that core, ml, rspn and shard tests build fixture RSPNs with
 func DefaultLearnOptions() LearnOptions {
 	return LearnOptions{SPN: spn.DefaultLearnConfig(), MaxSamples: 100000, Seed: 1}
 }

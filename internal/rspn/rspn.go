@@ -177,18 +177,6 @@ type Term struct {
 	NotNull []string
 }
 
-// Expectation evaluates the term against the model. Filters on FD-dependent
-// columns are translated through the dictionary; filters on unknown columns
-// produce an error so the caller can pick a different RSPN or drop them
-// explicitly.
-func (r *RSPN) Expectation(term Term) (float64, error) {
-	req, err := r.BuildRequest(term)
-	if err != nil {
-		return 0, err
-	}
-	return r.Model.Evaluate(req)
-}
-
 // BuildRequest compiles a term into the single SPN inference request its
 // evaluation needs. Callers that evaluate many terms should build their
 // requests up front and hand them to EvaluateRequests in one batch, so the

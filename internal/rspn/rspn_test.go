@@ -420,3 +420,15 @@ func TestCoversAndResolve(t *testing.T) {
 		t.Fatal("column visibility wrong")
 	}
 }
+
+// Expectation evaluates the term against the model. Filters on FD-dependent
+// columns are translated through the dictionary; filters on unknown columns
+// produce an error so the caller can pick a different RSPN or drop them
+// explicitly.
+func (r *RSPN) Expectation(term Term) (float64, error) {
+	req, err := r.BuildRequest(term)
+	if err != nil {
+		return 0, err
+	}
+	return r.Model.Evaluate(req)
+}

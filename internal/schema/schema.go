@@ -157,17 +157,6 @@ func (s *Schema) Relationships() []Relationship {
 	return out
 }
 
-// RelationshipBetween returns the FK edge connecting tables a and b (in
-// either orientation), or false when the two are not directly connected.
-func (s *Schema) RelationshipBetween(a, b string) (Relationship, bool) {
-	for _, r := range s.Relationships() {
-		if (r.Many == a && r.One == b) || (r.Many == b && r.One == a) {
-			return r, true
-		}
-	}
-	return Relationship{}, false
-}
-
 // JoinTree returns the set of relationships that connect the given tables
 // into a single tree, or an error when the tables are not connected in the
 // FK graph. DeepDB only supports equi-joins along FK edges, so a query's

@@ -92,13 +92,6 @@ func TestRelationships(t *testing.T) {
 	if rels[0].ID() != "fact<-a" && rels[0].ID() != "fact<-b" {
 		t.Fatalf("relationship ID = %s", rels[0].ID())
 	}
-	rel, ok := s.RelationshipBetween("a", "fact")
-	if !ok || rel.Many != "a" {
-		t.Fatalf("RelationshipBetween = %+v, %v", rel, ok)
-	}
-	if _, ok := s.RelationshipBetween("a", "b"); ok {
-		t.Fatal("a and b are not directly connected")
-	}
 }
 
 func TestJoinTreeStar(t *testing.T) {

@@ -10,7 +10,7 @@ package spn
 // names) is shared by pointer with the source.
 
 // Clone returns a deep copy of the SPN that shares no mutable state with
-// the receiver: applying Insert/Delete/ApplyBatch to the clone leaves the
+// the receiver: applying Insert/Delete to the clone leaves the
 // original — including its compiled flat evaluator — bit-for-bit
 // untouched. The clone carries its own freshly compiled flat evaluator, so
 // it is immediately servable.

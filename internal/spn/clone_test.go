@@ -20,6 +20,37 @@ func learnedSPN(t *testing.T, seed int64) *SPN {
 	return s
 }
 
+// Mutation is one tuple-level change for ApplyBatch: the tuple routed
+// through the tree and whether it is removed (Delete) or absorbed.
+type Mutation struct {
+	Tuple  []float64
+	Delete bool
+}
+
+// ApplyBatch applies a sequence of inserts and deletes in order, rebuilding
+// the derived mixing weights of the flat evaluator once at the end instead
+// of once per tuple. A malformed mutation (wrong tuple arity) is reported —
+// first error wins — but does not stop the rest of the batch, mirroring
+// ensemble.Apply: the final model state is bit-identical to pushing the
+// same mutations through Insert/Delete one call at a time.
+func (s *SPN) ApplyBatch(muts []Mutation) error {
+	s.BeginBatch()
+	defer s.EndBatch()
+	var first error
+	for i := range muts {
+		var err error
+		if muts[i].Delete {
+			err = s.Delete(muts[i].Tuple)
+		} else {
+			err = s.Insert(muts[i].Tuple)
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 func randomMutations(rng *rand.Rand, n int) []Mutation {
 	muts := make([]Mutation, n)
 	for i := range muts {

@@ -6,20 +6,23 @@ import (
 	"testing"
 )
 
+// TestRangeContains: an exact leaf over 0, 1, 3, 5 and 6 counts the values
+// a range contains, so each endpoint flag shows in the mass.
 func TestRangeContains(t *testing.T) {
-	r := Range{Lo: 1, Hi: 5, LoIncl: true, HiIncl: false}
-	cases := []struct {
-		v    float64
-		want bool
-	}{{0, false}, {1, true}, {3, true}, {5, false}, {6, false}}
-	for _, c := range cases {
-		if got := r.contains(c.v); got != c.want {
-			t.Errorf("contains(%v) = %v, want %v", c.v, got, c.want)
+	l := NewLeaf(0, "x", []float64{0, 1, 3, 5, 6}, 100, 8)
+	for _, c := range []struct {
+		r    Range
+		want float64
+	}{
+		{Range{Lo: 1, Hi: 5, LoIncl: true}, 2},               // 1, 3
+		{Range{Lo: 1, Hi: 5, HiIncl: true}, 2},               // 3, 5
+		{Range{Lo: 1, Hi: 5, LoIncl: true, HiIncl: true}, 3}, // 1, 3, 5
+		{Range{Lo: 1, Hi: 5}, 1},                             // 3
+		{Range{Lo: 7, Hi: 9, LoIncl: true, HiIncl: true}, 0},
+	} {
+		if got := l.Moment(ColQuery{Ranges: []Range{c.r}}) * 5; math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%+v holds %v values, want %v", c.r, got, c.want)
 		}
-	}
-	excl := Range{Lo: 1, Hi: 5, LoIncl: false, HiIncl: true}
-	if excl.contains(1) || !excl.contains(5) {
-		t.Fatal("exclusive/inclusive endpoints wrong")
 	}
 }
 
@@ -35,18 +38,21 @@ func TestNodeStringRendering(t *testing.T) {
 	}
 }
 
+// TestNodeWeight: a sum node mixes its children by count fraction, and one
+// whose counts are all zero contributes nothing, as in the tree walk.
 func TestNodeWeight(t *testing.T) {
 	s := figure3SPN()
-	if w := s.Root.Weight(0); math.Abs(w-0.3) > 1e-12 {
+	off := s.flat.childOff[s.flat.NumNodes()-1] // postorder: the root is last
+	if w := s.flat.weight[off]; math.Abs(w-0.3) > 1e-12 {
 		t.Fatalf("weight 0 = %v, want 0.3", w)
 	}
-	if w := s.Root.Weight(1); math.Abs(w-0.7) > 1e-12 {
+	if w := s.flat.weight[off+1]; math.Abs(w-0.7) > 1e-12 {
 		t.Fatalf("weight 1 = %v, want 0.7", w)
 	}
-	// Zero-count sum node: uniform weights.
-	n := &Node{Kind: SumKind, Children: []*Node{{}, {}}, ChildCounts: []float64{0, 0}}
-	if w := n.Weight(0); w != 0.5 {
-		t.Fatalf("uniform fallback weight = %v", w)
+	s.Root.ChildCounts = []float64{0, 0}
+	s.Refresh()
+	if w := s.flat.weight[off]; w != 0 {
+		t.Fatalf("zero-count weight = %v, want 0", w)
 	}
 }
 

@@ -37,6 +37,8 @@ func (s *SPN) Evaluate(req Request) (float64, error) {
 // sum nodes mix children by weight. Nothing serves from it; it is the
 // oracle the flat == tree suites hold every compiled kernel to, bit for
 // bit.
+//
+//deepdb:testonly the tree-walk oracle the flat == tree suites compare the compiled evaluator against
 func (s *SPN) evaluateTree(req Request) (float64, error) {
 	byCol := make(map[int]ColQuery, len(req.Cols))
 	for _, cq := range req.Cols {
@@ -101,17 +103,6 @@ func scopeTouches(scope []int, byCol map[int]ColQuery) bool {
 		}
 	}
 	return false
-}
-
-// Probability returns P(all range constraints hold), i.e. the request with
-// every Fn forced to FnOne.
-func (s *SPN) Probability(cols []ColQuery) (float64, error) {
-	req := Request{Cols: make([]ColQuery, len(cols))}
-	for i, c := range cols {
-		c.Fn = FnOne
-		req.Cols[i] = c
-	}
-	return s.Evaluate(req)
 }
 
 // MostProbableValue returns the candidate value of the target column with

@@ -78,17 +78,6 @@ type Range struct {
 	LoIncl, HiIncl bool
 }
 
-// contains reports whether v lies in the range.
-func (r Range) contains(v float64) bool {
-	if v < r.Lo || (v == r.Lo && !r.LoIncl) {
-		return false
-	}
-	if v > r.Hi || (v == r.Hi && !r.HiIncl) {
-		return false
-	}
-	return true
-}
-
 // FullRange covers every non-NULL value.
 func FullRange() Range {
 	return Range{Lo: math.Inf(-1), Hi: math.Inf(1), LoIncl: true, HiIncl: true}

@@ -82,6 +82,8 @@ func (s *SPN) ColumnIndex(name string) int {
 }
 
 // Learn builds an SPN over the data matrix (rows x columns, NaN = NULL).
+//
+//deepdb:testonly the context-free form the tests of five packages learn their fixture models with
 func Learn(data [][]float64, columns []string, cfg LearnConfig) (*SPN, error) {
 	return LearnContext(context.Background(), data, columns, cfg)
 }

@@ -61,15 +61,6 @@ type Node struct {
 	totalOK bool
 }
 
-// Weight returns the mixing weight of child i (count fraction).
-func (n *Node) Weight(i int) float64 {
-	total := n.childTotal()
-	if total == 0 {
-		return 1 / float64(len(n.Children))
-	}
-	return n.ChildCounts[i] / total
-}
-
 // childTotal returns the (cached) sum of ChildCounts. The summation order
 // matches the pre-cache per-visit loop, so cached and recomputed totals are
 // bit-identical.
@@ -117,35 +108,6 @@ func (n *Node) NumNodes() int {
 	total := 1
 	for _, c := range n.Children {
 		total += c.NumNodes()
-	}
-	return total
-}
-
-// Depth returns the height of the subtree (a leaf has depth 1).
-func (n *Node) Depth() int {
-	if n == nil {
-		return 0
-	}
-	max := 0
-	for _, c := range n.Children {
-		if d := c.Depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}
-
-// NumLeaves counts leaf nodes in the subtree.
-func (n *Node) NumLeaves() int {
-	if n == nil {
-		return 0
-	}
-	if n.Kind == LeafKind {
-		return 1
-	}
-	total := 0
-	for _, c := range n.Children {
-		total += c.NumLeaves()
 	}
 	return total
 }

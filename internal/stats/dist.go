@@ -2,14 +2,9 @@ package stats
 
 import "math"
 
-// NormalCDF returns P(Z <= x) for a standard normal variable Z.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns the x with NormalCDF(x) == p using the
-// Beasley-Springer-Moro / Acklam rational approximation, accurate to about
-// 1e-9 over (0, 1).
+// NormalQuantile returns the x with P(Z <= x) == p for a standard normal
+// variable Z using the Beasley-Springer-Moro / Acklam rational
+// approximation, accurate to about 1e-9 over (0, 1).
 func NormalQuantile(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(-1)
@@ -77,35 +72,4 @@ func BinomialVariance(p float64, n int) float64 {
 		p = 1
 	}
 	return p * (1 - p) / float64(n)
-}
-
-// Welford accumulates running mean and variance in a single pass. It backs
-// the exact executor's AVG/VAR aggregates and the sample-based confidence
-// interval ground truth.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() int { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance (0 when fewer than 2 points).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
 }

@@ -140,58 +140,6 @@ func swapRows(m *Matrix, i, j int) {
 	}
 }
 
-// SymmetricEigen computes all eigenvalues of a symmetric matrix using the
-// cyclic Jacobi rotation method. Only eigenvalues are returned because the
-// RDC needs the spectral radius, not the eigenvectors. The input is not
-// modified.
-func SymmetricEigen(m *Matrix) ([]float64, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("stats: eigen of non-square %dx%d matrix", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	a := m.Clone()
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
-			}
-		}
-		if off < 1e-22 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if math.Abs(apq) < 1e-15 {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
-				}
-			}
-		}
-	}
-	eig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		eig[i] = a.At(i, i)
-	}
-	return eig, nil
-}
-
 // EigenvaluesGeneral computes eigenvalue magnitudes of a general (possibly
 // non-symmetric) matrix via unshifted QR iteration with Householder
 // reflections. It is used for the CCA product matrix, which is similar to a

@@ -61,15 +61,6 @@ func (c *Column) Append(v Value) {
 	c.Nul = append(c.Nul, v.Null)
 }
 
-// AppendString dictionary-encodes s and appends it. It panics on
-// non-categorical columns, which indicates a programming error.
-func (c *Column) AppendString(s string) {
-	if c.Meta.Kind != schema.CategoricalKind {
-		panic(fmt.Sprintf("table: AppendString on %s column %s", c.Meta.Kind, c.Meta.Name))
-	}
-	c.Append(Value{F: float64(c.Encode(s))})
-}
-
 // Encode returns the dictionary code for s, adding it when unseen.
 func (c *Column) Encode(s string) int {
 	if code, ok := c.dictIdx[s]; ok {
@@ -150,16 +141,6 @@ func (t *Table) Column(name string) *Column {
 	return nil
 }
 
-// ColumnIndex returns the position of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Cols {
-		if c.Meta.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // ColumnNames returns all column names in order.
 func (t *Table) ColumnNames() []string {
 	out := make([]string, len(t.Cols))
@@ -179,15 +160,6 @@ func (t *Table) AppendRow(vals ...Value) {
 		t.Cols[i].Append(v)
 	}
 	t.rows++
-}
-
-// Row materializes row i as a Value slice.
-func (t *Table) Row(i int) []Value {
-	out := make([]Value, len(t.Cols))
-	for j, c := range t.Cols {
-		out[j] = c.Get(i)
-	}
-	return out
 }
 
 // AddColumn appends a fully-populated column; its length must equal the

@@ -21,7 +21,7 @@ const (
 )
 
 // EncodeMutations serializes one mutation group (the unit of one
-// Insert/Delete/Update call) into a record payload.
+// Insert/Delete call) into a record payload.
 func EncodeMutations(muts []ensemble.Mutation) []byte {
 	var out []byte
 	out = binary.AppendUvarint(out, uint64(len(muts)))

@@ -369,19 +369,6 @@ func (l *Log) rollbackLocked(start int64, cause error) {
 	}
 }
 
-// Sync flushes outstanding appends to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: closed")
-	}
-	if l.ioErr != nil {
-		return fmt.Errorf("wal: log wedged by earlier I/O failure: %w", l.ioErr)
-	}
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
 	if l.f == nil {
 		return nil

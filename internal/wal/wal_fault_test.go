@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"syscall"
 	"testing"
@@ -180,4 +181,17 @@ func TestChaosWALTornWrite(t *testing.T) {
 	if lsn, err := l.Append([]byte("record-0002")); err != nil || lsn != 3 {
 		t.Fatalf("append after repair = (%d, %v), want (3, nil)", lsn, err)
 	}
+}
+
+// Sync flushes outstanding appends to stable storage.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("wal: closed")
+	}
+	if l.ioErr != nil {
+		return fmt.Errorf("wal: log wedged by earlier I/O failure: %w", l.ioErr)
+	}
+	return l.syncLocked()
 }

@@ -257,8 +257,9 @@ func FlightsQueries() []Named {
 
 // SSBQueries returns the S1.1-S4.3 query set. Derived-measure aggregates of
 // the official benchmark (extendedprice*discount, revenue-supplycost) map
-// to the materialized lo_revenue / lo_profit columns — the substitution is
-// documented in EXPERIMENTS.md.
+// to the lo_revenue / lo_profit columns datagen.SSB materializes per row,
+// because a query here aggregates one column and has no arithmetic
+// expressions.
 func SSBQueries() []Named {
 	lo := "lineorder"
 	return []Named{

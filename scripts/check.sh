@@ -45,22 +45,13 @@ echo "== option/flag ratchet =="
 [ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 17 ] &&
     [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 18 ] ||
     { echo "a new option needs two non-test callers with different values — see simplicity-review/Options"; exit 1; }
-# Every facade option is selected by something that ships (a non-test
-# file outside deepdb/), or is on this keep-list with its reason. A knob
-# only tests turn is a fork nobody has shown traffic for: argue it onto
-# the list or make it a constant of the layer that owns it.
-#   WithSyncUpdates        reference path of the sync == async equivalence suites
-#   WithSingleTableOnly    the paper's cheap fallback configuration, not tuning
-#   WithDriftMeanShift     a distinct drift signal, not a tuning of WithDriftThreshold
-#   WithDataset            input (already-loaded tables), not tuning
-# (Test-scale tuning — queue size, peer retry/breaker/probe timing — is not
-# an option at all: deepdb/export_test.go hands it to the test package.)
-keep=" WithSyncUpdates WithSingleTableOnly WithDriftMeanShift WithDataset "
-for opt in $(sed -n 's/^func \(With[A-Za-z]*\).*/\1/p' deepdb/options.go); do
-    case "$keep" in *" $opt "*) continue ;; esac
-    find . -name '*.go' ! -name '*_test.go' ! -path './deepdb/*' | xargs grep -l "deepdb\.$opt(" | grep -q . ||
-        { echo "deepdb.$opt has no caller outside tests and deepdb/, and is not on the keep-list above"; exit 1; }
-done
+# Whether anything ships that selects a facade option is the reachability
+# test's facade rule (internal/analysis/reach, stage below): an exported
+# deepdb function needs a live caller outside deepdb, or a
+# //deepdb:testonly <reason> directive. Those directives only get fewer.
+[ "$(grep -rh --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+    '^[[:space:]]*//deepdb:testonly' . | wc -l)" -le 10 ] ||
+    { echo "a new //deepdb:testonly: delete the code only tests call, or move it into a _test.go file"; exit 1; }
 
 echo "== benchmark module (vet + short tests) =="
 # benchmark/ is a nested module: root `go build ./...` and `go test ./...`
@@ -77,6 +68,13 @@ echo "== deepdb-lint (invariant suite) =="
 mkdir -p bin
 go build -o bin/deepdb-lint ./cmd/deepdb-lint
 go vet -vettool="$(pwd)/bin/deepdb-lint" ./...
+
+echo "== reachability (no code that only tests call) =="
+# Every function of non-test code must be reachable from a main package —
+# the benchmark harness in benchmark/ included — or carry a justified
+# //deepdb:testonly directive. It runs inside the suite below too; this
+# uncached invocation keeps the check visible like the chaos stage.
+go test -count=1 -run . ./internal/analysis/reach
 
 echo "== staticcheck (pinned $STATICCHECK_VERSION) =="
 # Version-pinned via `go run`; the probe run fetches and builds the tool.
