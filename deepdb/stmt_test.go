@@ -3,12 +3,14 @@ package deepdb_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/deepdb"
+	"repro/internal/query"
 )
 
 // TestPreparedMatchesOneShot: Stmt.Exec on a cached plan returns estimates
@@ -147,6 +149,59 @@ func TestPrepareAndExecErrors(t *testing.T) {
 	// a string parameter for a numeric column must fail cleanly.
 	if _, err := stmt.Exec(ctx, "forty", "EU"); err == nil {
 		t.Fatal("string parameter on numeric column must fail")
+	}
+}
+
+// TestNaNLiteralRejected: a programmatically built query with a NaN
+// literal — a bound, an equality, an IN element, a disjunct — is an error
+// on every entry point that takes a query.Query, where it used to answer
+// "every row" or "no row". The must-fail twin: the same query with a
+// finite literal answers.
+func TestNaNLiteralRejected(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(800, 45)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		q    func(v float64) query.Query
+	}{
+		{"le", func(v float64) query.Query {
+			return query.Query{Aggregate: query.Count, Tables: []string{"customer"},
+				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Value: v}}}
+		}},
+		{"eq-grouped", func(v float64) query.Query {
+			return query.Query{Aggregate: query.Count, Tables: []string{"customer", "orders"}, GroupBy: []string{"c_region"},
+				Filters: []query.Predicate{{Column: "c_age", Op: query.Eq, Value: v}}}
+		}},
+		{"in-element", func(v float64) query.Query {
+			return query.Query{Aggregate: query.Avg, AggColumn: "o_amount", Tables: []string{"customer", "orders"},
+				Filters: []query.Predicate{{Column: "c_age", Op: query.In, Values: []float64{30, v}}}}
+		}},
+		{"disjunct", func(v float64) query.Query {
+			return query.Query{Aggregate: query.Count, Tables: []string{"customer"},
+				Disjunction: []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 25}, {Column: "c_age", Op: query.Gt, Value: v}}}
+		}},
+	} {
+		if _, err := db.ExecuteQuery(ctx, tc.q(nan)); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: ExecuteQuery with NaN: err = %v, want NaN error", tc.name, err)
+		}
+		if _, err := db.EstimateCardinalityQuery(ctx, tc.q(nan)); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: EstimateCardinalityQuery with NaN: err = %v, want NaN error", tc.name, err)
+		}
+		res, err := db.ExecuteQuery(ctx, tc.q(40))
+		if err != nil {
+			t.Fatalf("%s: ExecuteQuery with a finite literal: %v", tc.name, err)
+		}
+		if len(res.Groups) == 0 {
+			t.Fatalf("%s: a finite literal answered no rows", tc.name)
+		}
+		if _, err := db.EstimateCardinalityQuery(ctx, tc.q(40)); err != nil {
+			t.Fatalf("%s: EstimateCardinalityQuery with a finite literal: %v", tc.name, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/rspn"
+	"repro/internal/spn"
 )
 
 // AQPGroup is one approximate result row: a group key (empty for ungrouped
@@ -96,6 +97,56 @@ func groupKeyCount(perCol [][]float64) (int, error) {
 	}
 	return total, nil
 }
+
+// keySpace is one bound query's candidate group keys: per group column
+// the sorted candidate values, and the size of their cartesian product.
+type keySpace struct {
+	vals [][]float64
+	n    int
+}
+
+// keySpace returns the bound query's own candidate keys: per group
+// column, the plan's candidates that every conjunctive filter on that
+// column admits. A candidate is dropped only when its point range and the
+// filter's ranges intersect to nothing — the intersection BindIndexed
+// performs before it binds the impossible range, so a dropped key's COUNT
+// gate is exactly 0 and the key could never pass it. Disjuncts never
+// prune: another disjunct may still admit the key. Dropping keeps the
+// candidates' order, so the surviving keys run in the same lexicographic
+// order. A query with no conjunct on a group column shares the plan's
+// slices.
+func (p *Plan) keySpace(q query.Query) keySpace {
+	ks := keySpace{vals: p.groupVals, n: p.numGroups}
+	pruned := false
+	for ci, col := range p.groupCols {
+		for _, f := range q.Filters {
+			if f.Column != col {
+				continue
+			}
+			if !pruned {
+				ks.vals, pruned = append([][]float64(nil), p.groupVals...), true
+			}
+			ranges := rspn.PredicateRanges(f)
+			kept := make([]float64, 0, len(ks.vals[ci]))
+			for _, v := range ks.vals[ci] {
+				if len(rspn.IntersectRanges([]spn.Range{spn.PointRange(v)}, ranges)) > 0 {
+					kept = append(kept, v)
+				}
+			}
+			ks.vals[ci] = kept
+		}
+	}
+	if pruned {
+		ks.n = 1
+		for _, vals := range ks.vals {
+			ks.n *= len(vals)
+		}
+	}
+	return ks
+}
+
+// chunkLen is how many of the key space's ordinals fall in [lo, hi).
+func chunkLen(ks keySpace, lo, hi int) int { return max(0, min(hi, ks.n)-lo) }
 
 // groupKeyAt decodes key number ki of the cartesian product in
 // lexicographic order (the last column varies fastest), appending into

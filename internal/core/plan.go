@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/query"
@@ -52,6 +53,8 @@ type Plan struct {
 	// cartesian product of groupVals (sorted distinct values per column),
 	// enumerated lazily by index — numGroups may exceed what ExecuteBatch
 	// accepts, and only the streaming iterator visits such plans' keys.
+	// This is the compile-time superset: each bound query gates only the
+	// keys its own filters admit (keySpace).
 	groupCols []string
 	groupVals [][]float64
 	numGroups int
@@ -528,8 +531,10 @@ func (p *Plan) RSPNs() []*rspn.RSPN {
 // Execution itself — the batched gather/evaluate/resolve walk — lives in
 // plan_exec.go.
 
-// checkBound verifies the concrete query is parameter-free and matches the
-// plan's shape.
+// checkBound verifies the concrete query is parameter-free, matches the
+// plan's shape and carries no NaN literal. No comparison against NaN is
+// meaningful, and bound into a range it would answer "every row" or "no
+// row" instead of an error.
 func (p *Plan) checkBound(q query.Query) error {
 	if n := q.NumParams(); n > 0 {
 		return fmt.Errorf("core: query has %d unbound parameters (bind values before executing, or use the params form)", n)
@@ -537,7 +542,28 @@ func (p *Plan) checkBound(q query.Query) error {
 	if !query.SameShape(p.q, q) {
 		return fmt.Errorf("core: query shape does not match the compiled plan (plan %s)", p.shape)
 	}
+	for _, preds := range [2][]query.Predicate{q.Filters, q.Disjunction} {
+		for _, f := range preds {
+			if nanLiteral(f) {
+				return fmt.Errorf("core: predicate on %s compares against NaN", f.Column)
+			}
+		}
+	}
 	return nil
+}
+
+// nanLiteral reports whether the predicate's literal — or, for IN, any
+// list element — is NaN.
+func nanLiteral(f query.Predicate) bool {
+	if f.Op != query.In {
+		return math.IsNaN(f.Value)
+	}
+	for _, v := range f.Values {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // level resolves the effective confidence level for one execution.

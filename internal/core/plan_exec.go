@@ -530,9 +530,22 @@ func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.
 	if p.numGroups > maxMaterializedGroups {
 		return nil, fmt.Errorf("core: group-by produces more than %d groups (stream them with ExecuteGroupsIter)", maxMaterializedGroups)
 	}
+	// Each binding gates its own key space; a lone binding's stays on the
+	// stack.
+	var one [1]keySpace
+	keys := one[:0]
+	if len(queries) > 1 {
+		keys = make([]keySpace, 0, len(queries))
+	}
+	n := 0
+	for _, q := range queries {
+		ks := p.keySpace(q)
+		keys = append(keys, ks)
+		n = max(n, ks.n)
+	}
 	out := make([]AQPResult, len(queries))
-	for lo := 0; lo < p.numGroups; lo += DefaultGroupChunk {
-		rows, err := p.executeGroupChunk(ctx, queries, level, lo, min(lo+DefaultGroupChunk, p.numGroups))
+	for lo := 0; lo < n; lo += DefaultGroupChunk {
+		rows, err := p.executeGroupChunk(ctx, queries, keys, level, lo, min(lo+DefaultGroupChunk, n))
 		if err != nil {
 			return nil, err
 		}
@@ -558,48 +571,57 @@ func batchEntryErr(batchLen, i int, err error) error {
 }
 
 // executeGroupChunk is the grouped pipeline: for every query and every
-// group-key ordinal in [lo, hi) it evaluates the per-group COUNT gate in
-// one batch, drops the groups the model believes empty, and evaluates the
-// aggregate of the survivors in a second batch (skipped for COUNT queries,
-// whose gate is the answer). It returns each query's live rows in key
-// order. Keys are enumerated in ascending ordinal — lexicographic — order,
-// so the concatenation of consecutive chunks is the full result in the
-// same order, whatever the chunk size.
-func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, level float64, lo, hi int) ([][]AQPGroup, error) {
-	nk := hi - lo
-	bindings := make([][]query.Predicate, len(queries)*nk)
-	gates := make([]estimator, len(queries)*nk)
-	b := newBatcher(2 * len(queries) * nk)
+// ordinal in [lo, hi) of that query's key space (keys[qi], see keySpace)
+// it evaluates the per-group COUNT gate in one batch, drops the groups the
+// model believes empty, and evaluates the aggregate of the survivors in a
+// second batch (skipped for COUNT queries, whose gate is the answer). It
+// returns each query's live rows in key order. Keys are enumerated in
+// ascending ordinal — lexicographic — order, so the concatenation of
+// consecutive chunks is the full result in the same order, whatever the
+// chunk size. A query's entries are contiguous in the per-key slices.
+func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, keys []keySpace, level float64, lo, hi int) ([][]AQPGroup, error) {
+	total := 0
+	for qi := range queries {
+		total += chunkLen(keys[qi], lo, hi)
+	}
+	bindings := make([][]query.Predicate, total)
+	gates := make([]estimator, total)
+	b := newBatcher(2 * total)
 	var keyBuf []float64
+	i := 0
 	for qi, q := range queries {
-		for ki := 0; ki < nk; ki++ {
-			keyBuf = groupKeyAt(p.groupVals, lo+ki, keyBuf)
-			i := qi*nk + ki
+		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki++ {
+			keyBuf = groupKeyAt(keys[qi].vals, lo+ki, keyBuf)
 			bindings[i] = binding(q, p.groupCols, keyBuf)
 			res, err := p.enqueueCount(b, p.count, bindings[i])
 			if err != nil {
 				return nil, err
 			}
 			gates[i] = res
+			i++
 		}
 	}
 	if err := b.run(ctx, p.eng); err != nil {
 		return nil, err
 	}
-	counts := make([]Estimate, len(gates))
-	live := make([]bool, len(gates))
-	for i, res := range gates {
-		est, err := res()
-		if err != nil {
-			return nil, batchEntryErr(len(queries), i/nk, err)
+	counts := make([]Estimate, total)
+	live := make([]bool, total)
+	i = 0
+	for qi := range queries {
+		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki++ {
+			est, err := gates[i]()
+			if err != nil {
+				return nil, batchEntryErr(len(queries), qi, err)
+			}
+			counts[i] = est
+			// A group the model believes empty is dropped from the result.
+			live[i] = est.Value >= 0.5
+			i++
 		}
-		counts[i] = est
-		// A group the model believes empty is dropped from the result.
-		live[i] = est.Value >= 0.5
 	}
-	aggs := make([]estimator, len(gates))
+	aggs := make([]estimator, total)
 	if p.q.Aggregate != query.Count {
-		b2 := newBatcher(2 * len(queries) * nk)
+		b2 := newBatcher(2 * total)
 		for i, preds := range bindings {
 			if !live[i] {
 				continue
@@ -615,10 +637,12 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, lev
 		}
 	}
 	out := make([][]AQPGroup, len(queries))
+	base := 0
 	for qi := range queries {
 		var groups []AQPGroup
+		nk := chunkLen(keys[qi], lo, hi)
 		for ki := 0; ki < nk; ki++ {
-			i := qi*nk + ki
+			i := base + ki
 			if !live[i] {
 				continue
 			}
@@ -630,8 +654,9 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, lev
 					return nil, batchEntryErr(len(queries), qi, err)
 				}
 			}
-			groups = append(groups, finish(groupKeyAt(p.groupVals, lo+ki, nil), est, level))
+			groups = append(groups, finish(groupKeyAt(keys[qi].vals, lo+ki, nil), est, level))
 		}
+		base += nk
 		sort.Slice(groups, func(i, j int) bool {
 			a, b := groups[i].Key, groups[j].Key
 			for k := 0; k < len(a) && k < len(b); k++ {

@@ -33,6 +33,7 @@ type GroupIter struct {
 	p     *Plan
 	ctx   context.Context
 	qs    []query.Query // the one bound query, in the pipeline's batch shape
+	keys  []keySpace    // its candidate keys, in the same shape
 	level float64
 	chunk int
 
@@ -65,6 +66,8 @@ func (p *Plan) ExecuteGroupsIter(ctx context.Context, opts ExecOpts, q query.Que
 			return nil, err
 		}
 		it.buf = res.Groups
+	} else {
+		it.keys = []keySpace{p.keySpace(q)}
 	}
 	return it, nil
 }
@@ -78,7 +81,7 @@ func (it *GroupIter) Next() bool {
 	}
 	it.bi++
 	for it.bi >= len(it.buf) {
-		if it.pos >= it.p.numGroups || it.err != nil {
+		if it.keys == nil || it.pos >= it.keys[0].n || it.err != nil {
 			return false
 		}
 		it.fill()
@@ -96,12 +99,12 @@ func (it *GroupIter) Err() error { return it.err }
 // fill executes key chunks until one yields at least one live group or
 // the key space is exhausted.
 func (it *GroupIter) fill() {
-	p := it.p
+	n := it.keys[0].n
 	it.buf, it.bi = it.buf[:0], 0
-	for it.pos < p.numGroups {
-		lo, hi := it.pos, min(it.pos+it.chunk, p.numGroups)
+	for it.pos < n {
+		lo, hi := it.pos, min(it.pos+it.chunk, n)
 		it.pos = hi
-		rows, err := p.executeGroupChunk(it.ctx, it.qs, it.level, lo, hi)
+		rows, err := it.p.executeGroupChunk(it.ctx, it.qs, it.keys, it.level, lo, hi)
 		if err != nil {
 			it.err = err
 			return

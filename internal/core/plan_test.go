@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,6 +110,25 @@ func TestPlanBindErrors(t *testing.T) {
 	if _, err := p.EstimateCardinalityQuery(ctx, other); err == nil ||
 		!strings.Contains(err.Error(), "shape") {
 		t.Fatalf("shape mismatch: err = %v, want shape error", err)
+	}
+	// A NaN literal is refused by every execution entry point.
+	grouped := query.Query{Aggregate: query.Count, Tables: []string{"customer"}, GroupBy: []string{"c_region"},
+		Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Value: math.NaN()}}}
+	gp, err := e.Compile(grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, err := template.Bind(math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errCard := p.EstimateCardinalityQuery(ctx, nan)
+	_, errBatch := gp.ExecuteBatch(ctx, ExecOpts{}, []query.Query{grouped})
+	_, errIter := gp.ExecuteGroupsIter(ctx, ExecOpts{}, grouped, 0)
+	for name, err := range map[string]error{"EstimateCardinalityQuery": errCard, "ExecuteBatch": errBatch, "ExecuteGroupsIter": errIter} {
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s with a NaN literal: err = %v, want NaN error", name, err)
+		}
 	}
 }
 

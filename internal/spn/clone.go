@@ -5,9 +5,9 @@ package spn
 // reads immutable published SPNs while the update path mutates a private
 // clone and publishes it atomically. Only state that Insert/Delete can
 // touch is copied — sum-node child counts, leaf value/bin arrays, the
-// cached totals and the row count; structural metadata that updates never
-// change (scopes, centroids, normalization bounds, bin edges, column
-// names) is shared by pointer with the source.
+// cached totals and full-range leaf masses, and the row count; structural
+// metadata that updates never change (scopes, centroids, normalization
+// bounds, bin edges, column names) is shared by pointer with the source.
 
 // Clone returns a deep copy of the SPN that shares no mutable state with
 // the receiver: applying Insert/Delete to the clone leaves the
@@ -69,6 +69,8 @@ func (l *Leaf) clone() *Leaf {
 		Edges:  l.Edges,
 		NullW:  l.NullW,
 		Total:  l.Total,
+		full:   l.full,
+		fullOK: l.fullOK,
 	}
 	out.Vals = append([]float64(nil), l.Vals...)
 	out.Freq = append([]float64(nil), l.Freq...)

@@ -25,8 +25,9 @@ import (
 // single forward loop evaluates bottom-up. A Compiled is read-only during
 // evaluation and safe for concurrent EvaluateBatch calls. Updates never
 // change the tree structure, and leaf distributions are shared by pointer
-// with the tree, so SPN.Insert/Delete only re-derive the normalized
-// mixing weights in place (refreshWeights) on the model's write path.
+// with the tree, so SPN.Insert/Delete only re-derive, in place on the
+// model's write path, the normalized mixing weights and the full-range
+// masses of the exact leaves they touched (refreshWeights).
 type Compiled struct {
 	numCols int
 	words   int // scope bitset words per node
@@ -160,6 +161,9 @@ func (c *Compiled) flatten(n *Node) int32 {
 		c.counts = append(c.counts, nil)
 	}
 	if n.Kind == LeafKind {
+		if !n.Leaf.fullOK {
+			n.Leaf.refreshFull()
+		}
 		c.leaf = append(c.leaf, n.Leaf)
 		c.leafCol = append(c.leafCol, int32(n.Leaf.Col))
 	} else {
@@ -180,10 +184,16 @@ func (c *Compiled) flatten(n *Node) int32 {
 func (c *Compiled) NumNodes() int { return len(c.kind) }
 
 // refreshWeights re-derives every sum node's normalized weights from its
-// live ChildCounts — a pure, allocation-free arithmetic pass, called on
-// the write path after an update changed counts. The total is summed in
-// child order, matching childTotal and the tree walk bit for bit.
+// live ChildCounts and refills the full-range mass of every leaf an update
+// marked stale — a pure, allocation-free arithmetic pass, called on the
+// write path after an update changed counts. The total is summed in child
+// order, matching childTotal and the tree walk bit for bit.
 func (c *Compiled) refreshWeights() {
+	for _, lf := range c.leaf {
+		if lf != nil && !lf.fullOK {
+			lf.refreshFull()
+		}
+	}
 	for i, counts := range c.counts {
 		if counts == nil {
 			continue
@@ -659,9 +669,10 @@ func (c *Compiled) evalSingle(req *Request, out []float64) error {
 }
 
 // Refresh rebuilds the SPN's derived evaluation state: the cached sum-node
-// count totals and the compiled flat evaluator every inference runs on.
-// Learning and deserialization call it; call it manually after building
-// or restructuring a tree by hand.
+// count totals, the compiled flat evaluator every inference runs on, and
+// the full-range masses of leaves not yet cached (every leaf of a decoded
+// tree). Learning and deserialization call it; call it manually after
+// building or restructuring a tree by hand.
 func (s *SPN) Refresh() {
 	s.Root.RefreshTotals()
 	s.flat = compileTree(s.Root, len(s.Columns))

@@ -43,6 +43,9 @@ const (
 	FnMax1
 )
 
+// numFns is the number of Fn values, the size of a leaf's full-mass cache.
+const numFns = FnMax1 + 1
+
 // apply evaluates the function at a non-NULL value.
 func (f Fn) apply(x float64) float64 {
 	switch f {
@@ -127,6 +130,16 @@ type Leaf struct {
 
 	NullW float64
 	Total float64 // NullW + all value/bin weights
+
+	// full caches, per Fn, an exact-mode leaf's mass over all its stored
+	// values: what exactMass returns whenever its range admits every value,
+	// as a SUM column or a NOT NULL denominator does for every group key.
+	// Unexported: gob skips it, so the model file is unchanged and a
+	// decoded leaf starts stale (fullOK false). A stale leaf scans; Add
+	// marks the cache stale and only the write path refills it
+	// (refreshFull), so readers never write shared state.
+	full   [numFns]float64
+	fullOK bool
 }
 
 // NewLeaf builds a leaf from raw column data (NaN encodes NULL) using the
@@ -269,15 +282,43 @@ func (l *Leaf) exactMass(r Range, fn Fn) float64 {
 	} else {
 		start = searchGT(l.Vals, r.Lo)
 	}
+	// Values ascend, so a scan from index 0 whose last value passes the Hi
+	// test adds every stored value in order — exactly the additions the
+	// cached mass made.
+	if n := len(l.Vals); start == 0 && n > 0 && l.fullOK && fn >= 0 && fn < numFns && !r.pastHi(l.Vals[n-1]) {
+		return l.full[fn]
+	}
+	return l.scanMass(start, r, fn)
+}
+
+// scanMass adds Freq*fn over the stored values from index start up to the
+// first value past the range's upper bound. It is the one loop both a
+// range query and the full-mass cache run, so the two agree bit for bit.
+func (l *Leaf) scanMass(start int, r Range, fn Fn) float64 {
 	acc := 0.0
 	for i := start; i < len(l.Vals); i++ {
 		v := l.Vals[i]
-		if v > r.Hi || (v == r.Hi && !r.HiIncl) {
+		if r.pastHi(v) {
 			break
 		}
 		acc += l.Freq[i] * fn.apply(v)
 	}
 	return acc
+}
+
+// pastHi reports whether v lies above the range's upper bound, where an
+// ascending scan stops. A NaN bound stops nothing.
+func (r Range) pastHi(v float64) bool { return v > r.Hi || (v == r.Hi && !r.HiIncl) }
+
+// refreshFull refills the full-mass cache with a scan over every stored
+// value per Fn. Only the write path (compilation and the once-per-batch
+// refresh after updates) calls it.
+func (l *Leaf) refreshFull() {
+	all := FullRange()
+	for fn := range l.full {
+		l.full[fn] = l.scanMass(0, all, Fn(fn))
+	}
+	l.fullOK = true
 }
 
 // binnedMass integrates fn over the part of each bin covered by r, assuming
@@ -387,8 +428,10 @@ func (l *Leaf) binBoundaryMass(b int, r Range, fn Fn, acc float64) float64 {
 // -1 delete). Exact-mode leaves insert unseen values in sorted position;
 // binned leaves update the covering bin (values outside the edge range are
 // clamped into the boundary bins, keeping the structure fixed as Section
-// 5.2 prescribes).
+// 5.2 prescribes). Any Add leaves the full-mass cache stale until the write
+// path refreshes it.
 func (l *Leaf) Add(v float64, w float64) {
+	l.fullOK = false
 	l.Total += w
 	if l.Total < 0 {
 		l.Total = 0

@@ -50,10 +50,11 @@ func (s *SPN) EndBatch() {
 }
 
 // recompile refreshes the flat evaluator after an update changed mixing
-// weights (leaf distributions are shared by pointer and need nothing).
-// The tree structure never changes, so this is an in-place,
-// allocation-free weight re-derivation rather than a rebuild; inside a
-// BeginBatch/EndBatch window the re-derivation is deferred to EndBatch.
+// weights and leaf distributions. Leaves are shared by pointer, so their
+// values need no copy, but every exact leaf an update touched has a stale
+// full-range mass to recompute. The tree structure never changes, so this
+// is an in-place, allocation-free re-derivation rather than a rebuild;
+// inside a BeginBatch/EndBatch window it is deferred to EndBatch.
 // Updates run on the write path (the facade mutates only unpublished
 // copy-on-write clones), so the mutation never races a reader.
 func (s *SPN) recompile() {
