@@ -28,10 +28,12 @@
 // block — not on each other and not on writes. Insert/Delete
 // submit their mutation group to a background applier, which coalesces
 // whatever has queued up into batches, applies each batch to a private
-// copy-on-write clone (only the touched tables and models are copied) and
-// atomically publishes the result as the next snapshot. Mutations are
-// applied in submission order; Flush blocks until everything submitted
-// before it is published (read-your-writes) and reports apply errors.
+// copy-on-write clone (the touched models are copied; the touched tables
+// share their column arrays, append past the published snapshot's end and
+// copy only a column they write in place) and atomically publishes the
+// result as the next snapshot. Mutations are applied in submission order;
+// Flush blocks until everything submitted before it is published
+// (read-your-writes) and reports apply errors.
 // WithSyncUpdates makes every write call wait for its own group and return
 // its apply error; the final state is bit-identical either way.
 // UpdateStats exposes queue depth, apply lag and batch counters; Close
@@ -381,7 +383,8 @@ func (db *DB) Schema() *Schema { return db.snapshotNow().ens.Schema }
 // Data returns the base tables of the current snapshot (nil when the DB
 // was opened without data). The returned tables are shared with the
 // serving path and must be treated as read-only: mutate the database only
-// through Insert/Delete.
+// through Insert/Delete. A deleted row stays physically present and is
+// listed by its table's Dead; Live drops such rows.
 func (db *DB) Data() Dataset { return db.snapshotNow().ens.Tables }
 
 // Describe returns a human-readable summary of the ensemble, including
@@ -535,7 +538,8 @@ func (db *DB) Explain(ctx context.Context, sql string) (string, error) {
 
 // Exact executes the SQL query exactly against the attached base tables
 // (materializing the join), for ground-truth comparison. It sees the
-// current snapshot's tables; Flush first for read-your-writes.
+// current snapshot's live rows — deleted rows are skipped; Flush first for
+// read-your-writes.
 func (db *DB) Exact(ctx context.Context, sql string) (Result, error) {
 	s := db.snapshotNow()
 	q, err := query.Parse(sql, resolver(s.ens))

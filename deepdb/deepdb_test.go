@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/deepdb"
+	"repro/internal/exact"
 	"repro/internal/query"
 )
 
@@ -447,5 +449,98 @@ func TestDescribeAndModels(t *testing.T) {
 	}
 	if db.Schema().Table("orders") == nil {
 		t.Fatal("schema lost")
+	}
+}
+
+// TestExactSkipsDeletedRows: a delete keeps the base row physically
+// present, tombstoned, and Exact answers over the live rows — agreeing
+// with the model. Must-fail twin: the same physical rows without their
+// tombstones still count 500.
+func TestExactSkipsDeletedRows(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(500, 3)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for pk := 0; pk < 100; pk++ {
+		if err := db.Delete("customer", float64(pk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM customer"
+	truth, err := db.Exact(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := db.EstimateCardinality(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth.Scalar() != 400 || math.Round(est.Value) != 400 {
+		t.Fatalf("after 100 deletes: exact %v, model %v; want 400 and 400", truth.Scalar(), est.Value)
+	}
+	cust := db.Data()["customer"]
+	all := make([]int, cust.NumRows())
+	for i := range all {
+		all[i] = i
+	}
+	physical, err := exact.New(s, deepdb.Dataset{"customer": cust.Select(all)}).Execute(query.Query{
+		Tables: []string{"customer"}, Aggregate: query.Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if physical.Scalar() != 500 {
+		t.Fatalf("physical rows count %v, want 500: the deletes did not stay physically present", physical.Scalar())
+	}
+}
+
+// TestReloadKeepsDeletedRowsDeleted: Reload attaches the serving tables to
+// the loaded model under a fresh write index, and the tombstones the tables
+// record keep a deleted key deleted — deleting it again is an apply error
+// and the count stays where it was.
+func TestReloadKeepsDeletedRowsDeleted(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(500, 4)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Delete("customer", 5); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.deepdb")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Reload(path); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM customer"
+	before, err := db.EstimateCardinality(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete("customer", 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(ctx); err == nil {
+		t.Fatal("deleting pk 5 again after Reload applied: the reload resurrected the row")
+	}
+	after, err := db.EstimateCardinality(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := db.Exact(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Value != before.Value || math.Round(after.Value) != 499 || truth.Scalar() != 499 {
+		t.Fatalf("count after the repeated delete: model %v (was %v), exact %v; want 499", after.Value, before.Value, truth.Scalar())
 	}
 }

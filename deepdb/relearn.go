@@ -88,10 +88,9 @@ func (db *DB) relearnMember(i int) {
 		var cur *ensemble.Ensemble
 		var tables []string
 		var ver []uint64
-		var dead map[string]map[int]bool
 		sh.Swap(func(e *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble {
 			if i < len(e.RSPNs) {
-				cur, tables, dead = e, e.RSPNs[i].Tables, e.DeadRows()
+				cur, tables = e, e.RSPNs[i].Tables
 				for _, t := range tables {
 					ver = append(ver, tableVer[t])
 				}
@@ -101,7 +100,7 @@ func (db *DB) relearnMember(i int) {
 		if cur == nil {
 			return
 		}
-		nr, err := cur.RelearnMember(ctx, i, dead)
+		nr, err := cur.RelearnMember(ctx, i)
 		if err != nil {
 			db.recordRelearnErr(err)
 			return
@@ -126,7 +125,7 @@ func (db *DB) relearnMember(i int) {
 		if i >= len(live.RSPNs) {
 			return nil
 		}
-		nr, err := live.RelearnMember(ctx, i, live.DeadRows())
+		nr, err := live.RelearnMember(ctx, i)
 		if err != nil {
 			db.recordRelearnErr(err)
 			return nil

@@ -126,10 +126,12 @@ type Ensemble struct {
 
 	cfg Config
 	rng *rand.Rand
-	// idx is the write-path primary-key index plus delete tombstones
-	// (update.go). Shared by pointer across copy-on-write clones; the
-	// query path never reads it.
+	// idx is the write-path primary-key index (update.go). Shared by
+	// pointer across copy-on-write clones; the query path never reads it.
+	// at is the index head this state was derived at: Apply writes only
+	// while it is still the head.
 	idx *writeIndex
+	at  uint64
 }
 
 // NewManual assembles an ensemble from pre-learned RSPNs, bypassing

@@ -144,6 +144,9 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 // after a load — the tables handed in are augmented in place with __fk_*
 // columns, as Build does. The persisted statistics stay authoritative for
 // query serving; they are only (re)captured when the ensemble has none.
+// The write index starts afresh over the tables, and the tombstones the
+// tables record keep deleted rows deleted — Reload re-attaching the
+// serving tables included.
 func (e *Ensemble) AttachTables(tables map[string]*table.Table) error {
 	for _, meta := range e.Schema.Tables {
 		if tables[meta.Name] == nil {

@@ -4,8 +4,9 @@ package ensemble
 // single RSPN from the current base tables (with tombstoned rows compacted
 // away) and swapping it into a copy-on-write ensemble clone. The facade
 // drives this from a background goroutine — RelearnMember only reads
-// published immutable state plus a dead-row copy taken under the update
-// lock, so learning runs without blocking readers or (usually) writers.
+// published immutable state, tombstones included (each snapshot's tables
+// record exactly its own deletions), so learning runs without blocking
+// readers or (usually) writers.
 
 import (
 	"context"
@@ -38,39 +39,14 @@ func (e *Ensemble) EnableDrift() {
 	e.Drift = drift.New(e.Tables, cols, members)
 }
 
-// DeadRows returns a deep copy of the tombstone sets. Deleted rows stay
-// physically present in the base tables, so a re-learn must know which
-// rows to exclude; the copy lets learning proceed against an immutable
-// snapshot while the live sets keep moving. Call under the update lock.
-//
-//deepdb:nocancel runs under the update lock and must complete atomically; the work is one flat map copy
-func (e *Ensemble) DeadRows() map[string]map[int]bool {
-	out := make(map[string]map[int]bool, len(e.idx.dead))
-	//deepdb:orderinvariant map deep copy; the result is independent of visit order
-	for name, d := range e.idx.dead {
-		if len(d) == 0 {
-			continue
-		}
-		cp := make(map[int]bool, len(d))
-		//deepdb:orderinvariant map deep copy; the result is independent of visit order
-		for ri, v := range d {
-			if v {
-				cp[ri] = true
-			}
-		}
-		out[name] = cp
-	}
-	return out
-}
-
 // RelearnMember learns a fresh replacement for member i from the current
-// base tables, compacting tombstoned rows away first (dead is the copy
-// DeadRows returned; re-learning from the raw tables would resurrect every
-// deleted row). The receiver is not mutated — callers swap the result in
-// with SwapMember. Learning is deterministic given the table state
-// (rspn.Learn seeds its own rng from the configured seed), so it can run
-// outside the update lock against a published snapshot.
-func (e *Ensemble) RelearnMember(ctx context.Context, i int, dead map[string]map[int]bool) (*rspn.RSPN, error) {
+// base tables, compacting tombstoned rows away first (re-learning from the
+// physical tables would resurrect every deleted row). The receiver is not
+// mutated — callers swap the result in with SwapMember. Learning is
+// deterministic given the table state (rspn.Learn seeds its own rng from
+// the configured seed), so it can run outside the update lock against a
+// published snapshot.
+func (e *Ensemble) RelearnMember(ctx context.Context, i int) (*rspn.RSPN, error) {
 	if i < 0 || i >= len(e.RSPNs) {
 		return nil, fmt.Errorf("ensemble: no member %d", i)
 	}
@@ -91,18 +67,7 @@ func (e *Ensemble) RelearnMember(ctx context.Context, i int, dead map[string]map
 		if !ok {
 			return nil, fmt.Errorf("ensemble: unknown table %s", name)
 		}
-		d := dead[name]
-		if len(d) == 0 {
-			sub.Tables[name] = t
-			continue
-		}
-		live := make([]int, 0, t.NumRows()-len(d))
-		for ri := 0; ri < t.NumRows(); ri++ {
-			if !d[ri] {
-				live = append(live, ri)
-			}
-		}
-		sub.Tables[name] = t.Select(live)
+		sub.Tables[name] = t.Live()
 	}
 	if len(r.Tables) == 1 {
 		return sub.learnSingle(ctx, r.Tables[0])

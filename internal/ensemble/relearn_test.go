@@ -42,7 +42,7 @@ func memberFor(t *testing.T, e *Ensemble, name string) int {
 func TestRelearnReproducesMember(t *testing.T) {
 	e, _ := buildPair(t)
 	for i, r := range e.RSPNs {
-		nr, err := e.RelearnMember(context.Background(), i, nil)
+		nr, err := e.RelearnMember(context.Background(), i)
 		if err != nil {
 			t.Fatalf("member %d (%v): %v", i, r.Tables, err)
 		}
@@ -69,25 +69,36 @@ func TestRelearnMemberCompactsTombstones(t *testing.T) {
 		}
 	}
 	ci := memberFor(t, e, "customer")
-	dead := e.DeadRows()
-	if len(dead["customer"]) != 30 {
-		t.Fatalf("DeadRows customer = %d, want 30", len(dead["customer"]))
+	cust := e.Tables["customer"]
+	if cust.NumRows() != 300 || len(cust.Dead()) != 30 {
+		t.Fatalf("customer: %d physical rows, %d tombstones; want 300, 30", cust.NumRows(), len(cust.Dead()))
 	}
-	nr, err := e.RelearnMember(context.Background(), ci, dead)
+	nr, err := e.RelearnMember(context.Background(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nr.FullSize != 270 {
 		t.Fatalf("relearned FullSize = %v, want 270 (tombstones resurrected?)", nr.FullSize)
 	}
-	// Without the dead-row set the deleted rows would come back.
-	raw, err := e.RelearnMember(context.Background(), ci, nil)
+	// Without the tombstones the deleted rows would come back.
+	raw := *e
+	raw.Tables = map[string]*table.Table{"customer": cust.Select(allRows(cust))}
+	nr, err = raw.RelearnMember(context.Background(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw.FullSize != 300 {
-		t.Fatalf("uncompacted FullSize = %v, want 300", raw.FullSize)
+	if nr.FullSize != 300 {
+		t.Fatalf("uncompacted FullSize = %v, want 300", nr.FullSize)
 	}
+}
+
+// allRows lists every physical row index of t, tombstoned ones included.
+func allRows(t *table.Table) []int {
+	rows := make([]int, t.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // TestSwapMemberSharesRest: SwapMember replaces exactly one member; the
@@ -96,7 +107,7 @@ func TestSwapMemberSharesRest(t *testing.T) {
 	e := singleTableEnsemble(t, 200, 13)
 	e.EnableDrift()
 	ci := memberFor(t, e, "customer")
-	nr, err := e.RelearnMember(context.Background(), ci, nil)
+	nr, err := e.RelearnMember(context.Background(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}

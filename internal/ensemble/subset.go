@@ -6,8 +6,11 @@ package ensemble
 // tuple-factor maintenance looks up partner rows in referenced tables even
 // when no local member covers them, and Theorem-2 denominators come from
 // the per-table statistics. Sharing the table pointers is safe — the update
-// path is copy-on-write, so the first apply on a subset diverges its
-// touched tables without ever mutating the parent's.
+// path writes clones (table.CloneData), which share the column arrays but
+// never write a cell another table reads: the first subset to append to a
+// table extends its arrays in place, every other subset's first append
+// copies them (the tables' tail word decides), and a cell write copies its
+// column.
 
 import (
 	"fmt"

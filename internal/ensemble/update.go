@@ -95,7 +95,17 @@ func rspnTouches(r *rspn.RSPN, touched map[string]bool) bool {
 // state as the same stream applied one call at a time, which is the
 // pipeline's equivalence contract. There is no rollback; applied counts
 // the mutations that succeeded.
+//
+// History must be linear (see CloneForUpdate): Apply to a state the shared
+// write index has moved past — a second clone of one base, or a base after
+// its clone applied — returns an error and mutates nothing. A batch in
+// which something applied makes the receiver the index's head; one in
+// which nothing did leaves the head where it was, so its base may still be
+// cloned and applied.
 func (e *Ensemble) Apply(muts []Mutation) (applied int, err error) {
+	if e.at != e.idx.head {
+		return 0, fmt.Errorf("ensemble: apply to a stale state (write index at batch %d, this state at %d): history must be linear — clone the latest state", e.idx.head, e.at)
+	}
 	// Only RSPNs covering a mutation's target table receive model updates;
 	// batching those is enough (One-side factor bumps write base tables,
 	// not models).
@@ -124,30 +134,37 @@ func (e *Ensemble) Apply(muts []Mutation) (applied int, err error) {
 		}
 		applied++
 	}
+	if applied > 0 {
+		e.idx.head++
+		e.at = e.idx.head
+	}
 	return applied, err
 }
 
 // CloneForUpdate returns a copy-on-write clone prepared for the given
-// mutation batch: the base tables the batch writes (TouchedTables — the
-// targets plus FK-bumped One-side tables) and the RSPNs it model-updates
-// (those covering a target table) are deep-cloned, so mutating the clone
-// leaves the receiver — a published, concurrently-read snapshot —
-// bit-for-bit untouched. Everything else is shared by pointer: unwritten
-// tables, unmutated RSPNs (including those covering only FK-bumped
-// One-side tables, whose models never absorb the bump), the schema, the
-// dependency statistics, the rng (drawn from only by the serialized
-// update path, keeping sampling decisions on one sequence regardless of
-// batching), and the write-path PK index, which readers never consult
-// and which therefore stays incrementally maintained across batches
-// instead of being rebuilt per clone.
+// mutation batch: mutating the clone leaves the receiver — a published,
+// concurrently-read snapshot — bit-for-bit untouched. The base tables the
+// batch writes (TouchedTables — the targets plus FK-bumped One-side
+// tables) get their own headers over the receiver's column arrays
+// (table.CloneData): the batch's rows and tombstones are appended past the
+// receiver's length, and only a column the batch writes in place — the
+// One-side tuple factor — is copied. The RSPNs the batch model-updates
+// (those covering a target table) are deep-cloned. Everything else is
+// shared by pointer: unwritten tables, unmutated RSPNs (including those
+// covering only FK-bumped One-side tables, whose models never absorb the
+// bump), the schema, the dependency statistics, the rng (drawn from only
+// by the serialized update path, keeping sampling decisions on one
+// sequence regardless of batching), and the write-path PK index, which
+// readers never consult and which therefore stays incrementally maintained
+// across batches instead of being rebuilt per clone.
 //
 // Because the clones share that one write index (and the rng), history
 // must be linear: clone the latest state, apply, and make the clone the
-// next state. Applying to two clones of the same base — or to a clone and
-// then to its base — feeds both branches' keys and tombstones into the
-// shared index, and the second branch then resolves primary keys against
-// rows its own tables do not hold. Nothing checks this; the shard's apply
-// lock is what keeps the one writer per ensemble linear.
+// next state. Apply enforces it — applying to two clones of the same base,
+// or to a clone and then to its base, fails on the second with nothing
+// mutated. The tables themselves would survive branching (their tail word
+// sends a second branch to private arrays); the index, which maps each
+// primary key to one row, would not.
 func (e *Ensemble) CloneForUpdate(muts []Mutation) *Ensemble {
 	touched := e.TouchedTables(muts)
 	targets := targetTables(muts)
@@ -161,6 +178,7 @@ func (e *Ensemble) CloneForUpdate(muts []Mutation) *Ensemble {
 		cfg:       e.cfg,
 		rng:       e.rng,
 		idx:       e.idx,
+		at:        e.at,
 	}
 	if e.Stats != nil {
 		out.Stats = make(map[string]TableStats, len(e.Stats))
@@ -233,7 +251,7 @@ func (e *Ensemble) insertRow(tableName string, values map[string]table.Value) er
 		}
 		fCol := e.Tables[fk.RefTable].Column(table.TupleFactorColumn(rel))
 		old := fCol.Data[oneRow]
-		fCol.Data[oneRow] = old + 1
+		fCol.Set(oneRow, old+1)
 		bumps = append(bumps, factorBump{rel: rel, row: oneRow, oldF: old})
 	}
 
@@ -401,7 +419,7 @@ func edgeInRSPN(r *rspn.RSPN, rel schema.Relationship) bool {
 }
 
 // deleteRow removes a base-table row (located by primary key) from the
-// ensemble: base table rows are kept but tombstoned out of indexes, tuple
+// ensemble: the base table keeps the row but records a tombstone, tuple
 // factors are decremented, and covering RSPNs receive the inverse update.
 // Only single-table RSPNs and 2-table join RSPNs delete their join rows
 // exactly; larger joins apply the single-row approximation.
@@ -431,8 +449,9 @@ func (e *Ensemble) deleteRow(tableName string, pk float64) error {
 			continue
 		}
 		fCol := e.Tables[fk.RefTable].Column(table.TupleFactorColumn(rel))
-		fCol.Data[oneRow]--
-		bumps = append(bumps, factorBump{rel: rel, row: oneRow, oldF: fCol.Data[oneRow] + 1})
+		old := fCol.Data[oneRow]
+		fCol.Set(oneRow, old-1)
+		bumps = append(bumps, factorBump{rel: rel, row: oneRow, oldF: old})
 	}
 	for _, r := range e.RSPNs {
 		if !r.HasTable(tableName) {
@@ -485,7 +504,7 @@ func (e *Ensemble) deleteRow(tableName string, pk float64) error {
 		e.Drift.RecordRow(tableName, t, rowIdx, -1)
 	}
 	e.indexDelete(tableName, rowIdx)
-	// The base row is only tombstoned, so the live NumRows() no longer
+	// The base row is only tombstoned, so the physical NumRows() no longer
 	// reflects the cardinality; the maintained statistic does.
 	e.statsRowDelta(tableName, -1)
 	return nil
@@ -494,7 +513,7 @@ func (e *Ensemble) deleteRow(tableName string, pk float64) error {
 // ---- primary-key indexes (write path) ----
 
 // writeIndex is the write-path lookup state: per-table primary-key indexes
-// plus the tombstone sets of deleted rows. It is shared by pointer across
+// over the live (untombstoned) rows. It is shared by pointer across
 // copy-on-write ensemble clones — the query path never consults it, and
 // the update path is serialized — so a sustained insert/delete stream
 // maintains one index incrementally across batches instead of rebuilding
@@ -502,15 +521,14 @@ func (e *Ensemble) deleteRow(tableName string, pk float64) error {
 type writeIndex struct {
 	// pk maps table -> primary-key value -> row index.
 	pk map[string]map[float64]int
-	// dead maps table -> tombstoned row indexes. Deleted rows are kept in
-	// the base table (only the model and statistics forget them), so an
-	// index rebuild must skip them or deleted primary keys would
-	// resurrect.
-	dead map[string]map[int]bool
+	// head counts the batches in which something applied. The index
+	// describes the state whose Ensemble.at equals it; Apply refuses any
+	// other.
+	head uint64
 }
 
 func newWriteIndex() *writeIndex {
-	return &writeIndex{pk: make(map[string]map[float64]int), dead: make(map[string]map[int]bool)}
+	return &writeIndex{pk: make(map[string]map[float64]int)}
 }
 
 func (e *Ensemble) lookupPK(tableName string, pk float64) (int, bool) {
@@ -522,16 +540,21 @@ func (e *Ensemble) lookupPK(tableName string, pk float64) (int, bool) {
 	return row, ok
 }
 
-// buildPKIndex scans the base table once, skipping tombstoned rows. It
-// runs at most once per table per ensemble lifetime (attach/load); from
-// then on indexInsert/indexDelete maintain the map incrementally.
+// buildPKIndex scans the base table once, skipping the rows it records as
+// tombstoned — so an index rebuilt after a reopen or a Reload never
+// resurrects a deleted key. It runs at most once per table per ensemble
+// lifetime (attach/load); from then on indexInsert/indexDelete maintain
+// the map incrementally.
 func (e *Ensemble) buildPKIndex(tableName string) map[float64]int {
 	t := e.Tables[tableName]
 	meta := e.Schema.Table(tableName)
 	idx := make(map[float64]int, t.NumRows())
 	if meta.PrimaryKey != "" {
 		pkCol := t.Column(meta.PrimaryKey)
-		dead := e.idx.dead[tableName]
+		dead := make([]bool, t.NumRows())
+		for _, r := range t.Dead() {
+			dead[r] = true
+		}
 		for i := 0; i < t.NumRows(); i++ {
 			if !pkCol.IsNull(i) && !dead[i] {
 				idx[pkCol.Data[i]] = i
@@ -558,19 +581,12 @@ func (e *Ensemble) indexInsert(tableName string, rowIdx int) {
 	}
 }
 
+// indexDelete tombstones the row in its table and drops its key.
 func (e *Ensemble) indexDelete(tableName string, rowIdx int) {
-	meta := e.Schema.Table(tableName)
-	if meta.PrimaryKey == "" {
-		return
-	}
-	dead := e.idx.dead[tableName]
-	if dead == nil {
-		dead = make(map[int]bool)
-		e.idx.dead[tableName] = dead
-	}
-	dead[rowIdx] = true
+	t := e.Tables[tableName]
+	t.Tombstone(rowIdx)
 	if idx, ok := e.idx.pk[tableName]; ok {
-		pkCol := e.Tables[tableName].Column(meta.PrimaryKey)
+		pkCol := t.Column(e.Schema.Table(tableName).PrimaryKey)
 		if !pkCol.IsNull(rowIdx) {
 			delete(idx, pkCol.Data[rowIdx])
 		}

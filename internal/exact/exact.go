@@ -27,9 +27,16 @@ type Engine struct {
 	joinCache map[string]*table.Table
 }
 
-// New returns an exact engine over the given data.
+// New returns an exact engine over the live rows of the given data: rows a
+// table records as tombstoned (deleted through the update path, still
+// physically present) are not part of any answer.
 func New(s *schema.Schema, tables map[string]*table.Table) *Engine {
-	return &Engine{Schema: s, Tables: tables, joinCache: make(map[string]*table.Table)}
+	live := make(map[string]*table.Table, len(tables))
+	//deepdb:orderinvariant builds independent per-table map entries; no cross-iteration state
+	for name, t := range tables {
+		live[name] = t.Live()
+	}
+	return &Engine{Schema: s, Tables: live, joinCache: make(map[string]*table.Table)}
 }
 
 // materialize returns the join of the query's tables (the single base

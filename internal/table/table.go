@@ -12,6 +12,8 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/schema"
 )
@@ -41,6 +43,10 @@ type Column struct {
 
 	dict    []string
 	dictIdx map[string]int
+	// shared reports that another table's column may reference Data's
+	// backing array (CloneData sets it on both sides), so Set copies the
+	// array before writing a cell. Nul is never written in place.
+	shared atomic.Bool
 }
 
 // NewColumn returns an empty column with the given metadata.
@@ -55,7 +61,8 @@ func NewColumn(meta schema.Column) *Column {
 // Len returns the number of rows.
 func (c *Column) Len() int { return len(c.Data) }
 
-// Append adds a value to the column.
+// Append adds a value to a column that is not yet part of a table (see
+// AddColumn); a table's columns grow through AppendRow.
 func (c *Column) Append(v Value) {
 	c.Data = append(c.Data, v.F)
 	c.Nul = append(c.Nul, v.Null)
@@ -105,6 +112,17 @@ func (c *Column) Get(i int) Value { return Value{F: c.Data[i], Null: c.Nul[i]} }
 // IsNull reports whether row i is NULL.
 func (c *Column) IsNull(i int) bool { return c.Nul[i] }
 
+// Set overwrites the payload of row i. When a clone may share the column's
+// array, the array is first copied (copy-on-first-write), so the write is
+// seen by this table alone.
+func (c *Column) Set(i int, f float64) {
+	if c.shared.Load() {
+		c.Data = slices.Clone(c.Data)
+		c.shared.Store(false)
+	}
+	c.Data[i] = f
+}
+
 // shareDict makes dst use the same dictionary as src. Joined and sampled
 // tables share dictionaries with their sources so codes stay comparable.
 func (dst *Column) shareDict(src *Column) {
@@ -113,15 +131,29 @@ func (dst *Column) shareDict(src *Column) {
 }
 
 // Table is a collection of equal-length columns plus its metadata.
+//
+// Rows and tombstones are append-only, and CloneData shares the backing
+// arrays: a clone and its receiver read the same cells, each only below its
+// own length. An append writes past the end of every table sharing the
+// arrays, so exactly one of them may extend them in place — the one whose
+// length the shared tail word still records (claim).
 type Table struct {
 	Meta *schema.Table
 	Cols []*Column
 	rows int
+	// dead lists the tombstoned rows in deletion order: deleted rows stay
+	// physically present (row indices keep addressing them) and Live drops
+	// them.
+	dead []int
+	// tail is shared by every table over the same backing arrays and holds
+	// rows+len(dead) of the one that may still append in place. Nil only
+	// for join results, which are read-only.
+	tail *atomic.Int64
 }
 
 // New creates an empty table for the given metadata.
 func New(meta *schema.Table) *Table {
-	t := &Table{Meta: meta}
+	t := &Table{Meta: meta, tail: new(atomic.Int64)}
 	for _, cm := range meta.Columns {
 		t.Cols = append(t.Cols, NewColumn(cm))
 	}
@@ -156,10 +188,61 @@ func (t *Table) AppendRow(vals ...Value) {
 		panic(fmt.Sprintf("table: AppendRow got %d values for %d columns of %s",
 			len(vals), len(t.Cols), t.Meta.Name))
 	}
+	t.claim()
 	for i, v := range vals {
 		t.Cols[i].Append(v)
 	}
 	t.rows++
+}
+
+// Tombstone records row i as deleted. Like a row, a tombstone is appended
+// under the tail rule, so each snapshot sees exactly its own deletions.
+func (t *Table) Tombstone(i int) {
+	t.claim()
+	t.dead = append(t.dead, i)
+}
+
+// Dead returns the tombstoned rows in deletion order. The slice is shared
+// with the table and its clones: treat it as read-only.
+func (t *Table) Dead() []int { return t.dead }
+
+// Live returns the table without its tombstoned rows: t itself when it has
+// none, otherwise a compacted copy (Select) in row order.
+func (t *Table) Live() *Table {
+	if len(t.dead) == 0 {
+		return t
+	}
+	dead := make([]bool, t.rows)
+	for _, r := range t.dead {
+		dead[r] = true
+	}
+	live := make([]int, 0, t.rows-len(t.dead))
+	for i, d := range dead {
+		if !d {
+			live = append(live, i)
+		}
+	}
+	return t.Select(live)
+}
+
+// claim reserves the next append (a row or a tombstone) for t. The first
+// table to advance the shared tail word from its own length appends in
+// place. Any other — a second branch off the same base, such as another
+// shard's clone or a clone of a stale snapshot — clips its arrays to their
+// length, so its appends copy them into private ones, and continues under
+// a tail word of its own.
+func (t *Table) claim() {
+	n := int64(t.rows + len(t.dead))
+	if t.tail.CompareAndSwap(n, n+1) {
+		return
+	}
+	for _, c := range t.Cols {
+		c.Data = slices.Clip(c.Data)
+		c.Nul = slices.Clip(c.Nul)
+	}
+	t.dead = slices.Clip(t.dead)
+	t.tail = new(atomic.Int64)
+	t.tail.Store(n + 1)
 }
 
 // AddColumn appends a fully-populated column; its length must equal the
@@ -180,20 +263,24 @@ func (t *Table) AddColumn(c *Column) error {
 	return nil
 }
 
-// CloneData returns a copy of the table whose cell data (Data/Nul vectors)
-// is private: appends and in-place cell writes on the clone leave the
-// receiver untouched, which is what copy-on-write snapshot publication
-// needs. Metadata and dictionaries are shared — the update path never
-// extends a dictionary (rows arrive already encoded as Values) and never
-// adds columns after construction, so sharing them is safe and keeps codes
+// CloneData returns a table that can be written without the receiver ever
+// seeing it, while copying no cell: the clone gets its own Table and Column
+// headers over the receiver's backing arrays. Its appends (rows and
+// tombstones) land past the receiver's length and are arbitrated by the
+// shared tail word (claim); its cell writes (Column.Set) first copy the one
+// column they write. That is what copy-on-write snapshot publication needs
+// at the cost of what a batch changes, not of what it touches. Metadata
+// and dictionaries are shared too — the update path never extends a
+// dictionary (rows arrive already encoded as Values) and never adds
+// columns after construction, so sharing them is safe and keeps codes
 // comparable across snapshots.
 func (t *Table) CloneData() *Table {
-	out := &Table{Meta: t.Meta, rows: t.rows, Cols: make([]*Column, len(t.Cols))}
+	out := &Table{Meta: t.Meta, rows: t.rows, dead: t.dead, tail: t.tail, Cols: make([]*Column, len(t.Cols))}
 	for i, c := range t.Cols {
-		cc := &Column{Meta: c.Meta}
+		c.shared.Store(true)
+		cc := &Column{Meta: c.Meta, Data: c.Data, Nul: c.Nul}
 		cc.shareDict(c)
-		cc.Data = append(make([]float64, 0, len(c.Data)+1), c.Data...)
-		cc.Nul = append(make([]bool, 0, len(c.Nul)+1), c.Nul...)
+		cc.shared.Store(true)
 		out.Cols[i] = cc
 	}
 	return out
@@ -216,6 +303,7 @@ func (t *Table) Select(rows []int) *Table {
 		}
 	}
 	out.rows = len(rows)
+	out.tail.Store(int64(len(rows)))
 	return out
 }
 
