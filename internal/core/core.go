@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/query"
@@ -198,11 +199,11 @@ func (e *Engine) pickForAggregate(q query.Query, preds []query.Predicate, ords [
 		if !r.HasColumn(q.AggColumn) {
 			continue
 		}
-		overlap := e.connectedCovered(q.Tables, r)
-		if len(overlap) == 0 {
+		overlap := bits.OnesCount64(e.connectedCovered(q.Tables, r))
+		if overlap == 0 {
 			continue
 		}
-		score := float64(len(overlap))
+		score := float64(overlap)
 		for _, o := range ords {
 			if c := preds[o].Column; r.ResolvesColumn(c) {
 				score += e.Ens.AttrRDC[attrKey(q.AggColumn, c)] + 0.01

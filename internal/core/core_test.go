@@ -286,12 +286,30 @@ func TestConfidenceIntervalContainsEstimate(t *testing.T) {
 }
 
 func TestEstimateErrors(t *testing.T) {
-	e, _, _ := exactEnsemble(t, false)
+	e, s, tabs := exactEnsemble(t, false)
 	if _, err := e.EstimateCardinality(query.Query{Aggregate: query.Count, Tables: []string{"nope"}}); err == nil {
 		t.Fatal("expected unknown-table error")
 	}
 	if _, err := e.Execute(query.Query{Aggregate: query.Avg, AggColumn: "zzz", Tables: []string{"customer"}}); err == nil {
 		t.Fatal("expected unknown aggregate column error")
+	}
+	// A self-join is rejected by the estimator and by the exact executor,
+	// not answered as the deduplicated query; with distinct tables both
+	// answer.
+	oracle := exact.New(s, tabs)
+	self := query.Query{Aggregate: query.Count, Tables: []string{"customer", "customer"}}
+	if _, err := e.EstimateCardinality(self); err == nil {
+		t.Fatal("estimator answered a self-join")
+	}
+	if _, err := oracle.Cardinality(self); err == nil {
+		t.Fatal("exact executor answered a self-join")
+	}
+	self.Tables[1] = "orders"
+	if _, err := e.EstimateCardinality(self); err != nil {
+		t.Fatalf("estimator, distinct tables: %v", err)
+	}
+	if _, err := oracle.Cardinality(self); err != nil {
+		t.Fatalf("exact executor, distinct tables: %v", err)
 	}
 }
 

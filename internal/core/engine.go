@@ -27,6 +27,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/ensemble"
@@ -210,7 +212,8 @@ func (e *Engine) pickCovering(covering []*rspn.RSPN, preds []query.Predicate, or
 // filterScore sums the pairwise attribute RDC values over the filter
 // columns the RSPN can resolve.
 func (e *Engine) filterScore(r *rspn.RSPN, preds []query.Predicate, ords []int) float64 {
-	var cols []string
+	var buf [8]string // on the stack: a query rarely filters more columns
+	cols := buf[:0]
 	for _, o := range ords {
 		if c := preds[o].Column; r.ResolvesColumn(c) {
 			cols = append(cols, c)
@@ -271,9 +274,9 @@ func squareFn(fn spn.Fn) spn.Fn {
 }
 
 // branchAllOuter reports whether every table of the branch is outer-joined.
-func branchAllOuter(br branch, outer map[string]bool) bool {
+func branchAllOuter(br branch, outer []string) bool {
 	for _, t := range br.tables {
-		if !outer[t] {
+		if !slices.Contains(outer, t) {
 			return false
 		}
 	}
@@ -299,33 +302,27 @@ func tableTupleFactor(br branch) string {
 	return "__fk_" + br.bridgeOne + "<-" + br.bridgeMany
 }
 
-// branchComponents splits the uncovered tables into connected components
-// and finds each component's bridge to the covered set.
-func (e *Engine) branchComponents(rest, covered []string) ([]branch, error) {
-	if len(rest) == 0 {
-		return nil, nil
-	}
-	inRest := toSet(rest)
-	inCovered := toSet(covered)
-	seen := map[string]bool{}
+// branchComponents splits the tables outside the covered set (a bitmask
+// over positions in tables) into connected components, each in
+// breadth-first order from its first table, and finds each component's
+// bridge to the covered set. Apart from the components themselves it
+// allocates nothing.
+func (e *Engine) branchComponents(tables []string, covered uint64) ([]branch, error) {
 	var out []branch
-	for _, start := range rest {
-		if seen[start] {
+	seen := covered
+	for i, start := range tables {
+		if seen&(1<<i) != 0 {
 			continue
 		}
-		// BFS within rest.
-		comp := []string{start}
-		seen[start] = true
-		for i := 0; i < len(comp); i++ {
-			for _, edge := range e.Ens.Schema.NeighborEdges(comp[i]) {
-				var nb string
-				if edge.Many == comp[i] {
-					nb = edge.One
-				} else {
-					nb = edge.Many
-				}
-				if inRest[nb] && !seen[nb] {
-					seen[nb] = true
+		// BFS within the uncovered tables, sized for all of them.
+		comp := make([]string, 1, len(tables)-bits.OnesCount64(seen))
+		comp[0] = start
+		seen |= 1 << i
+		for j := 0; j < len(comp); j++ {
+			for _, edge := range e.Ens.Schema.NeighborEdges(comp[j]) {
+				nb := edge.Other(comp[j])
+				if k := slices.Index(tables, nb); k >= 0 && seen&(1<<k) == 0 {
+					seen |= 1 << k
 					comp = append(comp, nb)
 				}
 			}
@@ -334,16 +331,8 @@ func (e *Engine) branchComponents(rest, covered []string) ([]branch, error) {
 		var br *branch
 		for _, t := range comp {
 			for _, edge := range e.Ens.Schema.NeighborEdges(t) {
-				var other string
-				headIsMany := false
-				if edge.Many == t {
-					other = edge.One
-					headIsMany = true
-				} else {
-					other = edge.Many
-				}
-				if inCovered[other] {
-					br = &branch{tables: comp, head: t, headIsMany: headIsMany,
+				if k := slices.Index(tables, edge.Other(t)); k >= 0 && covered&(1<<k) != 0 {
+					br = &branch{tables: comp, head: t, headIsMany: edge.Many == t,
 						bridgeOne: edge.One, bridgeMany: edge.Many}
 					break
 				}
@@ -353,73 +342,81 @@ func (e *Engine) branchComponents(rest, covered []string) ([]branch, error) {
 			}
 		}
 		if br == nil {
-			return nil, fmt.Errorf("core: tables %v not FK-adjacent to covered set %v", comp, covered)
+			return nil, fmt.Errorf("core: tables %v not FK-adjacent to covered set %v", comp, sortedTables(tables, covered))
 		}
 		out = append(out, *br)
 	}
 	return out, nil
 }
 
-// pickPartial chooses the RSPN for Theorem 2's left side: highest filter
-// score, with coverage count as the dominant term so the recursion shrinks.
-func (e *Engine) pickPartial(tables []string, preds []query.Predicate, ords []int) *rspn.RSPN {
+// pickPartial chooses the RSPN for Theorem 2's left side and the tables it
+// answers there (connectedCovered's bitmask): highest filter score, with
+// coverage count as the dominant term so the recursion shrinks. On a score
+// tie the earlier ensemble member wins.
+func (e *Engine) pickPartial(tables []string, preds []query.Predicate, ords []int) (*rspn.RSPN, uint64) {
 	var best *rspn.RSPN
+	var bestCov uint64
 	bestScore := math.Inf(-1)
 	for _, r := range e.Ens.RSPNs {
-		cov := len(e.connectedCovered(tables, r))
+		cov := e.connectedCovered(tables, r)
 		if cov == 0 {
 			continue
 		}
-		score := float64(cov) + e.filterScore(r, preds, ords)
+		score := float64(bits.OnesCount64(cov)) + e.filterScore(r, preds, ords)
 		if score > bestScore {
-			best, bestScore = r, score
+			best, bestCov, bestScore = r, cov, score
+		}
+	}
+	return best, bestCov
+}
+
+// connectedCovered returns the largest connected (in the FK graph) subset
+// of the query tables that the RSPN covers, as a bitmask over positions in
+// tables — which are distinct and at most 64, as query.Validate ensures.
+// On a size tie between components the one seeded first in table order
+// wins. It reads the schema's graph index and allocates nothing.
+func (e *Engine) connectedCovered(tables []string, r *rspn.RSPN) uint64 {
+	var covered uint64
+	for i, t := range tables {
+		if r.HasTable(t) {
+			covered |= 1 << i
+		}
+	}
+	var best, seen uint64
+	for i := range tables {
+		if covered&^seen&(1<<i) == 0 {
+			continue
+		}
+		comp, frontier := uint64(1)<<i, uint64(1)<<i
+		for frontier != 0 {
+			j := bits.TrailingZeros64(frontier)
+			frontier &^= 1 << j
+			for _, edge := range e.Ens.Schema.NeighborEdges(tables[j]) {
+				if k := slices.Index(tables, edge.Other(tables[j])); k >= 0 && covered&^comp&(1<<k) != 0 {
+					comp |= 1 << k
+					frontier |= 1 << k
+				}
+			}
+		}
+		seen |= comp
+		if bits.OnesCount64(comp) > bits.OnesCount64(best) {
+			best = comp
 		}
 	}
 	return best
 }
 
-// connectedCovered returns the largest connected (in the FK graph) subset
-// of the query tables that the RSPN covers.
-func (e *Engine) connectedCovered(tables []string, r *rspn.RSPN) []string {
-	covered := map[string]bool{}
-	for _, t := range tables {
-		if r.HasTable(t) {
-			covered[t] = true
+// sortedTables returns the tables whose positions are set in mask, sorted
+// by name.
+func sortedTables(tables []string, mask uint64) []string {
+	out := make([]string, 0, bits.OnesCount64(mask))
+	for i, t := range tables {
+		if mask&(1<<i) != 0 {
+			out = append(out, t)
 		}
 	}
-	if len(covered) == 0 {
-		return nil
-	}
-	var bestComp []string
-	seen := map[string]bool{}
-	// Seed components from the caller's table order, not map order: on a
-	// size tie between components, the first seeded wins.
-	for _, t := range tables {
-		if !covered[t] || seen[t] {
-			continue
-		}
-		comp := []string{t}
-		seen[t] = true
-		for i := 0; i < len(comp); i++ {
-			for _, edge := range e.Ens.Schema.NeighborEdges(comp[i]) {
-				var nb string
-				if edge.Many == comp[i] {
-					nb = edge.One
-				} else {
-					nb = edge.Many
-				}
-				if covered[nb] && !seen[nb] {
-					seen[nb] = true
-					comp = append(comp, nb)
-				}
-			}
-		}
-		if len(comp) > len(bestComp) {
-			bestComp = comp
-		}
-	}
-	sort.Strings(bestComp)
-	return bestComp
+	sort.Strings(out)
+	return out
 }
 
 // columnOwner returns which of the tables owns the column ("" if none).
@@ -435,32 +432,24 @@ func (e *Engine) columnOwner(col string, tables []string) string {
 	return ""
 }
 
+// intersect returns the elements of a that b holds, in a's order.
 func intersect(a, b []string) []string {
-	set := toSet(b)
 	var out []string
 	for _, x := range a {
-		if set[x] {
+		if slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
 	return out
 }
 
+// subtract returns the elements of a that b does not hold, in a's order.
 func subtract(a, b []string) []string {
-	set := toSet(b)
 	var out []string
 	for _, x := range a {
-		if !set[x] {
+		if !slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
 	return out
-}
-
-func toSet(xs []string) map[string]bool {
-	m := make(map[string]bool, len(xs))
-	for _, x := range xs {
-		m[x] = true
-	}
-	return m
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/ensemble"
 	"repro/internal/query"
+	"repro/internal/rspn"
 	"repro/internal/schema"
 	"repro/internal/table"
 )
@@ -53,7 +55,7 @@ type goldenEntry struct {
 // such pair.
 type goldenCase struct {
 	name    string
-	fixture string // imdb | imdb1 (single-table members only) | ssb
+	fixture string // imdb | imdb1 (single-table members only) | ssb | diamond (cyclic FK graph)
 	sql     string
 	outer   []string
 	median  bool // StrategyMedian
@@ -109,35 +111,135 @@ var goldenMatrix = []goldenCase{
 		sql: "SELECT COUNT(*) FROM lineorder JOIN customer WHERE c_region = 2 AND lo_discount = 4"},
 	{name: "fd-translated-group-key", fixture: "ssb", swap: [2]int{0, 1},
 		sql: "SELECT SUM(lo_quantity) FROM lineorder JOIN supplier WHERE lo_discount < 6 AND s_nation < 12 GROUP BY s_region"},
+	// Three members cover {title, movie_info} with equal scores (the first
+	// in ensemble order wins); movie_keyword and movie_info_idx are two
+	// uncovered branches.
+	{name: "case3-4table-partial-tie-two-branches", fixture: "imdb", swap: [2]int{0, 2},
+		sql: "SELECT COUNT(*) FROM title JOIN movie_info JOIN movie_keyword JOIN movie_info_idx WHERE t_kind_id <= 3 AND mi_info_type_id = 2 AND mk_keyword_id < 50 AND mix_info_type_id <= 100"},
+	{name: "case3-5table-two-branches", fixture: "imdb", swap: [2]int{1, 3}, card: true,
+		sql: "SELECT COUNT(*) FROM title JOIN cast_info JOIN movie_info JOIN movie_keyword JOIN movie_info_idx WHERE t_production_year > 1975 AND ci_role_id = 2 AND mi_info_type_id <= 3 AND mk_keyword_id < 70 AND mix_info_type_id <= 101"},
+	// movie_keyword answers the left side; the rest nests one level down,
+	// where title wins a score tie and leaves two branches.
+	{name: "case3-4table-nested", fixture: "imdb1", swap: [2]int{2, 4},
+		sql: "SELECT COUNT(*) FROM movie_keyword JOIN title JOIN movie_info_idx JOIN cast_info WHERE mk_keyword_id >= 5 AND mk_keyword_id < 60 AND t_production_year > 1990 AND mix_info_type_id <= 101 AND ci_role_id = 2"},
+	{name: "case3-5table-nested", fixture: "imdb1", swap: [2]int{0, 2},
+		sql: compile5Table},
+	// The dept-assign-proj member covers {dept, proj} of the query as two
+	// components of one table each: the first seeded in query order is the
+	// left side.
+	{name: "case3-component-tie", fixture: "diamond", swap: [2]int{0, 1},
+		sql: "SELECT COUNT(*) FROM dept JOIN review JOIN proj WHERE dp_size < 6 AND pj_budget > 2 AND rv_score >= 3"},
+	{name: "case3-component-tie-reversed", fixture: "diamond", swap: [2]int{0, 1},
+		sql: "SELECT COUNT(*) FROM proj JOIN review JOIN dept WHERE dp_size < 6 AND pj_budget > 2 AND rv_score >= 3"},
 }
 
-// goldenEngines learns the three fixtures.
+// compile5Table is a five-table Case-3 query over single-table members:
+// cast_info answers the left side and the other four nest below it.
+const compile5Table = "SELECT COUNT(*) FROM cast_info JOIN title JOIN movie_info JOIN movie_keyword JOIN movie_companies WHERE ci_role_id >= 2 AND ci_role_id <= 4 AND t_kind_id <= 3 AND mi_info_type_id = 1 AND mk_keyword_id < 80 AND mc_company_type_id = 1"
+
+// diamondFixture is a schema whose FK graph has a cycle — dept and proj
+// are each referenced by assign and by review — with a hand-picked
+// ensemble: one member over dept ⋈ assign ⋈ proj and one over review. A
+// query joining dept, review and proj then finds dept and proj covered by
+// one member yet not adjacent through it. Under Theorem 2's independence
+// assumption both left sides give the same product, so the two table
+// orders differ only in the last bits of the variance; the golden file
+// pins which side each order picks.
+func diamondFixture(t *testing.T) *ensemble.Ensemble {
+	t.Helper()
+	id := func(name string) schema.Column { return schema.Column{Name: name, Kind: schema.IntKind} }
+	fks := func(prefix string) []schema.ForeignKey {
+		return []schema.ForeignKey{
+			{Column: prefix + "_dp_id", RefTable: "dept", RefColumn: "dp_id"},
+			{Column: prefix + "_pj_id", RefTable: "proj", RefColumn: "pj_id"},
+		}
+	}
+	s := &schema.Schema{Tables: []*schema.Table{
+		{Name: "dept", PrimaryKey: "dp_id", Columns: []schema.Column{id("dp_id"), id("dp_size")}},
+		{Name: "proj", PrimaryKey: "pj_id", Columns: []schema.Column{id("pj_id"), id("pj_budget")}},
+		{Name: "assign", PrimaryKey: "as_id", ForeignKeys: fks("as"),
+			Columns: []schema.Column{id("as_id"), id("as_dp_id"), id("as_pj_id"), id("as_hours")}},
+		{Name: "review", PrimaryKey: "rv_id", ForeignKeys: fks("rv"),
+			Columns: []schema.Column{id("rv_id"), id("rv_dp_id"), id("rv_pj_id"), id("rv_score")}},
+	}}
+	rng := rand.New(rand.NewSource(1))
+	tabs := map[string]*table.Table{}
+	for _, meta := range s.Tables {
+		tabs[meta.Name] = table.New(meta)
+	}
+	const depts, projs = 12, 10
+	for i := 0; i < depts; i++ {
+		tabs["dept"].AppendRow(table.Int(i), table.Int(rng.Intn(10)))
+	}
+	for i := 0; i < projs; i++ {
+		tabs["proj"].AppendRow(table.Int(i), table.Int(rng.Intn(8)))
+	}
+	for i := 0; i < 400; i++ {
+		dp := rng.Intn(depts)
+		tabs["assign"].AppendRow(table.Int(i), table.Int(dp), table.Int((dp+rng.Intn(3))%projs), table.Int(rng.Intn(40)))
+	}
+	for i := 0; i < 250; i++ {
+		dp := rng.Intn(depts)
+		tabs["review"].AppendRow(table.Int(i), table.Int(dp), table.Int(rng.Intn(projs)), table.Int(dp%5+rng.Intn(3)))
+	}
+	for _, rel := range s.Relationships() {
+		if err := table.AddTupleFactor(tabs[rel.One], tabs[rel.Many], rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := rspn.DefaultLearnOptions()
+	learn := func(tables ...string) *rspn.RSPN {
+		edges, err := s.JoinTree(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := tabs[tables[0]]
+		if len(tables) > 1 {
+			if data, err = table.FullOuterJoin(tabs, table.JoinSpec{Tables: tables, Edges: edges}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := rspn.Learn(context.Background(), data, tables, edges, rspn.LearnColumns(s, data, tables, nil), nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	members := []*rspn.RSPN{learn("dept", "assign", "proj"), learn("review")}
+	return ensemble.NewManual(s, tabs, members, ensemble.DefaultConfig())
+}
+
+// goldenEngines learns every fixture.
 func goldenEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
-	cfg := ensemble.DefaultConfig()
-	cfg.MaxSamples = 5000
-	single := cfg
-	single.SingleTableOnly = true
-	imdb := func() (*schema.Schema, map[string]*table.Table) {
-		return datagen.IMDb(datagen.IMDbConfig{Titles: 400, Seed: 1})
-	}
-	ssb := func() (*schema.Schema, map[string]*table.Table) {
-		return datagen.SSB(datagen.SSBConfig{ScaleFactor: 0.001, Seed: 1})
-	}
 	out := map[string]*Engine{}
-	for _, f := range []struct {
-		name string
-		gen  func() (*schema.Schema, map[string]*table.Table)
-		cfg  ensemble.Config
-	}{{"imdb", imdb, cfg}, {"imdb1", imdb, single}, {"ssb", ssb, cfg}} {
-		s, tabs := f.gen()
-		ens, err := ensemble.Build(context.Background(), s, tabs, f.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		out[f.name] = New(ens)
+	for _, name := range []string{"imdb", "imdb1", "ssb", "diamond"} {
+		out[name] = goldenEngine(t, name)
 	}
 	return out
+}
+
+// goldenEngine learns one fixture.
+func goldenEngine(t *testing.T, fixture string) *Engine {
+	t.Helper()
+	if fixture == "diamond" {
+		return New(diamondFixture(t))
+	}
+	cfg := ensemble.DefaultConfig()
+	cfg.MaxSamples = 5000
+	cfg.SingleTableOnly = fixture == "imdb1"
+	var s *schema.Schema
+	var tabs map[string]*table.Table
+	if fixture == "ssb" {
+		s, tabs = datagen.SSB(datagen.SSBConfig{ScaleFactor: 0.001, Seed: 1})
+	} else {
+		s, tabs = datagen.IMDb(datagen.IMDbConfig{Titles: 400, Seed: 1})
+	}
+	ens, err := ensemble.Build(context.Background(), s, tabs, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", fixture, err)
+	}
+	return New(ens)
 }
 
 func bitsHex(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }

@@ -39,7 +39,6 @@ type ExecOpts struct {
 type Plan struct {
 	eng     *Engine
 	q       query.Query // validated template (may contain placeholders)
-	shape   string
 	nparams int
 
 	// card estimates COUNT(*) over the join with the query's filters,
@@ -179,7 +178,7 @@ func (e *Engine) Compile(q query.Query) (*Plan, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
 	}
-	p := &Plan{eng: e, q: q, shape: q.ShapeKey(), nparams: q.NumParams()}
+	p := &Plan{eng: e, q: q, nparams: q.NumParams()}
 	var err error
 	p.card, err = e.compileCountTerms(q, binding(q, nil, nil))
 	if err != nil {
@@ -293,16 +292,12 @@ func (e *Engine) compileCount(tables []string, preds []query.Predicate, ords []i
 // Each side is compiled against the ordinals of the filter columns its
 // tables own.
 func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, ords []int, outer []string) (*countNode, error) {
-	r := e.pickPartial(tables, preds, ords)
+	r, left := e.pickPartial(tables, preds, ords)
 	if r == nil {
 		return nil, fmt.Errorf("core: no RSPN covers any of tables %v", tables)
 	}
-	sl := e.connectedCovered(tables, r)
-	if len(sl) == 0 {
-		return nil, fmt.Errorf("core: internal: empty coverage for %v", tables)
-	}
-	rest := subtract(tables, sl)
-	branches, err := e.branchComponents(rest, sl)
+	sl := sortedTables(tables, left)
+	branches, err := e.branchComponents(tables, left)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +306,6 @@ func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, ords 
 	// (all its tables outer-joined, hence unfiltered after WHERE
 	// normalization) multiplies by max(F, 1): rows without partners still
 	// appear once.
-	outerSet := toSet(outer)
 	extraFns := map[string]spn.Fn{}
 	for _, br := range branches {
 		if !br.headIsMany {
@@ -321,7 +315,7 @@ func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, ords 
 		if !r.HasColumn(col) {
 			return nil, fmt.Errorf("core: RSPN %v lacks bridge factor column %s", r.Tables, col)
 		}
-		if branchAllOuter(br, outerSet) {
+		if branchAllOuter(br, outer) {
 			extraFns[col] = spn.FnMax1
 		} else {
 			extraFns[col] = spn.FnIdent
@@ -332,7 +326,7 @@ func (e *Engine) compileTheorem2(tables []string, preds []query.Predicate, ords 
 	// Non-outer branches contribute selectivity ratios; unfiltered outer
 	// branches are fully handled by the max(F,1) factor above.
 	for _, br := range branches {
-		if branchAllOuter(br, outerSet) {
+		if branchAllOuter(br, outer) {
 			continue
 		}
 		rows, ok := e.Ens.TableRows(br.head)
@@ -540,7 +534,7 @@ func (p *Plan) checkBound(q query.Query) error {
 		return fmt.Errorf("core: query has %d unbound parameters (bind values before executing, or use the params form)", n)
 	}
 	if !query.SameShape(p.q, q) {
-		return fmt.Errorf("core: query shape does not match the compiled plan (plan %s)", p.shape)
+		return fmt.Errorf("core: query shape does not match the compiled plan (plan %s)", p.q.ShapeKey())
 	}
 	for _, preds := range [2][]query.Predicate{q.Filters, q.Disjunction} {
 		for _, f := range preds {

@@ -3,9 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/ensemble"
 	"repro/internal/query"
+	"repro/internal/schema"
+	"repro/internal/table"
 )
 
 // Property-style tests over randomly generated queries on the chain
@@ -229,4 +233,78 @@ func TestConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestCompileConcurrentWithUpdates: eight goroutines compile distinct
+// shapes on one engine while an updater publishes copy-on-write clones of
+// its ensemble — each sharing the schema, hence its FK graph index — and
+// compiles on every clone. The schema is fresh, so the first readers race
+// to build the index. Every plan explains exactly as it did compiled
+// alone. Run with -race (check.sh's race stage does).
+func TestCompileConcurrentWithUpdates(t *testing.T) {
+	base := goldenEngine(t, "imdb")
+	ens := *base.Ens
+	ens.Schema = &schema.Schema{Tables: base.Ens.Schema.Tables}
+	eng := New(&ens)
+	var qs []query.Query
+	var want []string
+	for _, c := range goldenMatrix {
+		if c.fixture != "imdb" || c.median || c.outer != nil {
+			continue
+		}
+		q, err := query.Parse(c.sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := base.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, want = append(qs, q), append(want, p.Explain())
+	}
+	if len(qs) < 8 {
+		t.Fatalf("%d shapes, want 8", len(qs))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				p, err := eng.Compile(qs[w])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := p.Explain(); got != want[w] {
+					t.Errorf("shape %d compiled under load:\n%s\nwant\n%s", w, got, want[w])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cur := &ens
+		for i := 0; i < 30; i++ {
+			muts := []ensemble.Mutation{{Op: ensemble.OpInsert, Table: "movie_keyword", Values: map[string]table.Value{
+				"mk_id": table.Int(1_000_000 + i), "mk_t_id": table.Int(i % 400), "mk_keyword_id": table.Int(i % 50)}}}
+			next := cur.CloneForUpdate(muts)
+			if _, err := next.Apply(muts); err != nil {
+				t.Error(err)
+				return
+			}
+			if next.Schema != ens.Schema {
+				t.Error("a clone stopped sharing the schema")
+				return
+			}
+			if _, err := New(next).Compile(qs[i%len(qs)]); err != nil {
+				t.Error(err)
+				return
+			}
+			cur = next
+		}
+	}()
+	wg.Wait()
 }

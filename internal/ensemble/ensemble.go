@@ -755,11 +755,6 @@ func (e *Ensemble) meanDependency(tables []string) (float64, error) {
 // connectedSubsets enumerates connected subsets of the FK graph up to the
 // given size.
 func (e *Ensemble) connectedSubsets(maxSize int) [][]string {
-	adj := map[string][]string{}
-	for _, rel := range e.Schema.Relationships() {
-		adj[rel.One] = append(adj[rel.One], rel.Many)
-		adj[rel.Many] = append(adj[rel.Many], rel.One)
-	}
 	seen := map[string]bool{}
 	var out [][]string
 	var grow func(set []string)
@@ -778,7 +773,8 @@ func (e *Ensemble) connectedSubsets(maxSize int) [][]string {
 			inSet[t] = true
 		}
 		for _, t := range set {
-			for _, nb := range adj[t] {
+			for _, edge := range e.Schema.NeighborEdges(t) {
+				nb := edge.Other(t)
 				if inSet[nb] {
 					continue
 				}

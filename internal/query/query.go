@@ -147,10 +147,24 @@ type Query struct {
 	Disjunction []Predicate
 }
 
+// maxTables bounds the tables of one query, so the planner can track a
+// set of them as a bitmask over their positions.
+const maxTables = 64
+
 // Validate performs structural checks that do not need a schema.
 func (q Query) Validate() error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("query: no tables")
+	}
+	if len(q.Tables) > maxTables {
+		return fmt.Errorf("query: %d tables (max %d)", len(q.Tables), maxTables)
+	}
+	for i, t := range q.Tables {
+		for _, prev := range q.Tables[:i] {
+			if prev == t {
+				return fmt.Errorf("query: table %s named twice (self-joins are not supported)", t)
+			}
+		}
 	}
 	if q.Aggregate != Count && q.AggColumn == "" {
 		return fmt.Errorf("query: %v requires an aggregate column", q.Aggregate)
@@ -279,14 +293,49 @@ func bindPreds(preds []Predicate, params []float64) []Predicate {
 // equal shape keys can share one compiled plan; a prepared statement and
 // the equivalent literal query therefore hit the same cache entry.
 func (q Query) ShapeKey() string {
+	// Sized up front, so the key costs one allocation.
+	n := len("COUNT()|T:|O:|F:|D:|G:") + len(q.AggColumn) + joinedLen(q.Tables) +
+		joinedLen(q.OuterTables) + joinedLen(q.GroupBy)
+	for _, preds := range [2][]Predicate{q.Filters, q.Disjunction} {
+		for _, p := range preds {
+			n += len(p.Column) + len(",<=(...)")
+		}
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v(%s)|T:%s|O:%s|F:", q.Aggregate, q.AggColumn,
-		strings.Join(q.Tables, ","), strings.Join(q.OuterTables, ","))
+	b.Grow(n)
+	b.WriteString(q.Aggregate.String())
+	b.WriteByte('(')
+	b.WriteString(q.AggColumn)
+	b.WriteString(")|T:")
+	writeJoined(&b, q.Tables)
+	b.WriteString("|O:")
+	writeJoined(&b, q.OuterTables)
+	b.WriteString("|F:")
 	shapePreds(&b, q.Filters)
 	b.WriteString("|D:")
 	shapePreds(&b, q.Disjunction)
-	fmt.Fprintf(&b, "|G:%s", strings.Join(q.GroupBy, ","))
+	b.WriteString("|G:")
+	writeJoined(&b, q.GroupBy)
 	return b.String()
+}
+
+// joinedLen bounds the length of xs joined by commas.
+func joinedLen(xs []string) int {
+	n := len(xs)
+	for _, x := range xs {
+		n += len(x)
+	}
+	return n
+}
+
+// writeJoined writes xs separated by commas, like strings.Join.
+func writeJoined(b *strings.Builder, xs []string) {
+	for i, x := range xs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(x)
+	}
 }
 
 func shapePreds(b *strings.Builder, preds []Predicate) {
@@ -294,7 +343,8 @@ func shapePreds(b *strings.Builder, preds []Predicate) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%s%v", p.Column, p.Op)
+		b.WriteString(p.Column)
+		b.WriteString(p.Op.String())
 		if p.Op == In {
 			// The value count changes the predicate's range set but not
 			// the plan, so IN collapses to the bare operator.

@@ -48,6 +48,29 @@ func TestQueryValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for empty IN list")
 	}
+	// A table named twice is a self-join, which is unsupported: it must not
+	// be answered as the deduplicated query. The twin with distinct tables
+	// passes.
+	self := Query{Aggregate: Count, Tables: []string{"title", "cast_info", "title"}}
+	if err := self.Validate(); err == nil || !contains(err.Error(), "title named twice") {
+		t.Fatalf("self-join: got %v, want a 'named twice' error", err)
+	}
+	self.Tables[2] = "movie_info"
+	if err := self.Validate(); err != nil {
+		t.Fatalf("distinct tables: %v", err)
+	}
+	// At most 64 tables, so the planner can hold a table set in a bitmask.
+	many := Query{Aggregate: Count}
+	for i := 0; i < 64; i++ {
+		many.Tables = append(many.Tables, fmt.Sprintf("t%d", i))
+	}
+	if err := many.Validate(); err != nil {
+		t.Fatalf("64 tables: %v", err)
+	}
+	many.Tables = append(many.Tables, "t64")
+	if err := many.Validate(); err == nil {
+		t.Fatal("65 tables must fail validation")
+	}
 }
 
 func TestQErrorSymmetric(t *testing.T) {
@@ -244,6 +267,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE a = 'unterminated",
 		"SELECT COUNT(*) FROM t trailing garbage (",
 		"SELECT AVG() FROM t",
+		"SELECT COUNT(*) FROM title JOIN title",
 	}
 	for _, sql := range bad {
 		if _, err := Parse(sql, nil); err == nil {

@@ -3,7 +3,11 @@
 // It is a pure-data package at the bottom of the dependency graph.
 package schema
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Kind is the logical type of a column.
 type Kind int
@@ -83,9 +87,47 @@ func (t *Table) Column(name string) (Column, bool) {
 	return Column{}, false
 }
 
-// Schema is a set of tables plus the FK graph connecting them.
+// Schema is a set of tables plus the FK graph connecting them. The graph
+// is indexed on the first call that walks it (Relationships, JoinTree,
+// NeighborEdges) and only read afterwards, so one Schema serves any
+// number of concurrent readers — every ensemble snapshot over it shares
+// the one index. Tables and their foreign keys must therefore not change
+// once the schema has answered such a call.
 type Schema struct {
 	Tables []*Table
+
+	graphOnce sync.Once
+	graph     fkGraph
+}
+
+// fkGraph is the FK graph of a schema: every edge in Relationships order,
+// and per table the edges incident to it, in the same order.
+type fkGraph struct {
+	rels []Relationship
+	adj  map[string][]Relationship
+}
+
+// fk returns the schema's FK graph, indexing it on first use.
+func (s *Schema) fk() *fkGraph {
+	s.graphOnce.Do(func() {
+		g := &s.graph
+		for _, t := range s.Tables {
+			for _, fk := range t.ForeignKeys {
+				g.rels = append(g.rels, Relationship{
+					Many: t.Name, ManyColumn: fk.Column,
+					One: fk.RefTable, OneColumn: fk.RefColumn,
+				})
+			}
+		}
+		g.adj = make(map[string][]Relationship, len(s.Tables))
+		for _, r := range g.rels {
+			g.adj[r.Many] = append(g.adj[r.Many], r)
+			if r.One != r.Many {
+				g.adj[r.One] = append(g.adj[r.One], r)
+			}
+		}
+	})
+	return &s.graph
 }
 
 // Table returns the named table, or nil.
@@ -143,51 +185,57 @@ type Relationship struct {
 // factor columns: F_{One<-Many}.
 func (r Relationship) ID() string { return r.One + "<-" + r.Many }
 
-// Relationships enumerates every FK edge in the schema.
-func (s *Schema) Relationships() []Relationship {
-	var out []Relationship
-	for _, t := range s.Tables {
-		for _, fk := range t.ForeignKeys {
-			out = append(out, Relationship{
-				Many: t.Name, ManyColumn: fk.Column,
-				One: fk.RefTable, OneColumn: fk.RefColumn,
-			})
-		}
+// Other returns the endpoint of the edge opposite the named one.
+func (r Relationship) Other(table string) string {
+	if r.Many == table {
+		return r.One
 	}
-	return out
+	return r.Many
+}
+
+// Relationships enumerates every FK edge in the schema. The slice is the
+// caller's own.
+func (s *Schema) Relationships() []Relationship {
+	return append([]Relationship(nil), s.fk().rels...)
 }
 
 // JoinTree returns the set of relationships that connect the given tables
 // into a single tree, or an error when the tables are not connected in the
-// FK graph. DeepDB only supports equi-joins along FK edges, so a query's
-// join condition is fully determined by its table set.
+// FK graph or a table is named twice. DeepDB only supports equi-joins along
+// FK edges, so a query's join condition is fully determined by its table
+// set. Apart from the returned edges it allocates nothing for up to 64
+// tables.
 func (s *Schema) JoinTree(tables []string) ([]Relationship, error) {
 	if len(tables) <= 1 {
 		return nil, nil
 	}
-	want := make(map[string]bool, len(tables))
-	for _, t := range tables {
+	for i, t := range tables {
 		if s.Table(t) == nil {
 			return nil, fmt.Errorf("schema: unknown table %s", t)
 		}
-		want[t] = true
+		if slices.Contains(tables[:i], t) {
+			return nil, fmt.Errorf("schema: table %s named twice", t)
+		}
 	}
 	// Breadth-first growth from the first table across FK edges whose both
 	// endpoints are requested.
-	connected := map[string]bool{tables[0]: true}
-	var edges []Relationship
-	for len(connected) < len(want) {
+	var buf [64]bool
+	connected := buf[:]
+	if len(tables) > len(buf) {
+		connected = make([]bool, len(tables))
+	}
+	connected[0] = true
+	edges := make([]Relationship, 0, len(tables)-1)
+	for n := 1; n < len(tables); {
 		grew := false
-		for _, r := range s.Relationships() {
-			if !want[r.Many] || !want[r.One] {
-				continue
+		for _, r := range s.fk().rels {
+			m, o := slices.Index(tables, r.Many), slices.Index(tables, r.One)
+			if m < 0 || o < 0 || connected[m] == connected[o] {
+				continue // not both requested, or both in or both out
 			}
-			if connected[r.Many] == connected[r.One] {
-				continue // both in or both out
-			}
-			connected[r.Many] = true
-			connected[r.One] = true
+			connected[m], connected[o] = true, true
 			edges = append(edges, r)
+			n++
 			grew = true
 		}
 		if !grew {
@@ -197,13 +245,9 @@ func (s *Schema) JoinTree(tables []string) ([]Relationship, error) {
 	return edges, nil
 }
 
-// NeighborEdges returns all FK edges incident to the named table.
+// NeighborEdges returns all FK edges incident to the named table, in
+// Relationships order. It reads the schema's graph index and allocates
+// nothing: the slice is shared and must not be modified.
 func (s *Schema) NeighborEdges(table string) []Relationship {
-	var out []Relationship
-	for _, r := range s.Relationships() {
-		if r.Many == table || r.One == table {
-			out = append(out, r)
-		}
-	}
-	return out
+	return s.fk().adj[table]
 }

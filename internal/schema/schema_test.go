@@ -126,17 +126,29 @@ func TestJoinTreeChain(t *testing.T) {
 	if _, err := s.JoinTree([]string{"x", "z"}); err == nil {
 		t.Fatal("x-z without y must fail")
 	}
+	// A table named twice is a self-join, not the one-table tree.
+	if _, err := s.JoinTree([]string{"x", "y", "x"}); err == nil {
+		t.Fatal("a table named twice must fail")
+	}
 }
 
+// TestNeighborEdges: incident edges come in Relationships order, from the
+// schema's index, without allocating.
 func TestNeighborEdges(t *testing.T) {
 	s := chain()
 	ye := s.NeighborEdges("y")
-	if len(ye) != 2 {
-		t.Fatalf("y has %d incident edges, want 2", len(ye))
+	if len(ye) != 2 || ye[0].ID() != "x<-y" || ye[1].ID() != "y<-z" {
+		t.Fatalf("y's incident edges = %v, want x<-y then y<-z", ye)
+	}
+	if ye[0].Other("y") != "x" || ye[1].Other("y") != "z" {
+		t.Fatalf("opposite ends of y's edges = %s, %s, want x, z", ye[0].Other("y"), ye[1].Other("y"))
 	}
 	xe := s.NeighborEdges("x")
 	if len(xe) != 1 {
 		t.Fatalf("x has %d incident edges, want 1", len(xe))
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.NeighborEdges("y") }); n != 0 {
+		t.Fatalf("NeighborEdges: %v allocs/op, want 0", n)
 	}
 }
 

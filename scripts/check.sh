@@ -131,13 +131,14 @@ echo "== chaos (seeded fault injection) =="
 go test -race -short -count=1 -run '^TestChaos' ./internal/wal ./internal/pipeline ./deepdb
 
 echo "== allocation budgets =="
-# TestAllocBudgets pins allocs/op exactly on the flat SPN evaluator, the
-# prepared / cached / grouped facade paths and an /estimate round trip.
+# TestAllocBudgets pins allocs/op exactly on the flat SPN evaluator, plan
+# compilation, the prepared / cached / uncached / grouped facade paths and
+# an /estimate round trip.
 # Counts are noise-free where a ns/op guard on this box was not (an
 # untouched kernel read 768-1202 ns against its 848 ns baseline). The
 # tests skip themselves under the race detector, so the suite above does
 # not hold them; this run does.
-go test -run '^TestAllocBudgets$' -count=1 . ./internal/spn ./cmd/deepdb
+go test -run '^TestAllocBudgets$' -count=1 . ./internal/spn ./internal/core ./cmd/deepdb
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
