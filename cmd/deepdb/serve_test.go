@@ -221,6 +221,14 @@ func TestServeEndpoints(t *testing.T) {
 	if !strings.Contains(ex.Plan, "case") {
 		t.Fatalf("explain plan missing compilation case:\n%s", ex.Plan)
 	}
+	// A grouped plan says what each model call is bound per.
+	if code := postJSON(t, srv, "/explain",
+		apiRequest{SQL: "SELECT COUNT(*) FROM customer GROUP BY c_region"}, &ex); code != http.StatusOK {
+		t.Fatalf("explain status %d, error %q", code, ex.Error)
+	}
+	if !strings.Contains(ex.Plan, "bound once per distinct c_region") {
+		t.Fatalf("grouped explain plan missing what it binds per key:\n%s", ex.Plan)
+	}
 
 	// GET form and error handling.
 	resp, err = http.Get(srv.URL + "/estimate?sql=" + "SELECT%20COUNT(*)%20FROM%20customer")

@@ -428,6 +428,20 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(plan, "Theorem 2") {
 		t.Fatalf("join plan missing Theorem 2:\n%s", plan)
 	}
+	if strings.Contains(plan, "bound once") {
+		t.Fatalf("ungrouped plan says how often it binds per key:\n%s", plan)
+	}
+	// Grouped, each side says what it is bound per: the customer side per
+	// region, the orders side (no group column) once per key chunk.
+	plan, err = db.Explain(ctx, "SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"bound once per distinct c_region", "bound once per key chunk"} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("grouped plan missing %q:\n%s", want, plan)
+		}
+	}
 }
 
 // TestDescribeAndModels covers the introspection surface.

@@ -22,7 +22,7 @@ func (p *Plan) Explain() string {
 	}
 	if err := p.ensureExec(); err != nil {
 		fmt.Fprintf(&b, "execution would fail: %v\n", err)
-		p.explainCountTerms(&b, p.card, binding(p.q, nil, nil))
+		p.explainCountTerms(&b, p.card, binding(p.q, nil, nil), nil)
 		return b.String()
 	}
 	if len(p.groupCols) > 0 {
@@ -43,28 +43,28 @@ func (p *Plan) Explain() string {
 	}
 	switch {
 	case p.avg != nil:
-		fmt.Fprintf(&b, "avg: RSPN[%s] ratio of expectations (Section 4.2), resolving %d/%d filters\n",
-			strings.Join(p.avg.r.Tables, " |x| "), len(p.avg.ords), len(preds))
+		fmt.Fprintf(&b, "avg: RSPN[%s] ratio of expectations (Section 4.2), resolving %d/%d filters%s\n",
+			strings.Join(p.avg.r.Tables, " |x| "), len(p.avg.ords), len(preds), p.avg.keys.perKey(p.groupCols))
 		if len(p.groupCols) > 0 {
 			b.WriteString("group existence gate (COUNT >= 0.5):\n")
-			p.explainCountTerms(&b, counts, preds)
+			p.explainCountTerms(&b, counts, preds, p.groupCols)
 		}
 	case len(p.sum) > 0:
 		last := p.sum[len(p.sum)-1]
 		if last.direct != nil {
-			fmt.Fprintf(&b, "sum: single expectation on RSPN[%s] (covering member resolves all filters)\n",
-				strings.Join(last.direct.r.Tables, " |x| "))
+			fmt.Fprintf(&b, "sum: single expectation on RSPN[%s] (covering member resolves all filters)%s\n",
+				strings.Join(last.direct.r.Tables, " |x| "), last.direct.keys.perKey(p.groupCols))
 		} else {
-			fmt.Fprintf(&b, "sum: COUNT * AVG fallback (AVG on RSPN[%s], resolving %d/%d filters); COUNT plan:\n",
-				strings.Join(last.avg.r.Tables, " |x| "), len(last.avg.ords), len(preds))
-			last.cnt.explain(&b, "  ", preds)
+			fmt.Fprintf(&b, "sum: COUNT * AVG fallback (AVG on RSPN[%s], resolving %d/%d filters%s); COUNT plan:\n",
+				strings.Join(last.avg.r.Tables, " |x| "), len(last.avg.ords), len(preds), last.avg.keys.perKey(p.groupCols))
+			last.cnt.explain(&b, "  ", preds, p.groupCols)
 		}
 		if p.q.Aggregate == query.Avg || len(p.groupCols) > 0 {
 			b.WriteString("count divisor / group gate:\n")
-			p.explainCountTerms(&b, counts, preds)
+			p.explainCountTerms(&b, counts, preds, p.groupCols)
 		}
 	default:
-		p.explainCountTerms(&b, counts, preds)
+		p.explainCountTerms(&b, counts, preds, p.groupCols)
 	}
 	return b.String()
 }
@@ -72,37 +72,57 @@ func (p *Plan) Explain() string {
 // explainCountTerms renders the count estimator: the single compiled node,
 // or — for disjunctions — the fully-conjoined inclusion-exclusion term as
 // the representative.
-func (p *Plan) explainCountTerms(b *strings.Builder, terms []signedCount, preds []query.Predicate) {
+func (p *Plan) explainCountTerms(b *strings.Builder, terms []signedCount, preds []query.Predicate, groupCols []string) {
 	if len(terms) == 0 {
 		return
 	}
-	terms[len(terms)-1].node.explain(b, "", preds)
+	terms[len(terms)-1].node.explain(b, "", preds, groupCols)
+}
+
+// perKey says, in a grouped plan, how often execution binds the call: once
+// per distinct value of the group columns it reads, or once per key chunk
+// when it reads none. It renders the field the executor's memo reads, so
+// the text cannot drift from what runs. Ungrouped plans (no groupCols) say
+// nothing.
+func (k *keyReads) perKey(groupCols []string) string {
+	if len(groupCols) == 0 {
+		return ""
+	}
+	if len(k.cols) == 0 {
+		return "; bound once per key chunk"
+	}
+	names := make([]string, len(k.cols))
+	for i, c := range k.cols {
+		names[i] = groupCols[c]
+	}
+	return "; bound once per distinct " + strings.Join(names, ", ")
 }
 
 // explain narrates one compiled count node; preds is the whole template
-// binding, of which each term reports on the ordinals it reads.
-func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Predicate) {
+// binding, of which each term reports on the ordinals it reads, and
+// groupCols the plan's group columns (nil when ungrouped).
+func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Predicate, groupCols []string) {
 	switch n.kind {
 	case ckMedian:
 		fmt.Fprintf(b, "%smedian over %d covering RSPNs:\n", indent, len(n.median))
 		for _, c := range n.median {
-			fmt.Fprintf(b, "%s  RSPN[%s]\n", indent, strings.Join(c.r.Tables, " |x| "))
+			fmt.Fprintf(b, "%s  RSPN[%s]%s\n", indent, strings.Join(c.r.Tables, " |x| "), c.keys.perKey(groupCols))
 		}
 	case ckSingle:
 		kase := "case 1 (exact table match)"
 		if len(n.single.r.Tables) > len(n.tables) {
 			kase = "case 2 (superset RSPN, 1/F' tuple-factor normalization)"
 		}
-		fmt.Fprintf(b, "%s%s: RSPN[%s] answers %s, resolving %d/%d filters\n",
+		fmt.Fprintf(b, "%s%s: RSPN[%s] answers %s, resolving %d/%d filters%s\n",
 			indent, kase, strings.Join(n.single.r.Tables, " |x| "), strings.Join(n.tables, ", "),
-			countResolved(n.single.r, preds, n.single.ords), len(n.single.ords))
+			countResolved(n.single.r, preds, n.single.ords), len(n.single.ords), n.single.keys.perKey(groupCols))
 	default:
-		fmt.Fprintf(b, "%scase 3 (Theorem 2): RSPN[%s] answers sub-join %s\n",
-			indent, strings.Join(n.left.r.Tables, " |x| "), strings.Join(n.leftTables, ", "))
+		fmt.Fprintf(b, "%scase 3 (Theorem 2): RSPN[%s] answers sub-join %s%s\n",
+			indent, strings.Join(n.left.r.Tables, " |x| "), strings.Join(n.leftTables, ", "), n.left.keys.perKey(groupCols))
 		for _, bp := range n.branches {
 			fmt.Fprintf(b, "%s  branch %s via bridge %s<-%s (ratio count/|%s|):\n",
 				indent, strings.Join(bp.br.tables, ", "), bp.br.bridgeOne, bp.br.bridgeMany, bp.br.head)
-			bp.node.explain(b, indent+"    ", preds)
+			bp.node.explain(b, indent+"    ", preds, groupCols)
 		}
 	}
 }

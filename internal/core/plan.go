@@ -63,6 +63,10 @@ type Plan struct {
 	sum []signedSum // SUM terms; also the numerator of disjunctive AVG
 	avg *avgNode    // plain (non-disjunctive) AVG ratio
 
+	// sharesCalls: some grouped call reads fewer than all group columns,
+	// so keys of one query can share it (keyMemo).
+	sharesCalls bool
+
 	// The Execute-side estimators (group template, aggregate members,
 	// group-key enumeration) compile lazily on first use, guarded by
 	// execOnce: EstimateCardinality ignores aggregate and GROUP BY
@@ -139,6 +143,7 @@ type t1call struct {
 	tmpl   *rspn.TermTemplate
 	ords   []int
 	hasFns bool
+	keys   keyReads
 	err    error
 }
 
@@ -152,7 +157,73 @@ type avgNode struct {
 	num, den  *rspn.TermTemplate
 	ords      []int
 	denHasFns bool
+	keys      keyReads
 	err       error
+}
+
+// keyReads is the part of the group key a grouped Theorem-1 call or AVG
+// binds: the indices into Plan.groupCols of its ordinals that fall in the
+// group-key block of the binding vector, ascending. Its bound requests are
+// a pure function of the predicates at its ordinals, so keys of one query
+// that agree on these columns bind identical requests (keyMemo), and
+// Explain reports the same field.
+type keyReads struct {
+	cols []int
+}
+
+// visitCalls calls fn on every Theorem-1 call and AVG reachable from the
+// given count terms, SUM terms and AVG, in first-use order.
+func visitCalls(counts []signedCount, sums []signedSum, avg *avgNode, fn func(r *rspn.RSPN, ords []int, k *keyReads)) {
+	call := func(c *t1call) { fn(c.r, c.ords, &c.keys) }
+	var walk func(n *countNode)
+	walk = func(n *countNode) {
+		if n == nil {
+			return
+		}
+		switch n.kind {
+		case ckSingle:
+			call(&n.single)
+		case ckMedian:
+			for i := range n.median {
+				call(&n.median[i])
+			}
+		default: // ckTheorem2
+			call(&n.left)
+			for _, br := range n.branches {
+				walk(br.node)
+			}
+		}
+	}
+	for _, t := range counts {
+		walk(t.node)
+	}
+	for _, s := range sums {
+		if s.direct != nil {
+			call(s.direct)
+		}
+		walk(s.cnt)
+		if s.avg != nil {
+			fn(s.avg.r, s.avg.ords, &s.avg.keys)
+		}
+	}
+	if avg != nil {
+		fn(avg.r, avg.ords, &avg.keys)
+	}
+}
+
+// markKeyReads records on every grouped call which group columns it reads
+// (keyReads) and whether any call reads fewer than all of them.
+func (p *Plan) markKeyReads() {
+	nf, ng := len(p.q.Filters), len(p.groupCols)
+	visitCalls(p.count, p.sum, p.avg, func(_ *rspn.RSPN, ords []int, k *keyReads) {
+		k.cols = nil
+		for _, o := range ords {
+			if o >= nf && o < nf+ng {
+				k.cols = append(k.cols, o-nf)
+			}
+		}
+		p.sharesCalls = p.sharesCalls || len(k.cols) < ng
+	})
 }
 
 // binding returns the flat predicate vector of one bound query — its
@@ -239,6 +310,9 @@ func (p *Plan) compileExec(q query.Query) error {
 		}
 	default:
 		err = fmt.Errorf("core: unsupported aggregate %v", q.Aggregate)
+	}
+	if err == nil && len(q.GroupBy) > 0 {
+		p.markKeyReads()
 	}
 	return err
 }
@@ -472,50 +546,15 @@ func selectPreds(preds []query.Predicate, ords []int) []query.Predicate {
 func (p *Plan) RSPNs() []*rspn.RSPN {
 	var out []*rspn.RSPN
 	seen := map[*rspn.RSPN]bool{}
-	add := func(r *rspn.RSPN) {
+	add := func(r *rspn.RSPN, _ []int, _ *keyReads) {
 		if r != nil && !seen[r] {
 			seen[r] = true
 			out = append(out, r)
 		}
 	}
-	var walkCount func(n *countNode)
-	walkCount = func(n *countNode) {
-		if n == nil {
-			return
-		}
-		switch n.kind {
-		case ckSingle:
-			add(n.single.r)
-		case ckMedian:
-			for _, c := range n.median {
-				add(c.r)
-			}
-		default: // ckTheorem2
-			add(n.left.r)
-			for _, br := range n.branches {
-				walkCount(br.node)
-			}
-		}
-	}
-	for _, t := range p.card {
-		walkCount(t.node)
-	}
+	visitCalls(p.card, nil, nil, add)
 	if p.ensureExec() == nil {
-		for _, t := range p.count {
-			walkCount(t.node)
-		}
-		for _, s := range p.sum {
-			if s.direct != nil {
-				add(s.direct.r)
-			}
-			walkCount(s.cnt)
-			if s.avg != nil {
-				add(s.avg.r)
-			}
-		}
-		if p.avg != nil {
-			add(p.avg.r)
-		}
+		visitCalls(p.count, p.sum, p.avg, add)
 	}
 	return out
 }

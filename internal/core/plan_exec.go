@@ -8,7 +8,9 @@ package core
 //     structure — each inclusion-exclusion term, each Theorem-2 side at any
 //     depth, each AVG — where a term binds its template to the values at
 //     its compile-time ordinals; the resulting SPN inference requests
-//     (with their variance parts) are collected per RSPN;
+//     (with their variance parts) are collected per RSPN — in a grouped
+//     chunk once per distinct value of the group columns a term reads
+//     (keyMemo), not once per key;
 //  2. evaluate: answer each RSPN's requests in chunks over its flattened
 //     model arrays (spn.Compiled), fanning the chunks over up to
 //     Engine.Parallelism workers;
@@ -56,9 +58,73 @@ type batcher struct {
 	// hint presizes each group's request slice (an execution knows
 	// roughly how many bindings it will enqueue).
 	hint int
+	// memo shares calls across the keys of one grouped chunk; nil on every
+	// ungrouped path.
+	memo *keyMemo
 }
 
 func newBatcher(hint int) *batcher { return &batcher{hint: hint} }
+
+// keyMemo lets the keys of one grouped chunk share their calls. Within one
+// query only the group-key block of the binding vector changes from key to
+// key, so two keys that agree on the group columns a call reads (keyReads)
+// bind it to identical requests: the first such key enqueues the call, and
+// every later one reuses its estimator. The scope is one query of one
+// chunk — the memo dies with the chunk, so a streamed execution stays
+// O(chunk), and the bindings of an ExecuteBatch never share. A call that
+// reads every group column cannot repeat within a query and bypasses it.
+type keyMemo struct {
+	q    int       // the current key's query, within the chunk
+	ks   *keySpace // that query's key space
+	idx  []int     // the current key's candidate index per group column
+	ests map[memoKey]estimator
+}
+
+// memoKey names one call bound at one projection of one query's keys.
+type memoKey struct {
+	call    *keyReads
+	q, proj int
+}
+
+func newKeyMemo(groupCols int) *keyMemo {
+	return &keyMemo{idx: make([]int, groupCols), ests: map[memoKey]estimator{}}
+}
+
+// at moves the memo to key ordinal ki of query q's key space (the
+// per-column decode of groupKeyAt).
+func (m *keyMemo) at(q int, ks *keySpace, ki int) {
+	if m == nil {
+		return
+	}
+	m.q, m.ks = q, ks
+	for c := len(ks.vals) - 1; c >= 0; c-- {
+		n := len(ks.vals[c])
+		m.idx[c] = ki % n
+		ki /= n
+	}
+}
+
+// shared returns the estimator an earlier key of the current query
+// enqueued for the call reading k, or enqueues the call with fresh and,
+// when that succeeds, remembers it for the keys after.
+func (b *batcher) shared(k *keyReads, fresh func() (estimator, error)) (estimator, error) {
+	m := b.memo
+	if m == nil || len(k.cols) == len(m.idx) {
+		return fresh()
+	}
+	mk := memoKey{call: k, q: m.q}
+	for _, c := range k.cols {
+		mk.proj = mk.proj*len(m.ks.vals[c]) + m.idx[c]
+	}
+	if est, ok := m.ests[mk]; ok {
+		return est, nil
+	}
+	est, err := fresh()
+	if err == nil {
+		m.ests[mk] = est
+	}
+	return est, err
+}
 
 // addRequest appends a prebuilt request to its RSPN's batch.
 func (b *batcher) addRequest(r *rspn.RSPN, req spn.Request) valRef {
@@ -237,15 +303,17 @@ func (t *t1call) enqueue(b *batcher, preds []query.Predicate) (estimator, error)
 	if t.err != nil {
 		return nil, t.err
 	}
-	req, err := t.tmpl.BindIndexed(preds, t.ords)
-	if err != nil {
-		return nil, err
-	}
-	refs := enqueueTerm(b, t.r, req, t.hasFns)
-	size := t.r.FullSize
-	return func() (Estimate, error) {
-		return scaleEstimate(refs.estimate(), size), nil
-	}, nil
+	return b.shared(&t.keys, func() (estimator, error) {
+		req, err := t.tmpl.BindIndexed(preds, t.ords)
+		if err != nil {
+			return nil, err
+		}
+		refs := enqueueTerm(b, t.r, req, t.hasFns)
+		size := t.r.FullSize
+		return func() (Estimate, error) {
+			return scaleEstimate(refs.estimate(), size), nil
+		}, nil
+	})
 }
 
 // enqueue collects one compiled COUNT node: the single call, the median
@@ -357,23 +425,25 @@ func (a *avgNode) enqueue(b *batcher, preds []query.Predicate) (estimator, error
 	if a.err != nil {
 		return nil, a.err
 	}
-	numReq, err := a.num.BindIndexed(preds, a.ords)
-	if err != nil {
-		return nil, err
-	}
-	denReq, err := a.den.BindIndexed(preds, a.ords)
-	if err != nil {
-		return nil, err
-	}
-	num := enqueueTerm(b, a.r, numReq, true)
-	den := enqueueTerm(b, a.r, denReq, a.denHasFns)
-	return func() (Estimate, error) {
-		denE := den.estimate()
-		if denE.Value <= 0 {
-			return Estimate{}, nil
+	return b.shared(&a.keys, func() (estimator, error) {
+		numReq, err := a.num.BindIndexed(preds, a.ords)
+		if err != nil {
+			return nil, err
 		}
-		return divEstimate(num.estimate(), denE), nil
-	}, nil
+		denReq, err := a.den.BindIndexed(preds, a.ords)
+		if err != nil {
+			return nil, err
+		}
+		num := enqueueTerm(b, a.r, numReq, true)
+		den := enqueueTerm(b, a.r, denReq, a.denHasFns)
+		return func() (Estimate, error) {
+			denE := den.estimate()
+			if denE.Value <= 0 {
+				return Estimate{}, nil
+			}
+			return divEstimate(num.estimate(), denE), nil
+		}, nil
+	})
 }
 
 // enqueueSigned collects a list of signed inclusion-exclusion terms for
@@ -576,9 +646,12 @@ func batchEntryErr(batchLen, i int, err error) error {
 // model believes empty, and evaluates the aggregate of the survivors in a
 // second batch (skipped for COUNT queries, whose gate is the answer). It
 // returns each query's live rows in key order. Keys are enumerated in
-// ascending ordinal — lexicographic — order, so the concatenation of
-// consecutive chunks is the full result in the same order, whatever the
-// chunk size. A query's entries are contiguous in the per-key slices.
+// ascending ordinal — lexicographic — order (sorted candidate values, the
+// last column fastest), so rows come out sorted without a sort, and the
+// concatenation of consecutive chunks is the full result in the same order,
+// whatever the chunk size. A query's entries are contiguous in the per-key
+// slices. Both stages bind each call once per distinct value of the group
+// columns it reads (keyMemo).
 func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, keys []keySpace, level float64, lo, hi int) ([][]AQPGroup, error) {
 	total := 0
 	for qi := range queries {
@@ -587,11 +660,15 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, key
 	bindings := make([][]query.Predicate, total)
 	gates := make([]estimator, total)
 	b := newBatcher(2 * total)
+	if p.sharesCalls {
+		b.memo = newKeyMemo(len(p.groupCols))
+	}
 	var keyBuf []float64
 	i := 0
 	for qi, q := range queries {
 		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki++ {
 			keyBuf = groupKeyAt(keys[qi].vals, lo+ki, keyBuf)
+			b.memo.at(qi, &keys[qi], lo+ki)
 			bindings[i] = binding(q, p.groupCols, keyBuf)
 			res, err := p.enqueueCount(b, p.count, bindings[i])
 			if err != nil {
@@ -621,16 +698,23 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, key
 	}
 	aggs := make([]estimator, total)
 	if p.q.Aggregate != query.Count {
+		// The memo carries over: a call the gate stage already bound at this
+		// projection is answered by the gate batch's values.
 		b2 := newBatcher(2 * total)
-		for i, preds := range bindings {
-			if !live[i] {
-				continue
+		b2.memo = b.memo
+		i = 0
+		for qi := range queries {
+			for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki, i = ki+1, i+1 {
+				if !live[i] {
+					continue
+				}
+				b2.memo.at(qi, &keys[qi], lo+ki)
+				res, err := p.enqueueAggregate(b2, p.count, bindings[i])
+				if err != nil {
+					return nil, err
+				}
+				aggs[i] = res
 			}
-			res, err := p.enqueueAggregate(b2, p.count, preds)
-			if err != nil {
-				return nil, err
-			}
-			aggs[i] = res
 		}
 		if err := b2.run(ctx, p.eng); err != nil {
 			return nil, err
@@ -657,15 +741,6 @@ func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, key
 			groups = append(groups, finish(groupKeyAt(keys[qi].vals, lo+ki, nil), est, level))
 		}
 		base += nk
-		sort.Slice(groups, func(i, j int) bool {
-			a, b := groups[i].Key, groups[j].Key
-			for k := 0; k < len(a) && k < len(b); k++ {
-				if a[k] != b[k] {
-					return a[k] < b[k]
-				}
-			}
-			return false
-		})
 		out[qi] = groups
 	}
 	return out, nil

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/rspn"
 	"repro/internal/table"
 )
 
@@ -125,73 +128,159 @@ func sameRowBits(row, ungrouped AQPGroup) bool {
 		eq(row.CILow, ungrouped.CILow) && eq(row.CIHigh, ungrouped.CIHigh)
 }
 
+// ssbGroupedClasses are grouped SSB shapes for ssbEngine, whose joins are
+// Theorem-2 combinations of single-table members, so the group columns are
+// read by different sides: a two-column GROUP BY whose sides read disjoint
+// group columns, SUM through the COUNT * AVG fallback, AVG, and
+// disjunctions under COUNT and AVG. Each leads with a non-IN conjunct that
+// no side's group column owns, which variantQuery rebinds.
+func ssbGroupedClasses(t *testing.T) []query.Query {
+	t.Helper()
+	var out []query.Query
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM lineorder JOIN dates JOIN part WHERE lo_discount < 4 GROUP BY d_year, p_mfgr",
+		"SELECT SUM(lo_revenue) FROM lineorder JOIN dates JOIN supplier WHERE lo_quantity < 30 GROUP BY s_region, d_year",
+		"SELECT AVG(lo_revenue) FROM lineorder JOIN part WHERE lo_quantity < 25 GROUP BY p_mfgr",
+		"SELECT COUNT(*) FROM lineorder JOIN dates JOIN part WHERE lo_discount < 6 AND (d_year = 1993 OR p_mfgr = 2) GROUP BY d_year, p_mfgr",
+		"SELECT AVG(lo_revenue) FROM lineorder JOIN dates JOIN part WHERE lo_discount < 6 AND (d_year = 1993 OR p_mfgr = 2) GROUP BY d_year, p_mfgr",
+	} {
+		q, err := query.Parse(sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		out = append(out, q)
+	}
+	return out
+}
+
+// variantQuery is q with its first conjunct's literal moved by one — a
+// second binding of q's shape for a multi-binding ExecuteBatch — or q
+// itself when it has no such conjunct.
+func variantQuery(q query.Query) query.Query {
+	if len(q.Filters) == 0 || q.Filters[0].Op == query.In {
+		return q
+	}
+	q.Filters = append([]query.Predicate(nil), q.Filters...)
+	q.Filters[0].Value++
+	return q
+}
+
+// groupedOracle checks one grouped query's rows against the ungrouped
+// oracle of TestGroupedRowsMatchUngroupedQueries and returns them, with
+// how many candidate keys were gated out and how many rows differ from
+// their neighbour's ungrouped answer.
+func groupedOracle(t *testing.T, e *Engine, q query.Query, what string) (rows []AQPGroup, absent, distinguished int) {
+	t.Helper()
+	ctx := context.Background()
+	p, err := e.Compile(q)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", what, err)
+	}
+	res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
+	if err != nil {
+		t.Fatalf("%s: execute: %v", what, err)
+	}
+	// ungrouped answers q's aggregate (or COUNT) for one key.
+	ungrouped := func(agg query.AggType, key []float64) AQPGroup {
+		t.Helper()
+		uq := q
+		uq.Aggregate, uq.GroupBy = agg, nil
+		if agg == query.Count {
+			uq.AggColumn = ""
+		}
+		uq.Filters = append([]query.Predicate(nil), q.Filters...)
+		for i, c := range q.GroupBy {
+			uq.Filters = append(uq.Filters, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
+		}
+		r, err := e.ExecuteContext(ctx, uq)
+		if err != nil {
+			t.Fatalf("%s key %v: ungrouped: %v", what, key, err)
+		}
+		return r.Groups[0]
+	}
+	rows = res.Groups
+	var answers []AQPGroup // ungrouped answer per emitted row
+	for ki := 0; ki < p.numGroups; ki++ {
+		key := groupKeyAt(p.groupVals, ki, nil)
+		if ungrouped(query.Count, key).Estimate.Value < 0.5 {
+			absent++
+			continue
+		}
+		if len(answers) == len(rows) {
+			t.Fatalf("%s: live key %v was not emitted", what, key)
+		}
+		row := rows[len(answers)]
+		for k := range key {
+			sameBits(t, "key", row.Key[k], key[k])
+		}
+		want := ungrouped(q.Aggregate, key)
+		if !sameRowBits(row, want) {
+			t.Fatalf("%s key %v: grouped row %+v != ungrouped %+v", what, key, row, want)
+		}
+		answers = append(answers, want)
+	}
+	if len(answers) != len(rows) {
+		t.Fatalf("%s: %d rows emitted, %d keys live", what, len(rows), len(answers))
+	}
+	for i := range rows {
+		if !sameRowBits(rows[i], answers[(i+1)%len(answers)]) {
+			distinguished++
+		}
+	}
+	return rows, absent, distinguished
+}
+
 // TestGroupedRowsMatchUngroupedQueries is the grouped pipeline's
 // independent oracle — the paper's "one estimate per group" (Section 4.2):
 // every emitted group equals, bit for bit in estimate and interval, the
 // separately compiled UNGROUPED query carrying that key's equality
 // filters; every candidate key whose ungrouped COUNT is below 0.5 is
-// absent; and nothing else is emitted. The must-fail twin checks the
-// comparison can tell rows apart: some live key's ungrouped answer must
-// differ from another key's row.
+// absent; and nothing else is emitted. It runs on the exact figure
+// fixtures and on SSB's Theorem-2 shapes, where keys share the calls of
+// the sides that read only some group columns, and it holds the same rows
+// through the streaming iterator at several chunk sizes and through a
+// multi-binding ExecuteBatch whose second binding differs in a literal.
+// The must-fail twin checks the comparison can tell rows apart: some live
+// key's ungrouped answer must differ from another key's row.
 func TestGroupedRowsMatchUngroupedQueries(t *testing.T) {
 	ctx := context.Background()
 	absent, distinguished := 0, 0
-	for _, joint := range []bool{false, true} {
-		e, _, tabs := exactEnsemble(t, joint)
-		for qi, q := range groupedClasses(tabs) {
-			p, err := e.Compile(q)
+	exact, _, tabs := exactEnsemble(t, true)
+	single, _, _ := exactEnsemble(t, false)
+	for name, c := range map[string]struct {
+		e       *Engine
+		classes []query.Query
+	}{
+		"joint":  {exact, groupedClasses(tabs)},
+		"single": {single, groupedClasses(tabs)},
+		"ssb":    {ssbEngine(t), ssbGroupedClasses(t)},
+	} {
+		for qi, q := range c.classes {
+			what := fmt.Sprintf("%s query %d", name, qi)
+			rows, a, d := groupedOracle(t, c.e, q, what)
+			v := variantQuery(q)
+			vrows, va, vd := groupedOracle(t, c.e, v, what+" variant")
+			absent, distinguished = absent+a+va, distinguished+d+vd
+			p, err := c.e.Compile(q)
 			if err != nil {
-				t.Fatalf("joint=%v query %d: compile: %v", joint, qi, err)
+				t.Fatal(err)
 			}
-			res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
-			if err != nil {
-				t.Fatalf("joint=%v query %d: execute: %v", joint, qi, err)
-			}
-			// ungrouped answers q's aggregate (or COUNT) for one key.
-			ungrouped := func(agg query.AggType, key []float64) AQPGroup {
-				t.Helper()
-				uq := q
-				uq.Aggregate, uq.GroupBy = agg, nil
-				if agg == query.Count {
-					uq.AggColumn = ""
-				}
-				uq.Filters = append([]query.Predicate(nil), q.Filters...)
-				for i, c := range q.GroupBy {
-					uq.Filters = append(uq.Filters, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
-				}
-				r, err := e.ExecuteContext(ctx, uq)
+			for _, chunk := range []int{1, 2, 3, 256} {
+				it, err := p.ExecuteGroupsIter(ctx, ExecOpts{}, q, chunk)
 				if err != nil {
-					t.Fatalf("joint=%v query %d key %v: ungrouped: %v", joint, qi, key, err)
+					t.Fatalf("%s chunk %d: %v", what, chunk, err)
 				}
-				return r.Groups[0]
+				if got := collectIter(t, it); !sameGroups(got, rows) {
+					t.Fatalf("%s chunk %d: streamed %+v, oracle-checked %+v", what, chunk, got, rows)
+				}
 			}
-			rows := res.Groups
-			var answers []AQPGroup // ungrouped answer per emitted row
-			for ki := 0; ki < p.numGroups; ki++ {
-				key := groupKeyAt(p.groupVals, ki, nil)
-				if ungrouped(query.Count, key).Estimate.Value < 0.5 {
-					absent++
-					continue
-				}
-				if len(answers) == len(rows) {
-					t.Fatalf("joint=%v query %d: live key %v was not emitted", joint, qi, key)
-				}
-				row := rows[len(answers)]
-				for k := range key {
-					sameBits(t, "key", row.Key[k], key[k])
-				}
-				want := ungrouped(q.Aggregate, key)
-				if !sameRowBits(row, want) {
-					t.Fatalf("joint=%v query %d key %v: grouped row %+v != ungrouped %+v", joint, qi, key, row, want)
-				}
-				answers = append(answers, want)
+			batch, err := p.ExecuteBatch(ctx, ExecOpts{}, []query.Query{q, v, q})
+			if err != nil {
+				t.Fatalf("%s: batch: %v", what, err)
 			}
-			if len(answers) != len(rows) {
-				t.Fatalf("joint=%v query %d: %d rows emitted, %d keys live", joint, qi, len(rows), len(answers))
-			}
-			for i := range rows {
-				if !sameRowBits(rows[i], answers[(i+1)%len(answers)]) {
-					distinguished++
+			for i, want := range [][]AQPGroup{rows, vrows, rows} {
+				if !sameGroups(batch[i].Groups, want) {
+					t.Fatalf("%s: batch entry %d %+v, oracle-checked %+v", what, i, batch[i].Groups, want)
 				}
 			}
 		}
@@ -201,6 +290,108 @@ func TestGroupedRowsMatchUngroupedQueries(t *testing.T) {
 	}
 	if distinguished == 0 {
 		t.Fatal("every row equals its neighbour's ungrouped answer: the comparison cannot fail")
+	}
+}
+
+// TestDroppedKeyColumnIsVisible is the must-fail twin of the memo: a call
+// that forgets one group column it reads shares its estimator across keys
+// that differ in that column, and the grouped rows must then differ from
+// the oracle-checked ones for some key.
+func TestDroppedKeyColumnIsVisible(t *testing.T) {
+	ctx := context.Background()
+	e := ssbEngine(t)
+	q := ssbGroupedClasses(t)[0] // dates reads d_year, part reads p_mfgr
+	want, _, _ := groupedOracle(t, e, q, "two-column")
+	p, err := e.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ensureExec(); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	visitCalls(p.count, p.sum, p.avg, func(_ *rspn.RSPN, _ []int, k *keyReads) {
+		if len(k.cols) > 0 {
+			k.cols = k.cols[1:]
+			dropped++
+		}
+	})
+	if dropped == 0 {
+		t.Fatal("no call reads a group column: nothing to drop")
+	}
+	p.sharesCalls = true
+	res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameGroups(res.Groups, want) {
+		t.Fatal("dropping a group column from every call's projection changed no row: the oracle cannot see a wrong projection")
+	}
+}
+
+// TestGroupedKeysAscend: every grouped fixture emits its rows in strictly
+// ascending lexicographic key order, from ExecuteQuery and from the
+// iterator at chunk sizes that split the key space — the order the
+// executor relies on instead of sorting.
+func TestGroupedKeysAscend(t *testing.T) {
+	ctx := context.Background()
+	ascending := func(rows []AQPGroup) bool {
+		for i := 1; i < len(rows); i++ {
+			a, b := rows[i-1].Key, rows[i].Key
+			k := 0
+			for k < len(a) && a[k] == b[k] {
+				k++
+			}
+			if k == len(a) || !(a[k] < b[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	_, _, tabs := exactEnsemble(t, true)
+	multi := 0
+	for e, cases := range pruneCases(t) {
+		var qs []query.Query
+		for _, c := range cases {
+			q, err := query.Parse(c.sql, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		if len(cases) > 0 && strings.HasPrefix(cases[0].name, "ssb") {
+			qs = append(qs, ssbGroupedClasses(t)...)
+		} else {
+			qs = append(qs, groupedClasses(tabs)...)
+		}
+		for qi, q := range qs {
+			p, err := e.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ascending(res.Groups) {
+				t.Fatalf("query %d (%s): keys not strictly ascending: %+v", qi, q.String(), res.Groups)
+			}
+			if len(res.Groups) > 1 {
+				multi++
+			}
+			for _, chunk := range []int{1, 3} {
+				it, err := p.ExecuteGroupsIter(ctx, ExecOpts{}, q, chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows := collectIter(t, it); !ascending(rows) {
+					t.Fatalf("query %d (%s) chunk %d: keys not strictly ascending: %+v", qi, q.String(), chunk, rows)
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no fixture emitted two rows: the order was never checked")
 	}
 }
 

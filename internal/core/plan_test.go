@@ -182,4 +182,42 @@ func TestPlanExplainMatchesExecution(t *testing.T) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "bound once") {
+		t.Fatalf("ungrouped plan says how often it binds per key:\n%s", out)
+	}
+}
+
+// TestPlanExplainNamesKeyReads: in a grouped plan every Theorem-1 line says
+// what the executor binds it per — the group columns it reads, or once per
+// key chunk — from the same keyReads the memo uses.
+func TestPlanExplainNamesKeyReads(t *testing.T) {
+	e, _, _ := exactEnsemble(t, false) // Theorem 2: each side reads its own group column
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region, o_channel", []string{
+			"answers sub-join customer; bound once per distinct c_region\n",
+			"answers orders, resolving 1/1 filters; bound once per distinct o_channel\n",
+		}},
+		{"SELECT AVG(c_age) FROM customer JOIN orders WHERE o_channel = 1 GROUP BY c_region", []string{
+			"resolving 1/2 filters; bound once per distinct c_region\n",
+			"answers orders, resolving 1/1 filters; bound once per key chunk\n",
+		}},
+	} {
+		q, err := query.Parse(c.sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Explain()
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: explain output missing %q:\n%s", c.sql, want, out)
+			}
+		}
+	}
 }

@@ -11,8 +11,12 @@ package spn
 // node walk, so evaluating the many expectations a query plan emits (per
 // group key, per Theorem-2 branch, per inclusion-exclusion term, per
 // prepared-statement binding) costs one pass instead of one traversal
-// each. Results are bit-identical to the tree walk's: the flat form
-// performs the same floating-point operations in the same order.
+// each. Within a pass, a leaf computes a moment only where a run of
+// requests with identical queries on its column starts; for a column
+// several leaves read, the runs are found once per pass, not once per
+// leaf. Results are
+// bit-identical to the tree walk's: the flat form performs the same
+// floating-point operations in the same order.
 
 import (
 	"fmt"
@@ -45,8 +49,11 @@ type Compiled struct {
 	counts  [][]float64
 	leaf    []*Leaf // parallel to nodes; nil for internal nodes
 	leafCol []int32 // parallel to nodes; -1 for internal nodes
-	scope   []uint64
-	root    int32
+	// multiLeaf is per column: more than one leaf reads it, so a batch's
+	// runs of identical column queries are worth marking once (leafRow).
+	multiLeaf []bool
+	scope     []uint64
+	root      int32
 
 	// Binned-leaf moment slabs: one contiguous backing array per moment
 	// order, shared by every binned leaf of the model. Each binned leaf's
@@ -73,6 +80,14 @@ func compileTree(root *Node, numCols int) *Compiled {
 	c.root = c.flatten(root)
 	c.childOff = append(c.childOff, int32(len(c.childIdx)))
 	c.buildSlabs()
+	seen := make([]bool, numCols)
+	c.multiLeaf = make([]bool, numCols)
+	for _, col := range c.leafCol {
+		if col >= 0 && int(col) < numCols {
+			c.multiLeaf[col] = seen[col]
+			seen[col] = true
+		}
+	}
 	return c
 }
 
@@ -217,6 +232,7 @@ func (c *Compiled) refreshWeights() {
 // steady-state batch evaluation allocates nothing.
 type evalScratch struct {
 	colRef []int32
+	rep    []bool // parallel to colRef: see EvaluateBatch
 	masks  []uint64
 	union  []uint64
 	active []bool
@@ -270,11 +286,12 @@ func maskIntersects(a, b []uint64) bool {
 // EvaluateBatch evaluates len(reqs) inference requests in one pass over
 // the flat arrays, writing request i's value into out[i]. The pass has
 // three phases: request validation (duplicate/range checks, per-request
-// column bitsets), a top-down sweep marking the nodes any request can
-// reach (subtrees outside the batch's union scope — or behind a
-// zero-weight sum child — are skipped wholesale), and one bottom-up sweep
-// computing all requests' values per active node. Per-request skipping at
-// product nodes mirrors the tree walk's scopeTouches check exactly.
+// column bitsets, runs of identical column queries), a top-down sweep
+// marking the nodes any request can reach (subtrees outside the batch's
+// union scope — or behind a zero-weight sum child — are skipped
+// wholesale), and one bottom-up sweep computing all requests' values per
+// active node. Per-request skipping at product nodes mirrors the tree
+// walk's scopeTouches check exactly.
 //
 //deepdb:nocancel tight compiled kernel over one bounded batch; cancellation belongs between batches at the caller
 func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
@@ -328,6 +345,32 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 			union[k] |= masks[b*w+k]
 		}
 	}
+	// Adjacent requests in a plan batch often constrain a column
+	// identically (GROUP BY bindings share every filter but the group key;
+	// variance requests share every range). rep[col*nb+b] marks request b
+	// as repeating the column query that opened the current run on col. It
+	// is decided here, once per column more than one leaf reads
+	// (multiLeaf), so each of those leaves computes a moment only where a
+	// run starts and copies it otherwise; a column's only leaf finds the
+	// runs as it goes (leafRow).
+	rep := grow(&sc.rep, c.numCols*nb)
+	for col := 0; col < c.numCols; col++ {
+		if !c.multiLeaf[col] || union[col>>6]&(1<<(uint(col)&63)) == 0 {
+			continue
+		}
+		var run *ColQuery
+		for b, ref := range colRef[col*nb : col*nb+nb] {
+			if ref < 0 {
+				continue
+			}
+			q := &reqs[b].Cols[ref]
+			same := run != nil && sameColQuery(run, q)
+			if !same {
+				run = q
+			}
+			rep[col*nb+b] = same
+		}
+	}
 
 	// Top-down reachability: in postorder, iterating from the end visits
 	// every parent before its children.
@@ -375,9 +418,9 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 				break
 			}
 		}
-		c.bottomUpOneWord(reqs, colRef, masks, union[0], active, vals, uniform, sc)
+		c.bottomUpOneWord(reqs, colRef, rep, masks, union[0], active, vals, uniform, sc)
 	} else {
-		c.bottomUpGeneric(reqs, colRef, masks, union, active, vals)
+		c.bottomUpGeneric(reqs, colRef, rep, masks, union, active, vals)
 	}
 
 	rootBase := int(c.root) * nb
@@ -391,9 +434,48 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 	return nil
 }
 
+// leafRow fills leaf node i's value row: 1 where a request leaves the
+// leaf's column unconstrained, a fresh moment where a run of identical
+// column queries starts, and the run's moment where it continues. A
+// multiLeaf column's runs are already marked in rep; the only leaf of a
+// column finds them itself with sameColQuery.
+func (c *Compiled) leafRow(i, col int, reqs []Request, colRef []int32, rep []bool, row []float64) {
+	nb := len(reqs)
+	refs := colRef[col*nb : col*nb+nb]
+	lf := c.leaf[i]
+	var v float64
+	if c.multiLeaf[col] {
+		marks := rep[col*nb : col*nb+nb]
+		for b, ref := range refs {
+			switch {
+			case ref < 0:
+				row[b] = 1
+			case !marks[b]:
+				v = lf.moment(&reqs[b].Cols[ref])
+				row[b] = v
+			default:
+				row[b] = v
+			}
+		}
+		return
+	}
+	var run *ColQuery
+	for b, ref := range refs {
+		if ref < 0 {
+			row[b] = 1
+			continue
+		}
+		q := &reqs[b].Cols[ref]
+		if run == nil || !sameColQuery(run, q) {
+			run, v = q, lf.moment(q)
+		}
+		row[b] = v
+	}
+}
+
 // bottomUpGeneric is the reference bottom-up sweep for models with more
 // than 64 columns (multi-word scope bitsets).
-func (c *Compiled) bottomUpGeneric(reqs []Request, colRef []int32, masks, union []uint64, active []bool, vals []float64) {
+func (c *Compiled) bottomUpGeneric(reqs []Request, colRef []int32, rep []bool, masks, union []uint64, active []bool, vals []float64) {
 	nb := len(reqs)
 	w := c.words
 	n := len(c.kind)
@@ -414,25 +496,7 @@ func (c *Compiled) bottomUpGeneric(reqs []Request, colRef []int32, masks, union 
 				}
 				continue
 			}
-			lf := c.leaf[i]
-			colBase := col * nb
-			// Adjacent requests in a plan batch frequently constrain a
-			// column identically (GROUP BY bindings share every filter but
-			// the group key; variance requests share every range): reuse
-			// the previous moment when the column query is equal.
-			var prevQ *ColQuery
-			var prevV float64
-			for b := 0; b < nb; b++ {
-				if ref := colRef[colBase+b]; ref >= 0 {
-					q := &reqs[b].Cols[ref]
-					if prevQ == nil || !sameColQuery(prevQ, q) {
-						prevQ, prevV = q, lf.moment(q)
-					}
-					row[b] = prevV
-				} else {
-					row[b] = 1
-				}
-			}
+			c.leafRow(i, col, reqs, colRef, rep, row)
 		case ProductKind:
 			for b := 0; b < nb; b++ {
 				m := masks[b*w : b*w+w]
@@ -458,8 +522,8 @@ func (c *Compiled) bottomUpGeneric(reqs []Request, colRef []int32, masks, union 
 // bottomUpOneWord is the bottom-up sweep specialized for single-word scope
 // bitsets; with a uniform batch mask it additionally resolves product
 // nodes' reachable children once per node (sc.kept) instead of per
-// request.
-func (c *Compiled) bottomUpOneWord(reqs []Request, colRef []int32, masks []uint64, union uint64, active []bool, vals []float64, uniform bool, sc *evalScratch) {
+// request. Leaves fill their rows with leafRow, as in bottomUpGeneric.
+func (c *Compiled) bottomUpOneWord(reqs []Request, colRef []int32, rep []bool, masks []uint64, union uint64, active []bool, vals []float64, uniform bool, sc *evalScratch) {
 	nb := len(reqs)
 	n := len(c.kind)
 	for i := 0; i < n; i++ {
@@ -478,21 +542,7 @@ func (c *Compiled) bottomUpOneWord(reqs []Request, colRef []int32, masks []uint6
 				}
 				continue
 			}
-			lf := c.leaf[i]
-			colBase := col * nb
-			var prevQ *ColQuery
-			var prevV float64
-			for b := 0; b < nb; b++ {
-				if ref := colRef[colBase+b]; ref >= 0 {
-					q := &reqs[b].Cols[ref]
-					if prevQ == nil || !sameColQuery(prevQ, q) {
-						prevQ, prevV = q, lf.moment(q)
-					}
-					row[b] = prevV
-				} else {
-					row[b] = 1
-				}
-			}
+			c.leafRow(i, col, reqs, colRef, rep, row)
 		case ProductKind:
 			if uniform {
 				// One shared mask: the per-request scope checks collapse

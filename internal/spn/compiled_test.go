@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -176,6 +177,45 @@ func TestCompiledMatchesTreeRandom(t *testing.T) {
 			reqs[i] = randomRequest(rng, numCols)
 		}
 		assertBatchMatchesTree(t, s, reqs, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// TestCompiledMatchesTreeRuns: batches shaped like a plan's, where each
+// request repeats its predecessor's query on most columns — in the same
+// range slice or an equal copy — leaves some unconstrained, or starts
+// afresh. Every leaf of a column reuses one moment across each run, and
+// values stay bit-identical to the tree walk, on models whose columns are
+// read by several leaves.
+func TestCompiledMatchesTreeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	multi := 0
+	for trial := 0; trial < 200; trial++ {
+		numCols := 1 + rng.Intn(6)
+		s := randomSPN(rng, numCols)
+		if slices.Contains(s.Compiled().multiLeaf, true) {
+			multi++
+		}
+		reqs := make([]Request, 2+rng.Intn(12))
+		reqs[0] = randomRequest(rng, numCols)
+		for i := 1; i < len(reqs); i++ {
+			if rng.Intn(4) == 0 {
+				reqs[i] = randomRequest(rng, numCols)
+				continue
+			}
+			for _, cq := range reqs[i-1].Cols {
+				switch rng.Intn(4) {
+				case 0: // unconstrained in this request
+					continue
+				case 1:
+					cq.Ranges = append([]Range(nil), cq.Ranges...)
+				}
+				reqs[i].Cols = append(reqs[i].Cols, cq)
+			}
+		}
+		assertBatchMatchesTree(t, s, reqs, fmt.Sprintf("trial %d", trial))
+	}
+	if multi == 0 {
+		t.Fatal("no model read a column from two leaves: the run marks never ran")
 	}
 }
 

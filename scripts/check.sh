@@ -137,8 +137,9 @@ echo "== allocation budgets =="
 # Counts are noise-free where a ns/op guard on this box was not (an
 # untouched kernel read 768-1202 ns against its 848 ns baseline). The
 # tests skip themselves under the race detector, so the suite above does
-# not hold them; this run does.
-go test -run '^TestAllocBudgets$' -count=1 . ./internal/spn ./internal/core ./cmd/deepdb
+# not hold them; this run does. TestGroupByRequestCounts pins, just as
+# exactly, the SPN requests a grouped execution evaluates per RSPN.
+go test -run '^(TestAllocBudgets|TestGroupByRequestCounts)$' -count=1 . ./internal/spn ./internal/core ./cmd/deepdb
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
