@@ -15,12 +15,13 @@
 // The schema file is JSON in the shape of deepdb.Schema; query-side
 // commands read the schema and per-table statistics persisted inside the
 // model file, so the model alone is enough to serve estimates — no data
-// directory needed. Pass -data (one <table>.csv per table with a header
-// row) only for string-literal predicates (dictionary lookup) and -truth.
+// directory needed, string-literal predicates included. Pass -data (one
+// <table>.csv per table with a header row) only for -truth; tables whose
+// categorical dictionaries disagree with the model's are refused.
 // `estimate` prints a cardinality with its confidence interval; `query`
 // prints the approximate result (with group keys decoded through the
-// dictionaries when data is attached); `explain` prints the execution
-// plan without running the query.
+// model's dictionaries); `explain` prints the execution plan without
+// running the query.
 package main
 
 import (
@@ -132,8 +133,8 @@ func cmdQuery(ctx context.Context, args []string, mode queryMode) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The model file carries the statistics query serving needs; -data is
-	// only required for string-literal dictionaries and -truth.
+	// The model file carries the statistics and dictionaries query serving
+	// needs; -data is only required for -truth.
 	if *sql == "" {
 		return fmt.Errorf("-sql is required")
 	}

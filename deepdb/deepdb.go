@@ -186,9 +186,11 @@ func LearnDataset(ctx context.Context, s *Schema, data Dataset, opts ...Option) 
 // disjunctions, outer joins, string-literal predicates — entirely from the
 // model. Base tables may still be reattached from WithDataDir (CSVs
 // located with the schema persisted in the model) or WithDataset; they are
-// needed only for updates and exact execution. Model files written in an
-// older format version are rejected with a clear error; re-learn and
-// re-save them.
+// needed only for updates and exact execution, and must encode every
+// categorical label the model learned with the model's code (a dictionary
+// may extend past the model's), or Open refuses them. Model files written
+// in an older format version are rejected with a clear error; re-learn
+// and re-save them.
 func Open(ctx context.Context, modelPath string, opts ...Option) (*DB, error) {
 	cfg := defaultConfig()
 	cfg.apply(opts)
@@ -408,9 +410,9 @@ func (db *DB) Model(table string) *rspn.RSPN { return db.snapshotNow().ens.RSPNF
 func (db *DB) Generation() uint64 { return db.snapshotNow().gen }
 
 // Parse compiles the SQL subset DeepDB supports into a structured query,
-// resolving string literals through the dictionaries (live base tables
-// when attached, the dictionaries persisted in the model otherwise). `?`
-// placeholders parse into parameter markers — see Prepare.
+// resolving string literals through the dictionaries persisted in the
+// model, with or without base tables attached. `?` placeholders parse
+// into parameter markers — see Prepare.
 func (db *DB) Parse(sql string) (query.Query, error) {
 	return query.Parse(sql, resolver(db.snapshotNow().ens))
 }
@@ -584,11 +586,11 @@ func errClosed() error {
 	return fmt.Errorf("deepdb: database closed")
 }
 
-// resolver maps string literals in predicates to dictionary codes —
-// through the live base tables when attached, through the dictionaries
-// persisted in the model (format v3) otherwise, so string predicates work
-// in model-only serving. Bound to one snapshot's ensemble: safe without
-// locks.
+// resolver maps string literals in predicates to codes of the
+// dictionaries persisted in the model (format v3) — the only dictionaries:
+// attached tables must agree with them — so string predicates answer the
+// same with and without data. Bound to one snapshot's ensemble: safe
+// without locks.
 func resolver(ens *ensemble.Ensemble) query.Resolver {
 	return func(column, literal string) (float64, error) {
 		code, found, known := ens.ResolveLabel(column, literal)
@@ -632,8 +634,7 @@ func wrapEstimate(est core.Estimate, level float64) Estimate {
 }
 
 // decodeKey renders each component of a group key, decoding categorical
-// codes through the dictionaries (live base tables when attached, the
-// model's persisted dictionaries otherwise).
+// codes through the model's persisted dictionaries.
 func decodeKey(ens *ensemble.Ensemble, cols []string, key []float64) []string {
 	if len(key) == 0 {
 		return nil

@@ -64,6 +64,27 @@ func fixture(rows int, seed int64) (*deepdb.Schema, deepdb.Dataset) {
 	return s, deepdb.Dataset{"customer": cust, "orders": ord}
 }
 
+// swappedFixture is fixture(rows, seed) with the c_region dictionary in
+// the other order: every customer keeps its region, but ASIA and EU
+// trade codes.
+func swappedFixture(rows int, seed int64) (*deepdb.Schema, deepdb.Dataset) {
+	s, data := fixture(rows, seed)
+	src := data["customer"]
+	from := src.Column("c_region")
+	cust := deepdb.NewTable(s.Table("customer"))
+	to := cust.Column("c_region")
+	for code := from.DictSize() - 1; code >= 0; code-- {
+		to.Encode(from.Decode(code))
+	}
+	for i := 0; i < src.NumRows(); i++ {
+		label := from.Decode(int(from.Get(i).F))
+		cust.AppendRow(src.Column("c_id").Get(i), src.Column("c_age").Get(i),
+			deepdb.Float(float64(to.Encode(label))))
+	}
+	data["customer"] = cust
+	return s, data
+}
+
 // TestRoundTrip checks learn -> save -> open -> query equality: the
 // reopened model must produce byte-identical estimates.
 func TestRoundTrip(t *testing.T) {
@@ -179,10 +200,10 @@ func TestOpenRejectsOldModelFile(t *testing.T) {
 
 // TestModelOnlyMatchesAttached is the data-free serving contract: on a
 // fixed-seed workload spanning every compilation case (single-RSPN,
-// superset, Theorem-2 combination), GROUP BY, disjunctions and outer
-// joins, a model opened without data — with the parallel query path on —
-// must produce estimates identical to the data-attached DB it was saved
-// from.
+// superset, Theorem-2 combination), GROUP BY, disjunctions, outer joins,
+// string literals and string parameters, a model opened without data —
+// with the parallel query path on — must produce estimates and group
+// labels identical to the data-attached DB it was saved from.
 func TestModelOnlyMatchesAttached(t *testing.T) {
 	ctx := context.Background()
 	workload := []query.Query{
@@ -229,13 +250,10 @@ func TestModelOnlyMatchesAttached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Group-key labels are decoded through the base-table
-			// dictionaries, which only exist with data attached; compare
-			// keys and estimates, not display labels.
 			norm := func(r deepdb.Result) string {
 				var b strings.Builder
 				for _, g := range r.Groups {
-					fmt.Fprintf(&b, "%v %v %v %v %v; ", g.Key, g.Value, g.Variance, g.CILow, g.CIHigh)
+					fmt.Fprintf(&b, "%v %q %v %v %v %v; ", g.Key, g.Labels, g.Value, g.Variance, g.CILow, g.CIHigh)
 				}
 				return b.String()
 			}
@@ -252,7 +270,194 @@ func TestModelOnlyMatchesAttached(t *testing.T) {
 					t.Fatalf("query %d mismatch\n  attached:   %v\n  model-only: %v", i, a, b)
 				}
 			}
+			for _, sql := range []string{
+				"SELECT COUNT(*) FROM customer WHERE c_region = 'EU'",
+				"SELECT AVG(o_amount) FROM customer JOIN orders WHERE c_region = 'ASIA' GROUP BY c_region",
+				"SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region",
+			} {
+				a, err := db.Query(ctx, sql)
+				if err != nil {
+					t.Fatalf("%s attached: %v", sql, err)
+				}
+				b, err := modelOnly.Query(ctx, sql)
+				if err != nil {
+					t.Fatalf("%s model-only: %v", sql, err)
+				}
+				if norm(a) != norm(b) {
+					t.Fatalf("%s mismatch\n  attached:   %v\n  model-only: %v", sql, a, b)
+				}
+			}
+			const prepared = "SELECT COUNT(*) FROM customer JOIN orders WHERE c_region = ? AND c_age < ?"
+			for _, region := range []string{"EU", "ASIA"} {
+				var got [2]deepdb.Result
+				for j, d := range []*deepdb.DB{db, modelOnly} {
+					stmt, err := d.Prepare(prepared)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[j], err = stmt.Exec(ctx, region, 40); err != nil {
+						t.Fatalf("Exec(%q, 40): %v", region, err)
+					}
+				}
+				if norm(got[0]) != norm(got[1]) {
+					t.Fatalf("prepared %q mismatch\n  attached:   %v\n  model-only: %v", region, got[0], got[1])
+				}
+			}
 		})
+	}
+}
+
+// TestOpenRefusesDisagreeingDictionaries: tables attached to a model must
+// give every code the model's label, or string literals would answer for
+// the wrong region. Open refuses the same rows with the c_region
+// dictionary in the other order, and the error names the column. Its
+// twin, the same rows in the model's order, attaches and answers like the
+// learned model.
+func TestOpenRefusesDisagreeingDictionaries(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(2000, 11)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.deepdb")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM customer WHERE c_region = 'EU'"
+	want, err := db.EstimateCardinality(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, same := fixture(2000, 11)
+	attached, err := deepdb.Open(ctx, path, deepdb.WithDataset(same))
+	if err != nil {
+		t.Fatalf("Open over the learned rows: %v", err)
+	}
+	if got, err := attached.EstimateCardinality(ctx, sql); err != nil || got.Value != want.Value {
+		t.Fatalf("attached estimate = %v, %v; want %v", got.Value, err, want.Value)
+	}
+
+	_, swapped := swappedFixture(2000, 11)
+	_, err = deepdb.Open(ctx, path, deepdb.WithDataset(swapped))
+	if err == nil || !strings.Contains(err.Error(), "attached table customer: column c_region encodes") {
+		t.Fatalf("Open over a swapped dictionary: err = %v, want a refusal naming customer.c_region", err)
+	}
+}
+
+// TestReloadRefusesDisagreeingModel: Reload attaches the serving tables
+// to the new model, so a model learned over the same rows with the
+// c_region dictionary in the other order is refused, and the old model
+// keeps serving at the same generation with the same answers.
+func TestReloadRefusesDisagreeingModel(t *testing.T) {
+	ctx := context.Background()
+	s, data := fixture(2000, 11)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, swapped := swappedFixture(2000, 11)
+	other, err := deepdb.LearnDataset(ctx, s2, swapped, deepdb.WithMaxSamples(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "swapped.deepdb")
+	if err := other.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM customer GROUP BY c_region"
+	before, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := db.Generation()
+	if err := db.Reload(path); err == nil || !strings.Contains(err.Error(), "column c_region") {
+		t.Fatalf("Reload of a swapped-dictionary model: err = %v, want a refusal naming c_region", err)
+	}
+	if db.Generation() != gen {
+		t.Fatalf("generation moved %d -> %d on a refused Reload", gen, db.Generation())
+	}
+	after, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("answers changed on a refused Reload\n  before: %v\n  after:  %v", before, after)
+	}
+}
+
+// TestConcurrentLabelsUnderWrites: readers resolve string literals and
+// string parameters and decode GROUP BY labels while a writer inserts and
+// flushes; under -race every read sees the model's labels.
+func TestConcurrentLabelsUnderWrites(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	s, data := fixture(800, 12)
+	db, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eu, err := db.ResolveLabel("c_region", "EU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := db.Prepare("SELECT COUNT(*) FROM customer WHERE c_region = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, inserts = 4, 60
+	var wg sync.WaitGroup
+	errc := make(chan error, readers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < inserts; i++ {
+			err := db.Insert("customer", map[string]deepdb.Value{
+				"c_id":     deepdb.Int(1_000_000 + i),
+				"c_age":    deepdb.Int(30),
+				"c_region": deepdb.Float(eu),
+			})
+			if err == nil && i%15 == 14 {
+				err = db.Flush(ctx)
+			}
+			if err != nil {
+				errc <- fmt.Errorf("writer row %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				if _, err := db.Query(ctx, "SELECT COUNT(*) FROM customer WHERE c_region = 'ASIA'"); err != nil {
+					errc <- fmt.Errorf("reader %d literal: %w", r, err)
+					return
+				}
+				if _, err := stmt.Exec(ctx, "EU"); err != nil {
+					errc <- fmt.Errorf("reader %d parameter: %w", r, err)
+					return
+				}
+				res, err := db.Query(ctx, "SELECT COUNT(*) FROM customer GROUP BY c_region")
+				if err != nil {
+					errc <- fmt.Errorf("reader %d group by: %w", r, err)
+					return
+				}
+				for _, g := range res.Groups {
+					if l := g.Labels[0]; l != "EU" && l != "ASIA" {
+						errc <- fmt.Errorf("reader %d: group %v decoded as %q", r, g.Key, l)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
 

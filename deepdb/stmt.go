@@ -26,9 +26,8 @@ import (
 // one consistent model state, never a half-applied update.
 //
 // Parameters may be numbers (any int/uint/float type) or strings; strings
-// are resolved through the dictionary of the placeholder's column at
-// execution time, which works model-only via the dictionaries persisted in
-// the model file.
+// are resolved at execution time through the dictionary the model file
+// persists for the placeholder's column, with or without data attached.
 type Stmt struct {
 	db      *DB
 	q       query.Query

@@ -208,9 +208,10 @@ func (db *DB) Save(path string) error {
 // part is published with its ops token preserved, and the DB recomposes
 // only after the last one — all-old or all-new, never a mix. Pending
 // updates are flushed into the old model first (they were acked against
-// it); the current base tables, if any, are carried over so
-// updates and exact execution keep working. Writers are held off only for
-// the swap itself (attaching the tables and publishing), not while the
+// it); the current base tables, if any, are carried over so updates and
+// exact execution keep working, and a model whose dictionaries disagree
+// with them is refused (see Open). Writers are held off only for the swap
+// itself (attaching the tables and publishing), not while the
 // model file is read or the queues drain. A partitioned DB keeps its
 // partition, so the new model must have the serving one's member count.
 // On any error the old model keeps serving.

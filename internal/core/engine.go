@@ -420,9 +420,9 @@ func sortedTables(tables []string, mask uint64) []string {
 }
 
 // columnOwner returns which of the tables owns the column ("" if none).
-// Ownership resolves through the ensemble's persisted statistics (falling
-// back to live tables, then schema metadata), so model-only serving
-// classifies filters exactly like the data-attached path.
+// Ownership resolves through the ensemble's persisted statistics only, so
+// model-only serving classifies filters exactly like the data-attached
+// path.
 func (e *Engine) columnOwner(col string, tables []string) string {
 	for _, tn := range tables {
 		if e.Ens.TableHasColumn(tn, col) {

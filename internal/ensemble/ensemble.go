@@ -79,10 +79,33 @@ type TableStats struct {
 	// tuple-factor columns added during construction.
 	Columns []string
 	// Dicts maps each categorical column to its dictionary (strings
-	// indexed by code), so string-literal predicates resolve and group-by
-	// labels decode without the base tables attached. Refreshed from the
-	// live dictionaries on every Save (inserts can extend them).
+	// indexed by code). It is the model's only dictionary: string-literal
+	// predicates resolve and group-by labels decode through it whether or
+	// not base tables are attached, AttachTables refuses tables whose
+	// dictionaries disagree with it, and updates never extend it (a
+	// Mutation carries codes).
 	Dicts map[string][]string
+
+	// codes indexes Dicts, label to code per column. It is built once
+	// where the statistics are made (captureStats, Load) and shared by
+	// every copy-on-write clone; gob skips it.
+	codes map[string]map[string]int
+}
+
+// indexDicts builds the label-to-code index of the snapshot's
+// dictionaries. A label listed twice resolves to its first code.
+func (st *TableStats) indexDicts() {
+	st.codes = make(map[string]map[string]int, len(st.Dicts))
+	//deepdb:orderinvariant builds independent per-column index entries; no cross-iteration state
+	for col, dict := range st.Dicts {
+		idx := make(map[string]int, len(dict))
+		for code, label := range dict {
+			if _, dup := idx[label]; !dup {
+				idx[label] = code
+			}
+		}
+		st.codes[col] = idx
+	}
 }
 
 // HasColumn reports whether the snapshot lists the named column.
@@ -107,10 +130,10 @@ type Ensemble struct {
 	// PairDep maps "tableA|tableB" (sorted) to the dependency value (max
 	// attribute RDC) between the two tables.
 	PairDep map[string]float64
-	// Stats holds per-table cardinalities and column sets, captured at
-	// construction, persisted with the model and maintained under
-	// updates. It is the query engine's source of truth for table sizes
-	// and column ownership, so serving works without base tables.
+	// Stats holds per-table cardinalities, column sets and dictionaries,
+	// captured at construction, persisted with the model and maintained
+	// under updates. It is the only source of table sizes, column
+	// ownership and labels, so serving never reads the base tables.
 	Stats map[string]TableStats
 	// BuildTime records how long construction took.
 	BuildTime time.Duration
@@ -476,8 +499,8 @@ func (e *Ensemble) RSPNFor(tableName string) *rspn.RSPN {
 }
 
 // captureStats snapshots per-table cardinalities, column sets and
-// categorical dictionaries from the live base tables (call after
-// tuple-factor augmentation). A no-op without attached tables.
+// categorical dictionaries from the base tables (call after tuple-factor
+// augmentation). A no-op without tables.
 func (e *Ensemble) captureStats() {
 	if e.Tables == nil {
 		return
@@ -485,11 +508,13 @@ func (e *Ensemble) captureStats() {
 	e.Stats = make(map[string]TableStats, len(e.Tables))
 	//deepdb:orderinvariant builds independent per-table map entries; no cross-iteration state
 	for name, t := range e.Tables {
-		e.Stats[name] = TableStats{
+		st := TableStats{
 			Rows:    float64(t.NumRows()),
 			Columns: append([]string(nil), t.ColumnNames()...),
 			Dicts:   captureDicts(t),
 		}
+		st.indexDicts()
+		e.Stats[name] = st
 	}
 }
 
@@ -508,64 +533,37 @@ func captureDicts(t *table.Table) map[string][]string {
 	return out
 }
 
-// firstOwner returns the value under the smallest key of m that owns
-// accepts — "the first table, in name order, owning the column", so when
-// several qualify the answer is stable across runs. One pass, nothing
-// allocated and nothing sorted: string literals and result cells are
-// resolved through it one at a time.
-func firstOwner[V any](m map[string]V, owns func(V) bool) (best V, ok bool) {
+// firstOwner returns the statistics of the first table, in name order,
+// that owns accepts, so when several qualify the answer is stable across
+// runs. One pass, nothing allocated and nothing sorted: string literals
+// and result cells are resolved through it one at a time.
+func firstOwner(stats map[string]TableStats, owns func(TableStats) bool) (best TableStats, ok bool) {
 	var bestName string
 	//deepdb:orderinvariant a minimum over the keys is the same in every visit order
-	for name, v := range m {
-		if (!ok || name < bestName) && owns(v) {
-			best, bestName, ok = v, name, true
+	for name, st := range stats {
+		if (!ok || name < bestName) && owns(st) {
+			best, bestName, ok = st, name, true
 		}
 	}
 	return best, ok
 }
 
-// ResolveLabel maps a string literal on a column to its dictionary code —
-// through the live base table when attached, through the persisted
-// dictionaries otherwise. known reports whether any table owns the column;
-// found whether the literal exists in its dictionary. When several tables
-// own the column the first in name order decides.
+// ResolveLabel maps a string literal on a column to its code in the
+// model's dictionary. known reports whether any table owns the column;
+// found whether the literal is in its dictionary. When several tables own
+// the column the first in name order decides.
 //
-//deepdb:nocancel scans one categorical dictionary per lookup, bounded by the distinct labels of a single column
+//deepdb:nocancel one map probe per table of the schema, plus one into the owner's label index
 func (e *Ensemble) ResolveLabel(column, literal string) (code float64, found, known bool) {
-	if e.Tables != nil {
-		t, known := firstOwner(e.Tables, func(t *table.Table) bool { return t.Column(column) != nil })
-		if !known {
-			return 0, false, false
-		}
-		if code := t.Column(column).Lookup(literal); code >= 0 {
-			return float64(code), true, true
-		}
-		return 0, false, true
-	}
 	st, known := firstOwner(e.Stats, func(st TableStats) bool { return st.HasColumn(column) })
-	for code, s := range st.Dicts[column] {
-		if s == literal {
-			return float64(code), true, true
-		}
-	}
-	return 0, false, known
+	c, found := st.codes[column][literal]
+	return float64(c), found, known
 }
 
-// DecodeLabel renders a dictionary code of a categorical column as its
-// string, preferring the live base table and falling back to the
-// persisted dictionaries. Returns "" when the column has no dictionary or
-// the code is out of range.
+// DecodeLabel renders a code of a categorical column as its label in the
+// model's dictionary. Returns "" when the column has no dictionary or the
+// code is out of range.
 func (e *Ensemble) DecodeLabel(column string, code int) string {
-	if e.Tables != nil {
-		t, ok := firstOwner(e.Tables, func(t *table.Table) bool {
-			c := t.Column(column)
-			return c != nil && c.DictSize() > 0
-		})
-		if !ok {
-			return ""
-		}
-		return t.Column(column).Decode(code)
-	}
 	st, _ := firstOwner(e.Stats, func(st TableStats) bool { return len(st.Dicts[column]) > 0 })
 	if dict := st.Dicts[column]; code >= 0 && code < len(dict) {
 		return dict[code]
@@ -581,45 +579,17 @@ func (e *Ensemble) statsRowDelta(tableName string, d float64) {
 	}
 }
 
-// TableRows returns the table's current cardinality: the persisted
-// statistic (maintained exactly under Insert/Delete) when present, falling
-// back to the live table's row count for ensembles without a snapshot.
+// TableRows returns the table's current cardinality, as maintained
+// exactly under Insert/Delete.
 func (e *Ensemble) TableRows(tableName string) (float64, bool) {
-	if st, ok := e.Stats[tableName]; ok {
-		return st.Rows, true
-	}
-	if t := e.Tables[tableName]; t != nil {
-		return float64(t.NumRows()), true
-	}
-	return 0, false
+	st, ok := e.Stats[tableName]
+	return st.Rows, ok
 }
 
-// TableHasColumn reports whether the named base table owns the column.
-// Resolution order: the persisted statistics snapshot (complete, includes
-// synthetic tuple-factor columns), then the live table, then the schema —
-// declared columns plus the tuple-factor columns of relationships the
-// table is the One side of. The fallbacks keep pre-stats ensembles
-// (NewManual without tables) working.
+// TableHasColumn reports whether the named base table owns the column,
+// synthetic tuple-factor columns included.
 func (e *Ensemble) TableHasColumn(tableName, col string) bool {
-	if st, ok := e.Stats[tableName]; ok {
-		return st.HasColumn(col)
-	}
-	if t := e.Tables[tableName]; t != nil {
-		return t.Column(col) != nil
-	}
-	meta := e.Schema.Table(tableName)
-	if meta == nil {
-		return false
-	}
-	if _, ok := meta.Column(col); ok {
-		return true
-	}
-	for _, rel := range e.Schema.Relationships() {
-		if rel.One == tableName && table.TupleFactorColumn(rel) == col {
-			return true
-		}
-	}
-	return false
+	return e.Stats[tableName].HasColumn(col)
 }
 
 // Describe returns a human-readable ensemble summary, including the

@@ -47,11 +47,9 @@ type persisted struct {
 }
 
 // Save writes the ensemble's models and statistics to w in gob format,
-// prefixed by a versioned header. The persisted statistics carry the
-// current categorical dictionaries: when base tables are attached, the
-// snapshot is refreshed from the live dictionaries (inserts can have
-// extended them since the last capture) without mutating e.Stats — the
-// facade calls Save under a read lock shared with concurrent queries.
+// prefixed by a versioned header. The statistics are written as they are:
+// they carry the model's only dictionaries, which attached tables can
+// never change.
 func (e *Ensemble) Save(w io.Writer) error {
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(fileHeader{Magic: modelMagic, Version: modelVersion}); err != nil {
@@ -62,36 +60,17 @@ func (e *Ensemble) Save(w io.Writer) error {
 		RSPNs:   e.RSPNs,
 		AttrRDC: e.AttrRDC,
 		PairDep: e.PairDep,
-		Stats:   e.persistStats(),
+		Stats:   e.Stats,
 		Config:  e.cfg,
 	})
 }
 
-// persistStats returns the statistics to serialize: the maintained
-// snapshot, with dictionaries re-captured from the live tables when
-// attached.
-func (e *Ensemble) persistStats() map[string]TableStats {
-	if e.Tables == nil {
-		return e.Stats
-	}
-	out := make(map[string]TableStats, len(e.Stats))
-	//deepdb:orderinvariant map-to-map copy with per-key rewrites; independent of visit order
-	for name, st := range e.Stats {
-		if t := e.Tables[name]; t != nil {
-			st.Dicts = captureDicts(t)
-		}
-		out[name] = st
-	}
-	return out
-}
-
-// Load reads an ensemble written by Save and reattaches the live base
-// tables (which must already carry their tuple-factor columns; pass the
-// same tables that Build produced, or freshly loaded ones). tables may be
-// nil: the persisted per-table statistics then stand in for the data —
-// every query class keeps working — and AttachTables can supply the data
+// Load reads an ensemble written by Save and, when tables is non-nil,
+// attaches them (see AttachTables). A model file must carry statistics
+// for every schema table: they answer every query class, so with tables
+// nil the model serves on its own, and AttachTables can supply the data
 // later (e.g. once the model's own schema has been used to locate the CSV
-// files) to re-enable updates and exact execution.
+// files) to enable updates and exact execution.
 func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 	dec := gob.NewDecoder(r)
 	var hdr fileHeader
@@ -111,7 +90,23 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("ensemble: decoding: %w", err)
 	}
+	if p.Schema == nil {
+		return nil, fmt.Errorf("ensemble: model file has no schema")
+	}
+	// The statistics are the only source of table sizes, column
+	// ownership and labels: every schema table needs its entry.
+	for _, meta := range p.Schema.Tables {
+		st, ok := p.Stats[meta.Name]
+		if !ok {
+			return nil, fmt.Errorf("ensemble: model file has no statistics for table %s", meta.Name)
+		}
+		st.indexDicts()
+		p.Stats[meta.Name] = st
+	}
 	for _, m := range p.RSPNs {
+		if m.Model == nil || m.Model.Root == nil {
+			return nil, fmt.Errorf("ensemble: invalid model after load: an RSPN over %v has no model", m.Tables)
+		}
 		if err := m.Model.Root.Validate(); err != nil {
 			return nil, fmt.Errorf("ensemble: invalid model after load: %w", err)
 		}
@@ -138,19 +133,25 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 	return e, nil
 }
 
-// AttachTables (re)attaches live base tables to a loaded ensemble. Freshly
-// loaded base tables (e.g. from CSV) lack the synthetic tuple-factor
-// columns Build added; they are re-derived here so updates keep working
-// after a load — the tables handed in are augmented in place with __fk_*
-// columns, as Build does. The persisted statistics stay authoritative for
-// query serving; they are only (re)captured when the ensemble has none.
-// The write index starts afresh over the tables, and the tombstones the
-// tables record keep deleted rows deleted — Reload re-attaching the
-// serving tables included.
+// AttachTables (re)attaches live base tables to a loaded ensemble, for
+// updates and exact execution; query serving keeps reading the model's
+// statistics. Every categorical column of the tables must encode the
+// model's labels with the model's codes — its dictionary begins with the
+// model's, and may extend past it — or the tables are refused before
+// anything changes. Freshly loaded base tables (e.g. from CSV) lack the
+// synthetic tuple-factor columns Build added; they are re-derived here so
+// updates keep working after a load — the tables handed in are augmented
+// in place with __fk_* columns, as Build does. The write index starts
+// afresh over the tables, and the tombstones the tables record keep
+// deleted rows deleted — Reload re-attaching the serving tables included.
 func (e *Ensemble) AttachTables(tables map[string]*table.Table) error {
 	for _, meta := range e.Schema.Tables {
-		if tables[meta.Name] == nil {
+		t := tables[meta.Name]
+		if t == nil {
 			return fmt.Errorf("ensemble: missing base table %s", meta.Name)
+		}
+		if err := e.agreeDicts(meta, t); err != nil {
+			return err
 		}
 	}
 	for _, rel := range e.Schema.Relationships() {
@@ -166,8 +167,30 @@ func (e *Ensemble) AttachTables(tables map[string]*table.Table) error {
 	}
 	e.Tables = tables
 	e.idx = newWriteIndex()
-	if len(e.Stats) == 0 {
-		e.captureStats()
+	return nil
+}
+
+// agreeDicts checks that every categorical column of t gives each code
+// the label the model's dictionary gives it.
+func (e *Ensemble) agreeDicts(meta *schema.Table, t *table.Table) error {
+	dicts := e.Stats[meta.Name].Dicts
+	for _, col := range meta.Columns {
+		learned := dicts[col.Name]
+		if len(learned) == 0 {
+			continue
+		}
+		var have []string
+		if c := t.Column(col.Name); c != nil {
+			have = c.Dict()
+		}
+		if len(have) < len(learned) {
+			return fmt.Errorf("ensemble: attached table %s: column %s has %d labels, the model learned %d", meta.Name, col.Name, len(have), len(learned))
+		}
+		for code, label := range learned {
+			if have[code] != label {
+				return fmt.Errorf("ensemble: attached table %s: column %s encodes %q as %d, the model learned %q", meta.Name, col.Name, have[code], code, label)
+			}
+		}
 	}
 	return nil
 }

@@ -167,12 +167,19 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 }
 
-// TestDictionariesPersisted: format v3 carries the categorical
-// dictionaries, refreshed at Save time, so a model-only ensemble resolves
-// string literals and decodes labels — and a previous-version header is
-// rejected cleanly.
-func TestDictionariesPersisted(t *testing.T) {
-	s := &schema.Schema{Tables: []*schema.Table{{
+// regionTable builds the customer table of regionSchema: 120 rows
+// cycling through the labels, which take their c_region codes in order.
+func regionTable(s *schema.Schema, labels ...string) *table.Table {
+	cust := table.New(s.Table("customer"))
+	region := cust.Column("c_region")
+	for i := 0; i < 120; i++ {
+		cust.AppendRow(table.Int(i), table.Float(float64(region.Encode(labels[i%len(labels)]))))
+	}
+	return cust
+}
+
+func regionSchema() *schema.Schema {
+	return &schema.Schema{Tables: []*schema.Table{{
 		Name:       "customer",
 		PrimaryKey: "c_id",
 		Columns: []schema.Column{
@@ -180,46 +187,63 @@ func TestDictionariesPersisted(t *testing.T) {
 			{Name: "c_region", Kind: schema.CategoricalKind},
 		},
 	}}}
-	cust := table.New(s.Table("customer"))
-	regions := []string{"EU", "ASIA", "US"}
-	for i := 0; i < 120; i++ {
-		cust.AppendRow(table.Int(i), table.Float(float64(cust.Column("c_region").Encode(regions[i%3]))))
-	}
-	tabs := map[string]*table.Table{"customer": cust}
+}
+
+// savedRegionModel learns regionSchema over the dictionary EU, ASIA, US
+// and returns the saved model file.
+func savedRegionModel(t testing.TB) []byte {
+	s := regionSchema()
 	cfg := testConfig()
 	cfg.BudgetFactor = 0
-	e, err := Build(context.Background(), s, tabs, cfg)
+	e, err := Build(context.Background(), s, map[string]*table.Table{"customer": regionTable(s, "EU", "ASIA", "US")}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	catCol, catVal := "c_region", "ASIA"
-	// Extend the dictionary after Build: Save must persist the refreshed
-	// dictionary, not the one captured at construction.
-	newCode := cust.Column(catCol).Encode("added-after-build")
-
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Load(&buf, nil) // model-only
+	return buf.Bytes()
+}
+
+// TestDictionariesPersisted: format v3 carries the categorical
+// dictionaries, so a model-only ensemble resolves string literals and
+// decodes labels — and a previous-version header is rejected cleanly.
+// Tables whose dictionaries extend the model's attach, and the labels
+// they add stay unknown to the model.
+func TestDictionariesPersisted(t *testing.T) {
+	model := savedRegionModel(t)
+	e2, err := Load(bytes.NewReader(model), nil) // model-only
 	if err != nil {
 		t.Fatal(err)
 	}
+	catCol, catVal := "c_region", "ASIA"
 	code, found, known := e2.ResolveLabel(catCol, catVal)
-	if !known || !found {
+	if !known || !found || code != 1 {
 		t.Fatalf("model-only ResolveLabel(%s, %q) = %v,%v,%v", catCol, catVal, code, found, known)
 	}
 	if got := e2.DecodeLabel(catCol, int(code)); got != catVal {
 		t.Fatalf("model-only DecodeLabel round-trip: %q != %q", got, catVal)
-	}
-	if c2, found, _ := e2.ResolveLabel(catCol, "added-after-build"); !found || int(c2) != newCode {
-		t.Fatalf("post-build dictionary entry not refreshed at Save: %v,%v", c2, found)
 	}
 	if _, found, known := e2.ResolveLabel(catCol, "no-such-value"); found || !known {
 		t.Fatal("unknown literal must be not-found on a known column")
 	}
 	if _, _, known := e2.ResolveLabel("no_such_column", "x"); known {
 		t.Fatal("unknown column must not resolve")
+	}
+
+	// Rows appended after learning may extend the dictionary; the codes
+	// the model knows keep their labels, so the tables attach.
+	s := e2.Schema
+	grown := regionTable(s, "EU", "ASIA", "US", "OCEANIA")
+	if err := e2.AttachTables(map[string]*table.Table{"customer": grown}); err != nil {
+		t.Fatalf("attaching an extended dictionary: %v", err)
+	}
+	if _, found, known := e2.ResolveLabel(catCol, "OCEANIA"); found || !known {
+		t.Fatal("a label the model never learned must stay not-found with tables attached")
+	}
+	if code, found, _ := e2.ResolveLabel(catCol, "US"); !found || code != 2 {
+		t.Fatalf("ResolveLabel(US) with tables attached = %v,%v", code, found)
 	}
 
 	// A v2 file (previous format) is rejected with the version spelled out.
@@ -229,5 +253,42 @@ func TestDictionariesPersisted(t *testing.T) {
 	}
 	if _, err := Load(&v2, nil); err == nil || !strings.Contains(err.Error(), "format v2") {
 		t.Fatalf("v2 file error = %v, want format-version rejection", err)
+	}
+}
+
+// TestAttachRefusesDisagreeingDictionaries is the must-fail twin of
+// TestDictionariesPersisted: tables that give a code another label than
+// the model, or lack labels the model learned, are refused before
+// anything is attached or augmented, and the error names the column.
+func TestAttachRefusesDisagreeingDictionaries(t *testing.T) {
+	model := savedRegionModel(t)
+	for _, tc := range []struct {
+		name   string
+		labels []string
+		want   string
+	}{
+		{"reordered", []string{"ASIA", "EU", "US"}, `attached table customer: column c_region encodes "ASIA" as 0, the model learned "EU"`},
+		{"shorter", []string{"EU", "ASIA"}, "attached table customer: column c_region has"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := Load(bytes.NewReader(model), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs := map[string]*table.Table{"customer": regionTable(e.Schema, tc.labels...)}
+			err = e.AttachTables(tabs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("AttachTables error = %v, want it to contain %q", err, tc.want)
+			}
+			if e.Tables != nil {
+				t.Fatal("refused tables were attached")
+			}
+			if _, err := Load(bytes.NewReader(model), tabs); err == nil {
+				t.Fatal("Load with disagreeing tables must fail")
+			}
+			if code, found, _ := e.ResolveLabel("c_region", "EU"); !found || code != 0 {
+				t.Fatalf("ResolveLabel(EU) after a refused attach = %v,%v, want the model's code 0", code, found)
+			}
+		})
 	}
 }

@@ -54,15 +54,6 @@ type Compiled struct {
 	multiLeaf []bool
 	scope     []uint64
 	root      int32
-
-	// Binned-leaf moment slabs: one contiguous backing array per moment
-	// order, shared by every binned leaf of the model. Each binned leaf's
-	// Bin* slices are re-pointed at compile time to views into these slabs
-	// (leafOff[i] is node i's base offset, -1 for non-binned nodes), so
-	// the tree walk, in-place updates (Leaf.Add) and the flat evaluator's
-	// kernels all read and write the same memory — no copy can go stale.
-	binW, binSum, binSq, binInv, binIn2 []float64
-	leafOff                             []int32
 }
 
 // compileTree flattens a (validated) SPN tree over numCols columns.
@@ -79,7 +70,6 @@ func compileTree(root *Node, numCols int) *Compiled {
 	c.scope = make([]uint64, 0, n*c.words)
 	c.root = c.flatten(root)
 	c.childOff = append(c.childOff, int32(len(c.childIdx)))
-	c.buildSlabs()
 	seen := make([]bool, numCols)
 	c.multiLeaf = make([]bool, numCols)
 	for _, col := range c.leafCol {
@@ -89,61 +79,6 @@ func compileTree(root *Node, numCols int) *Compiled {
 		}
 	}
 	return c
-}
-
-// buildSlabs gathers every binned leaf's per-bin aggregates into the
-// contiguous structure-of-arrays slabs and re-points the leaves' slices at
-// slab views. Updates never resize a binned leaf's arrays (the structure
-// is fixed, Section 5.2), so the views stay valid for the model's life;
-// Leaf.clone copies bin data into fresh arrays and SPN.Clone recompiles,
-// so clones get their own slabs.
-func (c *Compiled) buildSlabs() {
-	total := 0
-	for _, lf := range c.leaf {
-		if lf != nil && lf.Binned {
-			total += len(lf.BinW)
-		}
-	}
-	c.leafOff = make([]int32, len(c.leaf))
-	for i := range c.leafOff {
-		c.leafOff[i] = -1
-	}
-	if total == 0 {
-		return
-	}
-	c.binW = make([]float64, 0, total)
-	c.binSum = make([]float64, 0, total)
-	c.binSq = make([]float64, 0, total)
-	c.binInv = make([]float64, 0, total)
-	c.binIn2 = make([]float64, 0, total)
-	seen := make(map[*Leaf]int32, len(c.leaf))
-	for i, lf := range c.leaf {
-		if lf == nil || !lf.Binned {
-			continue
-		}
-		// A hand-built tree may reference one leaf from several nodes;
-		// slab it once so every view aliases the same region.
-		if off, ok := seen[lf]; ok {
-			c.leafOff[i] = off
-			continue
-		}
-		off := int32(len(c.binW))
-		end := int(off) + len(lf.BinW)
-		c.binW = append(c.binW, lf.BinW...)
-		c.binSum = append(c.binSum, lf.BinSum...)
-		c.binSq = append(c.binSq, lf.BinSq...)
-		c.binInv = append(c.binInv, lf.BinInv...)
-		c.binIn2 = append(c.binIn2, lf.BinIn2...)
-		// Full-slice-capped views: an (impossible) append on a leaf slice
-		// could never clobber the next leaf's bins.
-		lf.BinW = c.binW[off:end:end]
-		lf.BinSum = c.binSum[off:end:end]
-		lf.BinSq = c.binSq[off:end:end]
-		lf.BinInv = c.binInv[off:end:end]
-		lf.BinIn2 = c.binIn2[off:end:end]
-		c.leafOff[i] = off
-		seen[lf] = off
-	}
 }
 
 // flatten emits the subtree in postorder and returns the node's index.

@@ -1,10 +1,10 @@
 package spn
 
 // kernel.go holds the bounds-check-free inner kernels of the binned-leaf
-// moment computation. The per-bin aggregates of every binned leaf live in
-// contiguous structure-of-arrays slabs owned by the compiled form (one
-// backing array per moment order, see compileTree), so the kernels below
-// run over dense float64 rows with no pointer chasing.
+// moment computation. Each binned leaf keeps its per-bin aggregates in
+// dense parallel slices (one per moment order, see Leaf), which both the
+// tree walk and the compiled form read in place, so the kernels below run
+// over contiguous float64 rows with no pointer chasing.
 //
 // Bitwise contract: every kernel accumulates into a SINGLE accumulator in
 // ascending index order — the same floating-point additions in the same
@@ -65,7 +65,7 @@ func sumKernel(a []float64, acc float64) float64 {
 // weight), with the same comparison the scalar reference uses.
 func sumMax1Kernel(s, w []float64, acc float64) float64 {
 	if len(w) < len(s) {
-		return acc // unreachable: slabs are parallel
+		return acc // unreachable: the per-bin slices are parallel
 	}
 	i := 0
 	for ; i+4 <= len(s); i += 4 {

@@ -4,9 +4,9 @@ package spn
 // specialized evaluator paths (singleton, one-word, uniform-mask,
 // multi-word) to their scalar references, bit for bit: a verbatim copy of
 // the pre-kernel binnedMass loop is the oracle for leaf moments, and the
-// tree walk is the oracle for whole-model evaluation. It also pins the
-// slab aliasing invariant: in-place leaf updates must be visible to the
-// compiled form's kernels without a recompile.
+// tree walk is the oracle for whole-model evaluation. It also pins that
+// in-place leaf updates are visible to the compiled form's kernels
+// without a recompile.
 
 import (
 	"fmt"
@@ -186,10 +186,11 @@ func TestCompiledMatchesTreeUniformBatch(t *testing.T) {
 	}
 }
 
-// TestSlabAliasingAfterUpdates pins the structure-of-arrays invariant:
-// Leaf.Add mutates slab memory in place, so after inserts and deletes on
-// binned leaves the compiled kernels and the tree walk must still agree
-// bit for bit without a recompile.
+// TestSlabAliasingAfterUpdates pins that the compiled form reads the
+// leaves the tree walk reads: Leaf.Add mutates a binned leaf's bins in
+// place, so after inserts and deletes on binned leaves the compiled
+// kernels and the tree walk must still agree bit for bit without a
+// recompile.
 func TestSlabAliasingAfterUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	data := make([][]float64, 1500)
@@ -204,21 +205,12 @@ func TestSlabAliasingAfterUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Compiled()
-	if c == nil || len(c.binW) == 0 {
-		t.Fatal("expected binned-leaf slabs in the compiled form")
+	binned := false
+	for _, lf := range c.leaf {
+		binned = binned || (lf != nil && lf.Binned)
 	}
-	// Every binned leaf's slices must be views into the compiled slabs.
-	for i, lf := range c.leaf {
-		if lf == nil || !lf.Binned {
-			continue
-		}
-		off := c.leafOff[i]
-		if off < 0 {
-			t.Fatalf("node %d: binned leaf without slab offset", i)
-		}
-		if &lf.BinW[0] != &c.binW[off] || &lf.BinSum[0] != &c.binSum[off] {
-			t.Fatalf("node %d: leaf bins are not slab views", i)
-		}
+	if !binned {
+		t.Fatal("expected binned leaves in the compiled form")
 	}
 	for step := 0; step < 120; step++ {
 		tuple := []float64{float64(step % 5), rng.Float64() * 6000, rng.NormFloat64() * 50}

@@ -126,7 +126,7 @@ func (n *Node) Validate() error {
 		if len(n.Scope) != 1 || n.Scope[0] != n.Leaf.Col {
 			return fmt.Errorf("spn: leaf scope %v does not match column %d", n.Scope, n.Leaf.Col)
 		}
-		return nil
+		return n.Leaf.validate()
 	case SumKind:
 		if len(n.Children) == 0 {
 			return fmt.Errorf("spn: sum node without children")
@@ -173,6 +173,23 @@ func (n *Node) Validate() error {
 	default:
 		return fmt.Errorf("spn: unknown node kind %v", n.Kind)
 	}
+}
+
+// validate checks that the leaf's parallel slices have the lengths its
+// mass computations index them by.
+func (l *Leaf) validate() error {
+	if !l.Binned {
+		if len(l.Freq) != len(l.Vals) {
+			return fmt.Errorf("spn: exact leaf %s has %d values but %d frequencies", l.Name, len(l.Vals), len(l.Freq))
+		}
+		return nil
+	}
+	n := len(l.BinW)
+	if n == 0 || len(l.Edges) != n+1 || len(l.BinSum) != n || len(l.BinSq) != n || len(l.BinInv) != n || len(l.BinIn2) != n {
+		return fmt.Errorf("spn: binned leaf %s has %d bins, %d edges and moment lengths %d/%d/%d/%d",
+			l.Name, n, len(l.Edges), len(l.BinSum), len(l.BinSq), len(l.BinInv), len(l.BinIn2))
+	}
+	return nil
 }
 
 func sameScope(a, b []int) bool {

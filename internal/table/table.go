@@ -103,7 +103,7 @@ func (c *Column) DictSize() int { return len(c.dict) }
 
 // Dict returns the dictionary strings indexed by code. The slice is the
 // column's live dictionary, not a copy — callers must treat it as
-// read-only (model persistence copies it before serializing).
+// read-only (a model copies it once, when it captures its statistics).
 func (c *Column) Dict() []string { return c.dict }
 
 // Get returns the i-th value.

@@ -47,24 +47,15 @@ func Inspect(dir string) (Info, error) {
 	}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		m, goodOff, hdrOK, err := scanSegment(path)
+		m, goodOff, hdrOK, err := scanSegment(path, nil)
 		if err != nil {
 			return info, err
 		}
-		size, err := fileSize(path)
-		if err != nil {
-			return info, err
-		}
+		// goodOff is 0 when the header is torn: the whole file is.
 		si := SegmentInfo{Name: name, FirstLSN: m.first, LastLSN: m.last,
-			Records: m.records, SizeBytes: size, HeaderOK: hdrOK}
-		if hdrOK && goodOff < size {
-			si.TornBytes = size - goodOff
-		}
-		if !hdrOK {
-			si.TornBytes = size
-		}
+			Records: m.records, SizeBytes: m.bytes, HeaderOK: hdrOK, TornBytes: m.bytes - goodOff}
 		info.Records += m.records
-		info.SizeBytes += size
+		info.SizeBytes += m.bytes
 		if m.last > info.LastLSN {
 			info.LastLSN = m.last
 		}
@@ -82,7 +73,7 @@ func Dump(dir string, after uint64, fn func(lsn uint64, payload []byte) error) e
 		return err
 	}
 	for _, name := range names {
-		err := iterateSegment(filepath.Join(dir, name), func(lsn uint64, payload []byte) error {
+		_, _, _, err := scanSegment(filepath.Join(dir, name), func(lsn uint64, payload []byte) error {
 			if lsn <= after {
 				return nil
 			}

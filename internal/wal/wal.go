@@ -180,15 +180,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	for i, name := range segs {
 		path := filepath.Join(dir, name)
-		m, goodOff, hdrOK, err := scanSegment(path)
+		m, goodOff, hdrOK, err := scanSegment(path, nil)
 		if err != nil {
 			return nil, err
 		}
 		isLast := i == len(segs)-1
-		size, err := fileSize(path)
-		if err != nil {
-			return nil, err
-		}
 		if !hdrOK {
 			if !isLast {
 				return nil, fmt.Errorf("wal: segment %s has a corrupt header and is not the last segment", name)
@@ -200,7 +196,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			}
 			continue
 		}
-		if goodOff < size {
+		if goodOff < m.bytes {
 			if !isLast {
 				return nil, fmt.Errorf("wal: segment %s is corrupt at offset %d but is not the last segment", name, goodOff)
 			}
@@ -404,7 +400,7 @@ func (l *Log) Replay(fn func(lsn uint64, payload []byte) error) error {
 		if m.records == 0 || m.last <= ckpt {
 			continue
 		}
-		err := iterateSegment(filepath.Join(l.dir, m.name), func(lsn uint64, payload []byte) error {
+		_, _, _, err := scanSegment(filepath.Join(l.dir, m.name), func(lsn uint64, payload []byte) error {
 			if lsn <= ckpt {
 				return nil
 			}
@@ -563,9 +559,13 @@ func (l *Log) refreshSizeLocked() {
 // scanSegment validates one segment file: header, record framing, CRCs and
 // LSN continuity. goodOff is the offset past the last intact record
 // (callers truncate a torn tail to it); hdrOK reports whether the 16-byte
-// segment header itself was valid. Errors are I/O only — framing damage is
-// reported through goodOff, never as an error.
-func scanSegment(path string) (m segMeta, goodOff int64, hdrOK bool, err error) {
+// segment header itself was valid. fn, when non-nil, receives each intact
+// record in order; its error stops the scan and is returned. Other errors
+// are I/O only — framing damage is reported through goodOff, never as an
+// error, so a torn tail simply ends the records fn sees (Open already
+// truncated it for live logs; the read-only Inspect/Dump paths tolerate it
+// in place).
+func scanSegment(path string, fn func(lsn uint64, payload []byte) error) (m segMeta, goodOff int64, hdrOK bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return m, 0, false, fmt.Errorf("wal: %w", err)
@@ -597,49 +597,17 @@ func scanSegment(path string) (m segMeta, goodOff int64, hdrOK bool, err error) 
 		if crc != want {
 			break
 		}
+		if fn != nil {
+			if err := fn(lsn, rec[recHeaderSize:recHeaderSize+int(n)]); err != nil {
+				return m, off, true, err
+			}
+		}
 		m.last = lsn
 		m.records++
 		off += int64(recHeaderSize) + int64(n)
 		expect++
 	}
 	return m, off, true, nil
-}
-
-// iterateSegment streams the intact records of a segment in order. A torn
-// tail simply ends the iteration (Open already truncated it for live logs;
-// the read-only Inspect/Dump paths tolerate it in place).
-func iterateSegment(path string, fn func(lsn uint64, payload []byte) error) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < headerSize || [8]byte(data[0:8]) != segMagic {
-		return nil
-	}
-	off := int64(headerSize)
-	expect := binary.BigEndian.Uint64(data[8:16])
-	for {
-		rec := data[off:]
-		if len(rec) < recHeaderSize {
-			return nil
-		}
-		lsn := binary.BigEndian.Uint64(rec[0:8])
-		n := binary.BigEndian.Uint32(rec[8:12])
-		if lsn != expect || int64(recHeaderSize)+int64(n) > int64(len(rec)) {
-			return nil
-		}
-		want := binary.BigEndian.Uint32(rec[12:16])
-		crc := crc32.Update(0, crcTable, rec[0:12])
-		crc = crc32.Update(crc, crcTable, rec[recHeaderSize:recHeaderSize+int(n)])
-		if crc != want {
-			return nil
-		}
-		if err := fn(lsn, rec[recHeaderSize:recHeaderSize+int(n)]); err != nil {
-			return err
-		}
-		off += int64(recHeaderSize) + int64(n)
-		expect++
-	}
 }
 
 // ---- directory helpers ----
@@ -675,14 +643,6 @@ func listSegments(dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func fileSize(path string) (int64, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	return fi.Size(), nil
 }
 
 func readCheckpoint(dir string) (uint64, error) {

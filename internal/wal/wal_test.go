@@ -442,6 +442,33 @@ func FuzzSegmentScan(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Iterating yields exactly the records the scan counts, ending
+		// at its last LSN, and consumes exactly the goodOff bytes Open
+		// would keep.
+		m, goodOff, hdrOK, err := scanSegment(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records int
+		var last uint64
+		consumed := int64(headerSize)
+		if _, _, _, err := scanSegment(path, func(lsn uint64, payload []byte) error {
+			records++
+			last = lsn
+			consumed += int64(recHeaderSize + len(payload))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if records != m.records || last != m.last {
+			t.Fatalf("iteration yielded %d records up to LSN %d, scan counted %d up to %d", records, last, m.records, m.last)
+		}
+		if !hdrOK {
+			consumed = 0
+		}
+		if consumed != goodOff {
+			t.Fatalf("iteration consumed %d bytes, scan kept %d", consumed, goodOff)
+		}
 		// Open must never panic and, on success, replay strictly
 		// increasing LSNs whose records all pass their CRC.
 		l, err := Open(dir, Options{Durability: Off})
