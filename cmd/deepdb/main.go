@@ -53,8 +53,6 @@ func main() {
 		err = cmdQuery(ctx, os.Args[2:], modeExplain)
 	case "serve":
 		err = cmdServe(ctx, os.Args[2:])
-	case "shard":
-		err = cmdShard(ctx, os.Args[2:])
 	case "wal":
 		err = cmdWAL(os.Args[2:])
 	case "demo":
@@ -70,13 +68,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: deepdb <learn|estimate|query|explain|serve|shard|wal|demo> [flags]
+	fmt.Fprintln(os.Stderr, `usage: deepdb <learn|estimate|query|explain|serve|wal|demo> [flags]
   learn    -schema schema.json -data dir -out model.deepdb [-budget 0.5] [-samples 100000] [-parallel 1]
   estimate -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
   query    -model model.deepdb -sql "SELECT AVG(col) ..." [-data dir]
   explain  -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
-  serve    -model model.deepdb [-addr :8491] [-shards N] [-shard-peers urls] [-parallel N] [-cache N] [-wal dir] [-durability sync|batched|off] [-drift 0.2] [-request-timeout 30s] [-max-inflight N]
-  shard    -model model.deepdb -shards N -index i [-addr :9301] [-data dir] [-wal dir]   (one shard replica process)
+  serve    -model model.deepdb [-addr :8491] [-shards N] [-parallel N] [-cache N] [-wal dir] [-durability sync|batched|off] [-drift 0.2] [-request-timeout 30s] [-max-inflight N]
   wal      inspect|dump -dir wal-dir [-after N]   (read-only log examination)
   demo     (self-contained demonstration on synthetic data)
 (-data is only needed for -truth; the model file carries the statistics

@@ -51,12 +51,14 @@ func TestLoadSchemaAndTables(t *testing.T) {
 	if len(s.Tables) != 6 {
 		t.Fatalf("schema tables = %d, want 6", len(s.Tables))
 	}
-	tabs, err := deepdb.LoadCSVDir(s, dataDir)
+	// Learn reads <table>.csv for every schema table from dataDir.
+	db, err := deepdb.Learn(context.Background(), s, dataDir, deepdb.WithMaxSamples(1000), deepdb.WithBudget(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabs["title"].NumRows() != 400 {
-		t.Fatalf("title rows = %d", tabs["title"].NumRows())
+	defer db.Close()
+	if n := db.Data()["title"].NumRows(); n != 400 {
+		t.Fatalf("title rows = %d", n)
 	}
 }
 

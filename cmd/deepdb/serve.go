@@ -34,12 +34,10 @@ package main
 // snapshots either way and never wait for writers.
 //
 // -shards N partitions the ensemble behind the in-process fan-out router
-// (bit-identical to single-process serving); -shard-peers offloads shard
-// evaluation to `deepdb shard` replica processes with automatic local
-// fallback. -request-timeout bounds each request's wall clock, -max-body
-// its payload, and -max-inflight the number served concurrently (excess
-// is shed with 429 + Retry-After; /healthz stays exempt so load balancers
-// can always probe).
+// (bit-identical to single-process serving). -request-timeout bounds
+// each request's wall clock, -max-body its payload, and -max-inflight the
+// number served concurrently (excess is shed with 429 + Retry-After;
+// /healthz stays exempt so load balancers can always probe).
 
 import (
 	"bytes"
@@ -54,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,7 +60,7 @@ import (
 )
 
 // shutdownTimeout bounds the graceful drain of in-flight requests after
-// SIGINT/SIGTERM (both `deepdb serve` and `deepdb shard` use it).
+// SIGINT/SIGTERM.
 const shutdownTimeout = 10 * time.Second
 
 func cmdServe(ctx context.Context, args []string) error {
@@ -79,15 +76,14 @@ func cmdServe(ctx context.Context, args []string) error {
 	readonly := fs.Bool("readonly", false, "reject /insert, /delete and /flush (serve a frozen snapshot)")
 	walDir := fs.String("wal", "", "write-ahead log directory: accepted mutations become durable and are replayed on restart (with -shards, each shard logs into its own subdirectory)")
 	durability := fs.String("durability", "batched", "WAL fsync policy: sync, batched or off (needs -wal)")
-	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data; refused with -shards or -shard-peers: re-learning needs the whole ensemble in one shard)")
+	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data; refused with -shards: re-learning needs the whole ensemble in one shard)")
 	shards := fs.Int("shards", 0, "partition the ensemble into this many shards behind the fan-out router (0/1 serves single-process)")
-	peers := fs.String("shard-peers", "", "comma-separated replica base URLs, one per shard in shard order (started with `deepdb shard -index i`); any replica failure falls back to local evaluation")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request wall-clock budget; exceeding it answers 503 (0 disables)")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently served requests; beyond it requests are shed with 429 (0 unlimited; /healthz is exempt)")
 	// Deliberately undocumented in -h output prose: chaos-run injection.
 	// The spec grammar is internal/fault's; e.g.
-	//   -fault-spec 'point=shard.eval;kind=latency;d=50ms;prob=0.1;seed=7'
+	//   -fault-spec 'point=wal.append.sync;kind=latency;d=50ms;prob=0.1;seed=7'
 	faultSpec := fs.String("fault-spec", "", "activate a fault-injection schedule for this process (chaos testing)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -143,9 +139,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	// instead of pinning a handler goroutine per blocked writer.
 	opts = append(opts, deepdb.WithNonBlockingUpdates())
 	opts = append(opts, deepdb.WithShards(*shards))
-	if *peers != "" {
-		opts = append(opts, deepdb.WithShardPeers(strings.Split(*peers, ",")...))
-	}
 	db, err := deepdb.Open(ctx, *model, opts...)
 	if err != nil {
 		return err
@@ -163,7 +156,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v", *model, *addr, db.Data() == nil)
-	if *shards > 1 || *peers != "" {
+	if *shards > 1 {
 		banner += fmt.Sprintf(", shards: %d", db.Shards())
 	}
 	return serveUntilSignal(ctx, srv, banner+")")
@@ -655,18 +648,15 @@ func (s *serveHandler) handleFlush(w http.ResponseWriter, r *http.Request) {
 // marshalled as they are: the key names under "updates" and "shards" are
 // the JSON tags of deepdb.UpdateStats, WALStats, DriftStat and ShardStat.
 // "updates.wal" is present only with -wal, "updates.drift" only with data
-// attached, "shards" and the peer counters only when there is per-shard
-// detail to report — more than one shard, or a bound replica. A
-// failed WAL (updates.durability_lost: writes 503 under the fail-stop
-// policy, or are volatile under degrade-volatile) flips status to
-// "degraded".
+// attached, "shards" only when there is more than one shard. A failed WAL
+// (updates.durability_lost: writes 503 under the fail-stop policy, or are
+// volatile under degrade-volatile) flips status to "degraded".
 func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.db.UpdateStats()
 	shards := s.db.ShardStats()
-	if len(shards) == 1 && shards[0].Peer == "" {
+	if len(shards) == 1 {
 		shards = nil
 	}
-	peerHits, peerFalls := s.db.PeerStats()
 	status := "ok"
 	if st.DurabilityLost {
 		status = "degraded"
@@ -678,8 +668,6 @@ func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		DataAttached bool               `json:"data_attached"`
 		Readonly     bool               `json:"readonly"`
 		Shards       []deepdb.ShardStat `json:"shards,omitempty"`
-		PeerHits     uint64             `json:"peer_hits,omitempty"`
-		PeerFalls    uint64             `json:"peer_fallbacks,omitempty"`
 		Updates      deepdb.UpdateStats `json:"updates"`
 	}{
 		Status:       status,
@@ -688,8 +676,6 @@ func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		DataAttached: s.db.Data() != nil,
 		Readonly:     s.readonly,
 		Shards:       shards,
-		PeerHits:     peerHits,
-		PeerFalls:    peerFalls,
 		Updates:      st,
 	})
 }

@@ -4,8 +4,7 @@ package main
 // stats types are marshalled directly, so their JSON tags ARE the public
 // key names that dashboards and the benchmark harness parse. The test
 // spells out every key path, in document order, that a healthy WAL-backed
-// server, a healthy two-shard server and a one-shard server with a bound
-// replica emit.
+// server and a healthy two-shard server emit.
 
 import (
 	"context"
@@ -19,8 +18,6 @@ import (
 	"testing"
 
 	"repro/deepdb"
-	"repro/internal/ensemble"
-	"repro/internal/shard"
 )
 
 // keyPaths flattens a JSON document into its key paths, in document order.
@@ -170,44 +167,6 @@ func TestHealthzGoldenKeys(t *testing.T) {
 			want = append(want, walKeys(sh)...)
 		}
 		// Drift tracking needs the whole ensemble in one shard: no drift block.
-		assertKeys(t, healthzAfterWrites(t, db), append(want, updatesKeys()...))
-	})
-
-	// `-shards 1 -shard-peers url`: one shard, but partitioned and bound to a
-	// replica — per-shard detail and the peer counters are worth reporting.
-	t.Run("one-shard-peer", func(t *testing.T) {
-		// The replica `deepdb shard -shards 1 -index 0 -data ...` would run:
-		// live tables keep it in ops sync through the forwarded writes.
-		ens, err := ensemble.LoadFile(model, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ens.AttachTables(src.Data()); err != nil {
-			t.Fatal(err)
-		}
-		sh, err := shard.New(0, shard.Partition(ens, 1)[0], ens, shard.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sh.Close()
-		replica := httptest.NewServer(shard.NewServer(sh))
-		defer replica.Close()
-		db, err := deepdb.Open(ctx, model, deepdb.WithShards(1), deepdb.WithShardPeers(replica.URL),
-			deepdb.WithDataset(src.Data()), deepdb.WithWAL(filepath.Join(dir, "wal3")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		// One offloaded evaluation, so peer_hits is non-zero (and emitted).
-		if _, err := db.EstimateCardinality(ctx, "SELECT COUNT(*) FROM orders WHERE o_amount >= 50"); err != nil {
-			t.Fatal(err)
-		}
-		want := append(top, ".shards")
-		want = append(want, under(".shards[0]", "id", "members", "generation", "ops", "queue_depth",
-			"enqueued", "applied", "errors", "wal_applied_lsn")...)
-		want = append(want, walKeys(".shards[0]")...)
-		want = append(want, under(".shards[0]", "peer", "peer_healthy", "peer_state", "peer_ok")...)
-		want = append(want, ".peer_hits")
 		assertKeys(t, healthzAfterWrites(t, db), append(want, updatesKeys()...))
 	})
 }

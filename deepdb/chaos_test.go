@@ -1,11 +1,10 @@
 package deepdb_test
 
-// chaos_test.go is the fault-injection suite of PR 9: it drives the public
-// surface (sharded router with replica peers, WAL-backed single DB, async
-// applier) under seeded fault schedules and asserts the three hardening
-// invariants end to end — estimates stay bit-identical to a fault-free
-// run, no acknowledged write is ever lost, and the per-peer circuit
-// breaker opens under outage and converges back to closed after heal.
+// chaos_test.go is the fault-injection suite: it drives the public surface
+// (WAL-backed DB at one and several shards, async applier) under seeded
+// fault schedules and asserts the hardening invariants end to end — a
+// failed log fails stop without losing an acknowledged write, and an
+// injected apply failure is recovered from the log.
 //
 // Fault-enabling tests share the process-global fault registry, so none
 // of them call t.Parallel (the suite runs shuffled, not parallel).
@@ -13,18 +12,11 @@ package deepdb_test
 import (
 	"context"
 	"errors"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/deepdb"
-	"repro/internal/ensemble"
 	"repro/internal/fault"
-	"repro/internal/shard"
 )
 
 // enableChaos activates a fault schedule for one (sub)test.
@@ -37,159 +29,6 @@ func enableChaos(t *testing.T, spec string) *fault.Schedule {
 	fault.Enable(s)
 	t.Cleanup(fault.Disable)
 	return s
-}
-
-// chaosReplicas loads the saved model, derives the same deterministic
-// partition the router will, and serves each shard over HTTP behind a
-// kill switch: flipping downs[i] turns replica i into a hard 503 outage
-// (probes included) without tearing down the listener.
-func chaosReplicas(t *testing.T, modelPath string, n int) (urls []string, downs []*atomic.Bool) {
-	t.Helper()
-	ens, err := ensemble.LoadFile(modelPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := shard.Partition(ens, n)
-	for i := 0; i < n; i++ {
-		sh, err := shard.New(i, members[i], ens, shard.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sh.Close() }) //nolint:errcheck // test teardown
-		inner := shard.NewServer(sh)
-		down := &atomic.Bool{}
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if down.Load() {
-				http.Error(w, "injected outage", http.StatusServiceUnavailable)
-				return
-			}
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
-		downs = append(downs, down)
-	}
-	return urls, downs
-}
-
-// TestChaosPeerFaults is the router-side chaos bar: under injected
-// transport latency, partitions and timeouts, under a hard replica
-// outage, and after heal, every query must answer bit-identically to a
-// peerless router over the same model — remote evaluation is a pure
-// offload, never a correctness input. The phases also pin the breaker
-// lifecycle: open under outage, closed again after the prober sees the
-// replica heal, with no query traffic required in between.
-func TestChaosPeerFaults(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(1500, 31)
-	learned, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.deepdb")
-	if err := learned.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := learned.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := deepdb.Open(ctx, path, deepdb.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := make([]string, len(equivalenceWorkload))
-	for i, q := range equivalenceWorkload {
-		r, err := ref.ExecuteQuery(ctx, q)
-		if err != nil {
-			t.Fatalf("query %d reference: %v", i, err)
-		}
-		want[i] = normResult(r)
-	}
-
-	urls, downs := chaosReplicas(t, path, 2)
-	db, err := deepdb.Open(ctx, path,
-		deepdb.WithShards(2),
-		deepdb.WithShardPeers(urls...),
-		deepdb.WithPeerRetries(2, time.Millisecond),
-		deepdb.WithPeerBreaker(3, 50*time.Millisecond),
-		deepdb.WithPeerProbeInterval(5*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	checkWorkload := func(t *testing.T, phase string) {
-		t.Helper()
-		for i, q := range equivalenceWorkload {
-			got, err := db.ExecuteQuery(ctx, q)
-			if err != nil {
-				t.Fatalf("%s: query %d: %v", phase, i, err)
-			}
-			if normResult(got) != want[i] {
-				t.Fatalf("%s: query %d diverged from fault-free reference\n  want: %s\n  got:  %s",
-					phase, i, want[i], normResult(got))
-			}
-		}
-	}
-	// waitPeer polls shard 0's peer binding until cond holds; the prober
-	// (5ms interval) is what moves the breaker with no query traffic.
-	waitPeer := func(t *testing.T, desc string, cond func(deepdb.ShardStat) bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond(db.ShardStats()[0]) {
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s: %+v", desc, db.ShardStats()[0])
-	}
-
-	// Phase 1 — healthy: the offload actually offloads.
-	checkWorkload(t, "healthy")
-	if hits, _ := db.PeerStats(); hits == 0 {
-		t.Fatal("healthy phase answered no chunks remotely — peers not wired")
-	}
-
-	// Phase 2 — flaky transport: seeded latency, partitions and timeouts
-	// on the /eval path. Retries absorb some failures, fallback the rest;
-	// either way the answers must not move.
-	enableChaos(t, "point=shard.eval;kind=latency;d=2ms;every=5"+
-		"|point=shard.eval;kind=partition;prob=0.4;seed=11"+
-		"|point=shard.eval;kind=error;errno=ETIMEDOUT;every=7")
-	checkWorkload(t, "flaky transport")
-	fault.Disable()
-
-	// Phase 3 — hard outage: replica 0 serves only 503s. Every chunk bound
-	// to it falls back locally, the failed probes/requests trip its
-	// breaker, and health reporting flips.
-	downs[0].Store(true)
-	checkWorkload(t, "outage")
-	if _, falls := db.PeerStats(); falls == 0 {
-		t.Fatal("outage produced no local fallbacks")
-	}
-	waitPeer(t, "breaker to open", func(st deepdb.ShardStat) bool {
-		return st.PeerState == "open" && !st.PeerHealthy
-	})
-	if st := db.ShardStats()[0]; st.PeerLastError == "" {
-		t.Fatalf("open breaker with empty PeerLastError: %+v", st)
-	}
-	// Queries keep answering, and keep answering identically, while open.
-	checkWorkload(t, "breaker open")
-
-	// Phase 4 — heal: the prober's next successful probe must re-close the
-	// breaker without any query traffic, and the offload resumes.
-	downs[0].Store(false)
-	waitPeer(t, "breaker to re-close after heal", func(st deepdb.ShardStat) bool {
-		return st.PeerState == "closed" && st.PeerHealthy
-	})
-	hitsBefore, _ := db.PeerStats()
-	checkWorkload(t, "healed")
-	if hitsAfter, _ := db.PeerStats(); hitsAfter == hitsBefore {
-		t.Fatal("no remote hits after heal — offload did not resume")
-	}
 }
 
 // TestChaosWALFailStop pins the WAL failure policy: the first append or
@@ -336,52 +175,5 @@ func TestChaosApplierRecovery(t *testing.T) {
 		if normResult(a) != normResult(b) {
 			t.Fatalf("query %d: the failed batch was lost\n  ref:       %v\n  recovered: %v", i, a, b)
 		}
-	}
-}
-
-// TestPeerOffloadSurvivesAllFailedBatch: a batch in which nothing applies
-// advances the ops token on the router's shards and on the replicas but
-// leaves the served view — and its generation — in place. The view's
-// replica bindings must move to the new token with it: offload continues
-// instead of degrading to local fallback on every chunk.
-func TestPeerOffloadSurvivesAllFailedBatch(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(800, 33)
-	learned, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.deepdb")
-	if err := learned.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	urls, _ := chaosReplicas(t, path, 2)
-	db, err := deepdb.Open(ctx, path, deepdb.WithShards(2), deepdb.WithDataset(learned.Data()),
-		deepdb.WithShardPeers(urls...), deepdb.WithPeerProbeInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	gen := db.Generation()
-	if err := db.Delete("orders", 8_888_888); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(ctx); err == nil {
-		t.Fatal("deleting a missing primary key surfaced no apply error")
-	}
-	if db.Generation() != gen {
-		t.Fatalf("an all-failed batch moved the generation %d -> %d", gen, db.Generation())
-	}
-	hits, falls := db.PeerStats()
-	for i, q := range equivalenceWorkload {
-		if _, err := db.ExecuteQuery(ctx, q); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	hitsAfter, fallsAfter := db.PeerStats()
-	if hitsAfter == hits || fallsAfter != falls {
-		t.Fatalf("offload after an all-failed batch: hits %d -> %d, fallbacks %d -> %d (want remote hits, no fallbacks)",
-			hits, hitsAfter, falls, fallsAfter)
 	}
 }

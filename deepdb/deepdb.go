@@ -47,11 +47,11 @@
 // of the ensemble. Every mutation is broadcast to every shard, and the DB
 // recomposes its serving view whenever the shards publish a common point
 // of the stream. By default that is one shard holding the whole ensemble;
-// WithShards(n) partitions the members over n shards and WithShardPeers
-// adds replica offload — options of the same Open/Learn/LearnDataset, not
-// another type. Answers are bit-identical at every shard count. What needs
-// the whole ensemble in one place — drift-triggered re-learning — is
-// refused on a partitioned DB with an error that says so.
+// WithShards(n) partitions the members over n shards — an option of the
+// same Open/Learn/LearnDataset, not another type. Answers are
+// bit-identical at every shard count. What needs the whole ensemble in one
+// place — drift-triggered re-learning — is refused on a partitioned DB
+// with an error that says so.
 package deepdb
 
 import (
@@ -120,9 +120,9 @@ type DB struct {
 	plans    *genLRU[*core.Plan]
 	resCache *genLRU[cachedResult]
 
-	// mutMu serializes broadcasts so every shard — and every replica —
-	// observes the identical mutation stream in the identical order, and
-	// every shard's LSN order equals its apply order.
+	// mutMu serializes broadcasts so every shard observes the identical
+	// mutation stream in the identical order, and every shard's LSN order
+	// equals its apply order.
 	mutMu  sync.Mutex
 	closed bool
 
@@ -130,17 +130,6 @@ type DB struct {
 	// non-nil means durability is lost and writes are rejected from then
 	// on; the text is the cause UpdateStats and /healthz report.
 	walErr atomic.Pointer[string]
-
-	// The replica tier (sharded.go), all zero without WithShardPeers:
-	// peers[i] is the client bound to shard i (nil when none), peerHits and
-	// peerFalls the cumulative remote-evaluation counters folded in from
-	// each retired view's evaluator, probeStop/probeWG the background health
-	// prober.
-	peers     []*shard.Client
-	peerHits  atomic.Uint64
-	peerFalls atomic.Uint64
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
 
 	// The background re-learner (relearn.go), idle unless a drift trigger is
 	// armed: relearnBusy admits one re-learn at a time. relearnMu guards the
@@ -159,7 +148,7 @@ type DB struct {
 // <table>.csv per schema table, with a header row). Cancelling ctx aborts
 // learning — including mid-RSPN — with ctx.Err().
 func Learn(ctx context.Context, s *Schema, dataDir string, opts ...Option) (*DB, error) {
-	data, err := LoadCSVDir(s, dataDir)
+	data, err := loadCSVDir(s, dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +201,7 @@ func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ens
 	}
 	data := cfg.dataset
 	if data == nil && cfg.dataDir != "" {
-		data, err = LoadCSVDir(ens.Schema, cfg.dataDir)
+		data, err = loadCSVDir(ens.Schema, cfg.dataDir)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +225,7 @@ func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 		resCache: newGenLRU[cachedResult](cfg.resultCache, resultCacheWays),
 	}
 	parts := [][]int{nil} // one shard serving ens itself
-	partitioned := cfg.shards > 1 || len(cfg.shardPeers) > 0
+	partitioned := cfg.shards > 1
 	if partitioned {
 		if cfg.driftThresholds().Enabled() {
 			return nil, fmt.Errorf("deepdb: drift-triggered re-learning (WithDriftThreshold/WithDriftMeanShift) needs the whole ensemble in one shard; drop the trigger or serve unsharded")
@@ -260,7 +249,6 @@ func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 		}
 		db.shards = append(db.shards, sh)
 	}
-	db.dialPeers()
 	view, ops, ok := shard.Compose(db.shards, db.total)
 	if !ok {
 		// Shards disagree on stream progress straight out of construction.
@@ -274,11 +262,10 @@ func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 		return nil, fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
 	}
 	db.viewOps = ops
-	db.publishLocked(view, ops)
+	db.publishLocked(view)
 	for _, sh := range db.shards {
 		sh.OnPublish(db.shardPublished)
 	}
-	db.startProber()
 	return db, nil
 }
 
@@ -289,16 +276,13 @@ func (db *DB) snapshotNow() *snapshot { return db.snap.Load() }
 // publishLocked atomically publishes ens, composed at the shards' common
 // ops token, as the next snapshot generation. Callers are single-threaded
 // at construction or hold viewMu.
-func (db *DB) publishLocked(ens *ensemble.Ensemble, ops uint64) {
+func (db *DB) publishLocked(ens *ensemble.Ensemble) {
 	eng := core.New(ens)
 	eng.Parallelism = db.cfg.parallelism
 	cur := db.snap.Load()
 	var gen uint64
 	if cur != nil {
 		gen = cur.gen + 1
-	}
-	if db.peers != nil {
-		db.bindPeers(cur, eng, ens, ops)
 	}
 	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
 }
@@ -337,8 +321,7 @@ func (db *DB) recompose() {
 // it is done with all of them, may publish then. The generation moves iff
 // the served ensemble changed: a batch in which nothing applied advances
 // viewOps and leaves the snapshot — and every cached plan and result — in
-// place, only re-wiring the current engine to the new token. It reports
-// whether a new snapshot was published.
+// place. It reports whether a new snapshot was published.
 func (db *DB) recomposeLocked(swapped bool) bool {
 	ens, ops, ok := shard.Compose(db.shards, db.total)
 	if !ok || (ops == db.viewOps && !swapped) {
@@ -347,12 +330,8 @@ func (db *DB) recomposeLocked(swapped bool) bool {
 	db.viewOps = ops
 	if db.dirty {
 		db.dirty = false
-		db.publishLocked(ens, ops)
+		db.publishLocked(ens)
 		return true
-	}
-	if db.peers != nil {
-		cur := db.snap.Load()
-		db.bindPeers(cur, cur.eng, cur.ens, ops)
 	}
 	return false
 }

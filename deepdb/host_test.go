@@ -498,8 +498,7 @@ func workloadBits(t *testing.T, db *deepdb.DB, workload []query.Query) []string 
 // TestOpenHonoursShardOptions: sharding is an option of the one
 // constructor family. Open(model, WithShards(2)) serves two shards and
 // answers the equivalence matrix bit-identically to the unpartitioned
-// handle over the same model; WithShardPeers partitions too, even at one
-// shard. Must-fail twin: the same matrix with one literal perturbed must
+// handle over the same model. Must-fail twin: the same matrix with one literal perturbed must
 // differ, so the comparison can tell two answers apart.
 func TestOpenHonoursShardOptions(t *testing.T) {
 	ctx := context.Background()
@@ -532,20 +531,8 @@ func TestOpenHonoursShardOptions(t *testing.T) {
 		t.Fatal("must-fail twin: a perturbed literal left every answer bit-identical")
 	}
 
-	peered, err := deepdb.Open(ctx, model, deepdb.WithShardPeers("http://localhost:1"),
-		deepdb.WithPeerProbeInterval(0))
-	if err != nil {
-		t.Fatalf("Open refused WithShardPeers: %v", err)
-	}
-	defer peered.Close()
-	if st := peered.ShardStats(); len(st) != 1 || st[0].Peer == "" || st[0].Members == nil {
-		t.Fatalf("one shard with a peer should report a partitioned shard bound to it: %+v", st)
-	}
-	if st := whole.ShardStats(); len(st) != 1 || st[0].Peer != "" || st[0].Members != nil {
-		t.Fatalf("an unpartitioned DB should report one whole-ensemble shard without a peer: %+v", st)
-	}
-	if hits, falls := whole.PeerStats(); hits != 0 || falls != 0 {
-		t.Fatalf("an unpartitioned DB counted peer traffic: %d hits, %d fallbacks", hits, falls)
+	if st := whole.ShardStats(); len(st) != 1 || st[0].Members != nil {
+		t.Fatalf("an unpartitioned DB should report one whole-ensemble shard: %+v", st)
 	}
 }
 

@@ -1,8 +1,6 @@
 package deepdb
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/ensemble"
@@ -57,12 +55,6 @@ func ParseDurability(s string) (Durability, bool) {
 	return DurabilityBatched, false
 }
 
-// Defaults for the sharded tier's peer hardening knobs. The zero values
-// in config mean "use these"; the With* options override per DB.
-const (
-	defaultPeerProbeInterval = 2 * time.Second
-)
-
 // config is the resolved option set of one DB.
 type config struct {
 	ens         ensemble.Config
@@ -78,16 +70,7 @@ type config struct {
 	driftFrac   float64
 	driftShift  float64
 	shards      int
-	shardPeers  []string
 	nonBlocking bool
-
-	// Peer hardening knobs (sharded tier with replicas). Zero = default.
-	peerAttempts      int
-	peerBackoff       time.Duration
-	peerBreakThresh   int
-	peerBreakCooldown time.Duration
-	peerProbeInterval time.Duration
-	peerProbeDisabled bool
 }
 
 // driftThresholds assembles the re-learn trigger configuration.
@@ -112,8 +95,8 @@ const defaultPlanCacheSize = 128
 
 // defaultConfig leaves the update machinery's sizes to internal/shard: a
 // 1024-slot queue, 256 operations per applied batch and a 30s drain on
-// Close. The zero queue size and peer settings mean "the layer's default";
-// only tests set them, to test-scale values (export_test.go).
+// Close. The zero queue size means "the layer's default"; only tests set
+// it, to a test-scale value (export_test.go).
 func defaultConfig() config {
 	return config{ens: ensemble.DefaultConfig(), planCache: defaultPlanCacheSize}
 }
@@ -224,8 +207,8 @@ func WithDurability(d Durability) Option {
 // — readers never block, and the paper's incremental-update approximations
 // are periodically squashed out. <= 0 (the default) disables the trigger.
 // Re-learning needs the whole ensemble in one shard: together with
-// WithShards(n > 1) or WithShardPeers the constructor refuses an armed
-// trigger instead of ignoring it.
+// WithShards(n > 1) the constructor refuses an armed trigger instead of
+// ignoring it.
 func WithDriftThreshold(frac float64) Option {
 	return func(c *config) { c.driftFrac = frac }
 }
@@ -266,18 +249,6 @@ func WithDataset(ds Dataset) Option {
 // — the drift triggers — is refused for n > 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
-}
-
-// WithShardPeers binds shard replica processes (one base URL per shard, in
-// shard order — e.g. started with `deepdb shard -index i`): evaluation
-// chunks of members owned by shard i are offloaded to peers[i], and
-// mutations are forwarded so replicas stay in lockstep. Any replica failure
-// falls back to the local model, so results are bit-identical with or
-// without peers. Replicas compute the partition themselves, so a DB with
-// peers is partitioned like WithShards(n > 1) — even for n = 1 — with the
-// same per-shard WAL layout and the same refusals.
-func WithShardPeers(urls ...string) Option {
-	return func(c *config) { c.shardPeers = append([]string(nil), urls...) }
 }
 
 // WithNonBlockingUpdates makes Insert/Delete shed with ErrQueueFull

@@ -2,7 +2,7 @@ package deepdb
 
 // relearn.go holds what only an unpartitioned DB can do, because its
 // serving view is its one shard's own updatable ensemble: drift-triggered
-// background re-learning. A partitioned DB (WithShards/WithShardPeers)
+// background re-learning. A partitioned DB (WithShards(n > 1))
 // refuses the trigger at construction.
 //
 // The paper's incremental updates (Section 5.2) keep models exact for

@@ -71,8 +71,8 @@ func LoadSchema(path string) (*Schema, error) {
 	return &s, nil
 }
 
-// LoadCSVDir reads <table>.csv for every schema table from dir.
-func LoadCSVDir(s *Schema, dir string) (Dataset, error) {
+// loadCSVDir reads <table>.csv for every schema table from dir.
+func loadCSVDir(s *Schema, dir string) (Dataset, error) {
 	out := make(Dataset, len(s.Tables))
 	for _, meta := range s.Tables {
 		path := filepath.Join(dir, meta.Name+".csv")

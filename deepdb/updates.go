@@ -125,9 +125,6 @@ func (db *DB) mutateAll(muts []ensemble.Mutation) error {
 			first = err
 		}
 	}
-	if db.peers != nil {
-		db.forwardPeers(muts)
-	}
 	return first
 }
 
@@ -253,11 +250,11 @@ func (db *DB) Reload(modelPath string) error {
 	return nil
 }
 
-// Close stops the peer prober, drains and stops every shard's update
-// pipeline (each waiting at most 30s), syncs and closes the WALs, waits for
-// an in-flight background re-learn, and returns the first undelivered apply
-// error (or the drain-timeout error; with a WAL the undrained queue remains
-// recoverable by the next Open). The DB remains queryable afterwards (the
+// Close drains and stops every shard's update pipeline (each waiting at
+// most 30s), syncs and closes the WALs, waits for an in-flight background
+// re-learn, and returns the first undelivered apply error (or the
+// drain-timeout error; with a WAL the undrained queue remains recoverable
+// by the next Open). The DB remains queryable afterwards (the
 // published snapshot stays valid); further updates fail. Close is
 // idempotent — the second and later calls are no-ops returning nil.
 func (db *DB) Close() error {
@@ -268,10 +265,6 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.mutMu.Unlock()
-	if db.probeStop != nil {
-		close(db.probeStop)
-		db.probeWG.Wait()
-	}
 	// Raise the re-learn barrier before draining: a trigger tripped by the
 	// drain's own batches backs off instead of starting work Close would
 	// then have to wait for.

@@ -327,8 +327,8 @@ func (w *walker) muOp(call *ast.CallExpr) (mu, op string) {
 }
 
 // broadcastOp matches the host's side of the protocol: a Log or Submit
-// call on an internal/shard.Shard made from another package (the shard's
-// own internal use — ApplySync — is ordered by walMu). It returns the
+// call on an internal/shard.Shard made from another package (inside the
+// shard package the append rules above govern ordering). It returns the
 // method name, or "".
 func (w *walker) broadcastOp(call *ast.CallExpr) string {
 	recv, method := analysis.MethodCall(call)

@@ -54,13 +54,12 @@ const (
 
 // BatchEvaluator is an optional dispatch hook for the batched executor:
 // when set on an Engine, every chunk of SPN inference requests goes
-// through it instead of straight to the RSPN's in-process model. The
-// sharded serving tier uses this to offload evaluation to shard replica
-// processes. Implementations must fill out[i] with the answer to reqs[i]
-// and must be bit-identical to r.EvaluateRequests — the usual way to
-// guarantee that is to proxy to a replica holding the same model and fall
-// back to the local model on any failure. Calls may arrive concurrently
-// (one per evaluation chunk, up to Engine.Parallelism at a time).
+// through it instead of straight to the RSPN's in-process model. Serving
+// never sets it; it is the seam through which tests observe the chunks an
+// execution evaluates (TestGroupByRequestCounts counts requests per RSPN).
+// Implementations must fill out[i] with the answer to reqs[i] and must be
+// bit-identical to r.EvaluateRequests. Calls may arrive concurrently (one
+// per evaluation chunk, up to Engine.Parallelism at a time).
 type BatchEvaluator interface {
 	EvaluateRSPN(ctx context.Context, r *rspn.RSPN, reqs []spn.Request, out []float64) error
 }

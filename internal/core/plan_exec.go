@@ -151,10 +151,10 @@ func (b *batcher) addRequest(r *rspn.RSPN, req spn.Request) valRef {
 // execution, and the chunks are fanned over up to `parallelism` workers —
 // the fan-out spans individual expectations, not whole groups or
 // branches, so load balances evenly. Each chunk is
-// one pass over its model's flat arrays — or one eng.Eval dispatch when
-// the engine carries an evaluator hook; chunk boundaries are identical
-// either way, so the hook sees exactly the request groups the in-process
-// path would evaluate.
+// one pass over its model's flat arrays — or one eng.Eval dispatch when a
+// test installed the evaluator hook; chunk boundaries are identical either
+// way, so the hook sees exactly the request groups the in-process path
+// evaluates.
 func (b *batcher) run(ctx context.Context, eng *Engine) error {
 	parallelism := eng.Parallelism
 	total := 0

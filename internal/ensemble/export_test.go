@@ -16,7 +16,7 @@ import (
 // truncations, files whose header or version is flipped, payloads missing
 // their schema or statistics, and well-formed payloads whose SPNs are not
 // (an RSPN without a model, an exact leaf with fewer frequencies than
-// values).
+// values, and models whose every scope index moved up by one).
 func ModelFileSeeds(tb testing.TB) [][]byte {
 	s := &schema.Schema{Tables: []*schema.Table{
 		{Name: "customer", PrimaryKey: "c_id", Columns: []schema.Column{
@@ -69,23 +69,58 @@ func ModelFileSeeds(tb testing.TB) [][]byte {
 	noStats, noSchema := payload, payload
 	noStats.Stats = nil
 	noSchema.Schema = nil
-	// Damage a fresh decode of the valid file, so e stays intact.
-	damaged := func(damage func(m *spn.SPN)) persisted {
+	// Damage member i of a fresh decode of the valid file, so e stays
+	// intact.
+	damaged := func(i int, damage func(m *spn.SPN)) persisted {
 		d, err := Load(bytes.NewReader(good), nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		damage(d.RSPNs[0].Model)
+		damage(d.RSPNs[i].Model)
 		return persisted{Schema: d.Schema, RSPNs: d.RSPNs, AttrRDC: d.AttrRDC, PairDep: d.PairDep, Stats: d.Stats, Config: d.cfg}
 	}
-	noModel := damaged(func(m *spn.SPN) { m.Root = nil })
-	shortFreq := damaged(func(m *spn.SPN) {
+	member := func(tbl string) int {
+		for i, r := range e.RSPNs {
+			if len(r.Tables) == 1 && r.Tables[0] == tbl {
+				return i
+			}
+		}
+		tb.Fatalf("no single-table member over %s", tbl)
+		return -1
+	}
+	noModel := damaged(0, func(m *spn.SPN) { m.Root = nil })
+	shortFreq := damaged(0, func(m *spn.SPN) {
 		n := m.Root
 		for n.Kind != spn.LeafKind {
 			n = n.Children[0]
 		}
 		n.Leaf.Freq = n.Leaf.Freq[:len(n.Leaf.Freq)-1]
 	})
+	// Shifting every scope index and leaf column up by one keeps each
+	// node's own invariants (Validate passes) but points leaves past the
+	// model's columns. On the one-column orders member the leaf root reads
+	// column 1 of 1 and estimation indexes out of range; on customer the
+	// c_region leaf moves off column 0, so an equality on c_region goes
+	// unconstrained and COUNT answers every row. Only the root's scope
+	// against Columns tells either apart from a valid model — and a
+	// permutation of in-range columns cannot be told apart at all.
+	shift := func(m *spn.SPN) {
+		var walk func(n *spn.Node)
+		walk = func(n *spn.Node) {
+			for k := range n.Scope {
+				n.Scope[k]++
+			}
+			if n.Leaf != nil {
+				n.Leaf.Col++
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(m.Root)
+	}
+	ordersShifted := damaged(member("orders"), shift)
+	customerShifted := damaged(member("customer"), shift)
 	return append(seeds,
 		encode(fileHeader{Magic: "deepdb-modem", Version: modelVersion}, payload),
 		encode(fileHeader{Magic: modelMagic, Version: modelVersion - 1}, payload),
@@ -94,5 +129,7 @@ func ModelFileSeeds(tb testing.TB) [][]byte {
 		encode(hdr, noSchema),
 		encode(hdr, noModel),
 		encode(hdr, shortFreq),
+		encode(hdr, ordersShifted),
+		encode(hdr, customerShifted),
 	)
 }

@@ -32,7 +32,10 @@ func FuzzLoad(f *testing.F) {
 
 // TestLoadSeedsAnswer pins what the FuzzLoad seeds exercise: the valid
 // seed loads and answers the fuzzed COUNT, and every damaged one is
-// refused.
+// refused — the scope-shifted ones too, which would otherwise load and
+// then panic (orders) or count every customer for c_region = EU. A model
+// whose leaves permute in-range columns still loads: nothing structural
+// tells it apart from a valid one.
 func TestLoadSeedsAnswer(t *testing.T) {
 	seeds := ensemble.ModelFileSeeds(t)
 	for i, seed := range seeds {

@@ -110,6 +110,12 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 		if err := m.Model.Root.Validate(); err != nil {
 			return nil, fmt.Errorf("ensemble: invalid model after load: %w", err)
 		}
+		// Both learners root the SPN at scope 0..len(Columns)-1; with
+		// Validate's scope rules that keeps every leaf column inside
+		// Columns, so no leaf reads a column the model does not have.
+		if !spansColumns(m.Model.Root.Scope, len(m.Model.Columns)) {
+			return nil, fmt.Errorf("ensemble: invalid model after load: an RSPN over %v has root scope %v, want columns 0..%d", m.Tables, m.Model.Root.Scope, len(m.Model.Columns)-1)
+		}
 		// gob skips the unexported evaluation caches (sum totals, the
 		// compiled flat evaluator, indicator indices); rebuild them
 		// before serving.
@@ -131,6 +137,19 @@ func Load(r io.Reader, tables map[string]*table.Table) (*Ensemble, error) {
 		}
 	}
 	return e, nil
+}
+
+// spansColumns reports whether scope is exactly 0, 1, ..., n-1.
+func spansColumns(scope []int, n int) bool {
+	if len(scope) != n {
+		return false
+	}
+	for i, c := range scope {
+		if c != i {
+			return false
+		}
+	}
+	return true
 }
 
 // AttachTables (re)attaches live base tables to a loaded ensemble, for

@@ -1,15 +1,14 @@
 // Package fault is the repository's fault-injection framework: named
-// injection points compiled into the I/O and transport paths (WAL append
-// and fsync, the update-pipeline applier, the shard /eval and /apply
-// transports, peer health probes) that are inert until a Schedule is
-// activated — one atomic pointer load per check, no allocation, no locks —
-// and then fire deterministic, seeded fault decisions.
+// injection points compiled into the I/O paths (WAL append and fsync, the
+// update-pipeline applier) that are inert until a Schedule is activated —
+// one atomic pointer load per check, no allocation, no locks — and then
+// fire deterministic, seeded fault decisions.
 //
 // A schedule is a set of rules, each bound to one point:
 //
 //	point=wal.append.sync;kind=error;errno=EIO;after=3;count=1
-//	point=shard.eval;kind=latency;d=5ms;every=3
-//	point=shard.eval;kind=partition;prob=0.2;seed=42
+//	point=wal.append.sync;kind=latency;d=5ms;every=3
+//	point=pipeline.apply;kind=error;prob=0.2;seed=42
 //	point=wal.append.write;kind=torn;bytes=7;count=1
 //	point=wal.append.write;kind=disk-full;count=2
 //
@@ -28,7 +27,6 @@
 package fault
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -53,12 +51,6 @@ const (
 	// PipelineApply fires in the background applier before the apply
 	// callback runs; an injected error fails the batch without applying it.
 	PipelineApply Point = "pipeline.apply"
-	// ShardEval fires in the replica client before each /eval attempt.
-	ShardEval Point = "shard.eval"
-	// ShardApply fires in the replica client before each /apply attempt.
-	ShardApply Point = "shard.apply"
-	// ShardProbe fires in the replica client before each health probe.
-	ShardProbe Point = "shard.probe"
 )
 
 // Kind is the failure mode a rule injects.
@@ -70,9 +62,6 @@ const (
 	KindError Kind = iota
 	// KindLatency delays the operation without failing it.
 	KindLatency
-	// KindPartition fails the operation like an unreachable peer
-	// (connection-refused flavor) — the transport face of a network split.
-	KindPartition
 	// KindDiskFull is KindError sugar wrapping ENOSPC.
 	KindDiskFull
 	// KindTorn fails a write after a prefix of the bytes reached the file —
@@ -92,8 +81,8 @@ type Result struct {
 	// Torn, when > 0, instructs the write site to persist only this many
 	// bytes of the record before failing.
 	Torn int
-	// Delay is a latency injection (Err is nil then); Check sites sleep it
-	// inline, CheckCtx sites sleep it cancellably.
+	// Delay is a latency injection (Err is nil then); Check sleeps it
+	// inline.
 	Delay time.Duration
 }
 
@@ -147,8 +136,7 @@ func Enable(s *Schedule) {
 func Disable() { active.Store(nil) }
 
 // Check consults the active schedule at pt. Disabled, it is one atomic
-// load. Latency rules sleep inline here; use CheckCtx where a context is
-// available.
+// load. Latency rules sleep inline here.
 func Check(pt Point) Result {
 	s := active.Load()
 	if s == nil {
@@ -160,27 +148,6 @@ func Check(pt Point) Result {
 		res.Delay = 0
 	}
 	return res
-}
-
-// CheckCtx is Check with cancellable latency: an injected delay waits on a
-// timer or the context, whichever ends first, and an injected failure (or
-// the context's own error) is returned. Nil means proceed.
-func CheckCtx(ctx context.Context, pt Point) error {
-	s := active.Load()
-	if s == nil {
-		return nil
-	}
-	res := s.decide(pt)
-	if res.Delay > 0 {
-		t := time.NewTimer(res.Delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
-	}
-	return res.Err
 }
 
 // decide evaluates every rule bound to pt in declaration order and returns
@@ -246,8 +213,6 @@ func (r *Rule) result() Result {
 	switch r.Kind {
 	case KindLatency:
 		return Result{Delay: r.Delay}
-	case KindPartition:
-		return Result{Err: fmt.Errorf("%w: dial tcp: %w (partition at %s)", ErrInjected, syscall.ECONNREFUSED, r.Point)}
 	case KindDiskFull:
 		return Result{Err: fmt.Errorf("%w: %w (disk full at %s)", ErrInjected, syscall.ENOSPC, r.Point)}
 	case KindTorn:
@@ -343,14 +308,12 @@ func parseKind(s string) (Kind, error) {
 		return KindError, nil
 	case "latency":
 		return KindLatency, nil
-	case "partition":
-		return KindPartition, nil
 	case "disk-full":
 		return KindDiskFull, nil
 	case "torn":
 		return KindTorn, nil
 	}
-	return 0, fmt.Errorf("unknown kind %q (want error, latency, partition, disk-full or torn)", s)
+	return 0, fmt.Errorf("unknown kind %q (want error, latency, disk-full or torn)", s)
 }
 
 func parseErrno(s string) (syscall.Errno, error) {

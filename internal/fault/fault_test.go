@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"errors"
 	"syscall"
 	"testing"
@@ -19,11 +18,10 @@ func enable(t *testing.T, s *Schedule) {
 
 func TestDisabledIsZero(t *testing.T) {
 	Disable()
-	if r := Check(WALAppendWrite); r.Err != nil || r.Torn != 0 || r.Delay != 0 {
-		t.Fatalf("Check on disabled registry = %+v, want zero", r)
-	}
-	if err := CheckCtx(context.Background(), ShardEval); err != nil {
-		t.Fatalf("CheckCtx on disabled registry = %v, want nil", err)
+	for _, pt := range []Point{WALAppendWrite, WALAppendSync, PipelineApply} {
+		if r := Check(pt); r.Err != nil || r.Torn != 0 || r.Delay != 0 {
+			t.Fatalf("Check(%s) on disabled registry = %+v, want zero", pt, r)
+		}
 	}
 }
 
@@ -82,14 +80,14 @@ func TestEverySelector(t *testing.T) {
 
 func TestProbIsSeededDeterministic(t *testing.T) {
 	run := func() []bool {
-		s, err := Parse("point=shard.eval;kind=partition;prob=0.5;seed=42")
+		s, err := Parse("point=pipeline.apply;kind=error;prob=0.5;seed=42")
 		if err != nil {
 			t.Fatal(err)
 		}
 		enable(t, s)
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = Check(ShardEval).Err != nil
+			out[i] = Check(PipelineApply).Err != nil
 		}
 		return out
 	}
@@ -110,8 +108,8 @@ func TestProbIsSeededDeterministic(t *testing.T) {
 
 func TestKinds(t *testing.T) {
 	s, err := Parse("point=wal.append.write;kind=torn;bytes=7;count=1" +
-		"|point=shard.eval;kind=partition;count=1" +
-		"|point=shard.apply;kind=disk-full;count=1")
+		"|point=pipeline.apply;kind=error;errno=ETIMEDOUT;count=1" +
+		"|point=wal.append.sync;kind=disk-full;count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,33 +118,28 @@ func TestKinds(t *testing.T) {
 	if r := Check(WALAppendWrite); r.Torn != 7 || !errors.Is(r.Err, syscall.EIO) {
 		t.Fatalf("torn rule = %+v, want Torn=7 wrapping EIO", r)
 	}
-	if r := Check(ShardEval); !errors.Is(r.Err, syscall.ECONNREFUSED) {
-		t.Fatalf("partition rule = %v, want ECONNREFUSED", r.Err)
+	if r := Check(PipelineApply); !errors.Is(r.Err, syscall.ETIMEDOUT) {
+		t.Fatalf("errno rule = %v, want ETIMEDOUT", r.Err)
 	}
-	if r := Check(ShardApply); !errors.Is(r.Err, syscall.ENOSPC) {
+	if r := Check(WALAppendSync); !errors.Is(r.Err, syscall.ENOSPC) {
 		t.Fatalf("disk-full rule = %v, want ENOSPC", r.Err)
 	}
 }
 
-func TestLatencyAndCtxCancel(t *testing.T) {
-	s, err := Parse("point=shard.eval;kind=latency;d=50ms")
+func TestLatencyRule(t *testing.T) {
+	s, err := Parse("point=wal.append.sync;kind=latency;d=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	enable(t, s)
 
 	start := time.Now()
-	if err := CheckCtx(context.Background(), ShardEval); err != nil {
-		t.Fatalf("latency injection errored: %v", err)
+	r := Check(WALAppendSync)
+	if r.Err != nil || r.Delay != 0 {
+		t.Fatalf("latency injection = %+v, want a slept delay and no error", r)
 	}
 	if d := time.Since(start); d < 50*time.Millisecond {
 		t.Fatalf("latency injection slept %v, want >= 50ms", d)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := CheckCtx(ctx, ShardEval); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx during delay = %v, want context.Canceled", err)
 	}
 }
 
@@ -154,6 +147,7 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"kind=error",                      // no point
 		"point=x;kind=bogus",              // unknown kind
+		"point=x;kind=partition",          // unknown kind (no transport points)
 		"point=x;errno=ENOENT",            // unsupported errno
 		"point=x;kind=latency",            // latency without d=
 		"point=x;frobnicate=1",            // unknown field
@@ -195,7 +189,7 @@ func BenchmarkCheckDisabled(b *testing.B) {
 	Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if r := Check(ShardEval); r.Err != nil {
+		if r := Check(WALAppendWrite); r.Err != nil {
 			b.Fatal("fired while disabled")
 		}
 	}

@@ -31,10 +31,10 @@ import (
 
 // Partition assigns the ensemble's members to at most n shards and returns
 // the member-index sets, each sorted ascending. Assignment is deterministic
-// (same ensemble and n always produce the same partition — replica
-// processes compute it independently and must agree) and cost-balanced,
-// with each member's training-sample row count as the evaluation-cost
-// proxy.
+// (same ensemble and n always produce the same partition — a restart
+// replays each per-shard WAL into the members it was written for) and
+// cost-balanced, with each member's training-sample row count as the
+// evaluation-cost proxy.
 //
 // Members sharing a base table are kept on the same shard when enough
 // table groups exist — a query's Theorem-2 branches over one table group

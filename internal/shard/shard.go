@@ -15,8 +15,7 @@ import (
 // snapshot is one immutable published state of a shard: its sub-ensemble,
 // a publication counter, and the cumulative mutation count. It is never
 // mutated after publication — the applier clones and publishes a successor
-// — so readers (the host's compose path, remote /eval handlers) use it
-// without coordination.
+// — so readers (the host's compose path) use it without coordination.
 type snapshot struct {
 	ens *ensemble.Ensemble
 	gen uint64
@@ -57,8 +56,7 @@ type Group struct {
 // pointer, a WAL that is replayed on construction and checkpointed by the
 // host's Save, and an update pipeline applying mutation groups to
 // copy-on-write clones. The facade hosts N >= 1 of them; queries run on the
-// host's composed view (or reach the shard through the remote /eval
-// interface).
+// host's composed view.
 type Shard struct {
 	id int
 	// members are the global ensemble-member indices the shard serves; nil
@@ -294,21 +292,6 @@ func (s *Shard) appendLocked(muts []ensemble.Mutation) (uint64, error) {
 // instead. See Log for the serialization contract.
 func (s *Shard) Submit(muts []ensemble.Mutation, lsn uint64, wait bool) error {
 	return s.pipe.Enqueue(Group{Muts: muts, lsn: lsn}, wait)
-}
-
-// ApplySync logs one group and submits it waiting for its result — the
-// remote /apply path, which keeps a replica in lockstep with the router's
-// broadcast order (the router serializes broadcasts, so arrival order is
-// stream order). walMu is held throughout so concurrent callers reach the
-// log and the model in the same order, one group per batch.
-func (s *Shard) ApplySync(muts []ensemble.Mutation) error {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	lsn, err := s.appendLocked(muts)
-	if err != nil {
-		return err
-	}
-	return s.Submit(muts, lsn, true)
 }
 
 // Swap runs fn under the apply lock with the current ensemble and the

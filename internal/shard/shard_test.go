@@ -497,8 +497,8 @@ func TestPublishPreservesOps(t *testing.T) {
 	}
 }
 
-// sanity guard used by the remote tests too: the fixture's members must
-// learn on the full join so replays and broadcasts are bit-reproducible.
+// sanity guard: the fixture's members must learn on the full join so
+// replays and broadcasts are bit-reproducible.
 func TestFixtureLearnsFullJoin(t *testing.T) {
 	ens := fixture(t)
 	for i, r := range ens.RSPNs {
