@@ -1,15 +1,14 @@
-// Sharded-serving benchmarks: reader throughput and latency percentiles
-// against the router at one and two shards, and the
-// hot-reload blip — reader p50/p99 while a background loop keeps swapping
-// the model file through the snapshot-publication path. scripts/bench.sh
-// parses these into BENCH_serve.json.
+// Serving benchmarks: concurrent reader throughput and latency
+// percentiles on one handle, and the hot-reload blip — reader p50/p99
+// while a background loop keeps swapping the model file through the
+// snapshot-publication path. scripts/bench.sh parses these into
+// BENCH_serve.json.
 //
-// Run with: go test -bench 'ShardedServe|ShardedHotReload' -benchmem
+// Run with: go test -bench 'ServeQuery|HotReloadReader' -benchmem
 package repro
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -19,15 +18,12 @@ import (
 	"repro/deepdb"
 )
 
-// shardedFixture learns the shared benchmark dataset behind a sharded
-// router with n shards. The dataset learns two ensemble members and the
-// partitioner clamps to the member count, so n > 2 would rebuild the
-// 2-shard layout; the benchmark reports the effective count as a metric.
-func shardedFixture(b *testing.B, n int) *deepdb.DB {
+// serveFixture learns the shared benchmark dataset behind one handle.
+func serveFixture(b *testing.B) *deepdb.DB {
 	b.Helper()
 	s, data := updateDataset()
 	db, err := deepdb.LearnDataset(context.Background(), s, data,
-		deepdb.WithMaxSamples(4000), deepdb.WithShards(n))
+		deepdb.WithMaxSamples(4000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,55 +31,48 @@ func shardedFixture(b *testing.B, n int) *deepdb.DB {
 	return db
 }
 
-// BenchmarkShardedServeQuery drives concurrent prepared estimates — the
-// serving hot path — through the one-shard and the two-shard router and
-// reports qps plus p50/p99 per-request latency. The equivalence tests
-// guarantee the answers are bit-identical across all of these layouts;
-// this measures what the layout costs.
-func BenchmarkShardedServeQuery(b *testing.B) {
-	for _, n := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			db := shardedFixture(b, n)
-			ctx := context.Background()
-			var mu sync.Mutex
-			all := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				stmt, err := db.Prepare("SELECT COUNT(*) FROM orders WHERE o_amount >= ?")
-				if err != nil {
-					b.Fatal(err)
-				}
-				lats := make([]time.Duration, 0, 1024)
-				i := 0
-				for pb.Next() {
-					start := time.Now()
-					if _, err := stmt.Estimate(ctx, i%100); err != nil {
-						b.Fatal(err)
-					}
-					lats = append(lats, time.Since(start))
-					i++
-				}
-				mu.Lock()
-				all = append(all, lats...)
-				mu.Unlock()
-			})
-			b.StopTimer()
-			if d := b.Elapsed(); d > 0 {
-				b.ReportMetric(float64(b.N)/d.Seconds(), "qps")
+// BenchmarkServeQuery drives concurrent prepared estimates — the serving
+// hot path — through one handle and reports qps plus p50/p99 per-request
+// latency.
+func BenchmarkServeQuery(b *testing.B) {
+	db := serveFixture(b)
+	ctx := context.Background()
+	var mu sync.Mutex
+	all := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		stmt, err := db.Prepare("SELECT COUNT(*) FROM orders WHERE o_amount >= ?")
+		if err != nil {
+			b.Fatal(err)
+		}
+		lats := make([]time.Duration, 0, 1024)
+		i := 0
+		for pb.Next() {
+			start := time.Now()
+			if _, err := stmt.Estimate(ctx, i%100); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(db.Shards()), "shards")
-			reportLatencyPercentiles(b, all)
-		})
+			lats = append(lats, time.Since(start))
+			i++
+		}
+		mu.Lock()
+		all = append(all, lats...)
+		mu.Unlock()
+	})
+	b.StopTimer()
+	if d := b.Elapsed(); d > 0 {
+		b.ReportMetric(float64(b.N)/d.Seconds(), "qps")
 	}
+	reportLatencyPercentiles(b, all)
 }
 
-// BenchmarkShardedHotReloadReader measures the hot-reload blip: one
+// BenchmarkHotReloadReader measures the hot-reload blip: one
 // reader samples prepared-estimate latency while a background loop keeps
 // reloading the model file. The snapshot-publication swap claims zero
 // read downtime, so p99 here should stay in the same regime as the
-// ShardedServeQuery baseline rather than spiking to reload latency.
-func BenchmarkShardedHotReloadReader(b *testing.B) {
-	db := shardedFixture(b, 2)
+// ServeQuery baseline rather than spiking to reload latency.
+func BenchmarkHotReloadReader(b *testing.B) {
+	db := serveFixture(b)
 	path := filepath.Join(b.TempDir(), "model.deepdb")
 	if err := db.Save(path); err != nil {
 		b.Fatal(err)

@@ -23,8 +23,7 @@ package main
 //	/healthz  -> {"status": "ok", "models", "tables", "data_attached",
 //	              "readonly", "updates": {queue depth, lag, batches,
 //	              "wal": {LSN watermarks, fsync counters},
-//	              "drift": [per-member staleness], relearn counters, ...},
-//	              "shards": [per-shard members + pipeline stats with -shards]}
+//	              "drift": [per-member staleness], relearn counters, ...}}
 //
 // params entries may be JSON numbers or strings; strings are resolved
 // through the dictionaries persisted in the model, so string predicates
@@ -33,8 +32,10 @@ package main
 // rejected with 403 under -readonly; queries keep serving from immutable
 // snapshots either way and never wait for writers.
 //
-// -shards N partitions the ensemble behind the in-process fan-out router
-// (bit-identical to single-process serving). -request-timeout bounds
+// -wal dir makes accepted mutations durable (a directory still holding
+// the shard-<i> logs of a partitioned deployment is refused with the steps
+// that fold them into one log), and -drift re-learns a member in the
+// background once enough of its rows mutated. -request-timeout bounds
 // each request's wall clock, -max-body its payload, and -max-inflight the
 // number served concurrently (excess is shed with 429 + Retry-After;
 // /healthz stays exempt so load balancers can always probe).
@@ -74,10 +75,9 @@ func cmdServe(ctx context.Context, args []string) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the serving process to this file (finalized at shutdown)")
 	withPprof := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for live hot-path diagnosis")
 	readonly := fs.Bool("readonly", false, "reject /insert, /delete and /flush (serve a frozen snapshot)")
-	walDir := fs.String("wal", "", "write-ahead log directory: accepted mutations become durable and are replayed on restart (with -shards, each shard logs into its own subdirectory)")
+	walDir := fs.String("wal", "", "write-ahead log directory: accepted mutations become durable and are replayed on restart")
 	durability := fs.String("durability", "batched", "WAL fsync policy: sync, batched or off (needs -wal)")
-	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data; refused with -shards: re-learning needs the whole ensemble in one shard)")
-	shards := fs.Int("shards", 0, "partition the ensemble into this many shards behind the fan-out router (0/1 serves single-process)")
+	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data)")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request wall-clock budget; exceeding it answers 503 (0 disables)")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently served requests; beyond it requests are shed with 429 (0 unlimited; /healthz is exempt)")
@@ -138,7 +138,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	// Serving front-ends shed on a full update queue (429 + Retry-After)
 	// instead of pinning a handler goroutine per blocked writer.
 	opts = append(opts, deepdb.WithNonBlockingUpdates())
-	opts = append(opts, deepdb.WithShards(*shards))
 	db, err := deepdb.Open(ctx, *model, opts...)
 	if err != nil {
 		return err
@@ -155,11 +154,8 @@ func cmdServe(ctx context.Context, args []string) error {
 		handler = withPprofEndpoints(handler)
 	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
-	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v", *model, *addr, db.Data() == nil)
-	if *shards > 1 {
-		banner += fmt.Sprintf(", shards: %d", db.Shards())
-	}
-	return serveUntilSignal(ctx, srv, banner+")")
+	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v)", *model, *addr, db.Data() == nil)
+	return serveUntilSignal(ctx, srv, banner)
 }
 
 // serveUntilSignal runs srv until ctx ends or SIGINT/SIGTERM arrives, then
@@ -224,7 +220,7 @@ func withInflightLimit(h http.Handler, n int) http.Handler {
 
 // serveHandler is the HTTP surface over one database handle. Queries come
 // from immutable published snapshots and updates are serialized inside the
-// handle; answers are bit-identical at every shard count.
+// handle.
 type serveHandler struct {
 	db       *deepdb.DB
 	readonly bool
@@ -597,7 +593,7 @@ func (s *serveHandler) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleReload hot-swaps the serving model with the file named in the
 // request body, through the snapshot-publication path: zero read downtime,
-// and across shards all-old-or-all-new generation consistency.
+// and every reader sees the old model or the new one, never a mix.
 // Allowed under -readonly — a model swap is an operator action, not a data
 // mutation.
 func (s *serveHandler) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -645,18 +641,13 @@ func (s *serveHandler) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus the facade's own statistics,
-// marshalled as they are: the key names under "updates" and "shards" are
-// the JSON tags of deepdb.UpdateStats, WALStats, DriftStat and ShardStat.
-// "updates.wal" is present only with -wal, "updates.drift" only with data
-// attached, "shards" only when there is more than one shard. A failed WAL
+// marshalled as they are: the key names under "updates" are the JSON tags
+// of deepdb.UpdateStats, WALStats and DriftStat. "updates.wal" is present
+// only with -wal, "updates.drift" only with data attached. A failed WAL
 // (updates.durability_lost: writes 503 under the fail-stop policy, or are
 // volatile under degrade-volatile) flips status to "degraded".
 func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.db.UpdateStats()
-	shards := s.db.ShardStats()
-	if len(shards) == 1 {
-		shards = nil
-	}
 	status := "ok"
 	if st.DurabilityLost {
 		status = "degraded"
@@ -667,7 +658,6 @@ func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Tables       int                `json:"tables"`
 		DataAttached bool               `json:"data_attached"`
 		Readonly     bool               `json:"readonly"`
-		Shards       []deepdb.ShardStat `json:"shards,omitempty"`
 		Updates      deepdb.UpdateStats `json:"updates"`
 	}{
 		Status:       status,
@@ -675,7 +665,6 @@ func (s *serveHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Tables:       len(s.db.Schema().Tables),
 		DataAttached: s.db.Data() != nil,
 		Readonly:     s.readonly,
-		Shards:       shards,
 		Updates:      st,
 	})
 }

@@ -4,7 +4,7 @@ package main
 // stats types are marshalled directly, so their JSON tags ARE the public
 // key names that dashboards and the benchmark harness parse. The test
 // spells out every key path, in document order, that a healthy WAL-backed
-// server and a healthy two-shard server emit.
+// server emits.
 
 import (
 	"context"
@@ -150,23 +150,5 @@ func TestHealthzGoldenKeys(t *testing.T) {
 		defer db.Close()
 		// Two members; only "orders" was written to, so only it has shifted.
 		assertKeys(t, healthzAfterWrites(t, db), append(top, updatesKeys(false, true)...))
-	})
-
-	t.Run("two-shards", func(t *testing.T) {
-		db, err := deepdb.Open(ctx, model, deepdb.WithShards(2),
-			deepdb.WithDataset(src.Data()), deepdb.WithWAL(filepath.Join(dir, "wal2")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		want := append(top, ".shards")
-		for i := 0; i < 2; i++ {
-			sh := fmt.Sprintf(".shards[%d]", i)
-			want = append(want, under(sh, "id", "members", "generation", "ops", "queue_depth",
-				"enqueued", "applied", "errors", "wal_applied_lsn")...)
-			want = append(want, walKeys(sh)...)
-		}
-		// Drift tracking needs the whole ensemble in one shard: no drift block.
-		assertKeys(t, healthzAfterWrites(t, db), append(want, updatesKeys()...))
 	})
 }

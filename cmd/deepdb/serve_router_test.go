@@ -1,21 +1,16 @@
 package main
 
-// serve_router_test.go covers the serving-tier hardening added with the
-// sharded router: body-size bounds, in-flight load shedding, backpressure
-// mapping to 429 + Retry-After, the /reload hot-swap endpoint, and the
-// router-vs-single HTTP equivalence (the same model answers identically
-// whether it serves as one process or as a sharded backend).
+// serve_router_test.go covers the serving tier's hardening: body-size
+// bounds, in-flight load shedding, backpressure mapping to 429 +
+// Retry-After, and the /reload hot-swap endpoint.
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -157,82 +152,5 @@ func TestReloadEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after failed reload got %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestShardedServeEquivalence drives the same model file through the
-// single-process backend and the sharded router behind the identical HTTP
-// surface: every response must decode to exactly equal values, and
-// /healthz must expose per-shard health on the sharded flavor.
-func TestShardedServeEquivalence(t *testing.T) {
-	ctx := context.Background()
-	db := serveFixture(t)
-	defer db.Close()
-	path := filepath.Join(t.TempDir(), "model.deepdb")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := deepdb.Open(ctx, path, deepdb.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sdb.Close()
-
-	one := httptest.NewServer(newServeHandler(db, false))
-	defer one.Close()
-	many := httptest.NewServer(newServeHandler(sdb, false))
-	defer many.Close()
-
-	for _, req := range []apiRequest{
-		{SQL: "SELECT COUNT(*) FROM customer WHERE c_age < 40"},
-		{SQL: "SELECT COUNT(*) FROM customer JOIN orders WHERE o_amount >= 50 AND c_age < 40"},
-		{SQL: "SELECT COUNT(*) FROM customer GROUP BY c_region"},
-		{SQL: "SELECT AVG(o_amount) FROM orders WHERE o_amount >= ?", Params: []any{30}},
-		{SQL: "SELECT COUNT(*) FROM customer WHERE c_region = 'EU'"},
-	} {
-		var a, b queryResp
-		codeA := postJSON(t, one, "/query", req, &a)
-		codeB := postJSON(t, many, "/query", req, &b)
-		if codeA != http.StatusOK || codeB != http.StatusOK {
-			t.Fatalf("%s: statuses %d / %d (errors %q / %q)", req.SQL, codeA, codeB, a.Error, b.Error)
-		}
-		a.ElapsedUS, b.ElapsedUS = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s diverged across backends:\n  single:  %+v\n  sharded: %+v", req.SQL, a, b)
-		}
-		var ea, eb estimateResp
-		codeA = postJSON(t, one, "/estimate", req, &ea)
-		codeB = postJSON(t, many, "/estimate", req, &eb)
-		if codeA != http.StatusOK || codeB != http.StatusOK {
-			t.Fatalf("%s estimate: statuses %d / %d", req.SQL, codeA, codeB)
-		}
-		ea.ElapsedUS, eb.ElapsedUS = 0, 0
-		if ea != eb {
-			t.Fatalf("%s estimate diverged:\n  single:  %+v\n  sharded: %+v", req.SQL, ea, eb)
-		}
-	}
-
-	var health struct {
-		Status string `json:"status"`
-		Shards []struct {
-			ID      int   `json:"id"`
-			Members []int `json:"members"`
-		} `json:"shards"`
-	}
-	resp, err := http.Get(many.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Status != "ok" || len(health.Shards) != 2 {
-		t.Fatalf("sharded /healthz = %+v, want status ok with 2 shards", health)
-	}
-	for _, sh := range health.Shards {
-		if len(sh.Members) == 0 {
-			t.Fatalf("shard %d reports no members: %+v", sh.ID, health)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -234,76 +233,5 @@ func TestServeMutationWithoutData(t *testing.T) {
 		Table: "orders", Values: map[string]any{"o_id": 1.0},
 	}, &apiErr); code != http.StatusBadRequest || !strings.Contains(apiErr.Error, "no base tables") {
 		t.Fatalf("insert without data: status %d, %+v", code, apiErr)
-	}
-}
-
-// TestShardedHealthzAggregatesPipelineAndWAL: behind the same front-end, a
-// sharded backend's /healthz reports what the single-process one does —
-// the last batch and apply lag (the maximum over the shards, not zeros)
-// and an aggregated updates.wal block (every broadcast logged once per
-// shard) — next to the per-shard detail.
-func TestShardedHealthzAggregatesPipelineAndWAL(t *testing.T) {
-	ctx := context.Background()
-	src := attachedFixture(t)
-	dir := t.TempDir()
-	model, walDir := filepath.Join(dir, "model.deepdb"), filepath.Join(dir, "wal")
-	if err := src.Save(model); err != nil {
-		t.Fatal(err)
-	}
-	db, err := deepdb.Open(ctx, model, deepdb.WithShards(2),
-		deepdb.WithDataset(src.Data()), deepdb.WithWAL(walDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Shards() != 2 {
-		t.Fatalf("fixture partitions into %d shards, want 2", db.Shards())
-	}
-	srv := httptest.NewServer(newServeHandler(db, false))
-	defer srv.Close()
-
-	const inserts = 3
-	for i := 0; i < inserts; i++ {
-		var mr mutationResponse
-		if code := postJSON(t, srv, "/insert", mutationRequest{
-			Table:  "orders",
-			Values: map[string]any{"o_id": 910000.0 + float64(i), "o_c_id": 1.0, "o_amount": 12.5},
-		}, &mr); code != http.StatusAccepted {
-			t.Fatalf("insert %d: status %d, %+v", i, code, mr)
-		}
-	}
-	var fr flushResp
-	if code := postJSON(t, srv, "/flush", struct{}{}, &fr); code != http.StatusOK || !fr.Flushed {
-		t.Fatalf("flush: status %d, %+v", code, fr)
-	}
-	var health struct {
-		Shards  []json.RawMessage `json:"shards"`
-		Updates struct {
-			Applied   uint64 `json:"applied"`
-			LastBatch int    `json:"last_batch"`
-			WAL       *struct {
-				Dir        string `json:"dir"`
-				LastLSN    uint64 `json:"last_lsn"`
-				AppliedLSN uint64 `json:"applied_lsn"`
-				Appended   uint64 `json:"appended"`
-				Segments   int    `json:"segments"`
-			} `json:"wal"`
-		} `json:"updates"`
-	}
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	u := health.Updates
-	if len(health.Shards) != 2 || u.Applied != 2*inserts || u.LastBatch < 1 {
-		t.Fatalf("sharded /healthz pipeline view: %d shards, updates %+v", len(health.Shards), u)
-	}
-	if u.WAL == nil || u.WAL.Dir != walDir || u.WAL.Appended != 2*inserts ||
-		u.WAL.LastLSN != inserts || u.WAL.AppliedLSN != inserts || u.WAL.Segments < 2 {
-		t.Fatalf("sharded /healthz updates.wal = %+v, want the aggregate over 2 shard logs", u.WAL)
 	}
 }

@@ -1,7 +1,7 @@
 package deepdb_test
 
 // chaos_test.go is the fault-injection suite: it drives the public surface
-// (WAL-backed DB at one and several shards, async applier) under seeded
+// (WAL-backed DB, async applier) under seeded
 // fault schedules and asserts the hardening invariants end to end — a
 // failed log fails stop without losing an acknowledged write, and an
 // injected apply failure is recovered from the log.
@@ -71,34 +71,6 @@ func TestChaosWALFailStop(t *testing.T) {
 		// The read path is untouched: the model keeps answering.
 		if _, err := db.ExecuteQuery(ctx, equivalenceWorkload[0]); err != nil {
 			t.Fatalf("query while fail-stopped: %v", err)
-		}
-	})
-
-	t.Run("fail-stop-sharded", func(t *testing.T) {
-		s, data := fixture(800, 13)
-		db, err := deepdb.LearnDataset(ctx, s, data,
-			deepdb.WithShards(2), deepdb.WithMaxSamples(4000),
-			deepdb.WithWAL(t.TempDir()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		enableChaos(t, "point=wal.append.write;kind=error;errno=EIO;count=1")
-
-		table, values := ins(0)
-		if err := db.Insert(table, values); !errors.Is(err, deepdb.ErrDurabilityLost) {
-			t.Fatalf("sharded insert after injected EIO: err = %v, want ErrDurabilityLost", err)
-		}
-		table, values = ins(1)
-		if err := db.Insert(table, values); !errors.Is(err, deepdb.ErrDurabilityLost) {
-			t.Fatalf("second sharded insert: err = %v, want ErrDurabilityLost (latched)", err)
-		}
-		st := db.UpdateStats()
-		if !st.DurabilityLost || st.LastWALError == "" {
-			t.Fatalf("sharded stats hide the latched failure: %+v", st)
-		}
-		if _, err := db.ExecuteQuery(ctx, equivalenceWorkload[0]); err != nil {
-			t.Fatalf("sharded query while fail-stopped: %v", err)
 		}
 	})
 

@@ -39,25 +39,23 @@
 // UpdateStats exposes queue depth, apply lag and batch counters; Close
 // drains the pipeline.
 //
-// # One handle, N shards
+// # One handle, one writer
 //
-// All of the above is one implementation: a *DB over N >= 1 shards
-// (internal/shard), each of which owns the write machinery — WAL, update
-// queue, copy-on-write apply, publish, replay, checkpoint — for its part
-// of the ensemble. Every mutation is broadcast to every shard, and the DB
-// recomposes its serving view whenever the shards publish a common point
-// of the stream. By default that is one shard holding the whole ensemble;
-// WithShards(n) partitions the members over n shards — an option of the
-// same Open/Learn/LearnDataset, not another type. Answers are
-// bit-identical at every shard count. What needs the whole ensemble in one
-// place — drift-triggered re-learning — is refused on a partitioned DB
-// with an error that says so.
+// A *DB owns one shard (internal/shard) holding the whole ensemble; the
+// shard owns the write machinery — WAL, update queue, copy-on-write apply,
+// publish, replay, checkpoint — and the DB publishes every ensemble the
+// shard publishes as its next serving snapshot. The DB adds what sits in
+// front of the shard: the plan and result caches, admission, the
+// fail-stop on WAL loss and drift-triggered re-learning.
 package deepdb
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,28 +86,18 @@ type snapshot struct {
 // DB is a learned DeepDB instance: an RSPN ensemble, the probabilistic
 // query engine compiled against it, and (when attached) the live base
 // tables that power incremental updates and exact ground-truth execution.
-// It is the composed serving view of N >= 1 shards, the plan and result
-// caches in front of it, and the broadcast write path into the shards. The
-// shards own everything below the broadcast (log, queue, apply, publish,
-// replay, checkpoint); the DB owns what must be decided once for all of
-// them — admission, the fail-stop on WAL loss, and when the shards'
-// snapshots form a consistent view. All methods are safe for concurrent
-// use; queries never block on updates.
+// It is the serving view of one shard, the plan and result caches in
+// front of it, and the write path into the shard. The shard owns
+// everything below the write path (log, queue, apply, publish, replay,
+// checkpoint); the DB owns admission and the fail-stop on WAL loss. All
+// methods are safe for concurrent use; queries never block on updates.
 type DB struct {
-	cfg    config
-	shards []*shard.Shard
-	// total is the member count of the ensemble the shards partition.
-	total int
+	cfg   config
+	shard *shard.Shard
 
-	// snap is the current composed serving view; the read path loads it
-	// once per call and never takes a lock. Stored only by publishLocked.
+	// snap is the current serving view; the read path loads it once per
+	// call and never takes a lock. Stored only by publishLocked.
 	snap atomic.Pointer[snapshot]
-	// viewMu serializes recomposition. viewOps is the shards' common ops
-	// token the view was last composed at; dirty records that some shard
-	// has published a changed ensemble since then.
-	viewMu  sync.Mutex
-	viewOps uint64
-	dirty   bool
 
 	// plans caches compiled query plans by normalized shape
 	// (query.ShapeKey; nil when disabled via WithPlanCacheSize(0)); resCache
@@ -120,13 +108,12 @@ type DB struct {
 	plans    *genLRU[*core.Plan]
 	resCache *genLRU[cachedResult]
 
-	// mutMu serializes broadcasts so every shard observes the identical
-	// mutation stream in the identical order, and every shard's LSN order
-	// equals its apply order.
+	// mutMu serializes writers so the shard's LSN order equals its apply
+	// order.
 	mutMu  sync.Mutex
 	closed bool
 
-	// walErr latches the first WAL append or fsync failure on any shard:
+	// walErr latches the first WAL append or fsync failure:
 	// non-nil means durability is lost and writes are rejected from then
 	// on; the text is the cause UpdateStats and /healthz report.
 	walErr atomic.Pointer[string]
@@ -214,68 +201,66 @@ func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ens
 	return ens, nil
 }
 
-// newDB is the one constructor body: it builds the shards over ens (WALs
-// replayed), composes and publishes the first serving view and subscribes
-// to the shards' publications.
+// newDB is the one constructor body: it builds the shard over ens (WAL
+// replayed), publishes the first serving view and subscribes to the
+// shard's publications.
 func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
+	if err := refuseShardWALDirs(cfg.walDir); err != nil {
+		return nil, err
+	}
 	db := &DB{
 		cfg:      cfg,
-		total:    len(ens.RSPNs),
 		plans:    newGenLRU[*core.Plan](cfg.planCache, 1),
 		resCache: newGenLRU[cachedResult](cfg.resultCache, resultCacheWays),
 	}
-	parts := [][]int{nil} // one shard serving ens itself
-	partitioned := cfg.shards > 1
-	if partitioned {
-		if cfg.driftThresholds().Enabled() {
-			return nil, fmt.Errorf("deepdb: drift-triggered re-learning (WithDriftThreshold/WithDriftMeanShift) needs the whole ensemble in one shard; drop the trigger or serve unsharded")
-		}
-		parts = shard.Partition(ens, cfg.shards)
-	} else {
-		// Drift tracking baselines against the pre-replay state, so mutations
-		// recovered from the WAL count toward staleness exactly like they did
-		// before the crash. A no-op without attached tables.
-		ens.EnableDrift()
+	// Drift tracking baselines against the pre-replay state, so mutations
+	// recovered from the WAL count toward staleness exactly like they did
+	// before the crash. A no-op without attached tables.
+	ens.EnableDrift()
+	sh, err := shard.New(ens, cfg.shardConfig())
+	if err != nil {
+		return nil, err
 	}
-	for i, members := range parts {
-		walDir := cfg.walDir
-		if walDir != "" && partitioned {
-			walDir = filepath.Join(walDir, fmt.Sprintf("shard-%d", i))
-		}
-		sh, err := shard.New(i, members, ens, cfg.shardConfig(walDir))
-		if err != nil {
-			db.closeShards() //nolint:errcheck // construction already failed
-			return nil, err
-		}
-		db.shards = append(db.shards, sh)
-	}
-	view, ops, ok := shard.Compose(db.shards, db.total)
-	if !ok {
-		// Shards disagree on stream progress straight out of construction.
-		// That means their WALs recorded different prefixes of the same
-		// broadcast stream — a crash landed between the per-shard appends of
-		// one group. The divergence is at most the unacknowledged tail, but
-		// composing across it would serve a torn state, so refuse and let
-		// the operator reconcile (see the sharded-serving runbook in the
-		// README: keep the longest log, reset the others' directories).
-		db.closeShards() //nolint:errcheck // construction already failed
-		return nil, fmt.Errorf("deepdb: shard WALs replay to different positions (crash between per-shard appends); reconcile the shard-<i> WAL directories before reopening")
-	}
-	db.viewOps = ops
-	db.publishLocked(view)
-	for _, sh := range db.shards {
-		sh.OnPublish(db.shardPublished)
-	}
+	db.shard = sh
+	db.publishLocked(sh.View())
+	sh.OnPublish(db.shardPublished)
 	return db, nil
 }
 
-// snapshotNow returns the current published serving view: one atomic load
-// at every shard count — composition happens on the publish side.
+// refuseShardWALDirs refuses a WAL directory that holds the per-shard logs
+// of a partitioned deployment (subdirectories shard-<i>): the log opens
+// only the segments directly in dir, so serving from it would silently
+// drop every write acknowledged into the subdirectories.
+func refuseShardWALDirs(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil // a missing directory is created by the log; other errors surface there
+	}
+	for _, e := range entries {
+		n, ok := strings.CutPrefix(e.Name(), "shard-")
+		if !ok || !e.IsDir() {
+			continue
+		}
+		if _, err := strconv.Atoi(n); err != nil {
+			continue
+		}
+		sub := filepath.Join(dir, e.Name())
+		return fmt.Errorf("deepdb: WAL directory %s holds the per-shard log %s of a partitioned deployment, which is no longer served; "+
+			"every shard logged the full mutation stream, so move the segments (*.wal) and the CHECKPOINT file of the longest shard-<i> log up into %s, "+
+			"delete the shard-<i> subdirectories and reopen", dir, sub, dir)
+	}
+	return nil
+}
+
+// snapshotNow returns the current published serving view: one atomic load.
 func (db *DB) snapshotNow() *snapshot { return db.snap.Load() }
 
-// publishLocked atomically publishes ens, composed at the shards' common
-// ops token, as the next snapshot generation. Callers are single-threaded
-// at construction or hold viewMu.
+// publishLocked atomically publishes ens as the next snapshot generation.
+// Callers are single-threaded at construction or run as the shard's
+// publication hook, under its apply lock.
 func (db *DB) publishLocked(ens *ensemble.Ensemble) {
 	eng := core.New(ens)
 	eng.Parallelism = db.cfg.parallelism
@@ -287,53 +272,16 @@ func (db *DB) publishLocked(ens *ensemble.Ensemble) {
 	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
 }
 
-// shardPublished is every shard's publication hook (it runs on the shard's
-// applier, under that shard's apply lock): note whether the served state
-// changed and recompose if the shards now agree on a new point of the
-// stream.
-func (db *DB) shardPublished(changed bool) {
-	db.viewMu.Lock()
-	db.dirty = db.dirty || changed
-	moved := db.recomposeLocked(false)
-	db.viewMu.Unlock()
-	if moved {
-		// Only an update batch that moved the serving view gets here — never a
-		// model swap — so this is where the drift trigger is checked.
+// shardPublished is the shard's publication hook (it runs on the shard's
+// applier or swapper, under the shard's apply lock): every ensemble the
+// shard publishes changed, so it becomes the next snapshot. Only an update
+// batch checks the drift trigger — a model swap (Reload, a re-learned
+// member) resets the baselines it would read.
+func (db *DB) shardPublished(ens *ensemble.Ensemble, batch bool) {
+	db.publishLocked(ens)
+	if batch {
 		db.maybeRelearn()
 	}
-}
-
-// recompose publishes the composed view after a model swap (Reload, a
-// re-learned member), which — unlike an update batch —
-// leaves the shards' ops tokens where they were.
-func (db *DB) recompose() {
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	db.recomposeLocked(true)
-}
-
-// recomposeLocked publishes a new composed view when every shard has
-// reached a common ops token and some shard's ensemble changed since the
-// last composition. Unaligned shards keep the previous consistent view
-// serving, so queries always see a state a one-shard DB fed the same
-// stream could have been in — never a torn mix. Equal ops mean a swap is
-// in progress across the shards; only the swapper (swapped = true), once
-// it is done with all of them, may publish then. The generation moves iff
-// the served ensemble changed: a batch in which nothing applied advances
-// viewOps and leaves the snapshot — and every cached plan and result — in
-// place. It reports whether a new snapshot was published.
-func (db *DB) recomposeLocked(swapped bool) bool {
-	ens, ops, ok := shard.Compose(db.shards, db.total)
-	if !ok || (ops == db.viewOps && !swapped) {
-		return false
-	}
-	db.viewOps = ops
-	if db.dirty {
-		db.dirty = false
-		db.publishLocked(ens)
-		return true
-	}
-	return false
 }
 
 // planFor returns the compiled plan for the query against the given

@@ -38,7 +38,7 @@ func (db *DB) Update(rows ...Row) error {
 	for i, r := range rows {
 		muts[i] = ensemble.Mutation{Op: ensemble.OpInsert, Table: r.Table, Values: r.Values}
 	}
-	return db.mutateAll(muts)
+	return db.mutate(muts)
 }
 
 // PlanCacheLen reports how many compiled plans are currently cached.

@@ -1,21 +1,16 @@
 package deepdb_test
 
-// host_test.go drives the one *DB through one script at shard counts 1, 2
-// and 3 (the same constructors + WithShards(n)) and holds every observable —
-// answers, generation deltas, error delivery, backpressure and the
-// WAL-failure policy — to be the same at each count, with must-fail twins
-// for the two things only a partitioned host can get wrong (a torn
-// per-shard WAL set, a reload that does not fit the partition).
+// host_test.go drives the one *DB through one script on both write paths
+// and pins every observable of the handle — answers, generation deltas,
+// error delivery, backpressure, the WAL-failure policy and hot reload.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +20,7 @@ import (
 
 // fixture3 extends the customer/orders fixture with a lineitem table
 // hanging off orders, so the single-table ensemble has three members and
-// WithShards(3) really yields three shards.
+// queries chain three tables.
 func fixture3(rows int, seed int64) (*deepdb.Schema, deepdb.Dataset) {
 	s, data := fixture(rows, seed)
 	s.Tables = append(s.Tables, &deepdb.TableDef{
@@ -54,36 +49,46 @@ func fixture3(rows int, seed int64) (*deepdb.Schema, deepdb.Dataset) {
 // hostRows/hostSeed/hostOpts fix the data and the ensemble of every host
 // in this file: three single-table members learned on the full tables, so
 // applying mutations draws nothing from an rng and answers are exactly
-// reproducible across process layouts.
+// reproducible however the applier batches.
 const (
 	hostRows = 500
 	hostSeed = 71
 )
 
-func hostOpts(n int, extra ...deepdb.Option) []deepdb.Option {
+func hostOpts(extra ...deepdb.Option) []deepdb.Option {
 	return append([]deepdb.Option{
-		deepdb.WithMaxSamples(20000), deepdb.WithSingleTableOnly(), deepdb.WithShards(n),
+		deepdb.WithMaxSamples(20000), deepdb.WithSingleTableOnly(),
 	}, extra...)
 }
 
-// learnHost learns the fixture behind a DB over n shards.
-func learnHost(t *testing.T, n int, extra ...deepdb.Option) *deepdb.DB {
+// learnHost learns the fixture behind a DB.
+func learnHost(t *testing.T, extra ...deepdb.Option) *deepdb.DB {
 	t.Helper()
 	s, data := fixture3(hostRows, hostSeed)
-	db, err := deepdb.LearnDataset(context.Background(), s, data, hostOpts(n, extra...)...)
+	db, err := deepdb.LearnDataset(context.Background(), s, data, hostOpts(extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Shards() != n {
-		t.Fatalf("fixture partitions into %d shards, want %d", db.Shards(), n)
-	}
+	requireFullSampleRate(t, db)
 	return db
 }
 
+// requireFullSampleRate asserts the bit-identity precondition of the
+// equivalence tests: every ensemble member was learned on the full join
+// (SampleRate == 1), so applying mutations never draws from the rng.
+func requireFullSampleRate(t *testing.T, db *deepdb.DB) {
+	t.Helper()
+	for i, m := range db.Models() {
+		if m.SampleRate != 1 {
+			t.Fatalf("member %d has sample rate %v; the fixture must learn on the full join", i, m.SampleRate)
+		}
+	}
+}
+
 // openHost opens a saved model over fresh fixture tables.
-func openHost(n int, model string, extra ...deepdb.Option) (*deepdb.DB, error) {
+func openHost(model string, extra ...deepdb.Option) (*deepdb.DB, error) {
 	_, data := fixture3(hostRows, hostSeed)
-	opts := hostOpts(n, append([]deepdb.Option{deepdb.WithDataset(data)}, extra...)...)
+	opts := hostOpts(append([]deepdb.Option{deepdb.WithDataset(data)}, extra...)...)
 	return deepdb.Open(context.Background(), model, opts...)
 }
 
@@ -147,7 +152,7 @@ type hostTrace struct {
 // runHostScript is the script: learn → mixed Insert/Delete/Update incl. a
 // failing row and an all-failed batch → every query class → Save → more
 // writes → Close → reopen over the WAL → Reload.
-func runHostScript(t *testing.T, n int, sync bool) hostTrace {
+func runHostScript(t *testing.T, sync bool) hostTrace {
 	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -156,12 +161,12 @@ func runHostScript(t *testing.T, n int, sync bool) hostTrace {
 	if sync {
 		opts = append(opts, deepdb.WithSyncUpdates())
 	}
-	db := learnHost(t, n, opts...)
+	db := learnHost(t, opts...)
 	var tr hostTrace
 
 	// step runs one write and — on the asynchronous path — the Flush that
 	// publishes it and delivers its apply error; under WithSyncUpdates the
-	// write itself does both, at every shard count.
+	// write itself does both.
 	step := func(name string, wantErr bool, wantGen uint64, do func() error) {
 		t.Helper()
 		before := db.Generation()
@@ -211,14 +216,14 @@ func runHostScript(t *testing.T, n int, sync bool) hostTrace {
 	}
 	tr.Mutated = answers(t, db)
 
-	// Health aggregates over the shards: every broadcast is logged once
-	// per shard, and the last-batch readings are reported, not zeroed.
+	// Health: every group is logged once, and the last-batch readings are
+	// reported, not zeroed.
 	st := db.UpdateStats()
-	if st.WAL == nil || st.WAL.Dir != walDir || st.WAL.Appended != 4*uint64(n) || st.WAL.AppliedLSN != 4 || st.WAL.LastLSN != 4 {
-		t.Fatalf("aggregated WAL stats after 4 groups on %d shards: %+v", n, st.WAL)
+	if st.WAL == nil || st.WAL.Dir != walDir || st.WAL.Appended != 4 || st.WAL.AppliedLSN != 4 || st.WAL.LastLSN != 4 {
+		t.Fatalf("WAL stats after 4 groups: %+v", st.WAL)
 	}
-	if st.SyncUpdates != sync || (!sync && (st.LastBatch < 1 || st.ApplyLag <= 0 || st.Applied != 4*uint64(n))) {
-		t.Fatalf("aggregated pipeline stats on %d shards: %+v", n, st)
+	if st.SyncUpdates != sync || (!sync && (st.LastBatch < 1 || st.ApplyLag <= 0 || st.Applied != 4)) {
+		t.Fatalf("pipeline stats after 4 groups: %+v", st)
 	}
 
 	step("save", false, 0, func() error { return db.Save(model) })
@@ -232,15 +237,15 @@ func runHostScript(t *testing.T, n int, sync bool) hostTrace {
 		t.Fatal("insert after Close succeeded")
 	}
 
-	// Reopen: the save covers the first four groups, every shard replays
-	// the two after it.
-	re, err := openHost(n, model, deepdb.WithWAL(walDir))
+	// Reopen: the save covers the first four groups, the log replays the
+	// two after it.
+	re, err := openHost(model, deepdb.WithWAL(walDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st := re.UpdateStats(); st.WAL == nil || st.WAL.Replayed != 2*uint64(n) || st.WAL.CheckpointLSN != 4 {
-		t.Fatalf("reopen on %d shards replayed %+v, want 2 groups per shard past checkpoint 4", n, st.WAL)
+	if st := re.UpdateStats(); st.WAL == nil || st.WAL.Replayed != 2 || st.WAL.CheckpointLSN != 4 {
+		t.Fatalf("reopen replayed %+v, want 2 groups past checkpoint 4", st.WAL)
 	}
 	tr.Reopened = answers(t, re)
 	before := re.Generation()
@@ -252,88 +257,96 @@ func runHostScript(t *testing.T, n int, sync bool) hostTrace {
 	return tr
 }
 
-// TestHostScriptAcrossShardCounts: the same script, at every shard count
-// and on both write paths, ends in bit-identical answers after every
-// phase with equal generation deltas.
-func TestHostScriptAcrossShardCounts(t *testing.T) {
+// TestHostScript: the script ends in the same answers after every phase,
+// with the same generation deltas, whether each write waits for its own
+// apply (WithSyncUpdates) or is queued and flushed.
+func TestHostScript(t *testing.T) {
+	traces := map[bool]hostTrace{}
 	for _, sync := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync=%v", sync), func(t *testing.T) {
-			want := runHostScript(t, 1, sync)
-			if reflect.DeepEqual(want.Mutated, want.Live) {
+			tr := runHostScript(t, sync)
+			if reflect.DeepEqual(tr.Mutated, tr.Live) {
 				t.Fatal("fixture broken: the post-save writes changed no answer")
 			}
-			for _, n := range []int{2, 3} {
-				got := runHostScript(t, n, sync)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%d shards diverge from one shard\n  got:  %+v\n  want: %+v", n, got, want)
+			// Replay restores the pre-close state; reloading the save
+			// restores the state it captured.
+			if !reflect.DeepEqual(tr.Reopened, tr.Live) || !reflect.DeepEqual(tr.Reloaded, tr.Mutated) {
+				t.Fatal("the reopened or reloaded handle answers unlike the state it restores")
+			}
+			traces[sync] = tr
+		})
+	}
+	if len(traces) != 2 {
+		return
+	}
+	if got, want := traces[false], traces[true]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the queued write path diverges from the synchronous one\n  got:  %+v\n  want: %+v", got, want)
+	}
+}
+
+// TestHostBackpressure: WithNonBlockingUpdates sheds with ErrQueueFull, a
+// shed group leaves no trace, and without the option a full queue blocks
+// instead — nothing is ever shed.
+func TestHostBackpressure(t *testing.T) {
+	ctx := context.Background()
+	for _, nonBlocking := range []bool{true, false} {
+		t.Run(fmt.Sprintf("nonblocking=%v", nonBlocking), func(t *testing.T) {
+			opts := []deepdb.Option{deepdb.WithUpdateQueueSize(1)}
+			if nonBlocking {
+				opts = append(opts, deepdb.WithNonBlockingUpdates())
+			}
+			db := learnHost(t, opts...)
+			defer db.Close()
+			initial, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted, shed := 0, 0
+			for i := 0; i < 300; i++ {
+				err := db.Insert("orders", map[string]deepdb.Value{
+					"o_id": deepdb.Int(9_300_000 + i), "o_c_id": deepdb.Int(i % 100), "o_amount": deepdb.Float(5),
+				})
+				switch {
+				case err == nil:
+					accepted++
+				case errors.Is(err, deepdb.ErrQueueFull):
+					shed++
+				default:
+					t.Fatal(err)
 				}
+			}
+			if nonBlocking == (shed == 0) {
+				t.Fatalf("300 tight-loop inserts against a 1-slot queue: %d shed with nonblocking=%v", shed, nonBlocking)
+			}
+			if err := db.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			final, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := final.Scalar() - initial.Scalar(); math.Abs(got-float64(accepted)) > 1e-6 {
+				t.Fatalf("count moved by %v, but %d writes were accepted", got, accepted)
+			}
+			if st := db.UpdateStats(); st.Enqueued != uint64(accepted) {
+				t.Fatalf("enqueued %d operations for %d accepted writes", st.Enqueued, accepted)
 			}
 		})
 	}
 }
 
-// TestHostBackpressureAcrossShardCounts: WithNonBlockingUpdates sheds with
-// ErrQueueFull at every shard count, a shed group leaves no trace on any
-// shard, and without the option a full queue blocks instead — nothing is
-// ever shed.
-func TestHostBackpressureAcrossShardCounts(t *testing.T) {
+// TestHostWALFailStop: on either write path the first failed append
+// latches — that write and every later one is refused with
+// ErrDurabilityLost, nothing is applied — and reads keep serving.
+func TestHostWALFailStop(t *testing.T) {
 	ctx := context.Background()
-	for _, n := range []int{1, 2, 3} {
-		for _, nonBlocking := range []bool{true, false} {
-			t.Run(fmt.Sprintf("shards=%d/nonblocking=%v", n, nonBlocking), func(t *testing.T) {
-				opts := []deepdb.Option{deepdb.WithUpdateQueueSize(1)}
-				if nonBlocking {
-					opts = append(opts, deepdb.WithNonBlockingUpdates())
-				}
-				db := learnHost(t, n, opts...)
-				defer db.Close()
-				initial, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
-				if err != nil {
-					t.Fatal(err)
-				}
-				accepted, shed := 0, 0
-				for i := 0; i < 300; i++ {
-					err := db.Insert("orders", map[string]deepdb.Value{
-						"o_id": deepdb.Int(9_300_000 + i), "o_c_id": deepdb.Int(i % 100), "o_amount": deepdb.Float(5),
-					})
-					switch {
-					case err == nil:
-						accepted++
-					case errors.Is(err, deepdb.ErrQueueFull):
-						shed++
-					default:
-						t.Fatal(err)
-					}
-				}
-				if nonBlocking == (shed == 0) {
-					t.Fatalf("300 tight-loop inserts against a 1-slot queue: %d shed with nonblocking=%v", shed, nonBlocking)
-				}
-				if err := db.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-				final, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := final.Scalar() - initial.Scalar(); math.Abs(got-float64(accepted)) > 1e-6 {
-					t.Fatalf("count moved by %v, but %d writes were accepted", got, accepted)
-				}
-				if st := db.UpdateStats(); st.Enqueued != uint64(accepted*n) {
-					t.Fatalf("enqueued %d operations for %d accepted broadcasts to %d shards", st.Enqueued, accepted, n)
-				}
-			})
-		}
-	}
-}
-
-// TestHostWALFailStopAcrossShardCounts: the first failed append latches at
-// every shard count — that write and every later one is refused with
-// ErrDurabilityLost, no shard applies anything — and reads keep serving.
-func TestHostWALFailStopAcrossShardCounts(t *testing.T) {
-	ctx := context.Background()
-	for _, n := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			db := learnHost(t, n, deepdb.WithWAL(t.TempDir()))
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", sync), func(t *testing.T) {
+			opts := []deepdb.Option{deepdb.WithWAL(t.TempDir())}
+			if sync {
+				opts = append(opts, deepdb.WithSyncUpdates())
+			}
+			db := learnHost(t, opts...)
 			defer db.Close()
 			before, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
 			if err != nil {
@@ -365,118 +378,41 @@ func TestHostWALFailStopAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestTornShardWALSetRefusesToOpen: per-shard logs that replay to
-// different positions (a crash between the per-shard appends of one group)
-// would compose a torn state, so the open is refused; the intact set opens.
-func TestTornShardWALSetRefusesToOpen(t *testing.T) {
+// TestReloadTakesAnotherEnsembleShape: Reload swaps in any model over the
+// schema — here one with another member count — and answers like a handle
+// opened on that model.
+func TestReloadTakesAnotherEnsembleShape(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	walDir, model := filepath.Join(dir, "wal"), filepath.Join(dir, "model.deepdb")
-	db := learnHost(t, 3, deepdb.WithWAL(walDir))
-	if err := db.Save(model); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := db.Insert("orders", map[string]deepdb.Value{
-			"o_id": deepdb.Int(9_500_000 + i), "o_c_id": deepdb.Int(i), "o_amount": deepdb.Float(20),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	intact, err := openHost(3, model, deepdb.WithWAL(walDir))
-	if err != nil {
-		t.Fatalf("intact per-shard WAL set refused: %v", err)
-	}
-	if err := intact.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Lose one shard's log: it now replays to position 0, the others to 5.
-	if err := os.RemoveAll(filepath.Join(walDir, "shard-2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openHost(3, model, deepdb.WithWAL(walDir)); err == nil || !strings.Contains(err.Error(), "different positions") {
-		t.Fatalf("torn per-shard WAL set opened: err = %v", err)
-	}
-}
-
-// TestReloadMustFitThePartition: a partitioned host keeps its partition
-// across Reload, so a model with another member count is refused and the
-// old one keeps serving; the one-shard host holds the whole ensemble and
-// takes any model over its schema.
-func TestReloadMustFitThePartition(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
 	s, data := fixture3(hostRows, hostSeed)
 	joint, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(joint.Models()) == 3 {
+	defer joint.Close()
+	db := learnHost(t)
+	defer db.Close()
+	if len(joint.Models()) == len(db.Models()) {
 		t.Fatal("fixture broken: the default ensemble has the single-table member count")
 	}
-	other := filepath.Join(dir, "other.deepdb")
+	other := filepath.Join(t.TempDir(), "other.deepdb")
 	if err := joint.Save(other); err != nil {
 		t.Fatal(err)
 	}
-	same := filepath.Join(dir, "same.deepdb")
-	for _, n := range []int{1, 2, 3} {
-		db := learnHost(t, n)
-		defer db.Close()
-		if n == 1 {
-			if err := db.Save(same); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Reload(same); err != nil {
-			t.Fatalf("%d shards: reload of a same-shape model: %v", n, err)
-		}
-		before := db.Generation()
-		err := db.Reload(other)
-		if n == 1 {
-			if err != nil {
-				t.Fatalf("one-shard reload of another ensemble shape: %v", err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "members") {
-			t.Fatalf("%d shards: reload with another member count: err = %v", n, err)
-		}
-		if db.Generation() != before {
-			t.Fatalf("%d shards: a refused reload published", n)
-		}
-		if _, err := db.Query(ctx, hostSQL[0]); err != nil {
-			t.Fatalf("%d shards: query after a refused reload: %v", n, err)
-		}
+	before := db.Generation()
+	if err := db.Reload(other); err != nil {
+		t.Fatalf("reload of another ensemble shape: %v", err)
+	}
+	if db.Generation() != before+1 || len(db.Models()) != len(joint.Models()) {
+		t.Fatalf("reload published generation %d -> %d with %d members, want +1 and %d",
+			before, db.Generation(), len(db.Models()), len(joint.Models()))
+	}
+	if got, want := answers(t, db), answers(t, joint); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded handle answers differently from the model's own:\n got %q\nwant %q", got, want)
 	}
 }
 
-// TestDriftTriggerRefusedWhenSharded: re-learning needs the whole ensemble
-// in one shard, so the constructor refuses an armed trigger together with
-// WithShards(2) instead of silently ignoring it; one shard takes it.
-func TestDriftTriggerRefusedWhenSharded(t *testing.T) {
-	ctx := context.Background()
-	for _, opt := range []deepdb.Option{deepdb.WithDriftThreshold(0.2), deepdb.WithDriftMeanShift(3)} {
-		s, data := fixture3(hostRows, hostSeed)
-		if _, err := deepdb.LearnDataset(ctx, s, data, hostOpts(2, opt)...); err == nil || !strings.Contains(err.Error(), "drift") {
-			t.Fatalf("sharded host accepted a drift trigger: err = %v", err)
-		}
-		db := learnHost(t, 1, opt)
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// workloadBits runs the TestShardedMatchesSingleBitwise matrix — every
-// equivalenceWorkload query through ExecuteQuery and
-// EstimateCardinalityQuery — and renders each answer by its exact bits.
+// workloadBits runs every query of a workload through ExecuteQuery and
+// EstimateCardinalityQuery and renders each answer by its exact bits.
 func workloadBits(t *testing.T, db *deepdb.DB, workload []query.Query) []string {
 	t.Helper()
 	ctx := context.Background()
@@ -495,95 +431,52 @@ func workloadBits(t *testing.T, db *deepdb.DB, workload []query.Query) []string 
 	return out
 }
 
-// TestOpenHonoursShardOptions: sharding is an option of the one
-// constructor family. Open(model, WithShards(2)) serves two shards and
-// answers the equivalence matrix bit-identically to the unpartitioned
-// handle over the same model. Must-fail twin: the same matrix with one literal perturbed must
-// differ, so the comparison can tell two answers apart.
-func TestOpenHonoursShardOptions(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(400, 51)
-	whole, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(1600))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer whole.Close()
-	model := filepath.Join(t.TempDir(), "m.deepdb")
-	if err := whole.Save(model); err != nil {
-		t.Fatal(err)
-	}
-	split, err := deepdb.Open(ctx, model, deepdb.WithShards(2))
-	if err != nil {
-		t.Fatalf("Open refused WithShards(2): %v", err)
-	}
-	defer split.Close()
-	if whole.Shards() != 1 || split.Shards() != 2 {
-		t.Fatalf("Shards() = %d unpartitioned, %d with WithShards(2); want 1 and 2", whole.Shards(), split.Shards())
-	}
-	want := workloadBits(t, whole, equivalenceWorkload)
-	if got := workloadBits(t, split, equivalenceWorkload); !reflect.DeepEqual(got, want) {
-		t.Fatalf("two shards answer differently from one:\n got %q\nwant %q", got, want)
-	}
-
-	perturbed := append([]query.Query(nil), equivalenceWorkload...)
-	perturbed[0].Filters = []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 41}}
-	if got := workloadBits(t, split, perturbed); reflect.DeepEqual(got, want) {
-		t.Fatal("must-fail twin: a perturbed literal left every answer bit-identical")
-	}
-
-	if st := whole.ShardStats(); len(st) != 1 || st[0].Members != nil {
-		t.Fatalf("an unpartitioned DB should report one whole-ensemble shard: %+v", st)
-	}
-}
-
-// TestSaveAndReloadDoNotStallWriters: draining the queues and writing or
-// reading the model file happen outside the broadcast lock, so a writer
+// TestSaveAndReloadDoNotStallWriters: draining the queue and writing or
+// reading the model file happen outside the write lock, so a writer
 // arriving while a Save or Reload waits on a slow applier is admitted at
 // once — under WithNonBlockingUpdates (what `deepdb serve` runs) a handler
 // must never be pinned for the length of a save.
 func TestSaveAndReloadDoNotStallWriters(t *testing.T) {
 	const stall = 600 * time.Millisecond
-	for _, n := range []int{1, 3} {
-		for _, op := range []string{"save", "reload"} {
-			t.Run(fmt.Sprintf("shards=%d/%s", n, op), func(t *testing.T) {
-				db := learnHost(t, n, deepdb.WithNonBlockingUpdates())
-				defer db.Close()
-				model := filepath.Join(t.TempDir(), "m.deepdb")
-				if err := db.Save(model); err != nil {
-					t.Fatal(err)
+	for _, op := range []string{"save", "reload"} {
+		t.Run(op, func(t *testing.T) {
+			db := learnHost(t, deepdb.WithNonBlockingUpdates())
+			defer db.Close()
+			model := filepath.Join(t.TempDir(), "m.deepdb")
+			if err := db.Save(model); err != nil {
+				t.Fatal(err)
+			}
+			insert := func(id int) error {
+				return db.Insert("orders", map[string]deepdb.Value{
+					"o_id": deepdb.Int(9_700_000 + id), "o_c_id": deepdb.Int(1), "o_amount": deepdb.Float(20),
+				})
+			}
+			// Every apply batch now takes `stall`: the first insert keeps
+			// the maintenance operation's drain waiting that long.
+			enableChaos(t, fmt.Sprintf("point=pipeline.apply;kind=latency;d=%s", stall))
+			if err := insert(0); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				if op == "save" {
+					done <- db.Save(model)
+				} else {
+					done <- db.Reload(model)
 				}
-				insert := func(id int) error {
-					return db.Insert("orders", map[string]deepdb.Value{
-						"o_id": deepdb.Int(9_700_000 + id), "o_c_id": deepdb.Int(1), "o_amount": deepdb.Float(20),
-					})
-				}
-				// Every apply batch now takes `stall`: the first insert keeps
-				// the maintenance operation's drain waiting that long.
-				enableChaos(t, fmt.Sprintf("point=pipeline.apply;kind=latency;d=%s", stall))
-				if err := insert(0); err != nil {
-					t.Fatal(err)
-				}
-				done := make(chan error, 1)
-				go func() {
-					if op == "save" {
-						done <- db.Save(model)
-					} else {
-						done <- db.Reload(model)
-					}
-				}()
-				time.Sleep(stall / 6) // let it reach the drain
-				start := time.Now()
-				if err := insert(1); err != nil {
-					t.Fatalf("insert during %s: %v", op, err)
-				}
-				if waited := time.Since(start); waited > stall/2 {
-					t.Fatalf("insert waited %v behind a %s draining a %v batch", waited, op, stall)
-				}
-				if err := <-done; err != nil {
-					t.Fatalf("%s: %v", op, err)
-				}
-			})
-		}
+			}()
+			time.Sleep(stall / 6) // let it reach the drain
+			start := time.Now()
+			if err := insert(1); err != nil {
+				t.Fatalf("insert during %s: %v", op, err)
+			}
+			if waited := time.Since(start); waited > stall/2 {
+				t.Fatalf("insert waited %v behind a %s draining a %v batch", waited, op, stall)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		})
 	}
 }
 
@@ -650,22 +543,129 @@ func TestReloadDoesNotRunTheDriftTrigger(t *testing.T) {
 var generationSink uint64
 
 // TestSnapshotLoadDoesNotAllocate: the reader's snapshot load is one
-// atomic pointer load at every shard count — composition happens on the
-// publish side, so reading allocates nothing and polls no shard.
+// atomic pointer load — publication happens on the writer's side, so
+// reading allocates nothing.
 func TestSnapshotLoadDoesNotAllocate(t *testing.T) {
-	for _, n := range []int{1, 3} {
-		db := learnHost(t, n)
-		defer db.Close()
-		if err := db.Insert("orders", map[string]deepdb.Value{
-			"o_id": deepdb.Int(9_600_000), "o_c_id": deepdb.Int(1), "o_amount": deepdb.Float(20),
+	db := learnHost(t)
+	defer db.Close()
+	if err := db.Insert("orders", map[string]deepdb.Value{
+		"o_id": deepdb.Int(9_600_000), "o_c_id": deepdb.Int(1), "o_amount": deepdb.Float(20),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { generationSink += db.Generation() }); allocs != 0 {
+		t.Fatalf("snapshot load allocates %v times per read", allocs)
+	}
+}
+
+// TestSingleReloadServesNewModel: the single-process DB.Reload path swaps
+// the serving model with zero read downtime too.
+func TestSingleReloadServesNewModel(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s2, d2 := fixture(900, 43)
+	ref, err := deepdb.LearnDataset(ctx, s2, d2, deepdb.WithMaxSamples(2000), deepdb.WithSyncUpdates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := ref.Insert("orders", map[string]deepdb.Value{
+			"o_id": deepdb.Int(16_000_000 + i), "o_c_id": deepdb.Int(i % 50), "o_amount": deepdb.Float(88),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Flush(context.Background()); err != nil {
+	}
+	path := filepath.Join(dir, "next.deepdb")
+	if err := ref.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	s1, d1 := fixture(900, 43)
+	db, err := deepdb.LearnDataset(ctx, s1, d1, deepdb.WithMaxSamples(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Reload(path); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT COUNT(*) FROM orders WHERE o_amount >= 80"
+	a, err := ref.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if normResult(a) != normResult(b) {
+		t.Fatalf("after reload: %v != %v", a, b)
+	}
+}
+
+// TestNonBlockingUpdatesOnPlainDB: WithNonBlockingUpdates gives the
+// single-process DB the same shed-don't-block contract, including under a
+// WAL (where a shed group must not linger in the log: replay after reopen
+// reproduces exactly the accepted writes).
+func TestNonBlockingUpdatesOnPlainDB(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, data := fixture(800, 45)
+	db, err := deepdb.LearnDataset(ctx, s, data,
+		deepdb.WithMaxSamples(1600), deepdb.WithNonBlockingUpdates(),
+		deepdb.WithUpdateQueueSize(1), deepdb.WithWAL(filepath.Join(dir, "wal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for i := 0; i < 300; i++ {
+		err := db.Insert("orders", map[string]deepdb.Value{
+			"o_id": deepdb.Int(18_000_000 + i), "o_c_id": deepdb.Int(i % 100), "o_amount": deepdb.Float(9),
+		})
+		switch {
+		case err == nil:
+			accepted++
+		case errors.Is(err, deepdb.ErrQueueFull):
+		default:
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { generationSink += db.Generation() }); allocs != 0 {
-			t.Fatalf("%d shards: snapshot load allocates %v times per read", n, allocs)
-		}
+	}
+	if err := db.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	final, err := db.Query(ctx, "SELECT COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := final.Scalar() - initial.Scalar(); math.Abs(got-float64(accepted)) > 1e-6 {
+		t.Fatalf("count moved by %v, but %d writes were accepted", got, accepted)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen over the same WAL: replay must reproduce the accepted writes
+	// only — a 429'd group that left a record behind would apply here.
+	s2, data2 := fixture(800, 45)
+	re, err := deepdb.LearnDataset(ctx, s2, data2,
+		deepdb.WithMaxSamples(1600), deepdb.WithWAL(filepath.Join(dir, "wal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reFinal, err := re.Query(ctx, "SELECT COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reFinal.Scalar() - initial.Scalar(); math.Abs(got-float64(accepted)) > 1e-6 {
+		t.Fatalf("replayed count moved by %v, want %d (shed groups must not replay)", got, accepted)
 	}
 }

@@ -69,7 +69,6 @@ type config struct {
 	durability  Durability
 	driftFrac   float64
 	driftShift  float64
-	shards      int
 	nonBlocking bool
 }
 
@@ -78,12 +77,11 @@ func (c *config) driftThresholds() drift.Thresholds {
 	return drift.Thresholds{MutatedFraction: c.driftFrac, MeanShift: c.driftShift}
 }
 
-// shardConfig sizes one shard's update machinery; walDir is that shard's
-// own log directory ("" runs it without a WAL).
-func (c *config) shardConfig(walDir string) shard.Config {
+// shardConfig sizes the shard's update machinery.
+func (c *config) shardConfig() shard.Config {
 	return shard.Config{
 		QueueSize:  c.queueSize,
-		WALDir:     walDir,
+		WALDir:     c.walDir,
 		Durability: c.durability.wal(),
 	}
 }
@@ -167,8 +165,8 @@ func WithResultCacheSize(n int) Option {
 	return func(c *config) { c.resultCache = n }
 }
 
-// WithSyncUpdates makes Insert/Delete wait, inside the broadcast
-// lock, until their group is applied and published on every shard: the
+// WithSyncUpdates makes Insert/Delete wait, inside the write
+// lock, until their group is applied and published: the
 // caller sees its own write on the very next query and gets the group's
 // apply error (with the failing row's index) from the call itself — never
 // a concurrent Flush or Save in its place — at the cost of one
@@ -189,7 +187,9 @@ func WithSyncUpdates() Option {
 // — after a crash (even kill -9), replay followed by Flush reproduces the
 // pre-crash state bit-identically. Save checkpoints the log (the applied
 // watermark is persisted and fully-saved segments are deleted). Requires
-// attached base tables when the log has records to replay.
+// attached base tables when the log has records to replay. A directory
+// holding shard-<i> subdirectories (the per-shard logs of a partitioned
+// deployment) is refused with the steps that fold them into one log.
 func WithWAL(dir string) Option {
 	return func(c *config) { c.walDir = dir }
 }
@@ -206,9 +206,6 @@ func WithDurability(d Durability) Option {
 // base tables in the background and hot-swapped into the serving snapshot
 // — readers never block, and the paper's incremental-update approximations
 // are periodically squashed out. <= 0 (the default) disables the trigger.
-// Re-learning needs the whole ensemble in one shard: together with
-// WithShards(n > 1) the constructor refuses an armed trigger instead of
-// ignoring it.
 func WithDriftThreshold(frac float64) Option {
 	return func(c *config) { c.driftFrac = frac }
 }
@@ -240,23 +237,11 @@ func WithDataset(ds Dataset) Option {
 	return func(c *config) { c.dataset = ds }
 }
 
-// WithShards partitions the ensemble's members over n shards, each with its
-// own update queue and — with WithWAL — its own log in subdirectory
-// shard-<i> of the WAL dir (default 1: one shard holds the whole ensemble
-// and logs into the WAL dir itself). The effective count, reported by
-// Shards, may be lower when the ensemble has fewer members than n. Answers
-// are bit-identical at every n; what needs the whole ensemble in one shard
-// — the drift triggers — is refused for n > 1.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
 // WithNonBlockingUpdates makes Insert/Delete shed with ErrQueueFull
 // when the update queue is full, instead of blocking until the applier
 // catches up. Serving front-ends use this to turn backpressure into
-// 429 + Retry-After rather than pinning handler goroutines. Admission is
-// all-or-nothing across shards: a shed group is logged and enqueued
-// nowhere.
+// 429 + Retry-After rather than pinning handler goroutines. A shed group
+// is neither logged nor enqueued.
 func WithNonBlockingUpdates() Option {
 	return func(c *config) { c.nonBlocking = true }
 }

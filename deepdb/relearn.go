@@ -1,9 +1,6 @@
 package deepdb
 
-// relearn.go holds what only an unpartitioned DB can do, because its
-// serving view is its one shard's own updatable ensemble: drift-triggered
-// background re-learning. A partitioned DB (WithShards(n > 1))
-// refuses the trigger at construction.
+// relearn.go is drift-triggered background re-learning.
 //
 // The paper's incremental updates (Section 5.2) keep models exact for
 // in-distribution streams but accumulate approximation error under drift.
@@ -19,26 +16,13 @@ import (
 
 	"repro/internal/ensemble"
 	"repro/internal/rspn"
-	"repro/internal/shard"
 )
-
-// wholeShard returns the one shard that serves the whole ensemble — rng,
-// write index and drift tracker included — or nil on a partitioned DB, whose
-// shards each hold a member subset and whose serving view is a read-only
-// composition.
-func (db *DB) wholeShard() *shard.Shard {
-	if sh := db.shards[0]; sh.Members() == nil {
-		return sh
-	}
-	return nil
-}
 
 // maybeRelearn checks the drift trigger and, when a member trips, spawns
 // (at most one at a time) the background re-learner. shardPublished calls
 // it after every update batch that moved the serving view — on the applier,
 // under the shard's apply lock — so it must not wait on anything a writer
-// may hold. A no-op unless a trigger is armed, which newDB allows only on
-// an unpartitioned DB: relearnMember is never reached on a partitioned one.
+// may hold. A no-op unless a trigger is armed.
 func (db *DB) maybeRelearn() {
 	th := db.cfg.driftThresholds()
 	if !th.Enabled() {
@@ -83,7 +67,7 @@ func (db *DB) maybeRelearn() {
 // apply lock — writers wait, readers still never block.
 func (db *DB) relearnMember(i int) {
 	ctx := context.Background()
-	sh := db.wholeShard()
+	sh := db.shard
 	for attempt := 0; attempt < 2; attempt++ {
 		var cur *ensemble.Ensemble
 		var tables []string
@@ -116,7 +100,6 @@ func (db *DB) relearnMember(i int) {
 			return swapMember(live, i, nr)
 		})
 		if swapped {
-			db.recompose()
 			return
 		}
 	}
@@ -132,7 +115,6 @@ func (db *DB) relearnMember(i int) {
 		}
 		return swapMember(live, i, nr)
 	})
-	db.recompose()
 }
 
 // swapMember builds the successor of live with member i replaced by its

@@ -3,9 +3,8 @@ package deepdb_test
 // resultcache_test.go is the correctness suite of the cross-query result
 // cache: a cache hit must be bit-identical to the evaluation it skipped, a
 // published snapshot (update batch, Reload, re-learn hot-swap) must
-// invalidate every earlier entry, confidence-level variants must never
-// share entries, and the sharded tier must stay coherent through the same
-// generation protocol. Everything compares Float64bits, not approximate
+// invalidate every earlier entry, and confidence-level variants must never
+// share entries. Everything compares Float64bits, not approximate
 // equality: the cache's contract is "the same bits, faster".
 
 import (
@@ -438,72 +437,6 @@ func TestResultCacheExecBatchPartialHits(t *testing.T) {
 		if bitsOfResult(again[i]) != bitsOfResult(want[i]) {
 			t.Fatalf("hot batch entry %d mismatch", i)
 		}
-	}
-}
-
-// TestShardedResultCacheCoherence: the sharded tier tags entries with the
-// composed snapshot's generation, which moves when the shards align on a
-// new ops token — so hits are bit-identical and mutations invalidate,
-// exactly as in the single-process tier.
-func TestShardedResultCacheCoherence(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(1500, 14)
-	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithShards(2), deepdb.WithMaxSamples(3000),
-		deepdb.WithResultCacheSize(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s2, data2 := fixture(1500, 14)
-	plain, err := deepdb.LearnDataset(ctx, s2, data2,
-		deepdb.WithShards(2), deepdb.WithMaxSamples(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	const sql = "SELECT COUNT(*) FROM customer WHERE c_age >= 40"
-	miss, err := db.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := db.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bitsOfResult(miss) != bitsOfResult(hit) {
-		t.Fatalf("sharded hit differs from miss: %v != %v", miss, hit)
-	}
-	if st := db.UpdateStats(); st.ResultCacheHits == 0 {
-		t.Fatalf("sharded cache did not register the hit: %+v", st)
-	}
-	mutate := func(h interface {
-		Insert(string, map[string]deepdb.Value) error
-		Flush(context.Context) error
-	}) {
-		t.Helper()
-		err := h.Insert("customer", map[string]deepdb.Value{
-			"c_id": deepdb.Int(1 << 21), "c_age": deepdb.Int(45), "c_region": deepdb.Int(0),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mutate(db)
-	mutate(plain)
-	after, err := db.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := plain.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bitsOfResult(after) != bitsOfResult(ref) {
-		t.Fatalf("sharded post-insert result is stale\n  cached: %v\n  plain:  %v", after, ref)
 	}
 }
 

@@ -1,30 +1,16 @@
 package deepdb
 
-// updates.go is the DB's write half: one broadcast path from
-// Insert/Delete into every shard (log everywhere, then Submit
-// everywhere), the fail-stop on WAL loss, and the lifecycle operations
-// (Flush, Save, Reload, Close) that fan out over the shards.
+// updates.go is the DB's write half: one path from Insert/Delete into the
+// shard (Log, then Submit), the fail-stop on WAL loss, and the lifecycle
+// operations (Flush, Save, Reload, Close).
 //
-// Correctness model, in brief:
-//
-//   - Mutations are broadcast to every shard. A shard only serves the
-//     members it owns, but incremental updates touch the base tables and
-//     per-member structures of whichever members cover the mutated table —
-//     and cross-shard FK tuple-factor bumps mean a write routed to "its"
-//     shard only would desynchronize the others. Broadcast keeps every
-//     shard's sub-ensemble bit-identical to the corresponding slice of a
-//     one-shard DB fed the same stream.
-//   - Durability: every accepted group is appended to each shard's WAL
-//     before it enters that shard's queue, so a crash — even kill -9 —
-//     loses nothing that was acknowledged under DurabilitySync (and at most
-//     the configured batching window otherwise). Shards replay the
-//     unapplied suffix on open; replay followed by Flush is bit-identical
-//     to a run that never crashed, because the applier's batch==sequential
-//     equivalence makes group boundaries irrelevant to the final state.
-//   - Each shard snapshot carries an ops token: the cumulative count of
-//     mutations it has processed (applied or deterministically failed).
-//     The DB recomposes its serving view only when all shards agree on
-//     it (see recomposeLocked).
+// Durability: every accepted group is appended to the WAL before it enters
+// the update queue, so a crash — even kill -9 — loses nothing that was
+// acknowledged under DurabilitySync (and at most the configured batching
+// window otherwise). The shard replays the unapplied suffix on open;
+// replay followed by Flush is bit-identical to a run that never crashed,
+// because the applier's batch==sequential equivalence makes group
+// boundaries irrelevant to the final state.
 
 import (
 	"context"
@@ -33,18 +19,17 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/ensemble"
-	"repro/internal/shard"
 )
 
 // ErrQueueFull is returned by Insert/Delete under
-// WithNonBlockingUpdates when some shard's update queue has no free slot:
-// the mutation was NOT accepted — not logged, not enqueued, on any shard —
-// and the caller should retry later. Serving front-ends map it to 429 +
+// WithNonBlockingUpdates when the update queue has no free slot: the
+// mutation was NOT accepted — neither logged nor enqueued — and the caller
+// should retry later. Serving front-ends map it to 429 +
 // Retry-After. Test with errors.Is.
 var ErrQueueFull = errors.New("deepdb: update queue full, retry later")
 
 // ErrDurabilityLost is returned by Insert/Delete once the WAL has
-// failed (disk full, I/O error): the mutation was NOT accepted anywhere
+// failed (disk full, I/O error): the mutation was NOT accepted
 // and writes stay rejected until the process restarts on a healthy disk —
 // no acknowledged write is ever less durable than the configured mode
 // promises. Serving front-ends map it to 503; UpdateStats.DurabilityLost
@@ -54,23 +39,23 @@ var ErrDurabilityLost = errors.New("deepdb: WAL durability lost, writes are not 
 
 // Insert absorbs one new base-table row into the model incrementally
 // (Section 5.2 of the paper): no retraining happens. Missing columns
-// become NULL. The mutation is logged (with a WAL) and submitted to every
-// shard's applier; it becomes visible to queries when its batch's snapshot
+// become NULL. The mutation is logged (with a WAL) and submitted to the
+// applier; it becomes visible to queries when its batch's snapshot
 // is published, and apply errors are reported by the next Flush — or, under
 // WithSyncUpdates, by the call itself, which then waits for the publish.
 func (db *DB) Insert(table string, values map[string]Value) error {
-	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
+	return db.mutate([]ensemble.Mutation{{Op: ensemble.OpInsert, Table: table, Values: values}})
 }
 
 // Delete removes the base-table row with the given primary key from the
 // model incrementally. Submitted like Insert: a missing row is an apply
 // error reported by the next Flush (the call's own under WithSyncUpdates).
 func (db *DB) Delete(table string, pk float64) error {
-	return db.mutateAll([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
+	return db.mutate([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
 }
 
-// mutateAll broadcasts one mutation group to every shard.
-func (db *DB) mutateAll(muts []ensemble.Mutation) error {
+// mutate logs one mutation group and submits it to the shard.
+func (db *DB) mutate(muts []ensemble.Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
@@ -82,70 +67,41 @@ func (db *DB) mutateAll(muts []ensemble.Mutation) error {
 	if db.closed {
 		return errClosed()
 	}
-	if db.cfg.nonBlocking {
-		// Admission is all-or-nothing and comes BEFORE the append: a record
-		// logged but rejected with ErrQueueFull would still replay after a
-		// restart, silently re-applying a write the caller was told to
-		// retry. Under mutMu no other producer can steal the checked slots;
-		// a concurrent Flush barrier can, which makes the submit below block
-		// for at most one apply cycle — never shed.
-		for _, sh := range db.shards {
-			if !sh.HasCapacity() {
-				return ErrQueueFull
-			}
-		}
+	// Admission comes BEFORE the append: a record logged but rejected with
+	// ErrQueueFull would still replay after a restart, silently re-applying
+	// a write the caller was told to retry. Under mutMu no other producer
+	// can steal the checked slot; a concurrent Flush barrier can, which
+	// makes the submit below block for at most one apply cycle — never shed.
+	if db.cfg.nonBlocking && !db.shard.HasCapacity() {
+		return ErrQueueFull
 	}
-	// The broadcast is split into a log-everywhere phase and a
-	// submit-everywhere phase so a WAL failure on shard k surfaces before
-	// ANY shard has been mutated: the group is rejected with no shard
-	// applying it (shards 0..k-1 carry a logged-but-never-acked tail record,
-	// which the compose-or-refuse check catches on the next open — see the
-	// runbook), and every later write fails the same way.
+	// A failed append rejects the group before the model sees it, and every
+	// later write fails the same way.
 	if cause := db.walErr.Load(); cause != nil {
 		return fmt.Errorf("%w: %s", ErrDurabilityLost, *cause)
 	}
-	lsns := make([]uint64, len(db.shards))
-	for i, sh := range db.shards {
-		lsn, err := sh.Log(muts)
-		if err != nil {
-			cause := err.Error()
-			db.walErr.Store(&cause) // first and only: the check above rejects every later write
-			return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
-		}
-		lsns[i] = lsn
+	lsn, err := db.shard.Log(muts)
+	if err != nil {
+		cause := err.Error()
+		db.walErr.Store(&cause) // first and only: the check above rejects every later write
+		return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
 	}
-	// Every shard gets the group even if one reports a failure: apply
-	// failures are deterministic across shards, and skipping the rest would
-	// misalign them. Under WithSyncUpdates each Submit waits for the group's
-	// own result: mutMu keeps every other producer out, so the batch is this
-	// group alone and its error indexes the group's rows.
-	var first error
-	for i, sh := range db.shards {
-		if err := sh.Submit(muts, lsns[i], db.cfg.syncUpdates); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	// Under WithSyncUpdates Submit waits for the group's own result: mutMu
+	// keeps every other producer out, so the batch is this group alone and
+	// its error indexes the group's rows.
+	return db.shard.Submit(muts, lsn, db.cfg.syncUpdates)
 }
 
 // Flush blocks until every mutation submitted before the call has been
-// applied and published on every shard — after Flush returns, queries (and
-// Save, Exact, Data) observe those writes, bit-identical however the
-// applier happened to batch them. It returns the first apply error since
-// the previous Flush. A no-op when nothing is pending.
-func (db *DB) Flush(ctx context.Context) error {
-	var first error
-	for _, sh := range db.shards {
-		if err := sh.Flush(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// applied and published — after Flush returns, queries (and Save, Exact,
+// Data) observe those writes, bit-identical however the applier happened
+// to batch them. It returns the first apply error since the previous
+// Flush. A no-op when nothing is pending.
+func (db *DB) Flush(ctx context.Context) error { return db.shard.Flush(ctx) }
 
-// quiesce drains the update queues and returns holding mutMu, with every
-// shard caught up and aligned: the serving view is then exactly the state at
-// the shards' apply watermarks. The bulk of the drain happens before the
+// quiesce drains the update queue and returns holding mutMu, with the
+// shard caught up: the serving view is then exactly the state at the
+// apply watermark. The bulk of the drain happens before the
 // lock is taken, so writers wait only for what slipped in between — and for
 // whatever the caller does before unlocking, which must stay short.
 func (db *DB) quiesce() error {
@@ -168,50 +124,37 @@ func (db *DB) quiesce() error {
 // picked, not while it is written. The base tables are not serialized; the
 // persisted statistics are enough to serve queries, and Open can reattach
 // the data like a database reopening its files. With a WAL attached, a
-// successful Save also checkpoints every shard's log at its applied
-// watermark: the save covers everything up to that LSN, so replay skips
-// those records from now on and segments they fully occupy are deleted.
+// successful Save also checkpoints the log at its applied watermark: the
+// save covers everything up to that LSN, so replay skips those records
+// from now on and segments they fully occupy are deleted.
 func (db *DB) Save(path string) error {
-	// Pick the view and the watermarks at one quiescent point: with
-	// broadcasts still running, some shard's watermark could be ahead of the
-	// composed view, and checkpointing there would drop a record the file
-	// does not contain. The snapshot is immutable, so it is serialized after
-	// the writers have been let back in.
+	// Pick the view and the watermark at one quiescent point: with writers
+	// still running, the watermark could move past the view, and
+	// checkpointing there would drop a record the file does not contain.
+	// The snapshot is immutable, so it is serialized after the writers have
+	// been let back in.
 	if err := db.quiesce(); err != nil {
 		return err
 	}
-	s := db.snapshotNow()
-	lsns := make([]uint64, len(db.shards))
-	for i, sh := range db.shards {
-		lsns[i] = sh.AppliedLSN()
-	}
+	s, lsn := db.snapshotNow(), db.shard.AppliedLSN()
 	db.mutMu.Unlock()
 	if err := s.ens.SaveFile(path); err != nil {
 		return err
 	}
-	for i, sh := range db.shards {
-		if err := sh.Checkpoint(lsns[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.shard.Checkpoint(lsn)
 }
 
 // Reload hot-swaps the serving model with the one in modelPath — e.g. a
 // re-learned artifact produced offline — without any read downtime: the
 // new model travels through the same snapshot-publication path as update
 // batches, so in-flight queries finish on the old snapshot and later ones
-// see the new generation atomically, on every shard at once: each shard's
-// part is published with its ops token preserved, and the DB recomposes
-// only after the last one — all-old or all-new, never a mix. Pending
-// updates are flushed into the old model first (they were acked against
-// it); the current base tables, if any, are carried over so updates and
-// exact execution keep working, and a model whose dictionaries disagree
-// with them is refused (see Open). Writers are held off only for the swap
-// itself (attaching the tables and publishing), not while the
-// model file is read or the queues drain. A partitioned DB keeps its
-// partition, so the new model must have the serving one's member count.
-// On any error the old model keeps serving.
+// see the new generation atomically. Pending updates are flushed into the
+// old model first (they were acked against it); the current base tables,
+// if any, are carried over so updates and exact execution keep working,
+// and a model whose dictionaries disagree with them is refused (see Open).
+// Writers are held off only for the swap itself (attaching the tables and
+// publishing), not while the model file is read or the queue drains. On
+// any error the old model keeps serving.
 func (db *DB) Reload(modelPath string) error {
 	ens, err := ensemble.LoadFile(modelPath, nil)
 	if err != nil {
@@ -235,24 +178,13 @@ func (db *DB) Reload(modelPath string) error {
 		// baseline staleness is measured against.
 		ens.EnableDrift()
 	}
-	// Carve every part before publishing any: a failure here must leave
-	// all shards on the old model, not some.
-	parts := make([]*ensemble.Ensemble, len(db.shards))
-	for i, sh := range db.shards {
-		if parts[i], err = sh.Carve(ens); err != nil {
-			return err
-		}
-	}
-	for i, sh := range db.shards {
-		sh.Publish(parts[i])
-	}
-	db.recompose()
+	db.shard.Publish(ens)
 	return nil
 }
 
-// Close drains and stops every shard's update pipeline (each waiting at
-// most 30s), syncs and closes the WALs, waits for an in-flight background
-// re-learn, and returns the first undelivered apply error (or the
+// Close drains and stops the update pipeline (waiting at most 30s), syncs
+// and closes the WAL, waits for an in-flight background re-learn, and
+// returns the first undelivered apply error (or the
 // drain-timeout error; with a WAL the undrained queue remains recoverable
 // by the next Open). The DB remains queryable afterwards (the
 // published snapshot stays valid); further updates fail. Close is
@@ -271,20 +203,9 @@ func (db *DB) Close() error {
 	db.relearnMu.Lock()
 	db.relearnClosed = true
 	db.relearnMu.Unlock()
-	err := db.closeShards()
+	err := db.shard.Close()
 	db.relearnWG.Wait()
 	return err
-}
-
-// closeShards closes every shard and returns the first error.
-func (db *DB) closeShards() error {
-	var first error
-	for _, sh := range db.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // UpdateStats is a point-in-time view of the update pipeline, for
@@ -297,10 +218,6 @@ type UpdateStats struct {
 	// (WithSyncUpdates). They cross the same queue, so the fields below
 	// count them too — as batches of one operation.
 	SyncUpdates bool `json:"sync_updates"`
-	// The queue fields aggregate over the shards (per-shard detail is in
-	// ShardStats): counters are summed — a broadcast counts once
-	// per shard — and the last-batch readings are the maximum.
-	//
 	// QueueDepth is the number of update operations waiting in the queue.
 	QueueDepth int `json:"queue_depth"`
 	// Enqueued/Applied count update operations accepted/applied — each
@@ -320,10 +237,7 @@ type UpdateStats struct {
 	LastBatch         int   `json:"last_batch"`
 	LastApplyDuration int64 `json:"last_apply_us"`
 	ApplyLag          int64 `json:"apply_lag_us"`
-	// WAL describes the write-ahead log (nil without WithWAL), aggregated
-	// over the shards' logs: activity counters and footprint are summed,
-	// LastLSN is the highest logged position and AppliedLSN/CheckpointLSN
-	// the lowest watermarks.
+	// WAL describes the write-ahead log (nil without WithWAL).
 	WAL *WALStats `json:"wal,omitempty"`
 	// DurabilityLost reports that the WAL has failed and writes are being
 	// rejected (ErrDurabilityLost). LastWALError renders the failure that
@@ -382,26 +296,6 @@ type WALStats struct {
 // re-learns.
 type DriftStat = drift.Score
 
-// walStatsOf converts one shard's log counters (nil without a WAL).
-func walStatsOf(st shard.Stats, durability Durability) *WALStats {
-	if st.WAL == nil {
-		return nil
-	}
-	return &WALStats{
-		Dir:               st.WALDir,
-		Durability:        durability.String(),
-		LastLSN:           st.WAL.LastLSN,
-		AppliedLSN:        st.WALAppliedLSN,
-		CheckpointLSN:     st.WAL.CheckpointLSN,
-		Appended:          st.WAL.Appended,
-		Synced:            st.WAL.Synced,
-		Replayed:          st.WAL.Replayed,
-		TruncatedSegments: st.WAL.TruncatedSegments,
-		Segments:          st.WAL.Segments,
-		SizeBytes:         st.WAL.SizeBytes,
-	}
-}
-
 // UpdateStats reports the update pipeline's counters, plus the background
 // re-learner's failure record.
 func (db *DB) UpdateStats() UpdateStats {
@@ -422,36 +316,24 @@ func (db *DB) UpdateStats() UpdateStats {
 		out.ResultCacheHits, out.ResultCacheMisses = db.resCache.hits.Load(), db.resCache.misses.Load()
 		out.ResultCacheEvictions = db.resCache.evictions.Load()
 	}
-	for _, sh := range db.shards {
-		st := sh.Stats()
-		out.QueueDepth += st.Queue.QueueDepth
-		out.Enqueued += st.Queue.Enqueued
-		out.Applied += st.Queue.Applied
-		out.Batches += st.Queue.Batches
-		out.Errors += st.Queue.Errors
-		if out.LastError == "" {
-			out.LastError = st.Queue.LastError
-		}
-		out.LastBatch = max(out.LastBatch, st.Queue.LastBatch)
-		out.LastApplyDuration = max(out.LastApplyDuration, st.Queue.LastApplyDuration.Microseconds())
-		out.ApplyLag = max(out.ApplyLag, st.Queue.ApplyLag.Microseconds())
-		w := walStatsOf(st, db.cfg.durability)
-		switch {
-		case w == nil:
-		case out.WAL == nil:
-			w.Dir = db.cfg.walDir
-			out.WAL = w
-		default:
-			a := out.WAL
-			a.LastLSN = max(a.LastLSN, w.LastLSN)
-			a.AppliedLSN = min(a.AppliedLSN, w.AppliedLSN)
-			a.CheckpointLSN = min(a.CheckpointLSN, w.CheckpointLSN)
-			a.Appended += w.Appended
-			a.Synced += w.Synced
-			a.Replayed += w.Replayed
-			a.TruncatedSegments += w.TruncatedSegments
-			a.Segments += w.Segments
-			a.SizeBytes += w.SizeBytes
+	st := db.shard.Stats()
+	q := st.Queue
+	out.QueueDepth, out.Enqueued, out.Applied, out.Batches = q.QueueDepth, q.Enqueued, q.Applied, q.Batches
+	out.Errors, out.LastError, out.LastBatch = q.Errors, q.LastError, q.LastBatch
+	out.LastApplyDuration, out.ApplyLag = q.LastApplyDuration.Microseconds(), q.ApplyLag.Microseconds()
+	if w := st.WAL; w != nil {
+		out.WAL = &WALStats{
+			Dir:               db.cfg.walDir,
+			Durability:        db.cfg.durability.String(),
+			LastLSN:           w.LastLSN,
+			AppliedLSN:        db.shard.AppliedLSN(),
+			CheckpointLSN:     w.CheckpointLSN,
+			Appended:          w.Appended,
+			Synced:            w.Synced,
+			Replayed:          w.Replayed,
+			TruncatedSegments: w.TruncatedSegments,
+			Segments:          w.Segments,
+			SizeBytes:         w.SizeBytes,
 		}
 	}
 	if d := s.ens.Drift; d != nil {

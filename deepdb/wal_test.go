@@ -2,12 +2,16 @@ package deepdb_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/deepdb"
+	"repro/internal/ensemble"
 	"repro/internal/wal"
 )
 
@@ -264,5 +268,89 @@ func TestDriftTriggersBackgroundRelearn(t *testing.T) {
 	}
 	if math.Abs(res.Scalar()-(n0+inserts)) > 1e-6 {
 		t.Fatalf("count after re-learn = %v, want %v", res.Scalar(), n0+inserts)
+	}
+}
+
+// TestOpenRefusesPartitionedWALDir: a WAL directory still holding the
+// shard-<i> logs of a partitioned deployment is refused at Open, with the
+// recovery step in the error — the log opens only the segments directly in
+// the directory, so serving from it would silently drop every write
+// acknowledged into the subdirectories. Must-fail twin: after the recovery
+// step (the longest shard log's segments and checkpoint moved up, the
+// subdirectories deleted) Open succeeds and replays every row.
+func TestOpenRefusesPartitionedWALDir(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	model, walDir := filepath.Join(dir, "model.deepdb"), filepath.Join(dir, "wal")
+	const countSQL = "SELECT COUNT(*) FROM orders"
+	db := learnHost(t)
+	before, err := db.Exact(ctx, countSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(model); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Every shard of a partitioned deployment logged the full stream; the
+	// crash left shard-1 one group short.
+	const rows = 3
+	for i, n := range []int{rows, rows - 1} {
+		l, err := wal.Open(filepath.Join(walDir, fmt.Sprintf("shard-%d", i)), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			muts := []ensemble.Mutation{{Op: ensemble.OpInsert, Table: "orders", Values: map[string]deepdb.Value{
+				"o_id": deepdb.Int(9_950_000 + r), "o_c_id": deepdb.Int(r), "o_amount": deepdb.Float(30),
+			}}}
+			if _, err := l.Append(wal.EncodeMutations(muts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if re, err := openHost(model, deepdb.WithWAL(walDir)); err == nil {
+		re.Close()
+		t.Fatal("Open served a WAL directory holding per-shard logs")
+	} else if !strings.Contains(err.Error(), "shard-0") || !strings.Contains(err.Error(), "CHECKPOINT") {
+		t.Fatalf("refusal does not name the shard log and the recovery step: %v", err)
+	}
+
+	// The recovery step: move the longest log up, delete the subdirectories.
+	longest := filepath.Join(walDir, "shard-0")
+	entries, err := os.ReadDir(longest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if err := os.Rename(filepath.Join(longest, ent.Name()), filepath.Join(walDir, ent.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := os.RemoveAll(filepath.Join(walDir, fmt.Sprintf("shard-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := openHost(model, deepdb.WithWAL(walDir))
+	if err != nil {
+		t.Fatalf("Open after folding the shard log into the WAL directory: %v", err)
+	}
+	defer re.Close()
+	if st := re.UpdateStats(); st.WAL == nil || st.WAL.Replayed != rows {
+		t.Fatalf("replayed %+v, want %d groups", st.WAL, rows)
+	}
+	after, err := re.Exact(ctx, countSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Scalar() - before.Scalar(); got != rows {
+		t.Fatalf("exact order count moved by %v after replay, want %d", got, rows)
 	}
 }

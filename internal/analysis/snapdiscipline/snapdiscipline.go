@@ -7,7 +7,8 @@
 //
 // Three rules, scoped to the two packages that hold such a pointer: the
 // shard (internal/shard), which owns apply-and-publish, and the facade's
-// host (deepdb), which publishes the view composed from the shards:
+// host (deepdb), which republishes each ensemble the shard publishes as
+// its serving snapshot (engine and generation added):
 //
 //  1. The `snap` atomic.Pointer field may appear only as the receiver of
 //     .Load() or .Store(…); and .Store is confined to the one publication

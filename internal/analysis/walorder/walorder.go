@@ -12,11 +12,10 @@
 //     exception is Submit, the shard's one door into the model: it
 //     receives the LSN its caller obtained from Log, and the caller owes
 //     the ordering.
-//   - The host (deepdb) pays that debt: it splits every broadcast into a
-//     log-everywhere and a submit-everywhere phase, and both — the
-//     (*shard.Shard).Log calls and the Submit calls — must run inside one
-//     mutMu critical section, so two producers can never interleave their
-//     log and submit phases on any shard.
+//   - The host (deepdb) pays that debt: it logs every mutation group with
+//     (*shard.Shard).Log and then submits it with Submit, and both calls
+//     must run inside one mutMu critical section, so two producers can
+//     never interleave their log and submit steps.
 //
 // Within each function the analyzer runs a small abstract interpretation
 // over the statement list (tracking which order locks are held,
@@ -35,7 +34,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
 	Doc: "requires WAL appends under walMu and pipeline enqueues dominated by one in the shard, " +
-		"and the host's shard Log/Submit broadcast to run under mutMu",
+		"and the host's shard Log/Submit pair to run under mutMu",
 	Scope: map[string]bool{
 		"repro/deepdb":         true,
 		"repro/internal/shard": true,
@@ -52,14 +51,14 @@ var submitAllowed = map[string]bool{"Submit": true}
 // held to the append rule instead.
 const appendInner = "appendLocked"
 
-// broadcastOps are the shard methods that make up the host's log-then-
-// submit broadcast.
-var broadcastOps = map[string]bool{"Log": true, "Submit": true}
+// hostOps are the shard methods that make up the host's log-then-submit
+// write.
+var hostOps = map[string]bool{"Log": true, "Submit": true}
 
 // state is the abstract machine state at one program point.
 type state struct {
 	muHeld   bool // walMu held
-	mutHeld  bool // mutMu (the host's broadcast lock) held
+	mutHeld  bool // mutMu (the host's write lock) held
 	appended bool // an Append happened under the current walMu hold
 	walNil   int8 // 0 unknown, 1 known nil, 2 known non-nil
 }
@@ -296,8 +295,8 @@ func (w *walker) call(call *ast.CallExpr, st state) state {
 			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check) outside Submit: a crash would replay a different order than was applied")
 		}
 	default:
-		if op := w.broadcastOp(call); op != "" && !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "shard %s outside the mutMu critical section: concurrent broadcasts could interleave their log and submit phases, breaking LSN order == apply order on some shard", op)
+		if op := w.hostOp(call); op != "" && !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
+			w.pass.Reportf(call.Pos(), "shard %s outside the mutMu critical section: concurrent writers could interleave their log and submit steps, breaking LSN order == apply order", op)
 		}
 	}
 	return st
@@ -326,13 +325,13 @@ func (w *walker) muOp(call *ast.CallExpr) (mu, op string) {
 	return mu, method
 }
 
-// broadcastOp matches the host's side of the protocol: a Log or Submit
+// hostOp matches the host's side of the protocol: a Log or Submit
 // call on an internal/shard.Shard made from another package (inside the
 // shard package the append rules above govern ordering). It returns the
 // method name, or "".
-func (w *walker) broadcastOp(call *ast.CallExpr) string {
+func (w *walker) hostOp(call *ast.CallExpr) string {
 	recv, method := analysis.MethodCall(call)
-	if !broadcastOps[method] || analysis.NormPath(w.pass.Pkg.Path()) == "repro/internal/shard" {
+	if !hostOps[method] || analysis.NormPath(w.pass.Pkg.Path()) == "repro/internal/shard" {
 		return ""
 	}
 	if !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/shard", "Shard") {

@@ -538,11 +538,10 @@ func selectPreds(preds []query.Predicate, ords []int) []query.Predicate {
 }
 
 // RSPNs returns every ensemble member the plan's estimators can touch, in
-// first-use order — the routing metadata a sharded serving tier needs to
-// know which shards a query fans out to. The walk covers the cardinality
-// terms plus, when the Execute side compiles cleanly, the group gates and
-// aggregate members; a plan whose Execute side cannot compile still
-// reports its cardinality members (estimate-only serving stays routable).
+// first-use order — which models answer a query shape. The walk covers
+// the cardinality terms plus, when the Execute side compiles cleanly, the
+// group gates and aggregate members; a plan whose Execute side cannot
+// compile still reports its cardinality members.
 func (p *Plan) RSPNs() []*rspn.RSPN {
 	var out []*rspn.RSPN
 	seen := map[*rspn.RSPN]bool{}

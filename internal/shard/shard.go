@@ -1,3 +1,14 @@
+// Package shard owns the write machinery of the facade's one serving
+// ensemble: a WAL replayed on construction and checkpointed by Save, an
+// update queue whose applier coalesces mutation groups into batches,
+// copy-on-write apply, and publication of each changed ensemble through
+// an atomic snapshot pointer and the host's publication hook.
+//
+// The paper's incremental updates (Section 5.2) touch whichever ensemble
+// members cover a mutated row, so the shard holds the whole ensemble —
+// members, base tables, write index and drift tracker — and every
+// mutation group enters it through one door, Submit, after Log gave it
+// its WAL position.
 package shard
 
 import (
@@ -12,28 +23,21 @@ import (
 	"repro/internal/wal"
 )
 
-// snapshot is one immutable published state of a shard: its sub-ensemble,
-// a publication counter, and the cumulative mutation count. It is never
-// mutated after publication — the applier clones and publishes a successor
-// — so readers (the host's compose path) use it without coordination.
+// snapshot is one immutable published state of the shard. It is never
+// mutated after publication — the applier clones and publishes a
+// successor — so readers use it without coordination.
 type snapshot struct {
 	ens *ensemble.Ensemble
-	gen uint64
-	// ops counts every mutation this shard has processed, applied or
-	// failed. Failures are deterministic under an identical broadcast
-	// stream, so equal ops across shards means equal progress — the
-	// host's alignment token for composing a consistent merged view.
-	ops uint64
 }
 
-// Config sizes one shard's update machinery.
+// Config sizes the shard's update machinery.
 type Config struct {
 	// QueueSize and MaxBatch bound the update queue and the coalesced apply
 	// batch (defaults 1024 / 256).
 	QueueSize int
 	MaxBatch  int
-	// WALDir, when set, gives the shard a durable log of its own; existing
-	// records past the checkpoint are replayed on construction.
+	// WALDir, when set, gives the shard a durable log; existing records
+	// past the checkpoint are replayed on construction.
 	WALDir     string
 	Durability wal.Durability
 }
@@ -45,26 +49,18 @@ const closeTimeout = 30 * time.Second
 
 // Group is one unit of the applier's input: the mutations of one
 // caller-level operation, applied as one indivisible unit, plus the
-// shard-WAL position they were logged at (0 without a WAL).
+// WAL position they were logged at (0 without a WAL).
 type Group struct {
 	Muts []ensemble.Mutation
 	lsn  uint64
 }
 
-// Shard owns one partition of the ensemble and is the only owner of the
-// write machinery: a sub-ensemble served through an atomic snapshot
-// pointer, a WAL that is replayed on construction and checkpointed by the
-// host's Save, and an update pipeline applying mutation groups to
-// copy-on-write clones. The facade hosts N >= 1 of them; queries run on the
-// host's composed view.
+// Shard is the only owner of the write machinery: the ensemble served
+// through an atomic snapshot pointer, a WAL that is replayed on
+// construction and checkpointed by the host's Save, and an update pipeline
+// applying mutation groups to copy-on-write clones.
 type Shard struct {
-	id int
-	// members are the global ensemble-member indices the shard serves; nil
-	// means the whole ensemble, as given (the one-shard host). total is the
-	// member count of the ensemble the partition was computed over.
-	members []int
-	total   int
-	cfg     Config
+	cfg Config
 
 	// snap is the current published snapshot; stored only by New and
 	// publishLocked (deepdb-lint enforces it).
@@ -77,7 +73,7 @@ type Shard struct {
 	// consistency token of an optimistic re-learn (drift's own counters
 	// miss FK factor bumps on One-side tables).
 	tableVer  map[string]uint64
-	onPublish func(changed bool)
+	onPublish func(ens *ensemble.Ensemble, batch bool)
 
 	// pipe is the update pipeline; its applier goroutine starts with the
 	// first Submit, so a shard that only serves reads runs none.
@@ -91,49 +87,24 @@ type Shard struct {
 	applyLSN atomic.Uint64
 }
 
-// New builds the shard over the given members (global indices into full;
-// nil serves full itself, rng, write index and drift tracker included)
-// and replays its WAL if one is configured.
-func New(id int, members []int, full *ensemble.Ensemble, cfg Config) (*Shard, error) {
+// New builds the shard over ens — members, base tables, rng, write index
+// and drift tracker — and replays its WAL if one is configured.
+func New(ens *ensemble.Ensemble, cfg Config) (*Shard, error) {
 	if cfg.QueueSize < 1 {
 		cfg.QueueSize = 1024
 	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 256
 	}
-	s := &Shard{id: id, total: len(full.RSPNs), cfg: cfg, tableVer: map[string]uint64{}}
+	s := &Shard{cfg: cfg, tableVer: map[string]uint64{}}
 	s.pipe = pipeline.New(cfg.QueueSize, cfg.MaxBatch, s.applyGroups)
-	if members != nil {
-		s.members = append([]int{}, members...)
-	}
-	sub, err := s.Carve(full)
-	if err != nil {
-		return nil, err
-	}
-	s.snap.Store(&snapshot{ens: sub})
+	s.snap.Store(&snapshot{ens: ens})
 	if cfg.WALDir != "" {
 		if err := s.openWAL(); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
-}
-
-// Carve returns the part of full this shard serves: full itself for a
-// whole-ensemble shard, otherwise the shard's member subset — refused when
-// full does not have the member count the partition was computed over.
-func (s *Shard) Carve(full *ensemble.Ensemble) (*ensemble.Ensemble, error) {
-	if s.members == nil {
-		return full, nil
-	}
-	if len(full.RSPNs) != s.total {
-		return nil, fmt.Errorf("shard %d: model has %d members, the partition was computed over %d (re-partition requires a restart)", s.id, len(full.RSPNs), s.total)
-	}
-	sub, err := full.Subset(s.members)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", s.id, err)
-	}
-	return sub, nil
 }
 
 // openWAL opens the shard's log and replays every record past the
@@ -172,34 +143,25 @@ func (s *Shard) openWAL() error {
 	return nil
 }
 
-// Members returns the shard's global member indices (sorted; do not
-// mutate); nil for a whole-ensemble shard.
-func (s *Shard) Members() []int { return s.members }
-
-// View returns the current published state: the sub-ensemble, the
-// publication counter and the alignment token.
-func (s *Shard) View() (ens *ensemble.Ensemble, gen, ops uint64) {
-	sn := s.snap.Load()
-	return sn.ens, sn.gen, sn.ops
-}
+// View returns the current published ensemble.
+func (s *Shard) View() *ensemble.Ensemble { return s.snap.Load().ens }
 
 // OnPublish installs the host's publication hook: fn runs under the apply
-// lock after every snapshot this shard publishes, with changed reporting
-// whether the served ensemble differs from the previous snapshot's (false
-// for a batch in which nothing applied — only ops moved). Install it
-// before the first mutation; WAL replay during New runs without it.
-func (s *Shard) OnPublish(fn func(changed bool)) {
+// lock with every ensemble the shard publishes — only a changed one is
+// ever published — and batch reports whether an update batch (rather than
+// a model swap) produced it. Install it before the first mutation; WAL
+// replay during New runs without it.
+func (s *Shard) OnPublish(fn func(ens *ensemble.Ensemble, batch bool)) {
 	s.applyMu.Lock()
 	s.onPublish = fn
 	s.applyMu.Unlock()
 }
 
-// publishLocked publishes the next snapshot. Callers hold applyMu.
-func (s *Shard) publishLocked(ens *ensemble.Ensemble, ops uint64) {
-	cur := s.snap.Load()
-	s.snap.Store(&snapshot{ens: ens, gen: cur.gen + 1, ops: ops})
+// publishLocked publishes ens as the next snapshot. Callers hold applyMu.
+func (s *Shard) publishLocked(ens *ensemble.Ensemble, batch bool) {
+	s.snap.Store(&snapshot{ens: ens})
 	if s.onPublish != nil {
-		s.onPublish(ens != cur.ens)
+		s.onPublish(ens, batch)
 	}
 }
 
@@ -232,37 +194,31 @@ func (s *Shard) applyGroups(groups []Group) error {
 
 // applyLocked clones the touched state, applies the batch and publishes. A
 // partially failed batch is still published — the mutations that succeeded
-// stay applied. A batch in which nothing applied republishes the current
-// ensemble (the clone would be bit-identical) but still advances ops by
-// the processed count, or shards whose streams contain the same failing
-// mutation would never realign. Callers hold applyMu.
+// stay applied. A batch in which nothing applied publishes nothing: the
+// clone would be bit-identical, and the served ensemble — with every plan
+// and result cached against it — stays in place. Callers hold applyMu.
 func (s *Shard) applyLocked(muts []ensemble.Mutation) error {
-	cur := s.snap.Load()
-	next := cur.ens.CloneForUpdate(muts)
+	next := s.snap.Load().ens.CloneForUpdate(muts)
 	applied, err := next.Apply(muts)
-	if applied == 0 {
-		next = cur.ens
-	} else {
+	if applied > 0 {
 		for t := range next.TouchedTables(muts) {
 			s.tableVer[t]++
 		}
+		s.publishLocked(next, true)
 	}
-	s.publishLocked(next, cur.ops+uint64(len(muts)))
 	return err
 }
 
 // HasCapacity reports whether the update queue has a free slot — the
-// host's admission check before a non-blocking broadcast.
+// host's admission check before a non-blocking write.
 func (s *Shard) HasCapacity() bool { return s.pipe.HasCapacity() }
 
 // Log durably appends one mutation group to the shard's WAL without
 // queueing it, returning the assigned LSN (0 when the shard has no WAL).
-// Paired with Submit it lets the host split a broadcast into a
-// log-everywhere phase and a submit-everywhere phase, so a WAL failure on
-// shard k surfaces before any shard has been mutated. Callers must
-// serialize Log/Submit pairs across producers (the host's broadcast lock
-// does): LSN order must equal apply order or replay would reproduce a
-// different state.
+// Paired with Submit it lets the host refuse a group whose append failed
+// before the model sees it. Callers must serialize Log/Submit pairs across
+// producers (the host's write lock does): LSN order must equal apply order
+// or replay would reproduce a different state.
 func (s *Shard) Log(muts []ensemble.Mutation) (uint64, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -287,7 +243,7 @@ func (s *Shard) appendLocked(muts []ensemble.Mutation) (uint64, error) {
 // full. Without wait it returns once the group is queued; Flush waits for
 // it to be applied and published and reports its apply error. With wait it
 // returns once the group is published, with the apply error of the group's
-// own batch — the group alone when, as under the host's broadcast lock, no
+// own batch — the group alone when, as under the host's write lock, no
 // other producer submits meanwhile — which no concurrent Flush can collect
 // instead. See Log for the serialization contract.
 func (s *Shard) Submit(muts []ensemble.Mutation, lsn uint64, wait bool) error {
@@ -296,26 +252,22 @@ func (s *Shard) Submit(muts []ensemble.Mutation, lsn uint64, wait bool) error {
 
 // Swap runs fn under the apply lock with the current ensemble and the
 // per-table applied-batch counters (read-only, valid only inside fn), and
-// publishes a non-nil result through the normal publication path. ops is
-// preserved: a model swap (hot reload, re-learned member, refreshed
-// dependency statistics) is not stream progress, and keeping the token
-// lets the host hold its previous composed view until every shard has
-// swapped — readers see all-old or all-new, never a mix.
+// publishes a non-nil result through the normal publication path as a
+// model swap (hot reload, re-learned member), not an update batch.
 func (s *Shard) Swap(fn func(cur *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	cur := s.snap.Load()
-	if next := fn(cur.ens, s.tableVer); next != nil {
-		s.publishLocked(next, cur.ops)
+	if next := fn(s.snap.Load().ens, s.tableVer); next != nil {
+		s.publishLocked(next, false)
 	}
 }
 
-// Publish swaps in a reloaded sub-ensemble (see Swap).
+// Publish swaps in a reloaded ensemble (see Swap).
 func (s *Shard) Publish(ens *ensemble.Ensemble) {
 	s.Swap(func(*ensemble.Ensemble, map[string]uint64) *ensemble.Ensemble { return ens })
 }
 
-// Checkpoint truncates the shard's WAL at the given LSN — records at or
+// Checkpoint truncates the WAL at the given LSN — records at or
 // below it are covered by a persisted artifact and must not replay again.
 // No-op without a WAL.
 func (s *Shard) Checkpoint(lsn uint64) error {
@@ -345,31 +297,20 @@ func (s *Shard) Close() error {
 	return err
 }
 
-// Stats is a point-in-time health view of one shard.
+// Stats is a point-in-time health view of the shard.
 type Stats struct {
-	ID      int
-	Members []int
-	Gen     uint64
-	Ops     uint64
-	Queue   pipeline.Stats
-	// WALDir is the log directory and WALAppliedLSN the apply watermark
-	// ("" / 0 without a WAL); WAL carries the log's own counters when one
-	// is attached.
-	WALDir        string
-	WALAppliedLSN uint64
-	WAL           *wal.Stats
+	Queue pipeline.Stats
+	// WAL carries the log's own counters (nil without a WAL); the apply
+	// watermark is AppliedLSN.
+	WAL *wal.Stats
 }
 
 // Stats reports the shard's counters.
 func (s *Shard) Stats() Stats {
-	_, gen, ops := s.View()
-	out := Stats{ID: s.id, Members: s.members, Gen: gen, Ops: ops}
-	out.Queue = s.pipe.Stats()
+	out := Stats{Queue: s.pipe.Stats()}
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		out.WAL = &ws
-		out.WALDir = s.cfg.WALDir
-		out.WALAppliedLSN = s.applyLSN.Load()
 	}
 	return out
 }

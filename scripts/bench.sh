@@ -16,13 +16,10 @@
 #       fsync policy (sync/batched/off), log scan and end-to-end crash
 #       recovery speed, and reader p50/p99 while drift-triggered
 #       re-learning hot-swaps ensemble members under a write stream.
-#   BENCH_serve.json — sharded-serving benches: concurrent reader qps and
-#       p50/p99 against the fan-out router at shard counts 1 and 2 (the
-#       fixture learns two members and the partitioner clamps to the
-#       member count; the effective count is reported as the `shards`
-#       metric), and the hot-reload blip — reader p50/p99 while a
-#       background loop keeps swapping the model through the
-#       snapshot-publication path.
+#   BENCH_serve.json — serving benches: concurrent reader qps and p50/p99
+#       of prepared estimates on one handle, and the hot-reload blip —
+#       reader p50/p99 while a background loop keeps swapping the model
+#       through the snapshot-publication path.
 #
 #   BENCHTIME=500x ./scripts/bench.sh     # override iteration count
 set -eu
@@ -108,9 +105,8 @@ go test -run '^$' -bench 'WALAppend|WALScan|WALRecovery|RelearnHotSwapReader' -b
 parse_bench < "$tmp" > BENCH_wal.json
 echo "wrote BENCH_wal.json"
 
-# Sharded-serving percentiles need the same sample floor as the update
-# benches.
-go test -run '^$' -bench 'ShardedServeQuery|ShardedHotReloadReader' -benchmem \
+# Serving percentiles need the same sample floor as the update benches.
+go test -run '^$' -bench '^Benchmark(ServeQuery|HotReloadReader)$' -benchmem \
     -benchtime "$update_benchtime" . | tee "$tmp"
 parse_bench < "$tmp" > BENCH_serve.json
 echo "wrote BENCH_serve.json"

@@ -42,8 +42,8 @@ echo "== option/flag ratchet =="
 # deepdb/testdata/api.golden (TestAPIGolden, in the suite below) lists every
 # exported identifier and method, and only shrinks without a reason stated
 # in CHANGES.md next to the `-update` that grew it.
-[ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 16 ] &&
-    [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 17 ] ||
+[ "$(grep -cE '^func With|^func AtConfidence' deepdb/options.go)" -le 15 ] &&
+    [ "$(grep -cE 'fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/deepdb/serve.go)" -le 16 ] ||
     { echo "a new option needs two non-test callers with different values — see simplicity-review/Options"; exit 1; }
 # Whether anything ships that selects a facade option is the reachability
 # test's facade rule (internal/analysis/reach, stage below): an exported
@@ -113,19 +113,13 @@ echo "== crash-recovery smoke =="
 # the cache.
 go test -run 'TestCrashRecoverySIGKILL|TestGracefulShutdownSIGTERM' -count=1 ./deepdb
 
-echo "== router-vs-single equivalence smoke =="
-# The sharded serving tier's correctness bar: the fan-out router must
-# answer bit-identically to a single process across every query class,
-# both at the facade (after a broadcast mutation stream) and over HTTP.
-go test -run 'TestShardedMatchesSingleBitwise' -count=1 ./deepdb
-go test -run 'TestShardedServeEquivalence' -count=1 ./cmd/deepdb
-
 echo "== chaos (seeded fault injection) =="
 # The fault-injection suite: deterministic, seeded schedules drive the WAL
-# append/fsync path, the async applier and the shard RPC client through
-# injected EIO/ENOSPC, torn writes, partitions, timeouts and latency, and
-# assert the hardening invariants — no acked-write loss, bit-identical
-# estimates to a fault-free run, breaker open-then-reconverge after heal.
+# append/fsync path and the async applier through injected EIO/ENOSPC,
+# torn writes and apply failures, and assert the hardening invariants —
+# the first WAL failure stops every later write while reads keep serving, no
+# acknowledged write is lost, and recovery answers bit-identically to a
+# fault-free run.
 # These run inside the full suite above too; the dedicated invocation
 # keeps the chaos bar visible and uncached even when the suite is filtered.
 go test -race -short -count=1 -run '^TestChaos' ./internal/wal ./internal/pipeline ./deepdb
