@@ -503,7 +503,7 @@ func TestSyncUpdatesReadYourWrites(t *testing.T) {
 // TestUpdateGroupAtomicity: the rows of one Update call are never split
 // across published snapshots — concurrent readers only ever see whole
 // multiples of the group size. (The strict case, a batch cap of one
-// operation, is internal/shard's TestGroupsNeverSplitAtMaxBatchOne.)
+// operation, is TestGroupsNeverSplitAtMaxBatchOne in writer_test.go.)
 func TestUpdateGroupAtomicity(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()

@@ -41,12 +41,14 @@
 //
 // # One handle, one writer
 //
-// A *DB owns one shard (internal/shard) holding the whole ensemble; the
-// shard owns the write machinery — WAL, update queue, copy-on-write apply,
-// publish, replay, checkpoint — and the DB publishes every ensemble the
-// shard publishes as its next serving snapshot. The DB adds what sits in
-// front of the shard: the plan and result caches, admission, the
-// fail-stop on WAL loss and drift-triggered re-learning.
+// A *DB is the one owner of the whole ensemble and of its write path: log
+// → queue → apply → publish. A write is appended to the WAL and enqueued
+// under one write lock, so LSN order is apply order; the applier applies
+// each batch to a copy-on-write clone and publishes it together with the
+// WAL position it reached; WAL replay on Open runs the applier's own
+// body; Save checkpoints the log at the position published beside the
+// state it writes. In front of that path sit the plan and result caches,
+// admission, the fail-stop on WAL loss and drift-triggered re-learning.
 package deepdb
 
 import (
@@ -62,13 +64,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/exact"
+	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/rspn"
-	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
 // snapshot is one immutable published serving view: an ensemble state, the
-// engine compiled against it, and the generation it was published at.
+// engine compiled against it, the generation it was published at and the
+// WAL position it contains.
 // Snapshots are never mutated after publication — updates clone and
 // publish a successor — so any number of readers can use one concurrently
 // without coordination, and a reader holding an old snapshot keeps a
@@ -81,19 +85,22 @@ type snapshot struct {
 	// cached plans, cached results and prepared statements are tagged with
 	// it and recompiled or dropped when it moves.
 	gen uint64
+	// lsn is the apply watermark: the highest WAL position whose group has
+	// been applied to ens (0 without a WAL). It may move without gen — a
+	// batch in which nothing applied advances only the watermark — and
+	// Save checkpoints at it.
+	lsn uint64
 }
 
 // DB is a learned DeepDB instance: an RSPN ensemble, the probabilistic
 // query engine compiled against it, and (when attached) the live base
 // tables that power incremental updates and exact ground-truth execution.
-// It is the serving view of one shard, the plan and result caches in
-// front of it, and the write path into the shard. The shard owns
-// everything below the write path (log, queue, apply, publish, replay,
-// checkpoint); the DB owns admission and the fail-stop on WAL loss. All
-// methods are safe for concurrent use; queries never block on updates.
+// It is the serving view, the plan and result caches in front of it, and
+// the one writer behind it: the WAL, the update queue and its applier,
+// which publishes every changed ensemble as the next snapshot. All methods
+// are safe for concurrent use; queries never block on updates.
 type DB struct {
-	cfg   config
-	shard *shard.Shard
+	cfg config
 
 	// snap is the current serving view; the read path loads it once per
 	// call and never takes a lock. Stored only by publishLocked.
@@ -108,10 +115,26 @@ type DB struct {
 	plans    *genLRU[*core.Plan]
 	resCache *genLRU[cachedResult]
 
-	// mutMu serializes writers so the shard's LSN order equals its apply
-	// order.
+	// mutMu serializes writers: a group's WAL append and its enqueue run in
+	// one mutMu critical section, so LSN order equals apply order.
 	mutMu  sync.Mutex
 	closed bool
+	// wal is the durable log (nil without WithWAL); set once by newDB.
+	wal *wal.Log
+	// pipe is the update queue; its applier goroutine runs applyGroups and
+	// starts with the first write, so a DB that only serves reads runs none.
+	pipe *pipeline.Pipeline[group]
+
+	// applyMu serializes apply+publish (applyGroups, swap) and guards
+	// tableVer: applied mutation batches per written base table — the
+	// consistency token of an optimistic re-learn (drift's own counters
+	// miss FK factor bumps on One-side tables).
+	applyMu  sync.Mutex
+	tableVer map[string]uint64
+
+	// saveMu serializes Save from its snapshot load through the checkpoint,
+	// so saves finish in watermark order. Writers never take it.
+	saveMu sync.Mutex
 
 	// walErr latches the first WAL append or fsync failure:
 	// non-nil means durability is lost and writes are rejected from then
@@ -201,9 +224,8 @@ func loadModel(ctx context.Context, modelPath string, cfg config) (*ensemble.Ens
 	return ens, nil
 }
 
-// newDB is the one constructor body: it builds the shard over ens (WAL
-// replayed), publishes the first serving view and subscribes to the
-// shard's publications.
+// newDB is the one constructor body: it replays the WAL into ens and
+// publishes the first serving view.
 func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 	if err := refuseShardWALDirs(cfg.walDir); err != nil {
 		return nil, err
@@ -212,18 +234,21 @@ func newDB(ens *ensemble.Ensemble, cfg config) (*DB, error) {
 		cfg:      cfg,
 		plans:    newGenLRU[*core.Plan](cfg.planCache, 1),
 		resCache: newGenLRU[cachedResult](cfg.resultCache, resultCacheWays),
+		tableVer: map[string]uint64{},
 	}
+	db.pipe = pipeline.New(cfg.queueSize, cfg.maxBatch, db.applyGroups)
 	// Drift tracking baselines against the pre-replay state, so mutations
 	// recovered from the WAL count toward staleness exactly like they did
 	// before the crash. A no-op without attached tables.
 	ens.EnableDrift()
-	sh, err := shard.New(ens, cfg.shardConfig())
-	if err != nil {
-		return nil, err
+	var lsn uint64
+	if cfg.walDir != "" {
+		var err error
+		if ens, lsn, err = db.replay(ens); err != nil {
+			return nil, err
+		}
 	}
-	db.shard = sh
-	db.publishLocked(sh.View())
-	sh.OnPublish(db.shardPublished)
+	db.publishLocked(ens, lsn)
 	return db, nil
 }
 
@@ -258,30 +283,26 @@ func refuseShardWALDirs(dir string) error {
 // snapshotNow returns the current published serving view: one atomic load.
 func (db *DB) snapshotNow() *snapshot { return db.snap.Load() }
 
-// publishLocked atomically publishes ens as the next snapshot generation.
-// Callers are single-threaded at construction or run as the shard's
-// publication hook, under its apply lock.
-func (db *DB) publishLocked(ens *ensemble.Ensemble) {
+// publishLocked publishes ens at apply watermark lsn. A changed ensemble
+// becomes the next generation with a freshly compiled engine; the current
+// one keeps its engine and generation — caches and prepared statements
+// stay valid — and only the watermark moves. Callers hold applyMu or are
+// the single-threaded constructor.
+func (db *DB) publishLocked(ens *ensemble.Ensemble, lsn uint64) {
+	cur := db.snap.Load()
+	if cur != nil && cur.ens == ens {
+		if cur.lsn != lsn {
+			db.snap.Store(&snapshot{ens: ens, eng: cur.eng, gen: cur.gen, lsn: lsn})
+		}
+		return
+	}
 	eng := core.New(ens)
 	eng.Parallelism = db.cfg.parallelism
-	cur := db.snap.Load()
 	var gen uint64
 	if cur != nil {
 		gen = cur.gen + 1
 	}
-	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen})
-}
-
-// shardPublished is the shard's publication hook (it runs on the shard's
-// applier or swapper, under the shard's apply lock): every ensemble the
-// shard publishes changed, so it becomes the next snapshot. Only an update
-// batch checks the drift trigger — a model swap (Reload, a re-learned
-// member) resets the baselines it would read.
-func (db *DB) shardPublished(ens *ensemble.Ensemble, batch bool) {
-	db.publishLocked(ens)
-	if batch {
-		db.maybeRelearn()
-	}
+	db.snap.Store(&snapshot{ens: ens, eng: eng, gen: gen, lsn: lsn})
 }
 
 // planFor returns the compiled plan for the query against the given

@@ -2,11 +2,14 @@ package deepdb
 
 // export_test.go hands the external test package (deepdb_test) what only
 // tests use:
-//   - a setting nothing that ships selects: production runs the default
-//     of internal/shard, while the backpressure and chaos suites need a
-//     one-slot queue, so it is an Option only in the test build;
+//   - settings nothing that ships selects: production runs the default
+//     queue and batch sizes, while the backpressure and chaos suites need a
+//     one-slot queue and the group-atomicity and replay suites a small
+//     batch cap, so they are Options only in the test build;
 //   - a multi-row Update, whose single mutation group pins the write
 //     path's all-or-nothing publish;
+//   - a waited enqueue at a chosen WAL position and the watermark it
+//     publishes, the seams of the forward-only watermark test;
 //   - the two cache sizes the cache suites read.
 
 import "repro/internal/ensemble"
@@ -17,6 +20,12 @@ import "repro/internal/ensemble"
 // catches up — backpressure instead of unbounded memory.
 func WithUpdateQueueSize(n int) Option {
 	return func(c *config) { c.queueSize = n }
+}
+
+// WithMaxApplyBatch caps the operations the applier coalesces into one
+// batch, and WAL replay's batch size (default 256).
+func WithMaxApplyBatch(n int) Option {
+	return func(c *config) { c.maxBatch = n }
 }
 
 // Row is one base-table row for DB.Update: missing columns become NULL.
@@ -47,3 +56,15 @@ func (db *DB) PlanCacheLen() int { return db.plans.size() }
 // ResultCacheLen reports how many query results and cardinality estimates
 // are currently cached (0 unless WithResultCacheSize enabled the cache).
 func (db *DB) ResultCacheLen() int { return db.resCache.size() }
+
+// EnqueueWaitedAt hands the applier one group as if the WAL had logged it
+// at lsn, and returns the apply error of its batch. Production groups get
+// their position from the WAL under the write lock; this seam lets a test
+// break that order on purpose.
+func (db *DB) EnqueueWaitedAt(muts []ensemble.Mutation, lsn uint64) error {
+	return db.pipe.Enqueue(group{muts: muts, lsn: lsn}, true)
+}
+
+// AppliedLSN reports the apply watermark of the current snapshot, with or
+// without a WAL.
+func (db *DB) AppliedLSN() uint64 { return db.snapshotNow().lsn }

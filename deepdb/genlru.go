@@ -11,12 +11,12 @@ import (
 // The plan cache (compiled plans by query shape) and the result cache
 // (finished results by shape + bound literals + level) are both instances.
 //
-// Correctness rides on the generation: every published snapshot (update
-// batch, Reload, background re-learn hot-swap, sharded recomposition)
-// bumps it, and an entry only ever serves the generation it was stored
-// at — a plan compiled against different statistics, or a
-// result computed against a superseded model state, is recomputed on its
-// next use instead of served. Because readers on an older snapshot can
+// Correctness rides on the generation: every published change of the
+// model (an update batch in which something applied, Reload, a background
+// re-learn hot-swap) bumps it, and an entry only ever serves the
+// generation it was stored at — a plan compiled against different
+// statistics, or a result computed against a superseded model state, is
+// recomputed on its next use instead of served. Because readers on an older snapshot can
 // race readers on a newer one, generations are ordered: an older entry is
 // evicted by the lookup that finds it, and an entry a concurrent reader
 // stored for a newer generation is never evicted or overwritten on behalf

@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/ensemble"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -65,6 +64,7 @@ type config struct {
 	resultCache int
 	syncUpdates bool
 	queueSize   int
+	maxBatch    int
 	walDir      string
 	durability  Durability
 	driftFrac   float64
@@ -77,26 +77,27 @@ func (c *config) driftThresholds() drift.Thresholds {
 	return drift.Thresholds{MutatedFraction: c.driftFrac, MeanShift: c.driftShift}
 }
 
-// shardConfig sizes the shard's update machinery.
-func (c *config) shardConfig() shard.Config {
-	return shard.Config{
-		QueueSize:  c.queueSize,
-		WALDir:     c.walDir,
-		Durability: c.durability.wal(),
-	}
-}
-
 // defaultPlanCacheSize bounds the plan cache when WithPlanCacheSize is not
 // given: generous for realistic workloads (shapes are per query template,
 // not per literal), small enough to keep eviction cheap.
 const defaultPlanCacheSize = 128
 
-// defaultConfig leaves the update machinery's sizes to internal/shard: a
-// 1024-slot queue, 256 operations per applied batch and a 30s drain on
-// Close. The zero queue size means "the layer's default"; only tests set
-// it, to a test-scale value (export_test.go).
+// defaultQueueSize bounds the update queue (operations) and
+// defaultMaxBatch the operations the applier coalesces into one batch.
+const (
+	defaultQueueSize = 1024
+	defaultMaxBatch  = 256
+)
+
+// defaultConfig sizes the update machinery with the defaults above; only
+// tests choose other sizes, through test-build options (export_test.go).
 func defaultConfig() config {
-	return config{ens: ensemble.DefaultConfig(), planCache: defaultPlanCacheSize}
+	return config{
+		ens:       ensemble.DefaultConfig(),
+		planCache: defaultPlanCacheSize,
+		queueSize: defaultQueueSize,
+		maxBatch:  defaultMaxBatch,
+	}
 }
 
 func (c *config) apply(opts []Option) {

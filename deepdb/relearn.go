@@ -7,9 +7,9 @@ package deepdb
 // The applier checks the drift trigger after every published batch; when a
 // member trips, a background goroutine re-learns just that member from the
 // current base tables (tombstones compacted away) and hot-swaps it into
-// the serving snapshot via the shard's normal publication path — readers
-// never block, generations stay monotonic, and cached plans recompile
-// exactly as they do for an update batch.
+// the serving snapshot through the DB's one publication path (swap) —
+// readers never block, generations stay monotonic, and cached plans
+// recompile exactly as they do for an update batch.
 
 import (
 	"context"
@@ -19,10 +19,10 @@ import (
 )
 
 // maybeRelearn checks the drift trigger and, when a member trips, spawns
-// (at most one at a time) the background re-learner. shardPublished calls
-// it after every update batch that moved the serving view — on the applier,
-// under the shard's apply lock — so it must not wait on anything a writer
-// may hold. A no-op unless a trigger is armed.
+// (at most one at a time) the background re-learner. The applier calls it
+// after every update batch that changed the serving view, under applyMu,
+// so it must not wait on anything a writer may hold. A no-op unless a
+// trigger is armed.
 func (db *DB) maybeRelearn() {
 	th := db.cfg.driftThresholds()
 	if !th.Enabled() {
@@ -60,19 +60,18 @@ func (db *DB) maybeRelearn() {
 // relearnMember re-learns member i and hot-swaps it into the serving
 // snapshot. Two optimistic attempts learn from a published snapshot
 // without blocking writers and publish only if the member's tables saw no
-// mutation meanwhile (the shard's per-table version counters — drift's own
-// counters would miss FK tuple-factor bumps on One-side tables, which
+// mutation meanwhile (the applier's per-table version counters — drift's
+// own counters would miss FK tuple-factor bumps on One-side tables, which
 // change the data a re-learn sees). Under sustained writes both attempts
-// can lose the race; the fallback then learns while holding the shard's
-// apply lock — writers wait, readers still never block.
+// can lose the race; the fallback then learns while holding the apply
+// lock — writers wait, readers still never block.
 func (db *DB) relearnMember(i int) {
 	ctx := context.Background()
-	sh := db.shard
 	for attempt := 0; attempt < 2; attempt++ {
 		var cur *ensemble.Ensemble
 		var tables []string
 		var ver []uint64
-		sh.Swap(func(e *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble {
+		db.swap(func(e *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble {
 			if i < len(e.RSPNs) {
 				cur, tables = e, e.RSPNs[i].Tables
 				for _, t := range tables {
@@ -90,7 +89,7 @@ func (db *DB) relearnMember(i int) {
 			return
 		}
 		swapped := false
-		sh.Swap(func(live *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble {
+		db.swap(func(live *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble {
 			for j, t := range tables {
 				if tableVer[t] != ver[j] {
 					return nil
@@ -104,7 +103,7 @@ func (db *DB) relearnMember(i int) {
 		}
 	}
 	// Locked fallback: no writer can move the tables under us.
-	sh.Swap(func(live *ensemble.Ensemble, _ map[string]uint64) *ensemble.Ensemble {
+	db.swap(func(live *ensemble.Ensemble, _ map[string]uint64) *ensemble.Ensemble {
 		if i >= len(live.RSPNs) {
 			return nil
 		}

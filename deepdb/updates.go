@@ -1,24 +1,27 @@
 package deepdb
 
-// updates.go is the DB's write half: one path from Insert/Delete into the
-// shard (Log, then Submit), the fail-stop on WAL loss, and the lifecycle
-// operations (Flush, Save, Reload, Close).
+// updates.go is the DB's write half: one path from Insert/Delete through
+// the WAL and the update queue into the applier, which applies each batch
+// to a copy-on-write clone and publishes it; WAL replay; the fail-stop on
+// WAL loss; and the lifecycle operations (Flush, Save, Reload, Close).
 //
 // Durability: every accepted group is appended to the WAL before it enters
 // the update queue, so a crash — even kill -9 — loses nothing that was
 // acknowledged under DurabilitySync (and at most the configured batching
-// window otherwise). The shard replays the unapplied suffix on open;
-// replay followed by Flush is bit-identical to a run that never crashed,
-// because the applier's batch==sequential equivalence makes group
-// boundaries irrelevant to the final state.
+// window otherwise). Open replays the unapplied suffix through the
+// applier's own body; replay followed by Flush is bit-identical to a run
+// that never crashed, because the applier's batch==sequential equivalence
+// makes group boundaries irrelevant to the final state.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/drift"
 	"repro/internal/ensemble"
+	"repro/internal/wal"
 )
 
 // ErrQueueFull is returned by Insert/Delete under
@@ -54,7 +57,20 @@ func (db *DB) Delete(table string, pk float64) error {
 	return db.mutate([]ensemble.Mutation{{Op: ensemble.OpDelete, Table: table, PK: pk}})
 }
 
-// mutate logs one mutation group and submits it to the shard.
+// group is one unit of the applier's input: the mutations of one
+// caller-level operation, applied as one indivisible unit, plus the WAL
+// position they were logged at (0 without a WAL).
+type group struct {
+	muts []ensemble.Mutation
+	lsn  uint64
+}
+
+// closeTimeout bounds the drain on Close: past it Close reports a timeout
+// instead of hanging a shutdown behind a stuck applier (with a WAL the
+// undrained queue is recovered by the next Open).
+const closeTimeout = 30 * time.Second
+
+// mutate logs one mutation group and enqueues it for the applier.
 func (db *DB) mutate(muts []ensemble.Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -71,25 +87,143 @@ func (db *DB) mutate(muts []ensemble.Mutation) error {
 	// ErrQueueFull would still replay after a restart, silently re-applying
 	// a write the caller was told to retry. Under mutMu no other producer
 	// can steal the checked slot; a concurrent Flush barrier can, which
-	// makes the submit below block for at most one apply cycle — never shed.
-	if db.cfg.nonBlocking && !db.shard.HasCapacity() {
+	// makes the enqueue below block for at most one apply cycle — never shed.
+	if db.cfg.nonBlocking && !db.pipe.HasCapacity() {
 		return ErrQueueFull
+	}
+	// Under WithSyncUpdates the enqueue waits for the group's own result:
+	// mutMu keeps every other producer out, so the batch is this group
+	// alone and its error indexes the group's rows.
+	if db.wal == nil {
+		return db.pipe.Enqueue(group{muts: muts}, db.cfg.syncUpdates)
 	}
 	// A failed append rejects the group before the model sees it, and every
 	// later write fails the same way.
 	if cause := db.walErr.Load(); cause != nil {
 		return fmt.Errorf("%w: %s", ErrDurabilityLost, *cause)
 	}
-	lsn, err := db.shard.Log(muts)
+	lsn, err := db.wal.Append(wal.EncodeMutations(muts))
 	if err != nil {
+		err = fmt.Errorf("wal %s: %w", db.cfg.walDir, err)
 		cause := err.Error()
 		db.walErr.Store(&cause) // first and only: the check above rejects every later write
 		return fmt.Errorf("%w: %w", ErrDurabilityLost, err)
 	}
-	// Under WithSyncUpdates Submit waits for the group's own result: mutMu
-	// keeps every other producer out, so the batch is this group alone and
-	// its error indexes the group's rows.
-	return db.shard.Submit(muts, lsn, db.cfg.syncUpdates)
+	return db.pipe.Enqueue(group{muts: muts, lsn: lsn}, db.cfg.syncUpdates)
+}
+
+// applyGroups is the applier's body: it applies the groups as one
+// copy-on-write batch — groups may share a snapshot but are never split
+// across two — publishes the result with the watermark advanced to the
+// last group's LSN, and checks the drift trigger when the ensemble
+// changed. The first per-mutation failure is returned with its index in
+// the concatenated batch.
+func (db *DB) applyGroups(groups []group) error {
+	db.applyMu.Lock()
+	defer db.applyMu.Unlock()
+	cur := db.snap.Load()
+	next, err := db.applyLocked(cur.ens, groups)
+	db.publishLocked(next, watermark(cur.lsn, groups))
+	if next != cur.ens {
+		db.maybeRelearn()
+	}
+	return err
+}
+
+// applyLocked is the only way mutations reach the model — the live applier
+// and WAL replay both run it. It applies the groups to a clone of cur and
+// returns the clone, or cur itself when nothing applied: the clone would
+// be bit-identical, and the served ensemble — with every plan and result
+// cached against it — stays in place. A partially failed batch keeps the
+// mutations that succeeded. Callers hold applyMu or are the
+// single-threaded constructor.
+func (db *DB) applyLocked(cur *ensemble.Ensemble, groups []group) (*ensemble.Ensemble, error) {
+	n := 0
+	for _, g := range groups {
+		n += len(g.muts)
+	}
+	muts := make([]ensemble.Mutation, 0, n)
+	for _, g := range groups {
+		muts = append(muts, g.muts...)
+	}
+	next := cur.CloneForUpdate(muts)
+	applied, err := next.Apply(muts)
+	if applied == 0 {
+		return cur, err
+	}
+	for t := range next.TouchedTables(muts) {
+		db.tableVer[t]++
+	}
+	return next, err
+}
+
+// watermark advances the apply watermark lsn past a batch. Groups arrive
+// in LSN order (mutate appends and enqueues under one lock); should that
+// ever break, the watermark still never moves back — a checkpoint below
+// what a saved model contains would let replay apply those records twice.
+func watermark(lsn uint64, groups []group) uint64 {
+	if last := groups[len(groups)-1].lsn; last > lsn {
+		return last
+	}
+	return lsn
+}
+
+// replay opens the WAL and applies every record past the checkpoint to
+// ens through the applier's body, in the applier's batch size, returning
+// the replayed ensemble and its watermark. Nothing is published or
+// compiled per batch and the drift trigger does not run: the first
+// serving view is published once, after replay. Per-mutation apply errors
+// are dropped — on the live path they would only have surfaced through a
+// Flush that never ran — but decode failures and replaying without
+// attached base tables abort the open.
+func (db *DB) replay(ens *ensemble.Ensemble) (*ensemble.Ensemble, uint64, error) {
+	l, err := wal.Open(db.cfg.walDir, wal.Options{Durability: db.cfg.durability.wal()})
+	if err != nil {
+		return nil, 0, err
+	}
+	var lsn uint64
+	batch := make([]group, 0, db.cfg.maxBatch)
+	apply := func() {
+		ens, _ = db.applyLocked(ens, batch) // deferred-error semantics, see above
+		lsn = watermark(lsn, batch)
+		batch = batch[:0]
+	}
+	rerr := l.Replay(func(at uint64, payload []byte) error {
+		muts, err := wal.DecodeMutations(payload)
+		if err != nil {
+			return err
+		}
+		if ens.Tables == nil {
+			return fmt.Errorf("deepdb: WAL %s has unapplied records but no base tables are attached (open with WithDataDir or WithDataset)", db.cfg.walDir)
+		}
+		if batch = append(batch, group{muts: muts, lsn: at}); len(batch) == db.cfg.maxBatch {
+			apply()
+		}
+		return nil
+	})
+	if rerr != nil {
+		l.Close() //nolint:errcheck // the open itself failed
+		return nil, 0, rerr
+	}
+	if len(batch) > 0 {
+		apply()
+	}
+	db.wal = l
+	return ens, lsn, nil
+}
+
+// swap runs fn under the apply lock with the current ensemble and the
+// per-table applied-batch counters (read-only, valid only inside fn), and
+// publishes a non-nil result as a model swap (hot reload, re-learned
+// member) at the current watermark. A swap does not check the drift
+// trigger: it resets the baselines the trigger would read.
+func (db *DB) swap(fn func(cur *ensemble.Ensemble, tableVer map[string]uint64) *ensemble.Ensemble) {
+	db.applyMu.Lock()
+	defer db.applyMu.Unlock()
+	cur := db.snap.Load()
+	if next := fn(cur.ens, db.tableVer); next != nil {
+		db.publishLocked(next, cur.lsn)
+	}
 }
 
 // Flush blocks until every mutation submitted before the call has been
@@ -97,51 +231,34 @@ func (db *DB) mutate(muts []ensemble.Mutation) error {
 // Data) observe those writes, bit-identical however the applier happened
 // to batch them. It returns the first apply error since the previous
 // Flush. A no-op when nothing is pending.
-func (db *DB) Flush(ctx context.Context) error { return db.shard.Flush(ctx) }
-
-// quiesce drains the update queue and returns holding mutMu, with the
-// shard caught up: the serving view is then exactly the state at the
-// apply watermark. The bulk of the drain happens before the
-// lock is taken, so writers wait only for what slipped in between — and for
-// whatever the caller does before unlocking, which must stay short.
-func (db *DB) quiesce() error {
-	ctx := context.Background()
-	if err := db.Flush(ctx); err != nil {
-		return err
-	}
-	db.mutMu.Lock()
-	if err := db.Flush(ctx); err != nil {
-		db.mutMu.Unlock()
-		return err
-	}
-	return nil
-}
+func (db *DB) Flush(ctx context.Context) error { return db.pipe.Flush(ctx) }
 
 // Save writes the model (ensemble, dependency and per-table statistics,
 // schema) to path, atomically (temp file + rename). Pending updates are
-// flushed first, so the file reflects every mutation accepted
-// before the call; writers are held off only while the view to save is
-// picked, not while it is written. The base tables are not serialized; the
-// persisted statistics are enough to serve queries, and Open can reattach
-// the data like a database reopening its files. With a WAL attached, a
-// successful Save also checkpoints the log at its applied watermark: the
-// save covers everything up to that LSN, so replay skips those records
-// from now on and segments they fully occupy are deleted.
+// flushed first, so the file reflects every mutation accepted before the
+// call; writers are never held off. The base tables are not serialized;
+// the persisted statistics are enough to serve queries, and Open can
+// reattach the data like a database reopening its files. With a WAL
+// attached, a successful Save also checkpoints the log at the watermark
+// published with the saved state: the file covers everything up to that
+// LSN, so replay skips those records from now on and segments they fully
+// occupy are deleted. Concurrent saves run one at a time, each from a
+// snapshot no older than the previous one's, so the checkpoint never
+// passes what the last file written contains.
 func (db *DB) Save(path string) error {
-	// Pick the view and the watermark at one quiescent point: with writers
-	// still running, the watermark could move past the view, and
-	// checkpointing there would drop a record the file does not contain.
-	// The snapshot is immutable, so it is serialized after the writers have
-	// been let back in.
-	if err := db.quiesce(); err != nil {
+	if err := db.Flush(context.Background()); err != nil {
 		return err
 	}
-	s, lsn := db.snapshotNow(), db.shard.AppliedLSN()
-	db.mutMu.Unlock()
+	db.saveMu.Lock()
+	defer db.saveMu.Unlock()
+	s := db.snapshotNow()
 	if err := s.ens.SaveFile(path); err != nil {
 		return err
 	}
-	return db.shard.Checkpoint(lsn)
+	if db.wal == nil {
+		return nil
+	}
+	return db.wal.Checkpoint(s.lsn)
 }
 
 // Reload hot-swaps the serving model with the one in modelPath — e.g. a
@@ -160,10 +277,17 @@ func (db *DB) Reload(modelPath string) error {
 	if err != nil {
 		return err
 	}
-	if err := db.quiesce(); err != nil {
+	// Drain the bulk of the queue before taking the write lock, so writers
+	// wait only for what slipped in between and for the swap itself.
+	ctx := context.Background()
+	if err := db.Flush(ctx); err != nil {
 		return err
 	}
+	db.mutMu.Lock()
 	defer db.mutMu.Unlock()
+	if err := db.Flush(ctx); err != nil {
+		return err
+	}
 	if db.closed {
 		return errClosed()
 	}
@@ -178,15 +302,15 @@ func (db *DB) Reload(modelPath string) error {
 		// baseline staleness is measured against.
 		ens.EnableDrift()
 	}
-	db.shard.Publish(ens)
+	db.swap(func(*ensemble.Ensemble, map[string]uint64) *ensemble.Ensemble { return ens })
 	return nil
 }
 
-// Close drains and stops the update pipeline (waiting at most 30s), syncs
-// and closes the WAL, waits for an in-flight background re-learn, and
-// returns the first undelivered apply error (or the
-// drain-timeout error; with a WAL the undrained queue remains recoverable
-// by the next Open). The DB remains queryable afterwards (the
+// Close drains and stops the update pipeline (waiting at most
+// closeTimeout), syncs and closes the WAL, waits for an in-flight
+// background re-learn, and returns the first undelivered apply error (or
+// the drain-timeout error; with a WAL the undrained queue remains
+// recoverable by the next Open). The DB remains queryable afterwards (the
 // published snapshot stays valid); further updates fail. Close is
 // idempotent — the second and later calls are no-ops returning nil.
 func (db *DB) Close() error {
@@ -203,7 +327,12 @@ func (db *DB) Close() error {
 	db.relearnMu.Lock()
 	db.relearnClosed = true
 	db.relearnMu.Unlock()
-	err := db.shard.Close()
+	err := db.pipe.CloseTimeout(closeTimeout)
+	if db.wal != nil {
+		if werr := db.wal.Close(); err == nil {
+			err = werr
+		}
+	}
 	db.relearnWG.Wait()
 	return err
 }
@@ -316,17 +445,17 @@ func (db *DB) UpdateStats() UpdateStats {
 		out.ResultCacheHits, out.ResultCacheMisses = db.resCache.hits.Load(), db.resCache.misses.Load()
 		out.ResultCacheEvictions = db.resCache.evictions.Load()
 	}
-	st := db.shard.Stats()
-	q := st.Queue
+	q := db.pipe.Stats()
 	out.QueueDepth, out.Enqueued, out.Applied, out.Batches = q.QueueDepth, q.Enqueued, q.Applied, q.Batches
 	out.Errors, out.LastError, out.LastBatch = q.Errors, q.LastError, q.LastBatch
 	out.LastApplyDuration, out.ApplyLag = q.LastApplyDuration.Microseconds(), q.ApplyLag.Microseconds()
-	if w := st.WAL; w != nil {
+	if db.wal != nil {
+		w := db.wal.Stats()
 		out.WAL = &WALStats{
 			Dir:               db.cfg.walDir,
 			Durability:        db.cfg.durability.String(),
 			LastLSN:           w.LastLSN,
-			AppliedLSN:        db.shard.AppliedLSN(),
+			AppliedLSN:        s.lsn,
 			CheckpointLSN:     w.CheckpointLSN,
 			Appended:          w.Appended,
 			Synced:            w.Synced,

@@ -62,6 +62,14 @@ func TestWALReplayMatchesSyncBitwise(t *testing.T) {
 	if st.WAL.AppliedLSN != st.WAL.LastLSN || st.WAL.LastLSN == 0 {
 		t.Fatalf("watermarks after recovery: %+v", st.WAL)
 	}
+	// Replay runs the applier's body directly, not through the queue, and
+	// the first serving view is published once, after it.
+	if g := recovered.Generation(); g != 0 {
+		t.Fatalf("generation %d after replay, want 0: replay published per batch", g)
+	}
+	if st.Enqueued != 0 || st.Batches != 0 {
+		t.Fatalf("replay went through the update queue: enqueued %d, batches %d", st.Enqueued, st.Batches)
+	}
 
 	s, data := fixture(1200, 77)
 	ref, err := deepdb.LearnDataset(ctx, s, data,
@@ -352,5 +360,83 @@ func TestOpenRefusesPartitionedWALDir(t *testing.T) {
 	}
 	if got := after.Scalar() - before.Scalar(); got != rows {
 		t.Fatalf("exact order count moved by %v after replay, want %d", got, rows)
+	}
+}
+
+// TestConcurrentSavesKeepAcknowledgedWrites: saves to one path racing each
+// other beside a streaming writer run one at a time, each from a snapshot
+// no older than the last, so the file left behind holds everything its
+// checkpoint covers: reopened with the same WAL, the model counts every
+// acknowledged row. (Were a save that picked an older snapshot allowed to
+// rename its file after a newer one, its lower checkpoint would be ignored
+// and the records in between would never replay.) The model's estimate is
+// compared, not Exact: Save does not persist base tables, so Exact after a
+// reopen undercounts by design.
+func TestConcurrentSavesKeepAcknowledgedWrites(t *testing.T) {
+	const rounds, savers, rows, seed = 20, 8, 200, 91
+	ctx := context.Background()
+	countOrders := func(db *deepdb.DB) float64 {
+		t.Helper()
+		est, err := db.EstimateCardinality(ctx, "SELECT COUNT(*) FROM orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Round(est.Value)
+	}
+	for r := 0; r < rounds; r++ {
+		dir := t.TempDir()
+		model, walDir := filepath.Join(dir, "m.deepdb"), filepath.Join(dir, "wal")
+		db := learnWAL(t, walDir, rows, seed, deepdb.WithDurability(deepdb.DurabilitySync))
+		stop, writer := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					writer <- nil
+					return
+				default:
+				}
+				if err := db.Insert("orders", map[string]deepdb.Value{
+					"o_id": deepdb.Int(8_000_000 + i), "o_c_id": deepdb.Int(i % rows), "o_amount": deepdb.Float(40),
+				}); err != nil {
+					writer <- err
+					return
+				}
+			}
+		}()
+		saves := make(chan error, savers)
+		for i := 0; i < savers; i++ {
+			go func() { saves <- db.Save(model) }()
+		}
+		var saveErr error
+		for i := 0; i < savers; i++ {
+			if err := <-saves; err != nil && saveErr == nil {
+				saveErr = err
+			}
+		}
+		close(stop)
+		if err := <-writer; err != nil {
+			t.Fatal(err)
+		}
+		if saveErr != nil {
+			t.Fatal(saveErr)
+		}
+		if err := db.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := countOrders(db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, data := fixture(rows, seed)
+		re, err := deepdb.Open(ctx, model, deepdb.WithDataset(data), deepdb.WithWAL(walDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := countOrders(re)
+		re.Close()
+		if got != want {
+			t.Fatalf("round %d: the reopened model counts %v orders, the closed one %v: acknowledged writes were lost", r, got, want)
+		}
 	}
 }

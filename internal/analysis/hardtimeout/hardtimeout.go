@@ -33,7 +33,6 @@ var Analyzer = &analysis.Analyzer{
 		"context.WithTimeout, http.Client.Timeout) that are neither named " +
 		"constants nor annotated //deepdb:hardtimeout <reason>",
 	Scope: map[string]bool{
-		"repro/internal/shard":    true,
 		"repro/internal/wal":      true,
 		"repro/internal/pipeline": true,
 		"repro/deepdb":            true,

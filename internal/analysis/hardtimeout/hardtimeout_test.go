@@ -8,5 +8,5 @@ import (
 )
 
 func TestHardtimeout(t *testing.T) {
-	analysistest.Run(t, "testdata", hardtimeout.Analyzer, "repro/internal/shard")
+	analysistest.Run(t, "testdata", hardtimeout.Analyzer, "repro/internal/pipeline")
 }

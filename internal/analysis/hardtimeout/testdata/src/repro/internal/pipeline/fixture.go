@@ -1,6 +1,6 @@
-// Package shard is a hardtimeout fixture: literal durations at the timeout
+// Package pipeline is a hardtimeout fixture: literal durations at the timeout
 // sinks, named constants that pass, and justified suppressions.
-package shard
+package pipeline
 
 import (
 	"context"

@@ -5,17 +5,15 @@
 // a published snapshot may be in the hands of any number of lock-free
 // readers.
 //
-// Three rules, scoped to the two packages that hold such a pointer: the
-// shard (internal/shard), which owns apply-and-publish, and the facade's
-// host (deepdb), which republishes each ensemble the shard publishes as
-// its serving snapshot (engine and generation added):
+// Three rules, scoped to the facade (deepdb), the one package that holds
+// such a pointer and owns apply-and-publish:
 //
 //  1. The `snap` atomic.Pointer field may appear only as the receiver of
 //     .Load() or .Store(…); and .Store is confined to the one publication
-//     function per package (publishLocked) plus the shard's constructor
-//     (New), which publishes the first snapshot before anyone can read it.
-//     Anything else — taking its address, copying it, Swap/CompareAndSwap —
-//     bypasses the single-publisher protocol.
+//     function (publishLocked), which also publishes the constructor's
+//     first snapshot. Anything else — taking its address, copying it,
+//     Swap/CompareAndSwap, a constructor that stores directly — bypasses
+//     the single-publisher protocol.
 //  2. Fields of the snapshot struct are assigned only in composite
 //     literals; a field write after construction mutates a possibly
 //     published value under readers.
@@ -38,20 +36,18 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "snapdiscipline",
-	Doc: "enforces snapshot discipline in the shard and the facade host: atomic snapshot " +
-		"loads only, no writes to published snapshots, mutations only through CoW clones",
+	Doc: "enforces snapshot discipline in the facade: atomic snapshot loads only, " +
+		"no writes to published snapshots, mutations only through CoW clones",
 	Scope: map[string]bool{
-		"repro/deepdb":         true,
-		"repro/internal/shard": true,
+		"repro/deepdb": true,
 	},
 	Run: run,
 }
 
-// storeAllowed lists the only functions that may publish (Store) a
-// snapshot: the one publication helper per package, whose contract
-// documents the lock requirement (the host's first view goes through it
-// too), and the shard's constructor.
-var storeAllowed = map[string]bool{"New": true, "publishLocked": true}
+// storeAllowed names the only function that may publish (Store) a
+// snapshot: the publication helper, whose contract documents the lock
+// requirement (the constructor's first view goes through it too).
+const storeAllowed = "publishLocked"
 
 // mutating are the *ensemble.Ensemble methods that change model state
 // in place.
@@ -120,10 +116,10 @@ func checkSnapAccess(pass *analysis.Pass, fn *ast.FuncDecl) {
 					case "Load":
 						return true
 					case "Store":
-						if storeAllowed[fn.Name.Name] || pass.Suppressed(n.Pos(), "snapshotsafe") {
+						if fn.Name.Name == storeAllowed || pass.Suppressed(n.Pos(), "snapshotsafe") {
 							return true
 						}
-						pass.Reportf(n.Pos(), "snapshot published outside a construction/publication function (New, publishLocked): call publishLocked (under its lock) instead of %s.Store", render(nodeExpr(n)))
+						pass.Reportf(n.Pos(), "snapshot published outside the publication function publishLocked: call publishLocked (under its lock) instead of %s.Store", render(nodeExpr(n)))
 						return true
 					}
 				}

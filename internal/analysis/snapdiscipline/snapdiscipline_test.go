@@ -1,6 +1,7 @@
 package snapdiscipline_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
@@ -11,6 +12,8 @@ func TestSnapdiscipline(t *testing.T) {
 	analysistest.Run(t, "testdata", snapdiscipline.Analyzer, "repro/deepdb")
 }
 
+// TestSnapdisciplineShard checks the writer-side shapes the per-shard
+// writer used to own, in a second fixture of the facade package.
 func TestSnapdisciplineShard(t *testing.T) {
-	analysistest.Run(t, "testdata", snapdiscipline.Analyzer, "repro/internal/shard")
+	analysistest.Run(t, filepath.Join("testdata", "writer"), snapdiscipline.Analyzer, "repro/deepdb")
 }

@@ -1,7 +1,9 @@
 // Package deepdb is a snapdiscipline fixture: snapshot publication and
-// mutation patterns in every shape the analyzer must flag, allow, or
-// honor a suppression for. It imports the real ensemble package so the
-// mutating/laundering method sets match production exactly.
+// mutation patterns the analyzer must flag, allow, or honor a suppression
+// for. It imports the real ensemble package so the mutating/laundering
+// method sets match production exactly. The writer-side shapes
+// (constructor store, in-place apply, watermark write) are in
+// testdata/writer.
 package deepdb
 
 import (
@@ -11,19 +13,21 @@ import (
 	"repro/internal/ensemble"
 )
 
-// snapshot mirrors the host's immutable published view.
+// snapshot mirrors the facade's immutable published view: the ensemble,
+// the publication counter and the apply watermark.
 type snapshot struct {
 	ens *ensemble.Ensemble
 	gen uint64
+	lsn uint64
 }
 
-// DB mirrors the host's relevant fields.
+// DB mirrors the facade's relevant fields.
 type DB struct {
 	applyMu sync.Mutex
 	snap    atomic.Pointer[snapshot]
 }
 
-// newDB publishes the first view through publishLocked, like the host.
+// newDB publishes the first view through publishLocked, like the facade.
 func newDB(ens *ensemble.Ensemble) *DB {
 	db := &DB{}
 	db.publishLocked(&snapshot{ens: ens, gen: 1})
@@ -36,11 +40,11 @@ func (db *DB) publishLocked(s *snapshot) {
 	db.snap.Store(s)
 }
 
-// newDBStoring stores directly: the host has no construction exemption —
+// newDBStoring stores directly: there is no construction exemption —
 // even the first view goes through publishLocked.
 func newDBStoring(ens *ensemble.Ensemble) *DB {
 	db := &DB{}
-	db.snap.Store(&snapshot{ens: ens, gen: 1}) // want `snapshot published outside a construction/publication function`
+	db.snap.Store(&snapshot{ens: ens, gen: 1}) // want `snapshot published outside the publication function publishLocked`
 	return db
 }
 
@@ -51,7 +55,7 @@ func (db *DB) GoodRead() uint64 {
 
 // BadStoreElsewhere publishes outside publishLocked.
 func (db *DB) BadStoreElsewhere(s *snapshot) {
-	db.snap.Store(s) // want `snapshot published outside a construction/publication function`
+	db.snap.Store(s) // want `snapshot published outside the publication function publishLocked`
 }
 
 // BadAddress leaks the atomic pointer itself.
@@ -86,7 +90,7 @@ func (db *DB) GoodClone() error {
 	}
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
-	db.publishLocked(&snapshot{ens: clone, gen: s.gen + 1})
+	db.publishLocked(&snapshot{ens: clone, gen: s.gen + 1, lsn: s.lsn})
 	return nil
 }
 

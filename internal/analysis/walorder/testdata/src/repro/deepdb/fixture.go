@@ -1,72 +1,100 @@
-// Package deepdb is a walorder fixture for the facade: the write of one
-// mutation group into the one shard, in every shape the analyzer must
-// flag, allow, or honor a suppression for. It imports the real shard and
-// ensemble packages so the receiver types match production exactly.
+// Package deepdb is a walorder fixture for the facade, the one owner of
+// the WAL and the update queue: the write path's append / enqueue
+// orderings the analyzer must flag, allow, or honor a suppression for.
+// The writer-side shapes (helpers, relocking, name lookalikes, nil
+// refinement) are in testdata/writer. It imports
+// the real wal and pipeline packages so the receiver types match
+// production exactly.
 package deepdb
 
 import (
 	"sync"
 
-	"repro/internal/ensemble"
-	"repro/internal/shard"
+	"repro/internal/pipeline"
+	"repro/internal/wal"
 )
+
+type group struct {
+	n   int
+	lsn uint64
+}
 
 // DB mirrors the facade handle's relevant fields.
 type DB struct {
 	mutMu sync.Mutex
-	shard *shard.Shard
+	wal   *wal.Log
+	pipe  *pipeline.Pipeline[group]
 }
 
-// GoodWrite is the production pattern: log, then submit, inside one mutMu
-// critical section.
-func (db *DB) GoodWrite(muts []ensemble.Mutation) error {
+// GoodWrite is the production pattern: the no-WAL path enqueues at once;
+// otherwise append, then enqueue, inside one mutMu critical section.
+func (db *DB) GoodWrite(payload []byte, g group) error {
 	db.mutMu.Lock()
 	defer db.mutMu.Unlock()
-	lsn, err := db.shard.Log(muts)
+	if db.wal == nil {
+		return db.pipe.Enqueue(g, false)
+	}
+	lsn, err := db.wal.Append(payload)
 	if err != nil {
 		return err
 	}
-	return db.shard.Submit(muts, lsn, false)
+	g.lsn = lsn
+	return db.pipe.Enqueue(g, false)
 }
 
-// GoodUnrelated calls shard methods outside the protocol without the lock.
-func (db *DB) GoodUnrelated() uint64 {
-	return db.shard.AppliedLSN()
+// GoodNoWAL enqueues on the wal == nil path without any lock: no ordering
+// is needed when nothing is logged.
+func (db *DB) GoodNoWAL(g group) error {
+	if db.wal == nil {
+		return db.pipe.Enqueue(g, false)
+	}
+	return nil
 }
 
-// BadLogUnlocked logs with no write lock: two producers could log in one
-// order and submit in the other.
-func (db *DB) BadLogUnlocked(muts []ensemble.Mutation) (uint64, error) {
-	return db.shard.Log(muts) // want `shard Log outside the mutMu critical section`
+// GoodUnrelated uses the queue outside the protocol.
+func (db *DB) GoodUnrelated() bool {
+	return db.pipe.HasCapacity()
 }
 
-// BadSubmitAfterUnlock releases mutMu between the log and submit steps:
+// BadAppendUnlocked appends with no write lock: two producers could append
+// in one order and enqueue in the other.
+func (db *DB) BadAppendUnlocked(payload []byte) error {
+	_, err := db.wal.Append(payload) // want `WAL append outside the mutMu critical section`
+	return err
+}
+
+// BadEnqueueAfterUnlock releases mutMu between the append and the enqueue:
 // another write can interleave, so LSN order no longer fixes apply order.
-func (db *DB) BadSubmitAfterUnlock(muts []ensemble.Mutation) error {
+func (db *DB) BadEnqueueAfterUnlock(payload []byte, g group) error {
 	db.mutMu.Lock()
-	lsn, err := db.shard.Log(muts)
+	lsn, err := db.wal.Append(payload)
 	db.mutMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return db.shard.Submit(muts, lsn, false) // want `shard Submit outside the mutMu critical section`
+	g.lsn = lsn
+	return db.pipe.Enqueue(g, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
-// BadSubmitUnlocked submits without ever taking the write lock.
-func (db *DB) BadSubmitUnlocked(muts []ensemble.Mutation) error {
-	return db.shard.Submit(muts, 0, false) // want `shard Submit outside the mutMu critical section`
+// BadEnqueueUnlocked enqueues with no lock and no nil check at all.
+func (db *DB) BadEnqueueUnlocked(g group) error {
+	return db.pipe.Enqueue(g, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
 // BadWrongLock holds a lock that is not the write lock.
-func (db *DB) BadWrongLock(muts []ensemble.Mutation) error {
+func (db *DB) BadWrongLock(payload []byte, g group) error {
 	var otherMu sync.Mutex
 	otherMu.Lock()
 	defer otherMu.Unlock()
-	return db.shard.Submit(muts, 0, false) // want `shard Submit outside the mutMu critical section`
+	if _, err := db.wal.Append(payload); err != nil { // want `WAL append outside the mutMu critical section`
+		return err
+	}
+	return db.pipe.Enqueue(g, false) // want `pipeline enqueue not dominated by a WAL append`
 }
 
-// SuppressedSingleProducer is a reviewed exception.
-func (db *DB) SuppressedSingleProducer(muts []ensemble.Mutation) error {
-	//deepdb:walordered fixture: a single-producer tool owns the shard exclusively
-	return db.shard.Submit(muts, 0, false)
+// SuppressedReplay is a reviewed exception: replay feeds the applier from
+// the log itself, so the log order is the apply order.
+func (db *DB) SuppressedReplay(g group) error {
+	//deepdb:walordered fixture: recovery replays from the log itself; ordering is the log order
+	return db.pipe.Enqueue(g, false)
 }

@@ -1,26 +1,19 @@
 // Package walorder enforces the WAL ordering protocol (PR 6): recovery
 // replays the log in LSN order, so LSN order must equal apply order. The
-// protocol has two tiers since the shard became the only owner of the log
-// and the queue:
+// facade (deepdb) is the one owner of the log and the update queue, and
+// one rule covers both:
 //
-//   - The shard (internal/shard) touches the raw log and queue. A WAL
-//     append must happen under the shard's walMu, and a pipeline Enqueue
-//     must be dominated by an append under a still-held walMu (or by a
-//     `wal == nil` check — the no-WAL path needs no ordering). The raw
-//     Append sits in one helper, appendLocked, whose callers hold walMu:
-//     a call to it is checked, and counts, as the append. The one enqueue
-//     exception is Submit, the shard's one door into the model: it
-//     receives the LSN its caller obtained from Log, and the caller owes
-//     the ordering.
-//   - The host (deepdb) pays that debt: it logs every mutation group with
-//     (*shard.Shard).Log and then submits it with Submit, and both calls
-//     must run inside one mutMu critical section, so two producers can
-//     never interleave their log and submit steps.
+//   - A WAL append must happen inside the write lock's (mutMu) critical
+//     section.
+//   - A pipeline Enqueue must be dominated by an append under the
+//     still-held mutMu, or by a `wal == nil` check — the no-WAL path needs
+//     no ordering.
 //
+// So two producers can never interleave their append and enqueue steps.
 // Within each function the analyzer runs a small abstract interpretation
-// over the statement list (tracking which order locks are held,
-// append-under-the-current-walMu-hold, and wal-nil-ness refined by
-// `if s.wal == nil` branches) and reports violations of either tier.
+// over the statement list (tracking whether mutMu is held,
+// append-under-the-current-mutMu-hold, and wal-nil-ness refined by
+// `if db.wal == nil` branches) and reports violations of either half.
 //
 // Suppress a reviewed exception with //deepdb:walordered <reason>.
 package walorder
@@ -33,39 +26,22 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
-	Doc: "requires WAL appends under walMu and pipeline enqueues dominated by one in the shard, " +
-		"and the host's shard Log/Submit pair to run under mutMu",
+	Doc:  "requires WAL appends under mutMu and pipeline enqueues dominated by one in the same critical section",
 	Scope: map[string]bool{
-		"repro/deepdb":         true,
-		"repro/internal/shard": true,
+		"repro/deepdb": true,
 	},
 	Run: run,
 }
 
-// submitAllowed names the shard's designated post-log submit function: the
-// only place a pipeline Enqueue may sit without a dominating append.
-var submitAllowed = map[string]bool{"Submit": true}
-
-// appendInner names the shard's one raw append. It runs under its callers'
-// walMu hold, so the Append inside it is exempt by name and a call to it is
-// held to the append rule instead.
-const appendInner = "appendLocked"
-
-// hostOps are the shard methods that make up the host's log-then-submit
-// write.
-var hostOps = map[string]bool{"Log": true, "Submit": true}
-
 // state is the abstract machine state at one program point.
 type state struct {
-	muHeld   bool // walMu held
-	mutHeld  bool // mutMu (the host's write lock) held
-	appended bool // an Append happened under the current walMu hold
+	mutHeld  bool // mutMu (the write lock) held
+	appended bool // an Append happened under the current mutMu hold
 	walNil   int8 // 0 unknown, 1 known nil, 2 known non-nil
 }
 
 func merge(a, b state) state {
 	out := state{
-		muHeld:   a.muHeld && b.muHeld,
 		mutHeld:  a.mutHeld && b.mutHeld,
 		appended: a.appended && b.appended,
 	}
@@ -80,7 +56,6 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				w.fn = fn.Name.Name
 				w.block(fn.Body.List, state{})
 			}
 		}
@@ -90,7 +65,6 @@ func run(pass *analysis.Pass) error {
 
 type walker struct {
 	pass *analysis.Pass
-	fn   string // name of the function declaration being interpreted
 }
 
 // block interprets a statement list from st, returning the fall-through
@@ -116,10 +90,10 @@ func (w *walker) stmt(s ast.Stmt, st state) (state, bool) {
 	case *ast.ReturnStmt:
 		return w.scanExprs(st, s.Results...), true
 	case *ast.DeferStmt:
-		// A deferred Unlock of an order lock keeps it held for the rest of
+		// A deferred Unlock of the write lock keeps it held for the rest of
 		// the function body, so it does not change the current state; other
 		// deferred calls are scanned for violations with the entry state.
-		if _, op := w.muOp(s.Call); op == "Unlock" {
+		if w.mutMuOp(s.Call) == "Unlock" {
 			return st, false
 		}
 		return w.scanExprs(st, s.Call), false
@@ -276,81 +250,52 @@ func (w *walker) scanExprs(st state, exprs ...ast.Expr) state {
 
 // call applies one call's effect to the state.
 func (w *walker) call(call *ast.CallExpr, st state) state {
-	mu, op := w.muOp(call)
-	switch {
-	case mu == "walMu":
-		st.muHeld = op == "Lock"
-		st.appended = false
-	case mu == "mutMu":
+	if op := w.mutMuOp(call); op != "" {
 		st.mutHeld = op == "Lock"
+		st.appended = false
+		return st
+	}
+	switch {
 	case w.isWALAppend(call):
-		if !st.muHeld && w.fn != appendInner && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "WAL append outside the walMu critical section: concurrent writers could interleave append and enqueue, breaking LSN order == apply order")
+		if !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
+			w.pass.Reportf(call.Pos(), "WAL append outside the mutMu critical section: concurrent writers could interleave append and enqueue, breaking LSN order == apply order")
 		}
-		if st.muHeld {
+		if st.mutHeld {
 			st.appended = true
 		}
 	case w.isEnqueue(call):
-		if st.walNil != 1 && !(st.muHeld && st.appended) && !submitAllowed[w.fn] && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under walMu (or a wal == nil check) outside Submit: a crash would replay a different order than was applied")
-		}
-	default:
-		if op := w.hostOp(call); op != "" && !st.mutHeld && !w.pass.Suppressed(call.Pos(), "walordered") {
-			w.pass.Reportf(call.Pos(), "shard %s outside the mutMu critical section: concurrent writers could interleave their log and submit steps, breaking LSN order == apply order", op)
+		if st.walNil != 1 && !(st.mutHeld && st.appended) && !w.pass.Suppressed(call.Pos(), "walordered") {
+			w.pass.Reportf(call.Pos(), "pipeline enqueue not dominated by a WAL append under mutMu (or a wal == nil check): a crash would replay a different order than was applied")
 		}
 	}
 	return st
 }
 
-// muOp matches Lock/Unlock on an order lock: a method call whose receiver
-// chain ends in a sync.Mutex field or variable named walMu or mutMu. It
-// returns that name and the operation, or "", "".
-func (w *walker) muOp(call *ast.CallExpr) (mu, op string) {
+// mutMuOp matches Lock/Unlock on the write lock: a method call whose
+// receiver chain ends in a sync.Mutex field or variable named mutMu. It
+// returns the operation, or "".
+func (w *walker) mutMuOp(call *ast.CallExpr) string {
 	recv, method := analysis.MethodCall(call)
 	if method != "Lock" && method != "Unlock" {
-		return "", ""
-	}
-	switch r := recv.(type) {
-	case *ast.Ident:
-		mu = r.Name
-	case *ast.SelectorExpr:
-		mu = r.Sel.Name
-	}
-	if mu != "walMu" && mu != "mutMu" {
-		return "", ""
-	}
-	if !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "sync", "Mutex") {
-		return "", ""
-	}
-	return mu, method
-}
-
-// hostOp matches the host's side of the protocol: a Log or Submit
-// call on an internal/shard.Shard made from another package (inside the
-// shard package the append rules above govern ordering). It returns the
-// method name, or "".
-func (w *walker) hostOp(call *ast.CallExpr) string {
-	recv, method := analysis.MethodCall(call)
-	if !hostOps[method] || analysis.NormPath(w.pass.Pkg.Path()) == "repro/internal/shard" {
 		return ""
 	}
-	if !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/shard", "Shard") {
+	var name string
+	switch r := recv.(type) {
+	case *ast.Ident:
+		name = r.Name
+	case *ast.SelectorExpr:
+		name = r.Sel.Name
+	}
+	if name != "mutMu" || !analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "sync", "Mutex") {
 		return ""
 	}
 	return method
 }
 
-// isWALAppend matches Append calls on internal/wal.Log and calls of the
-// shard's appendInner wrapper around it.
+// isWALAppend matches Append calls on internal/wal.Log.
 func (w *walker) isWALAppend(call *ast.CallExpr) bool {
 	recv, method := analysis.MethodCall(call)
-	switch method {
-	case "Append":
-		return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/wal", "Log")
-	case appendInner:
-		return analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/shard", "Shard")
-	}
-	return false
+	return method == "Append" && analysis.NamedType(w.pass.TypesInfo.TypeOf(recv), "internal/wal", "Log")
 }
 
 // isEnqueue matches Enqueue calls on internal/pipeline.Pipeline.

@@ -1,6 +1,7 @@
 package walorder_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
@@ -11,6 +12,8 @@ func TestWalorderHost(t *testing.T) {
 	analysistest.Run(t, "testdata", walorder.Analyzer, "repro/deepdb")
 }
 
+// TestWalorderShard checks the writer-side shapes the per-shard writer
+// used to own, in a second fixture of the facade package.
 func TestWalorderShard(t *testing.T) {
-	analysistest.Run(t, "testdata", walorder.Analyzer, "repro/internal/shard")
+	analysistest.Run(t, filepath.Join("testdata", "writer"), walorder.Analyzer, "repro/deepdb")
 }

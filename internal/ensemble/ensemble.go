@@ -161,7 +161,7 @@ type Ensemble struct {
 // construction. Dependency statistics may be nil; the execution strategy
 // then treats all attribute pairs as uncorrelated.
 //
-//deepdb:testonly core and shard tests pin a hand-picked member set that construction would not choose
+//deepdb:testonly core tests pin a hand-picked member set that construction would not choose
 func NewManual(s *schema.Schema, tables map[string]*table.Table, rspns []*rspn.RSPN, cfg Config) *Ensemble {
 	if cfg.RDCThreshold == 0 {
 		cfg = DefaultConfig()

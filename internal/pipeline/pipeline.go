@@ -264,7 +264,7 @@ func (p *Pipeline[T]) run() {
 		if len(muts) > 0 {
 			start := time.Now()
 			// Injected applier faults fail the batch without running the
-			// apply callback: the facade's applyLSN never advances, so WAL
+			// apply callback: the facade's apply watermark never advances, so WAL
 			// replay recovers the batch on restart exactly as it would
 			// after an organic applier failure.
 			if r := fault.Check(fault.PipelineApply); r.Err != nil {

@@ -227,10 +227,9 @@ func (t *Table) Live() *Table {
 
 // claim reserves the next append (a row or a tombstone) for t. The first
 // table to advance the shared tail word from its own length appends in
-// place. Any other — a second branch off the same base, such as another
-// shard's clone or a clone of a stale snapshot — clips its arrays to their
-// length, so its appends copy them into private ones, and continues under
-// a tail word of its own.
+// place. Any other — a second branch off the same base, such as a clone of
+// a stale snapshot — clips its arrays to their length, so its appends copy
+// them into private ones, and continues under a tail word of its own.
 func (t *Table) claim() {
 	n := int64(t.rows + len(t.dead))
 	if t.tail.CompareAndSwap(n, n+1) {
