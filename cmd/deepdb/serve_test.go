@@ -221,13 +221,16 @@ func TestServeEndpoints(t *testing.T) {
 	if !strings.Contains(ex.Plan, "case") {
 		t.Fatalf("explain plan missing compilation case:\n%s", ex.Plan)
 	}
-	// A grouped plan says what each model call is bound per.
+	// A grouped plan says what each model call is bound per, and that
+	// variance is bound only for the groups that survive the gate.
 	if code := postJSON(t, srv, "/explain",
 		apiRequest{SQL: "SELECT COUNT(*) FROM customer GROUP BY c_region"}, &ex); code != http.StatusOK {
 		t.Fatalf("explain status %d, error %q", code, ex.Error)
 	}
-	if !strings.Contains(ex.Plan, "bound once per distinct c_region") {
-		t.Fatalf("grouped explain plan missing what it binds per key:\n%s", ex.Plan)
+	for _, want := range []string{"bound once per distinct c_region", "variance parts are bound only for groups that survive it"} {
+		if !strings.Contains(ex.Plan, want) {
+			t.Fatalf("grouped explain plan missing %q:\n%s", want, ex.Plan)
+		}
 	}
 
 	// GET form and error handling.

@@ -637,12 +637,14 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("ungrouped plan says how often it binds per key:\n%s", plan)
 	}
 	// Grouped, each side says what it is bound per: the customer side per
-	// region, the orders side (no group column) once per key chunk.
+	// region, the orders side (no group column) once per query; and
+	// variance is bound only for the groups that survive the gate.
 	plan, err = db.Explain(ctx, "SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bound once per distinct c_region", "bound once per key chunk"} {
+	for _, want := range []string{"bound once per distinct c_region", "bound once per query",
+		"variance parts are bound only for groups that survive it"} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("grouped plan missing %q:\n%s", want, plan)
 		}

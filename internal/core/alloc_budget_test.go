@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 
@@ -34,5 +35,36 @@ func TestAllocBudgets(t *testing.T) {
 	const budget = 82
 	if got := testing.AllocsPerRun(200, func() { _, _ = eng.Compile(q) }); got != budget {
 		t.Errorf("compile five-table Case 3: %v allocs/op, budget %v", got, budget)
+	}
+
+	// S4.3 streamed through the iterator on a reused plan: 354 candidate
+	// keys in two chunks, none live at this scale. 4 253 while the memo
+	// lived for one key chunk, the gate bound every variance part and
+	// every key rebuilt its binding vector and the whole count tree.
+	ssb := ssbEngine(t)
+	q43, err := query.Parse("SELECT SUM(lo_profit) FROM lineorder JOIN dates JOIN supplier JOIN part "+
+		"WHERE s_nation = 7 AND d_year IN (1997, 1998) AND p_category = 14 GROUP BY d_year, p_brand1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p43, err := ssb.Compile(q43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() {
+		it, err := p43.ExecuteGroupsIter(context.Background(), ExecOpts{}, q43, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.Next() {
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream()
+	const budget43 = 1681
+	if got := testing.AllocsPerRun(20, stream); got != budget43 {
+		t.Errorf("stream S4.3: %v allocs/op, budget %v", got, budget43)
 	}
 }

@@ -57,9 +57,10 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (AQPResult, 
 	return p.ExecuteQuery(ctx, ExecOpts{}, q)
 }
 
-// maxMaterializedGroups bounds the group count ExecuteBatch accepts: it
-// returns every row at once, so the bound is what keeps one request from
-// holding an arbitrarily large result. The streaming iterator
+// maxMaterializedGroups bounds the group count ExecuteBatch accepts per
+// bound query (its pruned key space): it returns every row at once, so the
+// bound is what keeps one request from holding an arbitrarily large
+// result. The streaming iterator
 // (ExecuteGroupsIter) has no such bound: it holds one chunk at a time.
 const maxMaterializedGroups = 100000
 

@@ -28,6 +28,7 @@ func (p *Plan) Explain() string {
 	if len(p.groupCols) > 0 {
 		fmt.Fprintf(&b, "group-by: one estimate per key combination of %s (%d keys enumerated from model leaves)\n",
 			strings.Join(p.groupCols, ", "), p.numGroups)
+		b.WriteString("variance: the gate binds point values only; variance parts are bound only for groups that survive it\n")
 	}
 	if k := len(p.q.Disjunction); k > 0 {
 		fmt.Fprintf(&b, "disjunction: inclusion-exclusion over %d OR-terms (%d conjunctive sub-queries; the fully-conjoined term is shown)\n",
@@ -79,23 +80,28 @@ func (p *Plan) explainCountTerms(b *strings.Builder, terms []signedCount, preds 
 	terms[len(terms)-1].node.explain(b, "", preds, groupCols)
 }
 
-// perKey says, in a grouped plan, how often execution binds the call: once
-// per distinct value of the group columns it reads, or once per key chunk
-// when it reads none. It renders the field the executor's memo reads, so
-// the text cannot drift from what runs. Ungrouped plans (no groupCols) say
-// nothing.
+// perKey says, in a grouped plan, how often execution binds a call or
+// sub-tree: once per query when it reads no group column, once per
+// distinct value of the group columns it reads — within each key chunk
+// when those are two or more but not all of them (keyMemo's scopes). It
+// renders the field the executor's memo reads, so the text cannot drift
+// from what runs. Ungrouped plans (no groupCols) say nothing.
 func (k *keyReads) perKey(groupCols []string) string {
 	if len(groupCols) == 0 {
 		return ""
 	}
 	if len(k.cols) == 0 {
-		return "; bound once per key chunk"
+		return "; bound once per query"
 	}
 	names := make([]string, len(k.cols))
 	for i, c := range k.cols {
 		names[i] = groupCols[c]
 	}
-	return "; bound once per distinct " + strings.Join(names, ", ")
+	out := "; bound once per distinct " + strings.Join(names, ", ")
+	if len(k.cols) > 1 && len(k.cols) < len(groupCols) {
+		out += " in each key chunk"
+	}
+	return out
 }
 
 // explain narrates one compiled count node; preds is the whole template
@@ -104,7 +110,7 @@ func (k *keyReads) perKey(groupCols []string) string {
 func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Predicate, groupCols []string) {
 	switch n.kind {
 	case ckMedian:
-		fmt.Fprintf(b, "%smedian over %d covering RSPNs:\n", indent, len(n.median))
+		fmt.Fprintf(b, "%smedian over %d covering RSPNs%s:\n", indent, len(n.median), n.keys.perKey(groupCols))
 		for _, c := range n.median {
 			fmt.Fprintf(b, "%s  RSPN[%s]%s\n", indent, strings.Join(c.r.Tables, " |x| "), c.keys.perKey(groupCols))
 		}
@@ -120,8 +126,9 @@ func (n *countNode) explain(b *strings.Builder, indent string, preds []query.Pre
 		fmt.Fprintf(b, "%scase 3 (Theorem 2): RSPN[%s] answers sub-join %s%s\n",
 			indent, strings.Join(n.left.r.Tables, " |x| "), strings.Join(n.leftTables, ", "), n.left.keys.perKey(groupCols))
 		for _, bp := range n.branches {
-			fmt.Fprintf(b, "%s  branch %s via bridge %s<-%s (ratio count/|%s|):\n",
-				indent, strings.Join(bp.br.tables, ", "), bp.br.bridgeOne, bp.br.bridgeMany, bp.br.head)
+			fmt.Fprintf(b, "%s  branch %s via bridge %s<-%s (ratio count/|%s|)%s:\n",
+				indent, strings.Join(bp.br.tables, ", "), bp.br.bridgeOne, bp.br.bridgeMany, bp.br.head,
+				bp.node.keys.perKey(groupCols))
 			bp.node.explain(b, indent+"    ", preds, groupCols)
 		}
 	}

@@ -51,9 +51,9 @@ type Plan struct {
 	// filters, values bound per key at execution). Group keys are the
 	// cartesian product of groupVals (sorted distinct values per column),
 	// enumerated lazily by index — numGroups may exceed what ExecuteBatch
-	// accepts, and only the streaming iterator visits such plans' keys.
-	// This is the compile-time superset: each bound query gates only the
-	// keys its own filters admit (keySpace).
+	// accepts. This is the compile-time superset: each bound query gates
+	// only the keys its own filters admit (keySpace), and ExecuteBatch
+	// bounds that pruned count.
 	groupCols []string
 	groupVals [][]float64
 	numGroups int
@@ -62,10 +62,6 @@ type Plan struct {
 	// Aggregate estimators (nil unless the aggregate needs them).
 	sum []signedSum // SUM terms; also the numerator of disjunctive AVG
 	avg *avgNode    // plain (non-disjunctive) AVG ratio
-
-	// sharesCalls: some grouped call reads fewer than all group columns,
-	// so keys of one query can share it (keyMemo).
-	sharesCalls bool
 
 	// The Execute-side estimators (group template, aggregate members,
 	// group-key enumeration) compile lazily on first use, guarded by
@@ -110,6 +106,9 @@ const (
 type countNode struct {
 	tables []string
 	kind   countKind
+	// keys: in a grouped plan, the group columns any call of the sub-tree
+	// reads (the union of their keyReads).
+	keys keyReads
 
 	single t1call   // ckSingle
 	median []t1call // ckMedian
@@ -161,12 +160,12 @@ type avgNode struct {
 	err       error
 }
 
-// keyReads is the part of the group key a grouped Theorem-1 call or AVG
-// binds: the indices into Plan.groupCols of its ordinals that fall in the
-// group-key block of the binding vector, ascending. Its bound requests are
-// a pure function of the predicates at its ordinals, so keys of one query
-// that agree on these columns bind identical requests (keyMemo), and
-// Explain reports the same field.
+// keyReads is the part of the group key a grouped Theorem-1 call, AVG or
+// count sub-tree binds: the indices into Plan.groupCols of its ordinals
+// that fall in the group-key block of the binding vector, ascending. Its
+// bound requests are a pure function of the predicates at its ordinals,
+// so keys of one query that agree on these columns bind identical
+// requests (keyMemo), and Explain reports the same field.
 type keyReads struct {
 	cols []int
 }
@@ -211,8 +210,8 @@ func visitCalls(counts []signedCount, sums []signedSum, avg *avgNode, fn func(r 
 	}
 }
 
-// markKeyReads records on every grouped call which group columns it reads
-// (keyReads) and whether any call reads fewer than all of them.
+// markKeyReads records on every grouped call and count sub-tree which
+// group columns it reads (keyReads).
 func (p *Plan) markKeyReads() {
 	nf, ng := len(p.q.Filters), len(p.groupCols)
 	visitCalls(p.count, p.sum, p.avg, func(_ *rspn.RSPN, ords []int, k *keyReads) {
@@ -222,8 +221,46 @@ func (p *Plan) markKeyReads() {
 				k.cols = append(k.cols, o-nf)
 			}
 		}
-		p.sharesCalls = p.sharesCalls || len(k.cols) < ng
 	})
+	for _, t := range p.count {
+		t.node.markKeys(ng)
+	}
+	for _, s := range p.sum {
+		if s.cnt != nil {
+			s.cnt.markKeys(ng)
+		}
+	}
+}
+
+// markKeys sets the sub-tree's keys to the union of its calls' keyReads,
+// bottom up, and returns them.
+func (n *countNode) markKeys(ng int) keyReads {
+	reads := make([]bool, ng)
+	add := func(k keyReads) {
+		for _, c := range k.cols {
+			reads[c] = true
+		}
+	}
+	switch n.kind {
+	case ckSingle:
+		add(n.single.keys)
+	case ckMedian:
+		for _, c := range n.median {
+			add(c.keys)
+		}
+	default: // ckTheorem2
+		add(n.left.keys)
+		for _, br := range n.branches {
+			add(br.node.markKeys(ng))
+		}
+	}
+	n.keys.cols = nil
+	for c, r := range reads {
+		if r {
+			n.keys.cols = append(n.keys.cols, c)
+		}
+	}
+	return n.keys
 }
 
 // binding returns the flat predicate vector of one bound query — its
@@ -234,12 +271,16 @@ func binding(q query.Query, groupCols []string, key []float64) []query.Predicate
 	if len(groupCols) == 0 && len(q.Disjunction) == 0 {
 		return q.Filters
 	}
-	out := make([]query.Predicate, 0, len(q.Filters)+len(groupCols)+len(q.Disjunction))
-	out = append(out, q.Filters...)
+	return appendBinding(make([]query.Predicate, 0, len(q.Filters)+len(groupCols)+len(q.Disjunction)), q, groupCols, key)
+}
+
+// appendBinding appends the predicate vector of binding to dst.
+func appendBinding(dst []query.Predicate, q query.Query, groupCols []string, key []float64) []query.Predicate {
+	dst = append(dst, q.Filters...)
 	for i, c := range groupCols {
-		out = append(out, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
+		dst = append(dst, query.Predicate{Column: c, Op: query.Eq, Value: key[i]})
 	}
-	return append(out, q.Disjunction...)
+	return append(dst, q.Disjunction...)
 }
 
 // Compile validates the query and builds its execution plan. Literal

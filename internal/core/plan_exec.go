@@ -9,8 +9,8 @@ package core
 //     depth, each AVG — where a term binds its template to the values at
 //     its compile-time ordinals; the resulting SPN inference requests
 //     (with their variance parts) are collected per RSPN — in a grouped
-//     chunk once per distinct value of the group columns a term reads
-//     (keyMemo), not once per key;
+//     execution once per distinct value of the group columns a call or
+//     count sub-tree reads (keyMemo), not once per key;
 //  2. evaluate: answer each RSPN's requests in chunks over its flattened
 //     model arrays (spn.Compiled), fanning the chunks over up to
 //     Engine.Parallelism workers;
@@ -50,81 +50,128 @@ type valRef struct {
 
 func (v valRef) value() float64 { return v.g.vals[v.idx] }
 
-// batcher collects every inference request one execution needs, grouped
-// per RSPN and in deterministic order. A plan touches a handful of RSPNs,
-// so a linear scan beats a map.
+// batcher collects every inference request one round needs, grouped per
+// RSPN and in deterministic order. A plan touches a handful of RSPNs, so a
+// linear scan beats a map.
 type batcher struct {
 	order []*batchGroup
 	// hint presizes each group's request slice (an execution knows
 	// roughly how many bindings it will enqueue).
 	hint int
-	// memo shares calls across the keys of one grouped chunk; nil on every
-	// ungrouped path.
+	// memo is the grouped execution's key memo; nil on every ungrouped
+	// path.
 	memo *keyMemo
+	// gate marks a grouped gate round, which binds point values only: a
+	// term defers its variance parts until a surviving key reads it.
+	gate bool
 }
 
 func newBatcher(hint int) *batcher { return &batcher{hint: hint} }
 
-// keyMemo lets the keys of one grouped chunk share their calls. Within one
-// query only the group-key block of the binding vector changes from key to
-// key, so two keys that agree on the group columns a call reads (keyReads)
-// bind it to identical requests: the first such key enqueues the call, and
-// every later one reuses its estimator. The scope is one query of one
-// chunk — the memo dies with the chunk, so a streamed execution stays
-// O(chunk), and the bindings of an ExecuteBatch never share. A call that
-// reads every group column cannot repeat within a query and bypasses it.
+// keyMemo is what one grouped execution — an ExecuteBatch or a GroupIter —
+// carries across its key chunks and rounds. Within one query only the
+// group-key block of the binding vector changes from key to key, so two
+// keys that agree on the group columns a call or count sub-tree reads
+// (keyReads) bind it to identical requests: the first such key enqueues
+// it, and every later one reuses its estimator. How long an entry lives
+// follows from how many group columns it reads:
+//
+//   - at most one: the whole execution. Such a call has at most as many
+//     projections as that column has candidates, so a streamed execution
+//     stays O(chunk + candidates);
+//   - two or more, but not all: one key chunk (chunk, cleared by
+//     endChunk);
+//   - all of them: none, since no two keys of a query share it.
+//
+// Entries are per query, so the bindings of an ExecuteBatch never share.
+// An entry outlives the round that enqueued it, so its terms copy their
+// values out once the round has run (settle) and keep nothing of its
+// batch.
 type keyMemo struct {
-	q    int       // the current key's query, within the chunk
-	ks   *keySpace // that query's key space
-	idx  []int     // the current key's candidate index per group column
-	ests map[memoKey]estimator
+	q     int       // the current key's query, within the execution
+	ks    *keySpace // that query's key space
+	idx   []int     // the current key's candidate index per group column
+	key   []float64 // the current key's values
+	preds []query.Predicate
+	long  map[memoKey]estimator // entries reading at most one group column
+	chunk map[memoKey]estimator // entries reading two or more, this chunk
+
+	// pending are the grouped terms with requests in the round that has
+	// not run yet; reached the deferred terms the current key's gate read.
+	pending, reached []*groupTerm
 }
 
-// memoKey names one call bound at one projection of one query's keys.
+// memoKey names one call or sub-tree bound at one projection of one
+// query's keys.
 type memoKey struct {
 	call    *keyReads
 	q, proj int
 }
 
 func newKeyMemo(groupCols int) *keyMemo {
-	return &keyMemo{idx: make([]int, groupCols), ests: map[memoKey]estimator{}}
+	return &keyMemo{idx: make([]int, groupCols), key: make([]float64, groupCols)}
 }
 
-// at moves the memo to key ordinal ki of query q's key space (the
-// per-column decode of groupKeyAt).
-func (m *keyMemo) at(q int, ks *keySpace, ki int) {
-	if m == nil {
-		return
-	}
-	m.q, m.ks = q, ks
+// at moves the memo to key ordinal ki of query qi (bound query q, key
+// space ks; the per-column decode of groupKeyAt) and returns that key's
+// binding, rebuilt in the memo's one buffer.
+func (m *keyMemo) at(qi int, q query.Query, groupCols []string, ks *keySpace, ki int) []query.Predicate {
+	m.q, m.ks = qi, ks
 	for c := len(ks.vals) - 1; c >= 0; c-- {
 		n := len(ks.vals[c])
 		m.idx[c] = ki % n
+		m.key[c] = ks.vals[c][m.idx[c]]
 		ki /= n
 	}
+	m.preds = appendBinding(m.preds[:0], q, groupCols, m.key)
+	return m.preds
 }
 
 // shared returns the estimator an earlier key of the current query
-// enqueued for the call reading k, or enqueues the call with fresh and,
-// when that succeeds, remembers it for the keys after.
+// enqueued for the call or sub-tree reading k, or enqueues it with fresh
+// and, when that succeeds, remembers it for the keys after.
 func (b *batcher) shared(k *keyReads, fresh func() (estimator, error)) (estimator, error) {
 	m := b.memo
 	if m == nil || len(k.cols) == len(m.idx) {
 		return fresh()
 	}
+	ests := &m.long
+	if len(k.cols) > 1 {
+		ests = &m.chunk
+	}
 	mk := memoKey{call: k, q: m.q}
 	for _, c := range k.cols {
 		mk.proj = mk.proj*len(m.ks.vals[c]) + m.idx[c]
 	}
-	if est, ok := m.ests[mk]; ok {
+	if est, ok := (*ests)[mk]; ok {
 		return est, nil
 	}
 	est, err := fresh()
 	if err == nil {
-		m.ests[mk] = est
+		if *ests == nil {
+			*ests = map[memoKey]estimator{}
+		}
+		(*ests)[mk] = est
 	}
 	return est, err
 }
+
+// run evaluates one round's batch and settles every grouped term it
+// answered.
+func (m *keyMemo) run(ctx context.Context, eng *Engine, b *batcher) error {
+	err := b.run(ctx, eng)
+	if err == nil {
+		for _, t := range m.pending {
+			t.settle()
+		}
+	}
+	clear(m.pending)
+	m.pending = m.pending[:0]
+	return err
+}
+
+// endChunk drops the entries scoped to one key chunk.
+func (m *keyMemo) endChunk() { clear(m.chunk) }
 
 // addRequest appends a prebuilt request to its RSPN's batch.
 func (b *batcher) addRequest(r *rspn.RSPN, req spn.Request) valRef {
@@ -285,16 +332,86 @@ func squareRequest(req spn.Request) spn.Request {
 
 // estimate reads the evaluated parts into an (unscaled) estimate.
 func (t termRefs) estimate() Estimate {
-	v := t.full.value()
-	variance := 0.0
+	var prob, sq float64
 	if t.hasVar {
-		sq := 0.0
+		prob = t.prob.value()
 		if t.hasFns {
 			sq = t.sq.value()
 		}
-		variance = momentVariance(t.n, t.prob.value(), v, sq, t.hasFns)
 	}
-	return Estimate{Value: v, Variance: variance}
+	return t.combine(t.full.value(), prob, sq)
+}
+
+// combine turns a term's evaluated parts into an (unscaled) estimate.
+func (t termRefs) combine(full, prob, sq float64) Estimate {
+	variance := 0.0
+	if t.hasVar {
+		variance = momentVariance(t.n, prob, full, sq, t.hasFns)
+	}
+	return Estimate{Value: full, Variance: variance}
+}
+
+// groupTerm is one term of a grouped execution. It may be reached again in
+// later rounds and chunks through the memo, so it keeps its evaluated
+// values rather than refs into a batch. A gate round binds only its full
+// request and keeps that request while the variance parts are deferred:
+// they are requested (requestVariance) only if a surviving key reads the
+// term, so a dead key never computes a variance.
+type groupTerm struct {
+	refs     termRefs    // into the batch of a round that has not run yet
+	vals     [3]float64  // full, probability and squared values, once run
+	deferred bool        // the variance parts are not requested yet
+	req      spn.Request // while deferred: the full request they derive from
+	r        *rspn.RSPN
+	m        *keyMemo
+}
+
+// enqueueGroupTerm is enqueueTerm for a grouped execution.
+func enqueueGroupTerm(b *batcher, r *rspn.RSPN, req spn.Request, hasFns bool) *groupTerm {
+	t := &groupTerm{r: r, m: b.memo}
+	if n := r.Model.RowCount; b.gate && hasFns && n > 1 {
+		t.refs = termRefs{full: b.addRequest(r, req), n: n, hasVar: true, hasFns: true}
+		t.req, t.deferred = req, true
+	} else {
+		t.refs = enqueueTerm(b, r, req, hasFns)
+	}
+	b.memo.pending = append(b.memo.pending, t)
+	return t
+}
+
+// requestVariance enqueues the deferred probability and squared requests
+// into b, at most once per term.
+func (t *groupTerm) requestVariance(b *batcher) {
+	if !t.deferred {
+		return
+	}
+	t.refs.prob = b.addRequest(t.r, probRequest(t.req))
+	t.refs.sq = b.addRequest(t.r, squareRequest(t.req))
+	t.req, t.deferred = spn.Request{}, false
+	t.m.pending = append(t.m.pending, t)
+}
+
+// settle copies the values of the parts the round just run answered and
+// drops the refs into its batch.
+func (t *groupTerm) settle() {
+	for i, ref := range [...]*valRef{&t.refs.full, &t.refs.prob, &t.refs.sq} {
+		if ref.g != nil {
+			t.vals[i] = ref.value()
+			*ref = valRef{}
+		}
+	}
+}
+
+// estimate is termRefs.estimate over the settled values. A deferred term
+// has its point value only; reading it records the term in the memo's
+// reached list, so the key reading it can request the variance if it
+// survives.
+func (t *groupTerm) estimate() Estimate {
+	if t.deferred {
+		t.m.reached = append(t.m.reached, t)
+		return Estimate{Value: t.vals[0]}
+	}
+	return t.refs.combine(t.vals[0], t.vals[1], t.vals[2])
 }
 
 // enqueue collects one Theorem-1 evaluation |J| * E(fns * 1_C * prod N_T)
@@ -303,26 +420,47 @@ func (t *t1call) enqueue(b *batcher, preds []query.Predicate) (estimator, error)
 	if t.err != nil {
 		return nil, t.err
 	}
-	return b.shared(&t.keys, func() (estimator, error) {
+	size := t.r.FullSize
+	if b.memo == nil {
 		req, err := t.tmpl.BindIndexed(preds, t.ords)
 		if err != nil {
 			return nil, err
 		}
 		refs := enqueueTerm(b, t.r, req, t.hasFns)
-		size := t.r.FullSize
 		return func() (Estimate, error) {
 			return scaleEstimate(refs.estimate(), size), nil
+		}, nil
+	}
+	return b.shared(&t.keys, func() (estimator, error) {
+		req, err := t.tmpl.BindIndexed(preds, t.ords)
+		if err != nil {
+			return nil, err
+		}
+		term := enqueueGroupTerm(b, t.r, req, t.hasFns)
+		return func() (Estimate, error) {
+			return scaleEstimate(term.estimate(), size), nil
 		}, nil
 	})
 }
 
 // enqueue collects one compiled COUNT node: the single call, the median
 // panel, or the Theorem-2 left side plus every branch sub-plan — all
-// independent, so they land in the same batch.
+// independent, so they land in the same batch. In a grouped execution a
+// median or Theorem-2 sub-tree is shared across keys like a call, by the
+// group columns its calls read.
 func (n *countNode) enqueue(b *batcher, preds []query.Predicate) (estimator, error) {
-	switch n.kind {
-	case ckSingle:
+	if n.kind == ckSingle {
 		return n.single.enqueue(b, preds)
+	}
+	if b.memo == nil {
+		return n.enqueueTree(b, preds)
+	}
+	return b.shared(&n.keys, func() (estimator, error) { return n.enqueueTree(b, preds) })
+}
+
+// enqueueTree collects a median panel or a Theorem-2 combination.
+func (n *countNode) enqueueTree(b *batcher, preds []query.Predicate) (estimator, error) {
+	switch n.kind {
 	case ckMedian:
 		resolvers := make([]estimator, len(n.median))
 		for i := range n.median {
@@ -425,25 +563,46 @@ func (a *avgNode) enqueue(b *batcher, preds []query.Predicate) (estimator, error
 	if a.err != nil {
 		return nil, a.err
 	}
-	return b.shared(&a.keys, func() (estimator, error) {
-		numReq, err := a.num.BindIndexed(preds, a.ords)
-		if err != nil {
-			return nil, err
-		}
-		denReq, err := a.den.BindIndexed(preds, a.ords)
+	if b.memo == nil {
+		numReq, denReq, err := a.bind(preds)
 		if err != nil {
 			return nil, err
 		}
 		num := enqueueTerm(b, a.r, numReq, true)
 		den := enqueueTerm(b, a.r, denReq, a.denHasFns)
 		return func() (Estimate, error) {
-			denE := den.estimate()
-			if denE.Value <= 0 {
-				return Estimate{}, nil
-			}
-			return divEstimate(num.estimate(), denE), nil
+			return avgRatio(num.estimate(), den.estimate()), nil
+		}, nil
+	}
+	return b.shared(&a.keys, func() (estimator, error) {
+		numReq, denReq, err := a.bind(preds)
+		if err != nil {
+			return nil, err
+		}
+		num := enqueueGroupTerm(b, a.r, numReq, true)
+		den := enqueueGroupTerm(b, a.r, denReq, a.denHasFns)
+		return func() (Estimate, error) {
+			return avgRatio(num.estimate(), den.estimate()), nil
 		}, nil
 	})
+}
+
+// bind binds the numerator and denominator requests.
+func (a *avgNode) bind(preds []query.Predicate) (num, den spn.Request, err error) {
+	if num, err = a.num.BindIndexed(preds, a.ords); err != nil {
+		return
+	}
+	den, err = a.den.BindIndexed(preds, a.ords)
+	return
+}
+
+// avgRatio is the AVG's ratio of its evaluated expectations; an empty
+// denominator answers zero.
+func avgRatio(num, den Estimate) Estimate {
+	if den.Value <= 0 {
+		return Estimate{}
+	}
+	return divEstimate(num, den)
 }
 
 // enqueueSigned collects a list of signed inclusion-exclusion terms for
@@ -523,20 +682,48 @@ func (p *Plan) enqueueAggregate(b *batcher, countTerms []signedCount, preds []qu
 		if err != nil {
 			return nil, err
 		}
-		return func() (Estimate, error) {
-			s, err := sum()
-			if err != nil {
-				return Estimate{}, err
-			}
-			c, err := cnt()
-			if err != nil {
-				return Estimate{}, err
-			}
-			return divEstimate(s, c), nil
-		}, nil
+		return sumOverCount(sum, cnt), nil
 	default:
 		return nil, fmt.Errorf("core: unsupported aggregate %v", p.q.Aggregate)
 	}
+}
+
+// sumOverCount resolves an AVG over a disjunction: SUM / COUNT over the
+// same inclusion-exclusion terms.
+func sumOverCount(sum, cnt estimator) estimator {
+	return func() (Estimate, error) {
+		s, err := sum()
+		if err != nil {
+			return Estimate{}, err
+		}
+		c, err := cnt()
+		if err != nil {
+			return Estimate{}, err
+		}
+		return divEstimate(s, c), nil
+	}
+}
+
+// enqueueGroupAnswer collects the answer of a key that survived its gate,
+// in the round after the gate. A COUNT is its gate, and an AVG over a
+// disjunction divides by it: both first request the variance parts the
+// gate deferred for the terms it read (memo.reached). SUM and a plain AVG
+// bind their own estimators and never read the gate's variance.
+func (p *Plan) enqueueGroupAnswer(b *batcher, gate estimator, preds []query.Predicate) (estimator, error) {
+	if p.q.Aggregate == query.Sum || p.avg != nil {
+		return p.enqueueAggregate(b, nil, preds)
+	}
+	for _, t := range b.memo.reached {
+		t.requestVariance(b)
+	}
+	if p.q.Aggregate == query.Count {
+		return gate, nil
+	}
+	sum, err := p.enqueueSum(b, preds)
+	if err != nil {
+		return nil, err
+	}
+	return sumOverCount(sum, gate), nil
 }
 
 // ---- execution ----
@@ -595,11 +782,6 @@ func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.
 		}
 		return out, nil
 	}
-	// Input validation, not a knob: bound queries reach this entry from the
-	// network (/query with params), and it holds every row it returns.
-	if p.numGroups > maxMaterializedGroups {
-		return nil, fmt.Errorf("core: group-by produces more than %d groups (stream them with ExecuteGroupsIter)", maxMaterializedGroups)
-	}
 	// Each binding gates its own key space; a lone binding's stays on the
 	// stack.
 	var one [1]keySpace
@@ -610,12 +792,20 @@ func (p *Plan) ExecuteBatch(ctx context.Context, opts ExecOpts, queries []query.
 	n := 0
 	for _, q := range queries {
 		ks := p.keySpace(q)
+		// Input validation, not a knob: bound queries reach this entry from
+		// the network (/query with params), and it holds every row it
+		// returns. The bound is on the query's own key space, after its
+		// filters pruned the plan's candidates.
+		if ks.n > maxMaterializedGroups {
+			return nil, fmt.Errorf("core: group-by produces more than %d groups (stream them with ExecuteGroupsIter)", maxMaterializedGroups)
+		}
 		keys = append(keys, ks)
 		n = max(n, ks.n)
 	}
+	m := newKeyMemo(len(p.groupCols))
 	out := make([]AQPResult, len(queries))
 	for lo := 0; lo < n; lo += DefaultGroupChunk {
-		rows, err := p.executeGroupChunk(ctx, queries, keys, level, lo, min(lo+DefaultGroupChunk, n))
+		rows, err := p.executeGroupChunk(ctx, queries, keys, m, level, lo, min(lo+DefaultGroupChunk, n))
 		if err != nil {
 			return nil, err
 		}
@@ -642,105 +832,87 @@ func batchEntryErr(batchLen, i int, err error) error {
 
 // executeGroupChunk is the grouped pipeline: for every query and every
 // ordinal in [lo, hi) of that query's key space (keys[qi], see keySpace)
-// it evaluates the per-group COUNT gate in one batch, drops the groups the
-// model believes empty, and evaluates the aggregate of the survivors in a
-// second batch (skipped for COUNT queries, whose gate is the answer). It
-// returns each query's live rows in key order. Keys are enumerated in
-// ascending ordinal — lexicographic — order (sorted candidate values, the
-// last column fastest), so rows come out sorted without a sort, and the
-// concatenation of consecutive chunks is the full result in the same order,
-// whatever the chunk size. A query's entries are contiguous in the per-key
-// slices. Both stages bind each call once per distinct value of the group
-// columns it reads (keyMemo).
-func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, keys []keySpace, level float64, lo, hi int) ([][]AQPGroup, error) {
+// it evaluates the per-group COUNT gate in one batch, on point values
+// only, drops the groups the model believes empty, and evaluates the
+// answers of the survivors in a second batch (for a COUNT only the
+// variance parts its gate deferred). It returns each query's live rows in
+// key order. Keys are enumerated in ascending ordinal — lexicographic —
+// order (sorted candidate values, the last column fastest), so rows come
+// out sorted without a sort, and the concatenation of consecutive chunks
+// is the full result in the same order, whatever the chunk size. A query's
+// entries are contiguous in the per-key slices. Both rounds bind each call
+// and count sub-tree once per distinct value of the group columns it reads
+// (m, which the caller hands to every chunk of one execution).
+func (p *Plan) executeGroupChunk(ctx context.Context, queries []query.Query, keys []keySpace, m *keyMemo, level float64, lo, hi int) ([][]AQPGroup, error) {
+	defer m.endChunk()
 	total := 0
 	for qi := range queries {
 		total += chunkLen(keys[qi], lo, hi)
 	}
-	bindings := make([][]query.Predicate, total)
 	gates := make([]estimator, total)
-	b := newBatcher(2 * total)
-	if p.sharesCalls {
-		b.memo = newKeyMemo(len(p.groupCols))
-	}
-	var keyBuf []float64
+	b := &batcher{hint: total, memo: m, gate: true}
 	i := 0
 	for qi, q := range queries {
-		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki++ {
-			keyBuf = groupKeyAt(keys[qi].vals, lo+ki, keyBuf)
-			b.memo.at(qi, &keys[qi], lo+ki)
-			bindings[i] = binding(q, p.groupCols, keyBuf)
-			res, err := p.enqueueCount(b, p.count, bindings[i])
+		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki, i = ki+1, i+1 {
+			res, err := p.enqueueCount(b, p.count, m.at(qi, q, p.groupCols, &keys[qi], lo+ki))
 			if err != nil {
 				return nil, err
 			}
 			gates[i] = res
-			i++
 		}
 	}
-	if err := b.run(ctx, p.eng); err != nil {
+	if err := m.run(ctx, p.eng, b); err != nil {
 		return nil, err
 	}
-	counts := make([]Estimate, total)
-	live := make([]bool, total)
+	// answers[i] stays nil for a key whose gate drops it.
+	answers := make([]estimator, total)
+	b = &batcher{hint: total, memo: m}
 	i = 0
-	for qi := range queries {
-		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki++ {
+	for qi, q := range queries {
+		for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki, i = ki+1, i+1 {
+			m.reached = m.reached[:0]
 			est, err := gates[i]()
 			if err != nil {
 				return nil, batchEntryErr(len(queries), qi, err)
 			}
-			counts[i] = est
 			// A group the model believes empty is dropped from the result.
-			live[i] = est.Value >= 0.5
-			i++
-		}
-	}
-	aggs := make([]estimator, total)
-	if p.q.Aggregate != query.Count {
-		// The memo carries over: a call the gate stage already bound at this
-		// projection is answered by the gate batch's values.
-		b2 := newBatcher(2 * total)
-		b2.memo = b.memo
-		i = 0
-		for qi := range queries {
-			for ki, nk := 0, chunkLen(keys[qi], lo, hi); ki < nk; ki, i = ki+1, i+1 {
-				if !live[i] {
-					continue
-				}
-				b2.memo.at(qi, &keys[qi], lo+ki)
-				res, err := p.enqueueAggregate(b2, p.count, bindings[i])
-				if err != nil {
-					return nil, err
-				}
-				aggs[i] = res
-			}
-		}
-		if err := b2.run(ctx, p.eng); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]AQPGroup, len(queries))
-	base := 0
-	for qi := range queries {
-		var groups []AQPGroup
-		nk := chunkLen(keys[qi], lo, hi)
-		for ki := 0; ki < nk; ki++ {
-			i := base + ki
-			if !live[i] {
+			if !(est.Value >= 0.5) {
 				continue
 			}
-			est := counts[i]
-			if aggs[i] != nil {
-				var err error
-				est, err = aggs[i]()
-				if err != nil {
-					return nil, batchEntryErr(len(queries), qi, err)
-				}
+			answers[i], err = p.enqueueGroupAnswer(b, gates[i], m.at(qi, q, p.groupCols, &keys[qi], lo+ki))
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := m.run(ctx, p.eng, b); err != nil {
+		return nil, err
+	}
+	out := make([][]AQPGroup, len(queries))
+	i = 0
+	for qi := range queries {
+		nk := chunkLen(keys[qi], lo, hi)
+		live := 0
+		for _, a := range answers[i : i+nk] {
+			if a != nil {
+				live++
+			}
+		}
+		if live == 0 {
+			i += nk
+			continue
+		}
+		groups := make([]AQPGroup, 0, live)
+		for ki := 0; ki < nk; ki, i = ki+1, i+1 {
+			if answers[i] == nil {
+				continue
+			}
+			est, err := answers[i]()
+			if err != nil {
+				return nil, batchEntryErr(len(queries), qi, err)
 			}
 			groups = append(groups, finish(groupKeyAt(keys[qi].vals, lo+ki, nil), est, level))
 		}
-		base += nk
 		out[qi] = groups
 	}
 	return out, nil

@@ -3,10 +3,12 @@ package core
 // plan_iter.go is the streaming consumer of the grouped pipeline
 // (executeGroupChunk in plan_exec.go): GroupIter runs it over one bounded
 // chunk of the key space at a time, so a GROUP BY over millions of keys
-// executes in O(chunk) memory. Group keys are enumerated lazily in
-// lexicographic order. ExecuteBatch is the other consumer — it drains the
-// same chunks into one result — so streamed rows are ExecuteQuery's rows,
-// bit for bit and in the same order.
+// executes in O(chunk + candidates) memory (the memo keeps the calls that
+// read at most one group column for the whole execution, see keyMemo).
+// Group keys are enumerated lazily in lexicographic order. ExecuteBatch is
+// the other consumer — it drains the same chunks into one result — so
+// streamed rows are ExecuteQuery's rows, bit for bit and in the same
+// order.
 
 import (
 	"context"
@@ -34,6 +36,7 @@ type GroupIter struct {
 	ctx   context.Context
 	qs    []query.Query // the one bound query, in the pipeline's batch shape
 	keys  []keySpace    // its candidate keys, in the same shape
+	memo  *keyMemo      // shared by every chunk of the execution
 	level float64
 	chunk int
 
@@ -68,6 +71,7 @@ func (p *Plan) ExecuteGroupsIter(ctx context.Context, opts ExecOpts, q query.Que
 		it.buf = res.Groups
 	} else {
 		it.keys = []keySpace{p.keySpace(q)}
+		it.memo = newKeyMemo(len(p.groupCols))
 	}
 	return it, nil
 }
@@ -99,19 +103,25 @@ func (it *GroupIter) Err() error { return it.err }
 // fill executes key chunks until one yields at least one live group or
 // the key space is exhausted.
 func (it *GroupIter) fill() {
-	n := it.keys[0].n
 	it.buf, it.bi = it.buf[:0], 0
-	for it.pos < n {
-		lo, hi := it.pos, min(it.pos+it.chunk, n)
-		it.pos = hi
-		rows, err := it.p.executeGroupChunk(it.ctx, it.qs, it.keys, it.level, lo, hi)
-		if err != nil {
-			it.err = err
-			return
-		}
-		if len(rows[0]) > 0 {
-			it.buf = rows[0]
-			return
-		}
+	for len(it.buf) == 0 && it.step() {
 	}
+}
+
+// step executes the next key chunk into buf. It returns false when the key
+// space is exhausted or the chunk failed (see Err).
+func (it *GroupIter) step() bool {
+	n := it.keys[0].n
+	if it.pos >= n {
+		return false
+	}
+	lo, hi := it.pos, min(it.pos+it.chunk, n)
+	it.pos = hi
+	rows, err := it.p.executeGroupChunk(it.ctx, it.qs, it.keys, it.memo, it.level, lo, hi)
+	if err != nil {
+		it.err = err
+		return false
+	}
+	it.buf = rows[0]
+	return true
 }

@@ -10,11 +10,13 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/ensemble"
 	"repro/internal/query"
 	"repro/internal/rspn"
 	"repro/internal/schema"
+	"repro/internal/spn"
 	"repro/internal/table"
 )
 
@@ -112,5 +114,145 @@ func TestGroupIterMillionKeysBoundedMemory(t *testing.T) {
 	if peak > baseline && peak-baseline > heapBudget {
 		t.Fatalf("live heap grew %d bytes during streaming (budget %d)",
 			peak-baseline, heapBudget)
+	}
+}
+
+// weakBatches is a BatchEvaluator that answers in process and keeps a weak
+// pointer to every request batch it is handed, so a test can ask which
+// batches are still reachable.
+type weakBatches struct {
+	seen []weak.Pointer[spn.Request]
+}
+
+func (w *weakBatches) EvaluateRSPN(_ context.Context, r *rspn.RSPN, reqs []spn.Request, out []float64) error {
+	w.seen = append(w.seen, weak.Make(&reqs[0]))
+	return r.EvaluateRequests(reqs, out)
+}
+
+// TestGroupIterMemoScopes is the memory contract of the memo a streamed
+// execution shares across its key chunks. Over a key space of many chunks
+// it checks, at every chunk boundary, that an entry reading one group
+// column is bounded by that column's candidates — the first, slowest one
+// here, so its entries do span chunks —, that an entry reading no group
+// column exists once, that entries reading two (of three) group columns
+// are gone, and that no batch of a finished round is reachable any more.
+func TestGroupIterMemoScopes(t *testing.T) {
+	ctx := context.Background()
+	e := ssbEngine(t)
+	q, err := query.Parse("SELECT COUNT(*) FROM lineorder JOIN dates JOIN part GROUP BY d_year, p_category, p_brand1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := &weakBatches{}
+	e.Eval = batches
+	defer func() { e.Eval = nil }()
+	it, err := p.ExecuteGroupsIter(ctx, ExecOpts{}, q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := make([]int, len(p.groupCols))
+	for c, vals := range it.keys[0].vals {
+		candidates[c] = len(vals)
+	}
+	chunks, slowCarried, twoColumn := 0, 0, 0
+	for m := it.stepChunk(); m != nil; m = it.stepChunk() {
+		chunks++
+		for k, n := range m.memoEntries() {
+			switch len(k.cols) {
+			case 0:
+				if n != 1 {
+					t.Fatalf("chunk %d: a call reading no group column has %d entries", chunks, n)
+				}
+			case 1:
+				if n > candidates[k.cols[0]] {
+					t.Fatalf("chunk %d: a call reading %s has %d entries, more than its %d candidates",
+						chunks, p.groupCols[k.cols[0]], n, candidates[k.cols[0]])
+				}
+				if k.cols[0] == 0 && n > 1 {
+					slowCarried++
+				}
+			default:
+				t.Fatalf("chunk %d: a call reading %d group columns kept %d entries past its chunk", chunks, len(k.cols), n)
+			}
+		}
+		runtime.GC()
+		for i, w := range batches.seen {
+			if w.Value() != nil {
+				t.Fatalf("chunk %d: batch %d of %d stays reachable after its round", chunks, i, len(batches.seen))
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture must exercise every scope: many chunks, an entry of the
+	// slow column carried over chunks, and a call reading two columns.
+	visitCalls(p.count, nil, nil, func(_ *rspn.RSPN, _ []int, k *keyReads) {
+		if len(k.cols) == 2 {
+			twoColumn++
+		}
+	})
+	if chunks < 10 || slowCarried == 0 || twoColumn == 0 {
+		t.Fatalf("fixture too weak: %d chunks, slow column carried over %d chunk boundaries, %d two-column calls",
+			chunks, slowCarried, twoColumn)
+	}
+}
+
+// TestExecuteBatchBoundsPrunedKeySpace: ExecuteBatch bounds each query's
+// own key space, after its filters pruned the plan's candidates, not the
+// plan's unpruned product. On the 10^6-key plan a filter admitting two g1
+// values leaves 2 000 keys, which are answered bit for bit as the iterator
+// streams them; a filter admitting 200 leaves 200 000, which are refused.
+func TestExecuteBatchBoundsPrunedKeySpace(t *testing.T) {
+	ctx := context.Background()
+	e := millionKeyEngine(t)
+	bind := func(v float64) query.Query {
+		return query.Query{Aggregate: query.Count, Tables: []string{"wide"},
+			Filters: []query.Predicate{{Column: "g1", Op: query.Lt, Value: v}},
+			GroupBy: []string{"g1", "g2"}}
+	}
+	small := bind(2)
+	p, err := e.Compile(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ensureExec(); err != nil {
+		t.Fatal(err)
+	}
+	if p.numGroups <= maxMaterializedGroups {
+		t.Fatalf("the plan's candidate product %d is within the bound: nothing to prune", p.numGroups)
+	}
+	if n := p.keySpace(small).n; n != 2000 {
+		t.Fatalf("g1 < 2 leaves %d keys, want 2000", n)
+	}
+	res, err := p.ExecuteQuery(ctx, ExecOpts{}, small)
+	if err != nil {
+		t.Fatalf("a query its own filter prunes to 2000 keys was refused: %v", err)
+	}
+	it, err := p.ExecuteGroupsIter(ctx, ExecOpts{}, small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []AQPGroup
+	for it.Next() {
+		streamed = append(streamed, it.Group())
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != 2 || !sameGroups(res.Groups, streamed) {
+		t.Fatalf("ExecuteQuery rows %+v, streamed %+v (want the two FD-consistent pairs, bit for bit)", res.Groups, streamed)
+	}
+	// The must-fail twin: pruned, and still over the bound.
+	large := bind(200)
+	if n := p.keySpace(large).n; n <= maxMaterializedGroups {
+		t.Fatalf("g1 < 200 leaves %d keys, within the bound", n)
+	}
+	if _, err := p.ExecuteQuery(ctx, ExecOpts{}, large); err == nil {
+		t.Fatal("ExecuteQuery accepted a pruned key space still over the bound")
 	}
 }

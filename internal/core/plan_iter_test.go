@@ -319,7 +319,6 @@ func TestDroppedKeyColumnIsVisible(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("no call reads a group column: nothing to drop")
 	}
-	p.sharesCalls = true
 	res, err := p.ExecuteQuery(ctx, ExecOpts{}, q)
 	if err != nil {
 		t.Fatal(err)

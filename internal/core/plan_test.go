@@ -187,22 +187,33 @@ func TestPlanExplainMatchesExecution(t *testing.T) {
 	}
 }
 
-// TestPlanExplainNamesKeyReads: in a grouped plan every Theorem-1 line says
-// what the executor binds it per — the group columns it reads, or once per
-// key chunk — from the same keyReads the memo uses.
+// TestPlanExplainNamesKeyReads: in a grouped plan every Theorem-1 line and
+// every branch sub-tree says what the executor binds it per — the group
+// columns it reads (within each key chunk when those are two or more but
+// not all), or once per query — from the same keyReads the memo uses, and
+// the plan says that variance is bound only for surviving groups.
 func TestPlanExplainNamesKeyReads(t *testing.T) {
 	e, _, _ := exactEnsemble(t, false) // Theorem 2: each side reads its own group column
+	const variance = "variance: the gate binds point values only; variance parts are bound only for groups that survive it\n"
 	for _, c := range []struct {
 		sql  string
 		want []string
 	}{
 		{"SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region, o_channel", []string{
+			variance,
 			"answers sub-join customer; bound once per distinct c_region\n",
+			"(ratio count/|orders|); bound once per distinct o_channel:\n",
 			"answers orders, resolving 1/1 filters; bound once per distinct o_channel\n",
 		}},
 		{"SELECT AVG(c_age) FROM customer JOIN orders WHERE o_channel = 1 GROUP BY c_region", []string{
+			variance,
 			"resolving 1/2 filters; bound once per distinct c_region\n",
-			"answers orders, resolving 1/1 filters; bound once per key chunk\n",
+			"(ratio count/|orders|); bound once per query:\n",
+			"answers orders, resolving 1/1 filters; bound once per query\n",
+		}},
+		{"SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_region, c_age, o_channel", []string{
+			"answers sub-join customer; bound once per distinct c_region, c_age in each key chunk\n",
+			"answers orders, resolving 1/1 filters; bound once per distinct o_channel\n",
 		}},
 	} {
 		q, err := query.Parse(c.sql, nil)

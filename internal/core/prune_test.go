@@ -22,8 +22,9 @@ import (
 func runKeys(t *testing.T, p *Plan, q query.Query, ks keySpace, chunk int) []AQPGroup {
 	t.Helper()
 	var out []AQPGroup
+	m := newKeyMemo(len(p.groupCols))
 	for lo := 0; lo < ks.n; lo += chunk {
-		rows, err := p.executeGroupChunk(context.Background(), []query.Query{q}, []keySpace{ks}, p.level(ExecOpts{}), lo, min(lo+chunk, ks.n))
+		rows, err := p.executeGroupChunk(context.Background(), []query.Query{q}, []keySpace{ks}, m, p.level(ExecOpts{}), lo, min(lo+chunk, ks.n))
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}

@@ -31,12 +31,15 @@ func (c *countingEval) EvaluateRSPN(_ context.Context, r *rspn.RSPN, reqs []spn.
 	return r.EvaluateRequests(reqs, out)
 }
 
-// TestGroupByRequestCounts runs two SSB shapes on ssbEngine, whose joins
+// TestGroupByRequestCounts runs three SSB shapes on ssbEngine, whose joins
 // are Theorem-2 combinations of single-table members: S4.3's two group
 // columns are each read by a different side (dates reads d_year, part reads
-// p_brand1, supplier and lineorder read neither), and S2.1 groups by one
-// column only the dates side reads. Each row pins the requests evaluated
-// per RSPN; the comment holds the count while every key bound every call.
+// p_brand1, supplier and lineorder read neither), and S2.1 and its COUNT
+// twin group by one column only the dates side reads. Each row pins the
+// requests evaluated per RSPN. A comment holds the earlier counts: while
+// every key bound every call, then while the memo lived for one key chunk
+// and the gate bound every variance part (the COUNT row has only the
+// latter).
 func TestGroupByRequestCounts(t *testing.T) {
 	e := ssbEngine(t)
 	for _, c := range []struct {
@@ -45,28 +48,45 @@ func TestGroupByRequestCounts(t *testing.T) {
 		want map[string]int
 	}{
 		// 354 candidate keys (2 years x 177 brands) in two chunks, none
-		// live at this scale, so only the gate runs. Part binds once per
-		// distinct p_brand1 in each chunk (177 + 98 brands, 3 requests
-		// each), dates once per distinct d_year, the others once per chunk.
-		// 3 540 in all while every key bound every call: 4.2x fewer.
+		// live at this scale, so only the gate runs, on point values: one
+		// full request per distinct p_brand1 of the query (the memo spans
+		// both chunks), per distinct d_year for the dates sub-tree, and one
+		// per query for supplier and lineorder. 3 540 while every key bound
+		// every call, 842 while the memo lived for one chunk and the gate
+		// bound variance parts too.
 		{"S4.3", "SELECT SUM(lo_profit) FROM lineorder JOIN dates JOIN supplier JOIN part " +
 			"WHERE s_nation = 7 AND d_year IN (1997, 1998) AND p_category = 14 GROUP BY d_year, p_brand1",
 			map[string]int{
-				"dates":     9,   // 1 062
-				"lineorder": 2,   // 354
-				"part":      825, // 1 062
-				"supplier":  6,   // 1 062
+				"dates":     2,   // 1 062, 9
+				"lineorder": 1,   // 354, 2
+				"part":      177, // 1 062, 825
+				"supplier":  1,   // 354 x 3 = 1 062, 6
 			}},
-		// Seven years, all live, one chunk: only the dates side varies.
-		// Gate and COUNT x AVG aggregate both run; the aggregate's AVG is
-		// on lineorder. 168 in all.
+		// Seven years, all live, one chunk: only the dates side varies. The
+		// gate binds full requests only, and its variance is never bound:
+		// a SUM's answer is the COUNT x AVG fallback, a count sub-plan of
+		// its own, and the aggregate's AVG is on lineorder. 42 in all (60
+		// while the gate bound variance parts too).
 		{"S2.1", "SELECT SUM(lo_revenue) FROM lineorder JOIN dates JOIN part JOIN supplier " +
 			"WHERE p_category = 12 AND s_region = 1 GROUP BY d_year",
 			map[string]int{
-				"dates":     42, // 42
-				"lineorder": 6,  // 42
-				"part":      6,  // 42
-				"supplier":  6,  // 42
+				"dates":     28, // 42, 42
+				"lineorder": 6,  // 42, 6
+				"part":      4,  // 42, 6
+				"supplier":  4,  // 42, 6
+			}},
+		// S2.1's COUNT, all seven keys live: the gate binds full requests,
+		// and a completion round binds the probability and squared
+		// requests of every term a live key's gate read. Deferring evaluates
+		// nothing twice: each total equals the count while the gate bound
+		// every part at once (the comment).
+		{"S2.1 COUNT", "SELECT COUNT(*) FROM lineorder JOIN dates JOIN part JOIN supplier " +
+			"WHERE p_category = 12 AND s_region = 1 GROUP BY d_year",
+			map[string]int{
+				"dates":     21, // 21
+				"lineorder": 1,  // 1
+				"part":      3,  // 3
+				"supplier":  3,  // 3
 			}},
 	} {
 		q, err := query.Parse(c.sql, nil)
