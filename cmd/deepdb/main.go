@@ -69,7 +69,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: deepdb <learn|estimate|query|explain|serve|wal|demo> [flags]
-  learn    -schema schema.json -data dir -out model.deepdb [-budget 0.5] [-samples 100000] [-parallel 1]
+  learn    -schema schema.json -data dir -out model.deepdb [-budget 0.5] [-samples 100000]
   estimate -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
   query    -model model.deepdb -sql "SELECT AVG(col) ..." [-data dir]
   explain  -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
@@ -87,7 +87,6 @@ func cmdLearn(ctx context.Context, args []string) error {
 	out := fs.String("out", "model.deepdb", "output model file")
 	budget := fs.Float64("budget", 0.5, "ensemble budget factor (Section 5.3)")
 	samples := fs.Int("samples", 100000, "max training samples per RSPN")
-	parallel := fs.Int("parallel", 1, "RSPNs learned concurrently")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,8 +99,7 @@ func cmdLearn(ctx context.Context, args []string) error {
 	}
 	db, err := deepdb.Learn(ctx, s, *dataDir,
 		deepdb.WithBudget(*budget),
-		deepdb.WithMaxSamples(*samples),
-		deepdb.WithParallelism(*parallel))
+		deepdb.WithMaxSamples(*samples))
 	if err != nil {
 		return err
 	}

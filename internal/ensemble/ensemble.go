@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -48,9 +49,11 @@ type Config struct {
 	// SingleTableOnly learns one RSPN per table and no joins at all — the
 	// paper's cheap fallback strategy evaluated at the end of Section 6.1.
 	SingleTableOnly bool
-	// Parallelism caps the number of base-ensemble RSPNs learned
-	// concurrently. Values <= 1 learn sequentially.
-	Parallelism int
+
+	// workers caps how many members learn concurrently; 0 means one per
+	// core (GOMAXPROCS). The members are independent and each learns from
+	// its own seed, so the count changes only wall-clock time.
+	workers int
 }
 
 // DefaultConfig mirrors the paper's evaluation setup.
@@ -304,12 +307,18 @@ func (e *Ensemble) attributeColumns(tableName string) []string {
 	return out
 }
 
+// rdcConfig is the RDC setup of every dependency test.
+func (e *Ensemble) rdcConfig() stats.RDCConfig {
+	return stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: e.cfg.Seed}
+}
+
 // computeDependencies measures (a) RDC between attribute pairs within each
 // table and (b) across every FK-adjacent table pair on a sample of the
 // inner join, populating AttrRDC and PairDep.
 func (e *Ensemble) computeDependencies() error {
-	rdcCfg := stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: e.cfg.Seed}
-	// Within-table pairs.
+	rdcCfg := e.rdcConfig()
+	// Within-table pairs: every column but the last stands on the x side
+	// of some pair, every column but the first on the y side.
 	for _, meta := range e.Schema.Tables {
 		t := e.Tables[meta.Name]
 		cols := e.attributeColumns(meta.Name)
@@ -318,16 +327,30 @@ func (e *Ensemble) computeDependencies() error {
 		if err != nil {
 			return err
 		}
+		xs := make([]*stats.RDCColumn, len(cols))
+		ys := make([]*stats.RDCColumn, len(cols))
+		for i := range cols {
+			v := columnOf(data, i)
+			if i < len(cols)-1 {
+				xs[i] = stats.PrepareRDC(v, stats.RoleX, rdcCfg)
+			}
+			if i > 0 {
+				ys[i] = stats.PrepareRDC(v, stats.RoleY, rdcCfg)
+			}
+		}
 		for i := 0; i < len(cols); i++ {
 			for j := i + 1; j < len(cols); j++ {
-				xi, xj := columnOf(data, i), columnOf(data, j)
-				e.AttrRDC[AttrKey(cols[i], cols[j])] = stats.RDC(xi, xj, rdcCfg)
+				e.AttrRDC[AttrKey(cols[i], cols[j])] = stats.RDCPair(xs[i], ys[j])
 			}
 		}
 	}
 	// Cross-table pairs for adjacent tables.
 	for _, rel := range e.Schema.Relationships() {
-		dep, err := e.crossTableDependency([]string{rel.One, rel.Many}, rel.One, rel.Many, rdcCfg)
+		j, err := e.innerJoin([]string{rel.One, rel.Many})
+		if err != nil {
+			return err
+		}
+		dep, err := e.crossTableDependency(j, rel.One, rel.Many)
 		if err != nil {
 			return err
 		}
@@ -336,36 +359,44 @@ func (e *Ensemble) computeDependencies() error {
 	return nil
 }
 
+// innerJoin computes the inner join of the tables as row indices.
+func (e *Ensemble) innerJoin(tables []string) (*table.JoinIndex, error) {
+	edges, err := e.Schema.JoinTree(tables)
+	if err != nil {
+		return nil, err
+	}
+	return table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, true)
+}
+
 // crossTableDependency computes the dependency value (max attribute-pair
 // RDC) between attributes of tables a and b over a sample of the inner join
-// of joinTables, caching the individual attribute RDCs.
-func (e *Ensemble) crossTableDependency(joinTables []string, a, b string, rdcCfg stats.RDCConfig) (float64, error) {
-	edges, err := e.Schema.JoinTree(joinTables)
-	if err != nil {
-		return 0, err
-	}
-	j, err := table.InnerJoin(e.Tables, table.JoinSpec{Tables: joinTables, Edges: edges})
-	if err != nil {
-		return 0, err
-	}
+// j, caching the individual attribute RDCs. Only the sampled tuples of the
+// two tables' attribute columns are gathered.
+func (e *Ensemble) crossTableDependency(j *table.JoinIndex, a, b string) (float64, error) {
 	if j.NumRows() == 0 {
 		return 0, nil
 	}
+	rdcCfg := e.rdcConfig()
 	rows := j.SampleRows(e.cfg.RDCSampleRows, e.rng)
 	colsA := e.attributeColumns(a)
 	colsB := e.attributeColumns(b)
-	max := 0.0
-	for _, ca := range colsA {
-		da, err := j.Matrix([]string{ca}, rows)
+	ys := make([]*stats.RDCColumn, len(colsB))
+	for i, cb := range colsB {
+		v, err := j.Values(cb, rows)
 		if err != nil {
 			return 0, err
 		}
-		for _, cb := range colsB {
-			db, err := j.Matrix([]string{cb}, rows)
-			if err != nil {
-				return 0, err
-			}
-			v := stats.RDC(columnOf(da, 0), columnOf(db, 0), rdcCfg)
+		ys[i] = stats.PrepareRDC(v, stats.RoleY, rdcCfg)
+	}
+	max := 0.0
+	for _, ca := range colsA {
+		v, err := j.Values(ca, rows)
+		if err != nil {
+			return 0, err
+		}
+		x := stats.PrepareRDC(v, stats.RoleX, rdcCfg)
+		for i, cb := range colsB {
+			v := stats.RDCPair(x, ys[i])
 			key := AttrKey(ca, cb)
 			if v > e.AttrRDC[key] {
 				e.AttrRDC[key] = v
@@ -387,9 +418,7 @@ func columnOf(data [][]float64, j int) []float64 {
 }
 
 // buildBase learns the base ensemble: joint RSPNs for correlated adjacent
-// pairs, single-table RSPNs elsewhere (every table ends up covered). With
-// Parallelism > 1 the (independent) members are learned concurrently; the
-// ensemble order stays deterministic regardless.
+// pairs, single-table RSPNs elsewhere (every table ends up covered).
 func (e *Ensemble) buildBase(ctx context.Context) error {
 	var jobs [][]string
 	covered := map[string]bool{}
@@ -409,21 +438,30 @@ func (e *Ensemble) buildBase(ctx context.Context) error {
 		}
 		jobs = append(jobs, []string{meta.Name})
 	}
+	return e.learnMembers(ctx, jobs)
+}
+
+// learnMembers learns one member per table set, concurrently (the members
+// are independent), and appends them in the order of jobs.
+func (e *Ensemble) learnMembers(ctx context.Context, jobs [][]string) error {
 	members := make([]*rspn.RSPN, len(jobs))
 	learn := func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		var err error
 		if len(jobs[i]) == 1 {
-			r, err := e.learnSingle(ctx, jobs[i][0])
-			members[i] = r
-			return err
+			members[i], err = e.learnSingle(ctx, jobs[i][0])
+		} else {
+			members[i], err = e.learnJoin(ctx, jobs[i])
 		}
-		r, err := e.learnJoin(ctx, jobs[i])
-		members[i] = r
 		return err
 	}
-	if err := parallel.ForEach(len(jobs), e.cfg.Parallelism, learn); err != nil {
+	workers := e.cfg.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if err := parallel.ForEach(len(jobs), workers, learn); err != nil {
 		return err
 	}
 	e.RSPNs = append(e.RSPNs, members...)
@@ -628,7 +666,9 @@ type candidate struct {
 // optimize admits additional RSPNs over >2 tables by the paper's greedy
 // rule: highest mean pairwise dependency first, relative cost
 // cols(r)^2 * rows(r) as tie-breaker and budget meter, until the accumulated
-// cost exceeds BudgetFactor times the base ensemble cost.
+// cost exceeds BudgetFactor times the base ensemble cost. Selection reads
+// only the candidates' estimated costs, so every pick is made before the
+// picked members learn, concurrently.
 func (e *Ensemble) optimize(ctx context.Context) error {
 	baseCost := 0.0
 	for _, r := range e.RSPNs {
@@ -646,21 +686,15 @@ func (e *Ensemble) optimize(ctx context.Context) error {
 		return cands[i].cost < cands[j].cost
 	})
 	spent := 0.0
+	var picked [][]string
 	for _, c := range cands {
 		if spent+c.cost > budget {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r, err := e.learnJoin(ctx, c.tables)
-		if err != nil {
-			return err
-		}
-		e.RSPNs = append(e.RSPNs, r)
+		picked = append(picked, c.tables)
 		spent += c.cost
 	}
-	return nil
+	return e.learnMembers(ctx, picked)
 }
 
 // candidates enumerates connected table subsets of size 3..MaxRSPNTables
@@ -696,9 +730,9 @@ func (e *Ensemble) candidates() ([]candidate, error) {
 
 // meanDependency averages the pairwise dependency values over all table
 // pairs of the subset (the paper's objective). Missing pair values are
-// computed on demand over the join path.
+// computed on demand over the subset's inner join, computed once.
 func (e *Ensemble) meanDependency(tables []string) (float64, error) {
-	rdcCfg := stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: e.cfg.Seed}
+	var joined *table.JoinIndex
 	total, n := 0.0, 0
 	for i := 0; i < len(tables); i++ {
 		for j := i + 1; j < len(tables); j++ {
@@ -706,7 +740,12 @@ func (e *Ensemble) meanDependency(tables []string) (float64, error) {
 			dep, ok := e.PairDep[key]
 			if !ok {
 				var err error
-				dep, err = e.crossTableDependency(tables, tables[i], tables[j], rdcCfg)
+				if joined == nil {
+					if joined, err = e.innerJoin(tables); err != nil {
+						return 0, err
+					}
+				}
+				dep, err = e.crossTableDependency(joined, tables[i], tables[j])
 				if err != nil {
 					return 0, err
 				}

@@ -133,3 +133,9 @@ func ModelFileSeeds(tb testing.TB) [][]byte {
 		encode(hdr, customerShifted),
 	)
 }
+
+// withWorkers returns cfg learning at most n members at a time.
+func (c Config) withWorkers(n int) Config {
+	c.workers = n
+	return c
+}

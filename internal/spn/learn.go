@@ -353,13 +353,23 @@ func (l *learner) independentComponents(rows []int, scope []int) [][]int {
 		}
 		return x
 	}
+	// Each column is prepared for a role the first time a pair needs it,
+	// so the pairs the union-find skips prepare nothing.
 	rdcCfg := stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: l.cfg.Seed}
+	xs := make([]*stats.RDCColumn, k)
+	ys := make([]*stats.RDCColumn, k)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			if find(i) == find(j) {
 				continue
 			}
-			if stats.RDC(cols[i], cols[j], rdcCfg) > l.cfg.RDCThreshold {
+			if xs[i] == nil {
+				xs[i] = stats.PrepareRDC(cols[i], stats.RoleX, rdcCfg)
+			}
+			if ys[j] == nil {
+				ys[j] = stats.PrepareRDC(cols[j], stats.RoleY, rdcCfg)
+			}
+			if stats.RDCPair(xs[i], ys[j]) > l.cfg.RDCThreshold {
 				parent[find(i)] = find(j)
 			}
 		}

@@ -36,6 +36,12 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		panic(fmt.Sprintf("stats: matrix dims %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Rows, b.Cols)
+	mulAdd(out, m, b)
+	return out
+}
+
+// mulAdd adds m * b to out.
+func mulAdd(out, m, b *Matrix) {
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
@@ -49,7 +55,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // Transpose returns the transpose of m.
@@ -150,10 +155,13 @@ func EigenvaluesGeneral(m *Matrix) ([]float64, error) {
 	}
 	n := m.Rows
 	a := m.Clone()
+	q, r := NewMatrix(n, n), NewMatrix(n, n)
+	cols := make([]float64, n*n)
 	const iters = 200
 	for it := 0; it < iters; it++ {
-		q, r := qrDecompose(a)
-		a = r.Mul(q)
+		qrDecompose(a, q, r, cols)
+		clear(a.Data)
+		mulAdd(a, r, q) // a = r * q
 	}
 	eig := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -162,23 +170,20 @@ func EigenvaluesGeneral(m *Matrix) ([]float64, error) {
 	return eig, nil
 }
 
-// qrDecompose computes a QR factorization with the modified Gram-Schmidt
-// process, which is stable enough for the small well-conditioned matrices we
-// feed it.
-func qrDecompose(a *Matrix) (q, r *Matrix) {
+// qrDecompose computes a QR factorization of the square matrix a into q
+// and r with the modified Gram-Schmidt process, which is stable enough for
+// the small well-conditioned matrices we feed it. r's lower triangle must
+// be zero; cols is n*n scratch. Every other cell of q and r is written.
+func qrDecompose(a, q, r *Matrix, cols []float64) {
 	n := a.Rows
-	q = NewMatrix(n, n)
-	r = NewMatrix(n, n)
-	cols := make([][]float64, n)
 	for j := 0; j < n; j++ {
-		c := make([]float64, n)
+		c := cols[j*n : (j+1)*n]
 		for i := 0; i < n; i++ {
 			c[i] = a.At(i, j)
 		}
-		cols[j] = c
 	}
 	for j := 0; j < n; j++ {
-		v := cols[j]
+		v := cols[j*n : (j+1)*n]
 		for k := 0; k < j; k++ {
 			dot := 0.0
 			for i := 0; i < n; i++ {
@@ -197,11 +202,13 @@ func qrDecompose(a *Matrix) (q, r *Matrix) {
 		r.Set(j, j, norm)
 		if norm < 1e-14 {
 			// Degenerate column: leave Q column zero.
+			for i := 0; i < n; i++ {
+				q.Set(i, j, 0)
+			}
 			continue
 		}
 		for i := 0; i < n; i++ {
 			q.Set(i, j, v[i]/norm)
 		}
 	}
-	return q, r
 }

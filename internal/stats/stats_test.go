@@ -165,7 +165,7 @@ func TestRDCIndependent(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 		ys[i] = rng.NormFloat64()
 	}
-	rdc := RDC(xs, ys, DefaultRDCConfig())
+	rdc := rdc(xs, ys, DefaultRDCConfig())
 	if rdc > 0.25 {
 		t.Fatalf("RDC of independent noise = %v, want small", rdc)
 	}
@@ -180,7 +180,7 @@ func TestRDCLinear(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 		ys[i] = 3*xs[i] + 0.01*rng.NormFloat64()
 	}
-	rdc := RDC(xs, ys, DefaultRDCConfig())
+	rdc := rdc(xs, ys, DefaultRDCConfig())
 	if rdc < 0.9 {
 		t.Fatalf("RDC of linear relation = %v, want near 1", rdc)
 	}
@@ -197,7 +197,7 @@ func TestRDCNonlinear(t *testing.T) {
 		xs[i] = rng.Float64()*4 - 2
 		ys[i] = xs[i]*xs[i] + 0.05*rng.NormFloat64()
 	}
-	rdc := RDC(xs, ys, DefaultRDCConfig())
+	rdc := rdc(xs, ys, DefaultRDCConfig())
 	if rdc < 0.5 {
 		t.Fatalf("RDC of quadratic relation = %v, want > 0.5", rdc)
 	}
@@ -215,8 +215,8 @@ func TestRDCDeterministicAcrossRuns(t *testing.T) {
 		xs[i] = rng.Float64()
 		ys[i] = rng.Float64()
 	}
-	a := RDC(xs, ys, DefaultRDCConfig())
-	b := RDC(xs, ys, DefaultRDCConfig())
+	a := rdc(xs, ys, DefaultRDCConfig())
+	b := rdc(xs, ys, DefaultRDCConfig())
 	if a != b {
 		t.Fatalf("RDC not deterministic: %v vs %v", a, b)
 	}
@@ -331,7 +331,7 @@ func TestMaxCanonicalCorrelationIdentical(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	rho, err := MaxCanonicalCorrelation(x, x.Clone())
+	rho, err := maxCanonicalCorrelationRef(x, x.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

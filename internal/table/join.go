@@ -2,7 +2,9 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/schema"
 )
@@ -60,10 +62,46 @@ type JoinSpec struct {
 // N_T per table. Input tables should already carry their tuple-factor
 // columns (AddTupleFactor) so the RSPN can learn them.
 //
-// The join is computed by folding tables into an accumulator with a
-// hash-based two-sided outer join per edge. Edges must form a tree over the
-// spec's tables (schema.JoinTree guarantees this).
+// It is the row-index join (IndexJoin) gathered once (JoinIndex.Table).
+// Edges must form a tree over the spec's tables (schema.JoinTree
+// guarantees this).
 func FullOuterJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
+	j, err := IndexJoin(tables, spec, false)
+	if err != nil {
+		return nil, err
+	}
+	return j.Table(), nil
+}
+
+// InnerJoin materializes the inner equi-join of the base tables along the
+// spec's edges: the rows of FullOuterJoin in which every table is present,
+// in the same order. It is the ground-truth join used by the exact executor.
+func InnerJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
+	j, err := IndexJoin(tables, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	return j.Table(), nil
+}
+
+// JoinIndex is a join kept as row indices: for each joined table, in the
+// order the fold joined it, one vector holding the table's row in every
+// joined tuple, or -1 where the tuple is padded on that table. Nothing is
+// copied until a caller gathers the columns it reads (Table, Values).
+type JoinIndex struct {
+	tables []*Table
+	rows   [][]int
+	n      int
+}
+
+// IndexJoin computes the join of the spec's tables as row indices. The
+// edges are folded into an accumulator one at a time, each by a hash join
+// on the edge's columns: every accumulated tuple in order, extended by its
+// matches in the new table's row order, and for a full outer join (inner
+// false) padded where it has none, followed by the new table's rows that
+// matched no tuple. An inner join drops incomplete tuples at each step,
+// which leaves the surviving tuples in the full outer join's order.
+func IndexJoin(tables map[string]*Table, spec JoinSpec, inner bool) (*JoinIndex, error) {
 	if len(spec.Tables) == 0 {
 		return nil, fmt.Errorf("table: empty join spec")
 	}
@@ -71,7 +109,11 @@ func FullOuterJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("table: missing table %s", spec.Tables[0])
 	}
-	acc := withIndicator(first)
+	all := make([]int, first.rows)
+	for i := range all {
+		all[i] = i
+	}
+	j := &JoinIndex{tables: []*Table{first}, rows: [][]int{all}, n: first.rows}
 	joined := map[string]bool{spec.Tables[0]: true}
 	remaining := append([]schema.Relationship(nil), spec.Edges...)
 	for len(remaining) > 0 {
@@ -90,9 +132,7 @@ func FullOuterJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
 			if !ok {
 				return nil, fmt.Errorf("table: missing table %s", newTable)
 			}
-			var err error
-			acc, err = outerJoinStep(acc, withIndicator(nt), rel)
-			if err != nil {
+			if err := j.step(nt, rel, inner); err != nil {
 				return nil, err
 			}
 			joined[newTable] = true
@@ -104,161 +144,211 @@ func FullOuterJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
 			return nil, fmt.Errorf("table: join edges do not form a connected tree")
 		}
 	}
-	return acc, nil
+	return j, nil
 }
 
-// withIndicator returns a shallow-ish copy of t with an N_T indicator column
-// of all ones appended (real rows of t exist everywhere before joining).
-func withIndicator(t *Table) *Table {
-	meta := &schema.Table{Name: t.Meta.Name, Columns: append([]schema.Column(nil), t.Meta.Columns...)}
-	out := &Table{Meta: meta, rows: t.rows}
-	for _, c := range t.Cols {
-		nc := NewColumn(c.Meta)
-		nc.Data = c.Data
-		nc.Nul = c.Nul
-		nc.shareDict(c)
-		out.Cols = append(out.Cols, nc)
-	}
-	ind := NewColumn(schema.Column{Name: IndicatorColumn(t.Meta.Name), Kind: schema.IntKind})
-	ind.Data = make([]float64, t.rows)
-	ind.Nul = make([]bool, t.rows)
-	for i := range ind.Data {
-		ind.Data[i] = 1
-	}
-	out.Cols = append(out.Cols, ind)
-	out.Meta.Columns = append(out.Meta.Columns, ind.Meta)
-	return out
-}
-
-// outerJoinStep full-outer-joins accumulator a with table b on the edge rel.
-// Exactly one of rel's endpoints has its join column in a, the other in b.
-func outerJoinStep(a, b *Table, rel schema.Relationship) (*Table, error) {
-	aCol, bCol := joinColumns(a, b, rel)
+// step joins table b into the accumulator on the edge rel. Exactly one of
+// rel's endpoints has its join column in the accumulator, the other in b.
+func (j *JoinIndex) step(b *Table, rel schema.Relationship, inner bool) error {
+	at, aCol, bCol := j.joinColumns(b, rel)
 	if aCol == nil || bCol == nil {
-		return nil, fmt.Errorf("table: edge %s does not connect %s and %s", rel.ID(), a.Meta.Name, b.Meta.Name)
+		return fmt.Errorf("table: edge %s does not connect %s and %s", rel.ID(), j.name(), b.Meta.Name)
 	}
-	// Hash the b side.
-	idx := make(map[float64][]int, b.NumRows())
-	for i := 0; i < b.NumRows(); i++ {
-		if bCol.Nul[i] {
+	// Hash the b side: each distinct key gets a group, and members lists
+	// every group's rows contiguously in row order.
+	group := make(map[float64]int32, b.rows)
+	gid := make([]int32, b.rows)
+	var count []int32
+	for r := 0; r < b.rows; r++ {
+		if bCol.Nul[r] {
+			gid[r] = -1
 			continue
 		}
-		idx[bCol.Data[i]] = append(idx[bCol.Data[i]], i)
+		g, ok := group[bCol.Data[r]]
+		if !ok {
+			g = int32(len(count))
+			group[bCol.Data[r]] = g
+			count = append(count, 0)
+		}
+		gid[r] = g
+		count[g]++
 	}
-	matchedB := make([]bool, b.NumRows())
-	var pairs [][2]int // (aRow, bRow); -1 means padded NULL side
-	for i := 0; i < a.NumRows(); i++ {
-		if aCol.Nul[i] {
-			pairs = append(pairs, [2]int{i, -1})
+	start := make([]int32, len(count)+1)
+	for g, c := range count {
+		start[g+1] = start[g] + c
+	}
+	fill := append([]int32(nil), start[:len(count)]...)
+	members := make([]int32, start[len(count)])
+	for r, g := range gid {
+		if g >= 0 {
+			members[fill[g]] = int32(r)
+			fill[g]++
+		}
+	}
+	var matched []bool
+	if !inner {
+		matched = make([]bool, b.rows)
+	}
+	src := make([]int, 0, j.n)  // accumulated tuple, -1 for b's orphans
+	brow := make([]int, 0, j.n) // b's row, -1 where padded
+	aRows := j.rows[at]
+	for i := 0; i < j.n; i++ {
+		g := int32(-1)
+		if r := aRows[i]; r >= 0 && !aCol.Nul[r] {
+			if found, ok := group[aCol.Data[r]]; ok {
+				g = found
+			}
+		}
+		if g < 0 {
+			if !inner {
+				src = append(src, i)
+				brow = append(brow, -1)
+			}
 			continue
 		}
-		rows := idx[aCol.Data[i]]
-		if len(rows) == 0 {
-			pairs = append(pairs, [2]int{i, -1})
-			continue
-		}
-		for _, r := range rows {
-			pairs = append(pairs, [2]int{i, r})
-			matchedB[r] = true
+		for _, m := range members[start[g]:start[g+1]] {
+			src = append(src, i)
+			brow = append(brow, int(m))
+			if !inner {
+				matched[m] = true
+			}
 		}
 	}
-	for i, m := range matchedB {
+	for r, m := range matched {
 		if !m {
-			pairs = append(pairs, [2]int{-1, i})
+			src = append(src, -1)
+			brow = append(brow, r)
 		}
 	}
-	return assembleJoin(a, b, pairs)
+	for t, old := range j.rows {
+		rows := make([]int, len(src))
+		for p, i := range src {
+			if i < 0 {
+				rows[p] = -1
+			} else {
+				rows[p] = old[i]
+			}
+		}
+		j.rows[t] = rows
+	}
+	j.tables = append(j.tables, b)
+	j.rows = append(j.rows, brow)
+	j.n = len(src)
+	return nil
 }
 
-func joinColumns(a, b *Table, rel schema.Relationship) (aCol, bCol *Column) {
-	if c := a.Column(rel.ManyColumn); c != nil && b.Column(rel.OneColumn) != nil {
-		return c, b.Column(rel.OneColumn)
+// joinColumns finds the edge's column in the accumulator (the index of the
+// table that owns it) and in b.
+func (j *JoinIndex) joinColumns(b *Table, rel schema.Relationship) (at int, aCol, bCol *Column) {
+	if at, c := j.column(rel.ManyColumn); c != nil && b.Column(rel.OneColumn) != nil {
+		return at, c, b.Column(rel.OneColumn)
 	}
-	if c := a.Column(rel.OneColumn); c != nil && b.Column(rel.ManyColumn) != nil {
-		return c, b.Column(rel.ManyColumn)
+	if at, c := j.column(rel.OneColumn); c != nil && b.Column(rel.ManyColumn) != nil {
+		return at, c, b.Column(rel.ManyColumn)
 	}
 	// Same column name on both sides (natural FK join where FK column name
 	// equals PK column name, e.g. c_id in both customer and order).
 	if rel.ManyColumn == rel.OneColumn {
-		return a.Column(rel.ManyColumn), b.Column(rel.ManyColumn)
+		at, c := j.column(rel.ManyColumn)
+		return at, c, b.Column(rel.ManyColumn)
 	}
-	return nil, nil
+	return -1, nil, nil
 }
 
-// assembleJoin materializes the pair list into a combined table. Padded
-// sides contribute NULL for every column, except indicator columns, which
-// are 0 (the tuple "is not there", not "unknown"), matching Figure 5b.
-func assembleJoin(a, b *Table, pairs [][2]int) (*Table, error) {
-	meta := &schema.Table{Name: a.Meta.Name + "|x|" + b.Meta.Name}
-	out := &Table{Meta: meta}
-	appendSide := func(src *Table, side int) error {
-		for _, c := range src.Cols {
-			if out.Column(c.Meta.Name) != nil {
-				// Shared join column name (natural join): keep a single copy
-				// from the first side.
+// column resolves a column name the way the joined table does: a name
+// several tables share (a natural-join column) is the first joined
+// table's.
+func (j *JoinIndex) column(name string) (int, *Column) {
+	for t, tb := range j.tables {
+		if c := tb.Column(name); c != nil {
+			return t, c
+		}
+	}
+	return -1, nil
+}
+
+func (j *JoinIndex) name() string {
+	names := make([]string, len(j.tables))
+	for t, tb := range j.tables {
+		names[t] = tb.Meta.Name
+	}
+	return strings.Join(names, "|x|")
+}
+
+// NumRows returns the number of joined tuples.
+func (j *JoinIndex) NumRows() int { return j.n }
+
+// SampleRows returns k distinct tuple indices drawn like Table.SampleRows.
+func (j *JoinIndex) SampleRows(k int, rng *rand.Rand) []int { return sampleRows(j.n, k, rng) }
+
+// Values gathers the named column at the given tuples, NULL and padding as
+// NaN (Matrix's encoding).
+func (j *JoinIndex) Values(name string, tuples []int) ([]float64, error) {
+	t, c := j.column(name)
+	if c == nil {
+		return nil, fmt.Errorf("table: unknown column %s in %s", name, j.name())
+	}
+	rows := j.rows[t]
+	out := make([]float64, len(tuples))
+	for i, p := range tuples {
+		if r := rows[p]; r < 0 || c.Nul[r] {
+			out[i] = math.NaN()
+		} else {
+			out[i] = c.Data[r]
+		}
+	}
+	return out, nil
+}
+
+// Table materializes the join, gathering every column once: each joined
+// table's columns in join order, a name already present (a natural-join
+// column) kept from the first table, each table followed by its indicator
+// N_T. Padded cells are NULL, except the indicator's, which are 0 (the
+// tuple "is not there", not "unknown"), matching Figure 5b. Dictionaries
+// are shared with the base tables.
+func (j *JoinIndex) Table() *Table {
+	out := &Table{Meta: &schema.Table{Name: j.name()}, rows: j.n}
+	seen := map[string]bool{}
+	add := func(c *Column) {
+		seen[c.Meta.Name] = true
+		out.Cols = append(out.Cols, c)
+		out.Meta.Columns = append(out.Meta.Columns, c.Meta)
+	}
+	for t, tb := range j.tables {
+		rows := j.rows[t]
+		for _, c := range tb.Cols {
+			if seen[c.Meta.Name] {
 				continue
 			}
-			nc := NewColumn(c.Meta)
+			nc := &Column{Meta: c.Meta, Data: make([]float64, j.n), Nul: make([]bool, j.n)}
 			nc.shareDict(c)
-			nc.Data = make([]float64, len(pairs))
-			nc.Nul = make([]bool, len(pairs))
-			indicator := len(c.Meta.Name) > 5 && c.Meta.Name[:5] == "__nt_"
-			for p, pair := range pairs {
-				r := pair[side]
+			for p, r := range rows {
 				if r < 0 {
-					if indicator {
-						nc.Data[p] = 0
-					} else {
-						nc.Nul[p] = true
-					}
+					nc.Nul[p] = true
 					continue
 				}
 				nc.Data[p] = c.Data[r]
 				nc.Nul[p] = c.Nul[r]
 			}
-			out.Cols = append(out.Cols, nc)
-			out.Meta.Columns = append(out.Meta.Columns, c.Meta)
+			add(nc)
 		}
-		return nil
-	}
-	if err := appendSide(a, 0); err != nil {
-		return nil, err
-	}
-	if err := appendSide(b, 1); err != nil {
-		return nil, err
-	}
-	out.rows = len(pairs)
-	return out, nil
-}
-
-// InnerJoin materializes the inner equi-join of the base tables along the
-// spec's edges. It is the ground-truth join used by the exact executor.
-func InnerJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
-	full, err := FullOuterJoin(tables, spec)
-	if err != nil {
-		return nil, err
-	}
-	var keep []int
-	for i := 0; i < full.NumRows(); i++ {
-		all := true
-		for _, tn := range spec.Tables {
-			ind := full.Column(IndicatorColumn(tn))
-			if ind == nil || ind.Data[i] != 1 {
-				all = false
-				break
+		ind := &Column{Meta: schema.Column{Name: IndicatorColumn(tb.Meta.Name), Kind: schema.IntKind},
+			Data: make([]float64, j.n), Nul: make([]bool, j.n)}
+		for p, r := range rows {
+			if r >= 0 {
+				ind.Data[p] = 1
 			}
 		}
-		if all {
-			keep = append(keep, i)
-		}
+		add(ind)
 	}
-	return full.Select(keep), nil
+	return out
 }
 
 // SampleRows returns k distinct row indices drawn uniformly without
 // replacement (all rows when k >= NumRows).
-func (t *Table) SampleRows(k int, rng *rand.Rand) []int {
-	n := t.rows
+func (t *Table) SampleRows(k int, rng *rand.Rand) []int { return sampleRows(t.rows, k, rng) }
+
+func sampleRows(n, k int, rng *rand.Rand) []int {
 	if k >= n {
 		out := make([]int, n)
 		for i := range out {
