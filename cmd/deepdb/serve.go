@@ -35,13 +35,24 @@ package main
 // -wal dir makes accepted mutations durable (a directory still holding
 // the shard-<i> logs of a partitioned deployment is refused with the steps
 // that fold them into one log), and -drift re-learns a member in the
-// background once enough of its rows mutated. -request-timeout bounds
-// each request's wall clock, -max-body its payload, and -max-inflight the
-// number served concurrently (excess is shed with 429 + Retry-After;
-// /healthz stays exempt so load balancers can always probe).
+// background once enough of its rows mutated. -max-body bounds each
+// payload and -max-inflight the number of requests served concurrently
+// (excess is shed with 429 + Retry-After; /healthz stays exempt so load
+// balancers can always probe).
+//
+// -request-timeout is each request's budget. A request runs on the
+// goroutine net/http serves its connection on; the budget is the deadline
+// of its context, which the engine polls, and the read deadline of its
+// body. A read whose budget runs out before its response starts answers
+// 503 with a JSON error, a body still arriving at the deadline is cut off
+// with 503, /flush stops waiting and answers 503, and a /query that has
+// already streamed rows ends its object with an "error" member instead of
+// elapsed_us. /insert and /delete never wait on the update queue; a WAL
+// fsync that stalls holds their answer until it returns, because the write
+// may land whatever the client is told. /reload answers when the swap is
+// done.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +64,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -78,8 +92,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	walDir := fs.String("wal", "", "write-ahead log directory: accepted mutations become durable and are replayed on restart")
 	durability := fs.String("durability", "batched", "WAL fsync policy: sync, batched or off (needs -wal)")
 	driftFrac := fs.Float64("drift", 0, "re-learn an ensemble member in the background once this fraction of its rows mutated (0 disables; needs -data)")
-	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request wall-clock budget; exceeding it answers 503 (0 disables)")
-	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
+	requestTimeout := fs.Duration("request-timeout", defaultServeConfig.requestTimeout, "per-request wall-clock budget; exceeding it answers 503 (0 disables)")
+	maxBody := fs.Int64("max-body", defaultServeConfig.maxBody, "largest accepted request body in bytes")
 	maxInflight := fs.Int("max-inflight", 0, "bound on concurrently served requests; beyond it requests are shed with 429 (0 unlimited; /healthz is exempt)")
 	// Deliberately undocumented in -h output prose: chaos-run injection.
 	// The spec grammar is internal/fault's; e.g.
@@ -145,14 +159,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	// Drain the update pipeline on shutdown so accepted mutations are
 	// applied before the process exits.
 	defer db.Close()
-	handler := newServeHandler(db, *readonly, withMaxBody(*maxBody))
-	if *requestTimeout > 0 {
-		handler = http.TimeoutHandler(handler, *requestTimeout, "request timed out")
-	}
-	handler = withInflightLimit(handler, *maxInflight)
-	if *withPprof {
-		handler = withPprofEndpoints(handler)
-	}
+	handler := newServeHandler(db, serveConfig{readonly: *readonly, maxBody: *maxBody,
+		requestTimeout: *requestTimeout, maxInflight: *maxInflight, pprof: *withPprof})
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	banner := fmt.Sprintf("deepdb: serving %s on %s (data-free: %v)", *model, *addr, db.Data() == nil)
 	return serveUntilSignal(ctx, srv, banner)
@@ -218,6 +226,18 @@ func withInflightLimit(h http.Handler, n int) http.Handler {
 	})
 }
 
+// serveConfig is the HTTP surface's share of cmdServe's flags.
+type serveConfig struct {
+	readonly       bool
+	maxBody        int64         // -max-body; <= 0 keeps the default
+	requestTimeout time.Duration // -request-timeout; 0 disables
+	maxInflight    int           // -max-inflight; 0 is unlimited
+	pprof          bool          // -pprof
+}
+
+// defaultServeConfig is what cmdServe serves with when no flag is given.
+var defaultServeConfig = serveConfig{maxBody: 1 << 20, requestTimeout: 30 * time.Second}
+
 // serveHandler is the HTTP surface over one database handle. Queries come
 // from immutable published snapshots and updates are serialized inside the
 // handle.
@@ -227,24 +247,13 @@ type serveHandler struct {
 	maxBody  int64
 }
 
-// serveOption tweaks the handler outside the test-friendly defaults.
-type serveOption func(*serveHandler)
-
-// withMaxBody bounds accepted request bodies (default 1 MiB).
-func withMaxBody(n int64) serveOption {
-	return func(s *serveHandler) {
-		if n > 0 {
-			s.maxBody = n
-		}
-	}
-}
-
-// newServeHandler builds the endpoint mux; split out of cmdServe so tests
-// can drive it through httptest without binding a port.
-func newServeHandler(db *deepdb.DB, readonly bool, opts ...serveOption) http.Handler {
-	s := &serveHandler{db: db, readonly: readonly, maxBody: 1 << 20}
-	for _, o := range opts {
-		o(s)
+// newServeHandler builds what cmdServe serves: the endpoint mux inside the
+// request budget, the in-flight limiter and the optional pprof overlay.
+// Tests drive it through httptest without binding a port.
+func newServeHandler(db *deepdb.DB, c serveConfig) http.Handler {
+	s := &serveHandler{db: db, readonly: c.readonly, maxBody: c.maxBody}
+	if s.maxBody <= 0 {
+		s.maxBody = defaultServeConfig.maxBody
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -255,10 +264,103 @@ func newServeHandler(db *deepdb.DB, readonly bool, opts ...serveOption) http.Han
 	mux.HandleFunc("/flush", s.handleFlush)
 	mux.HandleFunc("/reload", s.handleReload)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	return mux
+	h := withDeadline(mux, c.requestTimeout)
+	h = withInflightLimit(h, c.maxInflight)
+	if c.pprof {
+		h = withPprofEndpoints(h)
+	}
+	return h
 }
 
-// apiRequest is the JSON request body of /query, /estimate and /explain.
+// withDeadline gives every request the budget d on the goroutine net/http
+// already serves it on (http.TimeoutHandler ran each on a second goroutine,
+// which grew its stack twice per request, and buffered every response, so
+// /query could not stream). The budget is the deadline of r.Context() and
+// the connection's read deadline for the body; handlers answer 503 once it
+// is spent (timedOut).
+func withDeadline(h http.Handler, d time.Duration) http.Handler {
+	if d <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := &budgetCtx{Context: r.Context(), deadline: time.Now().Add(d)}
+		defer ctx.release()
+		// net/http's own writer sets the connection's read deadline; a
+		// writer that cannot (a test recorder) has no connection to stall.
+		if rd, ok := w.(interface{ SetReadDeadline(time.Time) error }); ok && r.ContentLength != 0 {
+			_ = rd.SetReadDeadline(ctx.deadline)
+		}
+		h.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
+// budgetCtx is a request context with a deadline that starts no timer until
+// something waits on it. The engine only polls Err, which reads the clock;
+// the first Done call (a /flush waiting on the applier, a context derived
+// from this one) arms a real deadline context, and Err follows it from then
+// on so that Err and Done agree.
+type budgetCtx struct {
+	context.Context // the request's own
+	deadline        time.Time
+
+	once   sync.Once
+	armed  atomic.Bool
+	timer  context.Context
+	cancel context.CancelFunc
+}
+
+func (c *budgetCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *budgetCtx) Done() <-chan struct{} {
+	c.once.Do(func() {
+		c.timer, c.cancel = context.WithDeadline(c.Context, c.deadline)
+		c.armed.Store(true)
+	})
+	if !c.armed.Load() { // released: the request is over
+		return c.Context.Done()
+	}
+	return c.timer.Done()
+}
+
+func (c *budgetCtx) Err() error {
+	if c.armed.Load() {
+		return c.timer.Err()
+	}
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// release stops the timer, if one was armed, once the request is served.
+func (c *budgetCtx) release() {
+	c.once.Do(func() {})
+	if c.cancel != nil {
+		c.cancel()
+	}
+}
+
+// timedOut reports whether err, or the state of the request, says its
+// budget is spent: the context expired (or the client went away), or a
+// body read hit the read deadline.
+func timedOut(r *http.Request, err error) bool {
+	return r.Context().Err() != nil || errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// fail answers a request that failed before its response started: 503
+// when its budget is spent, else status with msg+err.
+func fail(w http.ResponseWriter, r *http.Request, status int, msg string, err error) {
+	if timedOut(r, err) {
+		status, msg = http.StatusServiceUnavailable, "request timed out: "
+	}
+	writeJSON(w, status, apiError{Error: msg + err.Error()})
+}
+
+// apiRequest is the JSON request body of /query, /estimate and /explain,
+// decoded by decodeAPIRequest (wire.go).
 type apiRequest struct {
 	SQL string `json:"sql"`
 	// Params bind `?` placeholders in order; numbers or strings.
@@ -271,6 +373,41 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// wireBufs recycles the buffers request bodies are read into and answers
+// are framed in.
+var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
+
+func getBuf() *[]byte { return wireBufs.Get().(*[]byte) }
+
+// putBuf returns b, grown to its last use, unless a huge body or answer
+// made it too big to keep around.
+func putBuf(p *[]byte, b []byte) {
+	if cap(b) <= 64<<10 {
+		*p = b[:0]
+		wireBufs.Put(p)
+	}
+}
+
+// readBody reads r's body, at most max bytes of it, into dst. It returns
+// what arrived even when reading failed, since encoding/json decodes a
+// value that is complete before the failure.
+func readBody(dst []byte, w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, max)
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := body.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
 // decodeRequest accepts a POSTed JSON body (bounded by -max-body) or a GET
 // with ?sql=.
 func (s *serveHandler) decodeRequest(w http.ResponseWriter, r *http.Request) (apiRequest, bool) {
@@ -279,8 +416,16 @@ func (s *serveHandler) decodeRequest(w http.ResponseWriter, r *http.Request) (ap
 	case http.MethodGet:
 		req.SQL = r.URL.Query().Get("sql")
 	case http.MethodPost:
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON body: " + err.Error()})
+		p := getBuf()
+		body, rerr := readBody(*p, w, r, s.maxBody)
+		var err error
+		req, err = decodeAPIRequest(body)
+		putBuf(p, body)
+		if rerr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+			err = rerr // the body ended early: say why
+		}
+		if err != nil {
+			fail(w, r, http.StatusBadRequest, "invalid JSON body: ", err)
 			return req, false
 		}
 	default:
@@ -300,8 +445,12 @@ func (s *serveHandler) decodeRequest(w http.ResponseWriter, r *http.Request) (ap
 	return req, true
 }
 
+// jsonContentType is the Content-Type header value, shared so that setting
+// it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -368,49 +517,68 @@ func (s *serveHandler) queryRows(ctx context.Context, req apiRequest) (next func
 //
 // in encoding/json's rendering (field order, escaping, trailing newline),
 // with rows written — and flushed every streamFlushRows — as the source
-// yields them and elapsed_us stamped at the end. An execution error after
-// rows have gone out cannot change the status code anymore; the object is
-// closed with an "error" member instead of elapsed_us, which also leaves
-// the JSON well-formed for the client.
+// yields them and elapsed_us stamped at the end. The first row is pulled
+// before the status goes out, so an error or a spent budget before it
+// answers like any other read. An execution error after rows have gone out
+// cannot change the status code anymore; the object is closed with an
+// "error" member instead of elapsed_us, which also leaves the JSON
+// well-formed for the client.
 func (s *serveHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
+	ctx := r.Context()
 	start := time.Now()
-	next, finish, err := s.queryRows(r.Context(), req)
+	next, finish, err := s.queryRows(ctx, req)
+	var g deepdb.Group
+	more := false
+	if err == nil {
+		if g, more = next(); !more {
+			err = finish()
+		}
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		fail(w, r, http.StatusBadRequest, "", err)
 		return
 	}
 	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	io.WriteString(w, `{"groups":[`) //nolint:errcheck // client gone = write errors, nothing to do
-	n := 0
-	for g, ok := next(); ok; g, ok = next() {
-		if n > 0 {
-			io.WriteString(w, ",") //nolint:errcheck
+	p := getBuf()
+	b := append(*p, `{"groups":[`...)
+	for n := 1; more; n++ {
+		mark := len(b)
+		if n > 1 {
+			b = append(b, ',')
 		}
-		buf.Reset()
-		//nolint:errcheck // encoding to a bytes.Buffer cannot fail for this type
-		enc.Encode(g)
-		w.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))) //nolint:errcheck
-		n++
-		if n%streamFlushRows == 0 && flusher != nil {
-			flusher.Flush()
+		if b, err = appendGroup(b, g); err != nil {
+			b = b[:mark] // a NaN or infinite number: close with the error
+			break
 		}
+		if n%streamFlushRows == 0 {
+			w.Write(b) //nolint:errcheck // client gone = write errors, nothing to do
+			b = b[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		g, more = next()
 	}
-	if err := finish(); err != nil {
-		buf.Reset()
-		enc.Encode(err.Error()) //nolint:errcheck
-		fmt.Fprintf(w, `],"error":%s}`+"\n", bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
-		return
+	if err == nil {
+		err = finish()
 	}
-	fmt.Fprintf(w, `],"elapsed_us":%d}`+"\n", time.Since(start).Microseconds())
+	if err != nil {
+		b = appendString(append(b, `],"error":`...), err.Error())
+	} else {
+		b = strconv.AppendInt(append(b, `],"elapsed_us":`...), time.Since(start).Microseconds(), 10)
+	}
+	b = append(b, '}', '\n')
+	w.Write(b) //nolint:errcheck
+	putBuf(p, b)
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -433,14 +601,23 @@ func (s *serveHandler) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		est, err = s.db.EstimateCardinality(r.Context(), req.SQL, req.execOpts()...)
 	}
+	if err == nil {
+		err = r.Context().Err()
+	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		fail(w, r, http.StatusBadRequest, "", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		deepdb.Estimate
-		ElapsedUS int64 `json:"elapsed_us"`
-	}{est, time.Since(start).Microseconds()})
+	p := getBuf()
+	b, err := appendEstimate(*p, est, time.Since(start).Microseconds())
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+	} else {
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(http.StatusOK)
+		w.Write(b) //nolint:errcheck // client gone = write errors, nothing to do
+	}
+	putBuf(p, b)
 }
 
 func (s *serveHandler) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -449,8 +626,11 @@ func (s *serveHandler) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan, err := s.db.Explain(r.Context(), req.SQL)
+	if err == nil {
+		err = r.Context().Err()
+	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		fail(w, r, http.StatusBadRequest, "", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -487,7 +667,7 @@ func (s *serveHandler) rejectMutation(w http.ResponseWriter, r *http.Request) bo
 func (s *serveHandler) decodeMutation(w http.ResponseWriter, r *http.Request) (mutationRequest, bool) {
 	var req mutationRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON body: " + err.Error()})
+		fail(w, r, http.StatusBadRequest, "invalid JSON body: ", err)
 		return req, false
 	}
 	if req.Table == "" {
@@ -606,7 +786,7 @@ func (s *serveHandler) handleReload(w http.ResponseWriter, r *http.Request) {
 		Model string `json:"model"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON body: " + err.Error()})
+		fail(w, r, http.StatusBadRequest, "invalid JSON body: ", err)
 		return
 	}
 	if req.Model == "" {
@@ -624,14 +804,19 @@ func (s *serveHandler) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlush blocks until every mutation accepted before the request is
-// applied and published, delivering deferred apply errors — the
-// read-your-writes barrier for HTTP clients.
+// applied and published, delivering deferred apply errors (409) — the
+// read-your-writes barrier for HTTP clients. A budget spent first answers
+// 503.
 func (s *serveHandler) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if s.rejectMutation(w, r) {
 		return
 	}
-	if err := s.db.Flush(r.Context()); err != nil {
-		writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
+	err := s.db.Flush(r.Context())
+	if err == nil {
+		err = r.Context().Err()
+	}
+	if err != nil {
+		fail(w, r, http.StatusConflict, "", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {

@@ -54,7 +54,7 @@ func keyPaths(t *testing.T, raw []byte) []string {
 // healthzAfterWrites inserts three rows, flushes, and returns /healthz.
 func healthzAfterWrites(t *testing.T, db *deepdb.DB) []byte {
 	t.Helper()
-	srv := httptest.NewServer(newServeHandler(db, false))
+	srv := httptest.NewServer(newServeHandler(db, shipped(false)))
 	defer srv.Close()
 	for i := 0; i < 3; i++ {
 		var mr mutationResponse

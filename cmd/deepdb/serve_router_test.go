@@ -92,7 +92,9 @@ func TestInflightLimiterSheds(t *testing.T) {
 func TestMaxBodyBoundsRequests(t *testing.T) {
 	db := serveFixture(t)
 	defer db.Close()
-	srv := httptest.NewServer(newServeHandler(db, false, withMaxBody(64)))
+	c := shipped(false)
+	c.maxBody = 64
+	srv := httptest.NewServer(newServeHandler(db, c))
 	defer srv.Close()
 
 	big := fmt.Sprintf(`{"sql": %q}`, "SELECT COUNT(*) FROM customer WHERE "+strings.Repeat("c_age > 1 AND ", 50)+"c_age > 1")
@@ -123,7 +125,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newServeHandler(db, true /* readonly: reload is an operator action */))
+	srv := httptest.NewServer(newServeHandler(db, shipped(true) /* readonly: reload is an operator action */))
 	defer srv.Close()
 
 	genBefore := db.Generation()

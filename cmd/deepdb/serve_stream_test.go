@@ -12,11 +12,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/deepdb"
 )
@@ -56,7 +58,7 @@ func stripElapsed(t *testing.T, raw []byte) string {
 // hand-framed writer.
 func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 	db := serveFixture(t)
-	srv := httptest.NewServer(newServeHandler(db, false))
+	srv := httptest.NewServer(newServeHandler(db, shipped(false)))
 	defer srv.Close()
 
 	cases := []struct {
@@ -143,5 +145,65 @@ func TestServeQueryStreamedMatchesBuffered(t *testing.T) {
 	var e apiError
 	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
 		t.Fatalf("bad sql: malformed error body %s", raw)
+	}
+}
+
+// flushRecorder records, at every Flush, how much of the body had been
+// written, and runs onFlush (when set) after it.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	at      []int
+	onFlush func()
+}
+
+func (r *flushRecorder) Flush() {
+	r.at = append(r.at, r.Body.Len())
+	r.ResponseRecorder.Flush()
+	if r.onFlush != nil {
+		r.onFlush()
+	}
+}
+
+// manyGroups is a GROUP BY of the serve fixture with 5 400 rows, many
+// times streamFlushRows.
+const manyGroups = `{"sql": "SELECT COUNT(*) FROM customer JOIN orders GROUP BY c_age, o_amount"}`
+
+// serveRecorded runs one /query with body through h on a flushRecorder.
+func serveRecorded(h http.Handler, body string, onFlush func()) *flushRecorder {
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), onFlush: onFlush}
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	return rec
+}
+
+// streamed reports whether the handler flushed more than once while it
+// ran, the first time with only part of the answer written.
+func streamed(rec *flushRecorder) error {
+	if len(rec.at) < 2 || rec.at[0] >= rec.Body.Len() {
+		return fmt.Errorf("%d flushes, at body lengths %v of %d", len(rec.at), rec.at, rec.Body.Len())
+	}
+	return nil
+}
+
+// TestServeQueryStreams: through the chain cmdServe serves, a GROUP BY of
+// more rows than streamFlushRows reaches the connection in pieces while the
+// handler runs. The must-fail twin is the chain as it was, the mux inside
+// http.TimeoutHandler: it buffers the whole answer and never flushes, so
+// the same check fails on it.
+func TestServeQueryStreams(t *testing.T) {
+	db := serveFixture(t)
+	rec := serveRecorded(newServeHandler(db, shipped(false)), manyGroups, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %.200s", rec.Code, rec.Body)
+	}
+	if err := streamed(rec); err != nil {
+		t.Fatalf("the shipped chain did not stream: %v", err)
+	}
+	t.Logf("%d flushes at body lengths %v", len(rec.at), rec.at[:2])
+	twin := serveRecorded(http.TimeoutHandler(newServeHandler(db, serveConfig{}), time.Minute, "request timed out"), manyGroups, nil)
+	if err := streamed(twin); err == nil || len(twin.at) != 0 {
+		t.Fatalf("twin: a TimeoutHandler-wrapped chain flushed %d times", len(twin.at))
+	}
+	if got, want := stripElapsed(t, rec.Body.Bytes()), stripElapsed(t, twin.Body.Bytes()); got != want {
+		t.Fatal("streamed and buffered answers differ")
 	}
 }

@@ -86,7 +86,7 @@ type healthResp struct {
 // /delete, /flush and the update stats in /healthz end to end.
 func TestServeUpdateEndpoints(t *testing.T) {
 	db := attachedFixture(t)
-	srv := httptest.NewServer(newServeHandler(db, false))
+	srv := httptest.NewServer(newServeHandler(db, shipped(false)))
 	defer srv.Close()
 	ctx := context.Background()
 
@@ -194,7 +194,7 @@ func TestServeUpdateEndpoints(t *testing.T) {
 // while queries keep working.
 func TestServeReadonly(t *testing.T) {
 	db := serveFixture(t)
-	srv := httptest.NewServer(newServeHandler(db, true))
+	srv := httptest.NewServer(newServeHandler(db, shipped(true)))
 	defer srv.Close()
 
 	for _, path := range []string{"/insert", "/delete", "/flush"} {
@@ -226,7 +226,7 @@ func TestServeReadonly(t *testing.T) {
 // a clear error instead of queueing something unappliable.
 func TestServeMutationWithoutData(t *testing.T) {
 	db := serveFixture(t)
-	srv := httptest.NewServer(newServeHandler(db, false))
+	srv := httptest.NewServer(newServeHandler(db, shipped(false)))
 	defer srv.Close()
 	var apiErr apiError
 	if code := postJSON(t, srv, "/insert", mutationRequest{

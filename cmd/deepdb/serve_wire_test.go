@@ -16,7 +16,7 @@ var elapsedRE = regexp.MustCompile(`"elapsed_us":\d+`)
 
 func TestServeWireBytes(t *testing.T) {
 	db := serveFixture(t)
-	srv := httptest.NewServer(newServeHandler(db, false))
+	srv := httptest.NewServer(newServeHandler(db, shipped(false)))
 	defer srv.Close()
 	for _, c := range []struct{ name, path, body, want string }{
 		{"grouped query", "/query",

@@ -7,6 +7,7 @@ package exact
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,11 +51,7 @@ func (e *Engine) materialize(tables, outer []string) (*table.Table, error) {
 		}
 		return t, nil
 	}
-	sorted := append([]string(nil), tables...)
-	sort.Strings(sorted)
-	outerSorted := append([]string(nil), outer...)
-	sort.Strings(outerSorted)
-	key := strings.Join(sorted, ",") + "/" + strings.Join(outerSorted, ",")
+	key := joinKey(tables, outer)
 	e.mu.Lock()
 	cached, ok := e.joinCache[key]
 	e.mu.Unlock()
@@ -66,46 +63,30 @@ func (e *Engine) materialize(tables, outer []string) (*table.Table, error) {
 		return nil, err
 	}
 	spec := table.JoinSpec{Tables: tables, Edges: edges}
-	var j *table.Table
-	if len(outer) == 0 {
-		j, err = table.InnerJoin(e.Tables, spec)
-	} else {
-		// Full outer join, then keep rows where every non-outer table is
-		// present.
-		isOuter := map[string]bool{}
-		for _, t := range outer {
-			isOuter[t] = true
-		}
-		var full *table.Table
-		full, err = table.FullOuterJoin(e.Tables, spec)
-		if err == nil {
-			var keep []int
-			for i := 0; i < full.NumRows(); i++ {
-				ok := true
-				for _, tn := range tables {
-					if isOuter[tn] {
-						continue
-					}
-					ind := full.Column(table.IndicatorColumn(tn))
-					if ind == nil || ind.Data[i] != 1 {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					keep = append(keep, i)
-				}
-			}
-			j = full.Select(keep)
-		}
-	}
+	ji, err := table.IndexJoin(e.Tables, spec, len(outer) == 0)
 	if err != nil {
 		return nil, err
 	}
+	if len(outer) > 0 {
+		// A full outer join, keeping the tuples in which every non-outer
+		// table is present.
+		ji.Require(slices.DeleteFunc(slices.Clone(tables), func(t string) bool { return slices.Contains(outer, t) }))
+	}
+	j := ji.Table()
 	e.mu.Lock()
 	e.joinCache[key] = j
 	e.mu.Unlock()
 	return j, nil
+}
+
+// joinKey names a join in the cache: its tables and its outer tables, each
+// in sorted order.
+func joinKey(tables, outer []string) string {
+	sorted := append([]string(nil), tables...)
+	sort.Strings(sorted)
+	outerSorted := append([]string(nil), outer...)
+	sort.Strings(outerSorted)
+	return strings.Join(sorted, ",") + "/" + strings.Join(outerSorted, ",")
 }
 
 // Materialize returns the (cached) inner join of the given tables, exposing

@@ -6,3 +6,14 @@ var (
 	FullOuterJoinRef = fullOuterJoinRef
 	InnerJoinRef     = innerJoinRef
 )
+
+// InnerJoin materializes the inner equi-join of the base tables along the
+// spec's edges: the rows of FullOuterJoin in which every table is present,
+// in the same order. The exact executor gathers IndexJoin itself.
+func InnerJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
+	j, err := IndexJoin(tables, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	return j.Table(), nil
+}

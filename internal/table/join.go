@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/schema"
@@ -67,17 +68,6 @@ type JoinSpec struct {
 // guarantees this).
 func FullOuterJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
 	j, err := IndexJoin(tables, spec, false)
-	if err != nil {
-		return nil, err
-	}
-	return j.Table(), nil
-}
-
-// InnerJoin materializes the inner equi-join of the base tables along the
-// spec's edges: the rows of FullOuterJoin in which every table is present,
-// in the same order. It is the ground-truth join used by the exact executor.
-func InnerJoin(tables map[string]*Table, spec JoinSpec) (*Table, error) {
-	j, err := IndexJoin(tables, spec, true)
 	if err != nil {
 		return nil, err
 	}
@@ -273,6 +263,39 @@ func (j *JoinIndex) name() string {
 		names[t] = tb.Meta.Name
 	}
 	return strings.Join(names, "|x|")
+}
+
+// Require keeps only the tuples in which every named table is present (its
+// row index is not -1), in order. On a full outer join, requiring all but
+// some tables keeps those tables' unmatched rows and drops everyone
+// else's.
+func (j *JoinIndex) Require(names []string) {
+	var need [][]int
+	for t, tb := range j.tables {
+		if slices.Contains(names, tb.Meta.Name) {
+			need = append(need, j.rows[t])
+		}
+	}
+	n := 0
+	for p := 0; p < j.n; p++ {
+		keep := true
+		for _, rows := range need {
+			if rows[p] < 0 {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			for _, rows := range j.rows {
+				rows[n] = rows[p]
+			}
+			n++
+		}
+	}
+	for t := range j.rows {
+		j.rows[t] = j.rows[t][:n]
+	}
+	j.n = n
 }
 
 // NumRows returns the number of joined tuples.

@@ -195,7 +195,8 @@ func joinFixtures(t *testing.T) []joinFixture {
 // TestJoinsMatchMaterializingReference: FullOuterJoin and InnerJoin, now
 // gathered once from the row-index fold, equal the materializing join
 // they replaced on every connected table set of three data sets, and the
-// row-index view gathers the same cells at sampled tuples.
+// row-index view gathers the same cells at sampled tuples. A full join that
+// requires every table equals the inner one.
 func TestJoinsMatchMaterializingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, fx := range joinFixtures(t) {
@@ -225,6 +226,18 @@ func TestJoinsMatchMaterializingReference(t *testing.T) {
 				}
 				if d := gatherDiff(j, want, rng); d != "" {
 					t.Fatalf("%s: row-index view: %s", name, d)
+				}
+				if inner {
+					// Requiring every table of the full join is the
+					// inner join, dropped at the end instead of per step.
+					full, err := table.IndexJoin(fx.tables, spec, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full.Require(spec.Tables)
+					if d := joinDiff(full.Table(), want); d != "" {
+						t.Fatalf("%s: Require: %s", name, d)
+					}
 				}
 			}
 		}

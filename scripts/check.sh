@@ -104,6 +104,14 @@ echo "== go test -race -shuffle=on =="
 # order actually runs.
 go test -race -shuffle=on -count=1 ./...
 
+echo "== wire codec fuzz (bounded) =="
+# The suite above runs the seeds of the hand-framed /query, /estimate and
+# /explain codec's differential fuzz targets; this explores past them for
+# a bounded time each, holding the codec to encoding/json.
+for target in FuzzDecodeRequest FuzzEncodeWire; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -parallel 2 ./cmd/deepdb
+done
+
 echo "== crash-recovery smoke =="
 # The SIGKILL subprocess test is the durability gate: a child is killed
 # mid-stream and recovery must be bit-identical; its SIGTERM counterpart
