@@ -67,7 +67,7 @@ func TestIMDbPlantedCorrelations(t *testing.T) {
 		ys = append(ys, years.Data[i])
 		ks = append(ks, kinds.Data[i])
 	}
-	cfg := stats.DefaultRDCConfig()
+	cfg := stats.LearnRDCConfig(1)
 	rdc := stats.RDCPair(stats.PrepareRDC(ys, stats.RoleX, cfg), stats.PrepareRDC(ks, stats.RoleY, cfg))
 	if rdc < 0.15 {
 		t.Fatalf("year-kind RDC %v: planted correlation missing", rdc)

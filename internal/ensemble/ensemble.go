@@ -50,10 +50,20 @@ type Config struct {
 	// paper's cheap fallback strategy evaluated at the end of Section 6.1.
 	SingleTableOnly bool
 
-	// workers caps how many members learn concurrently; 0 means one per
+	// workers caps how many members learn concurrently, and how many
+	// goroutines each member's column-split tests run on; 0 means one per
 	// core (GOMAXPROCS). The members are independent and each learns from
-	// its own seed, so the count changes only wall-clock time.
+	// its own seed, and a split test's pairs are independent too, so the
+	// count changes only wall-clock time.
 	workers int
+}
+
+// workerCount resolves workers' 0 to GOMAXPROCS.
+func (c Config) workerCount() int {
+	if c.workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.workers
 }
 
 // DefaultConfig mirrors the paper's evaluation setup.
@@ -307,18 +317,12 @@ func (e *Ensemble) attributeColumns(tableName string) []string {
 	return out
 }
 
-// rdcConfig is the RDC setup of every dependency test.
-func (e *Ensemble) rdcConfig() stats.RDCConfig {
-	return stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: e.cfg.Seed}
-}
-
 // computeDependencies measures (a) RDC between attribute pairs within each
 // table and (b) across every FK-adjacent table pair on a sample of the
 // inner join, populating AttrRDC and PairDep.
 func (e *Ensemble) computeDependencies() error {
-	rdcCfg := e.rdcConfig()
-	// Within-table pairs: every column but the last stands on the x side
-	// of some pair, every column but the first on the y side.
+	rdcCfg := stats.LearnRDCConfig(e.cfg.Seed)
+	// Within-table pairs, each column prepared once for its roles.
 	for _, meta := range e.Schema.Tables {
 		t := e.Tables[meta.Name]
 		cols := e.attributeColumns(meta.Name)
@@ -327,20 +331,13 @@ func (e *Ensemble) computeDependencies() error {
 		if err != nil {
 			return err
 		}
-		xs := make([]*stats.RDCColumn, len(cols))
-		ys := make([]*stats.RDCColumn, len(cols))
+		prepared := make([]*stats.RDCColumn, len(cols))
 		for i := range cols {
-			v := columnOf(data, i)
-			if i < len(cols)-1 {
-				xs[i] = stats.PrepareRDC(v, stats.RoleX, rdcCfg)
-			}
-			if i > 0 {
-				ys[i] = stats.PrepareRDC(v, stats.RoleY, rdcCfg)
-			}
+			prepared[i] = stats.PrepareRDC(columnOf(data, i), stats.PairRoles(i, len(cols)), rdcCfg)
 		}
 		for i := 0; i < len(cols); i++ {
 			for j := i + 1; j < len(cols); j++ {
-				e.AttrRDC[AttrKey(cols[i], cols[j])] = stats.RDCPair(xs[i], ys[j])
+				e.AttrRDC[AttrKey(cols[i], cols[j])] = stats.RDCPair(prepared[i], prepared[j])
 			}
 		}
 	}
@@ -376,7 +373,7 @@ func (e *Ensemble) crossTableDependency(j *table.JoinIndex, a, b string) (float6
 	if j.NumRows() == 0 {
 		return 0, nil
 	}
-	rdcCfg := e.rdcConfig()
+	rdcCfg := stats.LearnRDCConfig(e.cfg.Seed)
 	rows := j.SampleRows(e.cfg.RDCSampleRows, e.rng)
 	colsA := e.attributeColumns(a)
 	colsB := e.attributeColumns(b)
@@ -457,11 +454,7 @@ func (e *Ensemble) learnMembers(ctx context.Context, jobs [][]string) error {
 		}
 		return err
 	}
-	workers := e.cfg.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if err := parallel.ForEach(len(jobs), workers, learn); err != nil {
+	if err := parallel.ForEach(len(jobs), e.cfg.workerCount(), learn); err != nil {
 		return err
 	}
 	e.RSPNs = append(e.RSPNs, members...)
@@ -507,6 +500,7 @@ func (e *Ensemble) learnOpts() rspn.LearnOptions {
 		MaxSamples: e.cfg.MaxSamples,
 		Seed:       e.cfg.Seed,
 		Exact:      e.cfg.Exact,
+		Workers:    e.cfg.workerCount(),
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/schema"
+	"repro/internal/spn"
 	"repro/internal/table"
 )
 
@@ -49,6 +50,75 @@ func TestBuildWorkersAgree(t *testing.T) {
 		{"RSPNs", four.RSPNs, one.RSPNs},
 		{"AttrRDC", four.AttrRDC, one.AttrRDC},
 		{"PairDep", four.PairDep, one.PairDep},
+		{"Stats", four.Stats, one.Stats},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s differ between 4 workers and 1", c.name)
+		}
+	}
+}
+
+// twoGroups is a single table of 4 000 rows whose columns form two
+// groups, each dependent within and independent of the other, so the
+// member's root splits into a product of two multi-column children.
+func twoGroups() (*schema.Schema, map[string]*table.Table) {
+	var cols []schema.Column
+	for _, g := range []string{"a", "b"} {
+		for i := 0; i < 3; i++ {
+			cols = append(cols, schema.Column{Name: fmt.Sprintf("%s%d", g, i), Kind: schema.FloatKind})
+		}
+	}
+	s := &schema.Schema{Tables: []*schema.Table{{Name: "t", Columns: cols}}}
+	t := table.New(s.Table("t"))
+	rng := rand.New(rand.NewSource(4))
+	for r := 0; r < 4000; r++ {
+		var row []table.Value
+		for g := 0; g < 2; g++ {
+			latent := math.Floor(rng.Float64() * 5)
+			for i := 0; i < 3; i++ {
+				row = append(row, table.Float(latent*float64(i+1)+rng.NormFloat64()))
+			}
+		}
+		t.AppendRow(row...)
+	}
+	return s, map[string]*table.Table{"t": t}
+}
+
+// TestBuildWorkersAgreeInsideMember: a member's column-split tests run
+// their pairs concurrently too, and the worker count changes nothing a
+// model holds. The member has more training rows than one test samples,
+// so the tests draw their samples from the learner's stream, and its root
+// is a product of two multi-column children, whose subtrees share that
+// stream: building them concurrently would change the model.
+func TestBuildWorkersAgreeInsideMember(t *testing.T) {
+	build := func(workers int) *Ensemble {
+		s, tabs := twoGroups()
+		cfg := testConfig().withWorkers(workers)
+		cfg.SPN.RDCSample = 300
+		e, err := Build(context.Background(), s, tabs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	one, four := build(1), build(4)
+	m := one.RSPNs[0].Model
+	multi := 0
+	for _, c := range m.Root.Children {
+		if len(c.Scope) > 1 {
+			multi++
+		}
+	}
+	if len(m.Columns) < 4 || m.RowCount <= float64(one.cfg.SPN.RDCSample) || m.Root.Kind != spn.ProductKind || multi < 2 {
+		t.Fatalf("the member has %d columns, %v training rows and a root of kind %v with %d multi-column children; the fixture needs 4, more than %d, and a product with 2",
+			len(m.Columns), m.RowCount, m.Root.Kind, multi, one.cfg.SPN.RDCSample)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"RSPNs", four.RSPNs, one.RSPNs},
+		{"AttrRDC", four.AttrRDC, one.AttrRDC},
 		{"Stats", four.Stats, one.Stats},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {

@@ -17,9 +17,9 @@ import (
 	"repro/internal/table"
 )
 
-// Engine executes queries exactly. Materialized inner joins are cached per
-// table set because experiment workloads reuse the same join shapes across
-// hundreds of queries.
+// Engine executes queries exactly. Materialized joins are cached per first
+// table and table set because experiment workloads reuse the same join
+// shapes across hundreds of queries.
 type Engine struct {
 	Schema *schema.Schema
 	Tables map[string]*table.Table
@@ -79,14 +79,17 @@ func (e *Engine) materialize(tables, outer []string) (*table.Table, error) {
 	return j, nil
 }
 
-// joinKey names a join in the cache: its tables and its outer tables, each
-// in sorted order.
+// joinKey names a join in the cache by everything its fold depends on:
+// the first table, which the fold starts from (the join tree and so the
+// row order follow from it and the table set, and the row order decides
+// how an aggregate over the join rounds), the table set and the outer
+// set, each sorted.
 func joinKey(tables, outer []string) string {
 	sorted := append([]string(nil), tables...)
 	sort.Strings(sorted)
 	outerSorted := append([]string(nil), outer...)
 	sort.Strings(outerSorted)
-	return strings.Join(sorted, ",") + "/" + strings.Join(outerSorted, ",")
+	return tables[0] + "/" + strings.Join(sorted, ",") + "/" + strings.Join(outerSorted, ",")
 }
 
 // Materialize returns the (cached) inner join of the given tables, exposing

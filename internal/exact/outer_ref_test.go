@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestMaterializeOuterMatchesReference(t *testing.T) {
 					}
 				}
 				what := fmt.Sprintf("%s %v outer %v", fx.name, tables, outer)
-				e := New(s, tabs) // the cache keys a join by its table set, not its order
+				e := New(s, tabs)
 				got, err := e.materialize(tables, outer)
 				if err != nil {
 					t.Fatal(err)
@@ -177,5 +178,73 @@ func TestMaterializeOuterMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestJoinAnswersIgnoreCacheHistory: a join's answers depend on the table
+// it starts from, which decides the fold and so the row order a SUM or AVG
+// adds in, and never on the orders an engine was asked for before. For
+// every order of every join, with and without outer tables, a fresh engine
+// and one warmed with every other order of the same join answer bit for
+// bit alike; orders with the same first table answer alike; and orders
+// with different first tables do not, or the fixture could not tell.
+func TestJoinAnswersIgnoreCacheHistory(t *testing.T) {
+	s, tabs := chain3(t)
+	// Amounts of mixed magnitudes, so a sum rounds differently in another
+	// order.
+	rng := rand.New(rand.NewSource(5))
+	amount := tabs["orders"].Column("o_amount")
+	for i := range amount.Data {
+		if !amount.Nul[i] {
+			amount.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)))
+		}
+	}
+	joins := [][][]string{
+		{{"customer", "orders"}, {"orders", "customer"}},
+		{{"customer", "orders", "items"}, {"customer", "items", "orders"}, {"orders", "customer", "items"},
+			{"orders", "items", "customer"}, {"items", "orders", "customer"}},
+	}
+	answer := func(e *Engine, q query.Query) string {
+		res, err := e.ExecuteContext(context.Background(), q)
+		return fmt.Sprintf("%v %v", res, err)
+	}
+	startsDiffer := false
+	for _, orders := range joins {
+		for _, outer := range [][]string{nil, {"customer"}} {
+			for _, q := range []query.Query{
+				{Aggregate: query.Sum, AggColumn: "o_amount"},
+				{Aggregate: query.Avg, AggColumn: "o_amount", GroupBy: []string{"c_age"}},
+			} {
+				q.OuterTables = outer
+				byStart := map[string]string{}
+				for i, tables := range orders {
+					q.Tables = tables
+					want := answer(New(s, tabs), q)
+					warmed := New(s, tabs)
+					for j, other := range orders {
+						if j != i {
+							w := q
+							w.Tables = other
+							answer(warmed, w)
+						}
+					}
+					if got := answer(warmed, q); got != want {
+						t.Fatalf("%v outer %v %v: warmed engine %s, fresh %s", tables, outer, q.Aggregate, got, want)
+					}
+					if prev, ok := byStart[tables[0]]; ok && prev != want {
+						t.Fatalf("%v outer %v %v: %s, but another order from %s gave %s", tables, outer, q.Aggregate, want, tables[0], prev)
+					}
+					byStart[tables[0]] = want
+				}
+				for _, a := range byStart {
+					if a != byStart[orders[0][0]] {
+						startsDiffer = true
+					}
+				}
+			}
+		}
+	}
+	if !startsDiffer {
+		t.Fatal("every first table gave the same answers: the fixture cannot show a cache that ignores it")
 	}
 }

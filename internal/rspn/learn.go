@@ -25,6 +25,9 @@ type LearnOptions struct {
 	// instead of running structure learning. Useful for small dimension
 	// tables where exactness beats generalization.
 	Exact bool
+	// Workers caps the goroutines of one column-split test; 0 means one
+	// per core. It changes only wall-clock time.
+	Workers int
 }
 
 // DefaultLearnOptions mirrors the paper's setup.
@@ -96,7 +99,7 @@ func Learn(ctx context.Context, tbl *table.Table, tables []string, edges []schem
 	if opts.Exact {
 		model, err = spn.LearnExact(data, columns)
 	} else {
-		model, err = spn.LearnContext(ctx, data, columns, opts.SPN)
+		model, err = spn.LearnContext(ctx, data, columns, opts.SPN, opts.Workers)
 	}
 	if err != nil {
 		return nil, err

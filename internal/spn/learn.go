@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -85,13 +87,15 @@ func (s *SPN) ColumnIndex(name string) int {
 //
 //deepdb:testonly the context-free form the tests of five packages learn their fixture models with
 func Learn(data [][]float64, columns []string, cfg LearnConfig) (*SPN, error) {
-	return LearnContext(context.Background(), data, columns, cfg)
+	return LearnContext(context.Background(), data, columns, cfg, 0)
 }
 
 // LearnContext is Learn with cancellation: the recursive structure-learning
 // loop checks ctx at every node split and aborts with ctx.Err() once the
 // context is done, so a caller can bound the cost of learning a large RSPN.
-func LearnContext(ctx context.Context, data [][]float64, columns []string, cfg LearnConfig) (*SPN, error) {
+// Each column-split test runs on up to workers goroutines (0 means one per
+// core); the count changes only wall-clock time, never the model.
+func LearnContext(ctx context.Context, data [][]float64, columns []string, cfg LearnConfig, workers int) (*SPN, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("spn: no training rows")
 	}
@@ -113,6 +117,9 @@ func LearnContext(ctx context.Context, data [][]float64, columns []string, cfg L
 	if cfg.RDCSample <= 0 {
 		cfg.RDCSample = 1500
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	l := &learner{
 		ctx:     ctx,
 		data:    data,
@@ -120,6 +127,7 @@ func LearnContext(ctx context.Context, data [][]float64, columns []string, cfg L
 		cfg:     cfg,
 		minRows: int(math.Max(1, cfg.MinInstanceFrac*float64(len(data)))),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		workers: workers,
 	}
 	rows := make([]int, len(data))
 	for i := range rows {
@@ -254,6 +262,7 @@ type learner struct {
 	cfg     LearnConfig
 	minRows int
 	rng     *rand.Rand
+	workers int // goroutines of one column-split test
 	// err records a context cancellation observed during recursion; the
 	// learner then unwinds by factorizing every remaining branch cheaply.
 	err error
@@ -327,51 +336,50 @@ func (l *learner) independentComponents(rows []int, scope []int) [][]int {
 			sample[i] = rows[j]
 		}
 	}
-	cols := make([][]float64, k)
-	for i, c := range scope {
+	// Every column is prepared concurrently, from one copula transform for
+	// both of its roles. (The closures here return no error.)
+	rdcCfg := stats.LearnRDCConfig(l.cfg.Seed)
+	cols := make([]*stats.RDCColumn, k)
+	_ = parallel.ForEach(k, l.workers, func(i int) error {
 		v := make([]float64, len(sample))
 		for j, r := range sample {
-			x := l.data[r][c]
+			x := l.data[r][scope[i]]
 			if math.IsNaN(x) {
 				// NULL as a dedicated low sentinel for the rank transform.
 				x = math.Inf(-1)
 			}
 			v[j] = x
 		}
-		cols[i] = v
+		cols[i] = stats.PrepareRDC(v, stats.PairRoles(i, k), rdcCfg)
+		return nil
+	})
+	// Every pair is tested concurrently, then the edges above the
+	// threshold are joined in pair order.
+	pairs := make([][2]int, 0, k*(k-1)/2)
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
 	}
-	// Union-find over RDC edges.
+	dependent := make([]bool, len(pairs))
+	_ = parallel.ForEach(len(pairs), l.workers, func(p int) error {
+		dependent[p] = stats.RDCPair(cols[pairs[p][0]], cols[pairs[p][1]]) > l.cfg.RDCThreshold
+		return nil
+	})
 	parent := make([]int, k)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	// Each column is prepared for a role the first time a pair needs it,
-	// so the pairs the union-find skips prepare nothing.
-	rdcCfg := stats.RDCConfig{K: 10, Scale: 1.0 / 6.0, Seed: l.cfg.Seed}
-	xs := make([]*stats.RDCColumn, k)
-	ys := make([]*stats.RDCColumn, k)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if find(i) == find(j) {
-				continue
-			}
-			if xs[i] == nil {
-				xs[i] = stats.PrepareRDC(cols[i], stats.RoleX, rdcCfg)
-			}
-			if ys[j] == nil {
-				ys[j] = stats.PrepareRDC(cols[j], stats.RoleY, rdcCfg)
-			}
-			if stats.RDCPair(xs[i], ys[j]) > l.cfg.RDCThreshold {
-				parent[find(i)] = find(j)
-			}
+	for p, pair := range pairs {
+		if dependent[p] {
+			parent[find(pair[0])] = find(pair[1])
 		}
 	}
 	groups := map[int][]int{}

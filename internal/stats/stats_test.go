@@ -81,81 +81,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMatrixInverse(t *testing.T) {
-	m := NewMatrix(3, 3)
-	vals := [][]float64{{4, 7, 2}, {3, 6, 1}, {2, 5, 3}}
-	for i := range vals {
-		for j := range vals[i] {
-			m.Set(i, j, vals[i][j])
-		}
-	}
-	inv, err := m.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := m.Mul(inv)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-9 {
-				t.Fatalf("M*M^-1 not identity: %v", prod)
-			}
-		}
-	}
-}
-
-func TestMatrixInverseSingular(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 2)
-	m.Set(1, 1, 4)
-	if _, err := m.Inverse(); err == nil {
-		t.Fatal("expected error inverting singular matrix")
-	}
-}
-
-func TestSymmetricEigen(t *testing.T) {
-	// Matrix [[2,1],[1,2]] has eigenvalues 1 and 3; the general solver
-	// must find them off the diagonal too.
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 2)
-	m.Set(0, 1, 1)
-	m.Set(1, 0, 1)
-	m.Set(1, 1, 2)
-	eig, err := EigenvaluesGeneral(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := math.Min(eig[0], eig[1]), math.Max(eig[0], eig[1])
-	if math.Abs(lo-1) > 1e-8 || math.Abs(hi-3) > 1e-8 {
-		t.Fatalf("eigenvalues = %v, want [1 3]", eig)
-	}
-}
-
-func TestEigenvaluesGeneralDiagonal(t *testing.T) {
-	m := NewMatrix(3, 3)
-	m.Set(0, 0, 5)
-	m.Set(1, 1, 2)
-	m.Set(2, 2, 0.5)
-	eig, err := EigenvaluesGeneral(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := 0.0
-	for _, e := range eig {
-		if e > max {
-			max = e
-		}
-	}
-	if math.Abs(max-5) > 1e-6 {
-		t.Fatalf("max eigenvalue = %v, want 5", max)
-	}
-}
-
 func TestRDCIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 2000
