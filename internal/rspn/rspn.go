@@ -74,12 +74,6 @@ type RSPN struct {
 // indicator column indices. Learning and deserialization call it.
 func (r *RSPN) Refresh() {
 	r.Model.Refresh()
-	r.refreshDerived()
-}
-
-// refreshDerived rebuilds the RSPN-level caches (indicator indices, the
-// shared N_t range) without recompiling the model.
-func (r *RSPN) refreshDerived() {
 	r.ntIdx = make(map[string]int, len(r.Tables))
 	for _, t := range r.Tables {
 		r.ntIdx[t] = r.Model.ColumnIndex(table.IndicatorColumn(t))
@@ -91,18 +85,19 @@ func (r *RSPN) refreshDerived() {
 // Insert/Delete on the clone leave the original's model and FullSize
 // untouched, which is what lets the update pipeline mutate a private copy
 // while published snapshots keep serving. Immutable metadata (table list,
-// join edges, FD dictionaries) is shared by pointer.
+// join edges, FD dictionaries, and the indicator indices and N_t range
+// derived from the model's fixed columns) is shared by pointer.
 func (r *RSPN) Clone() *RSPN {
-	out := &RSPN{
+	return &RSPN{
 		Model:      r.Model.Clone(),
 		Tables:     r.Tables,
 		Edges:      r.Edges,
 		FullSize:   r.FullSize,
 		SampleRate: r.SampleRate,
 		FDs:        r.FDs,
+		ntIdx:      r.ntIdx,
+		ntRange:    r.ntRange,
 	}
-	out.refreshDerived()
-	return out
 }
 
 // indicatorIndex returns the model column index of table t's join

@@ -20,6 +20,55 @@ func learnedSPN(t *testing.T, seed int64) *SPN {
 	return s
 }
 
+// deepClone is the reference copy the path-copying Clone replaced: every
+// node and leaf copied, the flat evaluator compiled afresh. The copy owns
+// all of its nodes (epoch 0), so updates mutate it in place; tests feed
+// it the same mutations as a clone chain and demand bit-identical answers.
+func deepClone(s *SPN) *SPN {
+	out := &SPN{
+		Root:     deepCloneNode(s.Root),
+		Columns:  s.Columns,
+		RowCount: s.RowCount,
+		Config:   s.Config,
+		colIdx:   s.colIdx,
+	}
+	// compileTree derives the weights exactly like refreshWeights does
+	// (same counts, same summation order), so the copy's evaluator is
+	// bit-identical to the source's.
+	out.flat = compileTree(out.Root, len(out.Columns))
+	return out
+}
+
+// deepCloneNode copies the mutable per-node state and recurses; the
+// structural metadata stays shared, as in Clone.
+func deepCloneNode(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	out := &Node{
+		Kind:      n.Kind,
+		Scope:     n.Scope,
+		Centroids: n.Centroids,
+		NormMin:   n.NormMin,
+		NormMax:   n.NormMax,
+		total:     n.total,
+		totalOK:   n.totalOK,
+	}
+	if n.ChildCounts != nil {
+		out.ChildCounts = append([]float64(nil), n.ChildCounts...)
+	}
+	if n.Children != nil {
+		out.Children = make([]*Node, len(n.Children))
+		for i, c := range n.Children {
+			out.Children[i] = deepCloneNode(c)
+		}
+	}
+	if n.Leaf != nil {
+		out.Leaf = n.Leaf.clone()
+	}
+	return out
+}
+
 // Mutation is one tuple-level change for ApplyBatch: the tuple routed
 // through the tree and whether it is removed (Delete) or absorbed.
 type Mutation struct {

@@ -28,10 +28,17 @@ import (
 // Nodes are stored in postorder (children strictly before parents), so a
 // single forward loop evaluates bottom-up. A Compiled is read-only during
 // evaluation and safe for concurrent EvaluateBatch calls. Updates never
-// change the tree structure, and leaf distributions are shared by pointer
-// with the tree, so SPN.Insert/Delete only re-derive, in place on the
-// model's write path, the normalized mixing weights and the full-range
-// masses of the exact leaves they touched (refreshWeights).
+// change the tree structure, and count slices and leaf distributions are
+// shared by pointer with the tree, so SPN.Insert/Delete only re-derive, in
+// place on the model's write path, the normalized mixing weights and the
+// full-range masses of the exact leaves they touched (refreshWeights).
+//
+// A Clone's Compiled shares the structural arrays (kind, childOff,
+// childIdx, leafCol, multiLeaf, scope) with its source's and owns copies
+// of the three an update writes: weight, counts and leaf. When an update
+// copies a node the SPN does not own (SPN.own), it patches that node's
+// counts and leaf slots, so the flat form always references exactly the
+// nodes of its own SPN's tree.
 type Compiled struct {
 	numCols int
 	words   int // scope bitset words per node
@@ -44,8 +51,9 @@ type Compiled struct {
 	// two paths agree bit for bit); unused (zero) for product nodes.
 	weight []float64
 	// counts is parallel to nodes: for sum nodes the node's live
-	// ChildCounts slice (mutated in place by updates, never reallocated),
-	// from which refreshWeights re-derives weight; nil otherwise.
+	// ChildCounts slice (mutated in place by updates, re-pointed when an
+	// update copies the node), from which refreshWeights re-derives
+	// weight; nil otherwise.
 	counts  [][]float64
 	leaf    []*Leaf // parallel to nodes; nil for internal nodes
 	leafCol []int32 // parallel to nodes; -1 for internal nodes
@@ -90,6 +98,7 @@ func (c *Compiled) flatten(n *Node) int32 {
 		kids[i] = c.flatten(ch)
 	}
 	idx := int32(len(c.kind))
+	n.pos = idx
 	c.kind = append(c.kind, n.Kind)
 	c.childOff = append(c.childOff, int32(len(c.childIdx)))
 	c.childIdx = append(c.childIdx, kids...)
@@ -658,7 +667,14 @@ func (c *Compiled) evalSingle(req *Request, out []float64) error {
 // the full-range masses of leaves not yet cached (every leaf of a decoded
 // tree). Learning and deserialization call it; call it manually after
 // building or restructuring a tree by hand.
+//
+// Refresh writes into every node, so it must never run on a tree that
+// shares nodes with another SPN: after a Clone, neither the clone nor its
+// source may be refreshed, and Refresh panics if asked to.
 func (s *SPN) Refresh() {
+	if s.epoch != 0 {
+		panic("spn: Refresh on an SPN that shares its tree with a clone")
+	}
 	s.Root.RefreshTotals()
 	s.flat = compileTree(s.Root, len(s.Columns))
 	s.colIdx = make(map[string]int, len(s.Columns))

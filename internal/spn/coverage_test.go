@@ -146,7 +146,7 @@ func TestNearestChildFallback(t *testing.T) {
 		Children:    []*Node{leafNode(0, 1), leafNode(0, 2)},
 		ChildCounts: []float64{1, 9},
 	}
-	if got := nearestChild(n, []float64{5}); got != 1 {
+	if got := new(SPN).nearestChild(n, []float64{5}); got != 1 {
 		t.Fatalf("fallback routing = %d, want heaviest child 1", got)
 	}
 }

@@ -230,11 +230,12 @@ func wholeColumnRequests(rng *rand.Rand, numCols int) []Request {
 	return reqs
 }
 
-// assertSPNCacheMatchesScan evaluates reqs on s and on a clone of s whose
-// leaves all scan, bit for bit.
+// assertSPNCacheMatchesScan evaluates reqs on s and on a deep copy of s
+// whose leaves all scan, bit for bit. The copy must be deep: a Clone
+// shares its leaves with s, and marking those stale would change s.
 func assertSPNCacheMatchesScan(t *testing.T, s *SPN, reqs []Request, label string) {
 	t.Helper()
-	ref := s.Clone()
+	ref := deepClone(s)
 	markStale(ref.Root)
 	got, want := make([]float64, len(reqs)), make([]float64, len(reqs))
 	if err := s.EvaluateBatch(reqs, got); err != nil {

@@ -56,7 +56,8 @@ type SPN struct {
 
 	// flat is the compiled structure-of-arrays evaluator (compiled.go)
 	// every inference runs on, built by Refresh at the end of learning and
-	// after deserialization, by Clone, and re-weighted by Insert/Delete.
+	// after deserialization, copied in part by Clone, and re-weighted by
+	// Insert/Delete.
 	// Unexported so gob skips it.
 	flat *Compiled
 	// colIdx caches name -> scope index (built by Refresh; nil falls back
@@ -65,6 +66,12 @@ type SPN struct {
 	// batching suppresses the per-mutation flat-weight refresh between
 	// BeginBatch and EndBatch (update.go), so a batch recompiles once.
 	batching bool
+	// epoch names the nodes this SPN may write in place (Node.owner); 0
+	// for a learned or decoded SPN, fresh per Clone (clone.go).
+	epoch uint64
+	// point is the write path's buffer for a tuple normalized onto a sum
+	// node's scope (nearestChild).
+	point []float64
 }
 
 // ColumnIndex returns the scope index of the named column, or -1.

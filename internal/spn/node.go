@@ -59,6 +59,13 @@ type Node struct {
 	// query path runs concurrently and must never write shared state.
 	total   float64
 	totalOK bool
+
+	// owner is the epoch of the SPN that may mutate the node in place
+	// (clone.go); pos is the node's postorder index in the flat
+	// evaluator, recorded by flatten. Unexported: gob skips both, and a
+	// decoded node starts owned by epoch 0, as its decoded SPN does.
+	owner uint64
+	pos   int32
 }
 
 // childTotal returns the (cached) sum of ChildCounts. The summation order

@@ -16,7 +16,7 @@ func (s *SPN) Insert(tuple []float64) error {
 	if len(tuple) != len(s.Columns) {
 		return fmt.Errorf("spn: tuple has %d values, model has %d columns", len(tuple), len(s.Columns))
 	}
-	updateTuple(s.Root, tuple, 1)
+	s.update(tuple, 1)
 	s.RowCount++
 	s.recompile()
 	return nil
@@ -27,7 +27,7 @@ func (s *SPN) Delete(tuple []float64) error {
 	if len(tuple) != len(s.Columns) {
 		return fmt.Errorf("spn: tuple has %d values, model has %d columns", len(tuple), len(s.Columns))
 	}
-	updateTuple(s.Root, tuple, -1)
+	s.update(tuple, -1)
 	if s.RowCount > 0 {
 		s.RowCount--
 	}
@@ -50,27 +50,37 @@ func (s *SPN) EndBatch() {
 }
 
 // recompile refreshes the flat evaluator after an update changed mixing
-// weights and leaf distributions. Leaves are shared by pointer, so their
-// values need no copy, but every exact leaf an update touched has a stale
-// full-range mass to recompute. The tree structure never changes, so this
-// is an in-place, allocation-free re-derivation rather than a rebuild;
-// inside a BeginBatch/EndBatch window it is deferred to EndBatch.
-// Updates run on the write path (the facade mutates only unpublished
-// copy-on-write clones), so the mutation never races a reader.
+// weights and leaf distributions. The flat form references the nodes'
+// count slices and leaves, and own patches the slots of every node an
+// update copied, so their values need no copy, but every exact leaf an
+// update touched has a stale full-range mass to recompute. The tree
+// structure never changes, so this is an in-place, allocation-free
+// re-derivation rather than a rebuild; inside a BeginBatch/EndBatch window
+// it is deferred to EndBatch. Updates run on the write path (the facade
+// mutates only unpublished copy-on-write clones, and a clone writes only
+// nodes it owns), so the mutation never races a reader.
 func (s *SPN) recompile() {
 	if !s.batching {
 		s.flat.refreshWeights()
 	}
 }
 
-// updateTuple is Algorithm 1 with a weight parameter so insert (+1) and
-// delete (-1) share the traversal.
-func updateTuple(n *Node, tuple []float64, w float64) {
+// update is Algorithm 1 with a weight parameter so insert (+1) and delete
+// (-1) share the traversal. Every node it writes is first made the SPN's
+// own (own), top down, so a clone copies exactly the induced tree the
+// tuple routes through and leaves every node it shares untouched.
+func (s *SPN) update(tuple []float64, w float64) {
+	s.Root = s.own(s.Root)
+	s.updateNode(s.Root, tuple, w)
+}
+
+// updateNode applies the tuple to a node the SPN owns and recurses.
+func (s *SPN) updateNode(n *Node, tuple []float64, w float64) {
 	switch n.Kind {
 	case LeafKind:
 		n.Leaf.Add(tuple[n.Leaf.Col], w)
 	case SumKind:
-		nearest := nearestChild(n, tuple)
+		nearest := s.nearestChild(n, tuple)
 		n.ChildCounts[nearest] += w
 		if n.ChildCounts[nearest] < 0 {
 			n.ChildCounts[nearest] = 0
@@ -78,20 +88,23 @@ func updateTuple(n *Node, tuple []float64, w float64) {
 		// Recompute (not increment) the cached total so it stays
 		// bit-identical to a fresh summation of the counts.
 		n.refreshTotal()
-		updateTuple(n.Children[nearest], tuple, w)
+		n.Children[nearest] = s.own(n.Children[nearest])
+		s.updateNode(n.Children[nearest], tuple, w)
 	case ProductKind:
 		// Product nodes split the column set: each child receives the
 		// tuple projected onto its scope (the full tuple is passed; leaves
 		// index it by their own column).
-		for _, c := range n.Children {
-			updateTuple(c, tuple, w)
+		for i := range n.Children {
+			n.Children[i] = s.own(n.Children[i])
+			s.updateNode(n.Children[i], tuple, w)
 		}
 	}
 }
 
 // nearestChild routes the tuple to the closest KMeans centroid using the
-// normalization recorded at learning time (Algorithm 1, line 5).
-func nearestChild(n *Node, tuple []float64) int {
+// normalization recorded at learning time (Algorithm 1, line 5). The
+// normalized point lives in the SPN's write-path buffer.
+func (s *SPN) nearestChild(n *Node, tuple []float64) int {
 	if len(n.Centroids) != len(n.Children) || len(n.NormMin) != len(n.Scope) {
 		// Sum node without routing metadata (e.g. deserialized from an
 		// older model): fall back to the heaviest child.
@@ -103,7 +116,7 @@ func nearestChild(n *Node, tuple []float64) int {
 		}
 		return best
 	}
-	point := make([]float64, len(n.Scope))
+	point := grow(&s.point, len(n.Scope))
 	for i, col := range n.Scope {
 		point[i] = NormalizeValue(tuple[col], n.NormMin[i], n.NormMax[i])
 	}
