@@ -45,28 +45,37 @@ func TestAllocBudgets(t *testing.T) {
 		allocs float64
 		run    func() error
 	}{
-		{"prepared exec", 26, func() error { _, err := prepared.Estimate(ctx, 40, 50); return err }},
+		// 26 while every evaluation round built a chunk list and an
+		// evaluator closure for the per-query fan-out.
+		{"prepared exec", 23, func() error { _, err := prepared.Estimate(ctx, 40, 50); return err }},
 		{"result-cache hit", 6, func() error { _, err := hit.Exec(ctx, 40, 50); return err }},
-		{"result-cache miss", 30, func() error { _, err := miss.Exec(ctx, 40, 50); return err }},
-		// 44 while the shape key was built with fmt.
-		{"unprepared cached", 38, func() error { _, err := db.EstimateCardinality(ctx, literal); return err }},
+		// 30 while every evaluation round built a chunk list and an
+		// evaluator closure.
+		{"result-cache miss", 27, func() error { _, err := miss.Exec(ctx, 40, 50); return err }},
+		// 44 while the shape key was built with fmt, 38 while every
+		// evaluation round built a chunk list and an evaluator closure.
+		{"unprepared cached", 35, func() error { _, err := db.EstimateCardinality(ctx, literal); return err }},
 		// The plan cache is off, so every call compiles. 93 while every
 		// neighbour lookup rebuilt the FK edge list, the decomposition kept
-		// its table sets in maps and the shape key was built with fmt.
-		{"plan-cache miss", 69, func() error { _, err := cold.EstimateCardinality(ctx, literal); return err }},
+		// its table sets in maps and the shape key was built with fmt, 69
+		// while every evaluation round built a chunk list and an evaluator
+		// closure.
+		{"plan-cache miss", 66, func() error { _, err := cold.EstimateCardinality(ctx, literal); return err }},
 		// Raised from 70: the gate binds point values only, so a grouped
 		// COUNT runs a completion round for the variance parts of its live
-		// groups (a second batch: its request group, request, value and
-		// chunk slices and evaluator closure), and the execution carries
-		// one key memo. The per-key binding vectors and the gate's
-		// count/liveness slices are gone. 74 while every chunk re-sorted
-		// rows its keys already produce in order.
-		{"batched GROUP BY", 78, func() error { _, err := grouped.Exec(ctx, 40); return err }},
+		// groups (a second batch: its request group and its request and
+		// value slices), and the execution carries one key memo. The
+		// per-key binding vectors and the gate's count/liveness slices are
+		// gone. 74 while every chunk re-sorted rows its keys already
+		// produce in order, 78 while each of the two rounds built a chunk
+		// list and an evaluator closure.
+		{"batched GROUP BY", 73, func() error { _, err := grouped.Exec(ctx, 40); return err }},
 		// The filter admits two of the three region codes, so the third
 		// key is never gated. Raised from 67 for the completion round and
 		// the key memo, as above. 76 while every key was gated, 68 while
-		// every chunk re-sorted its rows.
-		{"GROUP BY filtering its own column", 76, func() error { _, err := groupedOwn.Exec(ctx, 40); return err }},
+		// every chunk re-sorted its rows, 76 while each evaluation round
+		// built a chunk list and an evaluator closure.
+		{"GROUP BY filtering its own column", 71, func() error { _, err := groupedOwn.Exec(ctx, 40); return err }},
 	} {
 		if err := b.run(); err != nil { // also warms the plan and result caches
 			t.Fatalf("%s: %v", b.name, err)

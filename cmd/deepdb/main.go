@@ -73,7 +73,9 @@ func usage() {
   estimate -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
   query    -model model.deepdb -sql "SELECT AVG(col) ..." [-data dir]
   explain  -model model.deepdb -sql "SELECT COUNT(*) ..." [-data dir]
-  serve    -model model.deepdb [-addr :8491] [-parallel N] [-cache N] [-wal dir] [-durability sync|batched|off] [-drift 0.2] [-request-timeout 30s] [-max-inflight N]
+  serve    -model model.deepdb [-addr :8491] [-data dir] [-readonly] [-cache N] [-result-cache N]
+           [-wal dir] [-durability sync|batched|off] [-drift 0.2] [-request-timeout 30s]
+           [-max-body N] [-max-inflight N] [-pprof] [-cpuprofile prof.out]
   wal      inspect|dump -dir wal-dir [-after N]   (read-only log examination)
   demo     (self-contained demonstration on synthetic data)
 (-data is only needed for -truth; the model file carries the statistics

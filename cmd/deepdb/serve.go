@@ -83,7 +83,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	model := fs.String("model", "model.deepdb", "model file from deepdb learn")
 	addr := fs.String("addr", ":8491", "listen address")
 	dataDir := fs.String("data", "", "optional data directory (only needed if clients use exact-execution features)")
-	parallel := fs.Int("parallel", 0, "per-query fan-out parallelism (<=1 sequential)")
 	cache := fs.Int("cache", 0, "plan cache size (0 keeps the default)")
 	resultCache := fs.Int("result-cache", 0, "cross-query result cache size in entries (0 disables; hits skip evaluation entirely and are invalidated by every published snapshot)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the serving process to this file (finalized at shutdown)")
@@ -128,9 +127,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	var opts []deepdb.Option
 	if *dataDir != "" {
 		opts = append(opts, deepdb.WithDataDir(*dataDir))
-	}
-	if *parallel > 1 {
-		opts = append(opts, deepdb.WithParallelism(*parallel))
 	}
 	if *cache > 0 {
 		opts = append(opts, deepdb.WithPlanCacheSize(*cache))

@@ -35,12 +35,31 @@ func expiredAnswer(h http.Handler, path, body string) error {
 	return nil
 }
 
+// timedOutTwin runs expiredAnswer on http.TimeoutHandler over h with a
+// 1 ns timer. The inner handler is held until the answer is in, so the
+// timer always fires first and TimeoutHandler writes its own plain-text
+// 503; the inner handler then runs to its end before this returns.
+func timedOutTwin(h http.Handler, path, body string) error {
+	release := make(chan struct{})
+	var inner sync.WaitGroup
+	inner.Add(1)
+	twin := http.TimeoutHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer inner.Done()
+		<-release
+		h.ServeHTTP(w, r)
+	}), time.Nanosecond, "request timed out")
+	err := expiredAnswer(twin, path, body)
+	close(release)
+	inner.Wait()
+	return err
+}
+
 func TestServeExpiredBudget(t *testing.T) {
 	db := serveFixture(t)
 	c := shipped(false)
 	c.requestTimeout = time.Nanosecond
 	h := newServeHandler(db, c)
-	twin := http.TimeoutHandler(newServeHandler(db, serveConfig{}), time.Nanosecond, "request timed out")
+	plain := newServeHandler(db, serveConfig{})
 	for _, rq := range []struct{ path, body string }{
 		{"/estimate", `{"sql": "SELECT COUNT(*) FROM customer WHERE c_age < 40"}`},
 		{"/query", manyGroups}, // before its first row
@@ -51,7 +70,7 @@ func TestServeExpiredBudget(t *testing.T) {
 		if err := expiredAnswer(h, rq.path, rq.body); err != nil {
 			t.Error(err)
 		}
-		if err := expiredAnswer(twin, rq.path, rq.body); err == nil {
+		if err := timedOutTwin(plain, rq.path, rq.body); err == nil {
 			t.Errorf("twin: %s under http.TimeoutHandler answered a JSON 503", rq.path)
 		}
 	}

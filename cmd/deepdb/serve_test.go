@@ -382,7 +382,9 @@ func TestAllocBudgets(t *testing.T) {
 	// Through the shipped chain since: the request budget on the serving
 	// goroutine (two allocations: its context and the request copy that
 	// carries it), the hand-framed request decoder and /estimate writer.
-	const budget = 133
+	// 133 while every evaluation round built a chunk list and an evaluator
+	// closure for the per-query fan-out.
+	const budget = 131
 	if got := testing.AllocsPerRun(200, do); got != budget {
 		t.Errorf("/estimate round trip: %v allocs/op, budget %v", got, budget)
 	}

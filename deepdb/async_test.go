@@ -199,7 +199,7 @@ func TestSnapshotIsolationUnderMutationStream(t *testing.T) {
 	// maintained join size, which makes torn states detectable as
 	// non-integer offsets.
 	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(3000), deepdb.WithSingleTableOnly(), deepdb.WithParallelism(2))
+		deepdb.WithMaxSamples(3000), deepdb.WithSingleTableOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

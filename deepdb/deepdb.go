@@ -297,7 +297,6 @@ func (db *DB) publishLocked(ens *ensemble.Ensemble, lsn uint64) {
 		return
 	}
 	eng := core.New(ens)
-	eng.Parallelism = db.cfg.parallelism
 	var gen uint64
 	if cur != nil {
 		gen = cur.gen + 1

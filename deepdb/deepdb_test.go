@@ -201,9 +201,9 @@ func TestOpenRejectsOldModelFile(t *testing.T) {
 // TestModelOnlyMatchesAttached is the data-free serving contract: on a
 // fixed-seed workload spanning every compilation case (single-RSPN,
 // superset, Theorem-2 combination), GROUP BY, disjunctions, outer joins,
-// string literals and string parameters, a model opened without data —
-// with the parallel query path on — must produce estimates and group
-// labels identical to the data-attached DB it was saved from.
+// string literals and string parameters, a model opened without data
+// must produce estimates and group labels identical to the data-attached
+// DB it was saved from.
 func TestModelOnlyMatchesAttached(t *testing.T) {
 	ctx := context.Background()
 	workload := []query.Query{
@@ -246,7 +246,7 @@ func TestModelOnlyMatchesAttached(t *testing.T) {
 			if err := db.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			modelOnly, err := deepdb.Open(ctx, path, deepdb.WithParallelism(4))
+			modelOnly, err := deepdb.Open(ctx, path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,34 +500,6 @@ func TestQueryCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelismMatchesSequential: WithParallelism must not change the
-// result of a GROUP BY query, only how it is computed.
-func TestParallelismMatchesSequential(t *testing.T) {
-	ctx := context.Background()
-	s, data := fixture(3000, 6)
-	seq, err := deepdb.LearnDataset(ctx, s, data, deepdb.WithMaxSamples(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, data2 := fixture(3000, 6)
-	par, err := deepdb.LearnDataset(ctx, s2, data2, deepdb.WithMaxSamples(5000), deepdb.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sql = "SELECT AVG(o_amount) FROM customer JOIN orders GROUP BY c_region"
-	a, err := seq.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.Query(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("parallel result differs:\n  seq: %v\n  par: %v", a, b)
-	}
-}
-
 // TestConcurrentQueryUpdate is the facade's concurrency contract under
 // -race: many goroutines query while others insert; every operation must
 // succeed and the final count must reflect all inserts.
@@ -536,7 +508,7 @@ func TestConcurrentQueryUpdate(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(2000, 7)
 	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(4000), deepdb.WithParallelism(2))
+		deepdb.WithMaxSamples(4000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,6 @@ func ParseDurability(s string) (Durability, bool) {
 // config is the resolved option set of one DB.
 type config struct {
 	ens         ensemble.Config
-	parallelism int
 	dataDir     string
 	dataset     Dataset
 	planCache   int
@@ -119,17 +118,6 @@ func WithBudget(b float64) Option {
 // WithMaxSamples caps the training rows per RSPN.
 func WithMaxSamples(n int) Option {
 	return func(c *config) { c.ens.MaxSamples = n }
-}
-
-// WithParallelism bounds the worker count for evaluating a query: an
-// execution collects every SPN request it needs (all group keys, Theorem-2
-// sides and inclusion-exclusion terms) into batches and evaluates about n
-// chunks of them concurrently. Values <= 1 run sequentially (the default).
-// Results are identical either way; only wall-clock time changes. Learning
-// does not read it: independent ensemble members always learn on every
-// core.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithSingleTableOnly learns one RSPN per table and no join RSPNs — the

@@ -121,9 +121,9 @@ func (s *Stmt) Exec(ctx context.Context, params ...any) (Result, error) {
 // snapshot and one plan lookup. All bindings flow through the plan's
 // batched evaluator: every binding's expectation requests (including
 // per-group requests of a GROUP BY template) are evaluated together on
-// each model's flattened arrays, chunked over the DB's configured
-// parallelism — one pass per chunk instead of one model traversal per
-// binding per moment. The results are returned in batch order,
+// each model's flattened arrays, in chunks on the caller's goroutine —
+// one pass per chunk instead of one model traversal per binding per
+// moment. The results are returned in batch order,
 // bit-identical to calling Exec once per set against the same snapshot;
 // the first error aborts the batch.
 func (s *Stmt) ExecBatch(ctx context.Context, batch [][]any, opts ...ExecOption) ([]Result, error) {

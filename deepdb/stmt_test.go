@@ -69,7 +69,7 @@ func TestExecBatch(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(1500, 42)
 	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(3000), deepdb.WithParallelism(4))
+		deepdb.WithMaxSamples(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestConcurrentPrepareExecUpdate(t *testing.T) {
 	ctx := context.Background()
 	s, data := fixture(1500, 46)
 	db, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(3000), deepdb.WithParallelism(2))
+		deepdb.WithMaxSamples(3000))
 	if err != nil {
 		t.Fatal(err)
 	}

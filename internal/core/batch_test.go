@@ -3,8 +3,7 @@ package core
 // batch_test.go asserts the batched executor's cross-query batching is
 // transparent: ExecuteBatch over many bound queries must produce results
 // bit-identical to executing each query alone (which itself batches only
-// within the query), across aggregates, GROUP BY and disjunctions, and
-// under parallelism.
+// within the query), across aggregates, GROUP BY and disjunctions.
 
 import (
 	"context"
@@ -55,66 +54,63 @@ func assertBatchEqualsSequential(t *testing.T, e *Engine, template query.Query, 
 }
 
 func TestExecuteBatchMatchesSequential(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		e, _, tabs := exactEnsemble(t, true)
-		e.Parallelism = par
-		bindings := [][]float64{{25}, {40}, {55}, {70}, {85}}
-		// Sixteen bindings of a grouped template: the grouped pipeline's
-		// cross-binding batch, the shape Stmt.ExecBatch sends.
-		var sixteen [][]float64
-		for i := 0; i < 16; i++ {
-			sixteen = append(sixteen, []float64{float64(15 + 5*i)})
+	e, _, tabs := exactEnsemble(t, true)
+	bindings := [][]float64{{25}, {40}, {55}, {70}, {85}}
+	// Sixteen bindings of a grouped template: the grouped pipeline's
+	// cross-binding batch, the shape Stmt.ExecBatch sends.
+	var sixteen [][]float64
+	for i := 0; i < 16; i++ {
+		sixteen = append(sixteen, []float64{float64(15 + 5*i)})
+	}
+	cases := []struct {
+		name     string
+		template query.Query
+		bindings [][]float64 // nil = the five above
+	}{
+		{name: "count", template: query.Query{
+			Aggregate: query.Count,
+			Tables:    []string{"customer", "orders"},
+			Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
+		}},
+		{name: "avg", template: query.Query{
+			Aggregate: query.Avg, AggColumn: "c_age",
+			Tables:  []string{"customer", "orders"},
+			Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
+		}},
+		{name: "grouped-count", template: query.Query{
+			Aggregate: query.Count,
+			Tables:    []string{"customer", "orders"},
+			Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
+			GroupBy:   []string{"o_channel"},
+		}},
+		{name: "grouped-avg", template: query.Query{
+			Aggregate: query.Avg, AggColumn: "c_age",
+			Tables:  []string{"customer", "orders"},
+			Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
+			GroupBy: []string{"o_channel"},
+		}},
+		{name: "grouped-sum-16", bindings: sixteen, template: query.Query{
+			Aggregate: query.Sum, AggColumn: "c_age",
+			Tables:  []string{"customer", "orders"},
+			Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
+			GroupBy: []string{"c_region", "o_channel"},
+		}},
+		{name: "disjunction", template: query.Query{
+			Aggregate: query.Count,
+			Tables:    []string{"customer", "orders"},
+			Disjunction: []query.Predicate{
+				{Column: "c_age", Op: query.Lt, Param: 1},
+				{Column: "o_channel", Op: query.Eq, Value: onlineCode(tabs)},
+			},
+		}},
+	}
+	for _, tc := range cases {
+		if tc.bindings == nil {
+			tc.bindings = bindings
 		}
-		cases := []struct {
-			name     string
-			template query.Query
-			bindings [][]float64 // nil = the five above
-		}{
-			{name: "count", template: query.Query{
-				Aggregate: query.Count,
-				Tables:    []string{"customer", "orders"},
-				Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
-			}},
-			{name: "avg", template: query.Query{
-				Aggregate: query.Avg, AggColumn: "c_age",
-				Tables:  []string{"customer", "orders"},
-				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
-			}},
-			{name: "grouped-count", template: query.Query{
-				Aggregate: query.Count,
-				Tables:    []string{"customer", "orders"},
-				Filters:   []query.Predicate{{Column: "c_age", Op: query.Lt, Param: 1}},
-				GroupBy:   []string{"o_channel"},
-			}},
-			{name: "grouped-avg", template: query.Query{
-				Aggregate: query.Avg, AggColumn: "c_age",
-				Tables:  []string{"customer", "orders"},
-				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
-				GroupBy: []string{"o_channel"},
-			}},
-			{name: "grouped-sum-16", bindings: sixteen, template: query.Query{
-				Aggregate: query.Sum, AggColumn: "c_age",
-				Tables:  []string{"customer", "orders"},
-				Filters: []query.Predicate{{Column: "c_age", Op: query.Le, Param: 1}},
-				GroupBy: []string{"c_region", "o_channel"},
-			}},
-			{name: "disjunction", template: query.Query{
-				Aggregate: query.Count,
-				Tables:    []string{"customer", "orders"},
-				Disjunction: []query.Predicate{
-					{Column: "c_age", Op: query.Lt, Param: 1},
-					{Column: "o_channel", Op: query.Eq, Value: onlineCode(tabs)},
-				},
-			}},
-		}
-		for _, tc := range cases {
-			if tc.bindings == nil {
-				tc.bindings = bindings
-			}
-			t.Run(tc.name, func(t *testing.T) {
-				assertBatchEqualsSequential(t, e, tc.template, tc.bindings)
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			assertBatchEqualsSequential(t, e, tc.template, tc.bindings)
+		})
 	}
 }
 

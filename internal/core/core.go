@@ -44,9 +44,9 @@ func (e *Engine) Execute(q query.Query) (AQPResult, error) {
 	return e.ExecuteContext(context.Background(), q)
 }
 
-// ExecuteContext is Execute with cancellation, checked between sub-
-// estimates. With Parallelism > 1 the groups of a GROUP BY query are
-// estimated concurrently (the query path is read-only, so this is safe).
+// ExecuteContext is Execute with cancellation, checked between
+// evaluation chunks. The execution runs on the caller's goroutine; the
+// query path is read-only, so concurrent callers may share the Engine.
 // It compiles a plan and executes it once; hold on to Compile's plan to
 // amortize compilation per query shape.
 func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (AQPResult, error) {

@@ -52,15 +52,16 @@ const (
 	StrategyMedian
 )
 
-// BatchEvaluator is an optional dispatch hook for the batched executor:
+// batchEvaluator is an optional dispatch hook for the batched executor:
 // when set on an Engine, every chunk of SPN inference requests goes
-// through it instead of straight to the RSPN's in-process model. Serving
-// never sets it; it is the seam through which tests observe the chunks an
-// execution evaluates (TestGroupByRequestCounts counts requests per RSPN).
+// through it instead of straight to the RSPN's in-process model. Only
+// this package's tests set it, to observe the chunks an execution
+// evaluates (TestGroupByRequestCounts counts requests per RSPN).
 // Implementations must fill out[i] with the answer to reqs[i] and must be
-// bit-identical to r.EvaluateRequests. Calls may arrive concurrently (one
-// per evaluation chunk, up to Engine.Parallelism at a time).
-type BatchEvaluator interface {
+// bit-identical to r.EvaluateRequests. Calls arrive on the executing
+// goroutine, one chunk at a time; executions running concurrently on one
+// Engine call it concurrently.
+type batchEvaluator interface {
 	EvaluateRSPN(ctx context.Context, r *rspn.RSPN, reqs []spn.Request, out []float64) error
 }
 
@@ -76,16 +77,9 @@ type Engine struct {
 	// ConfidenceLevel for intervals, default 0.95. Overridable per
 	// execution with ExecOpts.
 	ConfidenceLevel float64
-	// Parallelism bounds the workers of one evaluation round. An execution
-	// gathers every SPN request it needs — all bindings, group keys,
-	// Theorem-2 sides and inclusion-exclusion terms alike — into per-RSPN
-	// batches, splits them into about Parallelism chunks and evaluates the
-	// chunks concurrently (batcher.run); nothing fans out per sub-estimate.
-	// Values <= 1 evaluate the chunks sequentially.
-	Parallelism int
-	// Eval, when non-nil, routes every evaluation chunk through the hook
+	// eval, when non-nil, routes every evaluation chunk through the hook
 	// instead of the in-process model. nil keeps the direct path.
-	Eval BatchEvaluator
+	eval batchEvaluator
 }
 
 // New returns an engine with the paper's defaults.

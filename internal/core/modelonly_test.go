@@ -144,43 +144,3 @@ func TestMedianCountCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-// TestParallelQueryPathMatchesSequential: Theorem-2 branch fan-out and
-// inclusion-exclusion fan-out must not change results, only concurrency.
-func TestParallelQueryPathMatchesSequential(t *testing.T) {
-	seqEng, _, tabs := exactEnsemble(t, false)
-	queries := []query.Query{
-		{ // Theorem 2 with filters on both sides.
-			Aggregate: query.Count,
-			Tables:    []string{"customer", "orders"},
-			Filters: []query.Predicate{
-				{Column: "c_region", Op: query.Eq, Value: euCode(tabs)},
-				{Column: "o_channel", Op: query.Eq, Value: onlineCode(tabs)},
-			},
-		},
-		{ // Disjunction: inclusion-exclusion over three terms.
-			Aggregate: query.Count,
-			Tables:    []string{"customer", "orders"},
-			Disjunction: []query.Predicate{
-				{Column: "c_age", Op: query.Lt, Value: 30},
-				{Column: "c_age", Op: query.Gt, Value: 70},
-				{Column: "o_channel", Op: query.Eq, Value: onlineCode(tabs)},
-			},
-		},
-	}
-	parEng, _, _ := exactEnsemble(t, false)
-	parEng.Parallelism = 4
-	for i, q := range queries {
-		a, err := seqEng.EstimateCardinality(q)
-		if err != nil {
-			t.Fatalf("query %d sequential: %v", i, err)
-		}
-		b, err := parEng.EstimateCardinality(q)
-		if err != nil {
-			t.Fatalf("query %d parallel: %v", i, err)
-		}
-		if a != b {
-			t.Fatalf("query %d: parallel %+v != sequential %+v", i, b, a)
-		}
-	}
-}

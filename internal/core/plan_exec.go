@@ -12,8 +12,7 @@ package core
 //     execution once per distinct value of the group columns a call or
 //     count sub-tree reads (keyMemo), not once per key;
 //  2. evaluate: answer each RSPN's requests in chunks over its flattened
-//     model arrays (spn.Compiled), fanning the chunks over up to
-//     Engine.Parallelism workers;
+//     model arrays (spn.Compiled), on the caller's goroutine;
 //  3. resolve: combine the evaluated expectations into estimates in a
 //     fixed combination order, so batched and one-at-a-time execution
 //     produce bit-identical results.
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/rspn"
 	"repro/internal/spn"
@@ -193,77 +191,38 @@ func (b *batcher) addRequest(r *rspn.RSPN, req spn.Request) valRef {
 	return valRef{g: g, idx: len(g.reqs) - 1}
 }
 
-// run evaluates all collected requests. Each RSPN's batch is split into
-// chunks sized so roughly `parallelism` chunks exist across the whole
-// execution, and the chunks are fanned over up to `parallelism` workers —
-// the fan-out spans individual expectations, not whole groups or
-// branches, so load balances evenly. Each chunk is
-// one pass over its model's flat arrays — or one eng.Eval dispatch when a
-// test installed the evaluator hook; chunk boundaries are identical either
-// way, so the hook sees exactly the request groups the in-process path
-// evaluates.
+// run evaluates all collected requests on the caller's goroutine: one
+// execution is a few bottom-up passes, and concurrent queries already keep
+// the cores busy. Each RSPN's batch is cut into chunks of at most maxChunk
+// requests, which bounds the per-pass scratch (O(model nodes x chunk size))
+// and lets cancellation land between passes. Each chunk is one pass over
+// its model's flat arrays — or one eng.eval dispatch when a test installed
+// the evaluator hook; chunk boundaries are identical either way, so the
+// hook sees exactly the request groups the in-process path evaluates.
 func (b *batcher) run(ctx context.Context, eng *Engine) error {
-	parallelism := eng.Parallelism
-	total := 0
-	for _, g := range b.order {
-		total += len(g.reqs)
-	}
-	if total == 0 {
+	const maxChunk = 128
+	if len(b.order) == 0 {
 		return ctx.Err()
 	}
-	// Chunk sizing: split roughly evenly across workers, but keep chunks
-	// large enough to amortize a pass over the flat arrays and small
-	// enough to bound the per-pass scratch (O(model nodes x chunk size))
-	// and honor cancellation between passes.
-	const minChunk, maxChunk = 8, 128
-	size := total
-	if parallelism > 1 {
-		size = (total + parallelism - 1) / parallelism
-	}
-	if size < minChunk {
-		size = minChunk
-	}
-	if size > maxChunk {
-		size = maxChunk
-	}
-	type chunk struct {
-		g      *batchGroup
-		lo, hi int
-	}
-	var chunks []chunk
 	for _, g := range b.order {
 		g.vals = make([]float64, len(g.reqs))
-		for lo := 0; lo < len(g.reqs); lo += size {
-			hi := lo + size
-			if hi > len(g.reqs) {
-				hi = len(g.reqs)
-			}
-			chunks = append(chunks, chunk{g: g, lo: lo, hi: hi})
-		}
-	}
-	eval := func(ck chunk) error {
-		if eng.Eval != nil {
-			return eng.Eval.EvaluateRSPN(ctx, ck.g.r, ck.g.reqs[ck.lo:ck.hi], ck.g.vals[ck.lo:ck.hi])
-		}
-		return ck.g.r.EvaluateRequests(ck.g.reqs[ck.lo:ck.hi], ck.g.vals[ck.lo:ck.hi])
-	}
-	if parallelism <= 1 {
-		for _, ck := range chunks {
+		for lo := 0; lo < len(g.reqs); lo += maxChunk {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := eval(ck); err != nil {
+			hi := min(lo+maxChunk, len(g.reqs))
+			var err error
+			if eng.eval != nil {
+				err = eng.eval.EvaluateRSPN(ctx, g.r, g.reqs[lo:hi], g.vals[lo:hi])
+			} else {
+				err = g.r.EvaluateRequests(g.reqs[lo:hi], g.vals[lo:hi])
+			}
+			if err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	return parallel.ForEach(len(chunks), parallelism, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return eval(chunks[i])
-	})
+	return nil
 }
 
 // ---- per-node gather/resolve ----

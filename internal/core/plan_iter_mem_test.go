@@ -117,7 +117,7 @@ func TestGroupIterMillionKeysBoundedMemory(t *testing.T) {
 	}
 }
 
-// weakBatches is a BatchEvaluator that answers in process and keeps a weak
+// weakBatches is a batchEvaluator that answers in process and keeps a weak
 // pointer to every request batch it is handed, so a test can ask which
 // batches are still reachable.
 type weakBatches struct {
@@ -148,8 +148,8 @@ func TestGroupIterMemoScopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := &weakBatches{}
-	e.Eval = batches
-	defer func() { e.Eval = nil }()
+	e.eval = batches
+	defer func() { e.eval = nil }()
 	it, err := p.ExecuteGroupsIter(ctx, ExecOpts{}, q, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -17,17 +16,14 @@ import (
 	"repro/internal/spn"
 )
 
-// countingEval is a BatchEvaluator that counts the requests each RSPN
+// countingEval is a batchEvaluator that counts the requests each RSPN
 // evaluates (keyed by its joined table names) and answers them in process.
 type countingEval struct {
-	mu sync.Mutex
-	n  map[string]int
+	n map[string]int
 }
 
 func (c *countingEval) EvaluateRSPN(_ context.Context, r *rspn.RSPN, reqs []spn.Request, out []float64) error {
-	c.mu.Lock()
 	c.n[strings.Join(r.Tables, ",")] += len(reqs)
-	c.mu.Unlock()
 	return r.EvaluateRequests(reqs, out)
 }
 
@@ -94,9 +90,9 @@ func TestGroupByRequestCounts(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		ce := &countingEval{n: map[string]int{}}
-		e.Eval = ce
+		e.eval = ce
 		_, err = e.ExecuteContext(context.Background(), q)
-		e.Eval = nil
+		e.eval = nil
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -59,6 +59,10 @@ func probes(t *testing.T, e *Ensemble) []float64 {
 			{InnerTables: r.Tables},
 			{InnerTables: r.Tables, Filters: []query.Predicate{{Column: "o_channel", Op: query.Le, Value: 1}}},
 			{InnerTables: r.Tables, Fns: map[string]spn.Fn{"l_qty": spn.FnIdent}},
+			// customer's columns, which TestCloneForUpdateIsolation writes.
+			{InnerTables: r.Tables, Filters: []query.Predicate{{Column: "c_age", Op: query.Lt, Value: 40}}},
+			{InnerTables: r.Tables, Filters: []query.Predicate{{Column: "c_region", Op: query.Eq, Value: 1}}},
+			{InnerTables: r.Tables, Fns: map[string]spn.Fn{"c_age": spn.FnIdent}},
 		}
 		for _, term := range terms {
 			req, err := r.BuildRequest(term)
