@@ -51,10 +51,13 @@ type Config struct {
 	SingleTableOnly bool
 
 	// workers caps how many members learn concurrently, and how many
-	// goroutines each member's column-split tests run on; 0 means one per
-	// core (GOMAXPROCS). The members are independent and each learns from
-	// its own seed, and a split test's pairs are independent too, so the
-	// count changes only wall-clock time.
+	// goroutines each member's column-split tests and large KMeans passes
+	// run on; 0 means one per core (GOMAXPROCS). Above one, the budget's
+	// candidates are scored while the base members learn. The members are
+	// independent and each learns from its own seed, a split test's pairs
+	// and a KMeans pass's points are independent too, and candidate
+	// scoring shares no state with base learning, so the count changes
+	// only wall-clock time.
 	workers int
 }
 
@@ -255,11 +258,28 @@ func Build(ctx context.Context, s *schema.Schema, tables map[string]*table.Table
 	if err := e.computeDependencies(); err != nil {
 		return nil, err
 	}
-	if err := e.buildBase(ctx); err != nil {
-		return nil, err
-	}
-	if !cfg.SingleTableOnly && cfg.BudgetFactor > 0 {
-		if err := e.optimize(ctx); err != nil {
+	base := e.baseJobs()
+	if cfg.SingleTableOnly || cfg.BudgetFactor <= 0 {
+		if err := e.learnMembers(ctx, base); err != nil {
+			return nil, err
+		}
+	} else {
+		// Scoring the budget's candidates reads and writes only the
+		// dependency maps and e.rng, which base learning never touches, so
+		// it runs beside the base members; with one worker, after them.
+		var cands []candidate
+		err := parallel.ForEach(2, cfg.workerCount(), func(i int) error {
+			if i == 0 {
+				return e.learnMembers(ctx, base)
+			}
+			var err error
+			cands, err = e.candidates(ctx, base)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := e.optimize(ctx, cands); err != nil {
 			return nil, err
 		}
 	}
@@ -414,9 +434,10 @@ func columnOf(data [][]float64, j int) []float64 {
 	return out
 }
 
-// buildBase learns the base ensemble: joint RSPNs for correlated adjacent
-// pairs, single-table RSPNs elsewhere (every table ends up covered).
-func (e *Ensemble) buildBase(ctx context.Context) error {
+// baseJobs lists the table sets of the base ensemble: joint RSPNs for
+// correlated adjacent pairs, single-table RSPNs elsewhere (every table
+// ends up covered).
+func (e *Ensemble) baseJobs() [][]string {
 	var jobs [][]string
 	covered := map[string]bool{}
 	if !e.cfg.SingleTableOnly {
@@ -435,7 +456,7 @@ func (e *Ensemble) buildBase(ctx context.Context) error {
 		}
 		jobs = append(jobs, []string{meta.Name})
 	}
-	return e.learnMembers(ctx, jobs)
+	return jobs
 }
 
 // learnMembers learns one member per table set, concurrently (the members
@@ -657,22 +678,19 @@ type candidate struct {
 	cost    float64
 }
 
-// optimize admits additional RSPNs over >2 tables by the paper's greedy
-// rule: highest mean pairwise dependency first, relative cost
-// cols(r)^2 * rows(r) as tie-breaker and budget meter, until the accumulated
-// cost exceeds BudgetFactor times the base ensemble cost. Selection reads
-// only the candidates' estimated costs, so every pick is made before the
-// picked members learn, concurrently.
-func (e *Ensemble) optimize(ctx context.Context) error {
+// optimize admits additional RSPNs over >2 tables, from the scored
+// candidates, by the paper's greedy rule: highest mean pairwise dependency
+// first, relative cost cols(r)^2 * rows(r) as tie-breaker and budget
+// meter, until the accumulated cost exceeds BudgetFactor times the cost of
+// the base ensemble (e.RSPNs). Selection reads only the candidates'
+// estimated costs, so every pick is made before the picked members learn,
+// concurrently.
+func (e *Ensemble) optimize(ctx context.Context, cands []candidate) error {
 	baseCost := 0.0
 	for _, r := range e.RSPNs {
 		baseCost += relativeCost(len(r.Model.Columns), r.FullSize)
 	}
 	budget := e.cfg.BudgetFactor * baseCost
-	cands, err := e.candidates()
-	if err != nil {
-		return err
-	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].meanDep != cands[j].meanDep {
 			return cands[i].meanDep > cands[j].meanDep
@@ -692,18 +710,22 @@ func (e *Ensemble) optimize(ctx context.Context) error {
 }
 
 // candidates enumerates connected table subsets of size 3..MaxRSPNTables
-// that are not already covered by an ensemble member, with their mean
-// pairwise dependency and estimated relative cost.
-func (e *Ensemble) candidates() ([]candidate, error) {
+// that are not already the table set of a base member, with their mean
+// pairwise dependency and estimated relative cost. It checks ctx between
+// subsets.
+func (e *Ensemble) candidates(ctx context.Context, base [][]string) ([]candidate, error) {
 	existing := map[string]bool{}
-	for _, r := range e.RSPNs {
-		existing[tableSetKey(r.Tables)] = true
+	for _, tables := range base {
+		existing[tableSetKey(tables)] = true
 	}
 	subsets := e.connectedSubsets(e.cfg.MaxRSPNTables)
 	var out []candidate
 	for _, sub := range subsets {
 		if len(sub) < 3 || existing[tableSetKey(sub)] {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		dep, err := e.meanDependency(sub)
 		if err != nil {

@@ -1,5 +1,6 @@
-// Package parallel provides the bounded worker pool shared by ensemble
-// construction and the query engine's group-by fan-out.
+// Package parallel provides the bounded worker pool of learning: ensemble
+// construction runs its members and candidate scoring on it, and SPN
+// structure learning its column-split tests and KMeans passes.
 package parallel
 
 import (

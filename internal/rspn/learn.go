@@ -25,8 +25,8 @@ type LearnOptions struct {
 	// instead of running structure learning. Useful for small dimension
 	// tables where exactness beats generalization.
 	Exact bool
-	// Workers caps the goroutines of one column-split test; 0 means one
-	// per core. It changes only wall-clock time.
+	// Workers caps the goroutines of one column-split test or KMeans
+	// pass; 0 means one per core. It changes only wall-clock time.
 	Workers int
 }
 

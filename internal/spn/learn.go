@@ -100,8 +100,10 @@ func Learn(data [][]float64, columns []string, cfg LearnConfig) (*SPN, error) {
 // LearnContext is Learn with cancellation: the recursive structure-learning
 // loop checks ctx at every node split and aborts with ctx.Err() once the
 // context is done, so a caller can bound the cost of learning a large RSPN.
-// Each column-split test runs on up to workers goroutines (0 means one per
-// core); the count changes only wall-clock time, never the model.
+// Each column-split test, and each nearest-centroid pass of KMeans over at
+// least stats.KMeansParallelPoints rows, runs on up to workers goroutines
+// (0 means one per core); the count changes only wall-clock time, never
+// the model.
 func LearnContext(ctx context.Context, data [][]float64, columns []string, cfg LearnConfig, workers int) (*SPN, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("spn: no training rows")
@@ -269,7 +271,7 @@ type learner struct {
 	cfg     LearnConfig
 	minRows int
 	rng     *rand.Rand
-	workers int // goroutines of one column-split test
+	workers int // goroutines of one column-split test or KMeans pass
 	// err records a context cancellation observed during recursion; the
 	// learner then unwinds by factorizing every remaining branch cheaply.
 	err error
@@ -422,7 +424,7 @@ func (l *learner) product(rows []int, scope []int, comps [][]int) *Node {
 // factorization so recursion always terminates.
 func (l *learner) sumSplit(rows []int, scope []int) *Node {
 	points, normMin, normMax := l.normalizedPoints(rows, scope)
-	res := stats.KMeans(points, l.cfg.KMeansClusters, 30, l.rng)
+	res := stats.KMeans(points, len(scope), l.cfg.KMeansClusters, 30, l.rng, l.workers)
 	clusters := make([][]int, len(res.Centroids))
 	for i, a := range res.Assignments {
 		clusters[a] = append(clusters[a], rows[i])
@@ -453,9 +455,10 @@ func (l *learner) sumSplit(rows []int, scope []int) *Node {
 }
 
 // normalizedPoints scales each scope column to [0,1] and maps NULL to the
-// sentinel -0.5 so NULLs cluster together, returning the per-column min/max
-// used (kept on the sum node for routing updates).
-func (l *learner) normalizedPoints(rows []int, scope []int) (points [][]float64, mins, maxs []float64) {
+// sentinel -0.5 so NULLs cluster together, returning the points row-major
+// (len(rows) x len(scope)) and the per-column min/max used (kept on the
+// sum node for routing updates).
+func (l *learner) normalizedPoints(rows []int, scope []int) (points []float64, mins, maxs []float64) {
 	k := len(scope)
 	mins = make([]float64, k)
 	maxs = make([]float64, k)
@@ -485,13 +488,12 @@ func (l *learner) normalizedPoints(rows []int, scope []int) (points [][]float64,
 			maxs[i] = mins[i] + 1
 		}
 	}
-	points = make([][]float64, len(rows))
+	points = make([]float64, len(rows)*k)
 	for j, r := range rows {
-		p := make([]float64, k)
+		p := points[j*k : (j+1)*k]
 		for i, c := range scope {
 			p[i] = NormalizeValue(l.data[r][c], mins[i], maxs[i])
 		}
-		points[j] = p
 	}
 	return points, mins, maxs
 }

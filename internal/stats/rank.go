@@ -5,42 +5,34 @@ import (
 	"sort"
 )
 
-// Ranks returns the fractional (average-tie) ranks of xs, 1-based. The rank
-// of the smallest value is 1 and ties receive the average of the ranks they
-// span, matching the convention used for copula transforms in the RDC paper.
-func Ranks(xs []float64) []float64 {
+// tieGroups returns each value's tie group, numbered in rank order, with
+// the fractional (average-tie) rank each group shares, 1-based: the
+// smallest value's group has rank 1 and a group spanning ranks i..j has
+// (i+j)/2, the convention of the RDC paper's copula transform. Values
+// compare with <, so a NaN ties with nothing and its group depends on
+// where the sort leaves it.
+func tieGroups(xs []float64) (group []int32, avg []float64) {
 	n := len(xs)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
+	group = make([]int32, n)
 	for i := 0; i < n; {
 		j := i
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
 			j++
 		}
 		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
+		g := int32(len(avg))
+		avg = append(avg, float64(i+j)/2+1)
 		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
+			group[idx[k]] = g
 		}
 		i = j + 1
 	}
-	return ranks
-}
-
-// ECDF returns the empirical copula transform of xs: each value is mapped to
-// its fractional rank divided by n, yielding values in (0, 1].
-func ECDF(xs []float64) []float64 {
-	ranks := Ranks(xs)
-	n := float64(len(xs))
-	out := make([]float64, len(xs))
-	for i, r := range ranks {
-		out[i] = r / n
-	}
-	return out
+	return group, avg
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -92,28 +92,44 @@ func PrepareRDC(xs []float64, roles RDCRole, cfg RDCConfig) *RDCColumn {
 	if n < 4 {
 		return &RDCColumn{n: n}
 	}
-	out := &RDCColumn{n: n, cop: ECDF(xs)}
+	// A row's copula value (the empirical copula transform) is its tie
+	// group's rank over n, so each group's sine features are computed once
+	// for all its rows.
+	group, levels := tieGroups(xs)
+	for g := range levels {
+		levels[g] /= float64(n)
+	}
+	cop := make([]float64, n)
+	for i, g := range group {
+		cop[i] = levels[g]
+	}
+	out := &RDCColumn{n: n, cop: cop}
 	fx, fy := projections(cfg)
 	if roles&RoleX != 0 {
-		out.x = prepareSide(out.cop, fx)
+		out.x = prepareSide(group, levels, fx)
 	}
 	if roles&RoleY != 0 {
-		out.y = prepareSide(out.cop, fy)
+		out.y = prepareSide(group, levels, fy)
 	}
 	return out
 }
 
-// prepareSide projects the copula values through the sine features,
-// centers each feature in place and factors the ridge covariance.
-func prepareSide(cop []float64, f sineFeatures) *rdcSide {
-	n, k := len(cop), len(f.w)
+// prepareSide projects the copula values (levels[group[i]] for row i)
+// through the sine features, centers each feature in place and factors
+// the ridge covariance.
+func prepareSide(group []int32, levels []float64, f sineFeatures) *rdcSide {
+	n, k := len(group), len(f.w)
 	feat := make([]float64, k*n)
+	sines := make([]float64, len(levels))
 	for j := 0; j < k; j++ {
 		row := feat[j*n : (j+1)*n]
 		w, b := f.w[j], f.b[j]
+		for g, u := range levels {
+			sines[g] = math.Sin(w*u + b)
+		}
 		mean := 0.0
-		for i, u := range cop {
-			row[i] = math.Sin(w*u + b)
+		for i, g := range group {
+			row[i] = sines[g]
 			mean += row[i]
 		}
 		mean /= float64(n)
@@ -123,10 +139,11 @@ func prepareSide(cop []float64, f sineFeatures) *rdcSide {
 	}
 	inv := 1.0 / float64(n-1)
 	cov := make([]float64, k*k)
+	cells := make([]float64, k)
 	for a := 0; a < k; a++ {
-		ra := feat[a*n : (a+1)*n]
+		dots(cells[:k-a], feat[a*n:(a+1)*n], feat[a*n:])
 		for b := a; b < k; b++ {
-			c := dot(ra, feat[b*n:(b+1)*n]) * inv
+			c := cells[b-a] * inv
 			cov[a*k+b], cov[b*k+a] = c, c
 		}
 		cov[a*k+a] += ridge
@@ -144,6 +161,34 @@ func dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
+}
+
+// dots sets out[c] to dot(a, rows[c*n:(c+1)*n]), n = len(a), for every c.
+// It reads a once per four cells, each of the four sums still adding its
+// terms in index order, so every cell equals dot's bit for bit.
+func dots(out, a, rows []float64) {
+	n := len(a)
+	c := 0
+	for ; c+4 <= len(out); c += 4 {
+		b0 := rows[c*n:][:n]
+		b1 := rows[(c+1)*n:][:n]
+		b2 := rows[(c+2)*n:][:n]
+		b3 := rows[(c+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for i, v := range a {
+			if v == 0 {
+				continue
+			}
+			s0 += v * b0[i]
+			s1 += v * b1[i]
+			s2 += v * b2[i]
+			s3 += v * b3[i]
+		}
+		out[c], out[c+1], out[c+2], out[c+3] = s0, s1, s2, s3
+	}
+	for ; c < len(out); c++ {
+		out[c] = dot(a, rows[c*n:][:n])
+	}
 }
 
 // choleskyInverse factors the symmetric k x k matrix a as R Rᵀ with R
@@ -216,14 +261,7 @@ func maxCanonicalCorrelation(x, y *rdcSide, n int) (float64, bool) {
 		return 0, false
 	}
 	kx, ky := x.k, y.k
-	inv := 1.0 / float64(n-1)
-	cxy := make([]float64, kx*ky)
-	for i := 0; i < kx; i++ {
-		ri := x.feat[i*n : (i+1)*n]
-		for j := 0; j < ky; j++ {
-			cxy[i*ky+j] = dot(ri, y.feat[j*n:(j+1)*n]) * inv
-		}
-	}
+	cxy := crossCovariance(x, y, n)
 	// t = Rx⁻¹ Cxy, then w = t Ry⁻ᵀ; both factors are lower triangular.
 	t := make([]float64, kx*ky)
 	for i := 0; i < kx; i++ {
@@ -260,6 +298,22 @@ func maxCanonicalCorrelation(x, y *rdcSide, n int) (float64, bool) {
 		maxEig = 0
 	}
 	return math.Sqrt(maxEig), true
+}
+
+// crossCovariance returns Cxy (x.k x y.k, row-major), the covariance
+// between the two prepared projections over n rows.
+func crossCovariance(x, y *rdcSide, n int) []float64 {
+	kx, ky := x.k, y.k
+	inv := 1.0 / float64(n-1)
+	cxy := make([]float64, kx*ky)
+	for i := 0; i < kx; i++ {
+		cells := cxy[i*ky : (i+1)*ky]
+		dots(cells, x.feat[i*n:(i+1)*n], y.feat)
+		for j := range cells {
+			cells[j] *= inv
+		}
+	}
+	return cxy
 }
 
 // maxEigenvalue returns the largest eigenvalue of the symmetric k x k

@@ -156,7 +156,7 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		points = append(points, []float64{10 + rng.NormFloat64()*0.1, 10 + rng.NormFloat64()*0.1})
 	}
-	res := KMeans(points, 2, 50, rng)
+	res := KMeans(flatten(points), 2, 2, 50, rng, 1)
 	// All of the first 100 points must share a cluster, all of the last 100
 	// the other.
 	c0 := res.Assignments[0]
@@ -177,8 +177,7 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 }
 
 func TestKMeansKLargerThanN(t *testing.T) {
-	points := [][]float64{{1}, {2}}
-	res := KMeans(points, 10, 10, rand.New(rand.NewSource(1)))
+	res := KMeans([]float64{1, 2}, 1, 10, 10, rand.New(rand.NewSource(1)), 1)
 	if len(res.Centroids) != 2 {
 		t.Fatalf("k should clamp to n: got %d centroids", len(res.Centroids))
 	}

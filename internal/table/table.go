@@ -308,6 +308,8 @@ func (t *Table) Select(rows []int) *Table {
 
 // Matrix materializes the named columns as a row-major [][]float64 with NULL
 // encoded as NaN. rows == nil means all rows. SPN learning consumes this.
+// The rows are capacity-capped windows of one backing array, so an append
+// to a row copies it instead of overwriting the next.
 func (t *Table) Matrix(cols []string, rows []int) ([][]float64, error) {
 	srcs := make([]*Column, len(cols))
 	for i, name := range cols {
@@ -321,13 +323,15 @@ func (t *Table) Matrix(cols []string, rows []int) ([][]float64, error) {
 	if rows != nil {
 		n = len(rows)
 	}
+	d := len(srcs)
+	cells := make([]float64, n*d)
 	out := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		r := i
 		if rows != nil {
 			r = rows[i]
 		}
-		row := make([]float64, len(srcs))
+		row := cells[i*d : (i+1)*d : (i+1)*d]
 		for j, c := range srcs {
 			if c.Nul[r] {
 				row[j] = math.NaN()

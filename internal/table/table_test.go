@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,6 +256,31 @@ func TestMatrixNullIsNaN(t *testing.T) {
 	}
 	if !math.IsNaN(m[1][0]) {
 		t.Fatalf("NULL should materialize as NaN, got %v", m[1][0])
+	}
+}
+
+// TestMatrixRowsShareOneArray: Matrix makes three allocations whatever
+// the row count, and each row is a capacity-capped window of the shared
+// array, so appending to one row never writes into the next.
+func TestMatrixRowsShareOneArray(t *testing.T) {
+	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "x", Kind: schema.FloatKind}, {Name: "y", Kind: schema.FloatKind}}}
+	tb := New(meta)
+	for i := 0; i < 100; i++ {
+		tb.AppendRow(Int(i), Int(-i))
+	}
+	m, err := tb.Matrix([]string{"y", "x"}, []int{7, 3, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]float64{{-7, 7}, {-3, 3}, {-50, 50}}; !reflect.DeepEqual(m, want) {
+		t.Fatalf("Matrix = %v, want %v", m, want)
+	}
+	_ = append(m[0], 99)
+	if m[1][0] != -3 {
+		t.Fatalf("appending to row 0 overwrote row 1: %v", m[1])
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _ = tb.Matrix([]string{"x", "y"}, nil) }); a > 3 {
+		t.Fatalf("Matrix over 100 rows made %v allocations, want 3", a)
 	}
 }
 
