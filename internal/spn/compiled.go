@@ -3,20 +3,21 @@ package spn
 // compiled.go implements the flattened SPN evaluator. The learned tree is
 // lowered once into a postorder structure-of-arrays form — node kinds,
 // child index ranges, normalized sum weights, leaf references and scope
-// bitsets in contiguous arrays — and batches of inference requests are
-// answered in a single recursion-free pass over those arrays. Compared to
-// the reference tree walk (infer.go) this removes the per-call column map,
-// the per-visit weight renormalization, the pointer chasing and the
-// scope-overlap map probes; requests in a batch additionally share the
-// node walk, so evaluating the many expectations a query plan emits (per
-// group key, per Theorem-2 branch, per inclusion-exclusion term, per
-// prepared-statement binding) costs one pass instead of one traversal
-// each. Within a pass, a leaf computes a moment only where a run of
-// requests with identical queries on its column starts; for a column
-// several leaves read, the runs are found once per pass, not once per
-// leaf. Results are
-// bit-identical to the tree walk's: the flat form performs the same
-// floating-point operations in the same order.
+// bitsets in contiguous arrays — and every inference, a batch of one or
+// of many, is answered by one kernel (EvaluateBatch): a validation pass, a
+// top-down reach sweep and a single recursion-free bottom-up sweep over
+// those arrays, for any model width. Compared to the reference tree walk
+// (infer.go) this removes the per-call column map, the per-visit weight
+// renormalization, the pointer chasing and the scope-overlap map probes;
+// requests in a batch additionally share the node walk, so evaluating the
+// many expectations a query plan emits (per group key, per Theorem-2
+// branch, per inclusion-exclusion term, per prepared-statement binding)
+// costs one pass instead of one traversal each. Within a pass, a leaf
+// computes a moment only where a run of requests with identical queries
+// on its column starts; for a column several leaves read, the runs are
+// found once per pass, not once per leaf. Results are bit-identical to
+// the tree walk's: the flat form performs the same floating-point
+// operations in the same order.
 
 import (
 	"fmt"
@@ -25,8 +26,8 @@ import (
 )
 
 // Compiled is the flattened, evaluation-optimized form of an SPN tree.
-// Nodes are stored in postorder (children strictly before parents), so a
-// single forward loop evaluates bottom-up. A Compiled is read-only during
+// Nodes are stored in postorder (children strictly before parents), so the
+// kernel's single forward loop evaluates bottom-up. A Compiled is read-only during
 // evaluation and safe for concurrent EvaluateBatch calls. Updates never
 // change the tree structure, and count slices and leaf distributions are
 // shared by pointer with the tree, so SPN.Insert/Delete only re-derive, in
@@ -172,8 +173,9 @@ func (c *Compiled) refreshWeights() {
 	}
 }
 
-// evalScratch holds the pooled per-call buffers of EvaluateBatch, so a
-// steady-state batch evaluation allocates nothing.
+// evalScratch holds the pooled per-call buffers of the kernel's three
+// phases, so a steady-state evaluation — of one request or a batch —
+// allocates nothing.
 type evalScratch struct {
 	colRef []int32
 	rep    []bool // parallel to colRef: see EvaluateBatch
@@ -181,7 +183,6 @@ type evalScratch struct {
 	union  []uint64
 	active []bool
 	vals   []float64
-	kept   []int32 // product-node child list under a uniform batch mask
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -227,15 +228,16 @@ func maskIntersects(a, b []uint64) bool {
 	return false
 }
 
-// EvaluateBatch evaluates len(reqs) inference requests in one pass over
-// the flat arrays, writing request i's value into out[i]. The pass has
+// EvaluateBatch is the one SPN inference kernel: it evaluates len(reqs)
+// requests in one pass over the flat arrays, writing request i's value
+// into out[i]; SPN.Evaluate is a batch of one through it. The pass has
 // three phases: request validation (duplicate/range checks, per-request
-// column bitsets, runs of identical column queries), a top-down sweep
-// marking the nodes any request can reach (subtrees outside the batch's
-// union scope — or behind a zero-weight sum child — are skipped
-// wholesale), and one bottom-up sweep computing all requests' values per
-// active node. Per-request skipping at product nodes mirrors the tree
-// walk's scopeTouches check exactly.
+// column bitsets and their union, runs of identical column queries), a
+// top-down sweep marking the nodes any request can reach (subtrees outside
+// the batch's union scope — or behind a zero-weight sum child — are
+// skipped wholesale), and one bottom-up sweep computing all requests'
+// values per active node. Per-request skipping at product nodes mirrors
+// the tree walk's scopeTouches check exactly.
 //
 //deepdb:nocancel tight compiled kernel over one bounded batch; cancellation belongs between batches at the caller
 func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
@@ -245,10 +247,6 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 	}
 	if len(out) < nb {
 		return fmt.Errorf("spn: result buffer holds %d values for %d requests", len(out), nb)
-	}
-	if nb == 1 {
-		// Singleton batches skip the per-request phase loops entirely.
-		return c.evalSingle(&reqs[0], out)
 	}
 	n := len(c.kind)
 	w := c.words
@@ -285,8 +283,8 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 		}
 	}
 	for b := 0; b < nb; b++ {
-		for k := 0; k < w; k++ {
-			union[k] |= masks[b*w+k]
+		for k, m := range masks[b*w : b*w+w] {
+			union[k] |= m
 		}
 	}
 	// Adjacent requests in a plan batch often constrain a column
@@ -317,7 +315,8 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 	}
 
 	// Top-down reachability: in postorder, iterating from the end visits
-	// every parent before its children.
+	// every parent before its children. A product node's child is marked
+	// exactly when its scope meets the union.
 	active := grow(&sc.active, n)
 	for i := range active {
 		active[i] = false
@@ -346,25 +345,48 @@ func (c *Compiled) EvaluateBatch(reqs []Request, out []float64) error {
 	}
 
 	// Bottom-up evaluation; vals[i*nb+b] is node i's value for request b.
-	// The word count and batch-mask shape pick the kernel: one-word scope
-	// bitsets (<= 64 columns, the common case) drop the per-child slice
-	// construction, and a batch whose requests all constrain the same
-	// column set (every plan batch: bindings differ in values, not shape)
-	// resolves each product node's reachable-child list once instead of
-	// once per request. All variants perform the same multiplications and
-	// additions in the same order, so results stay bitwise identical.
+	// A product node multiplies, per request, the children whose scope
+	// meets that request's own mask, in child order, as the tree walk
+	// does, so results stay bitwise identical. An inactive child's scope
+	// meets no request's mask, so its mark alone skips it.
 	vals := grow(&sc.vals, n*nb)
-	if w == 1 {
-		uniform := true
-		for b := 1; b < nb; b++ {
-			if masks[b] != masks[0] {
-				uniform = false
-				break
-			}
+	for i := 0; i < n; i++ {
+		if !active[i] {
+			continue
 		}
-		c.bottomUpOneWord(reqs, colRef, rep, masks, union[0], active, vals, uniform, sc)
-	} else {
-		c.bottomUpGeneric(reqs, colRef, rep, masks, union, active, vals)
+		base := i * nb
+		row := vals[base : base+nb]
+		lo, hi := c.childOff[i], c.childOff[i+1]
+		switch c.kind[i] {
+		case LeafKind:
+			col := int(c.leafCol[i])
+			if union[col>>6]&(1<<(uint(col)&63)) == 0 {
+				// No request constrains this column: every value is 1.
+				for b := range row {
+					row[b] = 1
+				}
+				continue
+			}
+			c.leafRow(i, col, reqs, colRef, rep, row)
+		case ProductKind:
+			for b := range row {
+				m := masks[b*w : b*w+w]
+				acc := 1.0
+				for k := lo; k < hi; k++ {
+					ci := int(c.childIdx[k])
+					if !active[ci] || !maskIntersects(c.scope[ci*w:ci*w+w], m) {
+						continue
+					}
+					acc *= vals[ci*nb+b]
+					if acc == 0 {
+						break
+					}
+				}
+				row[b] = acc
+			}
+		case SumKind:
+			c.sumRow(vals, base, nb, lo, hi)
+		}
 	}
 
 	rootBase := int(c.root) * nb
@@ -417,123 +439,6 @@ func (c *Compiled) leafRow(i, col int, reqs []Request, colRef []int32, rep []boo
 	}
 }
 
-// bottomUpGeneric is the reference bottom-up sweep for models with more
-// than 64 columns (multi-word scope bitsets).
-func (c *Compiled) bottomUpGeneric(reqs []Request, colRef []int32, rep []bool, masks, union []uint64, active []bool, vals []float64) {
-	nb := len(reqs)
-	w := c.words
-	n := len(c.kind)
-	for i := 0; i < n; i++ {
-		if !active[i] {
-			continue
-		}
-		base := i * nb
-		lo, hi := c.childOff[i], c.childOff[i+1]
-		switch c.kind[i] {
-		case LeafKind:
-			col := int(c.leafCol[i])
-			row := vals[base : base+nb]
-			if union[col>>6]&(1<<(uint(col)&63)) == 0 {
-				// No request constrains this column: every value is 1.
-				for b := range row {
-					row[b] = 1
-				}
-				continue
-			}
-			c.leafRow(i, col, reqs, colRef, rep, row)
-		case ProductKind:
-			for b := 0; b < nb; b++ {
-				m := masks[b*w : b*w+w]
-				acc := 1.0
-				for k := lo; k < hi; k++ {
-					ci := int(c.childIdx[k])
-					if !maskIntersects(c.scope[ci*w:ci*w+w], m) {
-						continue
-					}
-					acc *= vals[ci*nb+b]
-					if acc == 0 {
-						break
-					}
-				}
-				vals[base+b] = acc
-			}
-		case SumKind:
-			c.sumRow(vals, base, nb, lo, hi)
-		}
-	}
-}
-
-// bottomUpOneWord is the bottom-up sweep specialized for single-word scope
-// bitsets; with a uniform batch mask it additionally resolves product
-// nodes' reachable children once per node (sc.kept) instead of per
-// request. Leaves fill their rows with leafRow, as in bottomUpGeneric.
-func (c *Compiled) bottomUpOneWord(reqs []Request, colRef []int32, rep []bool, masks []uint64, union uint64, active []bool, vals []float64, uniform bool, sc *evalScratch) {
-	nb := len(reqs)
-	n := len(c.kind)
-	for i := 0; i < n; i++ {
-		if !active[i] {
-			continue
-		}
-		base := i * nb
-		lo, hi := c.childOff[i], c.childOff[i+1]
-		switch c.kind[i] {
-		case LeafKind:
-			col := int(c.leafCol[i])
-			row := vals[base : base+nb]
-			if union&(1<<(uint(col)&63)) == 0 {
-				for b := range row {
-					row[b] = 1
-				}
-				continue
-			}
-			c.leafRow(i, col, reqs, colRef, rep, row)
-		case ProductKind:
-			if uniform {
-				// One shared mask: the per-request scope checks collapse
-				// into one reachable-child list. Each request still
-				// multiplies the same children in the same order (with the
-				// same zero short-circuit), so values are unchanged.
-				kept := sc.kept[:0]
-				for k := lo; k < hi; k++ {
-					ci := c.childIdx[k]
-					if c.scope[ci]&masks[0] != 0 {
-						kept = append(kept, ci)
-					}
-				}
-				sc.kept = kept
-				for b := 0; b < nb; b++ {
-					acc := 1.0
-					for _, ci := range kept {
-						acc *= vals[int(ci)*nb+b]
-						if acc == 0 {
-							break
-						}
-					}
-					vals[base+b] = acc
-				}
-				continue
-			}
-			for b := 0; b < nb; b++ {
-				mb := masks[b]
-				acc := 1.0
-				for k := lo; k < hi; k++ {
-					ci := int(c.childIdx[k])
-					if c.scope[ci]&mb == 0 {
-						continue
-					}
-					acc *= vals[ci*nb+b]
-					if acc == 0 {
-						break
-					}
-				}
-				vals[base+b] = acc
-			}
-		case SumKind:
-			c.sumRow(vals, base, nb, lo, hi)
-		}
-	}
-}
-
 // sumRow computes one sum node's value row: row[b] accumulates
 // weight[k]*child_k[b] over children in ascending k. Walking children in
 // the outer loop streams each child's contiguous value row (instead of
@@ -556,110 +461,6 @@ func (c *Compiled) sumRow(vals []float64, base, nb int, lo, hi int32) {
 			row[b] += wt * child[b]
 		}
 	}
-}
-
-// evalSingle answers one request without the batched phase loops: a dense
-// column-reference row, one scope mask, and scalar node values. It
-// performs the same operations in the same order as a one-request batch
-// (and therefore as the tree walk), so results are bitwise identical.
-func (c *Compiled) evalSingle(req *Request, out []float64) error {
-	n := len(c.kind)
-	w := c.words
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-
-	colRef := grow(&sc.colRef, c.numCols)
-	for i := range colRef {
-		colRef[i] = -1
-	}
-	mask := grow(&sc.masks, w)
-	for i := range mask {
-		mask[i] = 0
-	}
-	for j := range req.Cols {
-		col := req.Cols[j].Col
-		if col < 0 || col >= c.numCols {
-			return fmt.Errorf("spn: column index %d out of range", col)
-		}
-		if colRef[col] >= 0 {
-			return fmt.Errorf("spn: duplicate column %d in request", col)
-		}
-		colRef[col] = int32(j)
-		mask[col>>6] |= 1 << (uint(col) & 63)
-	}
-
-	active := grow(&sc.active, n)
-	for i := range active {
-		active[i] = false
-	}
-	active[c.root] = true
-	for i := n - 1; i >= 0; i-- {
-		if !active[i] {
-			continue
-		}
-		lo, hi := c.childOff[i], c.childOff[i+1]
-		switch c.kind[i] {
-		case ProductKind:
-			for k := lo; k < hi; k++ {
-				ci := c.childIdx[k]
-				if maskIntersects(c.scope[int(ci)*w:int(ci)*w+w], mask) {
-					active[ci] = true
-				}
-			}
-		case SumKind:
-			for k := lo; k < hi; k++ {
-				if c.weight[k] != 0 {
-					active[c.childIdx[k]] = true
-				}
-			}
-		}
-	}
-
-	vals := grow(&sc.vals, n)
-	for i := 0; i < n; i++ {
-		if !active[i] {
-			continue
-		}
-		lo, hi := c.childOff[i], c.childOff[i+1]
-		switch c.kind[i] {
-		case LeafKind:
-			if ref := colRef[c.leafCol[i]]; ref >= 0 {
-				vals[i] = c.leaf[i].moment(&req.Cols[ref])
-			} else {
-				vals[i] = 1
-			}
-		case ProductKind:
-			acc := 1.0
-			for k := lo; k < hi; k++ {
-				ci := int(c.childIdx[k])
-				if !maskIntersects(c.scope[ci*w:ci*w+w], mask) {
-					continue
-				}
-				acc *= vals[ci]
-				if acc == 0 {
-					break
-				}
-			}
-			vals[i] = acc
-		case SumKind:
-			acc := 0.0
-			for k := lo; k < hi; k++ {
-				wt := c.weight[k]
-				if wt == 0 {
-					continue
-				}
-				acc += wt * vals[int(c.childIdx[k])]
-			}
-			vals[i] = acc
-		}
-	}
-
-	v := vals[c.root]
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("spn: non-finite inference result")
-	}
-	out[0] = v
-	return nil
 }
 
 // Refresh rebuilds the SPN's derived evaluation state: the cached sum-node
@@ -686,9 +487,10 @@ func (s *SPN) Refresh() {
 // Compiled returns the flat evaluator.
 func (s *SPN) Compiled() *Compiled { return s.flat }
 
-// EvaluateBatch evaluates many requests in one pass over the compiled
-// flat form, writing request i's value into out[i]. Results are
-// bit-identical to per-request Evaluate.
+// EvaluateBatch evaluates many requests in one pass of the compiled
+// kernel, writing request i's value into out[i]. Results are
+// bit-identical to per-request Evaluate, a batch of one through the same
+// kernel.
 func (s *SPN) EvaluateBatch(reqs []Request, out []float64) error {
 	return s.flat.EvaluateBatch(reqs, out)
 }

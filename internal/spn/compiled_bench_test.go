@@ -1,8 +1,7 @@
 package spn
 
-// Micro-benchmarks comparing the reference tree walk against the compiled
-// flat evaluator, single-request and batched. scripts/bench.sh runs these
-// and emits BENCH_spn.json.
+// Micro-benchmarks of the compiled evaluator kernel, single-request and
+// batched. scripts/bench.sh runs these and emits BENCH_spn.json.
 
 import (
 	"math"
@@ -61,21 +60,8 @@ func benchFixture(b testing.TB) (*SPN, []Request) {
 	return benchSPN, benchReqs
 }
 
-// BenchmarkSPNEvalTree: the reference pointer-chasing tree walk, one
-// request per traversal (allocates a column map per call).
-func BenchmarkSPNEvalTree(b *testing.B) {
-	s, reqs := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.evaluateTree(reqs[i%len(reqs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSPNEvalFlat: the compiled flat evaluator with a single-request
-// batch — same work per request, no recursion, no maps, pooled scratch.
+// BenchmarkSPNEvalFlat: the compiled kernel with a single-request batch —
+// no recursion, no maps, pooled scratch.
 func BenchmarkSPNEvalFlat(b *testing.B) {
 	s, reqs := benchFixture(b)
 	out := make([]float64, 1)
@@ -109,24 +95,6 @@ func BenchmarkSPNEvalFlatBatch16(b *testing.B) {
 	b.ReportMetric(batch, "requests/op")
 }
 
-// BenchmarkSPNEvalTreeBatch16: the same sixteen requests through the tree
-// walk — the pre-batching cost of that workload.
-func BenchmarkSPNEvalTreeBatch16(b *testing.B) {
-	s, reqs := benchFixture(b)
-	const batch = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := (i * batch) % (len(reqs) - batch + 1)
-		for _, req := range reqs[lo : lo+batch] {
-			if _, err := s.evaluateTree(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "requests/op")
-}
-
 // groupedRequests builds the request shape a GROUP BY execution emits:
 // every request shares the query's filter constraints and differs only in
 // the group key's point range — the pattern the batch evaluator's
@@ -154,23 +122,6 @@ func BenchmarkSPNEvalFlatGrouped16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.EvaluateBatch(reqs, out); err != nil {
 			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "requests/op")
-}
-
-// BenchmarkSPNEvalTreeGrouped16: the same sixteen group-key requests as
-// independent tree walks — one full evaluation per key.
-func BenchmarkSPNEvalTreeGrouped16(b *testing.B) {
-	s, _ := benchFixture(b)
-	reqs := groupedRequests(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, req := range reqs {
-			if _, err := s.evaluateTree(req); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	b.ReportMetric(float64(len(reqs)), "requests/op")

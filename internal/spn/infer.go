@@ -19,13 +19,13 @@ type Request struct {
 	Cols []ColQuery
 }
 
-// Evaluate computes one request on the compiled flat evaluator — a batch
-// of one. Like EvaluateBatch it needs the derived state Refresh builds
-// (learning, deserialization and Clone all do; a tree assembled by hand
-// must be Refreshed first).
+// Evaluate computes one request as a batch of one through the compiled
+// kernel, Compiled.EvaluateBatch. Like EvaluateBatch it needs the derived
+// state Refresh builds (learning, deserialization and Clone all do; a tree
+// assembled by hand must be Refreshed first).
 func (s *SPN) Evaluate(req Request) (float64, error) {
 	var out [1]float64
-	if err := s.flat.evalSingle(&req, out[:]); err != nil {
+	if err := s.flat.EvaluateBatch([]Request{req}, out[:]); err != nil {
 		return 0, err
 	}
 	return out[0], nil

@@ -1,12 +1,12 @@
 package spn
 
-// kernel_test.go pins the unrolled binned-leaf kernels and the
-// specialized evaluator paths (singleton, one-word, uniform-mask,
-// multi-word) to their scalar references, bit for bit: a verbatim copy of
-// the pre-kernel binnedMass loop is the oracle for leaf moments, and the
-// tree walk is the oracle for whole-model evaluation. It also pins that
-// in-place leaf updates are visible to the compiled form's kernels
-// without a recompile.
+// kernel_test.go pins the unrolled binned-leaf kernels and the one
+// evaluation kernel (on batches of one, batches whose requests share or
+// differ in their column sets, one-word and multi-word scopes) to their
+// scalar references, bit for bit: a verbatim copy of the pre-kernel binnedMass loop is the oracle
+// for leaf moments, and the tree walk is the oracle for whole-model
+// evaluation. It also pins that in-place leaf updates are visible to the
+// compiled form's kernels without a recompile.
 
 import (
 	"fmt"
@@ -134,7 +134,7 @@ func TestBinnedKernelsMatchScalarReference(t *testing.T) {
 }
 
 // TestCompiledMatchesTreeWideScope drives models with more than 64
-// columns through the multi-word (bottomUpGeneric) sweep.
+// columns, whose scope masks span several words, through the kernel.
 func TestCompiledMatchesTreeWideScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
@@ -147,15 +147,54 @@ func TestCompiledMatchesTreeWideScope(t *testing.T) {
 		}
 		assertBatchMatchesTree(t, s, reqs, fmt.Sprintf("wide trial %d", trial))
 	}
+
+	// Two requests that agree on columns 0-63 and differ beyond them, so
+	// only a scope test that reads every mask word tells them apart. The
+	// narrower one leaves column 69 unconstrained, so it must skip the sum
+	// over that column, whose weights 1/6, 4/6, 1/6 add to
+	// 0.9999999999999999; the wider one must multiply it in.
+	const numCols = 70
+	root := &Node{Kind: ProductKind}
+	for c := 0; c < numCols-1; c++ {
+		root.Children = append(root.Children, &Node{Kind: LeafKind, Scope: []int{c}, Leaf: randomLeaf(rng, c)})
+	}
+	sum := &Node{Kind: SumKind, Scope: []int{numCols - 1}, ChildCounts: []float64{1, 4, 1}}
+	for range sum.ChildCounts {
+		sum.Children = append(sum.Children, &Node{Kind: LeafKind, Scope: []int{numCols - 1}, Leaf: randomLeaf(rng, numCols-1)})
+	}
+	root.Children = append(root.Children, sum)
+	cols := make([]string, numCols)
+	for c := range cols {
+		root.Scope = append(root.Scope, c)
+		cols[c] = fmt.Sprintf("c%d", c)
+	}
+	s := &SPN{Root: root, Columns: cols, RowCount: 100}
+	if err := s.Root.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s.Refresh()
+	first := ColQuery{Col: 3, Fn: FnOne, Ranges: []Range{{Lo: 0, Hi: 20, LoIncl: true, HiIncl: true}}}
+	wider := Request{Cols: []ColQuery{first, {Col: numCols - 1, Fn: FnIdent, Ranges: []Range{FullRange()}}}}
+	narrower := Request{Cols: []ColQuery{first}}
+	assertBatchMatchesTree(t, s, []Request{wider, narrower}, "wide batch mixed beyond column 63")
+	// The same batch with the narrower request first: every request after
+	// the first constrains the batch's whole union, so a shortcut that
+	// skipped request 0's own mask would multiply the sum in for it too.
+	assertBatchMatchesTree(t, s, []Request{narrower, wider}, "wide batch mixed beyond column 63, narrower first")
 }
 
 // TestCompiledMatchesTreeUniformBatch builds GROUP-BY-shaped batches —
-// every request constrains the same column set, differing only in one
-// point range — which is exactly the uniform-mask product specialization.
+// requests sharing a column set, differing in one point range — so every
+// request's mask is the batch's union. The last twelve trials use models
+// of 65-144 columns (multi-word masks).
 func TestCompiledMatchesTreeUniformBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 72; trial++ {
 		numCols := 2 + rng.Intn(5)
+		wide := trial >= 60
+		if wide {
+			numCols = 65 + rng.Intn(80)
+		}
 		s := randomSPN(rng, numCols)
 		shared := randomRequest(rng, numCols)
 		if len(shared.Cols) == 0 {
@@ -165,8 +204,15 @@ func TestCompiledMatchesTreeUniformBatch(t *testing.T) {
 		reqs := make([]Request, batch)
 		for i := range reqs {
 			cols := append([]ColQuery(nil), shared.Cols...)
-			cols[rng.Intn(len(cols))%len(cols)] = ColQuery{
-				Col:    shared.Cols[0].Col,
+			j := rng.Intn(len(cols)) % len(cols)
+			col := shared.Cols[0].Col
+			if wide {
+				// Re-range the drawn column itself, so every request keeps
+				// the shared column set.
+				col = cols[j].Col
+			}
+			cols[j] = ColQuery{
+				Col:    col,
 				Fn:     FnOne,
 				Ranges: []Range{PointRange(float64(i % 7))},
 			}

@@ -6,8 +6,8 @@
 #       estimation, batch execution, GROUP BY (batched vs per-group),
 #       result-cache hit vs uncached execution, streamed vs materialized
 #       GROUP BY rows/s, and the HTTP serve endpoint.
-#   BENCH_spn.json   — SPN inference micro-benches: the reference tree
-#       walk vs the compiled flat evaluator, single-request and batched.
+#   BENCH_spn.json   — SPN inference micro-benches: the compiled
+#       evaluator kernel, single-request and batched.
 #   BENCH_update.json — update-pipeline benches: apply throughput
 #       (rows/s) of flush-per-write vs the coalescing default, and
 #       reader p50/p99 latency idle vs while a writer streams mutations

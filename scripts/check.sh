@@ -148,7 +148,8 @@ go test -run '^(TestAllocBudgets|TestGroupByRequestCounts)$' -count=1 . ./intern
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
-# ReaderLatency*), so the smoke also exercises the async applier.
-go test -run '^$' -bench . -benchtime 1x . ./cmd/deepdb
+# ReaderLatency*), so the smoke also exercises the async applier;
+# internal/spn runs the SPN kernel benches BENCH_spn.json records.
+go test -run '^$' -bench . -benchtime 1x . ./cmd/deepdb ./internal/spn
 
 echo "OK"
