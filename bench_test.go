@@ -2,7 +2,8 @@
 // figure of the paper (regenerating the exhibit via internal/bench), plus
 // micro-benchmarks for the latencies and throughputs the paper quotes in
 // prose (µs-ms cardinality estimates, 55k updates/s) and ablation benches
-// for the design choices called out in DESIGN.md.
+// for three design choices: the RDC column-split threshold, the minimum
+// instance slice and the RSPN selection strategy.
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -175,7 +176,7 @@ func BenchmarkEnsembleLearning(b *testing.B) {
 	}
 }
 
-// ---- ablations (design choices in DESIGN.md) ----
+// ---- ablations: split threshold, instance slice, selection strategy ----
 
 // BenchmarkAblationRDCThreshold sweeps the column-split threshold: lower
 // thresholds produce deeper models (slower, usually more accurate).

@@ -1,6 +1,6 @@
 // Package baselines implements the comparison systems of the paper's
-// evaluation, each as a from-scratch substitute for the original (see
-// DESIGN.md for the substitution table):
+// evaluation, each a from-scratch, in-process substitute for the original
+// system that runs over this repository's tables and query model:
 //
 //   - Postgres-style histogram estimator (non-learned cardinalities)
 //   - MCSN, the workload-driven deep-set cardinality model of Kipf et al.

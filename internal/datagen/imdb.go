@@ -3,8 +3,9 @@
 // JOB-light join structure, the Flights delay table, and the Star Schema
 // Benchmark. Each generator plants the correlations and skew the original
 // data is known for, so the estimation problems have the same character
-// even though the tuples are synthetic (see DESIGN.md for the substitution
-// rationale).
+// even though the tuples are synthetic. The substitution keeps every
+// experiment seeded and offline: the original data sets do not ship with
+// the repository.
 package datagen
 
 import (

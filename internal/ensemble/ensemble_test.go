@@ -321,6 +321,61 @@ func TestInsertShiftsEstimates(t *testing.T) {
 	}
 }
 
+// memberState is every member's probes, the customer COUNT of customers
+// aged 90 or more, and, per model column, the mass at or above 1 and the
+// FnInv moment: what an insert followed by the delete of the same row
+// must restore bit for bit.
+func memberState(t *testing.T, e *Ensemble) []float64 {
+	t.Helper()
+	out := append(probes(t, e), estimateCount(t, e.RSPNFor("customer"), []string{"customer"},
+		[]query.Predicate{{Column: "c_age", Op: query.Ge, Value: 90}}))
+	for _, r := range e.RSPNs {
+		for c := range r.Model.Columns {
+			for _, q := range []spn.ColQuery{
+				{Col: c, Ranges: []spn.Range{{Lo: 1, Hi: math.Inf(1), LoIncl: true}}},
+				{Col: c, Fn: spn.FnInv},
+			} {
+				v, err := r.Model.Evaluate(spn.Request{Cols: []spn.ColQuery{q}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// paddedRows counts the join rows of r in which tbl is absent. Each row
+// reaches exactly one leaf per column, so the leaves over tbl's indicator
+// hold the count at value 0.
+func paddedRows(r *rspn.RSPN, tbl string) float64 {
+	col := r.Model.ColumnIndex(table.IndicatorColumn(tbl))
+	n := 0.0
+	var walk func(nd *spn.Node)
+	walk = func(nd *spn.Node) {
+		if nd.Leaf != nil && nd.Leaf.Col == col {
+			for i, v := range nd.Leaf.Vals {
+				if v == 0 {
+					n += nd.Leaf.Freq[i]
+				}
+			}
+		}
+		for _, c := range nd.Children {
+			walk(c)
+		}
+	}
+	walk(r.Model.Root)
+	return n
+}
+
+// TestDeleteReversesInsert: deleting a row right after inserting it
+// restores every member bit for bit, on each side of each join. The rows:
+// a customer (a new padded customer tuple); an order of a customer
+// without orders (its padded tuple leaves, then returns); an order of a
+// customer with several; an order with a NULL customer; an orderline
+// (its order's tuple factor moves, and the deleted join row must carry
+// the factor the inserted one did).
 func TestDeleteReversesInsert(t *testing.T) {
 	s := testSchema()
 	tabs := genData(s, 300, true, 9)
@@ -330,28 +385,77 @@ func TestDeleteReversesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e.RSPNFor("customer")
-	filt := []query.Predicate{{Column: "c_age", Op: query.Ge, Value: 90}}
-	before := estimateCount(t, r, []string{"customer"}, filt)
-	sizeBefore := r.FullSize
-	if err := e.Insert("customer", map[string]table.Value{
-		"c_id": table.Int(900000), "c_age": table.Int(95), "c_region": table.Int(2),
-	}); err != nil {
-		t.Fatal(err)
+	custOrders := s.NeighborEdges("customer")[0]
+	factor := tabs["customer"].Column(table.TupleFactorColumn(custOrders))
+	customerWith := func(pred func(f float64) bool) int {
+		for i, f := range factor.Data {
+			if pred(f) {
+				return int(tabs["customer"].Column("c_id").Data[i])
+			}
+		}
+		t.Fatal("no customer matches")
+		return 0
 	}
-	if err := e.Delete("customer", 900000); err != nil {
-		t.Fatal(err)
+	lonely := customerWith(func(f float64) bool { return f == 0 })
+	busy := customerWith(func(f float64) bool { return f >= 2 })
+	var members []*rspn.RSPN
+	for _, r := range e.RSPNs {
+		if r.HasTable("customer") && r.HasTable("orders") {
+			members = append(members, r)
+		}
 	}
-	after := estimateCount(t, r, []string{"customer"}, filt)
-	if math.Abs(after-before) > 1.01 {
-		t.Fatalf("insert+delete should restore estimate: before %v after %v", before, after)
+	if len(members) == 0 {
+		t.Fatal("no member covers customer and orders")
 	}
-	if r.FullSize != sizeBefore {
-		t.Fatalf("FullSize = %v, want %v", r.FullSize, sizeBefore)
-	}
-	// Deleting again must fail (row gone from the index).
-	if err := e.Delete("customer", 900000); err == nil {
-		t.Fatal("expected error deleting a removed pk")
+	for _, in := range []struct {
+		name, table string
+		pk          float64
+		values      map[string]table.Value
+		padDelta    float64 // padded customer tuples the insert adds
+	}{
+		{"customer", "customer", 900000, map[string]table.Value{
+			"c_id": table.Int(900000), "c_age": table.Int(95), "c_region": table.Int(2)}, 1},
+		{"order of a customer without orders", "orders", 900001, map[string]table.Value{
+			"o_id": table.Int(900001), "o_c_id": table.Int(lonely), "o_channel": table.Int(1)}, -1},
+		{"order of a customer with several", "orders", 900002, map[string]table.Value{
+			"o_id": table.Int(900002), "o_c_id": table.Int(busy), "o_channel": table.Int(2)}, 0},
+		{"order with a NULL customer", "orders", 900003, map[string]table.Value{
+			"o_id": table.Int(900003), "o_channel": table.Int(0)}, 0},
+		{"orderline", "orderline", 900004, map[string]table.Value{
+			"l_id": table.Int(900004), "l_o_id": table.Int(3), "l_qty": table.Int(12)}, 0},
+	} {
+		before := memberState(t, e)
+		pads := make([]float64, len(members))
+		for i, r := range members {
+			pads[i] = paddedRows(r, "orders")
+		}
+		if err := e.Insert(in.table, in.values); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range members {
+			if got := paddedRows(r, "orders"); got != pads[i]+in.padDelta {
+				t.Errorf("%s: member %v has %v padded customers after the insert, want %v", in.name, r.Tables, got, pads[i]+in.padDelta)
+			}
+		}
+		if err := e.Delete(in.table, in.pk); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range members {
+			if got := paddedRows(r, "orders"); got != pads[i] {
+				t.Errorf("%s: member %v has %v padded customers after the delete, want %v", in.name, r.Tables, got, pads[i])
+			}
+		}
+		after := memberState(t, e)
+		for i := range before {
+			if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+				t.Errorf("%s: state value %d is %v after insert and delete, %v before", in.name, i, after[i], before[i])
+				break
+			}
+		}
+		// Deleting again must fail (row gone from the index).
+		if err := e.Delete(in.table, in.pk); err == nil {
+			t.Errorf("%s: deleting a removed pk succeeded", in.name)
+		}
 	}
 }
 

@@ -37,15 +37,15 @@ func touchedNodes(e *Ensemble) int {
 }
 
 // batchAllocs is the fewest allocations any of 16 consecutive one-row
-// orderline inserts made in CloneForUpdate + Apply. The minimum leaves out
-// the batches that happen to grow an array or a map.
-func batchAllocs(t *testing.T, e *Ensemble) uint64 {
+// batches made in CloneForUpdate + Apply, and the state they left; mut(i)
+// is the i-th batch's mutation. The minimum leaves out the batches that
+// happen to grow an array or a map.
+func batchAllocs(t *testing.T, e *Ensemble, mut func(i int) Mutation) (uint64, *Ensemble) {
 	t.Helper()
 	best := ^uint64(0)
 	var m0, m1 runtime.MemStats
 	for i := 0; i < 16; i++ {
-		muts := []Mutation{{Op: OpInsert, Table: "orderline", Values: map[string]table.Value{
-			"l_id": table.Int(1_000_000 + i), "l_o_id": table.Int(i % 100), "l_qty": table.Int(i % 30)}}}
+		muts := []Mutation{mut(i)}
 		runtime.ReadMemStats(&m0)
 		next := e.CloneForUpdate(muts)
 		if _, err := next.Apply(muts); err != nil {
@@ -55,7 +55,13 @@ func batchAllocs(t *testing.T, e *Ensemble) uint64 {
 		best = min(best, m1.Mallocs-m0.Mallocs)
 		e = next
 	}
-	return best
+	return best, e
+}
+
+// insertOrderline is the i-th of batchAllocs' orderline inserts.
+func insertOrderline(i int) Mutation {
+	return Mutation{Op: OpInsert, Table: "orderline", Values: map[string]table.Value{
+		"l_id": table.Int(1_000_000 + i), "l_o_id": table.Int(i % 100), "l_qty": table.Int(i % 30)}}
 }
 
 // TestBatchAllocsDoNotGrowWithModel is the noise-free cost gate of the
@@ -70,7 +76,8 @@ func TestBatchAllocsDoNotGrowWithModel(t *testing.T) {
 	if nl < 4*ns {
 		t.Fatalf("updated members have %d and %d nodes: the gate needs a 4× difference", ns, nl)
 	}
-	as, al := batchAllocs(t, small), batchAllocs(t, large)
+	as, _ := batchAllocs(t, small, insertOrderline)
+	al, _ := batchAllocs(t, large, insertOrderline)
 	if float64(al) > 1.5*float64(as) {
 		t.Fatalf("one-row batch makes %d allocations on %d nodes and %d on %d (%.2f×): the cost grows with the model",
 			as, ns, al, nl, float64(al)/float64(as))

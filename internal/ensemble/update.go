@@ -63,10 +63,10 @@ func (e *Ensemble) TouchedTables(muts []Mutation) map[string]bool {
 }
 
 // targetTables is the set of tables the batch's mutations name directly —
-// the only tables whose covering RSPNs receive model updates
-// (insertRow/deleteRow route join rows through RSPNs with
-// HasTable(target); a One-side table's factor bump only writes its base
-// table, the covering models absorb it on the target side).
+// the only tables whose covering RSPNs receive model updates (applyRow
+// routes join rows through RSPNs with HasTable(target); a One-side table's
+// factor bump only writes its base table, the covering models absorb it
+// on the target side).
 func targetTables(muts []Mutation) map[string]bool {
 	out := make(map[string]bool)
 	for i := range muts {
@@ -85,16 +85,15 @@ func rspnTouches(r *rspn.RSPN, touched map[string]bool) bool {
 	return false
 }
 
-// Apply absorbs a batch of mutations in order, rebuilding each touched
-// RSPN's flattened evaluator once per batch instead of once per tuple
-// (the per-row Insert/Delete entry points are one-element batches, so even
-// the synchronous path pays one recompile per call). A failing mutation is
-// reported (the first failure, naming its batch index) but does not stop
-// the batch: the remaining mutations still apply, exactly as they would
-// have under per-call application — so a coalesced batch ends in the same
-// state as the same stream applied one call at a time, which is the
-// pipeline's equivalence contract. There is no rollback; applied counts
-// the mutations that succeeded.
+// Apply absorbs a batch of mutations in order, each as one signed update
+// of its row (applyRow), and re-weights each touched RSPN's flattened
+// evaluator once per batch instead of once per row (Insert is a
+// one-element batch). A failing mutation is reported (the first failure,
+// naming its batch index) but does not stop the batch: the remaining
+// mutations still apply, exactly as they would have one batch each — so a
+// coalesced batch ends in the same state as the same stream applied one
+// mutation at a time, which is the pipeline's equivalence contract. There
+// is no rollback; applied counts the mutations that succeeded.
 //
 // History must be linear (see CloneForUpdate): Apply to a state the shared
 // write index has moved past — a second clone of one base, or a base after
@@ -208,15 +207,14 @@ func (e *Ensemble) CloneForUpdate(muts []Mutation) *Ensemble {
 	return out
 }
 
-// insertRow is the per-row insert body shared by Insert and Apply.
+// insertRow appends a new base-table row (its tuple factors are 0),
+// indexes it, counts it in the statistics and drift moments, and applies
+// it with weight +1.
 func (e *Ensemble) insertRow(tableName string, values map[string]table.Value) error {
 	t, ok := e.Tables[tableName]
 	if !ok {
 		return fmt.Errorf("ensemble: unknown table %s", tableName)
 	}
-	meta := e.Schema.Table(tableName)
-
-	// 1. Append to the base table (tuple factors of a brand-new row are 0).
 	row := make([]table.Value, len(t.Cols))
 	for i, c := range t.Cols {
 		if v, ok := values[c.Meta.Name]; ok {
@@ -228,108 +226,135 @@ func (e *Ensemble) insertRow(tableName string, values map[string]table.Value) er
 		}
 	}
 	t.AppendRow(row...)
-	newIdx := t.NumRows() - 1
-	e.indexInsert(tableName, newIdx)
+	rowIdx := t.NumRows() - 1
+	e.indexInsert(tableName, rowIdx)
 	e.statsRowDelta(tableName, +1)
 	if e.Drift != nil {
-		e.Drift.RecordRow(tableName, t, newIdx, +1)
+		e.Drift.RecordRow(tableName, t, rowIdx, +1)
 	}
+	return e.applyRow(tableName, rowIdx, +1)
+}
 
-	// 2. Bump the tuple factor of every referenced One-side row.
+// deleteRow locates a base-table row by primary key, applies it with
+// weight -1, and then tombstones it: the base table keeps the row, the
+// index and the statistics drop it.
+func (e *Ensemble) deleteRow(tableName string, pk float64) error {
+	t, ok := e.Tables[tableName]
+	if !ok {
+		return fmt.Errorf("ensemble: unknown table %s", tableName)
+	}
+	if e.Schema.Table(tableName).PrimaryKey == "" {
+		return fmt.Errorf("ensemble: table %s has no primary key", tableName)
+	}
+	rowIdx, ok := e.lookupPK(tableName, pk)
+	if !ok {
+		return fmt.Errorf("ensemble: %s: no row with pk %v", tableName, pk)
+	}
+	if err := e.applyRow(tableName, rowIdx, -1); err != nil {
+		return err
+	}
+	// Fold the row out of the drift moments while its values are still
+	// addressable, then tombstone it.
+	if e.Drift != nil {
+		e.Drift.RecordRow(tableName, t, rowIdx, -1)
+	}
+	e.indexDelete(tableName, rowIdx)
+	// The base row is only tombstoned, so the physical NumRows() no longer
+	// reflects the cardinality; the maintained statistic does.
+	e.statsRowDelta(tableName, -1)
+	return nil
+}
+
+// factorBump records the tuple-factor change a Many-side row makes on the
+// One-side row its foreign key references.
+type factorBump struct {
+	rel schema.Relationship
+	row int // row index in the One table
+	// with is the One-side row's factor while the Many-side row exists:
+	// the new factor on insert, the old one on delete.
+	with float64
+}
+
+// applyRow is Section 5.2's update of one base row with weight w: +1 for
+// a row that starts existing, -1 for one that stops. The row moves the
+// tuple factor of every One-side row its foreign keys reference by w, and
+// every RSPN covering its table absorbs, through Algorithm 1 and
+// subsampled at the RSPN's training sample rate, the join rows that start
+// or stop existing with it:
+//
+//   - its own join row: the row extended One-ward across the RSPN's join
+//     tree, with every Many-ward side padded. A fresh row has no
+//     referencing rows; a deleted row's are not enumerated (the
+//     single-row approximation, exact in a single table and on the Many
+//     side of a two-table join). On each bumped edge the row carries the
+//     factor its One-side partner has while the row exists, so a delete
+//     removes exactly the vector the insert added;
+//   - the padded join row of each referenced One-side row whose only
+//     partner on an edge of the RSPN is this row: it exists exactly while
+//     this row does not, so it moves by -w.
+//
+// In each RSPN the rows that stop existing leave before the rows that
+// start existing arrive.
+func (e *Ensemble) applyRow(tableName string, rowIdx int, w float64) error {
+	t := e.Tables[tableName]
 	var bumps []factorBump
-	for _, fk := range meta.ForeignKeys {
-		rel := schema.Relationship{Many: tableName, ManyColumn: fk.Column, One: fk.RefTable, OneColumn: fk.RefColumn}
+	for _, fk := range e.Schema.Table(tableName).ForeignKeys {
 		fkCol := t.Column(fk.Column)
-		if fkCol.IsNull(newIdx) {
-			bumps = append(bumps, factorBump{rel: rel, row: -1})
+		if fkCol.IsNull(rowIdx) {
 			continue
 		}
-		oneRow, ok := e.lookupPK(fk.RefTable, fkCol.Data[newIdx])
+		oneRow, ok := e.lookupPK(fk.RefTable, fkCol.Data[rowIdx])
 		if !ok {
-			bumps = append(bumps, factorBump{rel: rel, row: -1})
-			continue
+			continue // dangling: no One-side row to bump
 		}
+		rel := schema.Relationship{Many: tableName, ManyColumn: fk.Column, One: fk.RefTable, OneColumn: fk.RefColumn}
 		fCol := e.Tables[fk.RefTable].Column(table.TupleFactorColumn(rel))
 		old := fCol.Data[oneRow]
-		fCol.Set(oneRow, old+1)
-		bumps = append(bumps, factorBump{rel: rel, row: oneRow, oldF: old})
+		fCol.Set(oneRow, old+w)
+		bumps = append(bumps, factorBump{rel: rel, row: oneRow, with: max(old, old+w)})
 	}
-
-	// 3. Update every RSPN containing the table.
 	for _, r := range e.RSPNs {
 		if !r.HasTable(tableName) {
 			continue
 		}
-		if err := e.applyInsert(r, tableName, newIdx, bumps); err != nil {
-			return err
+		apply := r.SampleRate >= 1 || e.rng.Float64() < r.SampleRate
+		present := map[string]int{tableName: rowIdx}
+		if len(r.Tables) > 1 {
+			e.extendOneWard(r, tableName, rowIdx, present)
+		}
+		vec := e.modelRow(r, present)
+		for _, b := range bumps {
+			if i := r.Model.ColumnIndex(table.TupleFactorColumn(b.rel)); i >= 0 && edgeInRSPN(r, b.rel) {
+				vec[i] = max(1, b.with)
+			}
+		}
+		if w < 0 {
+			if err := r.Update(vec, w, apply); err != nil {
+				return err
+			}
+		}
+		for _, b := range bumps {
+			if b.with != 1 || !edgeInRSPN(r, b.rel) {
+				continue
+			}
+			padded := map[string]int{b.rel.One: b.row}
+			e.extendOneWard(r, b.rel.One, b.row, padded)
+			if err := r.Update(e.modelRow(r, padded), -w, apply); err != nil {
+				return err
+			}
+		}
+		if w > 0 {
+			if err := r.Update(vec, w, apply); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// applyInsert pushes the join rows created by the new base row into one
-// RSPN. For a single-table RSPN this is the row itself. For a join RSPN the
-// new row is extended across the join tree: One-ward lookups are exact;
-// when the referenced One-side row previously had no partner on this edge,
-// its padded row is removed and replaced by the now-complete row.
-func (e *Ensemble) applyInsert(r *rspn.RSPN, tableName string, rowIdx int, bumps []factorBump) error {
-	apply := r.SampleRate >= 1 || e.rng.Float64() < r.SampleRate
-	if len(r.Tables) == 1 {
-		vec, err := e.modelRow(r, map[string]int{tableName: rowIdx})
-		if err != nil {
-			return err
-		}
-		return r.Insert(vec, apply)
-	}
-	// Collect the rows of every RSPN table reachable One-ward from the
-	// inserted row (Many-ward sides stay NULL: a fresh row has no
-	// referencing partners yet, and partner enumeration for pre-existing
-	// Many branches is approximated by the padded form — see DESIGN.md).
-	present := map[string]int{tableName: rowIdx}
-	if err := e.extendOneWard(r, tableName, rowIdx, present); err != nil {
-		return err
-	}
-	vec, err := e.modelRow(r, present)
-	if err != nil {
-		return err
-	}
-	// If an edge of this RSPN connects the inserted table (Many side) to a
-	// One-side row that previously had factor 0, the join used to contain a
-	// padded row for it; replace it.
-	for _, b := range bumps {
-		if b.row < 0 || b.oldF != 0 || !r.HasTable(b.rel.One) || !edgeInRSPN(r, b.rel) {
-			continue
-		}
-		padded := map[string]int{b.rel.One: b.row}
-		if err := e.extendOneWard(r, b.rel.One, b.row, padded); err != nil {
-			return err
-		}
-		padVec, err := e.modelRow(r, padded)
-		if err != nil {
-			return err
-		}
-		// The padded row carried the pre-bump factor (0 -> clamped 1).
-		if i := r.Model.ColumnIndex(table.TupleFactorColumn(b.rel)); i >= 0 {
-			padVec[i] = 1
-		}
-		if err := r.Delete(padVec, apply); err != nil {
-			return err
-		}
-	}
-	return r.Insert(vec, apply)
-}
-
-// factorBump records a tuple-factor change on a One-side row caused by
-// inserting or deleting a Many-side row.
-type factorBump struct {
-	rel  schema.Relationship
-	row  int // row index in the One table, -1 when dangling
-	oldF float64
-}
-
 // extendOneWard walks the RSPN's join edges from the given table toward
 // referenced (One-side) tables, resolving the concrete partner rows.
-func (e *Ensemble) extendOneWard(r *rspn.RSPN, from string, rowIdx int, present map[string]int) error {
+func (e *Ensemble) extendOneWard(r *rspn.RSPN, from string, rowIdx int, present map[string]int) {
 	for _, edge := range r.Edges {
 		if edge.Many != from {
 			continue
@@ -346,18 +371,15 @@ func (e *Ensemble) extendOneWard(r *rspn.RSPN, from string, rowIdx int, present 
 			continue
 		}
 		present[edge.One] = oneRow
-		if err := e.extendOneWard(r, edge.One, oneRow, present); err != nil {
-			return err
-		}
+		e.extendOneWard(r, edge.One, oneRow, present)
 	}
-	return nil
 }
 
 // modelRow assembles the model-column vector for a join row in which the
 // given tables are present (others padded NULL with indicator 0). Tuple-
 // factor columns of present tables are clamped to >= 1 for join RSPNs,
 // matching the training-data convention.
-func (e *Ensemble) modelRow(r *rspn.RSPN, present map[string]int) ([]float64, error) {
+func (e *Ensemble) modelRow(r *rspn.RSPN, present map[string]int) []float64 {
 	vec := make([]float64, len(r.Model.Columns))
 	isJoin := len(r.Tables) > 1
 	for i, colName := range r.Model.Columns {
@@ -390,7 +412,7 @@ func (e *Ensemble) modelRow(r *rspn.RSPN, present map[string]int) ([]float64, er
 			vec[i] = v
 		}
 	}
-	return vec, nil
+	return vec
 }
 
 // findOwner locates which present table owns the named column. Tables are
@@ -416,98 +438,6 @@ func edgeInRSPN(r *rspn.RSPN, rel schema.Relationship) bool {
 		}
 	}
 	return false
-}
-
-// deleteRow removes a base-table row (located by primary key) from the
-// ensemble: the base table keeps the row but records a tombstone, tuple
-// factors are decremented, and covering RSPNs receive the inverse update.
-// Only single-table RSPNs and 2-table join RSPNs delete their join rows
-// exactly; larger joins apply the single-row approximation.
-func (e *Ensemble) deleteRow(tableName string, pk float64) error {
-	t, ok := e.Tables[tableName]
-	if !ok {
-		return fmt.Errorf("ensemble: unknown table %s", tableName)
-	}
-	meta := e.Schema.Table(tableName)
-	if meta.PrimaryKey == "" {
-		return fmt.Errorf("ensemble: table %s has no primary key", tableName)
-	}
-	rowIdx, ok := e.lookupPK(tableName, pk)
-	if !ok {
-		return fmt.Errorf("ensemble: %s: no row with pk %v", tableName, pk)
-	}
-	// Reverse the tuple-factor bumps.
-	var bumps []factorBump
-	for _, fk := range meta.ForeignKeys {
-		rel := schema.Relationship{Many: tableName, ManyColumn: fk.Column, One: fk.RefTable, OneColumn: fk.RefColumn}
-		fkCol := t.Column(fk.Column)
-		if fkCol.IsNull(rowIdx) {
-			continue
-		}
-		oneRow, ok := e.lookupPK(fk.RefTable, fkCol.Data[rowIdx])
-		if !ok {
-			continue
-		}
-		fCol := e.Tables[fk.RefTable].Column(table.TupleFactorColumn(rel))
-		old := fCol.Data[oneRow]
-		fCol.Set(oneRow, old-1)
-		bumps = append(bumps, factorBump{rel: rel, row: oneRow, oldF: old})
-	}
-	for _, r := range e.RSPNs {
-		if !r.HasTable(tableName) {
-			continue
-		}
-		apply := r.SampleRate >= 1 || e.rng.Float64() < r.SampleRate
-		present := map[string]int{tableName: rowIdx}
-		if len(r.Tables) > 1 {
-			if err := e.extendOneWard(r, tableName, rowIdx, present); err != nil {
-				return err
-			}
-		}
-		vec, err := e.modelRow(r, present)
-		if err != nil {
-			return err
-		}
-		// The join row being deleted carried the pre-decrement factor.
-		for _, b := range bumps {
-			if r.HasTable(b.rel.One) && edgeInRSPN(r, b.rel) {
-				if i := r.Model.ColumnIndex(table.TupleFactorColumn(b.rel)); i >= 0 {
-					vec[i] = math.Max(1, b.oldF)
-				}
-			}
-		}
-		if err := r.Delete(vec, apply); err != nil {
-			return err
-		}
-		// A One-side partner left without any Many partner regains its
-		// padded row.
-		for _, b := range bumps {
-			if b.oldF != 1 || !r.HasTable(b.rel.One) || !edgeInRSPN(r, b.rel) {
-				continue
-			}
-			padded := map[string]int{b.rel.One: b.row}
-			if err := e.extendOneWard(r, b.rel.One, b.row, padded); err != nil {
-				return err
-			}
-			padVec, err := e.modelRow(r, padded)
-			if err != nil {
-				return err
-			}
-			if err := r.Insert(padVec, apply); err != nil {
-				return err
-			}
-		}
-	}
-	// Fold the row out of the drift moments while its values are still
-	// addressable, then tombstone it.
-	if e.Drift != nil {
-		e.Drift.RecordRow(tableName, t, rowIdx, -1)
-	}
-	e.indexDelete(tableName, rowIdx)
-	// The base row is only tombstoned, so the physical NumRows() no longer
-	// reflects the cardinality; the maintained statistic does.
-	e.statsRowDelta(tableName, -1)
-	return nil
 }
 
 // ---- primary-key indexes (write path) ----

@@ -81,12 +81,14 @@ func (r *RSPN) Refresh() {
 	r.ntRange = []spn.Range{spn.PointRange(1)}
 }
 
-// Clone returns a copy that shares no mutable state with the receiver:
-// Insert/Delete on the clone leave the original's model and FullSize
-// untouched, which is what lets the update pipeline mutate a private copy
-// while published snapshots keep serving. Immutable metadata (table list,
-// join edges, FD dictionaries, and the indicator indices and N_t range
-// derived from the model's fixed columns) is shared by pointer.
+// Clone returns a copy that Update may write while the receiver keeps
+// serving: Update on the clone leaves the original's model and FullSize
+// bit-for-bit untouched, which is what lets the update pipeline mutate a
+// private copy while published snapshots keep serving. The model is a
+// path-copying clone (spn.SPN.Clone): it shares the receiver's nodes and
+// copies each one an update writes. Immutable metadata (table list, join
+// edges, FD dictionaries, and the indicator indices and N_t range derived
+// from the model's fixed columns) is shared by pointer.
 func (r *RSPN) Clone() *RSPN {
 	return &RSPN{
 		Model:      r.Model.Clone(),
@@ -409,33 +411,23 @@ func (r *RSPN) InverseFactorColumns(queryTables []string) []string {
 }
 
 // BeginBatch suspends the model's per-mutation evaluator refresh until
-// EndBatch, so a batch of Insert/Delete calls recompiles the flattened
+// EndBatch, so a batch of Update calls recompiles the flattened
 // form once (spn.SPN.BeginBatch).
 func (r *RSPN) BeginBatch() { r.Model.BeginBatch() }
 
 // EndBatch closes a BeginBatch window and recompiles once.
 func (r *RSPN) EndBatch() { r.Model.EndBatch() }
 
-// Insert absorbs one join-row (indexed like the model's columns, NaN for
-// NULL) and increments FullSize. applyToModel should be false when the
-// row is skipped by sampling (the size still changes).
-func (r *RSPN) Insert(row []float64, applyToModel bool) error {
-	r.FullSize++
-	if !applyToModel {
+// Update absorbs one join row (indexed like the model's columns, NaN for
+// NULL) with weight w: +1 for a row that joins the underlying join, -1 for
+// one that leaves it. FullSize moves by w but never below 0; apply should
+// be false when sampling skips the row (the size still changes).
+func (r *RSPN) Update(row []float64, w float64, apply bool) error {
+	r.FullSize = max(0, r.FullSize+w)
+	if !apply {
 		return nil
 	}
-	return r.Model.Insert(row)
-}
-
-// Delete removes one join-row, the inverse of Insert.
-func (r *RSPN) Delete(row []float64, applyToModel bool) error {
-	if r.FullSize > 0 {
-		r.FullSize--
-	}
-	if !applyToModel {
-		return nil
-	}
-	return r.Model.Delete(row)
+	return r.Model.Update(row, w)
 }
 
 // BuildFD constructs the dictionary for a declared functional dependency

@@ -385,7 +385,7 @@ func TestRSPNUpdateTracksSize(t *testing.T) {
 			row[i] = 1
 		}
 	}
-	if err := r.Insert(row, true); err != nil {
+	if err := r.Update(row, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if r.FullSize != before+1 {
@@ -393,13 +393,13 @@ func TestRSPNUpdateTracksSize(t *testing.T) {
 	}
 	// Sampled-out insert: size grows, model untouched.
 	n := r.Model.RowCount
-	if err := r.Insert(row, false); err != nil {
+	if err := r.Update(row, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if r.Model.RowCount != n || r.FullSize != before+2 {
 		t.Fatal("sampled-out insert should only grow FullSize")
 	}
-	if err := r.Delete(row, true); err != nil {
+	if err := r.Update(row, -1, true); err != nil {
 		t.Fatal(err)
 	}
 	if r.FullSize != before+1 {

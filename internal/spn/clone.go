@@ -31,16 +31,16 @@ import (
 var epochs atomic.Uint64
 
 // Clone returns a copy of the SPN that shares every node with the
-// receiver but may write none of them: Insert/Delete on the clone copy
-// the path they write and leave the original — including its compiled
-// flat evaluator — bit-for-bit untouched, and Insert/Delete on the
-// original after the Clone copy theirs and leave the clone untouched. The
+// receiver but may write none of them: Update on the clone copies the
+// path it writes and leaves the original — including its compiled flat
+// evaluator — bit-for-bit untouched, and Update on the original after the
+// Clone copies its own and leaves the clone untouched. The
 // clone's flat evaluator shares the receiver's structure and copies only
 // the arrays an update writes (weights, count slices, leaf references),
 // so it is immediately servable and bit-identical to the receiver's.
 //
 // Clone is a write-path operation: it retires the receiver's ownership,
-// so it must not run concurrently with another Clone, Insert or Delete of
+// so it must not run concurrently with another Clone or Update of
 // the same SPN. Readers of the receiver may run concurrently.
 func (s *SPN) Clone() *SPN {
 	out := &SPN{

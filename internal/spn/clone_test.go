@@ -81,7 +81,7 @@ type Mutation struct {
 // of once per tuple. A malformed mutation (wrong tuple arity) is reported —
 // first error wins — but does not stop the rest of the batch, mirroring
 // ensemble.Apply: the final model state is bit-identical to pushing the
-// same mutations through Insert/Delete one call at a time.
+// same mutations through Update one call at a time.
 func (s *SPN) ApplyBatch(muts []Mutation) error {
 	s.BeginBatch()
 	defer s.EndBatch()
@@ -89,9 +89,9 @@ func (s *SPN) ApplyBatch(muts []Mutation) error {
 	for i := range muts {
 		var err error
 		if muts[i].Delete {
-			err = s.Delete(muts[i].Tuple)
+			err = s.Update(muts[i].Tuple, -1)
 		} else {
-			err = s.Insert(muts[i].Tuple)
+			err = s.Update(muts[i].Tuple, 1)
 		}
 		if err != nil && first == nil {
 			first = err
@@ -126,16 +126,16 @@ func evalProbes(t *testing.T, s *SPN, seed int64) []float64 {
 }
 
 // TestApplyBatchMatchesPerTuple: ApplyBatch (one weight re-derivation at
-// the end) must leave the model bit-identical to per-tuple Insert/Delete.
+// the end) must leave the model bit-identical to per-tuple Update calls.
 func TestApplyBatchMatchesPerTuple(t *testing.T) {
 	one, bat := learnedSPN(t, 11), learnedSPN(t, 11)
 	muts := randomMutations(rand.New(rand.NewSource(12)), 60)
 	for _, m := range muts {
 		var err error
 		if m.Delete {
-			err = one.Delete(m.Tuple)
+			err = one.Update(m.Tuple, -1)
 		} else {
-			err = one.Insert(m.Tuple)
+			err = one.Update(m.Tuple, 1)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ import (
 // kernel's single forward loop evaluates bottom-up. A Compiled is read-only during
 // evaluation and safe for concurrent EvaluateBatch calls. Updates never
 // change the tree structure, and count slices and leaf distributions are
-// shared by pointer with the tree, so SPN.Insert/Delete only re-derive, in
+// shared by pointer with the tree, so SPN.Update only re-derives, in
 // place on the model's write path, the normalized mixing weights and the
 // full-range masses of the exact leaves they touched (refreshWeights).
 //

@@ -4,8 +4,8 @@ package spn
 // reference tree walk: over randomly generated SPN structures and randomly
 // generated requests spanning every Fn kind, multi-range unions,
 // ExcludeNull and unconstrained columns, EvaluateBatch must return values
-// bit-identical to Evaluate — and keep doing so after Insert/Delete
-// rebuild the flat form.
+// bit-identical to Evaluate — and keep doing so after Update re-derives
+// the flat form.
 
 import (
 	"fmt"
@@ -265,9 +265,9 @@ func TestCompiledErrorsMatchTree(t *testing.T) {
 	}
 }
 
-// TestCompiledRebuildAfterUpdate verifies the flat form rebuilt by
-// Insert/Delete stays bit-identical to the tree walk, and matches a from-
-// scratch Refresh.
+// TestCompiledRebuildAfterUpdate verifies the flat form re-derived by
+// Update stays bit-identical to the tree walk, and matches a from-scratch
+// Refresh.
 func TestCompiledRebuildAfterUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([][]float64, 500)
@@ -281,11 +281,11 @@ func TestCompiledRebuildAfterUpdate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tuple := []float64{float64(i % 5), float64(rng.Intn(40)), rng.Float64() * 10}
 		if i%3 == 0 {
-			if err := s.Delete(tuple); err != nil {
+			if err := s.Update(tuple, -1); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if err := s.Insert(tuple); err != nil {
+			if err := s.Update(tuple, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -173,7 +173,7 @@ func TestLearnExactDuplicateRows(t *testing.T) {
 		t.Fatalf("P(dup row) = %v, want 2/3", p)
 	}
 	// Exact models must be updatable (centroids present).
-	if err := s.Insert([]float64{1, 2}); err != nil {
+	if err := s.Update([]float64{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	p2, _ := s.Probability([]ColQuery{

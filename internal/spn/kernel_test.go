@@ -191,8 +191,7 @@ func TestCompiledMatchesTreeUniformBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 72; trial++ {
 		numCols := 2 + rng.Intn(5)
-		wide := trial >= 60
-		if wide {
+		if trial >= 60 {
 			numCols = 65 + rng.Intn(80)
 		}
 		s := randomSPN(rng, numCols)
@@ -203,30 +202,12 @@ func TestCompiledMatchesTreeUniformBatch(t *testing.T) {
 		batch := 2 + rng.Intn(14)
 		reqs := make([]Request, batch)
 		for i := range reqs {
+			// Re-range the drawn column itself, so every request keeps
+			// the shared column set.
 			cols := append([]ColQuery(nil), shared.Cols...)
-			j := rng.Intn(len(cols)) % len(cols)
-			col := shared.Cols[0].Col
-			if wide {
-				// Re-range the drawn column itself, so every request keeps
-				// the shared column set.
-				col = cols[j].Col
-			}
-			cols[j] = ColQuery{
-				Col:    col,
-				Fn:     FnOne,
-				Ranges: []Range{PointRange(float64(i % 7))},
-			}
-			// Re-unique the columns: keep the first occurrence of each.
-			uniq := cols[:0]
-			seen := map[int]bool{}
-			for _, cq := range cols {
-				if seen[cq.Col] {
-					continue
-				}
-				seen[cq.Col] = true
-				uniq = append(uniq, cq)
-			}
-			reqs[i] = Request{Cols: append([]ColQuery(nil), uniq...)}
+			j := rng.Intn(len(cols))
+			cols[j] = ColQuery{Col: cols[j].Col, Fn: FnOne, Ranges: []Range{PointRange(float64(i % 7))}}
+			reqs[i] = Request{Cols: cols}
 		}
 		assertBatchMatchesTree(t, s, reqs, fmt.Sprintf("uniform trial %d", trial))
 	}
@@ -261,11 +242,11 @@ func TestSlabAliasingAfterUpdates(t *testing.T) {
 	for step := 0; step < 120; step++ {
 		tuple := []float64{float64(step % 5), rng.Float64() * 6000, rng.NormFloat64() * 50}
 		if step%4 == 0 {
-			if err := s.Delete(tuple); err != nil {
+			if err := s.Update(tuple, -1); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if err := s.Insert(tuple); err != nil {
+			if err := s.Update(tuple, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

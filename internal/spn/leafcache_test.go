@@ -251,7 +251,7 @@ func assertSPNCacheMatchesScan(t *testing.T, s *SPN, reqs []Request, label strin
 	}
 }
 
-// TestSPNCacheThroughWritePath: learning, Clone, per-tuple Insert/Delete
+// TestSPNCacheThroughWritePath: learning, Clone, per-tuple Update
 // and a BeginBatch/EndBatch window each leave every leaf's cache fresh and
 // every answer bit-identical to the scan; inside the batch window the
 // touched leaves are stale.
@@ -273,9 +273,9 @@ func TestSPNCacheThroughWritePath(t *testing.T) {
 	for _, m := range randomMutations(rand.New(rand.NewSource(32)), 20) {
 		var err error
 		if m.Delete {
-			err = c.Delete(m.Tuple)
+			err = c.Update(m.Tuple, -1)
 		} else {
-			err = c.Insert(m.Tuple)
+			err = c.Update(m.Tuple, 1)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +288,7 @@ func TestSPNCacheThroughWritePath(t *testing.T) {
 
 	c.BeginBatch()
 	for _, m := range randomMutations(rand.New(rand.NewSource(33)), 20) {
-		if err := c.Insert(m.Tuple); err != nil {
+		if err := c.Update(m.Tuple, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -51,13 +51,13 @@ func DefaultLearnConfig() LearnConfig {
 type SPN struct {
 	Root     *Node
 	Columns  []string // column names by scope index
-	RowCount float64  // training rows (updated by Insert/Delete)
+	RowCount float64  // rows the model holds: training rows (a sample, for a sampled member) moved by each Update's weight
 	Config   LearnConfig
 
 	// flat is the compiled structure-of-arrays evaluator (compiled.go)
 	// every inference runs on, built by Refresh at the end of learning and
 	// after deserialization, copied in part by Clone, and re-weighted by
-	// Insert/Delete.
+	// Update.
 	// Unexported so gob skips it.
 	flat *Compiled
 	// colIdx caches name -> scope index (built by Refresh; nil falls back

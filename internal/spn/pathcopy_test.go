@@ -71,17 +71,17 @@ func clusteredMutations(rng *rand.Rand, n int) []Mutation {
 }
 
 // applyMixed applies a batch through ApplyBatch and then one tuple each
-// through per-tuple Insert and Delete, the three write entry points.
+// through per-tuple Update with weight +1 and -1.
 func applyMixed(t *testing.T, s *SPN, rng *rand.Rand) {
 	t.Helper()
 	muts := clusteredMutations(rng, 42)
 	if err := s.ApplyBatch(muts[:40]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(muts[40].Tuple); err != nil {
+	if err := s.Update(muts[40].Tuple, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(muts[41].Tuple); err != nil {
+	if err := s.Update(muts[41].Tuple, -1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,7 +201,7 @@ func TestInsertUnsharesExactlyTheTouchedPath(t *testing.T) {
 	route(s.Root)
 
 	c := s.Clone()
-	if err := c.Insert(tuple); err != nil {
+	if err := c.Update(tuple, 1); err != nil {
 		t.Fatal(err)
 	}
 	copied, shared := 0, 0

@@ -448,7 +448,7 @@ func TestInsertShiftsDistribution(t *testing.T) {
 	before := evalP()
 	// Insert 500 young European customers (the paper's motivating update).
 	for i := 0; i < 500; i++ {
-		if err := s.Insert([]float64{0, 22}); err != nil {
+		if err := s.Update([]float64{0, 22}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,10 +476,10 @@ func TestInsertThenDeleteRestores(t *testing.T) {
 	probe := []ColQuery{{Col: 1, Ranges: []Range{{Lo: 0, Hi: 40, LoIncl: true, HiIncl: true}}}}
 	before, _ := s.Probability(probe)
 	tuple := []float64{1, 33}
-	if err := s.Insert(tuple); err != nil {
+	if err := s.Update(tuple, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(tuple); err != nil {
+	if err := s.Update(tuple, -1); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := s.Probability(probe)
@@ -493,10 +493,10 @@ func TestInsertThenDeleteRestores(t *testing.T) {
 
 func TestInsertDimensionMismatch(t *testing.T) {
 	s := figure3SPN()
-	if err := s.Insert([]float64{1}); err == nil {
+	if err := s.Update([]float64{1}, 1); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if err := s.Delete([]float64{1, 2, 3}); err == nil {
+	if err := s.Update([]float64{1, 2, 3}, -1); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -577,7 +577,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatal("round trip lost metadata")
 	}
 	// Updates must still work after round trip (centroids preserved).
-	if err := s2.Insert([]float64{0, 25}); err != nil {
+	if err := s2.Update([]float64{0, 25}, 1); err != nil {
 		t.Fatal(err)
 	}
 }

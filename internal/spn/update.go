@@ -6,37 +6,29 @@ import (
 	"repro/internal/stats"
 )
 
-// Insert absorbs one tuple into the SPN without retraining, implementing
-// Algorithm 1 of the paper: the tuple recursively traverses the tree; at
-// sum nodes the nearest KMeans cluster's weight is increased and the tuple
-// descends into it, at product nodes the tuple is split by scope, at leaves
-// the value distribution is updated. The tree structure never changes.
-// tuple must be indexed by scope column (full row, NaN = NULL).
-func (s *SPN) Insert(tuple []float64) error {
+// Update absorbs one tuple with weight w without retraining, implementing
+// Algorithm 1 of the paper: w = +1 inserts the tuple, w = -1 deletes it.
+// The tuple recursively traverses the tree; at sum nodes the nearest
+// KMeans cluster's weight moves by w and the tuple descends into it, at
+// product nodes the tuple is split by scope, at leaves the value
+// distribution moves by w. The tree structure never changes, and RowCount
+// moves by w but never below 0. tuple must be indexed by scope column
+// (full row, NaN = NULL). Every node it writes is first made the SPN's own
+// (own), top down, so a clone copies exactly the induced tree the tuple
+// routes through and leaves every node it shares untouched.
+func (s *SPN) Update(tuple []float64, w float64) error {
 	if len(tuple) != len(s.Columns) {
 		return fmt.Errorf("spn: tuple has %d values, model has %d columns", len(tuple), len(s.Columns))
 	}
-	s.update(tuple, 1)
-	s.RowCount++
-	s.recompile()
-	return nil
-}
-
-// Delete removes one tuple from the SPN (weight -1 along its routing path).
-func (s *SPN) Delete(tuple []float64) error {
-	if len(tuple) != len(s.Columns) {
-		return fmt.Errorf("spn: tuple has %d values, model has %d columns", len(tuple), len(s.Columns))
-	}
-	s.update(tuple, -1)
-	if s.RowCount > 0 {
-		s.RowCount--
-	}
+	s.Root = s.own(s.Root)
+	s.updateNode(s.Root, tuple, w)
+	s.RowCount = max(0, s.RowCount+w)
 	s.recompile()
 	return nil
 }
 
 // BeginBatch suspends the per-mutation refresh of the flat evaluator's
-// derived weights until EndBatch, so a batch of Insert/Delete calls pays
+// derived weights until EndBatch, so a batch of Update calls pays
 // the re-derivation once. While a batch is open the flat evaluator is
 // stale; the SPN must not serve queries until EndBatch ran (the serving
 // path only ever sees published, fully-recompiled snapshots).
@@ -63,15 +55,6 @@ func (s *SPN) recompile() {
 	if !s.batching {
 		s.flat.refreshWeights()
 	}
-}
-
-// update is Algorithm 1 with a weight parameter so insert (+1) and delete
-// (-1) share the traversal. Every node it writes is first made the SPN's
-// own (own), top down, so a clone copies exactly the induced tree the
-// tuple routes through and leaves every node it shares untouched.
-func (s *SPN) update(tuple []float64, w float64) {
-	s.Root = s.own(s.Root)
-	s.updateNode(s.Root, tuple, w)
 }
 
 // updateNode applies the tuple to a node the SPN owns and recurses.

@@ -135,16 +135,19 @@ echo "== chaos (seeded fault injection) =="
 # keeps the chaos bar visible and uncached even when the suite is filtered.
 go test -race -short -count=1 -run '^TestChaos' ./internal/wal ./internal/pipeline ./deepdb
 
-echo "== allocation budgets =="
+echo "== allocation budgets and model digests =="
 # TestAllocBudgets pins allocs/op exactly on the flat SPN evaluator, plan
-# compilation, the prepared / cached / uncached / grouped facade paths and
-# an /estimate round trip.
+# compilation, the prepared / cached / uncached / grouped facade paths, an
+# /estimate round trip and one-row update batches.
 # Counts are noise-free where a ns/op guard on this box was not (an
 # untouched kernel read 768-1202 ns against its 848 ns baseline). The
 # tests skip themselves under the race detector, so the suite above does
 # not hold them; this run does. TestGroupByRequestCounts pins, just as
 # exactly, the SPN requests a grouped execution evaluates per RSPN.
-go test -run '^(TestAllocBudgets|TestGroupByRequestCounts)$' -count=1 . ./internal/spn ./internal/core ./cmd/deepdb
+# TestModelDigests compares learned and updated ensembles with committed
+# digests; under the race detector it leaves out the six learned
+# ensembles (over a minute of instrumented learning), so they run here.
+go test -run '^(TestAllocBudgets|TestGroupByRequestCounts|TestModelDigests)$' -count=1 . ./internal/spn ./internal/core ./internal/ensemble ./cmd/deepdb
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
