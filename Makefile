@@ -19,8 +19,8 @@ fmt:
 vet:
 	go vet ./...
 
-# Project invariant suite (detmap, snapdiscipline, walorder, ctxloop,
-# directive) run as a vet tool so results are cached per package.
+# Project invariant suite (detmap, ctxloop, hardtimeout, directive) run as
+# a vet tool so results are cached per package.
 lint:
 	mkdir -p bin
 	go build -o bin/deepdb-lint ./cmd/deepdb-lint

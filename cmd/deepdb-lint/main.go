@@ -1,8 +1,7 @@
 // Command deepdb-lint is the repository's invariant multichecker: it runs
 // the project-specific analyzers under internal/analysis/… (determinism of
-// map iteration, snapshot discipline, WAL ordering, context propagation,
-// hard-coded timeout budgets, suppression-directive grammar) over Go
-// packages and fails when any
+// map iteration, context propagation, hard-coded timeout budgets,
+// suppression-directive grammar) over Go packages and fails when any
 // unsuppressed finding remains.
 //
 // Two invocation modes:
@@ -31,15 +30,11 @@ import (
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/hardtimeout"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/snapdiscipline"
-	"repro/internal/analysis/walorder"
 )
 
 // analyzers is the full suite, in report order.
 var analyzers = []*analysis.Analyzer{
 	detmap.Analyzer,
-	snapdiscipline.Analyzer,
-	walorder.Analyzer,
 	ctxloop.Analyzer,
 	hardtimeout.Analyzer,
 	directive.Analyzer,

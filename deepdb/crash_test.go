@@ -3,11 +3,13 @@ package deepdb_test
 // crash_test.go is the end-to-end durability proof: a child process
 // streams mutations into a WAL-backed DB under DurabilitySync and is
 // killed with SIGKILL mid-stream — no defers, no flushes, no goodbye. The
-// parent then determines the durable prefix from the log itself, rebuilds
-// a reference DB that applied exactly that prefix without ever crashing,
-// recovers a DB from the WAL, and requires bit-identical answers across
-// the full query-class matrix. Acknowledged-before-kill mutations must all
-// be in the durable prefix (that is what sync durability promises).
+// parent then reads the durable prefix from the log itself, has the
+// write-history checker's reference (history_test.go) apply exactly that
+// prefix without ever crashing, recovers a DB from the WAL, and requires
+// the same apply watermark and bit-identical answers: base tables, Exact
+// probes and the full query-class matrix. Acknowledged-before-kill
+// mutations must all be in the durable prefix (that is what sync
+// durability promises).
 
 import (
 	"bufio"
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"repro/deepdb"
-	"repro/internal/wal"
 )
 
 const (
@@ -122,35 +123,27 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("child exited early after %d acks", acked+1)
 	}
 
-	// The durable prefix is whatever survived in the log — every record,
-	// in LSN order, one mutation group per Insert/Delete call.
-	durable := 0
-	err = wal.Dump(dir, 0, func(lsn uint64, payload []byte) error {
-		if _, derr := wal.DecodeMutations(payload); derr != nil {
-			return fmt.Errorf("lsn %d: %w", lsn, derr)
-		}
-		durable++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The durable prefix is whatever survived in the log: every record, in
+	// LSN order, one mutation group per Insert/Delete call.
+	log := readLog(t, dir)
+	if len(log) < acked+1 {
+		t.Fatalf("sync durability violated: %d mutations acked, only %d durable", acked+1, len(log))
 	}
-	if durable < acked+1 {
-		t.Fatalf("sync durability violated: %d mutations acked, only %d durable", acked+1, durable)
-	}
-	muts := mutationStream(crashStreamLen)
-	if durable > len(muts) {
-		t.Fatalf("log holds %d records for a %d-mutation stream", durable, len(muts))
+	if muts := mutationStream(crashStreamLen); len(log) > len(muts) {
+		t.Fatalf("log holds %d records for a %d-mutation stream", len(log), len(muts))
 	}
 
-	// Reference: the same durable prefix applied synchronously, no crash.
-	s, data := fixture(1200, 77)
-	ref, err := deepdb.LearnDataset(ctx, s, data,
-		deepdb.WithMaxSamples(8000), deepdb.WithSyncUpdates())
+	// Reference: the same model applies the logged groups in LSN order, no
+	// crash.
+	ref := learnReference(t, 1200, 77)
+	defer ref.Close()
+	for _, g := range log {
+		applyLogged(t, ref, g)
+	}
+	want, err := observe(ctx, ref.Pin())
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyStream(t, ref, muts[:durable])
 
 	// Recovery: rebuild over the original data and replay the log.
 	s2, data2 := fixture(1200, 77)
@@ -160,21 +153,15 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if got := rec.UpdateStats().WAL.Replayed; got != uint64(durable) {
-		t.Fatalf("recovery replayed %d records, want %d", got, durable)
+	if got := rec.UpdateStats().WAL.Replayed; got != uint64(len(log)) {
+		t.Fatalf("recovery replayed %d records, want %d", got, len(log))
 	}
-
-	for i, q := range equivalenceWorkload {
-		a, err := ref.ExecuteQuery(ctx, q)
-		if err != nil {
-			t.Fatalf("query %d ref: %v", i, err)
-		}
-		b, err := rec.ExecuteQuery(ctx, q)
-		if err != nil {
-			t.Fatalf("query %d recovered: %v", i, err)
-		}
-		if normResult(a) != normResult(b) {
-			t.Fatalf("query %d diverged after crash recovery\n  ref:       %v\n  recovered: %v", i, a, b)
-		}
+	got, err := observe(ctx, rec.Pin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.lsn != want.lsn || got.answers != want.answers {
+		t.Fatalf("crash recovery diverged from the reference over %d logged groups\nrecovered at lsn %d:\n%sreference at lsn %d:\n%s",
+			len(log), got.lsn, got.answers, want.lsn, want.answers)
 	}
 }

@@ -8,11 +8,21 @@ package deepdb
 //     batch cap, so they are Options only in the test build;
 //   - a multi-row Update, whose single mutation group pins the write
 //     path's all-or-nothing publish;
-//   - a waited enqueue at a chosen WAL position and the watermark it
-//     publishes, the seams of the forward-only watermark test;
+//   - a waited enqueue at a chosen WAL position, the seam of the
+//     forward-only watermark test and of the write-history checker's
+//     sequential reference;
+//   - one loaded snapshot held by the caller, whose generation, apply
+//     watermark and probe answers all come from the same published state
+//     (the public API loads a fresh snapshot per call, so it cannot pair
+//     an LSN with an answer);
 //   - the two cache sizes the cache suites read.
 
-import "repro/internal/ensemble"
+import (
+	"context"
+
+	"repro/internal/ensemble"
+	"repro/internal/query"
+)
 
 // WithUpdateQueueSize bounds the update queue (default
 // 1024 operations; an Update(rows...) call occupies one slot). When the
@@ -65,6 +75,33 @@ func (db *DB) EnqueueWaitedAt(muts []ensemble.Mutation, lsn uint64) error {
 	return db.pipe.Enqueue(group{muts: muts, lsn: lsn}, true)
 }
 
-// AppliedLSN reports the apply watermark of the current snapshot, with or
-// without a WAL.
-func (db *DB) AppliedLSN() uint64 { return db.snapshotNow().lsn }
+// Pinned is one published snapshot held by a test. Every method answers
+// from that snapshot however many later ones the writer publishes.
+type Pinned struct{ s *snapshot }
+
+// Pin loads the current snapshot once.
+func (db *DB) Pin() Pinned { return Pinned{db.snapshotNow()} }
+
+// Generation is the pinned snapshot's publication counter.
+func (p Pinned) Generation() uint64 { return p.s.gen }
+
+// LSN is the pinned snapshot's apply watermark (0 without a WAL).
+func (p Pinned) LSN() uint64 { return p.s.lsn }
+
+// Query answers q from the pinned snapshot's models, compiling a fresh
+// plan: no plan or result cache stands between the probe and the models.
+func (p Pinned) Query(ctx context.Context, q query.Query) (Result, error) {
+	res, err := p.s.eng.ExecuteContext(ctx, q)
+	if err != nil {
+		return Result{}, err
+	}
+	return wrapResult(p.s.ens, q, res), nil
+}
+
+// Data is the pinned snapshot's base tables (nil without attached data).
+func (p Pinned) Data() Dataset { return p.s.ens.Tables }
+
+// Exact answers q exactly from the pinned snapshot's base tables.
+func (p Pinned) Exact(ctx context.Context, q query.Query) (Result, error) {
+	return exactOn(ctx, p.s, q)
+}

@@ -272,6 +272,14 @@ func (db *DB) Save(path string) error {
 // Writers are held off only for the swap itself (attaching the tables and
 // publishing), not while the model file is read or the queue drains. On
 // any error the old model keeps serving.
+//
+// The new model is published at the current apply watermark: a model file
+// does not carry the LSN it was saved at, so Reload cannot re-apply the
+// logged writes the file lacks. A file saved before later acknowledged
+// writes serves without them — the base tables keep them, so Exact still
+// counts them — while a restart over the same WAL replays them from the
+// checkpoint: the served state and crash recovery then disagree. Reload
+// only a file that holds every write acknowledged so far.
 func (db *DB) Reload(modelPath string) error {
 	ens, err := ensemble.LoadFile(modelPath, nil)
 	if err != nil {

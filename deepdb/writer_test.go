@@ -186,7 +186,7 @@ func TestWaitedSubmitAndWatermark(t *testing.T) {
 	if got := db.Data()["orders"].NumRows(); got != orders+2 {
 		t.Fatalf("%d order rows after a 2-row insert into %d and a failed delete", got, orders)
 	}
-	if got := db.AppliedLSN(); got != 5 {
+	if got := db.Pin().LSN(); got != 5 {
 		t.Fatalf("apply watermark = %d after groups at LSN 5 then 3, want 5", got)
 	}
 }

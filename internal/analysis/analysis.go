@@ -18,7 +18,7 @@
 // the flagged line or on its own line directly above it. The justification
 // is mandatory: a bare directive does not suppress and is itself flagged by
 // the directive analyzer. Each analyzer documents the directive name it
-// honors (orderinvariant, snapshotsafe, walordered, nocancel, hardtimeout).
+// honors (orderinvariant, nocancel, hardtimeout).
 // One more name, testonly, is honored by the reachability test in
 // internal/analysis/reach: written above a function declaration, it roots a
 // function that only tests call.
@@ -106,8 +106,6 @@ type Diagnostic struct {
 // directive analyzer rejects everything else as a likely typo.
 var DirectiveNames = map[string]bool{
 	"orderinvariant": true, // detmap: map iteration order provably cannot reach output
-	"snapshotsafe":   true, // snapdiscipline: snapshot access proven safe by other means
-	"walordered":     true, // walorder: WAL append/enqueue ordering established elsewhere
 	"nocancel":       true, // ctxloop: loop bounds are metadata-sized, not data-sized
 	"hardtimeout":    true, // hardtimeout: an inline duration literal is deliberate here
 	"testonly":       true, // reach: only tests call this function, and the reason says why it ships
@@ -213,14 +211,4 @@ func IsContext(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// MethodCall decomposes call as a method invocation, returning the receiver
-// expression and method name ("" if not a selector call).
-func MethodCall(call *ast.CallExpr) (recv ast.Expr, method string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	return sel.X, sel.Sel.Name
 }

@@ -1,5 +1,5 @@
-// Package core is a directive fixture: well-formed, bare, and mistyped
-// //deepdb: suppression comments. The diagnostics land on the directive
+// Package core is a directive fixture: well-formed, bare, mistyped and
+// retired //deepdb: suppression comments. The diagnostics land on the directive
 // comments themselves, so expectations use the block-comment form to
 // share their line.
 package core
@@ -38,5 +38,16 @@ func Typo(m map[string]int) int {
 	for range m {
 		n++
 	}
+	return n
+}
+
+// Retired names the directive set no longer holds: a suppression left
+// behind by a deleted analyzer is reported, not silently kept.
+func Retired() int {
+	n := 0
+	/* want `unknown directive` */ //deepdb:walordered ordering established elsewhere
+	n++
+	/* want `unknown directive` */ //deepdb:snapshotsafe snapshot access proven safe elsewhere
+	n++
 	return n
 }

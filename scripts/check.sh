@@ -61,10 +61,11 @@ echo "== benchmark module (vet + short tests) =="
 (cd benchmark && go vet ./... && go test -short ./...)
 
 echo "== deepdb-lint (invariant suite) =="
-# Project-specific analyzers (determinism, snapshot discipline, WAL
-# ordering, ctx propagation, hard-coded timeouts, directive grammar) run
-# through the vet driver so per-package results are cached by the go
-# build cache.
+# Project-specific analyzers (determinism, ctx propagation, hard-coded
+# timeouts, directive grammar) run through the vet driver so per-package
+# results are cached by the go build cache. The write path's two rules,
+# LSN order == apply order and immutable published snapshots, are held by
+# behaviour instead: see the write-histories stage below.
 mkdir -p bin
 go build -o bin/deepdb-lint ./cmd/deepdb-lint
 go vet -vettool="$(pwd)/bin/deepdb-lint" ./...
@@ -123,6 +124,14 @@ echo "== crash-recovery smoke =="
 # invocation keeps them from being filtered out and reruns them without
 # the cache.
 go test -run 'TestCrashRecoverySIGKILL|TestGracefulShutdownSIGTERM' -count=1 ./deepdb
+
+echo "== write histories =="
+# The write path's behavioural checker: concurrent writers, a Flush/Save/
+# Reload driver and readers pinning snapshots, then one sequential
+# reference replays the log in LSN order and must reproduce every observed
+# state bit for bit. Interleavings differ run to run, so it runs three
+# times under the race detector, uncached.
+go test -race -count=3 -run '^TestWriteHistories$' ./deepdb
 
 echo "== chaos (seeded fault injection) =="
 # The fault-injection suite: deterministic, seeded schedules drive the WAL
