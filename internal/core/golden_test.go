@@ -195,9 +195,11 @@ func diamondFixture(t *testing.T) *ensemble.Ensemble {
 		}
 		data := tabs[tables[0]]
 		if len(tables) > 1 {
-			if data, err = table.FullOuterJoin(tabs, table.JoinSpec{Tables: tables, Edges: edges}); err != nil {
+			j, err := table.IndexJoin(tabs, table.JoinSpec{Tables: tables, Edges: edges}, false)
+			if err != nil {
 				t.Fatal(err)
 			}
+			data = j.Table()
 		}
 		r, err := rspn.Learn(context.Background(), data, tables, edges, rspn.LearnColumns(s, data, tables, nil), nil, opts)
 		if err != nil {

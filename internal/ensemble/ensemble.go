@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -376,42 +377,38 @@ func (e *Ensemble) computeDependencies() error {
 	return nil
 }
 
-// innerJoin computes the inner join of the tables as row indices.
-func (e *Ensemble) innerJoin(tables []string) (*table.JoinIndex, error) {
+// innerJoin numbers the inner join's tuples without building it.
+func (e *Ensemble) innerJoin(tables []string) (*table.JoinRanks, error) {
 	edges, err := e.Schema.JoinTree(tables)
 	if err != nil {
 		return nil, err
 	}
-	return table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, true)
+	return table.InnerJoinRanks(e.Tables, table.JoinSpec{Tables: tables, Edges: edges})
 }
 
 // crossTableDependency computes the dependency value (max attribute-pair
 // RDC) between attributes of tables a and b over a sample of the inner join
-// j, caching the individual attribute RDCs. Only the sampled tuples of the
-// two tables' attribute columns are gathered.
-func (e *Ensemble) crossTableDependency(j *table.JoinIndex, a, b string) (float64, error) {
+// j, caching the individual attribute RDCs. Only the sampled tuples are
+// decoded, and only the two tables' attribute columns gathered.
+func (e *Ensemble) crossTableDependency(j *table.JoinRanks, a, b string) (float64, error) {
 	if j.NumRows() == 0 {
 		return 0, nil
 	}
 	rdcCfg := stats.LearnRDCConfig(e.cfg.Seed)
-	rows := j.SampleRows(e.cfg.RDCSampleRows, e.rng)
+	sample := j.Sample(e.cfg.RDCSampleRows, e.rng)
 	colsA := e.attributeColumns(a)
 	colsB := e.attributeColumns(b)
+	data, err := sample.Matrix(slices.Concat(colsB, colsA), nil)
+	if err != nil {
+		return 0, err
+	}
 	ys := make([]*stats.RDCColumn, len(colsB))
-	for i, cb := range colsB {
-		v, err := j.Values(cb, rows)
-		if err != nil {
-			return 0, err
-		}
-		ys[i] = stats.PrepareRDC(v, stats.RoleY, rdcCfg)
+	for i := range colsB {
+		ys[i] = stats.PrepareRDC(columnOf(data, i), stats.RoleY, rdcCfg)
 	}
 	max := 0.0
-	for _, ca := range colsA {
-		v, err := j.Values(ca, rows)
-		if err != nil {
-			return 0, err
-		}
-		x := stats.PrepareRDC(v, stats.RoleX, rdcCfg)
+	for k, ca := range colsA {
+		x := stats.PrepareRDC(columnOf(data, len(colsB)+k), stats.RoleX, rdcCfg)
 		for i, cb := range colsB {
 			v := stats.RDCPair(x, ys[i])
 			key := AttrKey(ca, cb)
@@ -494,15 +491,14 @@ func (e *Ensemble) learnSingle(ctx context.Context, tableName string) (*rspn.RSP
 	return rspn.Learn(ctx, t, []string{tableName}, nil, cols, fds, opts)
 }
 
-// learnJoin materializes the full outer join of the tables and learns a
-// joint RSPN over it.
+// learnJoin computes the full outer join of the tables as row indices and
+// learns a joint RSPN over it, gathering only the sampled tuples.
 func (e *Ensemble) learnJoin(ctx context.Context, tables []string) (*rspn.RSPN, error) {
 	edges, err := e.Schema.JoinTree(tables)
 	if err != nil {
 		return nil, err
 	}
-	spec := table.JoinSpec{Tables: tables, Edges: edges}
-	j, err := table.FullOuterJoin(e.Tables, spec)
+	j, err := table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +744,7 @@ func (e *Ensemble) candidates(ctx context.Context, base [][]string) ([]candidate
 // pairs of the subset (the paper's objective). Missing pair values are
 // computed on demand over the subset's inner join, computed once.
 func (e *Ensemble) meanDependency(tables []string) (float64, error) {
-	var joined *table.JoinIndex
+	var joined *table.JoinRanks
 	total, n := 0.0, 0
 	for i := 0; i < len(tables); i++ {
 		for j := i + 1; j < len(tables); j++ {

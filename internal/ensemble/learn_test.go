@@ -194,14 +194,24 @@ func wideChain(t *testing.T, extra int) *Ensemble {
 	return &Ensemble{Schema: s, Tables: tabs, AttrRDC: map[string]float64{}, cfg: testConfig(), rng: rand.New(rand.NewSource(1))}
 }
 
-// dependencyBytes is the fewest bytes any of 8 runs allocated computing the
-// customer/orders dependency over the three-table join.
-func dependencyBytes(t *testing.T, e *Ensemble) uint64 {
-	t.Helper()
+// fewestBytes is the fewest bytes any of 8 runs of f allocated.
+func fewestBytes(f func()) uint64 {
 	best := uint64(math.MaxUint64)
 	var m0, m1 runtime.MemStats
 	for i := 0; i < 8; i++ {
 		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return best
+}
+
+// dependencyBytes is the fewest bytes any of 8 runs allocated computing the
+// customer/orders dependency over the three-table join.
+func dependencyBytes(t *testing.T, e *Ensemble) uint64 {
+	t.Helper()
+	return fewestBytes(func() {
 		j, err := e.innerJoin([]string{"customer", "orders", "orderline"})
 		if err != nil {
 			t.Fatal(err)
@@ -209,10 +219,7 @@ func dependencyBytes(t *testing.T, e *Ensemble) uint64 {
 		if _, err := e.crossTableDependency(j, "customer", "orders"); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
-	}
-	return best
+	})
 }
 
 // TestDependencyBytesDoNotGrowWithUnreadColumns is the noise-free cost
@@ -228,6 +235,119 @@ func TestDependencyBytesDoNotGrowWithUnreadColumns(t *testing.T) {
 			narrow, wide, float64(wide)/float64(narrow))
 	}
 	t.Logf("one dependency: %d B narrow, %d B wide", narrow, wide)
+}
+
+// skewedStar is a hub of 200 rows and two spokes that reference it, hub
+// row i having 1+4·(i mod 20) rows in each: 15 800 rows in all, and
+// 410 600 tuples in the spokes' join through the hub, which join product
+// skew makes far larger than the tables.
+func skewedStar(t *testing.T) *Ensemble {
+	t.Helper()
+	spoke := func(name, p string) *schema.Table {
+		return &schema.Table{Name: name, PrimaryKey: p + "_id", Columns: []schema.Column{
+			{Name: p + "_id", Kind: schema.IntKind},
+			{Name: p + "_h_id", Kind: schema.IntKind},
+			{Name: p + "_x", Kind: schema.FloatKind},
+		}, ForeignKeys: []schema.ForeignKey{{Column: p + "_h_id", RefTable: "hub", RefColumn: "h_id"}}}
+	}
+	s := &schema.Schema{Tables: []*schema.Table{
+		{Name: "hub", PrimaryKey: "h_id", Columns: []schema.Column{
+			{Name: "h_id", Kind: schema.IntKind},
+			{Name: "h_x", Kind: schema.IntKind},
+		}},
+		spoke("a", "a"), spoke("b", "b"),
+	}}
+	rng := rand.New(rand.NewSource(5))
+	tabs := map[string]*table.Table{}
+	for _, meta := range s.Tables {
+		tabs[meta.Name] = table.New(meta)
+	}
+	for i := 0; i < 200; i++ {
+		tabs["hub"].AppendRow(table.Int(i), table.Int(i%7))
+		for _, name := range []string{"a", "b"} {
+			tb := tabs[name]
+			for k := 0; k <= 4*(i%20); k++ {
+				tb.AppendRow(table.Int(tb.NumRows()), table.Int(i), table.Float(float64(i%7)+rng.Float64()))
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	return &Ensemble{Schema: s, Tables: tabs, AttrRDC: map[string]float64{}, PairDep: map[string]float64{},
+		cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+}
+
+// spokeDependencyBytes is what scoring a star candidate's missing spoke
+// pair allocates (fewestBytes), for the candidate in each fold order, and
+// the number of tuples of the candidate's join.
+func spokeDependencyBytes(t *testing.T, e *Ensemble) (perOrder []uint64, tuples int) {
+	t.Helper()
+	for _, order := range [][]string{{"a", "hub", "b"}, {"hub", "b", "a"}} {
+		perOrder = append(perOrder, fewestBytes(func() {
+			delete(e.PairDep, AttrKey("a", "b"))
+			e.PairDep[AttrKey("a", "hub")], e.PairDep[AttrKey("b", "hub")] = 0, 0
+			if _, err := e.meanDependency(order); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	j, err := e.innerJoin([]string{"a", "hub", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perOrder, j.NumRows()
+}
+
+// dependencyBytesPerTuple is the allocation gate of a dependency test: the
+// 8 B per join tuple of the permutation its sample is drawn from, plus
+// slack for what does not grow with the join.
+const dependencyBytesPerTuple = 16
+
+// TestDependencyBytesPerJoinTuple: a dependency test samples a join it
+// never builds, so on a star whose spoke join has 26 times more tuples
+// than the tables have rows, scoring the spokes' pair allocates at most
+// dependencyBytesPerTuple bytes per join tuple, in either fold order.
+func TestDependencyBytesPerJoinTuple(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	perOrder, tuples := spokeDependencyBytes(t, skewedStar(t))
+	if tuples != 410600 {
+		t.Fatalf("the spoke join has %d tuples; the fixture needs 410 600", tuples)
+	}
+	for i, b := range perOrder {
+		if b > dependencyBytesPerTuple*uint64(tuples) {
+			t.Errorf("fold order %d: %d B, %.1f B per join tuple; the gate is %d", i, b, float64(b)/float64(tuples), dependencyBytesPerTuple)
+		}
+		t.Logf("fold order %d: %d B, %.1f B per join tuple", i, b, float64(b)/float64(tuples))
+	}
+}
+
+// TestDependencyGateFailsIndexJoin is the must-fail twin: building the
+// inner join as row indices and drawing the sample from it, as the
+// dependency tests did, already exceeds the gate.
+func TestDependencyGateFailsIndexJoin(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	e := skewedStar(t)
+	edges, err := e.Schema.JoinTree([]string{"a", "hub", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := table.JoinSpec{Tables: []string{"a", "hub", "b"}, Edges: edges}
+	var tuples int
+	b := fewestBytes(func() {
+		j, err := table.IndexJoin(e.Tables, spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SampleRows(e.cfg.RDCSampleRows, e.rng)
+		tuples = j.NumRows()
+	})
+	if b <= dependencyBytesPerTuple*uint64(tuples) {
+		t.Fatalf("the IndexJoin path allocates %d B, %.1f B per join tuple, within the gate", b, float64(b)/float64(tuples))
+	}
+	t.Logf("the IndexJoin path: %d B, %.1f B per join tuple", b, float64(b)/float64(tuples))
 }
 
 // cancelOnDone is a context that cancels itself the first time someone

@@ -27,10 +27,11 @@ func materializeOuterRef(e *Engine, tables, outer []string) (*table.Table, error
 	for _, t := range outer {
 		isOuter[t] = true
 	}
-	full, err := table.FullOuterJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges})
+	j, err := table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
 	if err != nil {
 		return nil, err
 	}
+	full := j.Table()
 	var keep []int
 	for i := 0; i < full.NumRows(); i++ {
 		ok := true

@@ -8,11 +8,19 @@ import (
 
 	"repro/internal/schema"
 	"repro/internal/spn"
-	"repro/internal/table"
 )
 
-// LearnOptions controls how an RSPN is learned from a materialized table
-// (a base table or a full outer join).
+// Source is what an RSPN learns from: a base table (*table.Table) or a
+// full outer join kept as row indices (*table.JoinIndex). Learn gathers
+// only the rows it samples.
+type Source interface {
+	NumRows() int
+	SampleRows(k int, rng *rand.Rand) []int
+	ColumnNames() []string
+	Matrix(cols []string, rows []int) ([][]float64, error)
+}
+
+// LearnOptions controls how an RSPN is learned from a Source.
 type LearnOptions struct {
 	// SPN holds the structure-learning hyperparameters.
 	SPN spn.LearnConfig
@@ -37,13 +45,13 @@ func DefaultLearnOptions() LearnOptions {
 	return LearnOptions{SPN: spn.DefaultLearnConfig(), MaxSamples: 100000, Seed: 1}
 }
 
-// LearnColumns selects which columns of a materialized table an RSPN
-// should learn: every attribute except primary/foreign keys and
-// FD-dependent columns, plus all tuple-factor and indicator columns. The
-// exclusion sets are derived from the schema.
+// LearnColumns selects which columns of a source an RSPN should learn:
+// every attribute except primary/foreign keys and FD-dependent columns,
+// plus all tuple-factor and indicator columns. The exclusion sets are
+// derived from the schema.
 //
 //deepdb:nocancel iterates schema metadata and column names only, never row data
-func LearnColumns(s *schema.Schema, tbl *table.Table, tables []string, fds []FD) []string {
+func LearnColumns(s *schema.Schema, tbl Source, tables []string, fds []FD) []string {
 	exclude := make(map[string]bool)
 	for _, tn := range tables {
 		meta := s.Table(tn)
@@ -70,11 +78,11 @@ func LearnColumns(s *schema.Schema, tbl *table.Table, tables []string, fds []FD)
 	return out
 }
 
-// Learn builds an RSPN from a materialized table. tables and edges describe
-// what the materialized table is (base table or full outer join); columns
-// lists the attributes to learn (LearnColumns provides the default).
+// Learn builds an RSPN from a source. tables and edges describe what the
+// source is (base table or full outer join); columns lists the attributes
+// to learn (LearnColumns provides the default).
 // Structure learning honors ctx: cancellation aborts with ctx.Err().
-func Learn(ctx context.Context, tbl *table.Table, tables []string, edges []schema.Relationship,
+func Learn(ctx context.Context, tbl Source, tables []string, edges []schema.Relationship,
 	columns []string, fds []FD, opts LearnOptions) (*RSPN, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("rspn: no columns to learn for %s", strings.Join(tables, ","))

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -445,5 +447,131 @@ func TestKMeansMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d d=%d k=%d special=%v workers=%d: KMeans differs from the reference", c.n, c.d, c.k, c.special, workers)
 			}
 		}
+	}
+}
+
+// assignCase draws n points and k centroids of d dimensions from a small
+// grid, so distances tie exactly, with every other centroid a duplicate of
+// the one before it, and with NaN, ±Inf and the −0.5 NULL sentinel among
+// the points and the centroids. assign starts random.
+func assignCase(n, d, k int, rng *rand.Rand) (points []float64, centroids [][]float64, assign []int) {
+	value := func() float64 {
+		switch rng.Intn(40) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		case 3, 4:
+			return -0.5
+		}
+		return float64(rng.Intn(3))
+	}
+	points = make([]float64, n*d)
+	for i := range points {
+		points[i] = value()
+	}
+	for c := 0; c < k; c++ {
+		if c%2 == 1 {
+			centroids = append(centroids, append([]float64(nil), centroids[c-1]...))
+			continue
+		}
+		cen := make([]float64, d)
+		for j := range cen {
+			cen[j] = value()
+		}
+		centroids = append(centroids, cen)
+	}
+	assign = make([]int, n)
+	for i := range assign {
+		assign[i] = rng.Intn(k)
+	}
+	return points, centroids, assign
+}
+
+// assignRanges runs assignNearest over [0, n) the way KMeans splits a pass:
+// in two ranges from KMeansParallelPoints points on, in one below.
+func assignRanges(points []float64, d int, centroids [][]float64, assign []int) (sizes []int, changed bool) {
+	n, k := len(assign), len(centroids)
+	parts := 1
+	if n >= KMeansParallelPoints {
+		parts = 2
+	}
+	sizes = make([]int, k)
+	part := make([]int, k)
+	for p := 0; p < parts; p++ {
+		changed = assignNearest(points, d, n*p/parts, n*(p+1)/parts, centroids, assign, part) || changed
+		for c, m := range part {
+			sizes[c] += m
+		}
+	}
+	return sizes, changed
+}
+
+// assignRef assigns every point to the centroid nearest picks, counting
+// sizes and changes like assignNearest.
+func assignRef(points []float64, d int, centroids [][]float64, assign []int,
+	nearest func(point []float64, centroids [][]float64) int) (sizes []int, changed bool) {
+	sizes = make([]int, len(centroids))
+	for i := range assign {
+		best := nearest(points[i*d:(i+1)*d], centroids)
+		changed = changed || assign[i] != best
+		assign[i] = best
+		sizes[best]++
+	}
+	return sizes, changed
+}
+
+// assignMismatch reports the first case, k = 1..4 and d = 1..20 with n on
+// both sides of KMeansParallelPoints, where the fused pass and a loop of
+// nearest disagree on an assignment, a size or whether a pass changed
+// anything, over a pass from random assignments and a second one from the
+// first's.
+func assignMismatch(nearest func(point []float64, centroids [][]float64) int) (string, bool) {
+	rng := rand.New(rand.NewSource(49))
+	for _, n := range []int{KMeansParallelPoints - 1, KMeansParallelPoints + 1} {
+		for k := 1; k <= 4; k++ {
+			for d := 1; d <= 20; d++ {
+				points, centroids, assign := assignCase(n, d, k, rng)
+				ref := slices.Clone(assign)
+				for pass := 0; pass < 2; pass++ {
+					gotSizes, gotChanged := assignRanges(points, d, centroids, assign)
+					wantSizes, wantChanged := assignRef(points, d, centroids, ref, nearest)
+					if !slices.Equal(assign, ref) || !slices.Equal(gotSizes, wantSizes) || gotChanged != wantChanged {
+						return fmt.Sprintf("n=%d k=%d d=%d pass %d", n, k, d, pass), true
+					}
+				}
+			}
+		}
+	}
+	return "", false
+}
+
+// TestAssignNearestMatchesNearestCentroid: the fused assignment pass
+// equals a NearestCentroid loop bit for bit — assignments, sizes and
+// changed — with exact ties, duplicate centroids, NaN, ±Inf and the NULL
+// sentinel, for k = 1..4 and d = 1..20, in one range and in two.
+func TestAssignNearestMatchesNearestCentroid(t *testing.T) {
+	if c, bad := assignMismatch(NearestCentroid); bad {
+		t.Fatalf("%s: the fused pass differs from NearestCentroid", c)
+	}
+}
+
+// TestAssignComparisonSeesTies is the must-fail twin: a loop that keeps
+// the last of equally near centroids (<= for <) differs from the fused
+// pass on these inputs.
+func TestAssignComparisonSeesTies(t *testing.T) {
+	lastOfTies := func(point []float64, centroids [][]float64) int {
+		best, bestD := 0, math.MaxFloat64
+		for c, cen := range centroids {
+			if d := sqDist(point, cen); d <= bestD {
+				best, bestD = c, d
+			}
+		}
+		return best
+	}
+	if _, bad := assignMismatch(lastOfTies); !bad {
+		t.Fatal("keeping the last of tied centroids changed no assignment")
 	}
 }

@@ -101,18 +101,33 @@ func KMeans(points []float64, d, k, maxIter int, rng *rand.Rand, workers int) KM
 
 // assignNearest assigns each point of [lo, hi) to its nearest centroid,
 // counts the range's points per cluster into sizes and reports whether an
-// assignment changed.
+// assignment changed. It is NearestCentroid with two centroids measured
+// per sweep over a point, each summed in index order as sqDist does.
 func assignNearest(points []float64, d, lo, hi int, centroids [][]float64, assign, sizes []int) bool {
-	for c := range sizes {
-		sizes[c] = 0
-	}
+	clear(sizes)
 	changed := false
 	for i := lo; i < hi; i++ {
-		best := NearestCentroid(points[i*d:(i+1)*d], centroids)
-		if assign[i] != best {
-			assign[i] = best
-			changed = true
+		p := points[i*d : (i+1)*d]
+		best, bestD := 0, math.MaxFloat64
+		for c, k := 0, len(centroids); c < k; c += 2 {
+			// An odd last centroid is paired with itself: its second
+			// distance equals its first, so it never wins the strict <.
+			a, b := centroids[c][:len(p)], centroids[min(c+1, k-1)][:len(p)]
+			sa, sb := 0.0, 0.0
+			for j, v := range p {
+				da, db := v-a[j], v-b[j]
+				sa += da * da
+				sb += db * db
+			}
+			if sa < bestD {
+				best, bestD = c, sa
+			}
+			if sb < bestD {
+				best, bestD = c+1, sb
+			}
 		}
+		changed = changed || assign[i] != best
+		assign[i] = best
 		sizes[best]++
 	}
 	return changed

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -147,28 +146,29 @@ func joinDiff(got, want *table.Table) string {
 	return ""
 }
 
-// gatherDiff checks the row-index view against the materialized join at
-// sampled tuples: every column but the indicators, NULL and padding as NaN.
+// gatherDiff checks the row-index view against the materialized join: its
+// column names, and its Matrix over every column at sampled tuples and at
+// all of them.
 func gatherDiff(j *table.JoinIndex, want *table.Table, rng *rand.Rand) string {
 	if j.NumRows() != want.NumRows() {
 		return fmt.Sprintf("index has %d tuples, want %d", j.NumRows(), want.NumRows())
 	}
-	sample := j.SampleRows(25, rng)
-	for _, c := range want.Cols {
-		if strings.HasPrefix(c.Meta.Name, "__nt_") {
-			continue
-		}
-		got, err := j.Values(c.Meta.Name, sample)
+	cols := want.ColumnNames()
+	if got := j.ColumnNames(); !slices.Equal(got, cols) {
+		return fmt.Sprintf("columns %v, want %v", got, cols)
+	}
+	for _, tuples := range [][]int{j.SampleRows(25, rng), nil} {
+		got, err := j.Matrix(cols, tuples)
 		if err != nil {
 			return err.Error()
 		}
-		for i, r := range sample {
-			w := c.Data[r]
-			if c.Nul[r] {
-				w = math.NaN()
-			}
-			if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
-				return fmt.Sprintf("column %s tuple %d: %v, want %v", c.Meta.Name, r, got[i], w)
+		wantM, err := want.Matrix(cols, tuples)
+		if err != nil {
+			return err.Error()
+		}
+		for i := range wantM {
+			if !slices.EqualFunc(got[i], wantM[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				return fmt.Sprintf("matrix row %d: %v, want %v", i, got[i], wantM[i])
 			}
 		}
 	}
@@ -192,11 +192,11 @@ func joinFixtures(t *testing.T) []joinFixture {
 	}
 }
 
-// TestJoinsMatchMaterializingReference: FullOuterJoin and InnerJoin, now
-// gathered once from the row-index fold, equal the materializing join
-// they replaced on every connected table set of three data sets, and the
-// row-index view gathers the same cells at sampled tuples. A full join that
-// requires every table equals the inner one.
+// TestJoinsMatchMaterializingReference: the row-index fold, gathered once,
+// equals the materializing join it replaced, full outer and inner, on every
+// connected table set of three data sets, and the row-index view gathers
+// the same cells at sampled tuples. A full join that requires every table
+// equals the inner one.
 func TestJoinsMatchMaterializingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, fx := range joinFixtures(t) {
@@ -205,24 +205,20 @@ func TestJoinsMatchMaterializingReference(t *testing.T) {
 		for _, spec := range specs {
 			for _, inner := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%v/inner=%v", fx.name, spec.Tables, inner)
-				join, ref := table.FullOuterJoin, table.FullOuterJoinRef
+				ref := table.FullOuterJoinRef
 				if inner {
-					join, ref = table.InnerJoin, table.InnerJoinRef
+					ref = table.InnerJoinRef
 				}
 				want, err := ref(fx.tables, spec, false)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				got, err := join(fx.tables, spec)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if d := joinDiff(got, want); d != "" {
-					t.Fatalf("%s: %s", name, d)
-				}
 				j, err := table.IndexJoin(fx.tables, spec, inner)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if d := joinDiff(j.Table(), want); d != "" {
+					t.Fatalf("%s: %s", name, d)
 				}
 				if d := gatherDiff(j, want, rng); d != "" {
 					t.Fatalf("%s: row-index view: %s", name, d)
@@ -256,14 +252,96 @@ func TestJoinComparisonSeesMatchOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := table.FullOuterJoin(fx.tables, spec)
+			got, err := table.IndexJoin(fx.tables, spec, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			differs = differs || joinDiff(got, want) != ""
+			differs = differs || joinDiff(got.Table(), want) != ""
 		}
 		if !differs {
 			t.Fatalf("%s: reversing the match order changed no join", fx.name)
 		}
+	}
+}
+
+// rankDiff describes the first difference between the tuples the ranks
+// decode and the inner join's, or returns "": the summed weight must be
+// the tuple count, and the tuple at every rank must hold the join's row of
+// every table.
+func rankDiff(r *table.JoinRanks, j *table.JoinIndex) string {
+	if r.NumRows() != j.NumRows() {
+		return fmt.Sprintf("weights sum to %d, the join has %d tuples", r.NumRows(), j.NumRows())
+	}
+	return decodeDiff(r, j, j.NumRows())
+}
+
+// decodeDiff compares the tuples at the first n ranks.
+func decodeDiff(r *table.JoinRanks, j *table.JoinIndex, n int) string {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	got, want := r.Decode(ranks).Rows(), j.Rows()
+	for t := range want {
+		for i := range ranks {
+			if got[t][i] != want[t][i] {
+				return fmt.Sprintf("rank %d: row %d of table %d, want %d", i, got[t][i], t, want[t][i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestJoinRanksDecodeIndexJoin: on every connected set of two to four
+// tables of the three data sets (the figure-5 one with NULL and dangling
+// foreign keys), the inner join's summed row weight is IndexJoin's tuple
+// count, and the tuple decoded at every rank has IndexJoin's row of every
+// table.
+func TestJoinRanksDecodeIndexJoin(t *testing.T) {
+	for _, fx := range joinFixtures(t) {
+		for _, spec := range joinSpecs(t, fx.schema) {
+			j, err := table.IndexJoin(fx.tables, spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := table.InnerJoinRanks(fx.tables, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := rankDiff(r, j); d != "" {
+				t.Fatalf("%s/%v: %s", fx.name, spec.Tables, d)
+			}
+		}
+	}
+}
+
+// TestRankComparisonSeesWeights is the must-fail twin: with the weight of
+// the last joined table's row in the first tuple one too high, the
+// comparison fails on every join of at least two tuples, on the count and
+// at the ranks both joins have.
+func TestRankComparisonSeesWeights(t *testing.T) {
+	checked := 0
+	for _, fx := range joinFixtures(t) {
+		for _, spec := range joinSpecs(t, fx.schema) {
+			j, err := table.IndexJoin(fx.tables, spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.NumRows() < 2 {
+				continue
+			}
+			rows := j.Rows()
+			r, err := table.OffByOneRanks(fx.tables, spec, rows[len(rows)-1][0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rankDiff(r, j) == "" || decodeDiff(r, j, min(r.NumRows(), j.NumRows())) == "" {
+				t.Fatalf("%s/%v: an off-by-one weight went unseen", fx.name, spec.Tables)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no join has two tuples")
 	}
 }

@@ -11,7 +11,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -307,39 +306,14 @@ func (t *Table) Select(rows []int) *Table {
 }
 
 // Matrix materializes the named columns as a row-major [][]float64 with NULL
-// encoded as NaN. rows == nil means all rows. SPN learning consumes this.
-// The rows are capacity-capped windows of one backing array, so an append
-// to a row copies it instead of overwriting the next.
+// encoded as NaN (gather). rows == nil means all rows. SPN learning
+// consumes this.
 func (t *Table) Matrix(cols []string, rows []int) ([][]float64, error) {
-	srcs := make([]*Column, len(cols))
+	srcs := make([]joinCol, len(cols))
 	for i, name := range cols {
-		c := t.Column(name)
-		if c == nil {
+		if srcs[i].c = t.Column(name); srcs[i].c == nil {
 			return nil, fmt.Errorf("table: unknown column %s in %s", name, t.Meta.Name)
 		}
-		srcs[i] = c
 	}
-	n := t.rows
-	if rows != nil {
-		n = len(rows)
-	}
-	d := len(srcs)
-	cells := make([]float64, n*d)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		r := i
-		if rows != nil {
-			r = rows[i]
-		}
-		row := cells[i*d : (i+1)*d : (i+1)*d]
-		for j, c := range srcs {
-			if c.Nul[r] {
-				row[j] = math.NaN()
-			} else {
-				row[j] = c.Data[r]
-			}
-		}
-		out[i] = row
-	}
-	return out, nil
+	return gather(srcs, nil, rows, t.rows), nil
 }

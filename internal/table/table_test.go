@@ -96,10 +96,11 @@ func TestFullOuterJoinMatchesFigure5b(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := JoinSpec{Tables: []string{"customer", "orders"}, Edges: []schema.Relationship{rel}}
-	j, err := FullOuterJoin(tabs, spec)
+	ji, err := IndexJoin(tabs, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := ji.Table()
 	// Figure 5b has 5 rows: 2 orders for customer 1, the orphan customer 2,
 	// 2 orders for customer 3.
 	if j.NumRows() != 5 {
@@ -202,10 +203,11 @@ func TestThreeWayFullOuterJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := FullOuterJoin(tabs, JoinSpec{Tables: []string{"c", "o", "l"}, Edges: edges})
+	ji, err := IndexJoin(tabs, JoinSpec{Tables: []string{"c", "o", "l"}, Edges: edges}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := ji.Table()
 	// customer 1: order 10 x 2 lines + order 11 x 1 line = 3 rows;
 	// customer 2: 1 padded row. Total 4.
 	if j.NumRows() != 4 {
