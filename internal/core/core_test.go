@@ -72,11 +72,10 @@ func exactEnsemble(t *testing.T, joint bool) (*Engine, *schema.Schema, map[strin
 	var members []*rspn.RSPN
 	if joint {
 		spec := table.JoinSpec{Tables: []string{"customer", "orders"}, Edges: []schema.Relationship{rel}}
-		ji, err := table.IndexJoin(tabs, spec, false)
+		j, err := table.Join(tabs, spec, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := ji.Table()
 		cols := rspn.LearnColumns(s, j, spec.Tables, nil)
 		r, err := rspn.Learn(context.Background(), j, spec.Tables, spec.Edges, cols, nil, opts)
 		if err != nil {

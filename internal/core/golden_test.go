@@ -193,13 +193,13 @@ func diamondFixture(t *testing.T) *ensemble.Ensemble {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := tabs[tables[0]]
+		var data rspn.Source = tabs[tables[0]]
 		if len(tables) > 1 {
-			j, err := table.IndexJoin(tabs, table.JoinSpec{Tables: tables, Edges: edges}, false)
+			j, err := table.Join(tabs, table.JoinSpec{Tables: tables, Edges: edges}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = j.Table()
+			data = j
 		}
 		r, err := rspn.Learn(context.Background(), data, tables, edges, rspn.LearnColumns(s, data, tables, nil), nil, opts)
 		if err != nil {

@@ -383,7 +383,7 @@ func (e *Ensemble) innerJoin(tables []string) (*table.JoinRanks, error) {
 	if err != nil {
 		return nil, err
 	}
-	return table.InnerJoinRanks(e.Tables, table.JoinSpec{Tables: tables, Edges: edges})
+	return table.Join(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, true)
 }
 
 // crossTableDependency computes the dependency value (max attribute-pair
@@ -395,10 +395,10 @@ func (e *Ensemble) crossTableDependency(j *table.JoinRanks, a, b string) (float6
 		return 0, nil
 	}
 	rdcCfg := stats.LearnRDCConfig(e.cfg.Seed)
-	sample := j.Sample(e.cfg.RDCSampleRows, e.rng)
+	sample := j.SampleRows(e.cfg.RDCSampleRows, e.rng)
 	colsA := e.attributeColumns(a)
 	colsB := e.attributeColumns(b)
-	data, err := sample.Matrix(slices.Concat(colsB, colsA), nil)
+	data, err := j.Matrix(slices.Concat(colsB, colsA), sample)
 	if err != nil {
 		return 0, err
 	}
@@ -491,14 +491,14 @@ func (e *Ensemble) learnSingle(ctx context.Context, tableName string) (*rspn.RSP
 	return rspn.Learn(ctx, t, []string{tableName}, nil, cols, fds, opts)
 }
 
-// learnJoin computes the full outer join of the tables as row indices and
-// learns a joint RSPN over it, gathering only the sampled tuples.
+// learnJoin numbers the full outer join of the tables and learns a joint
+// RSPN over it, decoding and gathering only the sampled tuples.
 func (e *Ensemble) learnJoin(ctx context.Context, tables []string) (*rspn.RSPN, error) {
 	edges, err := e.Schema.JoinTree(tables)
 	if err != nil {
 		return nil, err
 	}
-	j, err := table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
+	j, err := table.Join(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -322,32 +322,95 @@ func TestDependencyBytesPerJoinTuple(t *testing.T) {
 	}
 }
 
-// TestDependencyGateFailsIndexJoin is the must-fail twin: building the
-// inner join as row indices and drawing the sample from it, as the
-// dependency tests did, already exceeds the gate.
-func TestDependencyGateFailsIndexJoin(t *testing.T) {
+// TestDependencyGateFailsFullDecode is the must-fail twin: decoding every
+// tuple of the inner join before drawing the sample, which is what
+// building the join as row indices cost, already exceeds the gate.
+func TestDependencyGateFailsFullDecode(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	e := skewedStar(t)
-	edges, err := e.Schema.JoinTree([]string{"a", "hub", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := table.JoinSpec{Tables: []string{"a", "hub", "b"}, Edges: edges}
 	var tuples int
 	b := fewestBytes(func() {
-		j, err := table.IndexJoin(e.Tables, spec, true)
+		j, err := e.innerJoin([]string{"a", "hub", "b"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		j.Decode(nil)
 		j.SampleRows(e.cfg.RDCSampleRows, e.rng)
 		tuples = j.NumRows()
 	})
 	if b <= dependencyBytesPerTuple*uint64(tuples) {
-		t.Fatalf("the IndexJoin path allocates %d B, %.1f B per join tuple, within the gate", b, float64(b)/float64(tuples))
+		t.Fatalf("decoding every tuple allocates %d B, %.1f B per join tuple, within the gate", b, float64(b)/float64(tuples))
 	}
-	t.Logf("the IndexJoin path: %d B, %.1f B per join tuple", b, float64(b)/float64(tuples))
+	t.Logf("decoding every tuple: %d B, %.1f B per join tuple", b, float64(b)/float64(tuples))
+}
+
+// memberBytes is what learning the star's three-table member from 1 000
+// sampled tuples of its full outer join allocates (fewestBytes), and the
+// number of that join's tuples. fullDecode first decodes every tuple.
+func memberBytes(t *testing.T, fullDecode bool) (b uint64, tuples int) {
+	t.Helper()
+	e := skewedStar(t)
+	e.cfg.MaxSamples = 1000
+	tables := []string{"a", "hub", "b"}
+	b = fewestBytes(func() {
+		if fullDecode {
+			edges, err := e.Schema.JoinTree(tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := table.Join(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Decode(nil)
+		}
+		r, err := e.learnJoin(context.Background(), tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = int(r.FullSize)
+	})
+	return b, tuples
+}
+
+// memberBytesPerTuple is the allocation gate of learning a join member:
+// the 8 B per join tuple of the permutation its sample is drawn from, plus
+// the sample's structure learning, which does not grow with the join (it
+// measures 17.9 in all; building the join, as learning did before, 120).
+const memberBytesPerTuple = 24
+
+// TestMemberBytesPerJoinTuple: a join member samples the full outer join
+// it never builds, so on the star whose join has 26 times more tuples than
+// the tables have rows, learning it allocates at most memberBytesPerTuple
+// bytes per join tuple.
+func TestMemberBytesPerJoinTuple(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	b, tuples := memberBytes(t, false)
+	if tuples != 410600 {
+		t.Fatalf("the member's join has %d tuples; the fixture needs 410 600", tuples)
+	}
+	if b > memberBytesPerTuple*uint64(tuples) {
+		t.Errorf("%d B, %.1f B per join tuple; the gate is %d", b, float64(b)/float64(tuples), memberBytesPerTuple)
+	}
+	t.Logf("%d B, %.1f B per join tuple", b, float64(b)/float64(tuples))
+}
+
+// TestMemberGateFailsFullDecode is the must-fail twin: decoding every tuple
+// of the member's join before sampling it, which is what building the
+// join cost, exceeds the gate.
+func TestMemberGateFailsFullDecode(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	b, tuples := memberBytes(t, true)
+	if b <= memberBytesPerTuple*uint64(tuples) {
+		t.Fatalf("decoding every tuple allocates %d B, %.1f B per join tuple, within the gate", b, float64(b)/float64(tuples))
+	}
+	t.Logf("decoding every tuple: %d B, %.1f B per join tuple", b, float64(b)/float64(tuples))
 }
 
 // cancelOnDone is a context that cancels itself the first time someone

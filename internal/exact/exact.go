@@ -41,8 +41,10 @@ func New(s *schema.Schema, tables map[string]*table.Table) *Engine {
 }
 
 // materialize returns the join of the query's tables (the single base
-// table for 1-table queries), cached. Tables listed in outer keep
-// unmatched rows of the remaining tables (outer-join semantics).
+// table for 1-table queries), cached: every tuple of the numbered join
+// decoded, then gathered. Tables listed in outer keep unmatched rows of
+// the remaining tables (outer-join semantics): the full outer join is
+// decoded, and the tuples lacking a non-outer table dropped.
 func (e *Engine) materialize(tables, outer []string) (*table.Table, error) {
 	if len(tables) == 1 {
 		t, ok := e.Tables[tables[0]]
@@ -63,10 +65,11 @@ func (e *Engine) materialize(tables, outer []string) (*table.Table, error) {
 		return nil, err
 	}
 	spec := table.JoinSpec{Tables: tables, Edges: edges}
-	ji, err := table.IndexJoin(e.Tables, spec, len(outer) == 0)
+	jr, err := table.Join(e.Tables, spec, len(outer) == 0)
 	if err != nil {
 		return nil, err
 	}
+	ji := jr.Decode(nil)
 	if len(outer) > 0 {
 		// A full outer join, keeping the tuples in which every non-outer
 		// table is present.

@@ -27,11 +27,11 @@ func materializeOuterRef(e *Engine, tables, outer []string) (*table.Table, error
 	for _, t := range outer {
 		isOuter[t] = true
 	}
-	j, err := table.IndexJoin(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
+	j, err := table.Join(e.Tables, table.JoinSpec{Tables: tables, Edges: edges}, false)
 	if err != nil {
 		return nil, err
 	}
-	full := j.Table()
+	full := j.Decode(nil).Table()
 	var keep []int
 	for i := 0; i < full.NumRows(); i++ {
 		ok := true

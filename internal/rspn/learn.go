@@ -11,8 +11,8 @@ import (
 )
 
 // Source is what an RSPN learns from: a base table (*table.Table) or a
-// full outer join kept as row indices (*table.JoinIndex). Learn gathers
-// only the rows it samples.
+// full outer join numbered without being built (*table.JoinRanks). Learn
+// gathers only the rows it samples, and a join decodes only those tuples.
 type Source interface {
 	NumRows() int
 	SampleRows(k int, rng *rand.Rand) []int

@@ -72,11 +72,10 @@ func exactOpts() LearnOptions {
 func learnJoint(t *testing.T, s *schema.Schema, tabs map[string]*table.Table, rel schema.Relationship) *RSPN {
 	t.Helper()
 	spec := table.JoinSpec{Tables: []string{"customer", "orders"}, Edges: []schema.Relationship{rel}}
-	ji, err := table.IndexJoin(tabs, spec, false)
+	j, err := table.Join(tabs, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := ji.Table()
 	cols := LearnColumns(s, j, spec.Tables, nil)
 	r, err := Learn(context.Background(), j, spec.Tables, spec.Edges, cols, nil, exactOpts())
 	if err != nil {

@@ -57,26 +57,26 @@ type JoinSpec struct {
 	Edges  []schema.Relationship
 }
 
-// JoinIndex is a join kept as row indices: for each joined table, in the
-// order the fold joined it, one vector holding the table's row in every
-// joined tuple, or -1 where the tuple is padded on that table. Nothing is
-// copied until a caller gathers the columns it reads (Table, Matrix).
+// JoinIndex is a join's tuples decoded as row indices: for each joined
+// table, in the order the fold joined it, one vector holding the table's
+// row in every tuple, or -1 where the tuple is padded on that table.
+// Nothing is copied until Table gathers the columns.
 type JoinIndex struct {
 	tables []*Table
 	rows   [][]int
-	n      int
 }
 
-// foldStep is one edge of a fold: the probing column of the at-th joined
-// table, and the new table's join column hashed. Each distinct non-NULL
-// key is a group, and members lists every group's rows contiguously in
-// row order (group g's are members[start[g]:start[g+1]]).
+// foldStep is one edge of a fold: the probing table (the at-th joined),
+// the group of the new table's rows that each of its rows matches (-1 for
+// none), and the new table's rows grouped by key, in row order (group g's
+// are members[start[g]:start[g+1]]), and the orphans, the new table's rows
+// that no probing row matches, in row order.
 type foldStep struct {
 	at      int
-	aCol    *Column
-	group   map[float64]int32
+	probe   []int32
 	start   []int32
 	members []int32
+	orphans []int
 }
 
 // foldSteps orders the spec's tables as the fold joins them, the first
@@ -113,34 +113,16 @@ func foldSteps(tables map[string]*Table, spec JoinSpec) ([]*Table, []foldStep, e
 		if aCol == nil || bCol == nil {
 			return nil, nil, fmt.Errorf("table: edge %s does not connect %s and %s", rel.ID(), joinName(order), b.Meta.Name)
 		}
+		steps = append(steps, newFoldStep(at, order[at].rows, aCol, bCol, b.rows))
 		order = append(order, b)
-		steps = append(steps, newFoldStep(at, aCol, bCol, b.rows))
 		joined[newTable] = true
 	}
 	return order, steps, nil
 }
 
-// IndexJoin computes the join of the spec's tables as row indices. The
-// edges are folded into an accumulator one at a time, each by a hash join
-// on the edge's columns: every accumulated tuple in order, extended by its
-// matches in the new table's row order, and for a full outer join (inner
-// false) padded where it has none, followed by the new table's rows that
-// matched no tuple. An inner join drops incomplete tuples at each step,
-// which leaves the surviving tuples in the full outer join's order.
-func IndexJoin(tables map[string]*Table, spec JoinSpec, inner bool) (*JoinIndex, error) {
-	order, steps, err := foldSteps(tables, spec)
-	if err != nil {
-		return nil, err
-	}
-	j := &JoinIndex{tables: []*Table{order[0]}, rows: [][]int{identity(order[0].rows)}, n: order[0].rows}
-	for s, st := range steps {
-		j.step(order[s+1], st, inner)
-	}
-	return j, nil
-}
-
-// newFoldStep hashes the new table's join column c.
-func newFoldStep(at int, aCol, c *Column, rows int) foldStep {
+// newFoldStep hashes the new table's join column c and probes it with
+// each of the at-th table's aRows rows.
+func newFoldStep(at, aRows int, aCol, c *Column, rows int) foldStep {
 	// No size hint: a foreign-key column repeats its keys, and one slot
 	// per row would be allocated for keys that never come.
 	group := make(map[float64]int32)
@@ -172,67 +154,175 @@ func newFoldStep(at int, aCol, c *Column, rows int) foldStep {
 			fill[g]++
 		}
 	}
-	return foldStep{at: at, aCol: aCol, group: group, start: start, members: members}
+	st := foldStep{at: at, probe: make([]int32, aRows), start: start, members: members}
+	hit := make([]bool, len(count)) // the groups some probing row matches
+	for r := range st.probe {
+		st.probe[r] = -1
+		if g, ok := group[aCol.Data[r]]; ok && !aCol.Nul[r] {
+			st.probe[r] = g
+			hit[g] = true
+		}
+	}
+	for r, g := range gid {
+		if g < 0 || !hit[g] {
+			st.orphans = append(st.orphans, r)
+		}
+	}
+	return st
 }
 
-// matches returns the range of members whose key the probing column has
-// at row r, empty when r is padding (-1), its key is NULL or no row has it.
+// matches returns the range of members that the probing table's row r
+// matches, empty when r is padding (-1), its key is NULL or no row has it.
 func (st *foldStep) matches(r int) (lo, hi int) {
-	if r < 0 || st.aCol.Nul[r] {
+	if r < 0 || st.probe[r] < 0 {
 		return 0, 0
 	}
-	if g, ok := st.group[st.aCol.Data[r]]; ok {
-		return int(st.start[g]), int(st.start[g+1])
-	}
-	return 0, 0
+	g := st.probe[r]
+	return int(st.start[g]), int(st.start[g+1])
 }
 
-// step joins table b into the accumulator on the fold step st.
-func (j *JoinIndex) step(b *Table, st foldStep, inner bool) {
-	var matched []bool
-	if !inner {
-		matched = make([]bool, b.rows)
+// JoinRanks numbers a join's tuples without building it, by weighing each
+// row with the number of tuples that extend it over the tables joined
+// after it. The fold orders the tuples: each step extends every tuple, in
+// order, by its matches in the new table's row order, and in a full outer
+// join pads a tuple with no match once and then appends its orphans. So
+// the root's tuples come first, by root row, then each step's orphans in
+// row order, each extended like a root, and the tuple at any rank decodes
+// in O(tables · log rows). Decode is the only enumeration of a join.
+type JoinRanks struct {
+	tables []*Table
+	steps  []foldStep // steps[s] joins tables[s+1]
+	roots  []int      // the root's rows, then each step's orphans
+	first  []int      // roots[first[t]:] starts tables[t]'s roots
+	cum    [][]int    // weights summed: cum[0] over roots, cum[s+1] over steps[s]'s members
+}
+
+// Join numbers the tuples of the inner join of the spec's tables, or of
+// their full outer join when inner is false.
+func Join(tables map[string]*Table, spec JoinSpec, inner bool) (*JoinRanks, error) {
+	order, steps, err := foldSteps(tables, spec)
+	if err != nil {
+		return nil, err
 	}
-	src := make([]int, 0, j.n)  // accumulated tuple, -1 for b's orphans
-	brow := make([]int, 0, j.n) // b's row, -1 where padded
-	aRows := j.rows[st.at]
-	for i := 0; i < j.n; i++ {
-		lo, hi := st.matches(aRows[i])
-		if lo == hi {
+	return newJoinRanks(order, steps, unitWeights(order), inner), nil
+}
+
+// unitWeights gives every row of the tables base weight 1.
+func unitWeights(tables []*Table) [][]int {
+	w := make([][]int, len(tables))
+	for t, tb := range tables {
+		w[t] = make([]int, tb.rows)
+		for r := range w[t] {
+			w[t][r] = 1
+		}
+	}
+	return w
+}
+
+// newJoinRanks turns base weights into row weights bottom-up (a row's base
+// weight times, per later table joined on its column, its matches' summed
+// weight, at least 1 in a full outer join, which pads a row without
+// matches once) and sums them.
+func newJoinRanks(tables []*Table, steps []foldStep, w [][]int, inner bool) *JoinRanks {
+	j := &JoinRanks{tables: tables, steps: steps, cum: make([][]int, len(w)), first: make([]int, len(w))}
+	for s := len(j.steps) - 1; s >= 0; s-- {
+		st := &j.steps[s]
+		cum := make([]int, len(st.members)+1)
+		for x, r := range st.members {
+			cum[x+1] = cum[x] + w[s+1][r]
+		}
+		for r := range w[st.at] {
+			lo, hi := st.matches(r)
+			m := cum[hi] - cum[lo]
 			if !inner {
-				src = append(src, i)
-				brow = append(brow, -1)
+				m = max(m, 1)
 			}
-			continue
+			w[st.at][r] *= m
 		}
-		for _, r := range st.members[lo:hi] {
-			src = append(src, i)
-			brow = append(brow, int(r))
-			if !inner {
-				matched[r] = true
-			}
+		j.cum[s+1] = cum
+	}
+	j.roots = identity(len(w[0]))
+	for s, st := range j.steps {
+		j.first[s+1] = len(j.roots)
+		if !inner {
+			j.roots = append(j.roots, st.orphans...)
 		}
 	}
-	for r, m := range matched {
-		if !m {
-			src = append(src, -1)
-			brow = append(brow, r)
+	j.cum[0] = make([]int, len(j.roots)+1)
+	t := 0
+	for x, r := range j.roots {
+		for t+1 < len(j.first) && j.first[t+1] <= x {
+			t++
 		}
+		j.cum[0][x+1] = j.cum[0][x] + w[t][r]
 	}
-	for t, old := range j.rows {
-		rows := make([]int, len(src))
-		for p, i := range src {
-			if i < 0 {
-				rows[p] = -1
-			} else {
-				rows[p] = old[i]
+	return j
+}
+
+// NumRows returns the number of joined tuples, the roots' summed weight.
+func (j *JoinRanks) NumRows() int { return j.cum[0][len(j.cum[0])-1] }
+
+// SampleRows returns k distinct ranks drawn like Table.SampleRows.
+func (j *JoinRanks) SampleRows(k int, rng *rand.Rand) []int { return sampleRows(j.NumRows(), k, rng) }
+
+// Decode returns the tuples at the given ranks, each in [0, NumRows()),
+// as a join of len(ranks) tuples in the ranks' order, or every tuple in
+// order when ranks is nil.
+func (j *JoinRanks) Decode(ranks []int) *JoinIndex {
+	n := len(ranks)
+	if ranks == nil {
+		n = j.NumRows()
+	}
+	out := &JoinIndex{tables: j.tables, rows: make([][]int, len(j.tables))}
+	for t := range out.rows {
+		out.rows[t] = make([]int, n)
+	}
+	root := j.cum[0]
+	x, t := -1, 0 // the last tuple's root, and the table it is a row of
+	for p := range n {
+		i := p
+		if ranks != nil {
+			i = ranks[p]
+		}
+		if x < 0 || i < root[x] || i >= root[x+1] {
+			x, _ = slices.BinarySearch(root[1:], i+1)
+			t = len(j.first) - 1
+			for j.first[t] > x {
+				t--
 			}
 		}
-		j.rows[t] = rows
+		for u := range t {
+			out.rows[u][p] = -1
+		}
+		out.rows[t][p] = j.roots[x]
+		i -= root[x]
+		open := root[x+1] - root[x] // the tuples that extend the prefix
+		for s := t; s < len(j.steps); s++ {
+			st := &j.steps[s]
+			lo, hi := st.matches(out.rows[st.at][p])
+			if lo == hi {
+				out.rows[s+1][p] = -1 // padded once
+				continue
+			}
+			cum := j.cum[s+1]
+			rest, q := 1, i // the other open edges' product, and i's offset in the group's sums
+			if sum := cum[hi] - cum[lo]; open != sum {
+				rest = open / sum
+				q = i / rest
+			}
+			// A member of weight 1 after members summing to q is the
+			// one; otherwise search the group's sums.
+			k := lo + q
+			if k >= hi || cum[k]-cum[lo] != q || cum[k+1]-cum[k] != 1 {
+				k, _ = slices.BinarySearch(cum[lo+1:hi+1], cum[lo]+q+1)
+				k += lo
+			}
+			i -= rest * (cum[k] - cum[lo])
+			open = rest * (cum[k+1] - cum[k])
+			out.rows[s+1][p] = int(st.members[k])
+		}
 	}
-	j.tables = append(j.tables, b)
-	j.rows = append(j.rows, brow)
-	j.n = len(src)
+	return out
 }
 
 // joinColumns finds the edge's column among the joined tables (the index
@@ -285,32 +375,19 @@ func (j *JoinIndex) Require(names []string) {
 		}
 	}
 	n := 0
-	for p := 0; p < j.n; p++ {
-		keep := true
-		for _, rows := range need {
-			if rows[p] < 0 {
-				keep = false
-				break
-			}
+	for p := range j.rows[0] {
+		if slices.ContainsFunc(need, func(rows []int) bool { return rows[p] < 0 }) {
+			continue
 		}
-		if keep {
-			for _, rows := range j.rows {
-				rows[n] = rows[p]
-			}
-			n++
+		for _, rows := range j.rows {
+			rows[n] = rows[p]
 		}
+		n++
 	}
 	for t := range j.rows {
 		j.rows[t] = j.rows[t][:n]
 	}
-	j.n = n
 }
-
-// NumRows returns the number of joined tuples.
-func (j *JoinIndex) NumRows() int { return j.n }
-
-// SampleRows returns k distinct tuple indices drawn like Table.SampleRows.
-func (j *JoinIndex) SampleRows(k int, rng *rand.Rand) []int { return sampleRows(j.n, k, rng) }
 
 // joinCol is one column of the joined table: column c of the t-th joined
 // table, or that table's indicator N_T when c is nil.
@@ -334,13 +411,13 @@ func (s joinCol) at(r int) (float64, bool) {
 	return s.c.Data[r], s.c.Nul[r]
 }
 
-// columns lists the joined table's columns: each joined table's columns
-// in join order, a name already present (a natural-join column) kept from
-// the first table, each table followed by its indicator N_T.
-func (j *JoinIndex) columns() []joinCol {
+// joinedColumns lists the joined table's columns: each joined table's
+// columns in join order, a name already present (a natural-join column)
+// kept from the first table, each table followed by its indicator N_T.
+func joinedColumns(tables []*Table) []joinCol {
 	var out []joinCol
 	seen := map[string]bool{}
-	for t, tb := range j.tables {
+	for t, tb := range tables {
 		for _, c := range tb.Cols {
 			if !seen[c.Meta.Name] {
 				seen[c.Meta.Name] = true
@@ -355,19 +432,20 @@ func (j *JoinIndex) columns() []joinCol {
 }
 
 // ColumnNames returns the joined table's column names in order (Table's).
-func (j *JoinIndex) ColumnNames() []string {
+func (j *JoinRanks) ColumnNames() []string {
 	var out []string
-	for _, jc := range j.columns() {
+	for _, jc := range joinedColumns(j.tables) {
 		out = append(out, jc.name)
 	}
 	return out
 }
 
-// Matrix gathers the named columns at the given tuples (all when nil) as
-// Table().Matrix would, without materializing the table: NULL and padding
-// are NaN, and an indicator N_T is 1 where the tuple has a row of T.
-func (j *JoinIndex) Matrix(cols []string, tuples []int) ([][]float64, error) {
-	all := j.columns()
+// Matrix decodes the tuples at the given ranks (all when nil) and gathers
+// the named columns there as Decode(ranks).Table().Matrix would, without
+// materializing the table: NULL and padding are NaN, and an indicator N_T
+// is 1 where the tuple has a row of T.
+func (j *JoinRanks) Matrix(cols []string, ranks []int) ([][]float64, error) {
+	all := joinedColumns(j.tables)
 	srcs := make([]joinCol, len(cols))
 	for i, name := range cols {
 		k := slices.IndexFunc(all, func(jc joinCol) bool { return jc.name == name })
@@ -376,7 +454,8 @@ func (j *JoinIndex) Matrix(cols []string, tuples []int) ([][]float64, error) {
 		}
 		srcs[i] = all[k]
 	}
-	return gather(srcs, j.rows, tuples, j.n), nil
+	d := j.Decode(ranks)
+	return gather(srcs, d.rows, nil, len(d.rows[0])), nil
 }
 
 // gather reads the sources at the tuples (all n when nil) into a row-major
@@ -412,14 +491,15 @@ func gather(srcs []joinCol, rows [][]int, tuples []int, n int) [][]float64 {
 	return out
 }
 
-// Table materializes the join, gathering every column once (columns gives
-// the order). Padded cells are NULL, except the indicator's, which are 0
-// (the tuple "is not there", not "unknown"), matching Figure 5b.
-// Dictionaries are shared with the base tables.
+// Table materializes the decoded tuples, gathering every column once
+// (joinedColumns gives the order). Padded cells are NULL, except the
+// indicator's, which are 0 (the tuple "is not there", not "unknown"),
+// matching Figure 5b. Dictionaries are shared with the base tables.
 func (j *JoinIndex) Table() *Table {
-	out := &Table{Meta: &schema.Table{Name: joinName(j.tables)}, rows: j.n}
-	for _, jc := range j.columns() {
-		nc := &Column{Meta: schema.Column{Name: jc.name, Kind: schema.IntKind}, Data: make([]float64, j.n), Nul: make([]bool, j.n)}
+	n := len(j.rows[0])
+	out := &Table{Meta: &schema.Table{Name: joinName(j.tables)}, rows: n}
+	for _, jc := range joinedColumns(j.tables) {
+		nc := &Column{Meta: schema.Column{Name: jc.name, Kind: schema.IntKind}, Data: make([]float64, n), Nul: make([]bool, n)}
 		if jc.c != nil {
 			nc.Meta = jc.c.Meta
 			nc.shareDict(jc.c)
@@ -429,94 +509,6 @@ func (j *JoinIndex) Table() *Table {
 		}
 		out.Cols = append(out.Cols, nc)
 		out.Meta.Columns = append(out.Meta.Columns, nc.Meta)
-	}
-	return out
-}
-
-// JoinRanks numbers the tuples of an inner join without building it, by
-// weighing each row with the number of tuples that extend it over the
-// tables joined after it. IndexJoin(…, true) orders tuples by the root's
-// row, then by each joined table's position in its match group, so the
-// tuple at any rank decodes in O(tables · log rows).
-type JoinRanks struct {
-	tables []*Table
-	steps  []foldStep // steps[s] joins tables[s+1]
-	cum    [][]int    // weights summed: the root's over rows, tables[s+1]'s over steps[s]'s members
-}
-
-// InnerJoinRanks numbers the tuples of the inner join of the spec's
-// tables, in IndexJoin(…, true)'s order.
-func InnerJoinRanks(tables map[string]*Table, spec JoinSpec) (*JoinRanks, error) {
-	order, steps, err := foldSteps(tables, spec)
-	if err != nil {
-		return nil, err
-	}
-	w := make([][]int, len(order))
-	for t, tb := range order {
-		w[t] = make([]int, tb.rows)
-		for r := range w[t] {
-			w[t][r] = 1 // every row's base weight
-		}
-	}
-	return newJoinRanks(order, steps, w), nil
-}
-
-// newJoinRanks turns base weights into row weights bottom-up (a row's base
-// weight times, per later table joined on its column, its matches' summed
-// weight) and sums them.
-func newJoinRanks(tables []*Table, steps []foldStep, w [][]int) *JoinRanks {
-	j := &JoinRanks{tables: tables, steps: steps, cum: make([][]int, len(w))}
-	for s := len(j.steps) - 1; s >= 0; s-- {
-		st := j.steps[s]
-		cum := make([]int, len(st.members)+1)
-		for x, r := range st.members {
-			cum[x+1] = cum[x] + w[s+1][r]
-		}
-		for r := range w[st.at] {
-			lo, hi := st.matches(r)
-			w[st.at][r] *= cum[hi] - cum[lo]
-		}
-		j.cum[s+1] = cum
-	}
-	j.cum[0] = make([]int, len(w[0])+1)
-	for r, x := range w[0] {
-		j.cum[0][r+1] = j.cum[0][r] + x
-	}
-	return j
-}
-
-// NumRows returns the number of joined tuples, the root's summed weight.
-func (j *JoinRanks) NumRows() int { return j.cum[0][len(j.cum[0])-1] }
-
-// Sample draws k distinct tuples as IndexJoin(…, true).SampleRows would,
-// with the same draws from rng, and decodes them.
-func (j *JoinRanks) Sample(k int, rng *rand.Rand) *JoinIndex {
-	return j.Decode(sampleRows(j.NumRows(), k, rng))
-}
-
-// Decode returns the tuples at the given ranks, each in [0, NumRows()),
-// as a join of len(ranks) tuples in the ranks' order.
-func (j *JoinRanks) Decode(ranks []int) *JoinIndex {
-	out := &JoinIndex{tables: j.tables, rows: make([][]int, len(j.tables)), n: len(ranks)}
-	for t := range out.rows {
-		out.rows[t] = make([]int, len(ranks))
-	}
-	root := j.cum[0]
-	for p, i := range ranks {
-		r, _ := slices.BinarySearch(root[1:], i+1)
-		out.rows[0][p] = r
-		i -= root[r]
-		open := root[r+1] - root[r] // the tuples that extend the prefix
-		for s, st := range j.steps {
-			cum := j.cum[s+1]
-			lo, hi := st.matches(out.rows[st.at][p])
-			rest := open / (cum[hi] - cum[lo]) // the other open edges' product
-			x, _ := slices.BinarySearch(cum[lo+1:hi+1], cum[lo]+i/rest+1)
-			x += lo
-			i -= rest * (cum[x] - cum[lo])
-			open = rest * (cum[x+1] - cum[x])
-			out.rows[s+1][p] = int(st.members[x])
-		}
 	}
 	return out
 }

@@ -146,30 +146,37 @@ func joinDiff(got, want *table.Table) string {
 	return ""
 }
 
-// gatherDiff checks the row-index view against the materialized join: its
-// column names, and its Matrix over every column at sampled tuples and at
-// all of them.
-func gatherDiff(j *table.JoinIndex, want *table.Table, rng *rand.Rand) string {
+// gatherDiff checks the numbered join against the materialized one: its
+// tuple count, its column names, and its Matrix over every column at
+// sampled ranks and at all of them.
+func gatherDiff(j *table.JoinRanks, want *table.Table, rng *rand.Rand) string {
 	if j.NumRows() != want.NumRows() {
-		return fmt.Sprintf("index has %d tuples, want %d", j.NumRows(), want.NumRows())
+		return fmt.Sprintf("weights sum to %d, the join has %d tuples", j.NumRows(), want.NumRows())
 	}
-	cols := want.ColumnNames()
-	if got := j.ColumnNames(); !slices.Equal(got, cols) {
+	if got, cols := j.ColumnNames(), want.ColumnNames(); !slices.Equal(got, cols) {
 		return fmt.Sprintf("columns %v, want %v", got, cols)
 	}
-	for _, tuples := range [][]int{j.SampleRows(25, rng), nil} {
-		got, err := j.Matrix(cols, tuples)
-		if err != nil {
-			return err.Error()
-		}
-		wantM, err := want.Matrix(cols, tuples)
-		if err != nil {
-			return err.Error()
-		}
-		for i := range wantM {
-			if !slices.EqualFunc(got[i], wantM[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-				return fmt.Sprintf("matrix row %d: %v, want %v", i, got[i], wantM[i])
-			}
+	if d := cellDiff(j, want, j.SampleRows(25, rng)); d != "" {
+		return d
+	}
+	return cellDiff(j, want, nil)
+}
+
+// cellDiff compares the cells of every column that the numbered join and
+// the materialized one hold at the ranks (all when nil), bit for bit.
+func cellDiff(j *table.JoinRanks, want *table.Table, ranks []int) string {
+	cols := want.ColumnNames()
+	got, err := j.Matrix(cols, ranks)
+	if err != nil {
+		return err.Error()
+	}
+	wantM, err := want.Matrix(cols, ranks)
+	if err != nil {
+		return err.Error()
+	}
+	for i := range wantM {
+		if !slices.EqualFunc(got[i], wantM[i], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return fmt.Sprintf("matrix row %d: %v, want %v", i, got[i], wantM[i])
 		}
 	}
 	return ""
@@ -192,11 +199,13 @@ func joinFixtures(t *testing.T) []joinFixture {
 	}
 }
 
-// TestJoinsMatchMaterializingReference: the row-index fold, gathered once,
-// equals the materializing join it replaced, full outer and inner, on every
-// connected table set of three data sets, and the row-index view gathers
-// the same cells at sampled tuples. A full join that requires every table
-// equals the inner one.
+// TestJoinsMatchMaterializingReference: the numbered join, every tuple
+// decoded, equals the materializing join it replaced, full outer and
+// inner, on every connected set of two to four tables of three data sets
+// (the figure-5 one with orphans, NULL and dangling foreign keys). Its
+// weights sum to the tuple count, and its Matrix gathers the reference's
+// cells at sampled ranks. A full join that requires every table equals the
+// inner one.
 func TestJoinsMatchMaterializingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, fx := range joinFixtures(t) {
@@ -213,27 +222,69 @@ func TestJoinsMatchMaterializingReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				j, err := table.IndexJoin(fx.tables, spec, inner)
+				j, err := table.Join(fx.tables, spec, inner)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := joinDiff(j.Table(), want); d != "" {
+				if d := gatherDiff(j, want, rng); d != "" {
 					t.Fatalf("%s: %s", name, d)
 				}
-				if d := gatherDiff(j, want, rng); d != "" {
-					t.Fatalf("%s: row-index view: %s", name, d)
+				if d := joinDiff(j.Decode(nil).Table(), want); d != "" {
+					t.Fatalf("%s: decoded: %s", name, d)
 				}
 				if inner {
 					// Requiring every table of the full join is the
 					// inner join, dropped at the end instead of per step.
-					full, err := table.IndexJoin(fx.tables, spec, false)
+					full, err := table.Join(fx.tables, spec, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					full.Require(spec.Tables)
-					if d := joinDiff(full.Table(), want); d != "" {
-						t.Fatalf("%s: Require: %s", name, d)
+					d := full.Decode(nil)
+					d.Require(spec.Tables)
+					if diff := joinDiff(d.Table(), want); diff != "" {
+						t.Fatalf("%s: Require: %s", name, diff)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinRanksDecodeEveryRank: on every connected set of two to four
+// tables of the three data sets, full outer and inner, the tuple decoded
+// at every rank, asked for in rank order and in a shuffled order, has the
+// materializing reference's cells at that rank, so Decode finds each
+// tuple's root again wherever the previous rank left it.
+func TestJoinRanksDecodeEveryRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, fx := range joinFixtures(t) {
+		for _, spec := range joinSpecs(t, fx.schema) {
+			for _, inner := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%v/inner=%v", fx.name, spec.Tables, inner)
+				ref := table.FullOuterJoinRef
+				if inner {
+					ref = table.InnerJoinRef
+				}
+				want, err := ref(fx.tables, spec, false)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				j, err := table.Join(fx.tables, spec, inner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j.NumRows() != want.NumRows() {
+					t.Fatalf("%s: weights sum to %d, the join has %d tuples", name, j.NumRows(), want.NumRows())
+				}
+				ranks := make([]int, want.NumRows())
+				for i := range ranks {
+					ranks[i] = i
+				}
+				if d := cellDiff(j, want, ranks); d != "" {
+					t.Fatalf("%s: in rank order: %s", name, d)
+				}
+				if d := cellDiff(j, want, rng.Perm(want.NumRows())); d != "" {
+					t.Fatalf("%s: shuffled: %s", name, d)
 				}
 			}
 		}
@@ -252,11 +303,11 @@ func TestJoinComparisonSeesMatchOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := table.IndexJoin(fx.tables, spec, false)
+			got, err := table.Join(fx.tables, spec, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			differs = differs || joinDiff(got.Table(), want) != ""
+			differs = differs || joinDiff(got.Decode(nil).Table(), want) != ""
 		}
 		if !differs {
 			t.Fatalf("%s: reversing the match order changed no join", fx.name)
@@ -264,78 +315,55 @@ func TestJoinComparisonSeesMatchOrder(t *testing.T) {
 	}
 }
 
-// rankDiff describes the first difference between the tuples the ranks
-// decode and the inner join's, or returns "": the summed weight must be
-// the tuple count, and the tuple at every rank must hold the join's row of
-// every table.
-func rankDiff(r *table.JoinRanks, j *table.JoinIndex) string {
-	if r.NumRows() != j.NumRows() {
-		return fmt.Sprintf("weights sum to %d, the join has %d tuples", r.NumRows(), j.NumRows())
-	}
-	return decodeDiff(r, j, j.NumRows())
-}
-
-// decodeDiff compares the tuples at the first n ranks.
-func decodeDiff(r *table.JoinRanks, j *table.JoinIndex, n int) string {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	got, want := r.Decode(ranks).Rows(), j.Rows()
-	for t := range want {
-		for i := range ranks {
-			if got[t][i] != want[t][i] {
-				return fmt.Sprintf("rank %d: row %d of table %d, want %d", i, got[t][i], t, want[t][i])
-			}
-		}
-	}
-	return ""
-}
-
-// TestJoinRanksDecodeIndexJoin: on every connected set of two to four
-// tables of the three data sets (the figure-5 one with NULL and dangling
-// foreign keys), the inner join's summed row weight is IndexJoin's tuple
-// count, and the tuple decoded at every rank has IndexJoin's row of every
-// table.
-func TestJoinRanksDecodeIndexJoin(t *testing.T) {
-	for _, fx := range joinFixtures(t) {
+// TestJoinComparisonSeesOrphans is the must-fail twin for the full outer
+// join's orphans: with the last step's orphans left out, the comparison
+// fails on the figure-5 fixture, whose customers without orders are
+// orphans wherever customer is joined after orders, and on IMDb.
+func TestJoinComparisonSeesOrphans(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, fx := range joinFixtures(t)[:2] {
+		differs := false
 		for _, spec := range joinSpecs(t, fx.schema) {
-			j, err := table.IndexJoin(fx.tables, spec, true)
+			want, err := table.FullOuterJoinRef(fx.tables, spec, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := table.InnerJoinRanks(fx.tables, spec)
+			got, err := table.DropOrphans(fx.tables, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := rankDiff(r, j); d != "" {
-				t.Fatalf("%s/%v: %s", fx.name, spec.Tables, d)
-			}
+			differs = differs || gatherDiff(got, want, rng) != "" || joinDiff(got.Decode(nil).Table(), want) != ""
+		}
+		if !differs {
+			t.Fatalf("%s: leaving orphans out changed no join", fx.name)
 		}
 	}
 }
 
-// TestRankComparisonSeesWeights is the must-fail twin: with the weight of
-// the last joined table's row in the first tuple one too high, the
-// comparison fails on every join of at least two tuples, on the count and
-// at the ranks both joins have.
+// TestRankComparisonSeesWeights is the must-fail twin of the weights: with
+// the weight of the last joined table's row in the first tuple one too
+// high, the comparison fails on every inner join of at least two tuples,
+// on the count and on the cells at the ranks both joins have.
 func TestRankComparisonSeesWeights(t *testing.T) {
 	checked := 0
 	for _, fx := range joinFixtures(t) {
 		for _, spec := range joinSpecs(t, fx.schema) {
-			j, err := table.IndexJoin(fx.tables, spec, true)
+			want, err := table.InnerJoinRef(fx.tables, spec, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if j.NumRows() < 2 {
+			if want.NumRows() < 2 {
 				continue
 			}
-			rows := j.Rows()
-			r, err := table.OffByOneRanks(fx.tables, spec, rows[len(rows)-1][0])
+			r, err := table.OffByOneRanks(fx.tables, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rankDiff(r, j) == "" || decodeDiff(r, j, min(r.NumRows(), j.NumRows())) == "" {
+			ranks := make([]int, min(r.NumRows(), want.NumRows()))
+			for i := range ranks {
+				ranks[i] = i
+			}
+			if r.NumRows() == want.NumRows() || cellDiff(r, want, ranks) == "" {
 				t.Fatalf("%s/%v: an off-by-one weight went unseen", fx.name, spec.Tables)
 			}
 			checked++

@@ -6,11 +6,11 @@ import (
 	"repro/internal/schema"
 )
 
-// The materializing join that IndexJoin replaced, kept as the reference
-// the row-index join must reproduce: the full outer join folds one table
-// at a time into an accumulator, copying every column at every step, and
-// the inner join selects the accumulator's complete rows afterwards by
-// their indicator columns.
+// The materializing join that the numbered join (Join) replaced, kept as
+// the reference its decoded tuples must reproduce: the full outer join
+// folds one table at a time into an accumulator, copying every column at
+// every step, and the inner join selects the accumulator's complete rows
+// afterwards by their indicator columns.
 
 func fullOuterJoinRef(tables map[string]*Table, spec JoinSpec, reverseMatches bool) (*Table, error) {
 	if len(spec.Tables) == 0 {

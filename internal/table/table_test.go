@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -96,11 +97,11 @@ func TestFullOuterJoinMatchesFigure5b(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := JoinSpec{Tables: []string{"customer", "orders"}, Edges: []schema.Relationship{rel}}
-	ji, err := IndexJoin(tabs, spec, false)
+	ji, err := Join(tabs, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := ji.Table()
+	j := ji.Decode(nil).Table()
 	// Figure 5b has 5 rows: 2 orders for customer 1, the orphan customer 2,
 	// 2 orders for customer 3.
 	if j.NumRows() != 5 {
@@ -143,6 +144,40 @@ func TestFullOuterJoinMatchesFigure5b(t *testing.T) {
 		}
 		if fc.Data[i] != want {
 			t.Fatalf("F'[%d] = %v, want %v", i, fc.Data[i], want)
+		}
+	}
+}
+
+// TestFullOuterJoinOfEmptyRoot: when the fold's first table is empty,
+// every tuple of the full outer join is an orphan of a later step, padded
+// on the root, decoded in order and out of it.
+func TestFullOuterJoinOfEmptyRoot(t *testing.T) {
+	s := paperSchema()
+	tabs := paperTables(t, s)
+	tabs["customer"] = New(s.Table("customer"))
+	spec := JoinSpec{Tables: []string{"customer", "orders"}, Edges: s.Relationships()}
+	want, err := fullOuterJoinRef(tabs, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := Join(tabs, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.NumRows() != 4 || want.NumRows() != 4 {
+		t.Fatalf("%d tuples, the reference %d; want 4", j.NumRows(), want.NumRows())
+	}
+	for _, ranks := range [][]int{nil, {3, 0, 2}} {
+		got, err := j.Matrix(want.ColumnNames(), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, err := want.Matrix(want.ColumnNames(), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(wantM) {
+			t.Fatalf("ranks %v: %v, want %v", ranks, got, wantM)
 		}
 	}
 }
@@ -203,11 +238,11 @@ func TestThreeWayFullOuterJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ji, err := IndexJoin(tabs, JoinSpec{Tables: []string{"c", "o", "l"}, Edges: edges}, false)
+	ji, err := Join(tabs, JoinSpec{Tables: []string{"c", "o", "l"}, Edges: edges}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := ji.Table()
+	j := ji.Decode(nil).Table()
 	// customer 1: order 10 x 2 lines + order 11 x 1 line = 3 rows;
 	// customer 2: 1 padded row. Total 4.
 	if j.NumRows() != 4 {

@@ -156,10 +156,11 @@ echo "== allocation budgets and model digests =="
 # TestModelDigests compares learned and updated ensembles with committed
 # digests; under the race detector it leaves out the six learned
 # ensembles (over a minute of instrumented learning), so they run here.
-# TestDependencyBytesPerJoinTuple caps the bytes a dependency test
-# allocates per tuple of the join it samples (it decodes the sample and
-# never builds the join); it too skips under the race detector.
-go test -run '^(TestAllocBudgets|TestGroupByRequestCounts|TestModelDigests|TestDependencyBytesPerJoinTuple)$' -count=1 . ./internal/spn ./internal/core ./internal/ensemble ./cmd/deepdb
+# TestDependencyBytesPerJoinTuple and TestMemberBytesPerJoinTuple cap the
+# bytes a dependency test and a join member's learning allocate per tuple
+# of the join they sample (they decode the sample and never build the
+# join); they too skip under the race detector.
+go test -run '^(TestAllocBudgets|TestGroupByRequestCounts|TestModelDigests|TestDependencyBytesPerJoinTuple|TestMemberBytesPerJoinTuple)$' -count=1 . ./internal/spn ./internal/core ./internal/ensemble ./cmd/deepdb
 
 echo "== benchmark smoke (1 iteration each) =="
 # The root package includes the update-pipeline benches (UpdateApply*,
